@@ -20,6 +20,7 @@ space with per-node max subtraction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,6 +72,10 @@ class PricingConstraint:
                 )
         else:
             raise ConfigurationError(f"unknown constraint kind '{self.kind}'")
+        if not math.isfinite(self.target_el):
+            raise ConfigurationError(f"target_el must be finite, got {self.target_el}")
+        if not math.isfinite(self.sigma):
+            raise ConfigurationError(f"sigma must be finite, got {self.sigma}")
         if self.target_el < 0.0:
             raise ConfigurationError("target_el must be >= 0")
         if self.sigma < 0.0:

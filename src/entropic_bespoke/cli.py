@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -133,16 +134,16 @@ class _Reporter:
 
     def csv(self, name: str, header, rows):
         path = self.out_dir / name
+        self.written.append(path)  # before opening: a failed write is removed
         fmt.write_csv(path, header, rows)
-        self.written.append(path)
         self.log(f"wrote {path}")
 
     def json(self, name: str, payload: dict):
         path = self.out_dir / name
+        self.written.append(path)
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        self.written.append(path)
         self.log(f"wrote {path}")
 
     def log(self, msg: str):
@@ -245,14 +246,15 @@ def _calibrate_all_horizons(config, params, portfolios, constraints, reporter):
         results[t] = calibrate(grid, priors, subset,
                                tol=config.tol, max_iter=config.max_iter)
         reporter.log(f"horizon {t}: {results[t].iterations} Newton steps")
-    residual_rows, factor_rows_, measure_rows_ = [], [], []
+    residual_rows, factor_rows_ = [], []
     for t in horizons:
         residual_rows.extend(fmt.residual_rows(t, results[t]))
         factor_rows_.extend(fmt.factor_rows(t, results[t]))
-        measure_rows_.extend(fmt.measure_rows(t, results[t]))
     reporter.csv("calibration_residuals.csv", fmt.RESIDUAL_HEADER, residual_rows)
     reporter.csv("factor_distribution.csv", fmt.FACTOR_HEADER, factor_rows_)
-    reporter.csv("posterior_measure.csv", fmt.MEASURE_HEADER, measure_rows_)
+    reporter.csv("posterior_measure.csv", fmt.MEASURE_HEADER, chain.from_iterable(
+        fmt.measure_rows(t, results[t]) for t in horizons
+    ))
     return results, unit
 
 
@@ -311,30 +313,11 @@ def _mode_calibrate_dynamic(config, reporter):
                                           max_iter=config.max_iter)
     residual_rows = []
     for kernel in kernels:
-        fake = _KernelView(kernel)
-        residual_rows.extend(fmt.residual_rows(kernel.horizon, fake))
+        residual_rows.extend(fmt.residual_rows(kernel.horizon, kernel))
     reporter.csv("calibration_residuals.csv", fmt.RESIDUAL_HEADER, residual_rows)
     reporter.csv("dynamic_states.csv", fmt.STATE_HEADER, fmt.state_rows(states))
-    kernel_rows = []
-    for kernel in kernels:
-        for s, row in enumerate(kernel.factor_rows):
-            for m in np.nonzero(row > 0.0)[0]:
-                kernel_rows.append([
-                    str(kernel.period), fmt._fmt(kernel.horizon), str(s),
-                    str(int(m)), fmt._fmt(row[m], fmt.FULL),
-                ])
-    reporter.csv("dynamic_factor_kernels.csv",
-                 ["period", "horizon", "prev_row", "m_next", "prob"],
-                 kernel_rows)
-
-
-class _KernelView:
-    """Adapts a PeriodKernel to the residual-row writer."""
-
-    def __init__(self, kernel):
-        self.constraints = kernel.constraints
-        self.model_els = kernel.model_els
-        self.lambdas = kernel.lambdas
+    reporter.csv("dynamic_factor_kernels.csv", fmt.KERNEL_HEADER,
+                 fmt.kernel_rows(kernels))
 
 
 def _standalone_pool(portfolios, members) -> IndexPortfolio:

@@ -25,7 +25,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
-from scipy.stats import binom
 
 from .calibrate import PricingConstraint, payoff_lattice
 from .errors import ConfigurationError
@@ -184,6 +183,10 @@ class BucketIncrementPrior:
         if p <= 0.0:
             out[prev_units] = 1.0
             return out
+        # scipy.stats costs about a second to import; only the dynamic
+        # model needs it
+        from scipy.stats import binom
+
         out[prev_units:] = binom.pmf(np.arange(room + 1), room, p)
         return out
 

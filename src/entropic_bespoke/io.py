@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,6 +22,9 @@ from .prior import COMPLEMENT, RELEVANT, FactorParams, IndexPortfolio, NameSpec
 
 NUM = "%.10g"
 FULL = "%.17g"
+
+# Rows per text block of a streamed dump; bounds the text held in memory.
+_BLOCK_ROWS = 1 << 16
 
 CONSTRAINT_COLUMNS = ["index_id", "kind", "k_low", "k_high", "horizon",
                       "target_el", "sigma"]
@@ -184,12 +188,34 @@ def parse_bespoke_spec(doc: dict, notional: float) -> BespokeSpec:
 # -- writers -------------------------------------------------------------
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]):
+def write_csv(path: Path, header: Sequence[str],
+              rows: Iterable[str | Sequence[str]]):
+    """Header, then each item of `rows` in turn: a `str` is pre-formatted
+    CSV text and is written verbatim, a sequence of fields is one row and
+    goes through CSV quoting.  Items are consumed as they are written, so a
+    generator of text blocks streams to disk."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow(row)
+            if isinstance(row, str):
+                fh.write(row)
+            else:
+                writer.writerow(row)
+
+
+def _text_blocks(prefix: str, line: str,
+                 *columns: np.ndarray) -> Iterator[str]:
+    """CSV text of the rows `prefix + line % (c[j] for c in columns)`, in
+    blocks of at most `_BLOCK_ROWS` rows.  `prefix` holds the leading
+    fields shared by every row, formatted once; the fields must never need
+    quoting."""
+    template = prefix + line
+    n = len(columns[0])
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        fields = zip(*(c[start:stop].tolist() for c in columns))
+        yield (template * (stop - start)) % tuple(chain.from_iterable(fields))
 
 
 def residual_rows(horizon: float, result) -> list[list[str]]:
@@ -231,18 +257,17 @@ def factor_rows(horizon: float, result) -> list[list[str]]:
 MEASURE_HEADER = ["horizon", "index_id", "m", "x_rel", "x_comp", "prob"]
 
 
-def measure_rows(horizon: float, result) -> list[list[str]]:
-    rows = []
+def measure_rows(horizon: float, result) -> Iterator[str]:
+    """posterior_measure.csv text for one horizon: the nonzero cells of
+    each tilted conditional, by index, factor node, then C order of
+    (x_rel, x_comp)."""
+    t = _fmt(horizon)
     for i in result.index_ids:
         pmfs = result.tilted_conditionals[i]
         for m in range(pmfs.shape[0]):
             xs, ys = np.nonzero(pmfs[m])
-            for x, y in zip(xs, ys):
-                rows.append([
-                    _fmt(horizon), str(i), str(m), str(int(x)), str(int(y)),
-                    _fmt(pmfs[m, x, y], FULL),
-                ])
-    return rows
+            yield from _text_blocks(f"{t},{i},{m},", f"%d,%d,{FULL}\n",
+                                    xs, ys, pmfs[m][xs, ys])
 
 
 PRICING_HEADER = ["k_low", "k_high", "par_spread_bp", "risky_annuity",
@@ -263,16 +288,25 @@ def pricing_rows(prices) -> list[list[str]]:
 STATE_HEADER = ["period", "horizon", "m", "x11", "x12", "x21", "x22", "prob"]
 
 
-def state_rows(states) -> list[list[str]]:
-    rows = []
+def state_rows(states) -> Iterator[str]:
+    """dynamic_states.csv text: every support row of each state in turn."""
     for state in states:
-        for row, p in zip(state.support, state.probs):
-            rows.append(
-                [str(state.period), _fmt(state.horizon)]
-                + [str(int(v)) for v in row]
-                + [_fmt(p, FULL)]
-            )
-    return rows
+        line = "%d," * state.support.shape[1] + FULL + "\n"
+        yield from _text_blocks(f"{state.period},{_fmt(state.horizon)},",
+                                line, *state.support.T, state.probs)
+
+
+KERNEL_HEADER = ["period", "horizon", "prev_row", "m_next", "prob"]
+
+
+def kernel_rows(kernels) -> Iterator[str]:
+    """dynamic_factor_kernels.csv text: the positive entries of each
+    period's factor rows, by previous support row, then next node."""
+    for kernel in kernels:
+        rows = kernel.factor_rows
+        prev, nxt = np.nonzero(rows > 0.0)
+        yield from _text_blocks(f"{kernel.period},{_fmt(kernel.horizon)},",
+                                f"%d,%d,{FULL}\n", prev, nxt, rows[prev, nxt])
 
 
 MAPPING_HEADER = ["rule", "k_bespoke", "maturity", "bespoke_el", "index_el",

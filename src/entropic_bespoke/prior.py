@@ -25,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .errors import ConfigurationError, InvalidLoadingError
 
-PROB_CLIP = 1e-12  # clamp for norm.ppf arguments near 0/1
+PROB_CLIP = 1e-12  # clamp for normal-quantile arguments near 0/1
 
 RELEVANT = "relevant"
 COMPLEMENT = "complement"
@@ -297,6 +297,6 @@ def _conditional_probs(
         return np.zeros(len(nodes))
     if p >= 1.0:
         return np.ones(len(nodes))
-    threshold = norm.ppf(min(max(p, PROB_CLIP), 1.0 - PROB_CLIP))
+    threshold = ndtri(min(max(p, PROB_CLIP), 1.0 - PROB_CLIP))
     arg = (threshold - loadings.beta1 * nodes[:, 0] - loadings.beta2 * nodes[:, 1])
-    return norm.cdf(arg / loadings.idio)
+    return ndtr(arg / loadings.idio)

@@ -96,6 +96,13 @@ class TestPayoffEval:
             self.c(kind="subportfolio_total")
         with pytest.raises(ConfigurationError):
             self.c(kind="nonsense")
+        nan, inf = float("nan"), float("inf")
+        for target_el, sigma in ((nan, 1e-4), (inf, 1e-4), (0.01, inf),
+                                 (0.01, nan)):
+            with pytest.raises(ConfigurationError, match="must be finite"):
+                PricingConstraint(index_id=1, kind="tranche", k_low=0.0,
+                                  k_high=0.03, target_el=target_el,
+                                  sigma=sigma)
 
 
 class TestPartitionFunctions:

@@ -1,10 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import entropic_bespoke as eb
+from entropic_bespoke import io as fmt
 from entropic_bespoke.cli import RunConfig, main
 from entropic_bespoke.io import (
     CONSTRAINT_COLUMNS,
@@ -108,6 +114,62 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+# -- reference dump formatters: one list of strings per row, one csv.writer
+# row each; the streamed dumps must reproduce their bytes exactly
+
+
+def reference_measure_rows(horizon, result):
+    rows = []
+    for i in result.index_ids:
+        pmfs = result.tilted_conditionals[i]
+        for m in range(pmfs.shape[0]):
+            xs, ys = np.nonzero(pmfs[m])
+            for x, y in zip(xs, ys):
+                rows.append(["%.10g" % float(horizon), str(i), str(m),
+                             str(int(x)), str(int(y)),
+                             "%.17g" % float(pmfs[m, x, y])])
+    return rows
+
+
+def reference_state_rows(states):
+    rows = []
+    for state in states:
+        for row, p in zip(state.support, state.probs):
+            rows.append([str(state.period), "%.10g" % float(state.horizon)]
+                        + [str(int(v)) for v in row] + ["%.17g" % float(p)])
+    return rows
+
+
+def reference_kernel_rows(kernels):
+    rows = []
+    for kernel in kernels:
+        for s, row in enumerate(kernel.factor_rows):
+            for m in np.nonzero(row > 0.0)[0]:
+                rows.append([str(kernel.period), "%.10g" % float(kernel.horizon),
+                             str(s), str(int(m)), "%.17g" % float(row[m])])
+    return rows
+
+
+def reference_csv(header, rows) -> bytes:
+    buf = StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+@pytest.fixture
+def dumped(monkeypatch):
+    """Arguments of every dump producer call the CLI makes, by name."""
+    calls = {}
+    for name in ("measure_rows", "state_rows", "kernel_rows"):
+        def spy(*args, _real=getattr(fmt, name), _name=name):
+            calls.setdefault(_name, []).append(args)
+            return _real(*args)
+        monkeypatch.setattr(fmt, name, spy)
+    return calls
+
+
 class TestCalibrateStatic:
     def test_prior_targets_give_zero_residuals_and_lambdas(self, workdir):
         write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
@@ -147,6 +209,55 @@ class TestCalibrateStatic:
                   rows + extra)
         assert main(["--config", str(workdir / "config.json")]) == 0
         assert "linearly dependent" in capsys.readouterr().err
+
+    def test_measure_dump_bytes_match_row_formatter(self, workdir, dumped):
+        # half the single-name loss as the unit: every name loses 2 units,
+        # so each node's lattice has zero-mass cells the dump must skip
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
+                  prior_el_constraints(workdir / "portfolios.json", shift=1.1))
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["loss_unit"] = 0.05
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        assert main(["--config", str(workdir / "config.json")]) == 0
+        calls = dumped["measure_rows"]
+        assert [t for t, _ in calls] == [1.0, 3.0]
+        assert any(
+            (pmfs[m] == 0.0).any() and pmfs[m].any()
+            for _, result in calls
+            for pmfs in result.tilted_conditionals.values()
+            for m in range(pmfs.shape[0])
+        )
+        rows = [row for t, result in calls
+                for row in reference_measure_rows(t, result)]
+        assert (workdir / "out" / "posterior_measure.csv").read_bytes() == \
+            reference_csv(fmt.MEASURE_HEADER, rows)
+
+
+class TestCalibrateDynamic:
+    def test_state_and_kernel_dump_bytes_match_row_formatter(
+        self, tmp_path, dumped, monkeypatch
+    ):
+        # small text blocks, so each state and kernel spans several
+        monkeypatch.setattr(fmt, "_BLOCK_ROWS", 7)
+        write_portfolios(tmp_path / "portfolios.json", n_names=4)
+        write_csv(tmp_path / "constraints.csv", CONSTRAINT_COLUMNS,
+                  prior_el_constraints(tmp_path / "portfolios.json",
+                                       grid_size=(3, 3), shift=1.1))
+        (tmp_path / "config.json").write_text(json.dumps({
+            "mode": "calibrate-dynamic",
+            "portfolios": "portfolios.json",
+            "constraints": "constraints.csv",
+            "grid_size": [3, 3],
+            "output_dir": "out",
+        }))
+        assert main(["--config", str(tmp_path / "config.json")]) == 0
+        (states,), = dumped["state_rows"]
+        (kernels,), = dumped["kernel_rows"]
+        assert len(states) == len(kernels) == 2
+        assert (tmp_path / "out" / "dynamic_states.csv").read_bytes() == \
+            reference_csv(fmt.STATE_HEADER, reference_state_rows(states))
+        assert (tmp_path / "out" / "dynamic_factor_kernels.csv").read_bytes() \
+            == reference_csv(fmt.KERNEL_HEADER, reference_kernel_rows(kernels))
 
 
 class TestPriceBespoke:
@@ -344,6 +455,33 @@ class TestFailureHandling:
         assert capsys.readouterr().err.startswith("ERROR CONFIG:")
         assert not any((workdir / "out").iterdir())
 
+    def test_failed_streamed_dump_is_removed(self, workdir, monkeypatch,
+                                             capsys):
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
+                  prior_el_constraints(workdir / "portfolios.json"))
+
+        def failing_measure_rows(horizon, result):
+            yield "1,1,0,0,0,0.5\n"
+            raise OSError("disk full")
+
+        monkeypatch.setattr(fmt, "measure_rows", failing_measure_rows)
+        rc = main(["--config", str(workdir / "config.json")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("ERROR IO: disk full")
+        assert not any((workdir / "out").iterdir())
+
+    def test_non_finite_constraint_input(self, workdir, capsys):
+        rows = prior_el_constraints(workdir / "portfolios.json")
+        rows[0][5] = "nan"
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS, rows)
+        rc = main(["--config", str(workdir / "config.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR CONFIG: target_el must be finite")
+        assert not (workdir / "out").exists() or not any(
+            (workdir / "out").iterdir()
+        )
+
     def test_invalid_mode(self, workdir, capsys):
         cfg = json.loads((workdir / "config.json").read_text())
         cfg["mode"] = "explode"
@@ -372,3 +510,15 @@ class TestConfig:
         cfg = RunConfig.from_file(workdir / "config.json")
         assert cfg.portfolios == workdir / "portfolios.json"
         assert cfg.output_dir == workdir / "out"
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = str(Path(eb.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys, entropic_bespoke.cli; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
