@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
 from .calibrate import PricingConstraint, payoff_lattice
 from .errors import ConfigurationError
@@ -140,12 +140,13 @@ class DynamicState:
         return float(self.probs.sum())
 
     def marginal_loss_pmf(self, columns: Sequence[int]) -> dict[int, float]:
-        """pmf of the sum of the selected loss columns (1..4)."""
+        """pmf of the sum of the selected loss columns (1..4), by
+        ascending total."""
         totals = self.support[:, list(columns)].sum(axis=1)
-        out: dict[int, float] = {}
-        for units, p in zip(totals, self.probs):
-            out[int(units)] = out.get(int(units), 0.0) + float(p)
-        return out
+        units, which = np.unique(totals, return_inverse=True)
+        mass = np.bincount(which.ravel(), weights=self.probs,
+                           minlength=len(units))
+        return dict(zip(units.tolist(), mass.tolist()))
 
     def expected_tranche_loss(
         self, columns: Sequence[int], unit: float, k_low: float, k_high: float
@@ -170,25 +171,29 @@ class BucketIncrementPrior:
     capacity: int
     node_probs: np.ndarray  # (n_nodes,)
 
+    def node_pmfs(self, prev_units) -> np.ndarray:
+        """pmfs over absolute units 0..capacity for every node, zero below
+        the previous loss: shape (n_nodes, capacity + 1), or
+        (len(prev_units), n_nodes, capacity + 1) for an array of previous
+        losses.  Closed-form binomial in log space: 0 * log 0 counts as 0,
+        so p = 0 and p = 1 give exact point masses."""
+        prev = np.asarray(prev_units)
+        if np.any(prev > self.capacity):
+            raise ConfigurationError("previous loss exceeds bucket capacity")
+        room = (self.capacity - prev)[..., None, None]
+        k = np.arange(self.capacity + 1) - prev[..., None, None]
+        inside = (k >= 0) & (k <= room)
+        k = np.where(inside, k, 0)
+        p = self.node_probs[:, None]
+        log_pmf = (
+            gammaln(room + 1) - gammaln(k + 1) - gammaln(room - k + 1)
+            + xlogy(k, p) + xlog1py(room - k, -p)
+        )
+        return np.where(inside, np.exp(log_pmf), 0.0)
+
     def pmf(self, node: int, prev_units: int) -> np.ndarray:
         """pmf over absolute units 0..capacity, zero below prev_units."""
-        if prev_units > self.capacity:
-            raise ConfigurationError("previous loss exceeds bucket capacity")
-        out = np.zeros(self.capacity + 1)
-        room = self.capacity - prev_units
-        if room == 0:
-            out[prev_units] = 1.0
-            return out
-        p = self.node_probs[node]
-        if p <= 0.0:
-            out[prev_units] = 1.0
-            return out
-        # scipy.stats costs about a second to import; only the dynamic
-        # model needs it
-        from scipy.stats import binom
-
-        out[prev_units:] = binom.pmf(np.arange(room + 1), room, p)
-        return out
+        return self.node_pmfs(prev_units)[node]
 
 
 def build_conditional_loss_prior(
@@ -318,19 +323,16 @@ class DynamicModel:
         lattice, rounding losses up so paths stay monotone in value."""
         if period <= 0 or self.coarsen == 1 or state.period >= 1:
             return state
-        c = self.coarsen
-        acc: dict[tuple[int, ...], float] = {}
-        for row, p in zip(state.support, state.probs):
-            key = (int(row[0]),) + tuple(
-                -(-int(x) // c) for x in row[1:]  # ceiling division
-            )
-            acc[key] = acc.get(key, 0.0) + float(p)
-        keys = sorted(acc)
+        keys = np.column_stack(
+            [state.support[:, 0], -(-state.support[:, 1:] // self.coarsen)]
+        )  # ceiling division of the losses
+        support, which = np.unique(keys, axis=0, return_inverse=True)
         return DynamicState(
             period=state.period,
             horizon=state.horizon,
-            support=np.array(keys, dtype=int),
-            probs=np.array([acc[k] for k in keys]),
+            support=support,
+            probs=np.bincount(which.ravel(), weights=state.probs,
+                              minlength=len(support)),
         )
 
     # -- priors -----------------------------------------------------------
@@ -346,35 +348,30 @@ class DynamicModel:
         )
 
     def _factor_rows_prior(self, prev_support: np.ndarray) -> np.ndarray:
-        rows = np.empty((len(prev_support), self.grid.n_nodes))
-        for s, m_prev in enumerate(prev_support[:, 0]):
-            if m_prev < 0:
-                rows[s] = self.grid.flat_weights
-            else:
-                rows[s] = self.chain.matrix[m_prev]
+        m_prev = prev_support[:, 0]
+        rows = self.chain.matrix[m_prev]
+        rows[m_prev < 0] = self.grid.flat_weights
         return rows
 
     def _loss_priors(
         self, period: int, prev_state: DynamicState
-    ) -> dict[int, dict[tuple[int, int], np.ndarray]]:
-        """Per index, map each previous loss pair to (M, S1, S2) prior
-        transition pmfs on the absolute lattice."""
+    ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per index, (contexts, row_ctx, pmfs): the sorted distinct
+        previous loss pairs, the context of each previous support row, and
+        the (n_ctx, M, S1, S2) prior transition pmfs on the absolute
+        lattice."""
         t0, t1 = self.time_grid.period_bounds(period)
-        out: dict[int, dict[tuple[int, int], np.ndarray]] = {}
-        m_nodes = self.grid.n_nodes
+        out = {}
         caps = self.period_capacities(period)
         for pos, i in enumerate(self.index_ids):
-            cols = (1 + 2 * pos, 2 + 2 * pos)
-            contexts = sorted(
-                {(int(r[cols[0]]), int(r[cols[1]])) for r in prev_state.support}
-            )
+            contexts, row_ctx = _contexts(prev_state.support, pos)
             if period == 0:
+                if contexts.tolist() != [[0, 0]]:
+                    raise ConfigurationError("period 0 must start from zero losses")
                 static = build_conditional_prior(
                     self.portfolios[i], self.grid, self.loss_grids[i], t1, self.params
                 )
-                out[i] = {(0, 0): static.pmfs}
-                if contexts != [(0, 0)]:
-                    raise ConfigurationError("period 0 must start from zero losses")
+                out[i] = (contexts, row_ctx, static.pmfs[None])
                 continue
             loss_grid = self.period_loss_grid(period, i)
             rel = build_conditional_loss_prior(
@@ -385,13 +382,9 @@ class DynamicModel:
                 self.portfolios[i], COMPLEMENT, self.params, self.grid,
                 loss_grid, t0, t1, capacity=caps[i][1],
             )
-            ctx_map = {}
-            for x1, x2 in contexts:
-                pmfs = np.empty((m_nodes, rel.capacity + 1, comp.capacity + 1))
-                for m in range(m_nodes):
-                    pmfs[m] = np.outer(rel.pmf(m, x1), comp.pmf(m, x2))
-                ctx_map[(x1, x2)] = pmfs
-            out[i] = ctx_map
+            pmfs = (rel.node_pmfs(contexts[:, 0])[:, :, :, None]
+                    * comp.node_pmfs(contexts[:, 1])[:, :, None, :])
+            out[i] = (contexts, row_ctx, pmfs)
         return out
 
     def _payoffs(self, constraints, period: int) -> dict[int, np.ndarray]:
@@ -450,37 +443,36 @@ class DynamicModel:
     def propagate_marginal(
         self, prev_state: DynamicState, kernel: PeriodKernel
     ) -> DynamicState:
-        """Push the previous marginal through the calibrated kernel."""
+        """Push the previous marginal through the calibrated kernel.
+
+        The previous mass times the factor rows is pooled by previous
+        context pair into U[m, c1, c2]; then V = U . T2 sums out c2 and
+        P = T1 . V sums out c1, giving P(m, x11, x12, x21, x22).  The
+        support is the positive cells of P in C order, which is the
+        lexicographic order of the state tuples.
+        """
         prev_state = self.align_to_period(kernel.period, prev_state)
-        i1, i2 = self.index_ids
-        acc: dict[tuple[int, int, int, int, int], float] = {}
-        for s, row in enumerate(prev_state.support):
-            w = prev_state.probs[s]
-            if w == 0.0:
-                continue
-            ctx1 = (int(row[1]), int(row[2]))
-            ctx2 = (int(row[3]), int(row[4]))
-            t1 = kernel.loss_tilted[i1][ctx1]
-            t2 = kernel.loss_tilted[i2][ctx2]
-            for m in np.nonzero(kernel.factor_rows[s] > 0.0)[0]:
-                wm = w * kernel.factor_rows[s][m]
-                nz1 = np.argwhere(t1[m] > 0.0)
-                nz2 = np.argwhere(t2[m] > 0.0)
-                v1 = t1[m][t1[m] > 0.0]
-                v2 = t2[m][t2[m] > 0.0]
-                for (a, b), pv1 in zip(nz1, v1):
-                    base = wm * pv1
-                    for (c, d), pv2 in zip(nz2, v2):
-                        key = (int(m), int(a), int(b), int(c), int(d))
-                        acc[key] = acc.get(key, 0.0) + base * pv2
-        keys = sorted(acc)
-        support = np.array(keys, dtype=int)
-        probs = np.array([acc[k] for k in keys])
+        stacks, row_ctx = [], []
+        for pos, i in enumerate(self.index_ids):
+            contexts, which = _contexts(prev_state.support, pos)
+            tilted = kernel.loss_tilted[i]
+            stacks.append(np.stack([tilted[c] for c in map(tuple, contexts.tolist())]))
+            row_ctx.append(which)
+        t1, t2 = stacks
+        (n1, n_nodes, *shape1), (n2, _, *shape2) = t1.shape, t2.shape
+        pooled = _pool_rows(
+            row_ctx[0] * n2 + row_ctx[1],
+            prev_state.probs[:, None] * kernel.factor_rows, n1 * n2,
+        ).reshape(n1, n2, n_nodes).transpose(2, 0, 1)
+        v = pooled @ t2.reshape(n2, n_nodes, -1).transpose(1, 0, 2)
+        p = t1.reshape(n1, n_nodes, -1).transpose(1, 2, 0) @ v
+        p = p.reshape(n_nodes, *shape1, *shape2)
+        cells = np.nonzero(p > 0.0)
         return DynamicState(
             period=kernel.period,
             horizon=kernel.horizon,
-            support=support,
-            probs=probs,
+            support=np.column_stack(cells),
+            probs=p[cells],
         )
 
     def bootstrap_all(
@@ -504,6 +496,23 @@ class DynamicModel:
             states.append(state)
             kernels.append(kernel)
         return states, kernels
+
+
+def _contexts(support: np.ndarray, pos: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct previous loss pairs of the index at `pos` (0 or 1)
+    and the position of each support row's pair among them."""
+    pairs = support[:, 1 + 2 * pos:3 + 2 * pos]
+    contexts, which = np.unique(pairs, axis=0, return_inverse=True)
+    return contexts, which.ravel()
+
+
+def _pool_rows(groups: np.ndarray, values: np.ndarray, n_groups: int) -> np.ndarray:
+    """Sum the rows of `values` (n, k) by group into (n_groups, k), adding
+    in row order."""
+    k = values.shape[1]
+    bins = (groups[:, None] * k + np.arange(k)).ravel()
+    return np.bincount(bins, weights=values.ravel(),
+                       minlength=n_groups * k).reshape(n_groups, k)
 
 
 class _PeriodProblem:
@@ -530,34 +539,17 @@ class _PeriodProblem:
         self.targets = np.array([c.target_el for c in constraints])
         self.sigmas = np.array([c.sigma for c in constraints])
         self.payoffs = model._payoffs(constraints, period)
-        self.payoff_products = {
-            i: self.payoffs[i][:, None] * self.payoffs[i][None, :]
-            for i in self.index_ids
-        }
-        loss_priors = model._loss_priors(period, prev_state)
-        self.contexts = {i: sorted(loss_priors[i]) for i in self.index_ids}
-        self.ctx_index = {
-            i: {c: j for j, c in enumerate(self.contexts[i])}
-            for i in self.index_ids
-        }
-        self.log_priors = {}
-        for i in self.index_ids:
+        self.contexts, self.row_ctx, self.log_priors = {}, {}, {}
+        for i, (contexts, row_ctx, pmfs) in model._loss_priors(
+            period, prev_state
+        ).items():
+            self.contexts[i] = contexts
+            self.row_ctx[i] = row_ctx
             with np.errstate(divide="ignore"):
-                self.log_priors[i] = np.array(
-                    [np.log(loss_priors[i][c]) for c in self.contexts[i]]
-                )
+                self.log_priors[i] = np.log(pmfs)
         factor_rows = model._factor_rows_prior(prev_state.support)
         with np.errstate(divide="ignore"):
             self.log_factor_rows = np.log(factor_rows)
-        self.row_ctx = {}
-        for pos, i in enumerate(self.index_ids):
-            cols = (1 + 2 * pos, 2 + 2 * pos)
-            self.row_ctx[i] = np.array(
-                [
-                    self.ctx_index[i][(int(r[cols[0]]), int(r[cols[1]]))]
-                    for r in prev_state.support
-                ]
-            )
         self.w_prev = prev_state.probs
         self._cache: dict = {"key": None}
 
@@ -570,7 +562,7 @@ class _PeriodProblem:
         key = lambdas.tobytes()
         if key == self._cache["key"]:
             return self._cache
-        log_zs, tilted, cond_means, cond_seconds = {}, {}, {}, {}
+        log_zs, tilted, cond_means = {}, {}, {}
         for i in self.index_ids:
             lam_i = lambdas[self.positions[i]]
             targ_i = self.targets[self.positions[i]]
@@ -581,9 +573,6 @@ class _PeriodProblem:
             log_zs[i] = lz
             tilted[i] = t
             cond_means[i] = np.einsum("cmxy,kxy->cmk", t, self.payoffs[i])
-            cond_seconds[i] = np.einsum(
-                "cmxy,klxy->cmkl", t, self.payoff_products[i]
-            )
         i1, i2 = self.index_ids
         log_rows = (
             self.log_factor_rows
@@ -604,7 +593,7 @@ class _PeriodProblem:
         self._cache.update(
             key=key, h_rows=h_rows, value=value, grad=grad,
             model_els=model_els, tilted=tilted, cond_means=cond_means,
-            cond_seconds=cond_seconds, mean_rows=mean_rows,
+            mean_rows=mean_rows,
         )
         return self._cache
 
@@ -613,35 +602,42 @@ class _PeriodProblem:
         return state["value"], state["grad"].copy()
 
     def hessian(self, lambdas: np.ndarray) -> np.ndarray:
+        """Covariance of the payoffs under the posterior, plus sigma^2.
+
+        The within-index block is F diag(p) F^T, where p is the index's
+        lattice pmf pooled over previous rows and nodes:
+        p = sum_{c,m} W[c, m] tilted[c, m] with W[c, m] the previous mass
+        times the factor row, summed over the rows in context c."""
         state = self.evaluate(lambdas)
-        h_rows = state["h_rows"]
+        weighted_rows = self.w_prev[:, None] * state["h_rows"]
         n = self.n_constraints
+        hess = np.zeros((n, n))
+        for i in self.index_ids:
+            pos = self.positions[i]
+            if not pos:
+                continue
+            weights = _pool_rows(self.row_ctx[i], weighted_rows,
+                                 len(self.contexts[i]))
+            pmf = np.tensordot(weights, state["tilted"][i], axes=2).ravel()
+            f = self.payoffs[i].reshape(len(pos), -1)
+            hess[np.ix_(pos, pos)] = (f * pmf) @ f.T
         i1, i2 = self.index_ids
         p1, p2 = self.positions[i1], self.positions[i2]
-        second_rows = np.zeros((len(self.w_prev), n, n))
-        for i, pos in ((i1, p1), (i2, p2)):
-            block = np.einsum(
-                "sm,smkl->skl", h_rows, state["cond_seconds"][i][self.row_ctx[i]]
-            )
-            second_rows[np.ix_(range(len(self.w_prev)), pos, pos)] = block
         if p1 and p2:
             e1 = state["cond_means"][i1][self.row_ctx[i1]]
             e2 = state["cond_means"][i2][self.row_ctx[i2]]
-            cross = np.einsum("sm,smk,sml->skl", h_rows, e1, e2)
-            second_rows[np.ix_(range(len(self.w_prev)), p1, p2)] = cross
-            second_rows[np.ix_(range(len(self.w_prev)), p2, p1)] = np.transpose(
-                cross, (0, 2, 1)
-            )
+            cross = np.einsum("sm,smk,sml->kl", weighted_rows, e1, e2)
+            hess[np.ix_(p1, p2)] = cross
+            hess[np.ix_(p2, p1)] = cross.T
         mean_rows = state["mean_rows"]
-        cov_rows = second_rows - mean_rows[:, :, None] * mean_rows[:, None, :]
-        hess = np.einsum("s,skl->kl", self.w_prev, cov_rows)
+        hess -= (self.w_prev[:, None] * mean_rows).T @ mean_rows
         hess[np.diag_indices(n)] += self.sigmas**2
         return hess
 
     def kernel(self, lambdas: np.ndarray, iterations: int) -> PeriodKernel:
         state = self.evaluate(lambdas)
         loss_tilted = {
-            i: {c: state["tilted"][i][j] for c, j in self.ctx_index[i].items()}
+            i: dict(zip(map(tuple, self.contexts[i].tolist()), state["tilted"][i]))
             for i in self.index_ids
         }
         return PeriodKernel(

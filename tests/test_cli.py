@@ -512,13 +512,29 @@ class TestConfig:
         assert cfg.output_dir == workdir / "out"
 
 
-def test_cli_import_leaves_out_scipy_stats():
+def test_cli_import_leaves_out_scipy_stats(tmp_path):
+    # neither the import nor a calibrate-dynamic run loads scipy.stats
+    write_portfolios(tmp_path / "portfolios.json", n_names=4)
+    write_csv(tmp_path / "constraints.csv", CONSTRAINT_COLUMNS,
+              prior_el_constraints(tmp_path / "portfolios.json",
+                                   grid_size=(3, 3), shift=1.1))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "mode": "calibrate-dynamic",
+        "portfolios": "portfolios.json",
+        "constraints": "constraints.csv",
+        "grid_size": [3, 3],
+        "output_dir": "out",
+    }))
     src = str(Path(eb.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     code = ("import sys, entropic_bespoke.cli; "
-            "print('scipy.stats' in sys.modules)")
+            "print('scipy.stats' in sys.modules); "
+            f"code = entropic_bespoke.cli.main(['--config', {str(config)!r}]); "
+            "print(code, 'scipy.stats' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n")[:2] == ["False", "0 False"]
+    assert (tmp_path / "out" / "dynamic_states.csv").exists()

@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from entropic_bespoke.calibrate import PricingConstraint, calibrate
 from entropic_bespoke.dynamic import (
+    BucketIncrementPrior,
     DynamicModel,
     DynamicState,
     TimeGrid,
@@ -72,6 +74,56 @@ def prior_implied_constraints(model, period, state, sigma=1e-4):
         )
         for c, el in zip(shells, els)
     ]
+
+
+def shifted_constraints(model, period, state, shift=1.1, sigma=1e-3):
+    return [
+        PricingConstraint(
+            index_id=c.index_id, kind=c.kind, k_low=c.k_low,
+            k_high=c.k_high, bucket=c.bucket,
+            target_el=c.target_el * shift, sigma=sigma,
+        )
+        for c in prior_implied_constraints(model, period, state, sigma=sigma)
+    ]
+
+
+def direct_sum_oracle(kernel):
+    """Marginal after `kernel` by plain loops over its previous rows,
+    keeping only positive-mass states, in sorted key order."""
+    acc = {}
+    for s, row in enumerate(kernel.prev_support):
+        w = kernel.prev_probs[s]
+        t1 = kernel.loss_tilted[1][(int(row[1]), int(row[2]))]
+        t2 = kernel.loss_tilted[2][(int(row[3]), int(row[4]))]
+        for m in range(t1.shape[0]):
+            for a in range(t1.shape[1]):
+                for b in range(t1.shape[2]):
+                    for c_ in range(t2.shape[1]):
+                        for d in range(t2.shape[2]):
+                            p = (w * kernel.factor_rows[s][m]
+                                 * t1[m, a, b] * t2[m, c_, d])
+                            if p > 0.0:
+                                key = (m, a, b, c_, d)
+                                acc[key] = acc.get(key, 0.0) + p
+    return {k: acc[k] for k in sorted(acc)}
+
+
+def assert_matches_oracle(model, prev_state, kernel):
+    """Propagation equals the plain-loop oracle: same support in the same
+    order, probabilities to 1e-12 relative."""
+    expected = direct_sum_oracle(kernel)
+    got = model.propagate_marginal(prev_state, kernel)
+    assert [tuple(int(v) for v in row) for row in got.support] == \
+        list(expected)
+    assert got.probs == pytest.approx(list(expected.values()), rel=1e-12)
+
+
+def without_node(state, node):
+    """The state with every row at factor node `node` given zero weight,
+    renormalized to mass 1."""
+    probs = np.where(state.support[:, 0] == node, 0.0, state.probs)
+    return DynamicState(period=state.period, horizon=state.horizon,
+                        support=state.support, probs=probs / probs.sum())
 
 
 class TestFactorChain:
@@ -173,6 +225,24 @@ class TestIncrementPrior:
         pmf = prior.pmf(1, 2)
         assert pmf[:2].sum() == 0.0
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+    def test_closed_form_matches_scipy_binomial(self):
+        probs = np.array([1e-12, 0.02, 0.5, 1.0 - 1e-9, 1.0])
+        prior = BucketIncrementPrior(capacity=60, node_probs=probs)
+        table = prior.node_pmfs(np.arange(61))
+        assert table.shape == (61, len(probs), 61)
+        for prev in range(61):
+            room = 60 - prev
+            for node, p in enumerate(probs):
+                got = table[prev, node]
+                expected = np.zeros(61)
+                expected[prev:] = binom.pmf(np.arange(room + 1), room, p)
+                assert np.array_equal(got, prior.pmf(node, prev))
+                assert np.all(got[:prev] == 0.0)
+                big = expected > 1e-300
+                assert got[big] == pytest.approx(expected[big], rel=1e-11)
+                assert got.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCalibratePeriod:
@@ -316,6 +386,24 @@ class TestPropagate:
         for key in expected:
             assert got[key] == pytest.approx(expected[key], rel=1e-12)
         assert s1.total_mass == pytest.approx(1.0, abs=1e-10)
+
+
+    @pytest.mark.parametrize("persistence", [0.9, 1.0])
+    def test_multi_row_state_matches_direct_sum_oracle(self, persistence):
+        # period 1 starts from 144 rows over 4 contexts per index; the rows
+        # at node 0 carry no mass, so with a frozen factor chain every
+        # state at node 0 has zero mass and must drop out
+        model, *_ = small_model(n_grid=3, persistence=persistence)
+        state0 = model.initial_state()
+        k0 = model.calibrate_period(0, state0,
+                                    shifted_constraints(model, 0, state0))
+        s1 = without_node(model.propagate_marginal(state0, k0), 0)
+        assert (s1.probs == 0.0).any() and len(s1.probs) > 100
+        k1 = model.calibrate_period(1, s1, shifted_constraints(model, 1, s1))
+        assert np.abs(k1.lambdas).max() > 1e-3
+        assert_matches_oracle(model, s1, k1)
+        s2 = model.propagate_marginal(s1, k1)
+        assert (0 in s2.support[:, 0]) == (persistence < 1.0)
 
 
 class TestBootstrap:
@@ -540,3 +628,14 @@ class TestCoarsening:
         kernel = model.calibrate_period(0, state, cons)
         s1 = model.propagate_marginal(state, kernel)
         assert model.align_to_period(1, s1) is s1
+
+    def test_coarse_period_matches_direct_sum_oracle(self):
+        model = self.build(2)
+        state0 = model.initial_state()
+        k0 = model.calibrate_period(0, state0,
+                                    shifted_constraints(model, 0, state0))
+        s1 = without_node(model.propagate_marginal(state0, k0), 0)
+        k1 = model.calibrate_period(1, s1, shifted_constraints(model, 1, s1))
+        assert len(k1.prev_probs) < len(s1.probs)  # aligned to the coarse grid
+        assert (k1.prev_probs == 0.0).any()
+        assert_matches_oracle(model, s1, k1)
