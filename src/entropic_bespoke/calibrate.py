@@ -15,7 +15,8 @@ whose gradient component (i,k) is E_P[F_ik] - EL_ik + lam_ik * sigma_ik^2
 and whose Hessian is the posterior covariance matrix of the payoffs plus
 diag(sigma^2).  sigma_ik = 0 enforces a constraint exactly; large sigma
 leaves the prior untouched.  All partition functions are evaluated in log
-space with per-node max subtraction.
+space with per-row max subtraction by one kernel (`_tilt`), which the
+dynamic period problem shares.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConfigurationError, InfiniteDivergenceError
-from .loss import ConditionalLossDist, LossDist, mixture_unconditional
+from .loss import ConditionalLossDist, LossDist, LossGrid, mixture_unconditional
 from .prior import COMPLEMENT, RELEVANT, MarketFactorGrid
 from .solver import newton_minimize
 
@@ -100,16 +100,77 @@ def payoff_eval(constraint: PricingConstraint, x_relevant: float,
 def payoff_lattice(constraint: PricingConstraint, prior: ConditionalLossDist
                    ) -> np.ndarray:
     """Payoff evaluated on the full (relevant, complement) lattice."""
-    s1, s2 = prior.shape
-    xr = prior.grid.levels(s1)[:, None]
-    xc = prior.grid.levels(s2)[None, :]
-    if constraint.kind == TRANCHE:
-        x = xr + xc
-        return np.clip(x - constraint.k_low, 0.0,
-                       constraint.k_high - constraint.k_low)
-    if constraint.bucket == RELEVANT:
-        return np.broadcast_to(xr, (s1, s2)).copy()
-    return np.broadcast_to(xc, (s1, s2)).copy()
+    return _payoff_matrix([constraint], prior.grid, prior.shape).reshape(
+        prior.shape)
+
+
+def _payoff_matrix(constraints: Sequence[PricingConstraint], grid: LossGrid,
+                   shape: tuple[int, int]) -> np.ndarray:
+    """(K, S1 * S2) payoffs of the constraints on a (relevant, complement)
+    lattice of the given shape, flattened in C order."""
+    s1, s2 = shape
+    xr = grid.levels(s1)[:, None]
+    xc = grid.levels(s2)[None, :]
+    out = np.empty((len(constraints), s1, s2))
+    for row, c in zip(out, constraints):
+        if c.kind == TRANCHE:
+            row[...] = np.clip(xr + xc - c.k_low, 0.0, c.k_high - c.k_low)
+        else:
+            row[...] = xr if c.bucket == RELEVANT else xc
+    return out.reshape(len(constraints), s1 * s2)
+
+
+def _constraint_positions(constraints: Sequence[PricingConstraint],
+                          index_ids: Sequence[int]) -> dict[int, list[int]]:
+    """Per index, the positions of its constraints in the constraint list;
+    every constraint must name one of the indices."""
+    positions = {
+        i: [k for k, c in enumerate(constraints) if c.index_id == i]
+        for i in index_ids
+    }
+    unknown = sorted({c.index_id for c in constraints} - set(index_ids))
+    if unknown:
+        raise ConfigurationError(
+            f"constraints reference unknown index ids: {unknown}"
+        )
+    return positions
+
+
+def _log_rows(pmfs: np.ndarray) -> np.ndarray:
+    """log of an (..., S1, S2) pmf stack as (..., S1 * S2) rows; log 0 =
+    -inf."""
+    with np.errstate(divide="ignore"):
+        return np.log(pmfs.reshape(*pmfs.shape[:-2], -1))
+
+
+def _normalize_rows(log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize rows (the last axis) of log-weights into probabilities,
+    in place.
+
+    Returns (log of each row's normalizer, the normalized rows).  Each
+    row's max is subtracted before the one exp per cell, so no row
+    overflows, or underflows to zero as a whole."""
+    top = log_w.max(axis=-1)
+    top[~np.isfinite(top)] = 0.0
+    log_w -= top[..., None]
+    np.exp(log_w, out=log_w)
+    total = log_w.sum(axis=-1)
+    log_w /= total[..., None]
+    with np.errstate(divide="ignore"):
+        return top + np.log(total), log_w
+
+
+def _tilt(log_q: np.ndarray, payoffs: np.ndarray, lambdas: np.ndarray,
+          targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tilt/normalizer kernel of the static and dynamic duals.
+
+    log_q (..., cells) holds prior log-pmf rows, payoffs (K, cells) the
+    payoff matrix F.  Each row is tilted by exp(lam . (F - targets)).
+    Returns (log Z per row, the tilted rows, their conditional means
+    tilted @ F^T)."""
+    tilt = lambdas @ payoffs - lambdas @ targets
+    log_z, tilted = _normalize_rows(log_q + tilt)
+    return log_z, tilted, tilted @ payoffs.T
 
 
 def log_partition_functions(
@@ -121,10 +182,14 @@ def log_partition_functions(
 
     Z_i(m, lam) = sum_X Q_i(X | m) * exp(sum_k lam_k * (F_k(X) - EL_k)).
     """
-    tilt = _tilt_exponent(prior, constraints, np.asarray(lambdas, dtype=float))
-    with np.errstate(divide="ignore"):
-        log_q = np.log(prior.pmfs)
-    return logsumexp(log_q + tilt[None, :, :], axis=(1, 2))
+    lambdas = np.asarray(lambdas, dtype=float)
+    if len(constraints) != len(lambdas):
+        raise ConfigurationError(
+            f"{len(constraints)} constraints vs {len(lambdas)} multipliers"
+        )
+    payoffs = _payoff_matrix(constraints, prior.grid, prior.shape)
+    targets = np.array([c.target_el for c in constraints])
+    return _tilt(_log_rows(prior.pmfs), payoffs, lambdas, targets)[0]
 
 
 def partition_functions(
@@ -137,19 +202,6 @@ def partition_functions(
     return np.exp(log_partition_functions(prior, constraints, lambdas))
 
 
-def _tilt_exponent(prior, constraints, lambdas) -> np.ndarray:
-    if len(constraints) != len(lambdas):
-        raise ConfigurationError(
-            f"{len(constraints)} constraints vs {len(lambdas)} multipliers"
-        )
-    s1, s2 = prior.shape
-    tilt = np.zeros((s1, s2))
-    for c, lam in zip(constraints, lambdas):
-        if lam != 0.0:
-            tilt += lam * (payoff_lattice(c, prior) - c.target_el)
-    return tilt
-
-
 def posterior_factor_weights(
     prior_weights: np.ndarray, *log_zs: np.ndarray
 ) -> tuple[np.ndarray, float]:
@@ -159,8 +211,8 @@ def posterior_factor_weights(
         log_h = np.log(np.asarray(prior_weights, dtype=float))
     for lz in log_zs:
         log_h = log_h + np.asarray(lz, dtype=float)
-    log_norm = float(logsumexp(log_h))
-    return np.exp(log_h - log_norm), log_norm
+    log_norm, h = _normalize_rows(log_h[None, :])
+    return h[0], float(log_norm[0])
 
 
 @dataclass
@@ -207,26 +259,26 @@ class CalibrationResult:
 
     def kl_to_prior(self) -> float:
         """KL divergence of the calibrated joint law from the prior."""
-        h, g = self.posterior_weights, self.grid.flat_weights
-        total = _kl_sum(h, g)
+        h, n = self.posterior_weights, len(self.posterior_weights)
+        total = float(_kl(h, self.grid.flat_weights))
         for i, prior in self.priors.items():
-            tilted = self.tilted_conditionals[i]
-            cond = np.array(
-                [_kl_sum(tilted[m], prior.pmfs[m]) for m in range(len(h))]
-            )
+            cond = _kl(self.tilted_conditionals[i].reshape(n, -1),
+                       prior.pmfs.reshape(n, -1))
             total += float(h @ cond)
         return total
 
 
-def _kl_sum(p: np.ndarray, q: np.ndarray) -> float:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+def _kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """KL(p || q) along the last axis, for every leading index at once;
+    0 log 0 = 0."""
     mask = p > 0.0
-    if np.any(q[mask] <= 0.0):
+    if np.any(mask & (q <= 0.0)):
         raise InfiniteDivergenceError(
             "measure puts mass where the reference has none"
         )
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+    log_ratio = np.divide(p, q, out=np.ones_like(p), where=mask)
+    np.log(log_ratio, out=log_ratio)
+    return np.einsum("...c,...c->...", p, log_ratio)
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
@@ -235,7 +287,7 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ConfigurationError("distributions must share a lattice")
-    return _kl_sum(p.reshape(-1), q.reshape(-1))
+    return float(_kl(p.reshape(-1), q.reshape(-1)))
 
 
 def conditional_mutual_information(result: CalibrationResult,
@@ -245,19 +297,70 @@ def conditional_mutual_information(result: CalibrationResult,
     Zero when every conditional slice factorizes (the prior); positive as
     soon as a nonlinear tranche tilt couples the buckets.
     """
-    h = result.posterior_weights
+    def safe_log(a):  # log 0 read as 0; only multiplies zero mass
+        return np.log(a, out=np.zeros_like(a), where=a > 0.0)
+
+    # sum slab * (log slab - log row - log col) per node, in log space: the
+    # product of the marginals can underflow where the slab does not
     joint = result.tilted_conditionals[index_id]
-    total = 0.0
-    for m in range(len(h)):
-        if h[m] == 0.0:
-            continue
-        slab = joint[m]
-        prod = np.outer(slab.sum(axis=1), slab.sum(axis=0))
-        total += h[m] * _kl_sum(slab, prod)
-    return total
+    log_dep = safe_log(joint)
+    log_dep -= safe_log(joint.sum(axis=2))[:, :, None]
+    log_dep -= safe_log(joint.sum(axis=1))[:, None, :]
+    per_node = np.einsum("mxy,mxy->m", joint, log_dep)
+    return float(result.posterior_weights @ per_node)
 
 
-class MceCalibrator:
+class _StaticProblem:
+    """What both static calibrators share: the checked grid, priors and
+    constraints, each index's constraint positions and its (K_i, S1 * S2)
+    payoff matrix."""
+
+    def __init__(
+        self,
+        grid: MarketFactorGrid,
+        priors: dict[int, ConditionalLossDist],
+        constraints: Sequence[PricingConstraint],
+    ):
+        if not priors:
+            raise ConfigurationError("need at least one index prior")
+        if not constraints:
+            raise ConfigurationError("need at least one constraint")
+        m = grid.n_nodes
+        for i, prior in priors.items():
+            if prior.n_nodes != m:
+                raise ConfigurationError(
+                    f"prior for index {i} has {prior.n_nodes} nodes, grid has {m}"
+                )
+            slice_mass = prior.pmfs.reshape(prior.n_nodes, -1).sum(axis=1)
+            if np.max(np.abs(slice_mass - 1.0)) > 1e-8:
+                raise ConfigurationError(
+                    f"conditional prior slices for index {i} are not normalized"
+                )
+        self.grid = grid
+        self.priors = dict(priors)
+        self.constraints = tuple(constraints)
+        self.index_ids = sorted(priors)
+        self._positions = _constraint_positions(constraints, self.index_ids)
+        self.targets = np.array([c.target_el for c in constraints])
+        self.sigmas = np.array([c.sigma for c in constraints])
+        self._payoffs = {
+            i: _payoff_matrix([constraints[k] for k in pos], priors[i].grid,
+                              priors[i].shape)
+            for i, pos in self._positions.items()
+        }
+
+    @property
+    def n_constraints(self) -> int:
+        return len(self.constraints)
+
+    def _newton(self, tol: float, max_iter: int):
+        return newton_minimize(
+            self.dual_objective_and_gradient, self.dual_hessian,
+            np.zeros(self.n_constraints), tol=tol, max_iter=max_iter,
+        )
+
+
+class MceCalibrator(_StaticProblem):
     """Assembled dual problem for one horizon.
 
     Holds the factor grid, per-index conditional priors and the constraint
@@ -271,57 +374,10 @@ class MceCalibrator:
         priors: dict[int, ConditionalLossDist],
         constraints: Sequence[PricingConstraint],
     ):
-        if not priors:
-            raise ConfigurationError("need at least one index prior")
-        if not constraints:
-            raise ConfigurationError("need at least one constraint")
-        self.grid = grid
-        self.priors = dict(priors)
-        self.constraints = tuple(constraints)
-        self.index_ids = sorted(priors)
-        m = grid.n_nodes
-        for i, prior in priors.items():
-            if prior.n_nodes != m:
-                raise ConfigurationError(
-                    f"prior for index {i} has {prior.n_nodes} nodes, grid has {m}"
-                )
-            slice_mass = prior.pmfs.reshape(prior.n_nodes, -1).sum(axis=1)
-            if np.max(np.abs(slice_mass - 1.0)) > 1e-8:
-                raise ConfigurationError(
-                    f"conditional prior slices for index {i} are not normalized"
-                )
-        self._positions = {
-            i: [k for k, c in enumerate(constraints) if c.index_id == i]
-            for i in self.index_ids
-        }
-        placed = sorted(p for pos in self._positions.values() for p in pos)
-        if placed != list(range(len(constraints))):
-            bad = [c for c in constraints if c.index_id not in priors]
-            raise ConfigurationError(
-                f"constraints reference unknown index ids: "
-                f"{sorted({c.index_id for c in bad})}"
-            )
-        self.targets = np.array([c.target_el for c in constraints])
-        self.sigmas = np.array([c.sigma for c in constraints])
-        self._payoffs = {}
-        self._payoff_products = {}
-        self._log_q = {}
-        for i in self.index_ids:
-            prior = self.priors[i]
-            fs = np.array(
-                [payoff_lattice(self.constraints[k], prior)
-                 for k in self._positions[i]]
-            )
-            self._payoffs[i] = fs
-            self._payoff_products[i] = fs[:, None] * fs[None, :]
-            with np.errstate(divide="ignore"):
-                self._log_q[i] = np.log(prior.pmfs)
+        super().__init__(grid, priors, constraints)
+        self._log_q = {i: _log_rows(self.priors[i].pmfs) for i in self.index_ids}
         self._cache_key = None
         self._cache = None
-
-    @property
-    def n_constraints(self) -> int:
-        return len(self.constraints)
 
     # -- dual pieces ----------------------------------------------------
 
@@ -330,30 +386,24 @@ class MceCalibrator:
         key = lambdas.tobytes()
         if key == self._cache_key:
             return self._cache
-        state: dict = {"lambdas": lambdas.copy()}
-        log_zs = []
-        tilted = {}
-        cond_means = {}
+        self._cache_key = self._cache = None  # let the old tilted rows go
+        log_zs, tilted, cond_means = [], {}, {}
         for i in self.index_ids:
             pos = self._positions[i]
-            lam_i = lambdas[pos]
-            targ_i = self.targets[pos]
-            tilt = np.tensordot(lam_i, self._payoffs[i], axes=1) - lam_i @ targ_i
-            arg = self._log_q[i] + tilt[None, :, :]
-            log_z = logsumexp(arg, axis=(1, 2))
+            log_z, tilted[i], cond_means[i] = _tilt(
+                self._log_q[i], self._payoffs[i], lambdas[pos],
+                self.targets[pos],
+            )
             log_zs.append(log_z)
-            t = np.exp(arg - log_z[:, None, None])
-            tilted[i] = t
-            cond_means[i] = np.einsum("mxy,kxy->mk", t, self._payoffs[i])
         h, log_norm = posterior_factor_weights(self.grid.flat_weights, *log_zs)
         model_els = np.empty(self.n_constraints)
         for i in self.index_ids:
             model_els[self._positions[i]] = h @ cond_means[i]
         value = log_norm + 0.5 * float(self.sigmas**2 @ lambdas**2)
         grad = model_els - self.targets + lambdas * self.sigmas**2
-        state.update(
-            log_zs=log_zs, tilted=tilted, cond_means=cond_means, h=h,
-            log_norm=log_norm, model_els=model_els, value=value, grad=grad,
+        state = dict(
+            tilted=tilted, cond_means=cond_means, h=h, model_els=model_els,
+            value=value, grad=grad,
         )
         self._cache_key, self._cache = key, state
         return state
@@ -367,25 +417,26 @@ class MceCalibrator:
         return state["value"], state["grad"].copy()
 
     def dual_hessian(self, lambdas: np.ndarray) -> np.ndarray:
-        """Posterior covariance of the payoffs plus diag(sigma^2)."""
+        """Posterior covariance of the payoffs plus diag(sigma^2).
+
+        The within-index block is F diag(p) F^T with p = h @ tilted, the
+        index's posterior lattice pmf; the cross-index block is
+        (cond_means_i * h)^T cond_means_j, since the indices are
+        independent given the factor node."""
         state = self._evaluate(lambdas)
-        h = state["h"]
+        h, cond_means = state["h"], state["cond_means"]
         k = self.n_constraints
         hess = np.empty((k, k))
         for i in self.index_ids:
             pos_i = self._positions[i]
-            second = np.einsum(
-                "mxy,klxy->mkl", state["tilted"][i], self._payoff_products[i]
-            )
-            block = np.tensordot(h, second, axes=1)
-            hess[np.ix_(pos_i, pos_i)] = block
+            f = self._payoffs[i]
+            hess[np.ix_(pos_i, pos_i)] = (f * (h @ state["tilted"][i])) @ f.T
+            weighted = cond_means[i] * h[:, None]
             for j in self.index_ids:
                 if j <= i:
                     continue
                 pos_j = self._positions[j]
-                cross = np.einsum(
-                    "m,mk,ml->kl", h, state["cond_means"][i], state["cond_means"][j]
-                )
+                cross = weighted.T @ cond_means[j]
                 hess[np.ix_(pos_i, pos_j)] = cross
                 hess[np.ix_(pos_j, pos_i)] = cross.T
         mean = state["model_els"]
@@ -396,24 +447,24 @@ class MceCalibrator:
     def posterior(self, lambdas: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
         """(factor weights, tilted conditionals) at a multiplier vector."""
         state = self._evaluate(lambdas)
-        return state["h"].copy(), {i: t.copy() for i, t in state["tilted"].items()}
+        return state["h"].copy(), self._conditionals(state)
+
+    def _conditionals(self, state: dict) -> dict[int, np.ndarray]:
+        return {
+            i: t.reshape(self.priors[i].pmfs.shape).copy()
+            for i, t in state["tilted"].items()
+        }
 
     # -- driver ----------------------------------------------------------
 
     def solve(self, tol: float = 1e-9, max_iter: int = 200) -> CalibrationResult:
-        res = newton_minimize(
-            self.dual_objective_and_gradient,
-            self.dual_hessian,
-            np.zeros(self.n_constraints),
-            tol=tol,
-            max_iter=max_iter,
-        )
+        res = self._newton(tol, max_iter)
         state = self._evaluate(res.x)
         return CalibrationResult(
             constraints=self.constraints,
             lambdas=res.x,
             posterior_weights=state["h"].copy(),
-            tilted_conditionals={i: t.copy() for i, t in state["tilted"].items()},
+            tilted_conditionals=self._conditionals(state),
             model_els=state["model_els"].copy(),
             residuals=state["model_els"] - self.targets,
             objective_value=res.value,
@@ -434,7 +485,7 @@ def calibrate(
     return MceCalibrator(grid, priors, constraints).solve(tol=tol, max_iter=max_iter)
 
 
-class FactorOnlyCalibrator:
+class FactorOnlyCalibrator(_StaticProblem):
     """Restricted calibration that keeps the conditional loss laws at their
     prior form and only reweights the factor nodes:
 
@@ -445,26 +496,14 @@ class FactorOnlyCalibrator:
     """
 
     def __init__(self, grid, priors, constraints):
-        base = MceCalibrator(grid, priors, constraints)
-        self.grid = grid
-        self.priors = base.priors
-        self.constraints = base.constraints
-        self.index_ids = base.index_ids
-        self.targets = base.targets
-        self.sigmas = base.sigmas
-        self._positions = base._positions
+        super().__init__(grid, priors, constraints)
         # prior conditional mean payoffs, (M, K) in constraint order
         m = grid.n_nodes
-        self.cond_mean = np.empty((m, base.n_constraints))
+        self.cond_mean = np.empty((m, self.n_constraints))
         for i in self.index_ids:
-            self.cond_mean[:, self._positions[i]] = np.einsum(
-                "mxy,kxy->mk", self.priors[i].pmfs, base._payoffs[i]
+            self.cond_mean[:, self._positions[i]] = (
+                self.priors[i].pmfs.reshape(m, -1) @ self._payoffs[i].T
             )
-        self._tilted_priors = {i: self.priors[i].pmfs for i in self.index_ids}
-
-    @property
-    def n_constraints(self) -> int:
-        return len(self.constraints)
 
     def _weights(self, lambdas: np.ndarray) -> tuple[np.ndarray, float]:
         excess = self.cond_mean - self.targets[None, :]
@@ -489,20 +528,14 @@ class FactorOnlyCalibrator:
         return hess
 
     def solve(self, tol: float = 1e-9, max_iter: int = 200) -> CalibrationResult:
-        res = newton_minimize(
-            self.dual_objective_and_gradient,
-            self.dual_hessian,
-            np.zeros(self.n_constraints),
-            tol=tol,
-            max_iter=max_iter,
-        )
+        res = self._newton(tol, max_iter)
         h, _ = self._weights(res.x)
         model_els = h @ self.cond_mean
         return CalibrationResult(
             constraints=self.constraints,
             lambdas=res.x,
             posterior_weights=h,
-            tilted_conditionals={i: p.copy() for i, p in self._tilted_priors.items()},
+            tilted_conditionals={i: p.pmfs.copy() for i, p in self.priors.items()},
             model_els=model_els,
             residuals=model_els - self.targets,
             objective_value=res.value,

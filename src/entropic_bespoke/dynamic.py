@@ -24,12 +24,18 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlog1py, xlogy
+from scipy.special import gammaln, xlog1py, xlogy
 
-from .calibrate import PricingConstraint, payoff_lattice
+from .calibrate import (
+    PricingConstraint,
+    _constraint_positions,
+    _log_rows,
+    _normalize_rows,
+    _payoff_matrix,
+    _tilt,
+)
 from .errors import ConfigurationError
 from .loss import (
-    ConditionalLossDist,
     LossGrid,
     build_conditional_prior,
     name_loss_units,
@@ -387,22 +393,6 @@ class DynamicModel:
             out[i] = (contexts, row_ctx, pmfs)
         return out
 
-    def _payoffs(self, constraints, period: int) -> dict[int, np.ndarray]:
-        payoffs = {}
-        caps = self.period_capacities(period)
-        for i in self.index_ids:
-            s1, s2 = caps[i][0] + 1, caps[i][1] + 1
-            dummy = ConditionalLossDist(
-                index_id=i, grid=self.period_loss_grid(period, i),
-                pmfs=np.zeros((1, s1, s2)),
-            )
-            pos = [k for k, c in enumerate(constraints) if c.index_id == i]
-            stack = [payoff_lattice(constraints[k], dummy) for k in pos]
-            payoffs[i] = (
-                np.array(stack) if stack else np.zeros((0, s1, s2))
-            )
-        return payoffs
-
     # -- one period -------------------------------------------------------
 
     def _period_problem(
@@ -523,30 +513,33 @@ class _PeriodProblem:
     def __init__(self, model: DynamicModel, period: int,
                  prev_state: DynamicState,
                  constraints: tuple[PricingConstraint, ...]):
-        self.model = model
         self.period = period
         self.horizon = model.time_grid.horizons[period]
+        mass = prev_state.total_mass
+        if abs(mass - 1.0) > 1e-10:
+            # the gradient below assumes sum_prev P(prev) = 1
+            raise ConfigurationError(
+                f"previous state of period {period} has mass {mass!r}, not 1"
+            )
         self.prev_state = prev_state
         self.constraints = constraints
         self.index_ids = model.index_ids
-        self.positions = {
-            i: [k for k, c in enumerate(constraints) if c.index_id == i]
-            for i in self.index_ids
-        }
-        placed = sorted(p for pos in self.positions.values() for p in pos)
-        if placed != list(range(len(constraints))):
-            raise ConfigurationError("constraints reference unknown index ids")
+        self.positions = _constraint_positions(constraints, self.index_ids)
         self.targets = np.array([c.target_el for c in constraints])
         self.sigmas = np.array([c.sigma for c in constraints])
-        self.payoffs = model._payoffs(constraints, period)
         self.contexts, self.row_ctx, self.log_priors = {}, {}, {}
+        self.shapes, self.payoffs = {}, {}
         for i, (contexts, row_ctx, pmfs) in model._loss_priors(
             period, prev_state
         ).items():
             self.contexts[i] = contexts
             self.row_ctx[i] = row_ctx
-            with np.errstate(divide="ignore"):
-                self.log_priors[i] = np.log(pmfs)
+            self.shapes[i] = pmfs.shape  # (n_ctx, M, S1, S2)
+            self.log_priors[i] = _log_rows(pmfs)  # (n_ctx, M, S1 * S2)
+            self.payoffs[i] = _payoff_matrix(
+                [constraints[k] for k in self.positions[i]],
+                model.period_loss_grid(period, i), pmfs.shape[2:],
+            )
         factor_rows = model._factor_rows_prior(prev_state.support)
         with np.errstate(divide="ignore"):
             self.log_factor_rows = np.log(factor_rows)
@@ -564,23 +557,18 @@ class _PeriodProblem:
             return self._cache
         log_zs, tilted, cond_means = {}, {}, {}
         for i in self.index_ids:
-            lam_i = lambdas[self.positions[i]]
-            targ_i = self.targets[self.positions[i]]
-            tilt = np.tensordot(lam_i, self.payoffs[i], axes=1) - lam_i @ targ_i
-            arg = self.log_priors[i] + tilt[None, None, :, :]
-            lz = logsumexp(arg, axis=(2, 3))  # (n_ctx, M)
-            t = np.exp(arg - lz[:, :, None, None])
-            log_zs[i] = lz
-            tilted[i] = t
-            cond_means[i] = np.einsum("cmxy,kxy->cmk", t, self.payoffs[i])
+            pos = self.positions[i]
+            log_zs[i], tilted[i], cond_means[i] = _tilt(
+                self.log_priors[i], self.payoffs[i], lambdas[pos],
+                self.targets[pos],
+            )  # (n_ctx, M), (n_ctx, M, S1 * S2), (n_ctx, M, K_i)
         i1, i2 = self.index_ids
         log_rows = (
             self.log_factor_rows
             + log_zs[i1][self.row_ctx[i1]]
             + log_zs[i2][self.row_ctx[i2]]
         )
-        log_zhat = logsumexp(log_rows, axis=1)  # (n_prev,)
-        h_rows = np.exp(log_rows - log_zhat[:, None])
+        log_zhat, h_rows = _normalize_rows(log_rows)  # (n_prev,), (n_prev, M)
         value = float(self.w_prev @ log_zhat) + 0.5 * float(
             self.sigmas**2 @ lambdas**2
         )
@@ -618,8 +606,8 @@ class _PeriodProblem:
                 continue
             weights = _pool_rows(self.row_ctx[i], weighted_rows,
                                  len(self.contexts[i]))
-            pmf = np.tensordot(weights, state["tilted"][i], axes=2).ravel()
-            f = self.payoffs[i].reshape(len(pos), -1)
+            pmf = np.tensordot(weights, state["tilted"][i], axes=2)
+            f = self.payoffs[i]
             hess[np.ix_(pos, pos)] = (f * pmf) @ f.T
         i1, i2 = self.index_ids
         p1, p2 = self.positions[i1], self.positions[i2]
@@ -637,7 +625,8 @@ class _PeriodProblem:
     def kernel(self, lambdas: np.ndarray, iterations: int) -> PeriodKernel:
         state = self.evaluate(lambdas)
         loss_tilted = {
-            i: dict(zip(map(tuple, self.contexts[i].tolist()), state["tilted"][i]))
+            i: dict(zip(map(tuple, self.contexts[i].tolist()),
+                        state["tilted"][i].reshape(self.shapes[i])))
             for i in self.index_ids
         }
         return PeriodKernel(

@@ -8,7 +8,6 @@ bucket pmfs, each built by the usual one-name-at-a-time recursion.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,7 +155,9 @@ def build_conditional_prior(
 
     Per node the joint slice is the outer product of the two bucket pmfs,
     each built by recursion over the bucket's names with conditional
-    default probabilities at that node.
+    default probabilities at that node.  The recursion is vectorized over
+    all nodes at once; `threads` is accepted for compatibility and does
+    not change the work or the result.
     """
     coords = grid.node_coords
     loadings = portfolio_loadings(portfolio, params)
@@ -171,35 +172,14 @@ def build_conditional_prior(
                 f"index {portfolio.index_id} bucket '{bucket}' needs {cap} loss "
                 f"units but the grid caps at {loss_grid.max_units}"
             )
-        bucket_pmfs.append(
-            _bucket_pmfs_over_nodes(names, units, cap + 1, loadings, coords,
-                                    horizon, threads)
-        )
+        probs = np.array(
+            [_conditional_probs(n.default_prob(horizon), loadings[n.id], coords)
+             for n in names]
+        ).reshape(len(names), len(coords))
+        bucket_pmfs.append(bucket_pmf_recursion(probs, units, cap + 1))
     rel, comp = bucket_pmfs
     joint = rel[:, :, None] * comp[:, None, :]
     return ConditionalLossDist(index_id=portfolio.index_id, grid=loss_grid, pmfs=joint)
-
-
-def _bucket_pmfs_over_nodes(names, units, size, loadings, coords, horizon, threads):
-    def run(chunk: np.ndarray) -> np.ndarray:
-        if not names:
-            probs = np.zeros((0, len(chunk)))
-        else:
-            probs = np.array(
-                [
-                    _conditional_probs(n.default_prob(horizon), loadings[n.id], chunk)
-                    for n in names
-                ]
-            )
-        return bucket_pmf_recursion(probs, units, size)
-
-    if threads <= 1 or len(coords) < 2 * threads:
-        return run(coords)
-    # deterministic: chunks are independent per node and written back in order
-    chunks = np.array_split(coords, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(run, chunks))
-    return np.vstack(parts)
 
 
 def convolve(a: LossDist, b: LossDist) -> LossDist:

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .calibrate import CalibrationResult
+from .calibrate import CalibrationResult, _normalize_rows
 from .errors import (
     ConfigurationError,
     InfeasibleAdjustmentError,
@@ -223,9 +222,7 @@ def adjust_bespoke_names(
     scale = max(abs(hi), abs(lo), unit)
 
     def mixed_el(lam: float) -> tuple[float, float, np.ndarray]:
-        arg = log_q - lam * levels[None, :]
-        log_z = logsumexp(arg, axis=1)
-        tilted = np.exp(arg - log_z[:, None])
+        _, tilted = _normalize_rows(log_q - lam * levels[None, :])
         mean_m = tilted @ levels
         var_m = tilted @ levels**2 - mean_m**2
         return float(h @ mean_m), float(h @ var_m), tilted

@@ -1,5 +1,9 @@
+from types import SimpleNamespace
+
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from entropic_bespoke.calibrate import (
     MceCalibrator,
@@ -12,6 +16,7 @@ from entropic_bespoke.calibrate import (
     log_partition_functions,
     partition_functions,
     payoff_eval,
+    payoff_lattice,
     posterior_factor_weights,
     prior_expected_losses,
 )
@@ -145,6 +150,131 @@ class TestPartitionFunctions:
                     )
                     total += q * np.exp(expo)
             assert np.exp(logz[m]) == pytest.approx(total, rel=1e-12)
+
+
+def reference_dual(cal, lambdas):
+    """The static dual by the formulas the calibrator used before its
+    shared tilt kernel: logsumexp over each node's lattice, a second exp,
+    einsum for the conditional means and the (K, K, S1, S2) payoff-product
+    tensor for the within-index Hessian block.  Returns (value, gradient,
+    Hessian, factor weights, tilted conditionals)."""
+    lam = np.asarray(lambdas, dtype=float)
+    log_zs, tilted, cond_means, second, pos = [], {}, {}, {}, {}
+    for i in cal.index_ids:
+        pos[i] = [k for k, c in enumerate(cal.constraints) if c.index_id == i]
+        prior = cal.priors[i]
+        fs = np.array([payoff_lattice(cal.constraints[k], prior)
+                       for k in pos[i]])
+        tilt = np.tensordot(lam[pos[i]], fs, axes=1) - (
+            lam[pos[i]] @ cal.targets[pos[i]])
+        with np.errstate(divide="ignore"):
+            arg = np.log(prior.pmfs) + tilt[None, :, :]
+        log_z = logsumexp(arg, axis=(1, 2))
+        log_zs.append(log_z)
+        tilted[i] = np.exp(arg - log_z[:, None, None])
+        cond_means[i] = np.einsum("mxy,kxy->mk", tilted[i], fs)
+        second[i] = np.einsum("mxy,klxy->mkl", tilted[i],
+                              fs[:, None] * fs[None, :])
+    with np.errstate(divide="ignore"):
+        log_h = np.log(cal.grid.flat_weights) + sum(log_zs)
+    log_norm = logsumexp(log_h)
+    h = np.exp(log_h - log_norm)
+    k = len(lam)
+    mean = np.empty(k)
+    hess = np.empty((k, k))
+    for i in cal.index_ids:
+        mean[pos[i]] = h @ cond_means[i]
+        hess[np.ix_(pos[i], pos[i])] = np.tensordot(h, second[i], axes=1)
+        for j in cal.index_ids:
+            if j != i:
+                hess[np.ix_(pos[i], pos[j])] = np.einsum(
+                    "m,mk,ml->kl", h, cond_means[i], cond_means[j])
+    hess -= np.outer(mean, mean)
+    hess[np.diag_indices(k)] += cal.sigmas**2
+    value = log_norm + 0.5 * cal.sigmas**2 @ lam**2
+    grad = mean - cal.targets + lam * cal.sigmas**2
+    return value, grad, hess, h, tilted
+
+
+def assert_rel_close(got, want, rel=1e-12, scale=None):
+    """Normwise relative agreement: max |got - want| <= rel * scale, with
+    scale max |want| unless given."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    if scale is None:
+        scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= rel * scale
+
+
+def assert_matches_reference_dual(cal, lam):
+    value, grad, hess, h, tilted = reference_dual(cal, lam)
+    got_value, got_grad = cal.dual_objective_and_gradient(lam)
+    got_h, got_tilted = cal.posterior(lam)
+    assert got_value == pytest.approx(value, rel=1e-12)
+    assert_rel_close(got_grad, grad)
+    # the Hessian is E[F F^T] - E[F] E[F]^T + diag(sigma^2); near a point
+    # mass the difference cancels, so compare on the scale of E[F F^T]
+    mean = grad + cal.targets - lam * cal.sigmas**2
+    assert_rel_close(cal.dual_hessian(lam), hess,
+                     scale=np.abs(hess + np.outer(mean, mean)).max())
+    assert_rel_close(got_h, h)
+    for i in cal.index_ids:
+        assert_rel_close(got_tilted[i], tilted[i])
+        # the tilt never puts mass where the prior has none
+        assert np.all(got_tilted[i][cal.priors[i].pmfs == 0.0] == 0.0)
+
+
+class TestTiltKernelEquivalence:
+    def test_lattice_with_zero_mass_cells(self, rng):
+        _, grid, _, priors, _ = toy_setup(seed=22)
+        holed = {}
+        for i, prior in priors.items():
+            pmfs = prior.pmfs.copy()
+            pmfs[:, 1::3, :] = 0.0  # whole relevant-loss levels
+            pmfs[:, :, 2::4] = 0.0  # and whole complement-loss levels
+            pmfs[::2, 0, 0] = 0.0  # and the no-loss cell at every other node
+            pmfs /= pmfs.sum(axis=(1, 2), keepdims=True)
+            holed[i] = ConditionalLossDist(index_id=i, grid=prior.grid,
+                                           pmfs=pmfs)
+        cons = standard_constraints(grid, holed, shift=1.2)
+        cal = MceCalibrator(grid, holed, cons)
+        for _ in range(3):
+            assert_matches_reference_dual(
+                cal, rng.normal(scale=3.0, size=len(cons)))
+
+    @pytest.mark.parametrize("lam, targets", [
+        ([750.0, 700.0, 720.0, -30.0], (0.3, 0.2)),
+        ([-750.0, -700.0, -720.0, 30.0], (0.7, 0.6)),
+    ])
+    def test_multipliers_near_700(self, rng, lam, targets):
+        # exp of the unshifted tilt overflows, so only a kernel that
+        # subtracts each row's max gets these right
+        params = FactorParams(rho=0.3, alpha=0.2)
+        grid = build_market_grid(3, 3, params)
+        loss_grid = LossGrid(unit=0.5, max_units=4)
+        priors, cons = {}, []
+        for i in (1, 2):
+            pmfs = rng.random((grid.n_nodes, 3, 3))
+            pmfs[:, 0, 2] = 0.0
+            pmfs /= pmfs.sum(axis=(1, 2), keepdims=True)
+            priors[i] = ConditionalLossDist(index_id=i, grid=loss_grid,
+                                            pmfs=pmfs)
+            cons += [
+                PricingConstraint(index_id=i, kind="tranche", k_low=0.0,
+                                  k_high=1.0, target_el=targets[0],
+                                  sigma=1e-2),
+                PricingConstraint(index_id=i, kind="subportfolio_total",
+                                  bucket="relevant", target_el=targets[1],
+                                  sigma=1e-2),
+            ]
+        lam = np.array(lam)
+        exponent = sum(l * (payoff_lattice(c, priors[1]) - c.target_el)
+                       for l, c in zip(lam[:2], cons[:2]))
+        with np.errstate(over="ignore"):
+            assert np.exp(exponent.max()) == np.inf
+        assert_matches_reference_dual(MceCalibrator(grid, priors, cons), lam)
+        assert np.isfinite(
+            log_partition_functions(priors[1], cons[:2], lam[:2])).all()
 
 
 class TestPosteriorWeights:
@@ -433,3 +563,55 @@ class TestInformation:
         cons = standard_constraints(grid, priors, shift=1.3)
         res = calibrate(grid, priors, cons)
         assert res.kl_to_prior() > 0.0
+
+    def test_conditional_mi_when_marginal_product_underflows(self):
+        # a cell of 5e-324 whose row and column sums multiply to below the
+        # smallest double: an outer product of the marginals is 0 there
+        def mi(*slabs, weights=None):
+            joint = np.array(slabs, dtype=float)
+            h = np.full(len(slabs), 1.0 / len(slabs)) if weights is None \
+                else np.array(weights)
+            return conditional_mutual_information(
+                SimpleNamespace(posterior_weights=h,
+                                tilted_conditionals={1: joint}), 1)
+
+        def exact(slab):
+            slab = [[mpmath.mpf(float(v)) for v in row] for row in slab]
+            rows = [sum(r) for r in slab]
+            cols = [sum(c) for c in zip(*slab)]
+            return sum(v * mpmath.log(v / (rows[x] * cols[y]))
+                       for x, row in enumerate(slab)
+                       for y, v in enumerate(row) if v > 0)
+
+        tiny = [[5e-324, 0.0], [0.0, 1.0]]
+        assert mi(tiny) == pytest.approx(float(exact(tiny)), abs=1e-320)
+        assert 0.0 <= mi(tiny) < 1e-300
+        real = [[5e-324, 1.05e-125], [2.03e-199, 1.0]]
+        assert np.outer(np.sum(real, axis=1), np.sum(real, axis=0))[0, 0] == 0
+        assert mi(real) == pytest.approx(float(exact(real)), rel=1e-12,
+                                         abs=1e-300)
+        coupled = [[0.4, 0.1], [0.1, 0.4]]
+        assert mi(coupled, real, weights=[0.75, 0.25]) == pytest.approx(
+            0.75 * float(exact(coupled)) + 0.25 * float(exact(real)),
+            rel=1e-12)
+
+    def test_information_matches_per_node_loops(self):
+        # the vectorized KL and mutual information equal the plain per-node
+        # sums they replaced
+        def kl(p, q):
+            mask = p > 0.0
+            return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+
+        _, grid, _, priors, _ = toy_setup(seed=23)
+        res = calibrate(grid, priors,
+                        standard_constraints(grid, priors, shift=1.3))
+        h = res.posterior_weights
+        total = kl(h, grid.flat_weights)
+        for i, prior in priors.items():
+            t = res.tilted_conditionals[i]
+            total += sum(h[m] * kl(t[m], prior.pmfs[m]) for m in range(len(h)))
+            mi = sum(h[m] * kl(t[m], np.outer(t[m].sum(1), t[m].sum(0)))
+                     for m in range(len(h)))
+            assert conditional_mutual_information(res, i) == pytest.approx(
+                mi, rel=1e-12, abs=1e-15)
+        assert res.kl_to_prior() == pytest.approx(total, rel=1e-12)

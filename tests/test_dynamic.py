@@ -1,10 +1,12 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import binom
 
-from entropic_bespoke.calibrate import PricingConstraint, calibrate
+from entropic_bespoke.calibrate import PricingConstraint, calibrate, payoff_lattice
 from entropic_bespoke.dynamic import (
     BucketIncrementPrior,
     DynamicModel,
@@ -15,7 +17,11 @@ from entropic_bespoke.dynamic import (
     build_factor_chain_prior,
 )
 from entropic_bespoke.errors import ConfigurationError
-from entropic_bespoke.loss import LossGrid, build_conditional_prior
+from entropic_bespoke.loss import (
+    ConditionalLossDist,
+    LossGrid,
+    build_conditional_prior,
+)
 from entropic_bespoke.prior import build_market_grid, FactorParams, IndexPortfolio
 
 from conftest import make_name
@@ -289,6 +295,26 @@ class TestCalibratePeriod:
         residuals = kernel.model_els - np.array([c.target_el for c in cons])
         assert np.abs(residuals + kernel.lambdas * 1e-6).max() < 1e-8
 
+    def test_previous_mass_off_one_fails_fast(self):
+        # the dual's gradient assumes the previous state has mass 1; with
+        # the rows at node 1 zeroed (mass 0.90) the line search used to
+        # stall until CalibrationError after 200 iterations
+        model, *_ = small_model(n_grid=3)
+        state0 = model.initial_state()
+        k0 = model.calibrate_period(
+            0, state0, prior_implied_constraints(model, 0, state0))
+        s1 = model.propagate_marginal(state0, k0)
+        cons = shifted_constraints(model, 1, s1, shift=1.1)
+        light = DynamicState(
+            period=s1.period, horizon=s1.horizon, support=s1.support,
+            probs=np.where(s1.support[:, 0] == 1, 0.0, s1.probs))
+        assert light.total_mass < 0.95
+        message = re.escape(f"mass {light.total_mass!r}")
+        with pytest.raises(ConfigurationError, match=message):
+            model._period_problem(1, light, tuple(cons))
+        with pytest.raises(ConfigurationError, match=message):
+            model.calibrate_period(1, light, cons)
+
     def test_gradient_matches_finite_differences(self, rng):
         model, *_ = small_model(n_grid=3)
         state0 = model.initial_state()
@@ -324,6 +350,133 @@ class TestCalibratePeriod:
             _, gm = problem.objective(lam - e)
             fdh[:, k] = (gp - gm) / 2e-6
         assert np.abs(hess - fdh).max() / np.abs(hess).max() < 1e-5
+
+
+def reference_period_dual(model, period, prev_state, constraints, lambdas):
+    """The period dual by the formulas the period problem used before its
+    shared tilt kernel: logsumexp over each (context, node) lattice, a
+    second exp and einsum for the conditional means.  The Hessian is the
+    previous-mass average of every previous row's payoff covariance, built
+    from the (K, K, S1, S2) payoff-product tensor.  Returns (value,
+    gradient, Hessian, factor rows, tilted kernels by index and context)."""
+    lam = np.asarray(lambdas, dtype=float)
+    targets = np.array([c.target_el for c in constraints])
+    sigmas = np.array([c.sigma for c in constraints])
+    log_zs, tilted, cond, second, pos, ctx = {}, {}, {}, {}, {}, {}
+    for i, (contexts, row_ctx, pmfs) in model._loss_priors(
+            period, prev_state).items():
+        ctx[i] = row_ctx
+        pos[i] = [k for k, c in enumerate(constraints) if c.index_id == i]
+        lattice = ConditionalLossDist(
+            index_id=i, grid=model.period_loss_grid(period, i), pmfs=pmfs[0])
+        fs = np.array([payoff_lattice(constraints[k], lattice)
+                       for k in pos[i]]).reshape(len(pos[i]), *pmfs.shape[2:])
+        tilt = np.tensordot(lam[pos[i]], fs, axes=1) - (
+            lam[pos[i]] @ targets[pos[i]])
+        with np.errstate(divide="ignore"):
+            arg = np.log(pmfs) + tilt[None, None]
+        log_zs[i] = logsumexp(arg, axis=(2, 3))
+        t = np.exp(arg - log_zs[i][:, :, None, None])
+        tilted[i] = dict(zip(map(tuple, contexts.tolist()), t))
+        cond[i] = np.einsum("cmxy,kxy->cmk", t, fs)
+        second[i] = np.einsum("cmxy,klxy->cmkl", t, fs[:, None] * fs[None, :])
+    i1, i2 = model.index_ids
+    with np.errstate(divide="ignore"):
+        log_rows = (np.log(model._factor_rows_prior(prev_state.support))
+                    + log_zs[i1][ctx[i1]] + log_zs[i2][ctx[i2]])
+    log_zhat = logsumexp(log_rows, axis=1)
+    h_rows = np.exp(log_rows - log_zhat[:, None])
+    k = len(lam)
+    hess, mean = np.zeros((k, k)), np.zeros(k)
+    for s, (w, h) in enumerate(zip(prev_state.probs, h_rows)):
+        row_mean, row_second = np.empty(k), np.empty((k, k))
+        for i in model.index_ids:
+            row_mean[pos[i]] = h @ cond[i][ctx[i][s]]
+            row_second[np.ix_(pos[i], pos[i])] = np.tensordot(
+                h, second[i][ctx[i][s]], axes=1)
+        cross = np.einsum("m,mk,ml->kl", h, cond[i1][ctx[i1][s]],
+                          cond[i2][ctx[i2][s]])
+        row_second[np.ix_(pos[i1], pos[i2])] = cross
+        row_second[np.ix_(pos[i2], pos[i1])] = cross.T
+        hess += w * (row_second - np.outer(row_mean, row_mean))
+        mean += w * row_mean
+    hess[np.diag_indices(k)] += sigmas**2
+    value = prev_state.probs @ log_zhat + 0.5 * sigmas**2 @ lam**2
+    grad = mean - targets + lam * sigmas**2
+    return value, grad, hess, h_rows, tilted
+
+
+def assert_period_matches_reference(model, period, prev_state, constraints,
+                                    lam):
+    """Value, gradient, Hessian and posterior kernel of the period problem
+    equal the reference formulas to 1e-12, normwise relative (the Hessian
+    on the scale of the payoff second moments it is the difference of)."""
+    value, grad, hess, h_rows, tilted = reference_period_dual(
+        model, period, prev_state, constraints, lam)
+    problem = model._period_problem(period, prev_state, tuple(constraints))
+    got_value, got_grad = problem.objective(lam)
+    kernel = problem.kernel(lam, 0)
+    mean = grad + problem.targets - lam * problem.sigmas**2
+
+    def close(got, want, scale=None):
+        scale = np.abs(want).max() if scale is None else scale
+        assert np.abs(np.asarray(got) - want).max() <= 1e-12 * scale
+
+    assert got_value == pytest.approx(value, rel=1e-12)
+    close(got_grad, grad)
+    close(problem.hessian(lam), hess,
+          scale=np.abs(hess + np.outer(mean, mean)).max())
+    close(kernel.factor_rows, h_rows)
+    for i in model.index_ids:
+        assert list(kernel.loss_tilted[i]) == list(tilted[i])
+        for c, t in tilted[i].items():
+            close(kernel.loss_tilted[i][c], t)
+
+
+class TestTiltKernelEquivalence:
+    def period_one(self):
+        # 144 previous rows, the rows at node 0 without mass, and kernels
+        # with zero-mass cells below every previous loss
+        model, *_ = small_model(n_grid=3)
+        state0 = model.initial_state()
+        k0 = model.calibrate_period(0, state0,
+                                    shifted_constraints(model, 0, state0))
+        return model, without_node(model.propagate_marginal(state0, k0), 0)
+
+    def test_zero_mass_cells_and_rows(self, rng):
+        model, s1 = self.period_one()
+        cons = shifted_constraints(model, 1, s1)
+        for _ in range(3):
+            assert_period_matches_reference(
+                model, 1, s1, cons, rng.normal(scale=3.0, size=len(cons)))
+        assert_period_matches_reference(
+            model, 0, model.initial_state(),
+            shifted_constraints(model, 0, model.initial_state()),
+            rng.normal(scale=3.0, size=4))
+
+    def test_multipliers_near_700(self):
+        # exp of the unshifted tilt overflows, so only a kernel that
+        # subtracts each row's max gets these right
+        model, s1 = self.period_one()
+        shells = [
+            dict(index_id=1, kind="tranche", k_low=0.0, k_high=0.3),
+            dict(index_id=1, kind="tranche", k_low=0.0, k_high=0.6),
+            dict(index_id=1, kind="subportfolio_total", bucket="relevant"),
+            dict(index_id=1, kind="subportfolio_total", bucket="complement"),
+            dict(index_id=2, kind="tranche", k_low=0.0, k_high=0.6),
+            dict(index_id=2, kind="subportfolio_total", bucket="relevant"),
+        ]
+        cons = [PricingConstraint(target_el=0.05, sigma=1e-2, **kw)
+                for kw in shells]
+        lam = np.array([700.0, 690.0, 710.0, 705.0, -700.0, 720.0])
+        lattice = ConditionalLossDist(
+            index_id=1, grid=model.period_loss_grid(1, 1),
+            pmfs=np.zeros((1, 2, 2)))
+        exponent = sum(l * (payoff_lattice(c, lattice) - c.target_el)
+                       for l, c in zip(lam[:4], cons[:4]))
+        with np.errstate(over="ignore"):
+            assert np.exp(exponent.max()) == np.inf
+        assert_period_matches_reference(model, 1, s1, cons, lam)
 
 
 class TestPropagate:
