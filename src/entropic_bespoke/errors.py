@@ -25,13 +25,23 @@ class InvalidLoadingError(ConfigurationError):
 
 
 class CalibrationError(EntropicBespokeError):
-    """Dual optimization failed to converge."""
+    """Dual optimization failed to converge.  The text ends with the
+    gradient inf-norm and the iteration count, when known."""
 
     def __init__(self, message: str, gradient_norm: float | None = None,
                  iterations: int | None = None):
         super().__init__(message)
         self.gradient_norm = gradient_norm
         self.iterations = iterations
+
+    def __str__(self) -> str:
+        facts = []
+        if self.gradient_norm is not None:
+            facts.append(f"grad inf-norm {self.gradient_norm:.3e}")
+        if self.iterations is not None:
+            facts.append(f"iterations {self.iterations}")
+        text = super().__str__()
+        return f"{text} ({', '.join(facts)})" if facts else text
 
 
 class InfiniteDivergenceError(EntropicBespokeError):

@@ -67,8 +67,7 @@ def newton_minimize(
     if np.max(np.abs(grad)) < tol:
         return NewtonResult(x=x, value=value, gradient=grad, iterations=max_iter)
     raise CalibrationError(
-        f"no convergence in {max_iter} iterations "
-        f"(grad inf-norm {np.max(np.abs(grad)):.3e})",
+        "no convergence within the iteration limit",
         gradient_norm=float(np.max(np.abs(grad))),
         iterations=max_iter,
     )

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from io import StringIO
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import entropic_bespoke as eb
-from entropic_bespoke import io as fmt
+from entropic_bespoke import io as fmt, solver
 from entropic_bespoke.cli import RunConfig, main
 from entropic_bespoke.io import (
     CONSTRAINT_COLUMNS,
@@ -131,6 +132,20 @@ def reference_measure_rows(horizon, result):
     return rows
 
 
+def reference_factor_rows(horizon, result):
+    grid = result.grid
+    n2 = len(grid.nodes2)
+    rows = []
+    for flat, (g, h) in enumerate(zip(grid.flat_weights,
+                                      result.posterior_weights)):
+        m1, m2 = divmod(flat, n2)
+        rows.append(["%.10g" % float(horizon), str(m1), str(m2),
+                     "%.10g" % float(grid.nodes1[m1]),
+                     "%.10g" % float(grid.nodes2[m2]),
+                     "%.17g" % float(g), "%.17g" % float(h)])
+    return rows
+
+
 def reference_state_rows(states):
     rows = []
     for state in states:
@@ -231,6 +246,17 @@ class TestCalibrateStatic:
                 for row in reference_measure_rows(t, result)]
         assert (workdir / "out" / "posterior_measure.csv").read_bytes() == \
             reference_csv(fmt.MEASURE_HEADER, rows)
+
+
+    def test_factor_dump_bytes_match_row_formatter(self, workdir, dumped):
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
+                  prior_el_constraints(workdir / "portfolios.json", shift=1.1))
+        assert main(["--config", str(workdir / "config.json")]) == 0
+        rows = [row for t, result in dumped["measure_rows"]
+                for row in reference_factor_rows(t, result)]
+        assert len(rows) == 2 * 16
+        assert (workdir / "out" / "factor_distribution.csv").read_bytes() == \
+            reference_csv(fmt.FACTOR_HEADER, rows)
 
 
 class TestCalibrateDynamic:
@@ -482,6 +508,32 @@ class TestFailureHandling:
             (workdir / "out").iterdir()
         )
 
+    @pytest.mark.parametrize("failure", ["line_search", "max_iter"])
+    def test_calibration_error_line_ends_with_gradient_and_iterations(
+        self, workdir, monkeypatch, capsys, failure
+    ):
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
+                  prior_el_constraints(workdir / "portfolios.json", shift=1.1))
+        if failure == "line_search":
+            # a Newton step so long that no trial point lowers the dual
+            monkeypatch.setattr(solver, "_direction",
+                                lambda hess, grad: -1e100 * grad)
+            reason = "line search failed to reduce the dual objective"
+        else:
+            cfg = json.loads((workdir / "config.json").read_text())
+            cfg["solver"] = {"max_iter": 1}
+            (workdir / "config.json").write_text(json.dumps(cfg))
+            reason = "no convergence within the iteration limit"
+        rc = main(["--config", str(workdir / "config.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        match = re.fullmatch(
+            rf"ERROR CALIBRATION: {reason} "
+            r"\(grad inf-norm (\S+), iterations 1\)\n", err)
+        assert match, err
+        assert float(match.group(1)) > 1e-9
+        assert not any((workdir / "out").iterdir())
+
     def test_invalid_mode(self, workdir, capsys):
         cfg = json.loads((workdir / "config.json").read_text())
         cfg["mode"] = "explode"
@@ -538,3 +590,39 @@ def test_cli_import_leaves_out_scipy_stats(tmp_path):
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.split("\n")[:2] == ["False", "0 False"]
     assert (tmp_path / "out" / "dynamic_states.csv").exists()
+
+
+def test_blas_thread_count_moves_results_within_tolerance(workdir):
+    # the static dual's matrix products may change the last digits with
+    # the BLAS thread count; docs/file_formats.md states the tolerance
+    write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
+              prior_el_constraints(workdir / "portfolios.json", shift=1.1))
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg["mode"] = "price-bespoke"
+    (workdir / "config.json").write_text(json.dumps(cfg))
+    src = str(Path(eb.__file__).resolve().parents[1])
+    tables = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = workdir / f"blas{threads}"
+        subprocess.run([sys.executable, "-m", "entropic_bespoke.cli",
+                        "--config", str(workdir / "config.json"),
+                        "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        tables[threads] = {name: read_rows(out / name) for name in
+                           ("calibration_residuals.csv",
+                            "factor_distribution.csv")}
+    for name, rows in tables["1"].items():
+        other = tables["2"][name]
+        assert len(rows) == len(other) > 0
+        for row, row2 in zip(rows, other):
+            assert row.keys() == row2.keys()
+            for key, text in row.items():
+                if key == "constraint":
+                    assert text == row2[key]
+                    continue
+                a, b = float(text), float(row2[key])
+                assert abs(a - b) <= 1e-7 * max(abs(a), abs(b)) + 1e-15, \
+                    (name, key, text, row2[key])

@@ -1,0 +1,117 @@
+"""The vectorized '%.17g' kernel of the dumps must give the bytes of
+Python's own '%.17g' for every float64."""
+
+from decimal import Decimal
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from entropic_bespoke.io import _g17, _g17_digits, _int_text
+
+
+def g17_bytes(values) -> list[bytes]:
+    out = _g17(np.asarray(values, dtype=np.float64))
+    return out.view(f"S{out.shape[1]}").ravel().tolist()
+
+
+def assert_matches_percent(values):
+    values = np.asarray(values, dtype=np.float64)
+    for start in range(0, len(values), 1 << 16):
+        chunk = values[start:start + (1 << 16)]
+        got = g17_bytes(chunk)
+        want = [b"%.17g" % v for v in chunk.tolist()]
+        bad = [(v, g, w) for v, g, w in zip(chunk.tolist(), got, want)
+               if g != w]
+        assert not bad, bad[:5]
+
+
+def is_exact_tie(value: float) -> bool:
+    """The exact decimal expansion of `value` has 18 significant digits
+    and the last is a 5."""
+    digits = "".join(map(str, Decimal(value).as_tuple().digits)).rstrip("0")
+    return len(digits) == 18 and digits[-1] == "5"
+
+
+def exact_ties() -> np.ndarray:
+    """k * 2**-j whose exact decimal expansion has 18 significant digits,
+    the last a 5: exactly halfway between two 17-digit values."""
+    ties = []
+    for j in range(2, 26):
+        low = -(-10**17 // 5**j)
+        high = min((10**18 - 1) // 5**j, 2**53)
+        ks = np.unique(np.linspace(low, high, 200).astype(np.int64) | 1)
+        ties += [float(k) * 2.0**-j for k in ks.tolist() if low <= k <= high]
+    return np.array(ties)
+
+
+def test_every_power_of_two():
+    assert_matches_percent(np.ldexp(1.0, np.arange(-1074, 1024)))
+
+
+def test_powers_of_ten_and_neighbours():
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    assert_matches_percent(np.concatenate([
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+    ]))
+
+
+def test_layout_class_boundaries():
+    # the switch between fixed and exponent form (1e-4 and 1e17), and the
+    # rounding carry into one more digit just below a power of ten
+    edges = np.array([9.9999999999999995e-05, 1e-4, 1e-5, 1e16, 1e17,
+                      99999999999999999.0, 9.9999999999999998e16,
+                      0.1, 0.99999999999999989, 9.999999999999999e22,
+                      1e100, 9.9999999999999997e99, 1e-100, 1e-99])
+    assert_matches_percent(np.concatenate([
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+    ]))
+
+
+def test_exact_ties_take_the_fallback():
+    ties = exact_ties()
+    assert len(ties) > 1000
+    assert all(is_exact_tie(t) for t in ties.tolist())
+    assert_matches_percent(ties)
+    _, _, slow = _g17_digits(ties)
+    assert slow.all()
+
+
+def test_special_values():
+    assert_matches_percent([5e-324, 1.0, 0.0, -0.0, -1.0, -2.5e-300,
+                            -1.7976931348623157e308, 1.7976931348623157e308,
+                            2.2250738585072014e-308, np.nan, np.inf, -np.inf])
+
+
+def test_random_bit_patterns():
+    bits = np.random.default_rng(20240814).integers(
+        0, 2**64, 1 << 20, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    assert_matches_percent(values)
+    # the fallback took the exact ties and nothing else positive and
+    # finite; a tie k * 2**-j needs k odd and at most 2**53 and 5**j below
+    # 1e18, so it lies in [2**-25, 2**53]
+    _, _, slow = _g17_digits(values)
+    fast = np.isfinite(values) & (values > 0.0)
+    ties = np.zeros_like(slow)
+    maybe = np.flatnonzero(fast & (values >= 2.0**-25) & (values <= 2.0**53))
+    ties[maybe] = [is_exact_tie(v) for v in values[maybe].tolist()]
+    assert ties.sum() > 100
+    np.testing.assert_array_equal(slow, ~fast | ties)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.lists(st.floats(), max_size=40))
+def test_any_float(values):
+    assert_matches_percent(values)
+
+
+@pytest.mark.parametrize("top", [0, 9, 10, 9999, 10000, 123456789])
+def test_int_text(top):
+    values = np.unique(np.r_[0, 1, 9, 10, 99, 100, 9999, 10000, top,
+                             np.arange(top + 1)[-30:]])
+    values = values[values <= top]
+    text = _int_text(values)
+    rows = [bytes(r).lstrip(b"\0") for r in text]
+    assert rows == [str(v).encode() for v in values.tolist()]
+    assert (text[:, 0] != 0).any()
