@@ -12,11 +12,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import ConfigurationError, MappingConvergenceError
 from .loss import (
@@ -28,6 +26,9 @@ from .loss import (
 )
 from .prior import IndexPortfolio, _conditional_probs, _unit_gauss_hermite
 from .prior import TwoFactorLoadings
+
+if TYPE_CHECKING:
+    from scipy.interpolate import PchipInterpolator
 
 ABSOLUTE = "absolute"
 ATM = "atm"
@@ -78,6 +79,9 @@ class BaseCorrCurve:
 
     @functools.cached_property
     def _interpolant(self) -> PchipInterpolator:
+        # imported here: only base-correlation mapping pays for scipy.interpolate
+        from scipy.interpolate import PchipInterpolator
+
         return PchipInterpolator(self.strikes, self.betas)
 
 
@@ -151,6 +155,8 @@ def implied_base_correlation(
         raise MappingConvergenceError(
             f"target base EL {target_el} not attainable by any beta in (0, 1)"
         )
+    from scipy.optimize import brentq
+
     return float(brentq(f, lo, hi, xtol=tol))
 
 

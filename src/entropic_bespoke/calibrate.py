@@ -22,17 +22,28 @@ dynamic period problem shares.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, InfiniteDivergenceError
-from .loss import ConditionalLossDist, LossDist, LossGrid, mixture_unconditional
+from .loss import (
+    _NORMALIZER_FLOOR,
+    ConditionalLossDist,
+    LossDist,
+    LossGrid,
+    TiltedLossDist,
+    hankel_index,
+    mixture_unconditional,
+    scaled_tilt_factors,
+)
 from .prior import COMPLEMENT, RELEVANT, MarketFactorGrid
 from .solver import newton_minimize
 
 DEFAULT_SIGMA = 1e-4
+_SMALLEST_NORMAL = np.finfo(float).tiny
 TRANCHE = "tranche"
 SUBPORTFOLIO_TOTAL = "subportfolio_total"
 
@@ -187,9 +198,7 @@ def log_partition_functions(
         raise ConfigurationError(
             f"{len(constraints)} constraints vs {len(lambdas)} multipliers"
         )
-    payoffs = _payoff_matrix(constraints, prior.grid, prior.shape)
-    targets = np.array([c.target_el for c in constraints])
-    return _tilt(_log_rows(prior.pmfs), payoffs, lambdas, targets)[0]
+    return _index_kernel(prior, constraints).evaluate(lambdas).log_z
 
 
 def partition_functions(
@@ -215,21 +224,166 @@ def posterior_factor_weights(
     return h[0], float(log_norm[0])
 
 
+class _IndexTilt(NamedTuple):
+    """One index's conditional laws tilted at one multiplier vector."""
+
+    log_z: np.ndarray  # (M,) log Z_i(m, lam)
+    cond_means: np.ndarray  # (M, K_i) payoff means under the tilt
+    pooled: Callable[[np.ndarray], np.ndarray]  # h -> (S1 * S2,) mixed pmf
+    law: Callable[[], ConditionalLossDist]  # the tilted conditionals
+
+
+class _Kernel:
+    """One index's constraints on its prior's lattice: the (K_i, S1 * S2)
+    payoff matrix F and the targets."""
+
+    def __init__(self, prior: ConditionalLossDist,
+                 constraints: Sequence[PricingConstraint]):
+        self.prior = prior
+        self.payoffs = _payoff_matrix(constraints, prior.grid, prior.shape)
+        self.targets = np.array([c.target_el for c in constraints])
+
+
+class _JointKernel(_Kernel):
+    """Tilt of a prior that carries only its joint: one `_tilt` row of
+    S1 * S2 cells per node."""
+
+    def __init__(self, prior, constraints):
+        super().__init__(prior, constraints)
+        self._log_q = _log_rows(prior.pmfs)
+
+    def evaluate(self, lambdas: np.ndarray) -> _IndexTilt:
+        log_z, tilted, cond_means = _tilt(self._log_q, self.payoffs, lambdas,
+                                          self.targets)
+        shape = (len(log_z),) + self.prior.shape
+        return _IndexTilt(
+            log_z, cond_means, lambda h: h @ tilted,
+            lambda: ConditionalLossDist(self.prior.index_id, self.prior.grid,
+                                        pmfs=tilted.reshape(shape).copy()),
+        )
+
+
+class _FactoredKernel(_Kernel):
+    """Tilt of a product-form prior that never builds its S1 x S2 lattice.
+
+    A bucket total tilts its own bucket pmf, a = q1 * exp(lam_r * x) and
+    b = q2 * exp(lam_c * y); the tranches and the target shift make one
+    node-free tilt tau(s) of the total loss s = x + y.  So per node
+
+        Z_m = sum_xy a_m(x) b_m(y) H_0[x, y],   H_0[x, y] = exp(tau(x + y)),
+
+    and with a, b and exp(tau) each scaled by its own (row) max, Z_m and
+    every payoff numerator come from one (M x S1) @ (S1 x (1 + K) * S2)
+    product against the node-free stack H_0 * [1, F_1, ..., F_K], then a
+    contraction with b.  A node whose scaled Z_m is below
+    `_NORMALIZER_FLOOR` (the scaling moved its mass to where the factors
+    underflow) is recomputed by `_tilt` on its joint row."""
+
+    def __init__(self, prior, constraints):
+        super().__init__(prior, constraints)
+        rel, comp = prior.bucket_pmfs
+        with np.errstate(divide="ignore"):
+            self.log_q1, self.log_q2 = np.log(rel), np.log(comp)
+        s1, s2 = prior.shape
+        self.x, self.y = prior.grid.levels(s1), prior.grid.levels(s2)
+        self.hankel = hankel_index(s1, s2)
+        kinds = [c.bucket if c.kind == SUBPORTFOLIO_TOTAL else TRANCHE
+                 for c in constraints]
+        self.rel, self.comp, self.tranches = (
+            [k for k, kind in enumerate(kinds) if kind == want]
+            for want in (RELEVANT, COMPLEMENT, TRANCHE))
+        # tranche payoffs on the total-loss lattice s = 0 .. S1 + S2 - 2
+        self.tranche_pay = _payoff_matrix(
+            [constraints[k] for k in self.tranches], prior.grid,
+            (s1 + s2 - 1, 1))
+        self.lifted = np.vstack([np.ones(s1 * s2), self.payoffs]).reshape(
+            -1, s1, s2).transpose(1, 0, 2)  # (S1, 1 + K, S2)
+
+    def evaluate(self, lambdas: np.ndarray) -> _IndexTilt:
+        tau = lambdas[self.tranches] @ self.tranche_pay - lambdas @ self.targets
+        log_a = self.log_q1 + lambdas[self.rel].sum() * self.x
+        log_b = self.log_q2 + lambdas[self.comp].sum() * self.y
+        a, b, e, log_scale = scaled_tilt_factors(log_a, log_b, tau)
+        for factor in (a, b, e):
+            # a subnormal factor weighs below 1e-54 of any Z_m kept here
+            # (Z_m >= _NORMALIZER_FLOOR) but slows every product it enters
+            factor[factor < _SMALLEST_NORMAL] = 0.0
+        h0 = e[self.hankel]
+        s1, n, s2 = self.lifted.shape
+        stack = (self.lifted * h0[:, None, :]).reshape(s1, n * s2)
+        num = (a @ stack).reshape(len(a), n, s2)
+        sums = (num @ b[:, :, None])[:, :, 0]  # Z, then the numerators
+        z = sums[:, 0]
+        low = np.flatnonzero(~(z >= _NORMALIZER_FLOOR))
+        z[low] = 1.0
+        log_z = np.log(z) + log_scale
+        cond_means = sums[:, 1:] / z[:, None]
+        tilted_low = None
+        if low.size:
+            log_joint = self.log_q1[low, :, None] + self.log_q2[low, None, :]
+            log_z[low], tilted_low, cond_means[low] = _tilt(
+                log_joint.reshape(low.size, -1), self.payoffs, lambdas,
+                self.targets)
+
+        def pooled(h: np.ndarray) -> np.ndarray:
+            w = h / z
+            w[low] = 0.0
+            p = (h0 * ((a * w[:, None]).T @ b)).reshape(-1)
+            if low.size:
+                p += h[low] @ tilted_low
+            return p
+
+        return _IndexTilt(
+            log_z, cond_means, pooled,
+            lambda: TiltedLossDist(self.prior.index_id, self.prior.grid,
+                                   log_a, log_b, tau, log_z),
+        )
+
+
+def _index_kernel(prior: ConditionalLossDist,
+                  constraints: Sequence[PricingConstraint]):
+    """The factored kernel for a product-form prior, else the 2D one."""
+    if prior.bucket_pmfs is not None:
+        return _FactoredKernel(prior, constraints)
+    return _JointKernel(prior, constraints)
+
+
+class _Joints(Mapping):
+    """Read-only index id -> tilted joint (M, S1, S2), each formed when
+    looked up."""
+
+    def __init__(self, laws: dict[int, ConditionalLossDist]):
+        self._laws = laws
+
+    def __getitem__(self, index_id: int) -> np.ndarray:
+        return self._laws[index_id].pmfs
+
+    def __iter__(self):
+        return iter(self._laws)
+
+    def __len__(self) -> int:
+        return len(self._laws)
+
+
 @dataclass
 class CalibrationResult:
     """Calibrated measure plus fit diagnostics.
 
     residuals[k] = model EL - target EL; at a full-calibration optimum it
-    equals -lambda_k * sigma_k^2.
+    equals -lambda_k * sigma_k^2.  `laws` holds each index's calibrated
+    conditional law: for a product-form prior of a full calibration its
+    bucket-level factors (`TiltedLossDist`), so joints are only formed
+    when `tilted_conditionals` is read.
     """
 
     constraints: tuple[PricingConstraint, ...]
     lambdas: np.ndarray
     posterior_weights: np.ndarray
-    tilted_conditionals: dict[int, np.ndarray]
+    laws: dict[int, ConditionalLossDist]
     model_els: np.ndarray
     residuals: np.ndarray
     objective_value: float
+    log_norm: float
     iterations: int
     grid: MarketFactorGrid
     priors: dict[int, ConditionalLossDist]
@@ -239,33 +393,36 @@ class CalibrationResult:
     def index_ids(self) -> list[int]:
         return sorted(self.priors)
 
+    @property
+    def tilted_conditionals(self) -> Mapping[int, np.ndarray]:
+        """Per index, the tilted joint pmfs (M, S1, S2), formed on lookup."""
+        return _Joints(self.laws)
+
     def tilted_dist(self, index_id: int) -> ConditionalLossDist:
-        prior = self.priors[index_id]
-        return ConditionalLossDist(
-            index_id=index_id, grid=prior.grid,
-            pmfs=self.tilted_conditionals[index_id],
-        )
+        return self.laws[index_id]
 
     def bucket_marginals(self, index_id: int, bucket: str) -> np.ndarray:
         """Per-node posterior pmfs of one bucket's loss, shape (M, S)."""
-        axis = 2 if bucket == RELEVANT else 1
-        return self.tilted_conditionals[index_id].sum(axis=axis)
+        law = self.laws[index_id]
+        if bucket == RELEVANT:
+            return law.relevant_marginals()
+        return law.complement_marginals()
 
     def index_loss_dist(self, index_id: int, horizon: float = 0.0) -> LossDist:
         """Unconditional posterior distribution of the index total loss."""
         return mixture_unconditional(
-            self.tilted_dist(index_id), self.posterior_weights, horizon=horizon
+            self.laws[index_id], self.posterior_weights, horizon=horizon
         )
 
     def kl_to_prior(self) -> float:
-        """KL divergence of the calibrated joint law from the prior."""
-        h, n = self.posterior_weights, len(self.posterior_weights)
-        total = float(_kl(h, self.grid.flat_weights))
-        for i, prior in self.priors.items():
-            cond = _kl(self.tilted_conditionals[i].reshape(n, -1),
-                       prior.pmfs.reshape(n, -1))
-            total += float(h @ cond)
-        return total
+        """KL divergence of the calibrated joint law from the prior.
+
+        Under the full tilt log(P / Q) = lam . (F - EL) - log Z(lam), so its
+        mean under P needs only the model ELs.  The factor-only measure
+        keeps the prior conditionals, so its divergence is KL(h || g)."""
+        if self.method == "factor_only":
+            return float(_kl(self.posterior_weights, self.grid.flat_weights))
+        return float(self.lambdas @ self.residuals) - self.log_norm
 
 
 def _kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -312,8 +469,8 @@ def conditional_mutual_information(result: CalibrationResult,
 
 class _StaticProblem:
     """What both static calibrators share: the checked grid, priors and
-    constraints, each index's constraint positions and its (K_i, S1 * S2)
-    payoff matrix."""
+    constraints, each index's constraint positions and its tilt kernel
+    (which holds the (K_i, S1 * S2) payoff matrix)."""
 
     def __init__(
         self,
@@ -331,7 +488,11 @@ class _StaticProblem:
                 raise ConfigurationError(
                     f"prior for index {i} has {prior.n_nodes} nodes, grid has {m}"
                 )
-            slice_mass = prior.pmfs.reshape(prior.n_nodes, -1).sum(axis=1)
+            if prior.bucket_pmfs is None:
+                slice_mass = prior.pmfs.reshape(m, -1).sum(axis=1)
+            else:
+                rel, comp = prior.bucket_pmfs
+                slice_mass = rel.sum(axis=1) * comp.sum(axis=1)
             if np.max(np.abs(slice_mass - 1.0)) > 1e-8:
                 raise ConfigurationError(
                     f"conditional prior slices for index {i} are not normalized"
@@ -343,9 +504,8 @@ class _StaticProblem:
         self._positions = _constraint_positions(constraints, self.index_ids)
         self.targets = np.array([c.target_el for c in constraints])
         self.sigmas = np.array([c.sigma for c in constraints])
-        self._payoffs = {
-            i: _payoff_matrix([constraints[k] for k in pos], priors[i].grid,
-                              priors[i].shape)
+        self._kernels = {
+            i: _index_kernel(priors[i], [constraints[k] for k in pos])
             for i, pos in self._positions.items()
         }
 
@@ -375,7 +535,6 @@ class MceCalibrator(_StaticProblem):
         constraints: Sequence[PricingConstraint],
     ):
         super().__init__(grid, priors, constraints)
-        self._log_q = {i: _log_rows(self.priors[i].pmfs) for i in self.index_ids}
         self._cache_key = None
         self._cache = None
 
@@ -386,25 +545,20 @@ class MceCalibrator(_StaticProblem):
         key = lambdas.tobytes()
         if key == self._cache_key:
             return self._cache
-        self._cache_key = self._cache = None  # let the old tilted rows go
-        log_zs, tilted, cond_means = [], {}, {}
-        for i in self.index_ids:
-            pos = self._positions[i]
-            log_z, tilted[i], cond_means[i] = _tilt(
-                self._log_q[i], self._payoffs[i], lambdas[pos],
-                self.targets[pos],
-            )
-            log_zs.append(log_z)
-        h, log_norm = posterior_factor_weights(self.grid.flat_weights, *log_zs)
+        self._cache_key = self._cache = None  # let the old tilt go
+        tilts = {
+            i: self._kernels[i].evaluate(lambdas[self._positions[i]])
+            for i in self.index_ids
+        }
+        h, log_norm = posterior_factor_weights(
+            self.grid.flat_weights, *(t.log_z for t in tilts.values()))
         model_els = np.empty(self.n_constraints)
         for i in self.index_ids:
-            model_els[self._positions[i]] = h @ cond_means[i]
+            model_els[self._positions[i]] = h @ tilts[i].cond_means
         value = log_norm + 0.5 * float(self.sigmas**2 @ lambdas**2)
         grad = model_els - self.targets + lambdas * self.sigmas**2
-        state = dict(
-            tilted=tilted, cond_means=cond_means, h=h, model_els=model_els,
-            value=value, grad=grad,
-        )
+        state = dict(tilts=tilts, h=h, log_norm=log_norm,
+                     model_els=model_els, value=value, grad=grad)
         self._cache_key, self._cache = key, state
         return state
 
@@ -419,24 +573,24 @@ class MceCalibrator(_StaticProblem):
     def dual_hessian(self, lambdas: np.ndarray) -> np.ndarray:
         """Posterior covariance of the payoffs plus diag(sigma^2).
 
-        The within-index block is F diag(p) F^T with p = h @ tilted, the
-        index's posterior lattice pmf; the cross-index block is
-        (cond_means_i * h)^T cond_means_j, since the indices are
+        The within-index block is F diag(p) F^T with p the index's
+        posterior lattice pmf mixed over the nodes; the cross-index block
+        is (cond_means_i * h)^T cond_means_j, since the indices are
         independent given the factor node."""
         state = self._evaluate(lambdas)
-        h, cond_means = state["h"], state["cond_means"]
+        h, tilts = state["h"], state["tilts"]
         k = self.n_constraints
         hess = np.empty((k, k))
         for i in self.index_ids:
             pos_i = self._positions[i]
-            f = self._payoffs[i]
-            hess[np.ix_(pos_i, pos_i)] = (f * (h @ state["tilted"][i])) @ f.T
-            weighted = cond_means[i] * h[:, None]
+            f = self._kernels[i].payoffs
+            hess[np.ix_(pos_i, pos_i)] = (f * tilts[i].pooled(h)) @ f.T
+            weighted = tilts[i].cond_means * h[:, None]
             for j in self.index_ids:
                 if j <= i:
                     continue
                 pos_j = self._positions[j]
-                cross = weighted.T @ cond_means[j]
+                cross = weighted.T @ tilts[j].cond_means
                 hess[np.ix_(pos_i, pos_j)] = cross
                 hess[np.ix_(pos_j, pos_i)] = cross.T
         mean = state["model_els"]
@@ -447,12 +601,8 @@ class MceCalibrator(_StaticProblem):
     def posterior(self, lambdas: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
         """(factor weights, tilted conditionals) at a multiplier vector."""
         state = self._evaluate(lambdas)
-        return state["h"].copy(), self._conditionals(state)
-
-    def _conditionals(self, state: dict) -> dict[int, np.ndarray]:
-        return {
-            i: t.reshape(self.priors[i].pmfs.shape).copy()
-            for i, t in state["tilted"].items()
+        return state["h"].copy(), {
+            i: t.law().pmfs for i, t in state["tilts"].items()
         }
 
     # -- driver ----------------------------------------------------------
@@ -464,10 +614,11 @@ class MceCalibrator(_StaticProblem):
             constraints=self.constraints,
             lambdas=res.x,
             posterior_weights=state["h"].copy(),
-            tilted_conditionals=self._conditionals(state),
+            laws={i: t.law() for i, t in state["tilts"].items()},
             model_els=state["model_els"].copy(),
             residuals=state["model_els"] - self.targets,
             objective_value=res.value,
+            log_norm=state["log_norm"],
             iterations=res.iterations,
             grid=self.grid,
             priors=self.priors,
@@ -497,13 +648,8 @@ class FactorOnlyCalibrator(_StaticProblem):
 
     def __init__(self, grid, priors, constraints):
         super().__init__(grid, priors, constraints)
-        # prior conditional mean payoffs, (M, K) in constraint order
-        m = grid.n_nodes
-        self.cond_mean = np.empty((m, self.n_constraints))
-        for i in self.index_ids:
-            self.cond_mean[:, self._positions[i]] = (
-                self.priors[i].pmfs.reshape(m, -1) @ self._payoffs[i].T
-            )
+        self.cond_mean = _prior_means(grid, self._kernels, self._positions,
+                                      self.n_constraints)
 
     def _weights(self, lambdas: np.ndarray) -> tuple[np.ndarray, float]:
         excess = self.cond_mean - self.targets[None, :]
@@ -529,16 +675,17 @@ class FactorOnlyCalibrator(_StaticProblem):
 
     def solve(self, tol: float = 1e-9, max_iter: int = 200) -> CalibrationResult:
         res = self._newton(tol, max_iter)
-        h, _ = self._weights(res.x)
+        h, log_norm = self._weights(res.x)
         model_els = h @ self.cond_mean
         return CalibrationResult(
             constraints=self.constraints,
             lambdas=res.x,
             posterior_weights=h,
-            tilted_conditionals={i: p.pmfs.copy() for i, p in self.priors.items()},
+            laws=dict(self.priors),
             model_els=model_els,
             residuals=model_els - self.targets,
             objective_value=res.value,
+            log_norm=log_norm,
             iterations=res.iterations,
             grid=self.grid,
             priors=self.priors,
@@ -558,16 +705,24 @@ def factor_only_calibrate(
     )
 
 
+def _prior_means(grid: MarketFactorGrid, kernels: dict, positions: dict,
+                 n_constraints: int) -> np.ndarray:
+    """Prior conditional mean payoffs E_Q[F_ik | m], (M, K) in constraint
+    order: each index's kernel at zero multipliers."""
+    out = np.empty((grid.n_nodes, n_constraints))
+    for i, pos in positions.items():
+        out[:, pos] = kernels[i].evaluate(np.zeros(len(pos))).cond_means
+    return out
+
+
 def prior_expected_losses(
     grid: MarketFactorGrid,
     priors: dict[int, ConditionalLossDist],
     constraints: Sequence[PricingConstraint],
 ) -> np.ndarray:
     """E_Q[F_ik] under the uncalibrated prior, in constraint order."""
-    g = grid.flat_weights
-    out = np.empty(len(constraints))
-    for k, c in enumerate(constraints):
-        prior = priors[c.index_id]
-        cond = np.einsum("mxy,xy->m", prior.pmfs, payoff_lattice(c, prior))
-        out[k] = g @ cond
-    return out
+    positions = _constraint_positions(constraints, sorted(priors))
+    kernels = {i: _index_kernel(priors[i], [constraints[k] for k in pos])
+               for i, pos in positions.items()}
+    return grid.flat_weights @ _prior_means(grid, kernels, positions,
+                                            len(constraints))

@@ -459,7 +459,9 @@ MEASURE_HEADER = ["horizon", "index_id", "m", "x_rel", "x_comp", "prob"]
 def measure_rows(horizon: float, result) -> Iterator[str]:
     """posterior_measure.csv text for one horizon: the nonzero cells of
     each tilted conditional, by index, factor node, then C order of
-    (x_rel, x_comp)."""
+    (x_rel, x_comp).  Each index's joint is looked up in turn (a
+    product-form result forms it then from its bucket-level factors), so
+    one index's joint is held at a time."""
     t = _fmt(horizon)
     for i in result.index_ids:
         pmfs = result.tilted_conditionals[i]

@@ -3,7 +3,8 @@
 Losses are carried in integer multiples of a loss unit (a fraction of
 index notional).  Conditional on a market-factor node the two buckets of
 an index are independent, so the joint pmf is the outer product of two
-bucket pmfs, each built by the usual one-name-at-a-time recursion.
+bucket pmfs, each built by the usual one-name-at-a-time recursion.  A
+prior keeps the two bucket pmfs and forms the joint only when asked.
 """
 
 from __future__ import annotations
@@ -43,38 +44,180 @@ class LossGrid:
         return self.unit * np.arange(n)
 
 
-@dataclass
+# A node whose scaled normalizer falls below this is recomputed from its
+# joint in log space: above it every cell that matters is a normal double.
+_NORMALIZER_FLOOR = 1e-250
+
+
 class ConditionalLossDist:
     """Per factor node, joint pmf of (relevant, complement) bucket losses.
 
-    pmfs has shape (n_nodes, S1, S2); every node slice sums to one.
+    A prior from `build_conditional_prior` is product form per node and
+    carries its bucket pmfs, shapes (M, S1) and (M, S2); its joint `pmfs`,
+    shape (M, S1, S2), is formed anew on each access.  Built from `pmfs`
+    it holds that joint only.  Every node slice sums to one.
     """
 
-    index_id: int
-    grid: LossGrid
-    pmfs: np.ndarray
+    def __init__(self, index_id: int, grid: LossGrid,
+                 pmfs: np.ndarray | None = None,
+                 bucket_pmfs: tuple[np.ndarray, np.ndarray] | None = None):
+        if (pmfs is None) == (bucket_pmfs is None):
+            raise ConfigurationError("give either the joint pmfs or the two "
+                                     "bucket pmfs")
+        self.index_id = index_id
+        self.grid = grid
+        self.bucket_pmfs = None if bucket_pmfs is None else tuple(bucket_pmfs)
+        self._joint = pmfs
+
+    @property
+    def pmfs(self) -> np.ndarray:
+        if self.bucket_pmfs is None:
+            return self._joint
+        rel, comp = self.bucket_pmfs
+        return rel[:, :, None] * comp[:, None, :]
 
     @property
     def n_nodes(self) -> int:
-        return self.pmfs.shape[0]
+        return self._dims[0]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.pmfs.shape[1], self.pmfs.shape[2]
+        return self._dims[1:]
+
+    @property
+    def _dims(self) -> tuple[int, int, int]:
+        if self.bucket_pmfs is None:
+            return self._joint.shape
+        rel, comp = self.bucket_pmfs
+        return rel.shape + comp.shape[1:]
 
     def relevant_marginals(self) -> np.ndarray:
-        return self.pmfs.sum(axis=2)
+        if self.bucket_pmfs is None:
+            return self._joint.sum(axis=2)
+        return self.bucket_pmfs[0].copy()
 
     def complement_marginals(self) -> np.ndarray:
-        return self.pmfs.sum(axis=1)
+        if self.bucket_pmfs is None:
+            return self._joint.sum(axis=1)
+        return self.bucket_pmfs[1].copy()
 
     def total_loss_pmfs(self) -> np.ndarray:
-        """Per node, pmf of the summed bucket losses (anti-diagonal sums)."""
-        m, s1, s2 = self.pmfs.shape
-        out = np.zeros((m, s1 + s2 - 1))
-        for j in range(s2):
-            out[:, j : j + s1] += self.pmfs[:, :, j]
-        return out
+        """Per node, pmf of the summed bucket losses."""
+        if self.bucket_pmfs is None:
+            return _antidiagonal_sums(self._joint)
+        return convolve_rows(*self.bucket_pmfs)
+
+
+class TiltedLossDist(ConditionalLossDist):
+    """Product-form law under an s-tilt, per factor node:
+
+        P(x, y | m) = a_m(x) * b_m(y) * exp(tau(x + y)) / Z_m,
+
+    held as log a (M, S1), log b (M, S2), tau (S1 + S2 - 1,) and log Z
+    (M,).  The joint, the bucket marginals and the total-loss pmfs are
+    derived on demand; only the joint needs S1 * S2 cells per node.
+    """
+
+    def __init__(self, index_id: int, grid: LossGrid, log_a: np.ndarray,
+                 log_b: np.ndarray, tau: np.ndarray, log_z: np.ndarray):
+        self.index_id = index_id
+        self.grid = grid
+        self.bucket_pmfs = None
+        self.log_a, self.log_b, self.tau, self.log_z = log_a, log_b, tau, log_z
+
+    @property
+    def _dims(self) -> tuple[int, int, int]:
+        return self.log_a.shape + self.log_b.shape[1:]
+
+    @property
+    def pmfs(self) -> np.ndarray:
+        return self._joint_rows(slice(None))
+
+    def _joint_rows(self, nodes) -> np.ndarray:
+        """The joint of the given nodes, exponentiated in log space."""
+        joint = self.log_a[nodes, :, None] + self.log_b[nodes, None, :]
+        joint += self.tau[hankel_index(*self.shape)]
+        joint -= self.log_z[nodes, None, None]
+        return np.exp(joint, out=joint)
+
+    def _per_node(self, scaled: np.ndarray, from_joint) -> np.ndarray:
+        """Normalize each node's row of `scaled` (a product of scaled
+        factors) in place.  A node whose row sums below the floor takes
+        `from_joint` of its joint instead."""
+        total = scaled.sum(axis=1)
+        low = np.flatnonzero(~(total >= _NORMALIZER_FLOOR))
+        total[low] = 1.0
+        scaled /= total[:, None]
+        if low.size:
+            scaled[low] = from_joint(self._joint_rows(low))
+        return scaled
+
+    def _scaled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """a, b and exp(tau), each scaled by its own (row) max."""
+        return scaled_tilt_factors(self.log_a, self.log_b, self.tau)[:3]
+
+    def relevant_marginals(self) -> np.ndarray:
+        a, b, e = self._scaled()
+        h0 = e[hankel_index(*self.shape)]
+        return self._per_node(a * (b @ h0.T), lambda j: j.sum(axis=2))
+
+    def complement_marginals(self) -> np.ndarray:
+        a, b, e = self._scaled()
+        h0 = e[hankel_index(*self.shape)]
+        return self._per_node(b * (a @ h0), lambda j: j.sum(axis=1))
+
+    def total_loss_pmfs(self) -> np.ndarray:
+        a, b, e = self._scaled()
+        return self._per_node(convolve_rows(a, b) * e, _antidiagonal_sums)
+
+
+def hankel_index(s1: int, s2: int) -> np.ndarray:
+    """(S1, S2) total-loss lattice index x + y."""
+    return np.add.outer(np.arange(s1), np.arange(s2))
+
+
+def _scaled_exp(log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(exp(log_w - top), top) with top the max over the last axis; a row
+    without a finite max keeps top 0."""
+    top = log_w.max(axis=-1)
+    top = np.where(np.isfinite(top), top, 0.0)
+    return np.exp(log_w - top[..., None]), top
+
+
+def scaled_tilt_factors(log_a: np.ndarray, log_b: np.ndarray,
+                        tau: np.ndarray):
+    """The factors of a tilted product-form law, each scaled by its own
+    (row) max so every entry is at most 1: (A, B, e, log of the scale
+    removed per node)."""
+    a, top_a = _scaled_exp(log_a)
+    b, top_b = _scaled_exp(log_b)
+    e, top_e = _scaled_exp(tau)
+    return a, b, e, top_a + top_b + top_e
+
+
+def convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise discrete convolution of (M, S1) and (M, S2) stacks into
+    (M, S1 + S2 - 1), by shifted adds over the shorter axis.  The work
+    arrays are node-minor, so each add is one contiguous block."""
+    if a.shape[1] < b.shape[1]:
+        a, b = b, a
+    n = a.shape[1]
+    a_t = np.ascontiguousarray(a.T)
+    term = np.empty_like(a_t)
+    out = np.zeros((n + b.shape[1] - 1, len(a)))
+    for j, b_j in enumerate(b.T):
+        np.multiply(a_t, b_j, out=term)
+        out[j:j + n] += term
+    return out.T
+
+
+def _antidiagonal_sums(joint: np.ndarray) -> np.ndarray:
+    """Per node, the sums of an (M, S1, S2) joint along x + y = s."""
+    m, s1, s2 = joint.shape
+    out = np.zeros((m, s1 + s2 - 1))
+    for j in range(s2):
+        out[:, j : j + s1] += joint[:, :, j]
+    return out
 
 
 @dataclass
@@ -151,11 +294,13 @@ def build_conditional_prior(
     params: FactorParams,
     threads: int = 1,
 ) -> ConditionalLossDist:
-    """Joint (relevant, complement) conditional pmfs at every grid node.
+    """Product-form (relevant, complement) conditional pmfs at every grid
+    node.
 
     Per node the joint slice is the outer product of the two bucket pmfs,
     each built by recursion over the bucket's names with conditional
-    default probabilities at that node.  The recursion is vectorized over
+    default probabilities at that node; the result keeps the two bucket
+    pmfs.  The recursion is vectorized over
     all nodes at once; `threads` is accepted for compatibility and does
     not change the work or the result.
     """
@@ -177,9 +322,8 @@ def build_conditional_prior(
              for n in names]
         ).reshape(len(names), len(coords))
         bucket_pmfs.append(bucket_pmf_recursion(probs, units, cap + 1))
-    rel, comp = bucket_pmfs
-    joint = rel[:, :, None] * comp[:, None, :]
-    return ConditionalLossDist(index_id=portfolio.index_id, grid=loss_grid, pmfs=joint)
+    return ConditionalLossDist(index_id=portfolio.index_id, grid=loss_grid,
+                               bucket_pmfs=bucket_pmfs)
 
 
 def convolve(a: LossDist, b: LossDist) -> LossDist:

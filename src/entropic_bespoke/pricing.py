@@ -22,7 +22,7 @@ from .errors import (
     InfeasibleAdjustmentError,
     UndefinedSpreadError,
 )
-from .loss import LossDist, LossGrid, convolve_pmfs
+from .loss import LossDist, LossGrid, convolve_rows
 
 BucketRef = tuple[int, str]  # (index_id, bucket)
 
@@ -182,17 +182,10 @@ def assemble_bespoke(
         target = spec.proxy_target(member, horizon)
         if target is not None:
             marg, _ = adjust_bespoke_names(marg, h, unit, target)
-        per_node = marg if per_node is None else _convolve_rows(per_node, marg)
+        per_node = marg if per_node is None else convolve_rows(per_node, marg)
     pmf = h @ per_node
     bespoke_grid = LossGrid(unit=unit / spec.notional, max_units=len(pmf) - 1)
     return LossDist(pmf=pmf, grid=bespoke_grid, horizon=horizon)
-
-
-def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0], a.shape[1] + b.shape[1] - 1))
-    for m in range(a.shape[0]):
-        out[m] = convolve_pmfs(a[m], b[m])
-    return out
 
 
 def adjust_bespoke_names(

@@ -3,6 +3,7 @@ line (run with `pytest tests/test_acceptance.py -s` to see them)."""
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -645,6 +646,46 @@ def test_performance_two_full_indices():
         elapsed < 60.0,
         f"{elapsed:.1f}s for priors + joint calibration "
         f"({res.iterations} Newton steps; budget 60s)",
+    )
+
+
+def test_memory_static_calibration_30x30():
+    """Priors, joint calibration and the bespoke law of two 125-name
+    indices on a 30x30 grid at one horizon peak under 24 MB of traced
+    allocations, below the 28 MB of one (900, 51, 76) joint lattice: no
+    array with S1 * S2 cells per node is allocated."""
+    strikes = (0.0, 0.03, 0.07, 0.10, 0.15, 0.30)
+    ports = {i: _big_index(i) for i in (1, 2)}
+    targets, unit = _market_targets(ports, (5.0,), strikes)
+    params = FactorParams(rho=0.5, alpha=0.3)
+    grid = build_market_grid(30, 30, params)
+    cons = [c for i in (1, 2)
+            for c in _index_constraints(i, strikes, 5.0, targets[(5.0, i)])]
+    notional = sum(n.notional_weight for i in (1, 2)
+                   for n in ports[i].bucket_names("relevant"))
+    spec = BespokeSpec(members=((1, "relevant"), (2, "relevant")),
+                       notional=notional)
+    tracemalloc.start()
+    try:
+        priors = {
+            i: build_conditional_prior(
+                p, grid, LossGrid(unit=unit, max_units=130), 5.0, params
+            )
+            for i, p in ports.items()
+        }
+        res = eb.calibrate(grid, priors, cons)
+        dist = eb.bespoke_loss_dist({5.0: res}, spec)[5.0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    s1, s2 = priors[1].shape
+    joint_mb = 8 * grid.n_nodes * s1 * s2 / 2**20
+    check(
+        "memory-static-30x30",
+        (s1, s2) == (51, 76) and peak / 2**20 < 24.0 < joint_mb
+        and abs(dist.pmf.sum() - 1.0) < 1e-12,
+        f"traced peak {peak / 2**20:.1f} MB (budget 24 MB; one joint "
+        f"lattice {joint_mb:.1f} MB); {res.iterations} Newton steps",
     )
 
 

@@ -30,6 +30,7 @@ from entropic_bespoke.loss import (
     LossGrid,
     build_conditional_prior,
     default_loss_unit,
+    scaled_tilt_factors,
 )
 from entropic_bespoke.prior import FactorParams, build_market_grid
 
@@ -275,6 +276,140 @@ class TestTiltKernelEquivalence:
         assert_matches_reference_dual(MceCalibrator(grid, priors, cons), lam)
         assert np.isfinite(
             log_partition_functions(priors[1], cons[:2], lam[:2])).all()
+
+
+def joint_only(priors):
+    """The same priors carrying only their joints, so the calibrator takes
+    the 2D `_tilt` path."""
+    return {i: ConditionalLossDist(index_id=i, grid=p.grid, pmfs=p.pmfs)
+            for i, p in priors.items()}
+
+
+def assert_factored_matches_joint(grid, priors, cons, lam):
+    """The factored kernel against the 2D kernel on the same joints: value,
+    gradient, Hessian, factor weights, tilted conditionals and bucket
+    marginals, to 1e-12 normwise."""
+    factored = MceCalibrator(grid, priors, cons)
+    joint = MceCalibrator(grid, joint_only(priors), cons)
+    value, grad = joint.dual_objective_and_gradient(lam)
+    got_value, got_grad = factored.dual_objective_and_gradient(lam)
+    assert got_value == pytest.approx(value, rel=1e-12)
+    assert_rel_close(got_grad, grad)
+    hess = joint.dual_hessian(lam)
+    mean = grad + joint.targets - lam * joint.sigmas**2
+    assert_rel_close(factored.dual_hessian(lam), hess,
+                     scale=np.abs(hess + np.outer(mean, mean)).max())
+    h, tilted = joint.posterior(lam)
+    got_h, got_tilted = factored.posterior(lam)
+    assert_rel_close(got_h, h)
+    for i, prior in priors.items():
+        assert_rel_close(got_tilted[i], tilted[i])
+        assert np.all(got_tilted[i][prior.pmfs == 0.0] == 0.0)
+        law = factored._evaluate(lam)["tilts"][i].law()
+        assert_rel_close(law.relevant_marginals(), tilted[i].sum(axis=2))
+        assert_rel_close(law.complement_marginals(), tilted[i].sum(axis=1))
+
+
+def bucket_priors(grid, loss_grid, rels, comps):
+    return {i: ConditionalLossDist(index_id=i, grid=loss_grid,
+                                   bucket_pmfs=(rel, comp))
+            for i, rel, comp in zip((1, 2), rels, comps)}
+
+
+class TestFactoredKernelEquivalence:
+    def test_toy_priors(self, rng):
+        _, grid, _, priors, _ = toy_setup(seed=24)
+        assert all(p.bucket_pmfs is not None for p in priors.values())
+        cons = standard_constraints(grid, priors, shift=1.2)
+        for _ in range(3):
+            assert_factored_matches_joint(
+                grid, priors, cons, rng.normal(scale=3.0, size=len(cons)))
+
+    def test_zero_loss_levels_and_no_loss_cell(self, rng):
+        _, grid, _, priors, _ = toy_setup(seed=25)
+        rels, comps = [], []
+        for prior in priors.values():
+            rel, comp = (b.copy() for b in prior.bucket_pmfs)
+            rel[:, 1::3] = 0.0  # whole relevant-loss levels
+            comp[:, 2::4] = 0.0  # and whole complement-loss levels
+            rel[::2, 0] = 0.0  # and the no-loss cell at every other node
+            rels.append(rel / rel.sum(axis=1, keepdims=True))
+            comps.append(comp / comp.sum(axis=1, keepdims=True))
+        holed = bucket_priors(grid, priors[1].grid, rels, comps)
+        assert (holed[1].pmfs[::2, 0, 0] == 0.0).all()
+        cons = standard_constraints(grid, holed, shift=1.2)
+        for _ in range(3):
+            assert_factored_matches_joint(
+                grid, holed, cons, rng.normal(scale=3.0, size=len(cons)))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_multipliers_near_700(self, rng, sign):
+        # both bucket totals and a [0, 1] tranche near +-700: exp of the
+        # unscaled tilt overflows
+        grid = build_market_grid(3, 3, FactorParams(rho=0.3, alpha=0.2))
+        loss_grid = LossGrid(unit=0.5, max_units=4)
+        m = grid.n_nodes
+        rels = [rng.random((m, 3)) for _ in range(2)]
+        comps = [rng.random((m, 3)) for _ in range(2)]
+        for b in rels + comps:
+            b[:, 1] = 0.0
+            b /= b.sum(axis=1, keepdims=True)
+        priors = bucket_priors(grid, loss_grid, rels, comps)
+        cons = []
+        for i in (1, 2):
+            cons += [
+                PricingConstraint(index_id=i, kind="tranche", k_low=0.0,
+                                  k_high=1.0, target_el=0.5, sigma=1e-2),
+                PricingConstraint(index_id=i, kind="subportfolio_total",
+                                  bucket="relevant", target_el=0.3,
+                                  sigma=1e-2),
+                PricingConstraint(index_id=i, kind="subportfolio_total",
+                                  bucket="complement", target_el=0.4,
+                                  sigma=1e-2),
+            ]
+        lam = sign * np.array([750.0, 700.0, 720.0, 710.0, 730.0, 705.0])
+        exponent = sum(l * (payoff_lattice(c, priors[1]) - c.target_el)
+                       for l, c in zip(lam[:3], cons[:3]))
+        with np.errstate(over="ignore"):
+            assert np.exp(exponent.max()) == np.inf
+        assert_factored_matches_joint(grid, priors, cons, lam)
+
+    def test_underflowing_normalizer_falls_back_per_node(self, rng):
+        # a relevant-total multiplier of +1500 against a tranche multiplier
+        # of -1500: scaled apart, the factors' maxima meet only where the
+        # product underflows, except at nodes whose relevant pmf is a point
+        # mass at zero loss
+        grid = build_market_grid(3, 3, FactorParams(rho=0.3, alpha=0.2))
+        loss_grid = LossGrid(unit=0.5, max_units=4)
+        m = grid.n_nodes
+        rels = [rng.random((m, 3)) for _ in range(2)]
+        comps = [rng.random((m, 3)) for _ in range(2)]
+        for rel in rels:
+            rel[::3] = [1.0, 0.0, 0.0]
+        for b in rels + comps:
+            b /= b.sum(axis=1, keepdims=True)
+        priors = bucket_priors(grid, loss_grid, rels, comps)
+        cons = []
+        for i in (1, 2):
+            cons += [
+                PricingConstraint(index_id=i, kind="tranche", k_low=0.0,
+                                  k_high=1.0, target_el=0.4, sigma=1e-2),
+                PricingConstraint(index_id=i, kind="subportfolio_total",
+                                  bucket="relevant", target_el=0.2,
+                                  sigma=1e-2),
+            ]
+        for big in (1500.0, 1200.0):
+            lam = np.array([-big, big, -big, big])
+            levels = loss_grid.levels(3)
+            with np.errstate(divide="ignore"):
+                a, b, e, _ = scaled_tilt_factors(
+                    np.log(rels[0]) + big * levels, np.log(comps[0]),
+                    -big * loss_grid.levels(5))
+            z = np.einsum("mx,my,xy->m", a, b,
+                          e[np.add.outer(np.arange(3), np.arange(3))])
+            low = z < 1e-250
+            assert low.any() and not low.all()
+            assert_factored_matches_joint(grid, priors, cons, lam)
 
 
 class TestPosteriorWeights:
@@ -614,4 +749,23 @@ class TestInformation:
                      for m in range(len(h)))
             assert conditional_mutual_information(res, i) == pytest.approx(
                 mi, rel=1e-12, abs=1e-15)
+        assert res.kl_to_prior() == pytest.approx(total, rel=1e-12)
+
+    def test_factor_only_kl_matches_per_node_loops(self):
+        # the closed-form KL of a factor-only result equals the plain sum
+        # over nodes and lattice cells
+        def kl(p, q):
+            mask = p > 0.0
+            return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+
+        _, grid, _, priors, _ = toy_setup(seed=26)
+        res = factor_only_calibrate(
+            grid, priors, standard_constraints(grid, priors, shift=1.3))
+        h = res.posterior_weights
+        total = kl(h, grid.flat_weights)
+        for i, prior in priors.items():
+            t = res.tilted_conditionals[i]
+            assert np.array_equal(t, prior.pmfs)
+            total += sum(h[m] * kl(t[m], prior.pmfs[m]) for m in range(len(h)))
+        assert total > 0.0
         assert res.kl_to_prior() == pytest.approx(total, rel=1e-12)

@@ -592,6 +592,29 @@ def test_cli_import_leaves_out_scipy_stats(tmp_path):
     assert (tmp_path / "out" / "dynamic_states.csv").exists()
 
 
+def test_price_bespoke_leaves_out_scipy_interpolate_and_optimize(workdir):
+    # only map-basecorr needs the interpolant and the root finder
+    write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
+              prior_el_constraints(workdir / "portfolios.json", shift=1.1))
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg["mode"] = "price-bespoke"
+    (workdir / "config.json").write_text(json.dumps(cfg))
+    src = str(Path(eb.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    loaded = "[m in sys.modules for m in ('scipy.interpolate', 'scipy.optimize')]"
+    code = ("import sys, entropic_bespoke.cli; "
+            f"print({loaded}); "
+            "code = entropic_bespoke.cli.main("
+            f"['--config', {str(workdir / 'config.json')!r}]); "
+            f"print(code, {loaded})")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split("\n")[:2] == ["[False, False]", "0 [False, False]"]
+    assert (workdir / "out" / "tranche_prices.csv").exists()
+
+
 def test_blas_thread_count_moves_results_within_tolerance(workdir):
     # the static dual's matrix products may change the last digits with
     # the BLAS thread count; docs/file_formats.md states the tolerance

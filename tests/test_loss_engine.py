@@ -5,11 +5,13 @@ import pytest
 
 from entropic_bespoke.errors import ConfigurationError
 from entropic_bespoke.loss import (
+    ConditionalLossDist,
     LossDist,
     LossGrid,
     build_conditional_prior,
     convolve,
     convolve_pmfs,
+    convolve_rows,
     default_loss_unit,
     mixture_unconditional,
     name_loss_units,
@@ -112,6 +114,33 @@ class TestConditionalPrior:
                 dist.pmfs[m] - np.outer(rel[m], comp[m])
             ).max() < 1e-14
 
+    def test_bucket_form_matches_its_joint(self):
+        # a built prior keeps its bucket pmfs; the joint it forms, and the
+        # marginals and total-loss pmfs it derives, match a twin that holds
+        # only that joint
+        params = FactorParams(rho=0.3, alpha=0.2)
+        port = toy_portfolio(1, 4, 3, seed=3)
+        grid = build_market_grid(4, 4, params)
+        dist = build_conditional_prior(
+            port, grid, LossGrid(unit=default_loss_unit(port), max_units=14),
+            5.0, params,
+        )
+        rel, comp = dist.bucket_pmfs
+        assert np.array_equal(dist.pmfs, rel[:, :, None] * comp[:, None, :])
+        twin = ConditionalLossDist(index_id=1, grid=dist.grid, pmfs=dist.pmfs)
+        assert twin.bucket_pmfs is None
+        assert (dist.n_nodes, dist.shape) == (twin.n_nodes, twin.shape)
+        for got, want in ((dist.relevant_marginals(), twin.relevant_marginals()),
+                          (dist.complement_marginals(),
+                           twin.complement_marginals()),
+                          (dist.total_loss_pmfs(), twin.total_loss_pmfs())):
+            assert np.abs(got - want).max() < 1e-15
+        with pytest.raises(ConfigurationError):
+            ConditionalLossDist(index_id=1, grid=dist.grid)
+        with pytest.raises(ConfigurationError):
+            ConditionalLossDist(index_id=1, grid=dist.grid, pmfs=dist.pmfs,
+                                bucket_pmfs=(rel, comp))
+
     def test_mass_conservation_and_mean(self):
         params = FactorParams(rho=0.4, alpha=0.25)
         port = toy_portfolio(1, 5, 4, seed=7)
@@ -184,6 +213,25 @@ class TestConvolve:
     def test_mismatched_units(self):
         with pytest.raises(ConfigurationError):
             convolve(self.dist([1.0], unit=0.1), self.dist([1.0], unit=0.2))
+
+    @pytest.mark.parametrize("s1, s2", [(7, 12), (12, 7), (51, 76), (1, 5),
+                                        (4, 1)])
+    def test_rows_match_per_row_convolve(self, rng, s1, s2):
+        # batched shifted adds against np.convolve one node at a time,
+        # with whole zero loss levels and zero cells in some rows
+        a, b = rng.random((30, s1)), rng.random((30, s2))
+        a[:, 1::3] = 0.0
+        b[::4, 1::2] = 0.0
+        a[5] = 0.0
+        a /= np.maximum(a.sum(axis=1, keepdims=True), 1.0)
+        b /= b.sum(axis=1, keepdims=True)
+        got = convolve_rows(a, b)
+        assert got.shape == (30, s1 + s2 - 1)
+        for m in range(30):
+            want = np.convolve(a[m], b[m])
+            assert np.abs(got[m] - want).max() <= 1e-15 * max(
+                np.abs(want).max(), 1e-300)
+        assert np.array_equal(got[5], np.zeros(s1 + s2 - 1))
 
 
 class TestMixture:
