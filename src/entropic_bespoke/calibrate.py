@@ -14,9 +14,14 @@ smooth convex dual
 whose gradient component (i,k) is E_P[F_ik] - EL_ik + lam_ik * sigma_ik^2
 and whose Hessian is the posterior covariance matrix of the payoffs plus
 diag(sigma^2).  sigma_ik = 0 enforces a constraint exactly; large sigma
-leaves the prior untouched.  All partition functions are evaluated in log
-space with per-row max subtraction by one kernel (`_tilt`), which the
-dynamic period problem shares.
+leaves the prior untouched.
+
+The dual is written once (`_TiltedDual`), averaged over weighted previous
+rows whose conditional priors depend on a per-index context: a static
+horizon is one row of mass 1 with one context, and a dynamic bootstrap
+period has one row per previous state and one context per previous loss
+pair.  A product-form prior is tilted on its bucket pmfs
+(`_FactoredKernel`), a joint-only one row by row in log space (`_tilt`).
 """
 
 from __future__ import annotations
@@ -131,29 +136,6 @@ def _payoff_matrix(constraints: Sequence[PricingConstraint], grid: LossGrid,
     return out.reshape(len(constraints), s1 * s2)
 
 
-def _constraint_positions(constraints: Sequence[PricingConstraint],
-                          index_ids: Sequence[int]) -> dict[int, list[int]]:
-    """Per index, the positions of its constraints in the constraint list;
-    every constraint must name one of the indices."""
-    positions = {
-        i: [k for k, c in enumerate(constraints) if c.index_id == i]
-        for i in index_ids
-    }
-    unknown = sorted({c.index_id for c in constraints} - set(index_ids))
-    if unknown:
-        raise ConfigurationError(
-            f"constraints reference unknown index ids: {unknown}"
-        )
-    return positions
-
-
-def _log_rows(pmfs: np.ndarray) -> np.ndarray:
-    """log of an (..., S1, S2) pmf stack as (..., S1 * S2) rows; log 0 =
-    -inf."""
-    with np.errstate(divide="ignore"):
-        return np.log(pmfs.reshape(*pmfs.shape[:-2], -1))
-
-
 def _normalize_rows(log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalize rows (the last axis) of log-weights into probabilities,
     in place.
@@ -173,7 +155,8 @@ def _normalize_rows(log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _tilt(log_q: np.ndarray, payoffs: np.ndarray, lambdas: np.ndarray,
           targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The tilt/normalizer kernel of the static and dynamic duals.
+    """The 2D tilt/normalizer kernel, for joint-only priors and the
+    factored kernel's per-node fallback.
 
     log_q (..., cells) holds prior log-pmf rows, payoffs (K, cells) the
     payoff matrix F.  Each row is tilted by exp(lam . (F - targets)).
@@ -243,6 +226,16 @@ class _Kernel:
         self.payoffs = _payoff_matrix(constraints, prior.grid, prior.shape)
         self.targets = np.array([c.target_el for c in constraints])
 
+    def payoff_range(self) -> np.ndarray:
+        """(2, K): each payoff's least and greatest value on the smallest
+        box of the lattice that holds the prior's support.  Every payoff is
+        nondecreasing in both bucket losses, so these are its values at the
+        box's lower and upper corners."""
+        xs = np.flatnonzero(self.prior.relevant_marginals().any(axis=0))
+        ys = np.flatnonzero(self.prior.complement_marginals().any(axis=0))
+        s2 = self.prior.shape[1]
+        return self.payoffs[:, [xs[0] * s2 + ys[0], xs[-1] * s2 + ys[-1]]].T
+
 
 class _JointKernel(_Kernel):
     """Tilt of a prior that carries only its joint: one `_tilt` row of
@@ -250,7 +243,8 @@ class _JointKernel(_Kernel):
 
     def __init__(self, prior, constraints):
         super().__init__(prior, constraints)
-        self._log_q = _log_rows(prior.pmfs)
+        with np.errstate(divide="ignore"):  # log 0 = -inf
+            self._log_q = np.log(prior.pmfs.reshape(prior.n_nodes, -1))
 
     def evaluate(self, lambdas: np.ndarray) -> _IndexTilt:
         log_z, tilted, cond_means = _tilt(self._log_q, self.payoffs, lambdas,
@@ -346,6 +340,25 @@ def _index_kernel(prior: ConditionalLossDist,
     if prior.bucket_pmfs is not None:
         return _FactoredKernel(prior, constraints)
     return _JointKernel(prior, constraints)
+
+
+def _tilt_kernels(priors: Mapping[int, ConditionalLossDist],
+                  constraints: Sequence[PricingConstraint]
+                  ) -> tuple[dict[int, list[int]], dict[int, _Kernel]]:
+    """Per index, the positions of its constraints in the constraint list
+    and the tilt kernel of its prior under them; every constraint must
+    name one of the indices."""
+    unknown = sorted({c.index_id for c in constraints} - set(priors))
+    if unknown:
+        raise ConfigurationError(
+            f"constraints reference unknown index ids: {unknown}"
+        )
+    positions = {i: [k for k, c in enumerate(constraints) if c.index_id == i]
+                 for i in sorted(priors)}
+    return positions, {
+        i: _index_kernel(priors[i], [constraints[k] for k in pos])
+        for i, pos in positions.items()
+    }
 
 
 class _Joints(Mapping):
@@ -467,6 +480,133 @@ def conditional_mutual_information(result: CalibrationResult,
     return float(result.posterior_weights @ per_node)
 
 
+def _pool_rows(groups: np.ndarray, values: np.ndarray, n_groups: int) -> np.ndarray:
+    """Sum the rows of `values` (n, k) by group into (n_groups, k), adding
+    in row order."""
+    k = values.shape[1]
+    bins = (groups[:, None] * k + np.arange(k)).ravel()
+    return np.bincount(bins, weights=values.ravel(),
+                       minlength=n_groups * k).reshape(n_groups, k)
+
+
+class _TiltedDual:
+    """The tilted dual averaged over weighted previous rows s:
+
+        L(lam) = sum_s w_s * log Zhat_s(lam) + 0.5 * sum_k lam_k^2 sigma_k^2,
+        Zhat_s = sum_m G[s, m] * prod_i Z_i(c_i(s), m, lam),
+
+    with G the prior factor rows, c_i(s) index i's context on row s and
+    Z_i(c, m, lam) the normalizer of its tilted prior on (context, node)
+    row (c, m).  The posterior factor rows are h[s, m] propto G[s, m] *
+    prod_i Z_i(c_i(s), m, lam).  Each index's kernel runs over its
+    (context x node) rows, context-major.  The weights w must sum to 1,
+    which the gradient assumes."""
+
+    def __init__(self, constraints: Sequence[PricingConstraint],
+                 positions: dict[int, list[int]], kernels: dict[int, _Kernel],
+                 row_ctx: dict[int, np.ndarray], log_factor_rows: np.ndarray,
+                 w_prev: np.ndarray):
+        mass = float(w_prev.sum())
+        if abs(mass - 1.0) > 1e-10:
+            raise ConfigurationError(f"previous rows have mass {mass!r}, not 1")
+        self.constraints = tuple(constraints)
+        self.targets = np.array([c.target_el for c in constraints])
+        self.sigmas = np.array([c.sigma for c in constraints])
+        self.index_ids = sorted(kernels)
+        self.positions, self.kernels = positions, kernels
+        self.row_ctx, self.w_prev = row_ctx, w_prev
+        self.log_factor_rows = log_factor_rows  # (n_prev, M)
+        self._check_exact_targets()
+        self._cache_key = self._cache = None
+
+    def _check_exact_targets(self):
+        """An exact target outside its payoff's range on the prior support
+        cannot be met; say so before any Newton step."""
+        for i in self.index_ids:
+            lows, highs = self.kernels[i].payoff_range()
+            for k, lo, hi in zip(self.positions[i], lows, highs):
+                c = self.constraints[k]
+                if c.sigma == 0.0 and not lo <= c.target_el <= hi:
+                    raise ConfigurationError(
+                        f"exact target {c.target_el!r} of {c.label()} is "
+                        f"outside the attainable range "
+                        f"[{float(lo)!r}, {float(hi)!r}]"
+                    )
+
+    def _contexts(self, i: int, per_row: np.ndarray) -> np.ndarray:
+        """Index i's (context x node, ...) kernel rows regrouped as
+        (previous row, node, ...)."""
+        m = self.log_factor_rows.shape[1]
+        return per_row.reshape(len(per_row) // m, m,
+                               *per_row.shape[1:])[self.row_ctx[i]]
+
+    def evaluate(self, lambdas: np.ndarray) -> dict:
+        lambdas = np.asarray(lambdas, dtype=float)
+        key = lambdas.tobytes()
+        if key == self._cache_key:
+            return self._cache
+        self._cache_key = self._cache = None  # let the old tilt go
+        tilts = {
+            i: self.kernels[i].evaluate(lambdas[self.positions[i]])
+            for i in self.index_ids
+        }
+        log_rows = self.log_factor_rows
+        for i in self.index_ids:
+            log_rows = log_rows + self._contexts(i, tilts[i].log_z)
+        log_zhat, h_rows = _normalize_rows(log_rows)  # (n_prev,), (n_prev, M)
+        mean_rows = np.empty((len(self.w_prev), len(self.targets)))
+        for i in self.index_ids:
+            cond = self._contexts(i, tilts[i].cond_means)  # (n_prev, M, K_i)
+            mean_rows[:, self.positions[i]] = (h_rows[:, None, :] @ cond)[:, 0]
+        model_els = self.w_prev @ mean_rows
+        value = float(self.w_prev @ log_zhat) + 0.5 * float(
+            self.sigmas**2 @ lambdas**2)
+        grad = model_els - self.targets + lambdas * self.sigmas**2
+        state = dict(tilts=tilts, h_rows=h_rows, log_zhat=log_zhat,
+                     mean_rows=mean_rows, model_els=model_els, value=value,
+                     grad=grad)
+        self._cache_key, self._cache = key, state
+        return state
+
+    def objective(self, lambdas: np.ndarray) -> tuple[float, np.ndarray]:
+        """The dual value and its gradient E_P[F] - EL + lam * sigma^2."""
+        state = self.evaluate(lambdas)
+        return state["value"], state["grad"].copy()
+
+    def hessian(self, lambdas: np.ndarray) -> np.ndarray:
+        """Covariance of the payoffs under the posterior, plus sigma^2.
+
+        The within-index block is F diag(p) F^T, with p the index's lattice
+        pmf pooled over its (context, node) rows with weights W[c, m], the
+        sum of w_s * h[s, m] over the rows s in context c.  The cross-index
+        block is sum_{s,m} w_s h[s, m] E_i[F | c_i(s), m] E_j[F | c_j(s),
+        m]^T, since the indices are independent given the row and node."""
+        state = self.evaluate(lambdas)
+        weighted = self.w_prev[:, None] * state["h_rows"]
+        k = len(self.targets)
+        hess = np.empty((k, k))
+        cond = {}
+        for i in self.index_ids:
+            pos, tilt = self.positions[i], state["tilts"][i]
+            n_ctx = len(tilt.log_z) // weighted.shape[1]
+            pooled = _pool_rows(self.row_ctx[i], weighted, n_ctx).reshape(-1)
+            f = self.kernels[i].payoffs
+            hess[np.ix_(pos, pos)] = (f * tilt.pooled(pooled)) @ f.T
+            cond[i] = self._contexts(i, tilt.cond_means)
+        for a, i in enumerate(self.index_ids):
+            for j in self.index_ids[a + 1:]:
+                pos_i, pos_j = self.positions[i], self.positions[j]
+                lhs = (cond[i] * weighted[:, :, None]).reshape(
+                    weighted.size, len(pos_i))
+                cross = lhs.T @ cond[j].reshape(weighted.size, len(pos_j))
+                hess[np.ix_(pos_i, pos_j)] = cross
+                hess[np.ix_(pos_j, pos_i)] = cross.T
+        mean_rows = state["mean_rows"]
+        hess -= (self.w_prev[:, None] * mean_rows).T @ mean_rows
+        hess[np.diag_indices(k)] += self.sigmas**2
+        return hess
+
+
 class _StaticProblem:
     """What both static calibrators share: the checked grid, priors and
     constraints, each index's constraint positions and its tilt kernel
@@ -501,13 +641,9 @@ class _StaticProblem:
         self.priors = dict(priors)
         self.constraints = tuple(constraints)
         self.index_ids = sorted(priors)
-        self._positions = _constraint_positions(constraints, self.index_ids)
+        self._positions, self._kernels = _tilt_kernels(priors, constraints)
         self.targets = np.array([c.target_el for c in constraints])
         self.sigmas = np.array([c.sigma for c in constraints])
-        self._kernels = {
-            i: _index_kernel(priors[i], [constraints[k] for k in pos])
-            for i, pos in self._positions.items()
-        }
 
     @property
     def n_constraints(self) -> int:
@@ -525,7 +661,9 @@ class MceCalibrator(_StaticProblem):
 
     Holds the factor grid, per-index conditional priors and the constraint
     set; exposes the dual objective, gradient and Hessian and the Newton
-    driver.  The multiplier vector is ordered like the constraint list.
+    solve.  The dual is `_TiltedDual` with one previous row of mass 1, one
+    context per index and the prior factor weights as its factor row.  The
+    multiplier vector is ordered like the constraint list.
     """
 
     def __init__(
@@ -535,77 +673,34 @@ class MceCalibrator(_StaticProblem):
         constraints: Sequence[PricingConstraint],
     ):
         super().__init__(grid, priors, constraints)
-        self._cache_key = None
-        self._cache = None
-
-    # -- dual pieces ----------------------------------------------------
+        with np.errstate(divide="ignore"):
+            log_g = np.log(grid.flat_weights)
+        one_row = np.zeros(1, dtype=int)
+        self._dual = _TiltedDual(
+            self.constraints, self._positions, self._kernels,
+            {i: one_row for i in self.index_ids}, log_g[None, :], np.ones(1),
+        )
 
     def _evaluate(self, lambdas: np.ndarray) -> dict:
-        lambdas = np.asarray(lambdas, dtype=float)
-        key = lambdas.tobytes()
-        if key == self._cache_key:
-            return self._cache
-        self._cache_key = self._cache = None  # let the old tilt go
-        tilts = {
-            i: self._kernels[i].evaluate(lambdas[self._positions[i]])
-            for i in self.index_ids
-        }
-        h, log_norm = posterior_factor_weights(
-            self.grid.flat_weights, *(t.log_z for t in tilts.values()))
-        model_els = np.empty(self.n_constraints)
-        for i in self.index_ids:
-            model_els[self._positions[i]] = h @ tilts[i].cond_means
-        value = log_norm + 0.5 * float(self.sigmas**2 @ lambdas**2)
-        grad = model_els - self.targets + lambdas * self.sigmas**2
-        state = dict(tilts=tilts, h=h, log_norm=log_norm,
-                     model_els=model_els, value=value, grad=grad)
-        self._cache_key, self._cache = key, state
-        return state
+        return self._dual.evaluate(lambdas)
 
     def dual_objective_and_gradient(
         self, lambdas: np.ndarray
     ) -> tuple[float, np.ndarray]:
         """log Z(lam) + 0.5 sum lam^2 sigma^2 and its gradient
         E_P[F] - EL + lam * sigma^2."""
-        state = self._evaluate(lambdas)
-        return state["value"], state["grad"].copy()
+        return self._dual.objective(lambdas)
 
     def dual_hessian(self, lambdas: np.ndarray) -> np.ndarray:
-        """Posterior covariance of the payoffs plus diag(sigma^2).
-
-        The within-index block is F diag(p) F^T with p the index's
-        posterior lattice pmf mixed over the nodes; the cross-index block
-        is (cond_means_i * h)^T cond_means_j, since the indices are
-        independent given the factor node."""
-        state = self._evaluate(lambdas)
-        h, tilts = state["h"], state["tilts"]
-        k = self.n_constraints
-        hess = np.empty((k, k))
-        for i in self.index_ids:
-            pos_i = self._positions[i]
-            f = self._kernels[i].payoffs
-            hess[np.ix_(pos_i, pos_i)] = (f * tilts[i].pooled(h)) @ f.T
-            weighted = tilts[i].cond_means * h[:, None]
-            for j in self.index_ids:
-                if j <= i:
-                    continue
-                pos_j = self._positions[j]
-                cross = weighted.T @ tilts[j].cond_means
-                hess[np.ix_(pos_i, pos_j)] = cross
-                hess[np.ix_(pos_j, pos_i)] = cross.T
-        mean = state["model_els"]
-        hess -= np.outer(mean, mean)
-        hess[np.diag_indices(k)] += self.sigmas**2
-        return hess
+        """Posterior covariance of the payoffs plus diag(sigma^2)."""
+        return self._dual.hessian(lambdas)
 
     def posterior(self, lambdas: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
         """(factor weights, tilted conditionals) at a multiplier vector."""
         state = self._evaluate(lambdas)
-        return state["h"].copy(), {
+        return state["h_rows"][0].copy(), {
             i: t.law().pmfs for i, t in state["tilts"].items()
         }
-
-    # -- driver ----------------------------------------------------------
 
     def solve(self, tol: float = 1e-9, max_iter: int = 200) -> CalibrationResult:
         res = self._newton(tol, max_iter)
@@ -613,12 +708,12 @@ class MceCalibrator(_StaticProblem):
         return CalibrationResult(
             constraints=self.constraints,
             lambdas=res.x,
-            posterior_weights=state["h"].copy(),
+            posterior_weights=state["h_rows"][0].copy(),
             laws={i: t.law() for i, t in state["tilts"].items()},
             model_els=state["model_els"].copy(),
             residuals=state["model_els"] - self.targets,
             objective_value=res.value,
-            log_norm=state["log_norm"],
+            log_norm=float(state["log_zhat"][0]),
             iterations=res.iterations,
             grid=self.grid,
             priors=self.priors,
@@ -721,8 +816,6 @@ def prior_expected_losses(
     constraints: Sequence[PricingConstraint],
 ) -> np.ndarray:
     """E_Q[F_ik] under the uncalibrated prior, in constraint order."""
-    positions = _constraint_positions(constraints, sorted(priors))
-    kernels = {i: _index_kernel(priors[i], [constraints[k] for k in pos])
-               for i, pos in positions.items()}
+    positions, kernels = _tilt_kernels(priors, constraints)
     return grid.flat_weights @ _prior_means(grid, kernels, positions,
                                             len(constraints))

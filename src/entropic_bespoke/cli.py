@@ -18,8 +18,6 @@ import sys
 from itertools import chain
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, basecorr, io as fmt, pricing
 from .calibrate import TRANCHE, calibrate
 from .dynamic import DynamicModel, TimeGrid
@@ -415,16 +413,8 @@ def _mode_map_basecorr(config, reporter):
                     sign * k * basecorr.base_tranche_el(bespoke_pool, k, beta, t)
                 )
             els[t] = sum(skew_els) / (tr.k_high - tr.k_low)
-        horizons_arr = np.array(sorted(els))
-        el_arr = np.array([els[t] for t in sorted(els)])
-        annuity = pricing.risky_annuity(horizons_arr, el_arr, tr, curve)
-        dleg = pricing.default_leg(horizons_arr, el_arr, tr, curve)
-        if annuity <= 0.0:
-            raise UndefinedSpreadError("risky annuity is zero")
-        price_rows.append(pricing.TranchePrice(
-            tranche=tr, par_spread=dleg / annuity, risky_annuity=annuity,
-            default_leg=dleg,
-        ))
+        price_rows.append(pricing.price_el_curve(  # els is in time order
+            list(els), list(els.values()), tr, curve))
     reporter.csv("basecorr_prices.csv", fmt.PRICING_HEADER,
                  fmt.pricing_rows(price_rows))
 

@@ -4,11 +4,15 @@ State per period n: (factor node m^n, loss 4-tuple X^n of relevant and
 complement units for both indices).  The prior transition splits into a
 factor chain g(m^n | m^{n-1}) that ignores losses and per-index loss
 increment laws Q_i(X_i^n | m^n, X_i^{n-1}) supported on non-decreasing
-losses.  Each period, multipliers tilt the transition kernel exactly like
-the single-period calibration, with the dual objective averaged over the
-previous marginal:
+losses.  Each period is calibrated under the same scheme as a static
+horizon, with the dual objective averaged over the previous marginal:
 
     L(lam) = sum_prev P(prev) * log Zhat_lam(prev) + 0.5 * sum lam^2 sigma^2.
+
+This is the one tilted dual of `calibrate` (`_TiltedDual`): one row per
+previous state, and per index one context per distinct previous loss
+pair, so each index's bucket pmfs are tilted by the factored kernel over
+its (context, node) rows.
 
 Because the tilt only reweights kernels that already forbid decreasing
 losses, every calibrated measure is arbitrage-free in time by
@@ -28,14 +32,13 @@ from scipy.special import gammaln, xlog1py, xlogy
 
 from .calibrate import (
     PricingConstraint,
-    _constraint_positions,
-    _log_rows,
-    _normalize_rows,
-    _payoff_matrix,
-    _tilt,
+    _pool_rows,
+    _tilt_kernels,
+    _TiltedDual,
 )
 from .errors import ConfigurationError
 from .loss import (
+    ConditionalLossDist,
     LossGrid,
     build_conditional_prior,
     name_loss_units,
@@ -361,11 +364,11 @@ class DynamicModel:
 
     def _loss_priors(
         self, period: int, prev_state: DynamicState
-    ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per index, (contexts, row_ctx, pmfs): the sorted distinct
+    ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Per index, (contexts, row_ctx, rel, comp): the sorted distinct
         previous loss pairs, the context of each previous support row, and
-        the (n_ctx, M, S1, S2) prior transition pmfs on the absolute
-        lattice."""
+        the prior transition pmfs of the relevant and complement buckets on
+        the absolute lattice, (n_ctx, M, S1) and (n_ctx, M, S2)."""
         t0, t1 = self.time_grid.period_bounds(period)
         out = {}
         caps = self.period_capacities(period)
@@ -377,20 +380,19 @@ class DynamicModel:
                 static = build_conditional_prior(
                     self.portfolios[i], self.grid, self.loss_grids[i], t1, self.params
                 )
-                out[i] = (contexts, row_ctx, static.pmfs[None])
+                rel, comp = static.bucket_pmfs
+                out[i] = (contexts, row_ctx, rel[None], comp[None])
                 continue
             loss_grid = self.period_loss_grid(period, i)
             rel = build_conditional_loss_prior(
                 self.portfolios[i], RELEVANT, self.params, self.grid,
                 loss_grid, t0, t1, capacity=caps[i][0],
-            )
+            ).node_pmfs(contexts[:, 0])
             comp = build_conditional_loss_prior(
                 self.portfolios[i], COMPLEMENT, self.params, self.grid,
                 loss_grid, t0, t1, capacity=caps[i][1],
-            )
-            pmfs = (rel.node_pmfs(contexts[:, 0])[:, :, :, None]
-                    * comp.node_pmfs(contexts[:, 1])[:, :, None, :])
-            out[i] = (contexts, row_ctx, pmfs)
+            ).node_pmfs(contexts[:, 1])
+            out[i] = (contexts, row_ctx, rel, comp)
         return out
 
     # -- one period -------------------------------------------------------
@@ -400,8 +402,26 @@ class DynamicModel:
         period: int,
         prev_state: DynamicState,
         constraints: tuple[PricingConstraint, ...],
-    ) -> "_PeriodProblem":
-        return _PeriodProblem(self, period, prev_state, constraints)
+    ) -> "_PeriodDual":
+        """The tilted dual of one period: per index, a product-form prior
+        over its (context, node) rows; per previous support row, its
+        contexts, its prior factor row and its mass."""
+        contexts, row_ctx, row_priors = {}, {}, {}
+        for i, (ctx, which, rel, comp) in self._loss_priors(
+                period, prev_state).items():
+            contexts[i], row_ctx[i] = ctx, which
+            row_priors[i] = ConditionalLossDist(
+                i, self.period_loss_grid(period, i),
+                bucket_pmfs=(rel.reshape(-1, rel.shape[-1]),
+                             comp.reshape(-1, comp.shape[-1])))
+        positions, kernels = _tilt_kernels(row_priors, constraints)
+        with np.errstate(divide="ignore"):
+            log_factor_rows = np.log(self._factor_rows_prior(prev_state.support))
+        return _PeriodDual(
+            period, self.time_grid.horizons[period], prev_state, contexts,
+            constraints, positions, kernels, row_ctx, log_factor_rows,
+            prev_state.probs,
+        )
 
     def calibrate_period(
         self,
@@ -415,7 +435,7 @@ class DynamicModel:
         problem = self._period_problem(period, prev_state, tuple(constraints))
         res = newton_minimize(
             problem.objective, problem.hessian,
-            np.zeros(problem.n_constraints), tol=tol, max_iter=max_iter,
+            np.zeros(len(constraints)), tol=tol, max_iter=max_iter,
         )
         return problem.kernel(res.x, res.iterations)
 
@@ -428,7 +448,7 @@ class DynamicModel:
         """Model ELs of the uncalibrated (lam = 0) period kernel."""
         prev_state = self.align_to_period(period, prev_state)
         problem = self._period_problem(period, prev_state, tuple(constraints))
-        return problem.evaluate(np.zeros(problem.n_constraints))["model_els"].copy()
+        return problem.evaluate(np.zeros(len(constraints)))["model_els"].copy()
 
     def propagate_marginal(
         self, prev_state: DynamicState, kernel: PeriodKernel
@@ -496,139 +516,24 @@ def _contexts(support: np.ndarray, pos: int) -> tuple[np.ndarray, np.ndarray]:
     return contexts, which.ravel()
 
 
-def _pool_rows(groups: np.ndarray, values: np.ndarray, n_groups: int) -> np.ndarray:
-    """Sum the rows of `values` (n, k) by group into (n_groups, k), adding
-    in row order."""
-    k = values.shape[1]
-    bins = (groups[:, None] * k + np.arange(k)).ravel()
-    return np.bincount(bins, weights=values.ravel(),
-                       minlength=n_groups * k).reshape(n_groups, k)
+class _PeriodDual(_TiltedDual):
+    """The tilted dual of one period, which also assembles the calibrated
+    `PeriodKernel`."""
 
-
-class _PeriodProblem:
-    """Dual problem for one bootstrap step, averaged over the previous
-    marginal; shares the tilt/normalizer algebra with the static case but
-    keyed by (previous losses, new factor node)."""
-
-    def __init__(self, model: DynamicModel, period: int,
-                 prev_state: DynamicState,
-                 constraints: tuple[PricingConstraint, ...]):
-        self.period = period
-        self.horizon = model.time_grid.horizons[period]
-        mass = prev_state.total_mass
-        if abs(mass - 1.0) > 1e-10:
-            # the gradient below assumes sum_prev P(prev) = 1
-            raise ConfigurationError(
-                f"previous state of period {period} has mass {mass!r}, not 1"
-            )
-        self.prev_state = prev_state
-        self.constraints = constraints
-        self.index_ids = model.index_ids
-        self.positions = _constraint_positions(constraints, self.index_ids)
-        self.targets = np.array([c.target_el for c in constraints])
-        self.sigmas = np.array([c.sigma for c in constraints])
-        self.contexts, self.row_ctx, self.log_priors = {}, {}, {}
-        self.shapes, self.payoffs = {}, {}
-        for i, (contexts, row_ctx, pmfs) in model._loss_priors(
-            period, prev_state
-        ).items():
-            self.contexts[i] = contexts
-            self.row_ctx[i] = row_ctx
-            self.shapes[i] = pmfs.shape  # (n_ctx, M, S1, S2)
-            self.log_priors[i] = _log_rows(pmfs)  # (n_ctx, M, S1 * S2)
-            self.payoffs[i] = _payoff_matrix(
-                [constraints[k] for k in self.positions[i]],
-                model.period_loss_grid(period, i), pmfs.shape[2:],
-            )
-        factor_rows = model._factor_rows_prior(prev_state.support)
-        with np.errstate(divide="ignore"):
-            self.log_factor_rows = np.log(factor_rows)
-        self.w_prev = prev_state.probs
-        self._cache: dict = {"key": None}
-
-    @property
-    def n_constraints(self) -> int:
-        return len(self.constraints)
-
-    def evaluate(self, lambdas: np.ndarray) -> dict:
-        lambdas = np.asarray(lambdas, dtype=float)
-        key = lambdas.tobytes()
-        if key == self._cache["key"]:
-            return self._cache
-        log_zs, tilted, cond_means = {}, {}, {}
-        for i in self.index_ids:
-            pos = self.positions[i]
-            log_zs[i], tilted[i], cond_means[i] = _tilt(
-                self.log_priors[i], self.payoffs[i], lambdas[pos],
-                self.targets[pos],
-            )  # (n_ctx, M), (n_ctx, M, S1 * S2), (n_ctx, M, K_i)
-        i1, i2 = self.index_ids
-        log_rows = (
-            self.log_factor_rows
-            + log_zs[i1][self.row_ctx[i1]]
-            + log_zs[i2][self.row_ctx[i2]]
-        )
-        log_zhat, h_rows = _normalize_rows(log_rows)  # (n_prev,), (n_prev, M)
-        value = float(self.w_prev @ log_zhat) + 0.5 * float(
-            self.sigmas**2 @ lambdas**2
-        )
-        mean_rows = np.empty((len(self.w_prev), self.n_constraints))
-        for i in self.index_ids:
-            e = cond_means[i][self.row_ctx[i]]  # (n_prev, M, K_i)
-            mean_rows[:, self.positions[i]] = np.einsum("sm,smk->sk", h_rows, e)
-        model_els = self.w_prev @ mean_rows
-        grad = model_els - self.targets + lambdas * self.sigmas**2
-        self._cache.update(
-            key=key, h_rows=h_rows, value=value, grad=grad,
-            model_els=model_els, tilted=tilted, cond_means=cond_means,
-            mean_rows=mean_rows,
-        )
-        return self._cache
-
-    def objective(self, lambdas: np.ndarray) -> tuple[float, np.ndarray]:
-        state = self.evaluate(lambdas)
-        return state["value"], state["grad"].copy()
-
-    def hessian(self, lambdas: np.ndarray) -> np.ndarray:
-        """Covariance of the payoffs under the posterior, plus sigma^2.
-
-        The within-index block is F diag(p) F^T, where p is the index's
-        lattice pmf pooled over previous rows and nodes:
-        p = sum_{c,m} W[c, m] tilted[c, m] with W[c, m] the previous mass
-        times the factor row, summed over the rows in context c."""
-        state = self.evaluate(lambdas)
-        weighted_rows = self.w_prev[:, None] * state["h_rows"]
-        n = self.n_constraints
-        hess = np.zeros((n, n))
-        for i in self.index_ids:
-            pos = self.positions[i]
-            if not pos:
-                continue
-            weights = _pool_rows(self.row_ctx[i], weighted_rows,
-                                 len(self.contexts[i]))
-            pmf = np.tensordot(weights, state["tilted"][i], axes=2)
-            f = self.payoffs[i]
-            hess[np.ix_(pos, pos)] = (f * pmf) @ f.T
-        i1, i2 = self.index_ids
-        p1, p2 = self.positions[i1], self.positions[i2]
-        if p1 and p2:
-            e1 = state["cond_means"][i1][self.row_ctx[i1]]
-            e2 = state["cond_means"][i2][self.row_ctx[i2]]
-            cross = np.einsum("sm,smk,sml->kl", weighted_rows, e1, e2)
-            hess[np.ix_(p1, p2)] = cross
-            hess[np.ix_(p2, p1)] = cross.T
-        mean_rows = state["mean_rows"]
-        hess -= (self.w_prev[:, None] * mean_rows).T @ mean_rows
-        hess[np.diag_indices(n)] += self.sigmas**2
-        return hess
+    def __init__(self, period: int, horizon: float, prev_state: DynamicState,
+                 contexts: dict[int, np.ndarray], *dual_args):
+        super().__init__(*dual_args)
+        self.period, self.horizon = period, horizon
+        self.prev_state, self.contexts = prev_state, contexts
 
     def kernel(self, lambdas: np.ndarray, iterations: int) -> PeriodKernel:
         state = self.evaluate(lambdas)
-        loss_tilted = {
-            i: dict(zip(map(tuple, self.contexts[i].tolist()),
-                        state["tilted"][i].reshape(self.shapes[i])))
-            for i in self.index_ids
-        }
+        loss_tilted = {}
+        for i, contexts in self.contexts.items():
+            joints = state["tilts"][i].law().pmfs  # (n_ctx * M, S1, S2)
+            loss_tilted[i] = dict(zip(
+                map(tuple, contexts.tolist()),
+                joints.reshape(len(contexts), -1, *joints.shape[1:])))
         return PeriodKernel(
             period=self.period,
             horizon=self.horizon,

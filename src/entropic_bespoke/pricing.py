@@ -351,10 +351,7 @@ def par_spread(
     curve: DiscountCurve,
 ) -> float:
     """Running spread equating the two legs; independent of notional."""
-    annuity = risky_annuity(horizons, els, tranche, curve)
-    if annuity <= 0.0:
-        raise UndefinedSpreadError("risky annuity is zero; par spread undefined")
-    return default_leg(horizons, els, tranche, curve) / (tranche.notional * annuity)
+    return price_el_curve(horizons, els, tranche, curve).par_spread
 
 
 @dataclass(frozen=True)
@@ -369,12 +366,14 @@ class TranchePrice:
         return 1e4 * self.par_spread
 
 
-def price_tranche(
-    loss_dists: Mapping[float, LossDist],
+def price_el_curve(
+    horizons: Sequence[float],
+    els: Sequence[float],
     tranche: TrancheSpec,
     curve: DiscountCurve,
 ) -> TranchePrice:
-    horizons, els = tranche_el_curve(loss_dists, tranche)
+    """Legs and par spread from a normalized tranche EL term structure;
+    the par spread and the default leg are per unit notional."""
     annuity = risky_annuity(horizons, els, tranche, curve)
     dleg = default_leg(horizons, els, tranche, curve)
     if annuity <= 0.0:
@@ -385,3 +384,12 @@ def price_tranche(
         risky_annuity=annuity,
         default_leg=dleg / tranche.notional,
     )
+
+
+def price_tranche(
+    loss_dists: Mapping[float, LossDist],
+    tranche: TrancheSpec,
+    curve: DiscountCurve,
+) -> TranchePrice:
+    horizons, els = tranche_el_curve(loss_dists, tranche)
+    return price_el_curve(horizons, els, tranche, curve)

@@ -534,6 +534,24 @@ class TestFailureHandling:
         assert float(match.group(1)) > 1e-9
         assert not any((workdir / "out").iterdir())
 
+    @pytest.mark.parametrize("mode", ["calibrate-static",
+                                      "calibrate-dynamic"])
+    def test_unattainable_exact_target_fails_before_newton(
+        self, workdir, capsys, mode
+    ):
+        # the three relevant names of index 1 lose at most 0.3 together
+        rows = prior_el_constraints(workdir / "portfolios.json")
+        assert rows[1][:2] == [1, "relevant_total"]
+        rows[1][5:] = ["0.9", "0"]
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS, rows)
+        rc = main(["--config", str(workdir / "config.json"), "--mode", mode])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"ERROR CONFIG: exact target 0\.9 of i1:relevant_total is "
+            r"outside the attainable range \[0\.0, 0\.3\d*\]\n", err), err
+        assert not any((workdir / "out").iterdir())
+
     def test_invalid_mode(self, workdir, capsys):
         cfg = json.loads((workdir / "config.json").read_text())
         cfg["mode"] = "explode"

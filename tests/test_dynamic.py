@@ -6,7 +6,12 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import binom
 
-from entropic_bespoke.calibrate import PricingConstraint, calibrate, payoff_lattice
+from entropic_bespoke.calibrate import (
+    MceCalibrator,
+    PricingConstraint,
+    calibrate,
+    payoff_lattice,
+)
 from entropic_bespoke.dynamic import (
     BucketIncrementPrior,
     DynamicModel,
@@ -363,8 +368,9 @@ def reference_period_dual(model, period, prev_state, constraints, lambdas):
     targets = np.array([c.target_el for c in constraints])
     sigmas = np.array([c.sigma for c in constraints])
     log_zs, tilted, cond, second, pos, ctx = {}, {}, {}, {}, {}, {}
-    for i, (contexts, row_ctx, pmfs) in model._loss_priors(
+    for i, (contexts, row_ctx, rel, comp) in model._loss_priors(
             period, prev_state).items():
+        pmfs = rel[:, :, :, None] * comp[:, :, None, :]  # (n_ctx, M, S1, S2)
         ctx[i] = row_ctx
         pos[i] = [k for k, c in enumerate(constraints) if c.index_id == i]
         lattice = ConditionalLossDist(
@@ -792,3 +798,112 @@ class TestCoarsening:
         assert len(k1.prev_probs) < len(s1.probs)  # aligned to the coarse grid
         assert (k1.prev_probs == 0.0).any()
         assert_matches_oracle(model, s1, k1)
+
+
+def static_priors(model, params, grid, ports, grids, horizon=1.0):
+    return {i: build_conditional_prior(ports[i], grid, grids[i], horizon,
+                                       params)
+            for i in model.index_ids}
+
+
+class TestStaticIsPeriodZero:
+    """The static calibrator is the period-0 problem: one previous row of
+    mass 1, one context per index and the prior factor weights as its
+    factor row.  Away from the optimum the two agree on the whole dual."""
+
+    @pytest.mark.parametrize("near_700", [False, True])
+    def test_dual_and_posterior_agree(self, rng, near_700):
+        model, params, grid, ports, grids, _ = small_model(n_grid=3)
+        shells = [
+            dict(index_id=1, kind="tranche", k_low=0.0, k_high=0.3),
+            dict(index_id=1, kind="subportfolio_total", bucket="relevant"),
+            dict(index_id=2, kind="tranche", k_low=0.0, k_high=0.6),
+            dict(index_id=2, kind="subportfolio_total", bucket="complement"),
+        ]
+        cons = [PricingConstraint(target_el=0.05, sigma=1e-2, **kw)
+                for kw in shells]
+        static = MceCalibrator(
+            grid, static_priors(model, params, grid, ports, grids), cons)
+        period = model._period_problem(0, model.initial_state(), tuple(cons))
+
+        def close(got, want, scale=None):
+            scale = np.abs(want).max() if scale is None else scale
+            assert np.abs(np.asarray(got) - want).max() <= 1e-12 * scale
+
+        for _ in range(3):
+            if near_700:
+                lam = rng.choice([-1.0, 1.0], size=4) * rng.uniform(
+                    690.0, 720.0, size=4)
+            else:
+                lam = rng.normal(scale=3.0, size=4)
+            value, grad = static.dual_objective_and_gradient(lam)
+            got_value, got_grad = period.objective(lam)
+            assert got_value == pytest.approx(value, rel=1e-12)
+            close(got_grad, grad)
+            hess = static.dual_hessian(lam)
+            mean = grad + static.targets - lam * static.sigmas**2
+            close(period.hessian(lam), hess,
+                  scale=np.abs(hess + np.outer(mean, mean)).max())
+            h, tilted = static.posterior(lam)
+            kernel = period.kernel(lam, 0)
+            close(kernel.factor_rows[0], h)
+            for i in model.index_ids:
+                assert list(kernel.loss_tilted[i]) == [(0, 0)]
+                close(kernel.loss_tilted[i][(0, 0)], tilted[i])
+
+
+def relevant_total(target, sigma=0.0, index_id=1):
+    return PricingConstraint(index_id=index_id, kind="subportfolio_total",
+                             bucket="relevant", target_el=target, sigma=sigma)
+
+
+def out_of_range(label, target, lo, hi):
+    return re.escape(f"exact target {target!r} of {label} is outside the "
+                     f"attainable range [{lo!r}, {hi!r}]")
+
+
+class TestExactTargetRange:
+    """An exact target outside its payoff's range on the prior support
+    fails with ConfigurationError before any Newton step, in the static
+    and the period dual alike; one inside it, or on its edge, does not."""
+
+    def test_static_target_above_largest_bucket_loss(self):
+        # one relevant name of one 0.3 loss unit: the bucket loses 0 or 0.3
+        model, params, grid, ports, grids, _ = small_model()
+        priors = static_priors(model, params, grid, ports, grids)
+        with pytest.raises(ConfigurationError, match=out_of_range(
+                "i1:relevant_total", 0.9, 0.0, 0.3)):
+            calibrate(grid, priors, [relevant_total(0.9)])
+        tranche = PricingConstraint(index_id=2, kind="tranche", k_low=0.6,
+                                    k_high=1.0, target_el=0.01, sigma=0.0)
+        with pytest.raises(ConfigurationError, match=out_of_range(
+                "i2:tranche[0.6,1.0]", 0.01, 0.0, 0.0)):
+            calibrate(grid, priors, [tranche])
+        MceCalibrator(grid, priors, [relevant_total(0.3)])  # the edge
+        res = calibrate(grid, priors, [relevant_total(0.2)])
+        assert res.residuals == pytest.approx([0.0], abs=1e-9)
+
+    def test_period_target_above_largest_bucket_loss(self):
+        model, *_ = small_model()
+        with pytest.raises(ConfigurationError, match=out_of_range(
+                "i1:relevant_total", 0.9, 0.0, 0.3)):
+            model.calibrate_period(0, model.initial_state(),
+                                   [relevant_total(0.9)])
+
+    def test_period_target_below_every_previous_loss(self):
+        # keep only previous states where index 1's relevant name has
+        # defaulted: losses never decrease, so that bucket stays at 0.3
+        model, *_ = small_model()
+        state0 = model.initial_state()
+        k0 = model.calibrate_period(
+            0, state0, prior_implied_constraints(model, 0, state0))
+        s1 = model.propagate_marginal(state0, k0)
+        hit = s1.support[:, 1] == 1
+        state = DynamicState(period=s1.period, horizon=s1.horizon,
+                             support=s1.support[hit],
+                             probs=s1.probs[hit] / s1.probs[hit].sum())
+        with pytest.raises(ConfigurationError, match=out_of_range(
+                "i1:relevant_total", 0.1, 0.3, 0.3)):
+            model.calibrate_period(1, state, [relevant_total(0.1)])
+        kernel = model.calibrate_period(1, state, [relevant_total(0.1, 1e-2)])
+        assert kernel.model_els == pytest.approx([0.3], rel=1e-12)

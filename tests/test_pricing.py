@@ -25,6 +25,7 @@ from entropic_bespoke.pricing import (
     default_leg,
     par_spread,
     premium_leg,
+    price_el_curve,
     price_tranche,
     risky_annuity,
     tranche_el_curve,
@@ -428,3 +429,27 @@ class TestPriceTranche:
         tr = TrancheSpec.with_schedule(0.0, 0.03, 5.0, 4)
         with pytest.raises(ConfigurationError):
             tranche_el_curve(dists, tr)
+
+    def test_el_curve_price_is_per_unit_notional(self):
+        horizons, els = [1.0, 3.0, 5.0], [0.04, 0.13, 0.25]
+        curve = DiscountCurve.flat(0.03)
+        unit, double = (
+            price_el_curve(horizons, els,
+                           TrancheSpec.with_schedule(0.03, 0.07, 5.0, 4,
+                                                     notional=n), curve)
+            for n in (1.0, 2.0))
+        assert double.par_spread == pytest.approx(unit.par_spread, rel=1e-15)
+        assert double.default_leg == pytest.approx(unit.default_leg,
+                                                   rel=1e-15)
+        assert double.risky_annuity == unit.risky_annuity
+        assert double.par_spread == pytest.approx(
+            par_spread(horizons, els, double.tranche, curve), rel=1e-15)
+
+    def test_price_tranche_prices_its_el_curve(self):
+        result, ports, unit, notional = calibrated_toy(seed=9)
+        spec = BespokeSpec(members=((1, "relevant"),), notional=0.5)
+        dists = bespoke_loss_dist({3.0: result, 5.0: result}, spec)
+        tr = TrancheSpec.with_schedule(0.0, 0.1, 5.0, 4, notional=2.0)
+        assert price_tranche(dists, tr, DiscountCurve.flat(0.02)) == \
+            price_el_curve(*tranche_el_curve(dists, tr), tr,
+                           DiscountCurve.flat(0.02))
