@@ -14,7 +14,7 @@ smooth convex dual
 whose gradient component (i,k) is E_P[F_ik] - EL_ik + lam_ik * sigma_ik^2
 and whose Hessian is the posterior covariance matrix of the payoffs plus
 diag(sigma^2).  sigma_ik = 0 enforces a constraint exactly; large sigma
-leaves the prior untouched.
+leaves the prior untouched.  At the optimum residual = -lam * sigma^2.
 
 The dual is written once (`_TiltedDual`), averaged over weighted previous
 rows whose conditional priors depend on a per-index context: a static
@@ -22,6 +22,10 @@ horizon is one row of mass 1 with one context, and a dynamic bootstrap
 period has one row per previous state and one context per previous loss
 pair.  A product-form prior is tilted on its bucket pmfs
 (`_FactoredKernel`), a joint-only one row by row in log space (`_tilt`).
+The factor-only calibration is the same dual with each index's
+conditional laws frozen at the prior (`_FrozenKernel`), so its
+multipliers carry the same sign and residual = -lam * sigma^2 holds for
+both methods.
 """
 
 from __future__ import annotations
@@ -212,7 +216,8 @@ class _IndexTilt(NamedTuple):
 
     log_z: np.ndarray  # (M,) log Z_i(m, lam)
     cond_means: np.ndarray  # (M, K_i) payoff means under the tilt
-    pooled: Callable[[np.ndarray], np.ndarray]  # h -> (S1 * S2,) mixed pmf
+    # weights w per kernel row -> (K_i, K_i) sum_r w_r E[F F^T | r]
+    second_moments: Callable[[np.ndarray], np.ndarray]
     law: Callable[[], ConditionalLossDist]  # the tilted conditionals
 
 
@@ -236,6 +241,11 @@ class _Kernel:
         s2 = self.prior.shape[1]
         return self.payoffs[:, [xs[0] * s2 + ys[0], xs[-1] * s2 + ys[-1]]].T
 
+    def _second_moments(self, pmf: np.ndarray) -> np.ndarray:
+        """(K_i, K_i) payoff second moments F diag(p) F^T under a lattice
+        pmf p (S1 * S2,)."""
+        return (self.payoffs * pmf) @ self.payoffs.T
+
 
 class _JointKernel(_Kernel):
     """Tilt of a prior that carries only its joint: one `_tilt` row of
@@ -251,7 +261,7 @@ class _JointKernel(_Kernel):
                                           self.targets)
         shape = (len(log_z),) + self.prior.shape
         return _IndexTilt(
-            log_z, cond_means, lambda h: h @ tilted,
+            log_z, cond_means, lambda w: self._second_moments(w @ tilted),
             lambda: ConditionalLossDist(self.prior.index_id, self.prior.grid,
                                         pmfs=tilted.reshape(shape).copy()),
         )
@@ -319,19 +329,36 @@ class _FactoredKernel(_Kernel):
                 log_joint.reshape(low.size, -1), self.payoffs, lambdas,
                 self.targets)
 
-        def pooled(h: np.ndarray) -> np.ndarray:
+        def second_moments(h: np.ndarray) -> np.ndarray:
             w = h / z
             w[low] = 0.0
             p = (h0 * ((a * w[:, None]).T @ b)).reshape(-1)
             if low.size:
                 p += h[low] @ tilted_low
-            return p
+            return self._second_moments(p)
 
         return _IndexTilt(
-            log_z, cond_means, pooled,
+            log_z, cond_means, second_moments,
             lambda: TiltedLossDist(self.prior.index_id, self.prior.grid,
                                    log_a, log_b, tau, log_z),
         )
+
+
+class _FrozenKernel(_Kernel):
+    """The factor-only tilt: the conditional laws stay at the prior, so a
+    node's normalizer is exp(lam . (mu_m - EL)), with mu the prior
+    conditional mean payoffs (the index's own kernel at lam = 0)."""
+
+    def __init__(self, kernel: _Kernel):
+        self.prior, self.payoffs = kernel.prior, kernel.payoffs
+        self.targets = kernel.targets
+        self.mu = kernel.evaluate(np.zeros(len(self.targets))).cond_means
+
+    def evaluate(self, lambdas: np.ndarray) -> _IndexTilt:
+        mu = self.mu
+        return _IndexTilt((mu - self.targets) @ lambdas, mu,
+                          lambda w: (mu * w[:, None]).T @ mu,
+                          lambda: self.prior)
 
 
 def _index_kernel(prior: ConditionalLossDist,
@@ -382,8 +409,8 @@ class _Joints(Mapping):
 class CalibrationResult:
     """Calibrated measure plus fit diagnostics.
 
-    residuals[k] = model EL - target EL; at a full-calibration optimum it
-    equals -lambda_k * sigma_k^2.  `laws` holds each index's calibrated
+    residuals[k] = model EL - target EL; at the optimum of either method
+    it equals -lambda_k * sigma_k^2.  `laws` holds each index's calibrated
     conditional law: for a product-form prior of a full calibration its
     bucket-level factors (`TiltedLossDist`), so joints are only formed
     when `tilted_conditionals` is read.
@@ -419,7 +446,10 @@ class CalibrationResult:
         law = self.laws[index_id]
         if bucket == RELEVANT:
             return law.relevant_marginals()
-        return law.complement_marginals()
+        if bucket == COMPLEMENT:
+            return law.complement_marginals()
+        raise ConfigurationError(
+            f"unknown bucket {bucket!r}; need '{RELEVANT}' or '{COMPLEMENT}'")
 
     def index_loss_dist(self, index_id: int, horizon: float = 0.0) -> LossDist:
         """Unconditional posterior distribution of the index total loss."""
@@ -576,9 +606,9 @@ class _TiltedDual:
     def hessian(self, lambdas: np.ndarray) -> np.ndarray:
         """Covariance of the payoffs under the posterior, plus sigma^2.
 
-        The within-index block is F diag(p) F^T, with p the index's lattice
-        pmf pooled over its (context, node) rows with weights W[c, m], the
-        sum of w_s * h[s, m] over the rows s in context c.  The cross-index
+        The within-index block is the kernel's second moments of the
+        payoffs over its (context, node) rows with weights W[c, m], the sum
+        of w_s * h[s, m] over the rows s in context c.  The cross-index
         block is sum_{s,m} w_s h[s, m] E_i[F | c_i(s), m] E_j[F | c_j(s),
         m]^T, since the indices are independent given the row and node."""
         state = self.evaluate(lambdas)
@@ -590,8 +620,7 @@ class _TiltedDual:
             pos, tilt = self.positions[i], state["tilts"][i]
             n_ctx = len(tilt.log_z) // weighted.shape[1]
             pooled = _pool_rows(self.row_ctx[i], weighted, n_ctx).reshape(-1)
-            f = self.kernels[i].payoffs
-            hess[np.ix_(pos, pos)] = (f * tilt.pooled(pooled)) @ f.T
+            hess[np.ix_(pos, pos)] = tilt.second_moments(pooled)
             cond[i] = self._contexts(i, tilt.cond_means)
         for a, i in enumerate(self.index_ids):
             for j in self.index_ids[a + 1:]:
@@ -607,10 +636,17 @@ class _TiltedDual:
         return hess
 
 
-class _StaticProblem:
-    """What both static calibrators share: the checked grid, priors and
-    constraints, each index's constraint positions and its tilt kernel
-    (which holds the (K_i, S1 * S2) payoff matrix)."""
+class MceCalibrator:
+    """Assembled dual problem for one horizon.
+
+    Holds the factor grid, per-index conditional priors and the constraint
+    set; exposes the dual objective, gradient and Hessian and the Newton
+    solve.  The dual is `_TiltedDual` with one previous row of mass 1, one
+    context per index and the prior factor weights as its factor row.  The
+    multiplier vector is ordered like the constraint list.
+    """
+
+    method = "full"
 
     def __init__(
         self,
@@ -641,38 +677,8 @@ class _StaticProblem:
         self.priors = dict(priors)
         self.constraints = tuple(constraints)
         self.index_ids = sorted(priors)
-        self._positions, self._kernels = _tilt_kernels(priors, constraints)
-        self.targets = np.array([c.target_el for c in constraints])
-        self.sigmas = np.array([c.sigma for c in constraints])
-
-    @property
-    def n_constraints(self) -> int:
-        return len(self.constraints)
-
-    def _newton(self, tol: float, max_iter: int):
-        return newton_minimize(
-            self.dual_objective_and_gradient, self.dual_hessian,
-            np.zeros(self.n_constraints), tol=tol, max_iter=max_iter,
-        )
-
-
-class MceCalibrator(_StaticProblem):
-    """Assembled dual problem for one horizon.
-
-    Holds the factor grid, per-index conditional priors and the constraint
-    set; exposes the dual objective, gradient and Hessian and the Newton
-    solve.  The dual is `_TiltedDual` with one previous row of mass 1, one
-    context per index and the prior factor weights as its factor row.  The
-    multiplier vector is ordered like the constraint list.
-    """
-
-    def __init__(
-        self,
-        grid: MarketFactorGrid,
-        priors: dict[int, ConditionalLossDist],
-        constraints: Sequence[PricingConstraint],
-    ):
-        super().__init__(grid, priors, constraints)
+        self._positions, kernels = _tilt_kernels(priors, constraints)
+        self._kernels = {i: self._kernel(k) for i, k in kernels.items()}
         with np.errstate(divide="ignore"):
             log_g = np.log(grid.flat_weights)
         one_row = np.zeros(1, dtype=int)
@@ -680,6 +686,13 @@ class MceCalibrator(_StaticProblem):
             self.constraints, self._positions, self._kernels,
             {i: one_row for i in self.index_ids}, log_g[None, :], np.ones(1),
         )
+        self.targets, self.sigmas = self._dual.targets, self._dual.sigmas
+
+    @staticmethod
+    def _kernel(kernel: _Kernel) -> _Kernel:
+        """The kernel the dual tilts for one index: the full calibration
+        tilts the prior's conditional laws themselves."""
+        return kernel
 
     def _evaluate(self, lambdas: np.ndarray) -> dict:
         return self._dual.evaluate(lambdas)
@@ -703,7 +716,10 @@ class MceCalibrator(_StaticProblem):
         }
 
     def solve(self, tol: float = 1e-9, max_iter: int = 200) -> CalibrationResult:
-        res = self._newton(tol, max_iter)
+        res = newton_minimize(
+            self.dual_objective_and_gradient, self.dual_hessian,
+            np.zeros(len(self.constraints)), tol=tol, max_iter=max_iter,
+        )
         state = self._evaluate(res.x)
         return CalibrationResult(
             constraints=self.constraints,
@@ -717,6 +733,7 @@ class MceCalibrator(_StaticProblem):
             iterations=res.iterations,
             grid=self.grid,
             priors=self.priors,
+            method=self.method,
         )
 
 
@@ -731,61 +748,28 @@ def calibrate(
     return MceCalibrator(grid, priors, constraints).solve(tol=tol, max_iter=max_iter)
 
 
-class FactorOnlyCalibrator(_StaticProblem):
+class FactorOnlyCalibrator(MceCalibrator):
     """Restricted calibration that keeps the conditional loss laws at their
     prior form and only reweights the factor nodes:
 
-        h_m propto g_m * exp(-sum_ik lam_ik * (E_Q[F_ik | m] - EL_ik)).
+        h_m propto g_m * exp(sum_ik lam_ik * (E_Q[F_ik | m] - EL_ik)).
 
-    Reaches the same constraint fit in the exact limit but a strictly
-    larger KL distance whenever the conditionals have room to move.
+    It is the same dual with every index's kernel frozen at the prior
+    (`_FrozenKernel`), so its multipliers take the full calibration's sign
+    and residual = -lam * sigma^2 at the optimum.  Reaches the same
+    constraint fit in the exact limit but a strictly larger KL distance
+    whenever the conditionals have room to move.
     """
 
-    def __init__(self, grid, priors, constraints):
-        super().__init__(grid, priors, constraints)
-        self.cond_mean = _prior_means(grid, self._kernels, self._positions,
-                                      self.n_constraints)
+    method = "factor_only"
+    _kernel = _FrozenKernel
 
-    def _weights(self, lambdas: np.ndarray) -> tuple[np.ndarray, float]:
-        excess = self.cond_mean - self.targets[None, :]
-        return posterior_factor_weights(
-            self.grid.flat_weights, -(excess @ lambdas)
-        )
-
-    def dual_objective_and_gradient(self, lambdas):
-        lambdas = np.asarray(lambdas, dtype=float)
-        h, log_norm = self._weights(lambdas)
-        value = log_norm + 0.5 * float(self.sigmas**2 @ lambdas**2)
-        model_els = h @ self.cond_mean
-        grad = -(model_els - self.targets) + lambdas * self.sigmas**2
-        return value, grad
-
-    def dual_hessian(self, lambdas):
-        h, _ = self._weights(np.asarray(lambdas, dtype=float))
-        mean = h @ self.cond_mean
-        centered = self.cond_mean - mean[None, :]
-        hess = centered.T @ (centered * h[:, None])
-        hess[np.diag_indices(self.n_constraints)] += self.sigmas**2
-        return hess
-
-    def solve(self, tol: float = 1e-9, max_iter: int = 200) -> CalibrationResult:
-        res = self._newton(tol, max_iter)
-        h, log_norm = self._weights(res.x)
-        model_els = h @ self.cond_mean
-        return CalibrationResult(
-            constraints=self.constraints,
-            lambdas=res.x,
-            posterior_weights=h,
-            laws=dict(self.priors),
-            model_els=model_els,
-            residuals=model_els - self.targets,
-            objective_value=res.value,
-            log_norm=log_norm,
-            iterations=res.iterations,
-            grid=self.grid,
-            priors=self.priors,
-            method="factor_only",
-        )
+    @property
+    def cond_mean(self) -> np.ndarray:
+        """Prior conditional mean payoffs E_Q[F_ik | m], (M, K) in
+        constraint order."""
+        return _prior_means(self.grid, self._kernels, self._positions,
+                            len(self.constraints))
 
 
 def factor_only_calibrate(

@@ -344,11 +344,8 @@ def _mode_map_basecorr(config, reporter):
     tranches = fmt.load_tranches(config.tranches)
     curve = fmt.load_discount_curve(config.discount_curve) \
         if config.discount_curve else pricing.DiscountCurve.flat(0.0)
-    spec_doc = config.bespoke or {
-        "members": [[i, "relevant"] for i in sorted(portfolios)]
-    }
-    members = [(int(i), str(b)) for i, b in spec_doc.get("members", [])]
-    bespoke_pool = _standalone_pool(portfolios, members)
+    bespoke_pool = _standalone_pool(
+        portfolios, _bespoke_spec(config, portfolios).members)
     if config.reference_index not in portfolios:
         raise ConfigurationError(
             f"reference index {config.reference_index} not in the portfolio file"

@@ -18,11 +18,14 @@ import numpy as np
 
 from .calibrate import CalibrationResult, _normalize_rows
 from .errors import (
+    CalibrationError,
     ConfigurationError,
     InfeasibleAdjustmentError,
     UndefinedSpreadError,
 )
 from .loss import LossDist, LossGrid, convolve_rows
+from .prior import COMPLEMENT, RELEVANT
+from .solver import newton_minimize
 
 BucketRef = tuple[int, str]  # (index_id, bucket)
 
@@ -40,6 +43,13 @@ class BespokeSpec:
     def __post_init__(self):
         if not self.members:
             raise ConfigurationError("bespoke needs at least one member bucket")
+        for index_id, bucket in (*self.members,
+                                 *(ref for ref, _ in self.proxy_el_targets)):
+            if bucket not in (RELEVANT, COMPLEMENT):
+                raise ConfigurationError(
+                    f"bespoke bucket ({index_id}, {bucket!r}) must be "
+                    f"'{RELEVANT}' or '{COMPLEMENT}'"
+                )
         if self.notional <= 0.0:
             raise ConfigurationError("bespoke notional must be positive")
 
@@ -200,7 +210,9 @@ def adjust_bespoke_names(
     loss hits target_el, leaving the factor weights untouched.
 
     The tilt P(x|m) propto Q(x|m) * exp(-lam * x) is the minimum-KL
-    adjustment; lam solves the 1D convex dual sum_m h_m log Z_m(lam).
+    adjustment; lam minimizes the 1D convex dual
+    sum_m h_m log Z_m(lam) + lam * EL, whose gradient is EL - E[X] and
+    whose curvature is sum_m h_m Var_m[X], by `newton_minimize`.
     Returns (adjusted pmfs, lam).
     """
     q = np.asarray(bucket_pmfs, dtype=float)
@@ -214,13 +226,14 @@ def adjust_bespoke_names(
     hi = float(h @ np.where(support, levels[None, :], -np.inf).max(axis=1))
     scale = max(abs(hi), abs(lo), unit)
 
-    def mixed_el(lam: float) -> tuple[float, float, np.ndarray]:
-        _, tilted = _normalize_rows(log_q - lam * levels[None, :])
+    def mixed_el(lam: float) -> tuple[float, float, np.ndarray, float]:
+        """(E[X], sum_m h_m Var_m[X], tilted pmfs, sum_m h_m log Z_m)."""
+        log_z, tilted = _normalize_rows(log_q - lam * levels[None, :])
         mean_m = tilted @ levels
         var_m = tilted @ levels**2 - mean_m**2
-        return float(h @ mean_m), float(h @ var_m), tilted
+        return float(h @ mean_m), float(h @ var_m), tilted, float(h @ log_z)
 
-    current, _, _ = mixed_el(0.0)
+    current = mixed_el(0.0)[0]
     if abs(current - target_el) <= tol * scale:
         return q.copy(), 0.0
     if not lo + 1e-15 * scale < target_el < hi - 1e-15 * scale:
@@ -229,48 +242,22 @@ def adjust_bespoke_names(
             attainable_range=(lo, hi),
         )
 
-    # E[X] is strictly decreasing in lam; bracket [lam_lo, lam_hi] with
-    # g(lam_lo) > 0 > g(lam_hi), g = E - target, then safeguarded Newton
-    step = 1.0 / max(unit, 1e-12)
-    if current > target_el:
-        lam_lo, lam_hi = 0.0, step
-        while mixed_el(lam_hi)[0] > target_el:
-            lam_hi *= 2.0
-            if lam_hi > 1e18:
-                raise InfeasibleAdjustmentError(
-                    f"target EL {target_el} numerically unreachable",
-                    attainable_range=(lo, hi),
-                )
-    else:
-        lam_lo, lam_hi = -step, 0.0
-        while mixed_el(lam_lo)[0] < target_el:
-            lam_lo *= 2.0
-            if lam_lo < -1e18:
-                raise InfeasibleAdjustmentError(
-                    f"target EL {target_el} numerically unreachable",
-                    attainable_range=(lo, hi),
-                )
+    def dual(lam: np.ndarray) -> tuple[float, np.ndarray]:
+        el, _, _, log_z = mixed_el(lam[0])
+        return log_z + lam[0] * target_el, np.array([target_el - el])
 
-    lam = 0.5 * (lam_lo + lam_hi)
-    for _ in range(max_iter):
-        value, var, tilted = mixed_el(lam)
-        g = value - target_el
-        if abs(g) <= tol * scale:
-            return tilted, lam
-        if g > 0.0:
-            lam_lo = lam
-        else:
-            lam_hi = lam
-        if var > 0.0:
-            nxt = lam + g / var
-        else:
-            nxt = 0.5 * (lam_lo + lam_hi)
-        if not min(lam_lo, lam_hi) < nxt < max(lam_lo, lam_hi):
-            nxt = 0.5 * (lam_lo + lam_hi)
-        lam = nxt
-    raise InfeasibleAdjustmentError(
-        f"tilt search stalled targeting {target_el}", attainable_range=(lo, hi)
-    )
+    try:
+        res = newton_minimize(
+            dual, lambda lam: np.array([[mixed_el(lam[0])[1]]]), np.zeros(1),
+            tol=tol * scale, max_iter=max_iter,
+        )
+    except CalibrationError as exc:
+        raise InfeasibleAdjustmentError(
+            f"tilt search stalled targeting {target_el}",
+            attainable_range=(lo, hi),
+        ) from exc
+    lam = float(res.x[0])
+    return mixed_el(lam)[2], lam
 
 
 def tranche_expected_loss(dist: LossDist, k_low: float, k_high: float) -> float:

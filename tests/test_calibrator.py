@@ -605,13 +605,13 @@ class TestFactorOnly:
         assert res.method == "factor_only"
 
     def test_posterior_form(self, rng):
-        # h_m propto g_m * exp(-sum lam * (E_Q[F|m] - EL))
+        # h_m propto g_m * exp(sum lam * (E_Q[F|m] - EL))
         _, grid, _, priors, _ = toy_setup(seed=17)
         cons = standard_constraints(grid, priors, sigma=5e-3, shift=1.2)
         cal = FactorOnlyCalibrator(grid, priors, cons)
         res = cal.solve()
         excess = cal.cond_mean - cal.targets[None, :]
-        raw = grid.flat_weights * np.exp(-(excess @ res.lambdas))
+        raw = grid.flat_weights * np.exp(excess @ res.lambdas)
         assert res.posterior_weights == pytest.approx(raw / raw.sum(),
                                                       rel=1e-10)
 
@@ -663,6 +663,71 @@ class TestFactorOnly:
         ).max() < 1e-9
         assert full.kl_to_prior() == pytest.approx(restricted.kl_to_prior(),
                                                    abs=1e-9)
+
+
+def reference_factor_only_dual(grid, priors, constraints, lambdas):
+    """The factor-only dual by the formulas of the calibrator that carried
+    its own value, gradient and Hessian, in that calibrator's sign
+    convention h_m propto g_m * exp(-lam . (E_Q[F | m] - EL)): the prior
+    conditional means by a sum over each node's lattice and the Hessian as
+    the covariance of the centered means.  Returns (value, gradient,
+    Hessian, factor weights, prior conditional means)."""
+    lam = np.asarray(lambdas, dtype=float)
+    mu = np.array([
+        np.einsum("mxy,xy->m", priors[c.index_id].pmfs,
+                  payoff_lattice(c, priors[c.index_id]))
+        for c in constraints]).T
+    targets = np.array([c.target_el for c in constraints])
+    sigmas = np.array([c.sigma for c in constraints])
+    h, log_norm = posterior_factor_weights(grid.flat_weights,
+                                           -((mu - targets) @ lam))
+    model_els = h @ mu
+    centered = mu - model_els
+    hess = centered.T @ (centered * h[:, None])
+    hess[np.diag_indices(len(lam))] += sigmas**2
+    value = log_norm + 0.5 * float(sigmas**2 @ lam**2)
+    return value, targets - model_els + lam * sigmas**2, hess, h, mu
+
+
+class TestFactorOnlyOnTheTiltedDual:
+    @pytest.mark.parametrize("joint", [False, True])
+    def test_matches_negated_reference_dual(self, rng, joint):
+        # frozen kernels on the one dual give, at lam, the hand-written
+        # factor-only dual at -lam: same value, Hessian and factor weights,
+        # negated gradient; |lam| near 700 concentrates h on one node
+        _, grid, _, priors, _ = toy_setup(seed=27)
+        if joint:
+            priors = joint_only(priors)
+        cons = standard_constraints(grid, priors, sigma=5e-3, shift=1.2)
+        cal = FactorOnlyCalibrator(grid, priors, cons)
+        k = len(cons)
+        lams = [rng.normal(scale=3.0, size=k) for _ in range(3)] + [
+            rng.choice([-1.0, 1.0], size=k) * rng.uniform(690.0, 720.0, size=k)
+            for _ in range(3)]
+        for lam in lams:
+            value, grad, hess, h, mu = reference_factor_only_dual(
+                grid, priors, cons, -lam)
+            got_value, got_grad = cal.dual_objective_and_gradient(lam)
+            assert got_value == pytest.approx(value, rel=1e-12)
+            assert_rel_close(got_grad, -grad)
+            mean = h @ mu
+            assert_rel_close(cal.dual_hessian(lam), hess,
+                             scale=np.abs(hess + np.outer(mean, mean)).max())
+            got_h, got_tilted = cal.posterior(lam)
+            assert_rel_close(got_h, h)
+            for i, prior in priors.items():
+                assert np.array_equal(got_tilted[i], prior.pmfs)
+        assert_rel_close(cal.cond_mean, mu)
+
+    def test_residual_is_minus_lambda_sigma_squared(self):
+        _, grid, _, priors, _ = toy_setup(seed=28)
+        cons = standard_constraints(grid, priors, sigma=2e-3, shift=1.15)
+        sigmas = np.array([c.sigma for c in cons])
+        for solve in (calibrate, factor_only_calibrate):
+            res = solve(grid, priors, cons)
+            # the gradient residual + lam * sigma^2 is below the Newton tol
+            assert np.abs(res.residuals).min() > 1e-7
+            assert np.abs(res.residuals + res.lambdas * sigmas**2).max() < 1e-9
 
 
 class TestInformation:

@@ -552,6 +552,25 @@ class TestFailureHandling:
             r"outside the attainable range \[0\.0, 0\.3\d*\]\n", err), err
         assert not any((workdir / "out").iterdir())
 
+    @pytest.mark.parametrize("mode", ["price-bespoke", "map-basecorr"])
+    @pytest.mark.parametrize("member, reason", [
+        ([2, "relevnt"], "bespoke bucket (2, 'relevnt') must be 'relevant' "
+                         "or 'complement'"),
+        ([7, "relevant"], "bespoke references unknown index 7"),
+    ], ids=["misspelled-bucket", "unknown-index"])
+    def test_bad_bespoke_member_is_a_config_error(self, workdir, capsys, mode,
+                                                  member, reason):
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
+                  prior_el_constraints(workdir / "portfolios.json", shift=1.1))
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["mode"] = mode
+        cfg["bespoke"] = {"members": [[1, "relevant"], member]}
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        rc = main(["--config", str(workdir / "config.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"ERROR CONFIG: {reason}\n"
+        assert not any((workdir / "out").iterdir())
+
     def test_invalid_mode(self, workdir, capsys):
         cfg = json.loads((workdir / "config.json").read_text())
         cfg["mode"] = "explode"
@@ -631,6 +650,21 @@ def test_price_bespoke_leaves_out_scipy_interpolate_and_optimize(workdir):
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.split("\n")[:2] == ["[False, False]", "0 [False, False]"]
     assert (workdir / "out" / "tranche_prices.csv").exists()
+
+
+def test_benchmark_trace_hooks_still_find_their_names():
+    # the traced benchmark run wraps these functions and class-level
+    # methods by name; a rename or a move to a base class breaks it
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [str(root / "src"), str(root / "perfbench"),
+                *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import entropic_bespoke.cli, tracing; "
+            "tracing.Tracer('hooks').install()")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 def test_blas_thread_count_moves_results_within_tolerance(workdir):

@@ -164,6 +164,83 @@ class TestAssembleBespoke:
         assert dist.mean() * 0.5 == pytest.approx(target, abs=1e-10)
 
 
+class TestBespokeSpec:
+    @pytest.mark.parametrize("members, proxy", [
+        (((1, "relevnt"),), ()),
+        (((1, "relevant"), (2, "Complement")), ()),
+        (((1, "relevant"),), (((1, "relevent"), ((5.0, 0.1),)),)),
+    ])
+    def test_unknown_bucket_rejected(self, members, proxy):
+        with pytest.raises(ConfigurationError,
+                           match="must be 'relevant' or 'complement'"):
+            BespokeSpec(members=members, notional=1.0,
+                        proxy_el_targets=proxy)
+
+    def test_both_buckets_accepted(self):
+        spec = BespokeSpec(members=((1, "relevant"), (2, "complement")),
+                           notional=1.0,
+                           proxy_el_targets=(((2, "complement"),
+                                              ((5.0, 0.1),)),))
+        assert spec.proxy_target((2, "complement"), 5.0) == 0.1
+
+    def test_bucket_marginals_reject_unknown_bucket(self):
+        result, _, _, _ = calibrated_toy(seed=0)
+        with pytest.raises(ConfigurationError, match="unknown bucket"):
+            result.bucket_marginals(1, "relevnt")
+
+
+def reference_bracket_tilt(q, h, unit, target_el, tol=1e-12, max_iter=200):
+    """lam by the solver `adjust_bespoke_names` used before it called
+    `newton_minimize`: double a bracket from 1 / unit until E[X] - target
+    changes sign, then Newton steps on E[X] - target, each replaced by
+    the bracket's midpoint when it leaves the bracket."""
+    levels = unit * np.arange(q.shape[1])
+    with np.errstate(divide="ignore"):
+        log_q = np.log(q)
+    support = q > 0.0
+    lo = float(h @ np.where(support, levels[None, :], np.inf).min(axis=1))
+    hi = float(h @ np.where(support, levels[None, :], -np.inf).max(axis=1))
+    scale = max(abs(hi), abs(lo), unit)
+
+    def mixed_el(lam):
+        w = log_q - lam * levels[None, :]
+        w = np.exp(w - w.max(axis=1, keepdims=True))
+        w /= w.sum(axis=1, keepdims=True)
+        mean = w @ levels
+        return float(h @ mean), float(h @ (w @ levels**2 - mean**2))
+
+    current = mixed_el(0.0)[0]
+    if abs(current - target_el) <= tol * scale:
+        return 0.0
+    step = 1.0 / unit
+    if current > target_el:
+        lam_lo, lam_hi = 0.0, step
+        while mixed_el(lam_hi)[0] > target_el:
+            lam_hi *= 2.0
+    else:
+        lam_lo, lam_hi = -step, 0.0
+        while mixed_el(lam_lo)[0] < target_el:
+            lam_lo *= 2.0
+    lam = 0.5 * (lam_lo + lam_hi)
+    for _ in range(max_iter):
+        value, var = mixed_el(lam)
+        g = value - target_el
+        if abs(g) <= tol * scale:
+            return lam
+        if g > 0.0:
+            lam_lo = lam
+        else:
+            lam_hi = lam
+        if var > 0.0:
+            nxt = lam + g / var
+        else:
+            nxt = 0.5 * (lam_lo + lam_hi)
+        if not min(lam_lo, lam_hi) < nxt < max(lam_lo, lam_hi):
+            nxt = 0.5 * (lam_lo + lam_hi)
+        lam = nxt
+    raise AssertionError("reference tilt search stalled")
+
+
 class TestAdjustBespokeNames:
     def setup_case(self, seed=0):
         result, ports, unit, _ = calibrated_toy(seed=seed)
@@ -230,6 +307,40 @@ class TestAdjustBespokeNames:
                     fd = dual(d)
             lam_oracle = float((a + b) / 2)
         assert lam == pytest.approx(lam_oracle, abs=1e-8)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("bucket", ["relevant", "complement"])
+    def test_target_sweep_across_attainable_range(self, seed, bucket):
+        # targets from 1e-9 to 1 - 1e-9 of the attainable range: every
+        # solve hits the target within tol * scale, and away from the
+        # edges, where the dual is flat, lam is the bracketing solver's
+        result, _, unit, _ = calibrated_toy(seed=seed)
+        h, marg = result.posterior_weights, result.bucket_marginals(1, bucket)
+        levels = unit * np.arange(marg.shape[1])
+        support = marg > 0.0
+        lo = float(h @ np.where(support, levels, np.inf).min(axis=1))
+        hi = float(h @ np.where(support, levels, -np.inf).max(axis=1))
+        scale = max(abs(lo), abs(hi), unit)
+        edges = 10.0 ** -np.arange(9.0, 2.0, -1.0)  # 1e-9 ... 1e-3
+        fractions = np.concatenate([edges, np.linspace(0.01, 0.99, 12),
+                                    1.0 - edges[::-1]])
+        for f in fractions:
+            target = lo + f * (hi - lo)
+            adjusted, lam = adjust_bespoke_names(marg, h, unit, target)
+            assert abs(float(h @ (adjusted @ levels)) - target) <= 1e-12 * scale
+            if 1e-3 <= f <= 1.0 - 1e-3:
+                assert lam == pytest.approx(
+                    reference_bracket_tilt(marg, h, unit, target), rel=1e-8)
+
+    def test_stalled_search_is_infeasible_adjustment(self):
+        h, marg, unit = self.setup_case(seed=1)
+        levels = unit * np.arange(marg.shape[1])
+        target = 1.2 * float(h @ (marg @ levels))
+        with pytest.raises(InfeasibleAdjustmentError,
+                           match="tilt search stalled") as err:
+            adjust_bespoke_names(marg, h, unit, target, max_iter=1)
+        lo, hi = err.value.attainable_range
+        assert lo < target < hi
 
     def test_point_mass_bucket(self):
         h = np.array([0.4, 0.6])
