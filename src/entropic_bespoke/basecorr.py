@@ -24,7 +24,7 @@ from .loss import (
     default_loss_unit,
     name_loss_units,
 )
-from .prior import IndexPortfolio, _conditional_probs, _unit_gauss_hermite
+from .prior import IndexPortfolio, _conditional_prob_rows, _unit_gauss_hermite
 from .prior import TwoFactorLoadings
 
 if TYPE_CHECKING:
@@ -105,9 +105,8 @@ def onefactor_loss_dist(
     loading = TwoFactorLoadings(
         beta1=math.sqrt(beta), beta2=0.0, idio=math.sqrt(1.0 - beta)
     )
-    probs = np.array(
-        [_conditional_probs(n.default_prob(horizon), loading, nodes) for n in names]
-    )
+    probs = _conditional_prob_rows([n.default_prob(horizon) for n in names],
+                                   [loading] * len(names), nodes)
     pmfs = bucket_pmf_recursion(probs, units, sum(units) + 1)
     pmf = w @ pmfs
     return LossDist(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -393,7 +394,13 @@ def _mode_map_basecorr(config, reporter):
             ])
     reporter.csv("mapped_strikes.csv", fmt.MAPPING_HEADER, mapping_rows)
 
-    # reference prices with the mapped correlations
+    # reference prices with the mapped correlations; adjacent tranches
+    # share strikes, so each (maturity, strike, horizon) base EL is built once
+    @functools.cache
+    def base_el(maturity: float, k: float, t: float) -> float:
+        beta = mapped[(maturity, k)][1]
+        return basecorr.base_tranche_el(bespoke_pool, k, beta, t)
+
     price_rows = []
     grid_horizons = sorted({t for t in horizons})
     for tr in tranches:
@@ -405,10 +412,7 @@ def _mode_map_basecorr(config, reporter):
             for k, sign in ((tr.k_high, 1.0), (tr.k_low, -1.0)):
                 if k <= 0.0:
                     continue
-                beta = mapped[(tr.maturity, k)][1]
-                skew_els.append(
-                    sign * k * basecorr.base_tranche_el(bespoke_pool, k, beta, t)
-                )
+                skew_els.append(sign * k * base_el(tr.maturity, k, t))
             els[t] = sum(skew_els) / (tr.k_high - tr.k_low)
         price_rows.append(pricing.price_el_curve(  # els is in time order
             list(els), list(els.values()), tr, curve))

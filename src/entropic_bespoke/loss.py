@@ -3,8 +3,12 @@
 Losses are carried in integer multiples of a loss unit (a fraction of
 index notional).  Conditional on a market-factor node the two buckets of
 an index are independent, so the joint pmf is the outer product of two
-bucket pmfs, each built by the usual one-name-at-a-time recursion.  A
-prior keeps the two bucket pmfs and forms the joint only when asked.
+bucket pmfs, each built by the usual one-name-at-a-time recursion.  The
+recursion runs node-minor, over all nodes at once, and touches only the
+live prefix of lattice points that can hold mass after each name; the
+default probabilities it consumes come from one batched pass over the
+bucket's names.  A prior keeps the two bucket pmfs and forms the joint
+only when asked.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .prior import (
     IndexPortfolio,
     MarketFactorGrid,
     NameSpec,
-    _conditional_probs,
+    _conditional_prob_rows,
     derive_two_factor_loadings,
 )
 
@@ -258,20 +262,36 @@ def default_loss_unit(*portfolios: IndexPortfolio) -> float:
 def bucket_pmf_recursion(probs: np.ndarray, units: list[int], size: int) -> np.ndarray:
     """Loss pmf of independent names, vectorized over factor nodes.
 
-    probs has shape (n_names, M) of conditional default probabilities;
-    units gives each name's integer LGD.  Returns (M, size).
+    probs has shape (n_names, M) of conditional default probabilities (or
+    (n_names,) for one node); units gives each name's integer LGD.
+    Returns the C-contiguous (M, size) pmfs; mass beyond size - 1 units is
+    dropped.
+
+    The recursion runs on a node-minor (size, M) array, so each shifted
+    add is one contiguous block, and name j updates only the live prefix
+    [0, units_0 + ... + units_j], clipped at size - 1: every cell above it
+    is still zero.  Each cell is pmf * (1 - p) + shifted * p in that
+    order, so the bits are those of a full-width update.  One scratch
+    buffer holds the shifted terms and then the transposed result.
     """
     m = probs.shape[1] if probs.ndim == 2 else 1
-    pmf = np.zeros((m, size))
-    pmf[:, 0] = 1.0
-    for j, u in enumerate(units):
+    pmf = np.zeros((size, m))
+    pmf[0] = 1.0
+    buf = np.empty(size * m)
+    shifted = buf.reshape(size, m)
+    top = 0  # highest lattice point with mass so far
+    for p, u in zip(probs, units):
         if u == 0:
             continue
-        p = probs[j][:, None]
-        nxt = pmf * (1.0 - p)
-        nxt[:, u:] += pmf[:, :-u] * p
-        pmf = nxt
-    return pmf
+        hi = min(top + u, size - 1)
+        n = max(hi - u + 1, 0)  # rows that receive a shifted term
+        np.multiply(pmf[:n], p, out=shifted[:n])
+        pmf[:hi + 1] *= 1.0 - p
+        pmf[u:hi + 1] += shifted[:n]
+        top = hi
+    out = buf.reshape(m, size)
+    out[...] = pmf.T
+    return out
 
 
 def portfolio_loadings(
@@ -300,9 +320,10 @@ def build_conditional_prior(
     Per node the joint slice is the outer product of the two bucket pmfs,
     each built by recursion over the bucket's names with conditional
     default probabilities at that node; the result keeps the two bucket
-    pmfs.  The recursion is vectorized over
-    all nodes at once; `threads` is accepted for compatibility and does
-    not change the work or the result.
+    pmfs.  The probabilities of a bucket's names come from one batched
+    pass and the recursion is vectorized over all nodes at once; `threads`
+    is accepted for compatibility and does not change the work or the
+    result.
     """
     coords = grid.node_coords
     loadings = portfolio_loadings(portfolio, params)
@@ -317,11 +338,11 @@ def build_conditional_prior(
                 f"index {portfolio.index_id} bucket '{bucket}' needs {cap} loss "
                 f"units but the grid caps at {loss_grid.max_units}"
             )
-        probs = np.array(
-            [_conditional_probs(n.default_prob(horizon), loadings[n.id], coords)
-             for n in names]
-        ).reshape(len(names), len(coords))
+        probs = _conditional_prob_rows(
+            [n.default_prob(horizon) for n in names],
+            [loadings[n.id] for n in names], coords)
         bucket_pmfs.append(bucket_pmf_recursion(probs, units, cap + 1))
+        del probs  # the next bucket's probabilities need not share the peak
     return ConditionalLossDist(index_id=portfolio.index_id, grid=loss_grid,
                                bucket_pmfs=bucket_pmfs)
 

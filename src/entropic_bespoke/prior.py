@@ -20,8 +20,10 @@ renormalized, so the grid honors rho while staying a product lattice.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -115,9 +117,13 @@ class NameSpec:
         """
         if horizon <= 0.0:
             return 0.0
-        ts = [0.0] + [t for t, _ in self.default_prob_curve]
-        ps = [0.0] + [p for _, p in self.default_prob_curve]
-        return float(np.interp(horizon, ts, ps))
+        return float(np.interp(horizon, *self._pillars))
+
+    @functools.cached_property
+    def _pillars(self) -> tuple[np.ndarray, np.ndarray]:
+        """The curve's horizons and probabilities, each led by 0."""
+        ts, ps = np.array(((0.0, 0.0), *self.default_prob_curve), dtype=float).T
+        return ts.copy(), ps.copy()
 
 
 @dataclass(frozen=True)
@@ -236,11 +242,15 @@ def pairwise_correlation(
     )
 
 
+@functools.cache
 def _unit_gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Probabilists' Gauss-Hermite nodes/weights normalized to a standard
-    normal: sum(w) = 1 and low-order moments exact."""
+    normal: sum(w) = 1 and low-order moments exact.  Computed once per n;
+    the arrays are shared, so they are read-only."""
     x, w = hermegauss(n)
-    return x, w / math.sqrt(2.0 * math.pi)
+    w = w / math.sqrt(2.0 * math.pi)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def build_market_grid(n1: int, n2: int, params: FactorParams) -> MarketFactorGrid:
@@ -288,15 +298,35 @@ def conditional_default_prob(
 def _conditional_probs(
     p: float, loadings: TwoFactorLoadings, nodes: np.ndarray
 ) -> np.ndarray:
-    """Vectorized conditional default probabilities over factor nodes.
+    """Conditional default probabilities of one name over factor nodes
+    (M, 2): the one-row case of `_conditional_prob_rows`."""
+    return _conditional_prob_rows([p], [loadings], nodes)[0]
 
-    nodes has shape (M, 2).  p = 0 and p = 1 short-circuit so the normal
-    quantile never sees a boundary value.
+
+def _conditional_prob_rows(
+    default_probs: Sequence[float], loadings: Sequence[TwoFactorLoadings],
+    nodes: np.ndarray,
+) -> np.ndarray:
+    """Conditional default probabilities of several names over factor
+    nodes, shape (n_names, M) for nodes (M, 2).
+
+    Row i is ndtr((ndtri(p_i) - beta1_i * z1 - beta2_i * z2) / idio_i),
+    evaluated in that order in one (n_names, M) array, with one ndtri over
+    the names and one ndtr over the array.  The quantile sees p_i clipped
+    to [PROB_CLIP, 1 - PROB_CLIP]; rows with p_i <= 0 or p_i >= 1 are then
+    set to exactly 0 or 1.
     """
-    if p <= 0.0:
-        return np.zeros(len(nodes))
-    if p >= 1.0:
-        return np.ones(len(nodes))
-    threshold = ndtri(min(max(p, PROB_CLIP), 1.0 - PROB_CLIP))
-    arg = (threshold - loadings.beta1 * nodes[:, 0] - loadings.beta2 * nodes[:, 1])
-    return ndtr(arg / loadings.idio)
+    p = np.asarray(default_probs, dtype=float)
+    beta1, beta2, idio = (
+        np.array([getattr(load, f) for load in loadings])[:, None]
+        for f in ("beta1", "beta2", "idio")
+    )
+    out = np.multiply(beta1, nodes[:, 0])
+    np.subtract(ndtri(np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP))[:, None], out,
+                out=out)
+    out -= beta2 * nodes[:, 1]
+    out /= idio
+    ndtr(out, out=out)
+    out[p <= 0.0] = 0.0
+    out[p >= 1.0] = 1.0
+    return out

@@ -727,6 +727,31 @@ def test_memory_static_calibration_30x30():
     )
 
 
+def test_memory_prior_build_30x30():
+    """One 30x30 prior build of a 125-name index works in at most three
+    (M, cap + 1) arrays of its larger bucket on top of the bucket pmfs it
+    returns: that bucket's default probabilities, the node-minor work array
+    and the one scratch buffer that becomes the result.  A second scratch
+    buffer, or per-name full-width temporaries, exceed it."""
+    params = FactorParams(rho=0.5, alpha=0.3)
+    grid = build_market_grid(30, 30, params)
+    port = _big_index(1)
+    loss_grid = LossGrid(unit=default_loss_unit(port), max_units=130)
+    tracemalloc.start()
+    try:
+        prior = build_conditional_prior(port, grid, loss_grid, 5.0, params)
+        returned, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    array = 8 * grid.n_nodes * max(prior.shape)
+    check(
+        "memory-prior-build-30x30",
+        prior.shape == (51, 76) and peak - returned <= 3 * array,
+        f"traced peak {peak / array:.2f} arrays of (900, 76), of which "
+        f"{returned / array:.2f} returned (budget 3 above the returned)",
+    )
+
+
 def test_performance_dynamic_bootstrap_two_indices():
     """Dynamic bootstrap of two 12-name indices (6 relevant, 6 complement)
     on a 5x5 grid over 3 annual periods (60,025 states per period)

@@ -1,3 +1,4 @@
+import importlib
 from types import SimpleNamespace
 
 import mpmath
@@ -35,6 +36,9 @@ from entropic_bespoke.loss import (
 from entropic_bespoke.prior import FactorParams, build_market_grid
 
 from conftest import toy_portfolio
+
+# the package's `calibrate` function shadows its module of that name
+calibrate_module = importlib.import_module("entropic_bespoke.calibrate")
 
 
 def toy_setup(seed=0, n_rel=3, n_comp=3, grid_n=3, rho=0.35, alpha=0.25,
@@ -643,6 +647,38 @@ class TestFactorOnly:
         if np.abs(full.lambdas[0]) > 1e-6:
             assert full.kl_to_prior() < restricted.kl_to_prior()
 
+    def test_jointly_unattainable_exact_targets_fail_before_newton(
+            self, monkeypatch):
+        # each target lies inside its own range of node means, but no
+        # reweighting of the nodes meets all four at once
+        _, grid, _, priors, _ = toy_setup(seed=0)
+        cons = standard_constraints(grid, priors, sigma=0.0, shift=1.3)
+        mu = FactorOnlyCalibrator(
+            grid, priors, standard_constraints(grid, priors)).cond_mean
+        for k, c in enumerate(cons):
+            assert mu[:, k].min() <= c.target_el <= mu[:, k].max()
+
+        def no_newton(*args, **kwargs):
+            raise AssertionError("Newton ran")
+
+        monkeypatch.setattr(calibrate_module, "newton_minimize", no_newton)
+        with pytest.raises(ConfigurationError) as err:
+            factor_only_calibrate(grid, priors, cons)
+        assert str(err.value) == (
+            "exact targets of i1:tranche[0.0,0.15], i1:relevant_total, "
+            "i2:tranche[0.05,0.4], i2:complement_total are not attainable "
+            "together by reweighting the factor nodes: they lie outside the "
+            "convex hull of the prior conditional means E_Q[F | m]")
+
+    def test_attainable_exact_targets_pass_the_hull_check(self):
+        # the same targets with softness, or nearer the prior, are solved
+        _, grid, _, priors, _ = toy_setup(seed=0)
+        for sigma, shift in ((0.0, 1.1), (1e-3, 1.3)):
+            cons = standard_constraints(grid, priors, sigma=sigma, shift=shift)
+            res = factor_only_calibrate(grid, priors, cons)
+            sigmas = np.array([c.sigma for c in cons])
+            assert np.abs(res.residuals + res.lambdas * sigmas**2).max() < 1e-9
+
     def test_point_mass_conditionals_coincide(self):
         # with delta conditionals there is no conditional freedom: both
         # methods produce the same posterior measure
@@ -815,6 +851,27 @@ class TestInformation:
             assert conditional_mutual_information(res, i) == pytest.approx(
                 mi, rel=1e-12, abs=1e-15)
         assert res.kl_to_prior() == pytest.approx(total, rel=1e-12)
+
+    @pytest.mark.parametrize("shift", [1.0001, 1.01, 1.1])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_full_kl_matches_direct_sum_to_rounding(self, seed, shift):
+        # the closed form lam . residual - log Z against the direct joint
+        # sum KL(h || g) + sum_m h_m sum_i KL(P_i(.|m) || Q_i(.|m)); near
+        # the prior the two agree in absolute terms, not relative ones
+        def kl(p, q):
+            mask = p > 0.0
+            return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+
+        _, grid, _, priors, _ = toy_setup(seed=seed)
+        res = calibrate(grid, priors,
+                        standard_constraints(grid, priors, shift=shift))
+        h = res.posterior_weights
+        total = kl(h, grid.flat_weights)
+        for i, prior in priors.items():
+            t = res.tilted_conditionals[i]
+            total += sum(h[m] * kl(t[m], prior.pmfs[m]) for m in range(len(h)))
+        assert total > 0.0
+        assert abs(res.kl_to_prior() - total) <= 1e-15 + 1e-10 * total
 
     def test_factor_only_kl_matches_per_node_loops(self):
         # the closed-form KL of a factor-only result equals the plain sum

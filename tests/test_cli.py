@@ -442,6 +442,30 @@ class TestMapBasecorr:
         assert (tmp_path / "out" / "basecorr_prices.csv").exists()
 
 
+    def test_each_reference_base_el_is_built_once(self, workdir, monkeypatch):
+        # the tranches 0-10% and 10-50% share the 10% strike, on two
+        # horizons: six base ELs are priced from four distinct ones
+        write_csv(workdir / "basecorr.csv", ["strike", "beta", "horizon"],
+                  [[0.03, 0.3, 1.0], [0.15, 0.5, 1.0],
+                   [0.03, 0.3, 3.0], [0.15, 0.5, 3.0]])
+        calls = []
+        real = eb.basecorr.base_tranche_el
+
+        def counted(pool, k, beta, horizon, *args, **kwargs):
+            calls.append((k, beta, horizon))
+            return real(pool, k, beta, horizon, *args, **kwargs)
+
+        monkeypatch.setattr(eb.basecorr, "base_tranche_el", counted)
+        cfg = json.loads((workdir / "config.json").read_text())
+        del cfg["constraints"]
+        cfg["mode"] = "map-basecorr"
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        assert main(["--config", str(workdir / "config.json")]) == 0
+        assert sorted((k, t) for k, _, t in calls) == [
+            (0.1, 1.0), (0.1, 3.0), (0.5, 1.0), (0.5, 3.0)]
+        assert len(read_rows(workdir / "out" / "basecorr_prices.csv")) == 2
+
+
 class TestFailureHandling:
     def test_missing_input_errors_cleanly(self, workdir, capsys):
         # no constraints.csv on disk

@@ -2,12 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import ndtr, ndtri
 
 from entropic_bespoke.errors import ConfigurationError
 from entropic_bespoke.loss import (
     ConditionalLossDist,
     LossDist,
     LossGrid,
+    bucket_pmf_recursion,
     build_conditional_prior,
     convolve,
     convolve_pmfs,
@@ -17,10 +20,16 @@ from entropic_bespoke.loss import (
     name_loss_units,
 )
 from entropic_bespoke.prior import (
+    PROB_CLIP,
     FactorParams,
     IndexPortfolio,
+    TwoFactorLoadings,
+    _conditional_prob_rows,
+    _conditional_probs,
+    _unit_gauss_hermite,
     build_market_grid,
     conditional_default_prob,
+    derive_two_factor_loadings,
 )
 from entropic_bespoke.loss import portfolio_loadings
 
@@ -175,6 +184,116 @@ class TestConditionalPrior:
         one = build_conditional_prior(port, grid, lg, 5.0, params, threads=1)
         four = build_conditional_prior(port, grid, lg, 5.0, params, threads=4)
         assert np.array_equal(one.pmfs, four.pmfs)
+
+
+def full_width_recursion(probs, units, size):
+    """The recursion before the live-prefix rewrite: node-major, every name
+    updates the whole (M, size) array.  The bit-level oracle."""
+    m = probs.shape[1] if probs.ndim == 2 else 1
+    pmf = np.zeros((m, size))
+    pmf[:, 0] = 1.0
+    for j, u in enumerate(units):
+        if u == 0:
+            continue
+        p = probs[j][:, None]
+        nxt = pmf * (1.0 - p)
+        nxt[:, u:] += pmf[:, :-u] * p
+        pmf = nxt
+    return pmf
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+_probs = st.one_of(st.sampled_from([0.0, 1.0, PROB_CLIP, 1.0 - PROB_CLIP]),
+                   st.floats(0.0, 1.0))
+
+
+class TestLivePrefixRecursion:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data(), n_nodes=st.integers(1, 6),
+           units=st.lists(st.integers(0, 4), max_size=8))
+    def test_matches_full_width_bit_for_bit(self, data, n_nodes, units):
+        # every size from a single cell to one past the cap: truncation,
+        # names with u >= size and zero-unit names included
+        size = data.draw(st.integers(1, sum(units) + 2), label="size")
+        probs = np.array(
+            data.draw(st.lists(st.lists(_probs, min_size=n_nodes,
+                                        max_size=n_nodes),
+                               min_size=len(units), max_size=len(units)),
+                      label="probs")).reshape(len(units), n_nodes)
+        got = bucket_pmf_recursion(probs, units, size)
+        assert got.flags.c_contiguous
+        assert_same_bits(got, full_width_recursion(probs, units, size))
+
+    @pytest.mark.parametrize("units, size", [
+        ([0, 1, 3, 0, 4, 2, 1], 12),  # size == cap + 1
+        ([0, 1, 3, 0, 4, 2, 1], 6),   # truncated
+        ([2, 7, 1, 3], 5),            # one name with u >= size
+        ([1, 1, 2], 1),               # only the no-loss cell
+    ])
+    def test_explicit_cases(self, rng, units, size):
+        probs = rng.uniform(0.0, 0.6, size=(len(units), 40))
+        probs[1, :10] = 0.0
+        probs[-1, 10:20] = 1.0
+        got = bucket_pmf_recursion(probs, units, size)
+        assert got.flags.c_contiguous
+        assert_same_bits(got, full_width_recursion(probs, units, size))
+        if size == sum(units) + 1:
+            assert np.abs(got.sum(axis=1) - 1.0).max() < 1e-14
+
+    def test_zero_names(self):
+        got = bucket_pmf_recursion(np.empty((0, 3)), [], 4)
+        assert_same_bits(got, np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)))
+
+    def test_one_node_as_a_vector(self, rng):
+        probs = rng.uniform(0.0, 0.5, size=5)
+        probs[2] = 1.0
+        units = [1, 0, 2, 3, 1]
+        got = bucket_pmf_recursion(probs, units, 6)
+        assert got.shape == (1, 6)
+        assert_same_bits(got, full_width_recursion(probs[:, None], units, 6))
+
+
+def per_name_probs(p, loadings, nodes):
+    """The conditional default probabilities of one name as each name
+    computed them before the batched kernel."""
+    if p <= 0.0:
+        return np.zeros(len(nodes))
+    if p >= 1.0:
+        return np.ones(len(nodes))
+    threshold = ndtri(min(max(p, PROB_CLIP), 1.0 - PROB_CLIP))
+    arg = (threshold - loadings.beta1 * nodes[:, 0]
+           - loadings.beta2 * nodes[:, 1])
+    return ndtr(arg / loadings.idio)
+
+
+class TestBatchedConditionalProbs:
+    def test_rows_match_one_name_at_a_time(self, rng):
+        params = FactorParams(rho=0.4, alpha=0.3)  # beta2 != 0
+        nodes = build_market_grid(7, 5, params).node_coords
+        ps = [0.0, 1.0, PROB_CLIP, 1.0 - PROB_CLIP, 0.5 * PROB_CLIP,
+              1.0 - 0.5 * PROB_CLIP, 0.03, 0.2, 0.7]
+        loadings = [derive_two_factor_loadings(b, params, 1 + j % 2)
+                    for j, b in enumerate(rng.uniform(0.0, 0.9, len(ps)))]
+        loadings[-1] = TwoFactorLoadings(beta1=0.6, beta2=0.0, idio=0.8)
+        rows = _conditional_prob_rows(ps, loadings, nodes)
+        assert rows.shape == (len(ps), len(nodes))
+        assert loadings[0].beta2 != 0.0
+        for p, l, row in zip(ps, loadings, rows):
+            assert_same_bits(row, _conditional_probs(p, l, nodes))
+            assert_same_bits(row, per_name_probs(p, l, nodes))
+        assert np.array_equal(rows[0], np.zeros(len(nodes)))
+        assert np.array_equal(rows[1], np.ones(len(nodes)))
+
+    def test_gauss_hermite_rule_is_cached_and_read_only(self):
+        z, w = _unit_gauss_hermite(31)
+        assert _unit_gauss_hermite(31)[0] is z
+        for a in (z, w):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 class TestConvolve:
