@@ -9,10 +9,11 @@ exhibit the documented pathologies of the mapping approach.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -26,9 +27,6 @@ from .loss import (
 )
 from .prior import IndexPortfolio, _conditional_prob_rows, _unit_gauss_hermite
 from .prior import TwoFactorLoadings
-
-if TYPE_CHECKING:
-    from scipy.interpolate import PchipInterpolator
 
 ABSOLUTE = "absolute"
 ATM = "atm"
@@ -75,14 +73,57 @@ class BaseCorrCurve:
             return self.betas[0]
         if k >= self.strikes[-1]:
             return self.betas[-1]
-        return float(self._interpolant(k))
+        return self._interpolant(k)
 
     @functools.cached_property
-    def _interpolant(self) -> PchipInterpolator:
-        # imported here: only base-correlation mapping pays for scipy.interpolate
-        from scipy.interpolate import PchipInterpolator
+    def _interpolant(self) -> Callable[[float], float]:
+        """PCHIP through the pillars, for strikes inside the pillar span.
 
-        return PchipInterpolator(self.strikes, self.betas)
+        Fritsch-Butland slopes with the operation order of scipy's
+        `PchipInterpolator`: weighted harmonic means of the adjacent
+        secants inside (0 where they differ in sign or one is 0), the
+        shape-preserving three-point formula at the ends, and the secant
+        itself for two pillars.
+        """
+        xs, ys = self.strikes, self.betas
+        h = [b - a for a, b in zip(xs, xs[1:])]
+        m = [(b - a) / hk for a, b, hk in zip(ys, ys[1:], h)]
+        if len(xs) == 2:
+            d = [m[0], m[0]]
+        else:
+            d = [_pchip_end_slope(h[0], h[1], m[0], m[1])]
+            for h0, h1, m0, m1 in zip(h, h[1:], m, m[1:]):
+                if m0 == 0.0 or m1 == 0.0 or _sign(m0) != _sign(m1):
+                    d.append(0.0)
+                else:
+                    w1, w2 = 2 * h1 + h0, h1 + 2 * h0
+                    d.append(1.0 / ((w1 / m0 + w2 / m1) / (w1 + w2)))
+            d.append(_pchip_end_slope(h[-1], h[-2], m[-1], m[-2]))
+        cubics = []  # power-basis coefficients about each left pillar
+        for x0, y0, hk, mk, d0, d1 in zip(xs, ys, h, m, d, d[1:]):
+            t = (d0 + d1 - 2 * mk) / hk
+            cubics.append((x0, t / hk, (mk - d0) / hk - t, d0, y0))
+
+        def value(k: float) -> float:
+            x0, c3, c2, c1, c0 = cubics[bisect.bisect_right(xs, k) - 1]
+            s = k - x0
+            return c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
+
+        return value
+
+
+def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point end slope, clipped to keep the end monotone."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if _sign(d) != _sign(m0):
+        return 0.0
+    if _sign(m0) != _sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _sign(x: float) -> int:
+    return (x > 0.0) - (x < 0.0)
 
 
 def onefactor_loss_dist(
@@ -96,22 +137,37 @@ def onefactor_loss_dist(
     loads sqrt(beta) on the single market factor."""
     if not 0.0 < beta < 1.0:
         raise ConfigurationError(f"beta must lie in (0, 1), got {beta}")
-    unit = loss_unit if loss_unit is not None else default_loss_unit(portfolio)
-    grid = LossGrid(unit=unit, max_units=10**9)
-    names = portfolio.names
-    units = [name_loss_units(n, grid) for n in names]
+    unit, units, default_probs = _pool_inputs(portfolio, horizon, loss_unit)
     z, w = _unit_gauss_hermite(n_nodes)
     nodes = np.column_stack([z, np.zeros_like(z)])
     loading = TwoFactorLoadings(
         beta1=math.sqrt(beta), beta2=0.0, idio=math.sqrt(1.0 - beta)
     )
-    probs = _conditional_prob_rows([n.default_prob(horizon) for n in names],
-                                   [loading] * len(names), nodes)
+    probs = _conditional_prob_rows(default_probs, [loading] * len(units), nodes)
     pmfs = bucket_pmf_recursion(probs, units, sum(units) + 1)
     pmf = w @ pmfs
     return LossDist(
         pmf=pmf, grid=LossGrid(unit=unit, max_units=len(pmf) - 1), horizon=horizon
     )
+
+
+@functools.lru_cache(maxsize=16)
+def _pool_inputs(
+    portfolio: IndexPortfolio, horizon: float, loss_unit: float | None
+) -> tuple[float, tuple[int, ...], np.ndarray]:
+    """What a one-factor law needs of the pool besides beta: the loss unit,
+    each name's integer LGD and its default probability at `horizon`.
+
+    Probability matching rebuilds the law of one pool at one horizon for
+    every trial beta, so these are computed once per pool and horizon; the
+    probabilities are shared, so they are read-only.
+    """
+    unit = loss_unit if loss_unit is not None else default_loss_unit(portfolio)
+    grid = LossGrid(unit=unit, max_units=10**9)
+    units = tuple(name_loss_units(n, grid) for n in portfolio.names)
+    probs = np.array([n.default_prob(horizon) for n in portfolio.names])
+    probs.flags.writeable = False
+    return unit, units, probs
 
 
 def base_tranche_el(
@@ -188,10 +244,20 @@ def map_strike(
     """Index strike "equivalent" to bespoke strike k_b under the chosen rule.
 
     absolute: K_i = K_b.  atm: K_i = K_b * L_i / L_b (same moneyness).
-    probability_matching: fixed point of Pr(L_i <= K_i) = Pr(L_b <= K_b)
-    where the bespoke law is recomputed under beta(K_i) each iteration
-    (damped; may legitimately fail to converge for wide-spread bespokes).
+    probability_matching: fixed point K_i = g(K_i) of
+    g(K) = Q_i(Pr(L_b <= K_b)), Q_i the index quantile, where the bespoke
+    law is recomputed under beta(K) for each trial K.  It is solved by a
+    secant step on g(K) - K, falling back to the damped step
+    K + damping * (g(K) - K) when the secant is flat or would step
+    4 * |g(K) - K| or more; it returns g(K) once |g(K) - K| < tol, and may
+    legitimately fail to converge for wide-spread bespokes.
     """
+    if not 0.0 < damping <= 1.0:
+        raise ConfigurationError(f"damping must lie in (0, 1], got {damping}")
+    if not tol > 0.0:
+        raise ConfigurationError(f"tolerance must be positive, got {tol}")
+    if max_iter < 1:
+        raise ConfigurationError(f"max_iter must be at least 1, got {max_iter}")
     if rule.variant == ABSOLUTE:
         return k_b
     if rule.variant == ATM:
@@ -207,15 +273,24 @@ def map_strike(
         )
     index_quantile = _interp_quantile(index_loss_dist)
     k_i = k_b
+    k_prev = r_prev = None
     for _ in range(max_iter):
         bespoke = bespoke_dist_provider(curve.beta(k_i))
         p_star = _interp_cdf(bespoke)(k_b)
         k_target = index_quantile(p_star)
-        if abs(k_target - k_i) < tol:
+        r = k_target - k_i
+        if abs(r) < tol:
             return k_target
-        k_i = k_i + damping * (k_target - k_i)
+        step = damping * r
+        if r_prev is not None and r != r_prev:
+            secant = r * (k_i - k_prev) / (r_prev - r)
+            if abs(secant) < 4.0 * abs(r):
+                step = secant
+        k_prev, r_prev = k_i, r
+        k_i = k_i + step
     raise MappingConvergenceError(
-        f"probability matching did not converge within {max_iter} iterations"
+        "probability matching did not converge",
+        residual=abs(r), iterations=max_iter,
     )
 
 

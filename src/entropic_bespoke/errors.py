@@ -11,6 +11,11 @@ class EntropicBespokeError(Exception):
     """Base class for all library errors."""
 
 
+def _with_facts(text: str, facts: list[str]) -> str:
+    """The message followed by the known facts in parentheses."""
+    return f"{text} ({', '.join(facts)})" if facts else text
+
+
 class ConfigurationError(EntropicBespokeError, ValueError):
     """Inputs violate a contract: bad parameter domain, missing file,
     mismatched grids or loss units."""
@@ -40,8 +45,7 @@ class CalibrationError(EntropicBespokeError):
             facts.append(f"grad inf-norm {self.gradient_norm:.3e}")
         if self.iterations is not None:
             facts.append(f"iterations {self.iterations}")
-        text = super().__str__()
-        return f"{text} ({', '.join(facts)})" if facts else text
+        return _with_facts(super().__str__(), facts)
 
 
 class InfiniteDivergenceError(EntropicBespokeError):
@@ -59,7 +63,23 @@ class InfeasibleAdjustmentError(EntropicBespokeError):
 
 
 class MappingConvergenceError(EntropicBespokeError):
-    """Probability-matching strike search found no fixed point."""
+    """Probability-matching strike search found no fixed point.  The text
+    ends with the last |K_target - K_i| and the iteration count, when
+    known."""
+
+    def __init__(self, message: str, residual: float | None = None,
+                 iterations: int | None = None):
+        super().__init__(message)
+        self.residual = residual
+        self.iterations = iterations
+
+    def __str__(self) -> str:
+        facts = []
+        if self.residual is not None:
+            facts.append(f"|K_target - K_i| {self.residual:.3e}")
+        if self.iterations is not None:
+            facts.append(f"iterations {self.iterations}")
+        return _with_facts(super().__str__(), facts)
 
 
 class UndefinedSpreadError(EntropicBespokeError):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entropic_bespoke.basecorr import (
     BaseCorrCurve,
@@ -15,6 +16,7 @@ from entropic_bespoke.basecorr import (
 )
 from entropic_bespoke.errors import ConfigurationError, MappingConvergenceError
 from entropic_bespoke.prior import IndexPortfolio, _unit_gauss_hermite
+from scipy.interpolate import PchipInterpolator
 from scipy.stats import norm
 
 from conftest import make_name, toy_portfolio
@@ -94,6 +96,46 @@ class TestBaseTrancheEl:
         assert dist.pmf.sum() == pytest.approx(1.0, abs=1e-10)
 
 
+pool_names = st.lists(
+    st.tuples(st.floats(0.0, 0.6), st.floats(0.0, 0.9), st.integers(1, 4)),
+    min_size=1, max_size=8,
+)
+
+
+def property_pool(specs):
+    """Pool of (default prob, recovery, notional weight in quarters) names."""
+    names = tuple(
+        make_name(f"n{j}", 1, "relevant", [(5.0, p)], recovery=rec,
+                  weight=0.25 * w)
+        for j, (p, rec, w) in enumerate(specs)
+    )
+    return IndexPortfolio(index_id=1, names=names)
+
+
+class TestReferencePricerProperties:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(specs=pool_names, beta=st.floats(0.01, 0.99),
+           horizon=st.floats(0.5, 8.0))
+    def test_loss_dist_has_mass_one(self, specs, beta, horizon):
+        dist = onefactor_loss_dist(property_pool(specs), beta, horizon)
+        assert dist.pmf.min() >= 0.0
+        assert dist.pmf.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(specs=pool_names, beta=st.floats(0.01, 0.99))
+    def test_strike_convexity(self, specs, beta):
+        # E[min(X, K)] is non-decreasing and concave in K, so the base
+        # tranche EL E[min(X, K)] / K is non-increasing
+        pool = property_pool(specs)
+        dist = onefactor_loss_dist(pool, beta, 5.0)
+        ks = np.linspace(0.01, 1.2 * dist.levels[-1] + 0.01, 40)
+        capped = np.array([dist.pmf @ np.minimum(dist.levels, k) for k in ks])
+        assert np.all(np.diff(capped) >= -1e-15)
+        assert np.all(np.diff(capped, 2) <= 1e-14)
+        base = [base_tranche_el(pool, float(k), beta, 5.0) for k in ks]
+        assert np.all(np.diff(base) <= 1e-14)
+
+
 class TestImpliedCorrelation:
     def test_round_trip(self):
         pool = toy_portfolio(1, 4, 4, seed=12)
@@ -120,6 +162,29 @@ class TestBaseCorrCurve:
         vals = [curve.beta(float(k)) for k in ks]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
         assert min(vals) >= 0.3 - 1e-12 and max(vals) <= 0.55 + 1e-12
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 7))
+    def test_matches_scipy_pchip(self, data, n):
+        # pillars on a 1% strike grid; betas mix a few repeated levels (flat
+        # runs, zero slopes) with free values (sign changes of the slope)
+        strikes = sorted(data.draw(
+            st.lists(st.integers(1, 300), min_size=n, max_size=n, unique=True)))
+        level = st.one_of(st.sampled_from([0.2, 0.35, 0.5]),
+                          st.floats(0.01, 0.99))
+        betas = data.draw(st.lists(level, min_size=n, max_size=n))
+        if data.draw(st.booleans()):
+            betas = sorted(betas)
+        xs = [k / 100 for k in strikes]
+        curve = BaseCorrCurve(strikes=tuple(xs), betas=tuple(betas))
+        reference = PchipInterpolator(xs, betas)
+        ks = [*xs, *data.draw(st.lists(st.floats(xs[0], xs[-1]), max_size=20))]
+        for k in ks:
+            got = curve.beta(k)
+            assert abs(got - float(reference(k))) <= 1e-15
+            j = min(max(np.searchsorted(xs, k, side="right") - 1, 0), n - 2)
+            lo, hi = sorted(betas[j:j + 2])
+            assert lo - 1e-15 <= got <= hi + 1e-15
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -171,6 +236,77 @@ class TestMapStrike:
         p_b = np.interp(k_b, bespoke.levels, bespoke.cdf())
         p_i = np.interp(k_i, index_dist.levels, index_dist.cdf())
         assert abs(p_b - p_i) < 1e-8
+
+    def test_probability_matching_takes_few_laws(self):
+        index_pool = toy_portfolio(1, 4, 4, seed=14)
+        bespoke_pool = toy_portfolio(2, 3, 3, seed=15)
+        index_dist = onefactor_loss_dist(index_pool, 0.35, 5.0)
+        rule = MappingRule("probability_matching")
+
+        def solve(curve, k_b, **kwargs):
+            betas = []
+
+            def provider(beta):
+                betas.append(beta)
+                return onefactor_loss_dist(bespoke_pool, beta, 5.0)
+
+            k_i = map_strike(rule, k_b, 0.05, 0.06, index_loss_dist=index_dist,
+                             bespoke_dist_provider=provider, curve=curve,
+                             **kwargs)
+            return k_i, betas
+
+        skew = BaseCorrCurve(strikes=(0.03, 0.1, 0.3), betas=(0.25, 0.4, 0.6))
+        for k_b in (0.02, 0.03, 0.05, 0.08, 0.12, 0.2, 0.3, 0.5, 0.8):
+            k_i, betas = solve(skew, k_b)
+            assert len(betas) <= 6
+            assert k_i == pytest.approx(solve(skew, k_b, tol=1e-14)[0], abs=2e-9)
+        # below 30% the skew is flat, so the map is constant: one damped
+        # step, then the secant lands on it
+        flat = BaseCorrCurve(strikes=(0.3, 0.6), betas=(0.3, 0.5))
+        for k_b in (0.02, 0.05, 0.08, 0.12):
+            k_i, betas = solve(flat, k_b)
+            assert set(betas) == {0.3} and len(betas) <= 3
+
+    def test_probability_matching_rejects_bad_settings(self):
+        index_dist = onefactor_loss_dist(toy_portfolio(1, 3, 3, seed=16), 0.3,
+                                         5.0)
+        curve = BaseCorrCurve(strikes=(0.01, 0.5), betas=(0.05, 0.95))
+
+        def provider(beta):
+            raise AssertionError("no law may be built for bad settings")
+
+        for bad, reason in (({"damping": 0.0}, "damping"),
+                            ({"damping": 1.5}, "damping"),
+                            ({"damping": math.nan}, "damping"),
+                            ({"tol": 0.0}, "tolerance"),
+                            ({"tol": -1e-8}, "tolerance"),
+                            ({"max_iter": 0}, "max_iter")):
+            with pytest.raises(ConfigurationError, match=reason):
+                map_strike(MappingRule("probability_matching"), 0.08, 0.05,
+                           0.06, index_loss_dist=index_dist,
+                           bespoke_dist_provider=provider, curve=curve, **bad)
+
+    def test_no_convergence_reports_residual_and_iterations(self):
+        index_dist = onefactor_loss_dist(toy_portfolio(1, 3, 3, seed=16), 0.3,
+                                         5.0)
+        curve = BaseCorrCurve(strikes=(0.01, 0.5), betas=(0.05, 0.95))
+        state = {"flip": False}
+
+        def provider(beta):
+            # the target quantile jumps between the ends of the index law
+            state["flip"] = not state["flip"]
+            pmf = np.zeros(30)
+            pmf[0 if state["flip"] else 27] = 1.0
+            return index_dist.__class__(pmf=pmf, grid=index_dist.grid)
+
+        with pytest.raises(MappingConvergenceError) as err:
+            map_strike(MappingRule("probability_matching"), 0.08, 0.05, 0.06,
+                       index_loss_dist=index_dist,
+                       bespoke_dist_provider=provider, curve=curve, max_iter=7)
+        assert err.value.iterations == 7
+        assert err.value.residual > 1e-8
+        assert str(err.value).endswith(
+            f"(|K_target - K_i| {err.value.residual:.3e}, iterations 7)")
 
     def test_probability_matching_requires_inputs(self):
         with pytest.raises(ConfigurationError):

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import re
@@ -465,6 +466,29 @@ class TestMapBasecorr:
             (0.1, 1.0), (0.1, 3.0), (0.5, 1.0), (0.5, 3.0)]
         assert len(read_rows(workdir / "out" / "basecorr_prices.csv")) == 2
 
+    def test_benchmark_mapping_builds_about_100_laws(self, tmp_path,
+                                                     monkeypatch):
+        # the seed-0 basecorr-probmatch inputs: 12 strikes mapped on a
+        # 50-name bespoke, two index laws and 48 reference base ELs; the
+        # damped fixed point built 333 one-factor laws, the secant about 100
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads",
+            Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        config = workloads.generate("basecorr-probmatch", 0, tmp_path)
+        calls = []
+        real = eb.basecorr.onefactor_loss_dist
+
+        def counted(pool, beta, horizon, *args, **kwargs):
+            calls.append(beta)
+            return real(pool, beta, horizon, *args, **kwargs)
+
+        monkeypatch.setattr(eb.basecorr, "onefactor_loss_dist", counted)
+        assert main(["--config", str(config)]) == 0
+        assert len(calls) <= 110
+        assert len(read_rows(tmp_path / "out" / "mapped_strikes.csv")) == 12
+
 
 class TestFailureHandling:
     def test_missing_input_errors_cleanly(self, workdir, capsys):
@@ -674,6 +698,32 @@ def test_price_bespoke_leaves_out_scipy_interpolate_and_optimize(workdir):
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.split("\n")[:2] == ["[False, False]", "0 [False, False]"]
     assert (workdir / "out" / "tranche_prices.csv").exists()
+
+
+def test_map_basecorr_leaves_out_scipy_interpolate_and_optimize(workdir):
+    # the skew interpolant is numpy; only implied_base_correlation, which
+    # no mode calls, needs the root finder
+    src = str(Path(eb.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    configs = []
+    for rule in ("probability_matching", "atm", "absolute"):
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg.update(mode="map-basecorr", mapping_rule=rule, output_dir=rule)
+        del cfg["constraints"]
+        configs.append(str(workdir / f"{rule}.json"))
+        Path(configs[-1]).write_text(json.dumps(cfg))
+    loaded = "[m in sys.modules for m in ('scipy.interpolate', 'scipy.optimize')]"
+    code = ("import sys, entropic_bespoke.cli; "
+            f"codes = [entropic_bespoke.cli.main(['--config', c]) for c in {configs!r}]; "
+            f"print(codes, {loaded})")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split("\n")[0] == "[0, 0, 0] [False, False]"
+    for rule in ("probability_matching", "atm", "absolute"):
+        rows = read_rows(workdir / rule / "mapped_strikes.csv")
+        assert {r["rule"] for r in rows} == {rule}
 
 
 def test_benchmark_trace_hooks_still_find_their_names():
