@@ -143,7 +143,7 @@ def onefactor_loss_dist(
     loading = TwoFactorLoadings(
         beta1=math.sqrt(beta), beta2=0.0, idio=math.sqrt(1.0 - beta)
     )
-    probs = _conditional_prob_rows(default_probs, [loading] * len(units), nodes)
+    probs = _conditional_prob_rows(default_probs, loading, nodes)
     pmfs = bucket_pmf_recursion(probs, units, sum(units) + 1)
     pmf = w @ pmfs
     return LossDist(

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 from .calibrate import (
     PricingConstraint,
@@ -49,7 +48,7 @@ from .prior import (
     FactorParams,
     IndexPortfolio,
     MarketFactorGrid,
-    _conditional_probs,
+    _conditional_prob_rows,
     derive_two_factor_loadings,
 )
 from .solver import newton_minimize
@@ -184,8 +183,10 @@ class BucketIncrementPrior:
         """pmfs over absolute units 0..capacity for every node, zero below
         the previous loss: shape (n_nodes, capacity + 1), or
         (len(prev_units), n_nodes, capacity + 1) for an array of previous
-        losses.  Closed-form binomial in log space: 0 * log 0 counts as 0,
-        so p = 0 and p = 1 give exact point masses."""
+        losses.  Closed-form binomial in log space, with log n! from a
+        `math.lgamma` table: k log p and (room - k) log(1 - p) count as 0
+        where their count is 0, so p = 0 and p = 1 give exact point
+        masses."""
         prev = np.asarray(prev_units)
         if np.any(prev > self.capacity):
             raise ConfigurationError("previous loss exceeds bucket capacity")
@@ -193,11 +194,15 @@ class BucketIncrementPrior:
         k = np.arange(self.capacity + 1) - prev[..., None, None]
         inside = (k >= 0) & (k <= room)
         k = np.where(inside, k, 0)
+        log_fact = np.array([math.lgamma(n + 1.0)
+                             for n in range(self.capacity + 1)])
         p = self.node_probs[:, None]
-        log_pmf = (
-            gammaln(room + 1) - gammaln(k + 1) - gammaln(room - k + 1)
-            + xlogy(k, p) + xlog1py(room - k, -p)
-        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_pmf = (
+                log_fact[room] - log_fact[k] - log_fact[room - k]
+                + np.where(k > 0, k * np.log(p), 0.0)
+                + np.where(room > k, (room - k) * np.log1p(-p), 0.0)
+            )
         return np.where(inside, np.exp(log_pmf), 0.0)
 
     def pmf(self, node: int, prev_units: int) -> np.ndarray:
@@ -233,17 +238,18 @@ def build_conditional_loss_prior(
     if capacity == 0 or total_lgd <= 0.0:
         return BucketIncrementPrior(capacity=capacity,
                                     node_probs=np.zeros(len(coords)))
-    weighted = np.zeros(len(coords))
+    fwds, loadings = [], []
     for name in names:
-        if name.lgd <= 0.0:
-            continue
         p0 = name.default_prob(t_start)
         p1 = name.default_prob(t_end)
-        fwd = 1.0 if p0 >= 1.0 else min(max((p1 - p0) / (1.0 - p0), 0.0), 1.0)
-        loadings = derive_two_factor_loadings(
+        fwds.append(1.0 if p0 >= 1.0
+                    else min(max((p1 - p0) / (1.0 - p0), 0.0), 1.0))
+        loadings.append(derive_two_factor_loadings(
             name.one_factor_loading, params, portfolio.index_id, name_id=name.id
-        )
-        weighted += name.lgd * _conditional_probs(fwd, loadings, coords)
+        ))
+    weighted = np.zeros(len(coords))
+    for name, row in zip(names, _conditional_prob_rows(fwds, loadings, coords)):
+        weighted += name.lgd * row
     return BucketIncrementPrior(capacity=capacity,
                                 node_probs=weighted / total_lgd)
 

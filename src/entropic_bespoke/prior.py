@@ -27,7 +27,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.special import ndtr, ndtri
 
 from .errors import ConfigurationError, InvalidLoadingError
 
@@ -300,33 +299,190 @@ def _conditional_probs(
 ) -> np.ndarray:
     """Conditional default probabilities of one name over factor nodes
     (M, 2): the one-row case of `_conditional_prob_rows`."""
-    return _conditional_prob_rows([p], [loadings], nodes)[0]
+    return _conditional_prob_rows([p], loadings, nodes)[0]
 
 
 def _conditional_prob_rows(
-    default_probs: Sequence[float], loadings: Sequence[TwoFactorLoadings],
+    default_probs: Sequence[float],
+    loadings: TwoFactorLoadings | Sequence[TwoFactorLoadings],
     nodes: np.ndarray,
 ) -> np.ndarray:
     """Conditional default probabilities of several names over factor
     nodes, shape (n_names, M) for nodes (M, 2).
 
-    Row i is ndtr((ndtri(p_i) - beta1_i * z1 - beta2_i * z2) / idio_i),
-    evaluated in that order in one (n_names, M) array, with one ndtri over
-    the names and one ndtr over the array.  The quantile sees p_i clipped
-    to [PROB_CLIP, 1 - PROB_CLIP]; rows with p_i <= 0 or p_i >= 1 are then
+    `loadings` is one per name, or one shared by every name.  Row i is
+    ndtr((ndtri(p_i) - beta1_i * z1 - beta2_i * z2) / idio_i), evaluated in
+    that order in one (n_names, M) array, with one ndtri per name and one
+    ndtr pass over the array.  The quantile sees p_i clipped to
+    [PROB_CLIP, 1 - PROB_CLIP]; rows with p_i <= 0 or p_i >= 1 are then
     set to exactly 0 or 1.
     """
     p = np.asarray(default_probs, dtype=float)
-    beta1, beta2, idio = (
-        np.array([getattr(load, f) for load in loadings])[:, None]
-        for f in ("beta1", "beta2", "idio")
-    )
-    out = np.multiply(beta1, nodes[:, 0])
-    np.subtract(ndtri(np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP))[:, None], out,
-                out=out)
+    if isinstance(loadings, TwoFactorLoadings):
+        beta1, beta2, idio = loadings.beta1, loadings.beta2, loadings.idio
+    else:
+        beta1, beta2, idio = (
+            np.array([getattr(load, f) for load in loadings])[:, None]
+            for f in ("beta1", "beta2", "idio")
+        )
+    clipped = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP).tolist()
+    out = np.empty((len(p), len(nodes)))
+    np.multiply(beta1, nodes[:, 0], out=out)
+    np.subtract(np.array([_ndtri(q) for q in clipped])[:, None], out, out=out)
     out -= beta2 * nodes[:, 1]
     out /= idio
-    ndtr(out, out=out)
+    _ndtr_inplace(out)
     out[p <= 0.0] = 0.0
     out[p >= 1.0] = 1.0
     return out
+
+
+# -- Cephes ndtr and ndtri (as in scipy.special), bit for bit.  Both are
+# ported so that no run imports scipy; tests compare them with scipy.
+
+_SQRT1_2 = 0.70710678118654752440
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
+_NDTR_BLOCK = 8192  # cells per pass: keeps the temporaries small
+
+# erf(x) = x T(x^2) / U(x^2) for |x| < 1
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+# erfc(x) = exp(-x^2) P(x) / Q(x) for 1 <= x < 8, R(x) / S(x) beyond
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
+           5.01905042251180477414e0, 6.16021097993053585195e0,
+           7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0,
+           1.20489539808096656605e1, 1.70814450747565897222e1,
+           9.60896809063285878198e0, 3.36907645100081516050e0)
+
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_SQRT_2PI = 2.50662827463100050242e0
+# ndtri: 0 <= |y - 0.5| <= 3/8
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+             -5.66762857469070293439e1, 1.39312609387279679503e1,
+             -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0,
+             8.63602421390890590575e1, -2.25462687854119370527e2,
+             2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+# ndtri: z = sqrt(-2 log y) in [2, 8)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+             5.71628192246421288162e1, 4.40805073893200834700e1,
+             1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+             -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1,
+             4.13172038254672030440e1, 1.50425385692907503408e1,
+             2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+# ndtri: z in [8, 64)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
+             3.93881025292474443415e0, 1.33303460815807542389e0,
+             2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6,
+             6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0,
+             1.37702099489081330271e0, 2.16236993594496635890e-1,
+             1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x, coef):
+    """Cephes polevl: Horner's rule, leading coefficient first; in place
+    after the first step when x is an array."""
+    ans = x * coef[0] + coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _p1evl(x, coef):
+    """Cephes p1evl: as `_polevl` with an implied leading coefficient 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+@functools.lru_cache(maxsize=4096)
+def _ndtri(y0: float) -> float:
+    """Standard normal quantile of one probability (Cephes ndtri).  Cached:
+    the one-factor reference pricer asks for the same pool's quantiles on
+    every law."""
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    if not 0.0 < y0 < 1.0:
+        return math.nan
+    y, negate = y0, True
+    if y > 1.0 - _EXP_M2:
+        y, negate = 1.0 - y, False
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))
+                ) * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    p, q = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
+    x = x0 - z * _polevl(z, p) / _p1evl(z, q)
+    return -x if negate else x
+
+
+def _ndtr_inplace(a: np.ndarray) -> None:
+    """Standard normal cdf (Cephes ndtr) of a C-contiguous float array, in
+    place, over blocks of `_NDTR_BLOCK` cells so that the temporaries stay
+    a few blocks whatever the array size."""
+    flat = a.reshape(-1)
+    for start in range(0, flat.size, _NDTR_BLOCK):
+        _ndtr_block(flat[start:start + _NDTR_BLOCK])
+
+
+def _ndtr_block(a: np.ndarray) -> None:
+    """Cephes ndtr of a 1-D block in place, erf and erfc each only on
+    their own cells.
+
+    With x = a / sqrt(2): 0.5 + 0.5 erf(x) for |x| < 1, and erfc(|x|) / 2
+    (one minus it for x > 0) beyond, where erfc is 0 once x^2 > MAXLOG.
+    Cephes switches at |x| < sqrt(1/2) and reaches erfc through
+    1 - erf(|x|) up to |x| = 1; there both round the same exact value at
+    most once, so the bits agree.  erfc's P/Q rational is replaced by R/S
+    on the rare cells with |x| >= 8.  exp(-x^2) is libm's, through
+    `math.exp`: numpy's vectorized exp differs from it in the last bits.
+    """
+    x = a * _SQRT1_2
+    z = np.abs(x)
+    near = np.flatnonzero(z < 1.0)
+    xn = x[near]
+    zz = xn * xn
+    a[near] = 0.5 + 0.5 * (xn * _polevl(zz, _ERF_T) / _p1evl(zz, _ERF_U))
+    zz = z * z
+    under = zz > _MAXLOG
+    a[under] = x[under] > 0.0
+    far = np.flatnonzero((z >= 1.0) & ~under)  # NaN is in no branch
+    zf = z[far]
+    e = np.fromiter(map(math.exp, (-zz[far]).tolist()), float, far.size)
+    y = e * _polevl(zf, _ERFC_P) / _p1evl(zf, _ERFC_Q)
+    big = np.flatnonzero(zf >= 8.0)
+    zb = zf[big]
+    y[big] = e[big] * _polevl(zb, _ERFC_R) / _p1evl(zb, _ERFC_S)
+    y *= 0.5
+    np.subtract(1.0, y, out=y, where=x[far] > 0.0)
+    a[far] = y

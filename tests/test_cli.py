@@ -649,80 +649,58 @@ class TestConfig:
         assert cfg.output_dir == workdir / "out"
 
 
-def test_cli_import_leaves_out_scipy_stats(tmp_path):
-    # neither the import nor a calibrate-dynamic run loads scipy.stats
-    write_portfolios(tmp_path / "portfolios.json", n_names=4)
-    write_csv(tmp_path / "constraints.csv", CONSTRAINT_COLUMNS,
-              prior_el_constraints(tmp_path / "portfolios.json",
-                                   grid_size=(3, 3), shift=1.1))
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "mode": "calibrate-dynamic",
-        "portfolios": "portfolios.json",
-        "constraints": "constraints.csv",
-        "grid_size": [3, 3],
-        "output_dir": "out",
-    }))
+# scipy.special alone pulls in numpy.f2py, numpy.testing and
+# charset_normalizer through its array-API backends
+HEAVY_MODULES = ("scipy", "numpy.f2py", "numpy.testing", "charset_normalizer")
+
+
+def heavy_modules_loaded(config):
+    """Run the CLI on `config` in a fresh interpreter.  Return the heavy
+    modules loaded by `import entropic_bespoke.cli`, the exit code of
+    `main` and the heavy modules loaded after it."""
     src = str(Path(eb.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    code = ("import sys, entropic_bespoke.cli; "
-            "print('scipy.stats' in sys.modules); "
+    loaded = f"sorted(m for m in sys.modules if m.startswith({HEAVY_MODULES!r}))"
+    code = ("import json, sys, entropic_bespoke.cli; "
+            f"after_import = {loaded}; "
             f"code = entropic_bespoke.cli.main(['--config', {str(config)!r}]); "
-            "print(code, 'scipy.stats' in sys.modules)")
+            f"print(json.dumps([after_import, code, {loaded}]))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.split("\n")[:2] == ["False", "0 False"]
-    assert (tmp_path / "out" / "dynamic_states.csv").exists()
+    return tuple(json.loads(out.stdout.splitlines()[-1]))
 
 
-def test_price_bespoke_leaves_out_scipy_interpolate_and_optimize(workdir):
-    # only map-basecorr needs the interpolant and the root finder
-    write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
-              prior_el_constraints(workdir / "portfolios.json", shift=1.1))
+@pytest.mark.parametrize("mode, rule", [
+    ("price-bespoke", None),
+    ("calibrate-dynamic", None),
+    ("map-basecorr", "probability_matching"),
+    ("map-basecorr", "atm"),
+    ("map-basecorr", "absolute"),
+])
+def test_cli_modes_load_no_scipy(workdir, mode, rule):
+    # only the factor-only convex-hull check and implied_base_correlation,
+    # which no mode calls, import scipy (lazily)
     cfg = json.loads((workdir / "config.json").read_text())
-    cfg["mode"] = "price-bespoke"
-    (workdir / "config.json").write_text(json.dumps(cfg))
-    src = str(Path(eb.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(
-               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    loaded = "[m in sys.modules for m in ('scipy.interpolate', 'scipy.optimize')]"
-    code = ("import sys, entropic_bespoke.cli; "
-            f"print({loaded}); "
-            "code = entropic_bespoke.cli.main("
-            f"['--config', {str(workdir / 'config.json')!r}]); "
-            f"print(code, {loaded})")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.split("\n")[:2] == ["[False, False]", "0 [False, False]"]
-    assert (workdir / "out" / "tranche_prices.csv").exists()
-
-
-def test_map_basecorr_leaves_out_scipy_interpolate_and_optimize(workdir):
-    # the skew interpolant is numpy; only implied_base_correlation, which
-    # no mode calls, needs the root finder
-    src = str(Path(eb.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(
-               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    configs = []
-    for rule in ("probability_matching", "atm", "absolute"):
-        cfg = json.loads((workdir / "config.json").read_text())
-        cfg.update(mode="map-basecorr", mapping_rule=rule, output_dir=rule)
+    cfg["mode"] = mode
+    if mode == "map-basecorr":
+        cfg["mapping_rule"] = rule
         del cfg["constraints"]
-        configs.append(str(workdir / f"{rule}.json"))
-        Path(configs[-1]).write_text(json.dumps(cfg))
-    loaded = "[m in sys.modules for m in ('scipy.interpolate', 'scipy.optimize')]"
-    code = ("import sys, entropic_bespoke.cli; "
-            f"codes = [entropic_bespoke.cli.main(['--config', c]) for c in {configs!r}]; "
-            f"print(codes, {loaded})")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.split("\n")[0] == "[0, 0, 0] [False, False]"
-    for rule in ("probability_matching", "atm", "absolute"):
-        rows = read_rows(workdir / rule / "mapped_strikes.csv")
+    else:
+        grid = (3, 3) if mode == "calibrate-dynamic" else (4, 4)
+        cfg["grid_size"] = list(grid)
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
+                  prior_el_constraints(workdir / "portfolios.json",
+                                       grid_size=grid, shift=1.1))
+    (workdir / "config.json").write_text(json.dumps(cfg))
+    assert heavy_modules_loaded(workdir / "config.json") == ([], 0, [])
+    written = {"price-bespoke": "tranche_prices.csv",
+               "calibrate-dynamic": "dynamic_states.csv",
+               "map-basecorr": "mapped_strikes.csv"}[mode]
+    assert (workdir / "out" / written).exists()
+    if mode == "map-basecorr":
+        rows = read_rows(workdir / "out" / "mapped_strikes.csv")
         assert {r["rule"] for r in rows} == {rule}
 
 

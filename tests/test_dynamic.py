@@ -27,7 +27,13 @@ from entropic_bespoke.loss import (
     LossGrid,
     build_conditional_prior,
 )
-from entropic_bespoke.prior import build_market_grid, FactorParams, IndexPortfolio
+from entropic_bespoke.prior import (
+    FactorParams,
+    IndexPortfolio,
+    _conditional_probs,
+    build_market_grid,
+    derive_two_factor_loadings,
+)
 
 from conftest import make_name
 
@@ -184,6 +190,34 @@ class TestIncrementPrior:
         )
         self.port = IndexPortfolio(index_id=1, names=names)
         self.loss_grid = LossGrid(unit=0.2, max_units=3)
+
+    def test_node_probs_add_names_one_at_a_time(self):
+        # one batched pass per bucket, summed in name order: the bits of
+        # adding each name's own conditional probabilities
+        names = tuple(
+            make_name(f"n{j}", 2, "complement",
+                      term_curve(0.02 * (j + 1), 0.05 * (j + 1), 0.07 * (j + 1)),
+                      loading=0.3 + 0.1 * j, weight=0.2 + 0.1 * j,
+                      recovery=0.2 + 0.1 * j)
+            for j in range(4)
+        )
+        params = FactorParams(rho=0.4, alpha=0.3)
+        grid = build_market_grid(4, 3, params)
+        port = IndexPortfolio(index_id=2, names=names)
+        prior = build_conditional_loss_prior(
+            port, "complement", params, grid, LossGrid(unit=0.1, max_units=30),
+            1.0, 3.0,
+        )
+        weighted = np.zeros(grid.n_nodes)
+        for n in names:
+            p0, p1 = n.default_prob(1.0), n.default_prob(3.0)
+            loadings = derive_two_factor_loadings(n.one_factor_loading, params,
+                                                  2, name_id=n.id)
+            weighted += n.lgd * _conditional_probs((p1 - p0) / (1.0 - p0),
+                                                   loadings, grid.node_coords)
+        want = weighted / sum(n.lgd for n in names)
+        assert np.array_equal(prior.node_probs.view(np.int64),
+                              want.view(np.int64))
 
     def test_full_wipe_is_absorbing(self):
         prior = build_conditional_loss_prior(

@@ -288,6 +288,16 @@ class TestBatchedConditionalProbs:
         assert np.array_equal(rows[0], np.zeros(len(nodes)))
         assert np.array_equal(rows[1], np.ones(len(nodes)))
 
+    def test_one_shared_loading_gives_the_bits_of_a_list(self, rng):
+        nodes = build_market_grid(6, 4, FactorParams(rho=0.3, alpha=0.2)
+                                  ).node_coords
+        ps = [0.0, 1.0, PROB_CLIP, *rng.uniform(0.0, 1.0, 5)]
+        for loading in (TwoFactorLoadings(beta1=0.6, beta2=0.0, idio=0.8),
+                        TwoFactorLoadings(beta1=0.5, beta2=0.2, idio=0.7)):
+            assert_same_bits(
+                _conditional_prob_rows(ps, loading, nodes),
+                _conditional_prob_rows(ps, [loading] * len(ps), nodes))
+
     def test_gauss_hermite_rule_is_cached_and_read_only(self):
         z, w = _unit_gauss_hermite(31)
         assert _unit_gauss_hermite(31)[0] is z

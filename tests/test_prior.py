@@ -5,10 +5,15 @@ import pytest
 
 from entropic_bespoke.errors import ConfigurationError, InvalidLoadingError
 from entropic_bespoke.prior import (
+    _NDTR_BLOCK,
+    PROB_CLIP,
     FactorParams,
     NameSpec,
     TwoFactorLoadings,
     _conditional_probs,
+    _ndtr_block,
+    _ndtr_inplace,
+    _ndtri,
     build_market_grid,
     conditional_default_prob,
     derive_two_factor_loadings,
@@ -221,6 +226,61 @@ class TestConditionalDefaultProb:
             l = derive_two_factor_loadings(b, params, home_index=home)
             probs = _conditional_probs(p, l, grid.node_coords)
             assert grid.flat_weights @ probs == pytest.approx(p, abs=1e-3)
+
+
+def assert_same_bits(got, want):
+    """Equal bit patterns, any NaN matching any NaN."""
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+class TestNormalPorts:
+    """The Cephes ports against scipy.special, bit for bit."""
+
+    def test_ndtr_matches_scipy(self, rng):
+        from scipy.special import ndtr
+
+        tiny = np.finfo(float).smallest_subnormal
+        edges = np.array([1.0, 8.0, math.sqrt(7.09782712893383996843e2)])
+        edges = np.sqrt(2.0) * edges
+        special = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1e-310,
+             -1e-310, 2.2250738585072014e-308],
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+        ])
+        a = np.concatenate([rng.uniform(-40.0, 40.0, 1_000_000),
+                            rng.normal(0.0, 3.0, 100_000), special, -special])
+        got = a.copy()
+        _ndtr_inplace(got)
+        assert_same_bits(got, ndtr(a))
+
+    def test_ndtri_matches_scipy(self, rng):
+        from scipy.special import ndtri
+
+        u = rng.uniform(0.0, 16.0, 50_000)
+        ps = np.concatenate([
+            rng.uniform(0.0, 1.0, 50_000),
+            10.0 ** -rng.uniform(0.0, 300.0, 50_000),
+            1.0 - 10.0 ** -u,
+            [0.0, 1.0, PROB_CLIP, 1.0 - PROB_CLIP, np.exp(-2.0),
+             1.0 - np.exp(-2.0), np.exp(-32.0), 5e-324, -0.5, 1.5, np.nan],
+        ])
+        got = np.array([_ndtri(p) for p in ps.tolist()])
+        assert_same_bits(got, ndtri(ps))
+
+    @pytest.mark.parametrize("size", [1, _NDTR_BLOCK - 1, _NDTR_BLOCK + 1,
+                                      5 * _NDTR_BLOCK // 2])
+    def test_blocks_give_the_bits_of_one_pass(self, rng, size):
+        from scipy.special import ndtr
+
+        a = rng.normal(-1.0, 4.0, (size, 3))
+        got, whole = a.copy(), a.copy()
+        _ndtr_inplace(got)
+        _ndtr_block(whole.reshape(-1))
+        assert_same_bits(got, whole)
+        assert_same_bits(got, ndtr(a))
 
 
 class TestNameSpec:
