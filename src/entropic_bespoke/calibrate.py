@@ -639,12 +639,12 @@ class _TiltedDual:
         return hess
 
 
-class MceCalibrator:
+class MceCalibrator(_TiltedDual):
     """Assembled dual problem for one horizon.
 
     Holds the factor grid, per-index conditional priors and the constraint
     set; exposes the dual objective, gradient and Hessian and the Newton
-    solve.  The dual is `_TiltedDual` with one previous row of mass 1, one
+    solve.  It is `_TiltedDual` with one previous row of mass 1, one
     context per index and the prior factor weights as its factor row.  The
     multiplier vector is ordered like the constraint list.
     """
@@ -678,18 +678,15 @@ class MceCalibrator:
                 )
         self.grid = grid
         self.priors = dict(priors)
-        self.constraints = tuple(constraints)
-        self.index_ids = sorted(priors)
-        self._positions, kernels = _tilt_kernels(priors, constraints)
-        self._kernels = {i: self._kernel(k) for i, k in kernels.items()}
+        positions, kernels = _tilt_kernels(priors, constraints)
         with np.errstate(divide="ignore"):
             log_g = np.log(grid.flat_weights)
         one_row = np.zeros(1, dtype=int)
-        self._dual = _TiltedDual(
-            self.constraints, self._positions, self._kernels,
-            {i: one_row for i in self.index_ids}, log_g[None, :], np.ones(1),
+        super().__init__(
+            constraints, positions,
+            {i: self._kernel(k) for i, k in kernels.items()},
+            {i: one_row for i in kernels}, log_g[None, :], np.ones(1),
         )
-        self.targets, self.sigmas = self._dual.targets, self._dual.sigmas
 
     @staticmethod
     def _kernel(kernel: _Kernel) -> _Kernel:
@@ -697,23 +694,14 @@ class MceCalibrator:
         tilts the prior's conditional laws themselves."""
         return kernel
 
-    def _evaluate(self, lambdas: np.ndarray) -> dict:
-        return self._dual.evaluate(lambdas)
-
-    def dual_objective_and_gradient(
-        self, lambdas: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        """log Z(lam) + 0.5 sum lam^2 sigma^2 and its gradient
-        E_P[F] - EL + lam * sigma^2."""
-        return self._dual.objective(lambdas)
-
-    def dual_hessian(self, lambdas: np.ndarray) -> np.ndarray:
-        """Posterior covariance of the payoffs plus diag(sigma^2)."""
-        return self._dual.hessian(lambdas)
+    # the calibrator's public names for the dual value with its gradient
+    # E_P[F] - EL + lam * sigma^2, and for its Hessian
+    dual_objective_and_gradient = _TiltedDual.objective
+    dual_hessian = _TiltedDual.hessian
 
     def posterior(self, lambdas: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
         """(factor weights, tilted conditionals) at a multiplier vector."""
-        state = self._evaluate(lambdas)
+        state = self.evaluate(lambdas)
         return state["h_rows"][0].copy(), {
             i: t.law().pmfs for i, t in state["tilts"].items()
         }
@@ -723,7 +711,7 @@ class MceCalibrator:
             self.dual_objective_and_gradient, self.dual_hessian,
             np.zeros(len(self.constraints)), tol=tol, max_iter=max_iter,
         )
-        state = self._evaluate(res.x)
+        state = self.evaluate(res.x)
         return CalibrationResult(
             constraints=self.constraints,
             lambdas=res.x,
@@ -805,7 +793,7 @@ class FactorOnlyCalibrator(MceCalibrator):
     def cond_mean(self) -> np.ndarray:
         """Prior conditional mean payoffs E_Q[F_ik | m], (M, K) in
         constraint order."""
-        return _prior_means(self.grid, self._kernels, self._positions,
+        return _prior_means(self.grid, self.kernels, self.positions,
                             len(self.constraints))
 
 

@@ -35,6 +35,10 @@ from .prior import IndexPortfolio, build_market_grid
 
 MODES = ("calibrate-static", "calibrate-dynamic", "price-bespoke", "map-basecorr")
 
+# the input-file fields of a config, in the order their existence is checked
+_INPUTS = ("constraints", "portfolios", "discount_curve", "tranches",
+           "base_correlation")
+
 _ERROR_CODES = {
     ConfigurationError: "CONFIG",
     CalibrationError: "CALIBRATION",
@@ -76,11 +80,6 @@ class RunConfig:
             except json.JSONDecodeError as exc:
                 raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
         base = path.parent
-
-        def resolve(key: str) -> Path | None:
-            value = doc.get(key)
-            return (base / value) if value else None
-
         run_mode = mode or doc.get("mode")
         if run_mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}, got {run_mode!r}")
@@ -88,36 +87,38 @@ class RunConfig:
             raise ConfigurationError("config needs a 'portfolios' path")
         solver = doc.get("solver", {})
         grid_size = doc.get("grid_size", [10, 10])
+        if not isinstance(grid_size, list) or len(grid_size) != 2:
+            raise ConfigurationError(
+                f"{path}: grid_size must be two integers, got {grid_size!r}")
         if threads is None:
             threads = doc.get("threads")
         if threads is None:
-            threads = int(os.environ.get("ENTROPIC_BESPOKE_THREADS", "1"))
+            threads = fmt.parse_field(
+                "environment", "ENTROPIC_BESPOKE_THREADS",
+                os.environ.get("ENTROPIC_BESPOKE_THREADS", "1"), int)
+
+        num = functools.partial(fmt.parse_field, path)
         cfg = cls(
             mode=run_mode,
-            portfolios=base / doc["portfolios"],
             output_dir=Path(out) if out else base / doc.get("output_dir", "out"),
-            constraints=resolve("constraints"),
-            discount_curve=resolve("discount_curve"),
-            tranches=resolve("tranches"),
-            base_correlation=resolve("base_correlation"),
+            **{key: base / doc[key] if doc.get(key) else None
+               for key in _INPUTS},
             bespoke=doc.get("bespoke", {}),
             mapping_rule=doc.get("mapping_rule", "atm"),
-            reference_index=int(doc.get("reference_index", 1)),
-            grid_size=(int(grid_size[0]), int(grid_size[1])),
-            persistence=float(doc.get("persistence", 0.9)),
-            coarsen=int(doc.get("coarsen", 1)),
-            loss_unit=(float(doc["loss_unit"])
+            reference_index=num("reference_index",
+                                doc.get("reference_index", 1), int),
+            grid_size=tuple(num("grid_size", n, int) for n in grid_size),
+            persistence=num("persistence", doc.get("persistence", 0.9)),
+            coarsen=num("coarsen", doc.get("coarsen", 1), int),
+            loss_unit=(num("loss_unit", doc["loss_unit"])
                        if doc.get("loss_unit") is not None else None),
-            tol=float(solver.get("tol", 1e-9)),
-            max_iter=int(solver.get("max_iter", 200)),
-            threads=int(threads),
+            tol=num("solver.tol", solver.get("tol", 1e-9)),
+            max_iter=num("solver.max_iter", solver.get("max_iter", 200), int),
+            threads=num("threads", threads, int),
             verbose=verbose,
         )
-        for key, value in (("constraints", cfg.constraints),
-                           ("portfolios", cfg.portfolios),
-                           ("discount_curve", cfg.discount_curve),
-                           ("tranches", cfg.tranches),
-                           ("base_correlation", cfg.base_correlation)):
+        for key in _INPUTS:
+            value = getattr(cfg, key)
             if value is not None and not value.exists():
                 raise ConfigurationError(f"{key} file not found: {value}")
         return cfg
@@ -167,8 +168,7 @@ def _sha256(path: Path) -> str:
 
 def _manifest(config: RunConfig, reporter: _Reporter):
     inputs = {}
-    for key in ("portfolios", "constraints", "discount_curve", "tranches",
-                "base_correlation"):
+    for key in _INPUTS:
         path = getattr(config, key)
         if path is not None:
             inputs[key] = {"path": str(path), "sha256": _sha256(path)}
@@ -201,7 +201,7 @@ def _loss_grids(portfolios, unit) -> dict[int, LossGrid]:
     return grids
 
 
-def _warn_degenerate_constraints(constraints, reporter):
+def _warn_degenerate_constraints(constraints):
     """A full strike partition plus both bucket totals is linearly
     dependent (tranche payoffs sum to the portfolio loss)."""
     by_key: dict = {}
@@ -226,14 +226,19 @@ def _warn_degenerate_constraints(constraints, reporter):
             )
 
 
-def _calibrate_all_horizons(config, params, portfolios, constraints, reporter):
+def _calibration_setup(config, params, portfolios, constraints):
+    """(loss grids, factor grid, sorted constraint horizons) of a
+    calibrating mode; warns on a degenerate constraint set."""
     unit = config.loss_unit or default_loss_unit(*portfolios.values())
     grids = _loss_grids(portfolios, unit)
     grid = build_market_grid(*config.grid_size, params)
-    _warn_degenerate_constraints(constraints, reporter)
-    horizons = sorted({c.horizon for c in constraints})
-    if any(t is None for t in horizons):
-        raise ConfigurationError("every constraint needs a horizon")
+    _warn_degenerate_constraints(constraints)
+    return grids, grid, sorted({c.horizon for c in constraints})
+
+
+def _calibrate_all_horizons(config, params, portfolios, constraints, reporter):
+    grids, grid, horizons = _calibration_setup(config, params, portfolios,
+                                               constraints)
     results = {}
     for t in horizons:
         priors = {
@@ -254,14 +259,15 @@ def _calibrate_all_horizons(config, params, portfolios, constraints, reporter):
     reporter.csv("posterior_measure.csv", fmt.MEASURE_HEADER, chain.from_iterable(
         fmt.measure_rows(t, results[t]) for t in horizons
     ))
-    return results, unit
+    return results
 
 
 def _bespoke_spec(config, portfolios) -> pricing.BespokeSpec:
     doc = config.bespoke or {
         "members": [[i, "relevant"] for i in sorted(portfolios)]
     }
-    members = [(int(i), str(b)) for i, b in doc.get("members", [])]
+    members = [(fmt.parse_field("bespoke", "members", i, int), str(b))
+               for i, b in doc.get("members", [])]
     if not members:
         raise ConfigurationError("bespoke.members must not be empty")
     notional = 0.0
@@ -284,8 +290,8 @@ def _mode_price_bespoke(config, reporter):
     constraints = fmt.load_constraints(config.constraints)
     curve = fmt.load_discount_curve(config.discount_curve)
     tranches = fmt.load_tranches(config.tranches)
-    results, _ = _calibrate_all_horizons(config, params, portfolios,
-                                         constraints, reporter)
+    results = _calibrate_all_horizons(config, params, portfolios,
+                                      constraints, reporter)
     spec = _bespoke_spec(config, portfolios)
     dists = pricing.bespoke_loss_dist(results, spec)
     prices = [pricing.price_tranche(dists, tr, curve) for tr in tranches]
@@ -296,11 +302,8 @@ def _mode_price_bespoke(config, reporter):
 def _mode_calibrate_dynamic(config, reporter):
     params, portfolios, _ = fmt.load_portfolios(config.portfolios)
     constraints = fmt.load_constraints(config.constraints)
-    unit = config.loss_unit or default_loss_unit(*portfolios.values())
-    grids = _loss_grids(portfolios, unit)
-    grid = build_market_grid(*config.grid_size, params)
-    _warn_degenerate_constraints(constraints, reporter)
-    horizons = sorted({c.horizon for c in constraints})
+    grids, grid, horizons = _calibration_setup(config, params, portfolios,
+                                               constraints)
     model = DynamicModel(
         grid, params, portfolios, grids, TimeGrid(horizons=tuple(horizons)),
         persistence=config.persistence, coarsen=config.coarsen,

@@ -258,9 +258,11 @@ def build_conditional_loss_prior(
 class PeriodKernel:
     """Calibrated transition kernel for one period.
 
-    factor_rows[s] is h(m^n | prev support row s); loss_tilted[i] maps a
-    previous loss pair of index i to per-node posterior pmfs over the
-    absolute loss lattice (zero mass below the previous losses).
+    factor_rows[s] is h(m^n | prev support row s).  Per index i,
+    contexts[i] holds the sorted distinct previous loss pairs, row_ctx[i]
+    the context of each previous support row, and loss_tilted[i] the
+    calibrated law over the (context, node) rows, context-major: posterior
+    pmfs over the absolute loss lattice, zero below the previous losses.
     """
 
     period: int
@@ -271,7 +273,9 @@ class PeriodKernel:
     prev_support: np.ndarray
     prev_probs: np.ndarray
     factor_rows: np.ndarray
-    loss_tilted: dict[int, dict[tuple[int, int], np.ndarray]]
+    loss_tilted: dict[int, ConditionalLossDist]
+    contexts: dict[int, np.ndarray]
+    row_ctx: dict[int, np.ndarray]
     iterations: int
 
 
@@ -379,7 +383,9 @@ class DynamicModel:
         out = {}
         caps = self.period_capacities(period)
         for pos, i in enumerate(self.index_ids):
-            contexts, row_ctx = _contexts(prev_state.support, pos)
+            pairs = prev_state.support[:, 1 + 2 * pos:3 + 2 * pos]
+            contexts, row_ctx = np.unique(pairs, axis=0, return_inverse=True)
+            row_ctx = row_ctx.ravel()
             if period == 0:
                 if contexts.tolist() != [[0, 0]]:
                     raise ConfigurationError("period 0 must start from zero losses")
@@ -461,28 +467,31 @@ class DynamicModel:
     ) -> DynamicState:
         """Push the previous marginal through the calibrated kernel.
 
-        The previous mass times the factor rows is pooled by previous
-        context pair into U[m, c1, c2]; then V = U . T2 sums out c2 and
-        P = T1 . V sums out c1, giving P(m, x11, x12, x21, x22).  The
-        support is the positive cells of P in C order, which is the
-        lexicographic order of the state tuples.
+        The previous mass times the factor rows is pooled by the kernel's
+        previous context pairs into U[m, c1, c2]; then V = U . T2 sums out
+        c2 and P = T1 . V sums out c1, giving P(m, x11, x12, x21, x22).
+        The support is the positive cells of P in C order, which is the
+        lexicographic order of the state tuples.  The state must be the
+        one the kernel was calibrated on.
         """
         prev_state = self.align_to_period(kernel.period, prev_state)
-        stacks, row_ctx = [], []
-        for pos, i in enumerate(self.index_ids):
-            contexts, which = _contexts(prev_state.support, pos)
-            tilted = kernel.loss_tilted[i]
-            stacks.append(np.stack([tilted[c] for c in map(tuple, contexts.tolist())]))
-            row_ctx.append(which)
-        t1, t2 = stacks
-        (n1, n_nodes, *shape1), (n2, _, *shape2) = t1.shape, t2.shape
+        if not np.array_equal(prev_state.support, kernel.prev_support):
+            raise ConfigurationError(
+                f"prev_state is not the state the period {kernel.period} "
+                "kernel was calibrated on: their supports differ")
+        i1, i2 = self.index_ids
+        n_nodes = kernel.factor_rows.shape[1]
+        n1, n2 = len(kernel.contexts[i1]), len(kernel.contexts[i2])
+        t1 = kernel.loss_tilted[i1].pmfs.reshape(n1, n_nodes, -1)
+        t2 = kernel.loss_tilted[i2].pmfs.reshape(n2, n_nodes, -1)
         pooled = _pool_rows(
-            row_ctx[0] * n2 + row_ctx[1],
+            kernel.row_ctx[i1] * n2 + kernel.row_ctx[i2],
             prev_state.probs[:, None] * kernel.factor_rows, n1 * n2,
         ).reshape(n1, n2, n_nodes).transpose(2, 0, 1)
-        v = pooled @ t2.reshape(n2, n_nodes, -1).transpose(1, 0, 2)
-        p = t1.reshape(n1, n_nodes, -1).transpose(1, 2, 0) @ v
-        p = p.reshape(n_nodes, *shape1, *shape2)
+        v = pooled @ t2.transpose(1, 0, 2)
+        p = (t1.transpose(1, 2, 0) @ v).reshape(
+            n_nodes, *kernel.loss_tilted[i1].shape,
+            *kernel.loss_tilted[i2].shape)
         cells = np.nonzero(p > 0.0)
         return DynamicState(
             period=kernel.period,
@@ -514,14 +523,6 @@ class DynamicModel:
         return states, kernels
 
 
-def _contexts(support: np.ndarray, pos: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct previous loss pairs of the index at `pos` (0 or 1)
-    and the position of each support row's pair among them."""
-    pairs = support[:, 1 + 2 * pos:3 + 2 * pos]
-    contexts, which = np.unique(pairs, axis=0, return_inverse=True)
-    return contexts, which.ravel()
-
-
 class _PeriodDual(_TiltedDual):
     """The tilted dual of one period, which also assembles the calibrated
     `PeriodKernel`."""
@@ -534,12 +535,6 @@ class _PeriodDual(_TiltedDual):
 
     def kernel(self, lambdas: np.ndarray, iterations: int) -> PeriodKernel:
         state = self.evaluate(lambdas)
-        loss_tilted = {}
-        for i, contexts in self.contexts.items():
-            joints = state["tilts"][i].law().pmfs  # (n_ctx * M, S1, S2)
-            loss_tilted[i] = dict(zip(
-                map(tuple, contexts.tolist()),
-                joints.reshape(len(contexts), -1, *joints.shape[1:])))
         return PeriodKernel(
             period=self.period,
             horizon=self.horizon,
@@ -549,6 +544,8 @@ class _PeriodDual(_TiltedDual):
             prev_support=self.prev_state.support.copy(),
             prev_probs=self.prev_state.probs.copy(),
             factor_rows=state["h_rows"].copy(),
-            loss_tilted=loss_tilted,
+            loss_tilted={i: t.law() for i, t in state["tilts"].items()},
+            contexts=self.contexts,
+            row_ctx=self.row_ctx,
             iterations=iterations,
         )

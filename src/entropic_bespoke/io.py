@@ -38,6 +38,28 @@ def _fmt(value: float) -> str:
     return NUM % float(value)
 
 
+def parse_field(where, field: str, value, kind: type = float):
+    """`kind(value)` (float or int) for one input field; a value that does
+    not convert is a ConfigurationError naming `where` and the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigurationError(
+            f"{where}: {field} must be {what}, got {value!r}") from exc
+
+
+def _csv_rows(path: str | Path, header: list[str]) -> Iterator[tuple[str, dict]]:
+    """(where, row) per row of a CSV file whose header must be `header`;
+    `where` names the file and the line."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != header:
+            raise ConfigurationError(f"{path}: header must be {','.join(header)}")
+        for row in reader:
+            yield f"{path} line {reader.line_num}", row
+
+
 def load_portfolios(
     path: str | Path,
 ) -> tuple[FactorParams, dict[int, IndexPortfolio], list[float]]:
@@ -50,11 +72,14 @@ def load_portfolios(
             raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
     try:
         fp = doc["factor_params"]
-        params = FactorParams(rho=float(fp["rho"]), alpha=float(fp["alpha"]))
-        horizons = [float(t) for t in doc["horizons"]]
+        params = FactorParams(*(parse_field(path, f"factor_params.{k}", fp[k])
+                                for k in ("rho", "alpha")))
+        horizons = [parse_field(path, "horizons", t) for t in doc["horizons"]]
         names: dict[int, list[NameSpec]] = {}
         for rec in doc["names"]:
-            probs = [float(p) for p in rec["default_probs"]]
+            where = f"{path}: name {rec.get('id')}"
+            probs = [parse_field(where, "default_probs", p)
+                     for p in rec["default_probs"]]
             if len(probs) != len(horizons):
                 raise ConfigurationError(
                     f"{path}: name {rec.get('id')} has {len(probs)} default "
@@ -62,12 +87,11 @@ def load_portfolios(
                 )
             name = NameSpec(
                 id=str(rec["id"]),
-                index_id=int(rec["index_id"]),
+                index_id=parse_field(where, "index_id", rec["index_id"], int),
                 bucket=str(rec["bucket"]),
-                recovery=float(rec["recovery"]),
-                notional_weight=float(rec["notional_weight"]),
-                one_factor_loading=float(rec["one_factor_loading"]),
                 default_prob_curve=tuple(zip(horizons, probs)),
+                **{key: parse_field(where, key, rec[key]) for key in
+                   ("recovery", "notional_weight", "one_factor_loading")},
             )
             names.setdefault(name.index_id, []).append(name)
     except KeyError as exc:
@@ -83,35 +107,31 @@ def load_portfolios(
 
 def load_constraints(path: str | Path) -> list[PricingConstraint]:
     out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CONSTRAINT_COLUMNS:
+    for where, row in _csv_rows(path, CONSTRAINT_COLUMNS):
+        def num(field, kind=float):
+            return parse_field(where, field, row[field], kind)
+
+        kind = row["kind"].strip()
+        if kind not in _CSV_KINDS:
             raise ConfigurationError(
-                f"{path}: header must be {','.join(CONSTRAINT_COLUMNS)}"
+                f"{path}: kind must be one of {sorted(_CSV_KINDS)}"
             )
-        for row in reader:
-            kind = row["kind"].strip()
-            if kind not in _CSV_KINDS:
-                raise ConfigurationError(
-                    f"{path}: kind must be one of {sorted(_CSV_KINDS)}"
-                )
-            sigma = row["sigma"].strip()
-            common = dict(
-                index_id=int(row["index_id"]),
-                horizon=float(row["horizon"]),
-                target_el=float(row["target_el"]),
-                sigma=float(sigma) if sigma else DEFAULT_SIGMA,
-            )
-            if kind == "tranche":
-                out.append(PricingConstraint(
-                    kind="tranche", k_low=float(row["k_low"]),
-                    k_high=float(row["k_high"]), **common,
-                ))
-            else:
-                bucket = RELEVANT if kind == "relevant_total" else COMPLEMENT
-                out.append(PricingConstraint(
-                    kind="subportfolio_total", bucket=bucket, **common,
-                ))
+        common = dict(
+            index_id=num("index_id", int),
+            horizon=num("horizon"),
+            target_el=num("target_el"),
+            sigma=num("sigma") if row["sigma"].strip() else DEFAULT_SIGMA,
+        )
+        if kind == "tranche":
+            out.append(PricingConstraint(
+                kind="tranche", k_low=num("k_low"), k_high=num("k_high"),
+                **common,
+            ))
+        else:
+            bucket = RELEVANT if kind == "relevant_total" else COMPLEMENT
+            out.append(PricingConstraint(
+                kind="subportfolio_total", bucket=bucket, **common,
+            ))
     if not out:
         raise ConfigurationError(f"{path}: no constraints")
     return out
@@ -119,36 +139,28 @@ def load_constraints(path: str | Path) -> list[PricingConstraint]:
 
 def load_discount_curve(path: str | Path) -> DiscountCurve:
     times, factors = [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["time", "discount_factor"]:
-            raise ConfigurationError(f"{path}: header must be time,discount_factor")
-        for row in reader:
-            times.append(float(row["time"]))
-            factors.append(float(row["discount_factor"]))
+    for where, row in _csv_rows(path, ["time", "discount_factor"]):
+        times.append(parse_field(where, "time", row["time"]))
+        factors.append(parse_field(where, "discount_factor",
+                                   row["discount_factor"]))
     return DiscountCurve(times=tuple(times), factors=tuple(factors))
+
+
+_TRANCHE_FIELDS = {"k_low": float, "k_high": float, "maturity": float,
+                   "frequency": int}
 
 
 def load_tranches(path: str | Path) -> list[TrancheSpec]:
     out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["k_low", "k_high", "maturity", "frequency",
-                                 "daycount"]:
+    for where, row in _csv_rows(path, [*_TRANCHE_FIELDS, "daycount"]):
+        if row["daycount"].strip() not in ("", "yearfrac"):
             raise ConfigurationError(
-                f"{path}: header must be k_low,k_high,maturity,frequency,daycount"
+                f"{path}: daycount supports only 'yearfrac'"
             )
-        for row in reader:
-            if row["daycount"].strip() not in ("", "yearfrac"):
-                raise ConfigurationError(
-                    f"{path}: daycount supports only 'yearfrac'"
-                )
-            out.append(TrancheSpec.with_schedule(
-                k_low=float(row["k_low"]),
-                k_high=float(row["k_high"]),
-                maturity=float(row["maturity"]),
-                frequency=int(row["frequency"]),
-            ))
+        out.append(TrancheSpec.with_schedule(**{
+            field: parse_field(where, field, row[field], kind)
+            for field, kind in _TRANCHE_FIELDS.items()
+        }))
     if not out:
         raise ConfigurationError(f"{path}: no tranches")
     return out
@@ -157,14 +169,11 @@ def load_tranches(path: str | Path) -> list[TrancheSpec]:
 def load_basecorr_curves(path: str | Path) -> dict[float, BaseCorrCurve]:
     """One curve per horizon from rows (strike, beta, horizon)."""
     pillars: dict[float, list[tuple[float, float]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["strike", "beta", "horizon"]:
-            raise ConfigurationError(f"{path}: header must be strike,beta,horizon")
-        for row in reader:
-            pillars.setdefault(float(row["horizon"]), []).append(
-                (float(row["strike"]), float(row["beta"]))
-            )
+    header = ["strike", "beta", "horizon"]
+    for where, row in _csv_rows(path, header):
+        strike, beta, horizon = (parse_field(where, field, row[field])
+                                 for field in header)
+        pillars.setdefault(horizon, []).append((strike, beta))
     out = {}
     for t, pts in sorted(pillars.items()):
         pts.sort()
@@ -175,14 +184,16 @@ def load_basecorr_curves(path: str | Path) -> dict[float, BaseCorrCurve]:
 
 
 def parse_bespoke_spec(doc: dict, notional: float) -> BespokeSpec:
-    members = tuple((int(i), str(b)) for i, b in doc.get("members", []))
-    proxy = []
+    members = tuple((parse_field("bespoke", "members", i, int), str(b))
+                    for i, b in doc.get("members", []))
+    proxy, where = [], "bespoke proxy_el_targets"
     for item in doc.get("proxy_el_targets", []):
-        ref = (int(item["index_id"]), str(item["bucket"]))
-        curve = tuple(
-            (float(t), float(el)) for t, el in sorted(item["targets"].items(),
-                                                      key=lambda kv: float(kv[0]))
-        )
+        ref = (parse_field(where, "index_id", item["index_id"], int),
+               str(item["bucket"]))
+        curve = tuple(sorted(
+            ((parse_field(where, "targets", t),
+              parse_field(where, "targets", el))
+             for t, el in item["targets"].items()), key=lambda te: te[0]))
         proxy.append((ref, curve))
     return BespokeSpec(members=members, notional=notional,
                        proxy_el_targets=tuple(proxy))

@@ -147,11 +147,8 @@ class DiscountCurve:
         logs = np.concatenate([[0.0], np.log(self.factors)])
         if t <= ts[-1]:
             return float(np.exp(np.interp(t, ts, logs)))
-        # flat forward beyond the last pillar
-        if len(ts) >= 2:
-            fwd = (logs[-1] - logs[-2]) / (ts[-1] - ts[-2])
-        else:
-            fwd = 0.0
+        # flat forward beyond the last pillar (ts holds 0 and every pillar)
+        fwd = (logs[-1] - logs[-2]) / (ts[-1] - ts[-2])
         return float(np.exp(logs[-1] + fwd * (t - ts[-1])))
 
 

@@ -15,6 +15,10 @@ import numpy as np
 
 from .errors import CalibrationError, ConfigurationError
 
+# Armijo sufficient-decrease fraction; step halvings before giving up
+_ARMIJO = 1e-4
+_MAX_BACKTRACKS = 60
+
 
 @dataclass
 class NewtonResult:
@@ -30,8 +34,6 @@ def newton_minimize(
     x0: np.ndarray,
     tol: float = 1e-9,
     max_iter: int = 200,
-    armijo: float = 1e-4,
-    max_backtracks: int = 60,
 ) -> NewtonResult:
     x = np.array(x0, dtype=float)
     value, grad = value_and_grad(x)
@@ -49,11 +51,11 @@ def newton_minimize(
         # float resolution of the objective, which must still count as accepted
         noise = 1e-14 * (1.0 + abs(value))
         t = 1.0
-        for _ in range(max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             cand = x + t * step
             cand_value, cand_grad = value_and_grad(cand)
             if np.isfinite(cand_value) and (
-                cand_value <= value + armijo * t * slope + noise
+                cand_value <= value + _ARMIJO * t * slope + noise
             ):
                 break
             t *= 0.5

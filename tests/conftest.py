@@ -43,6 +43,15 @@ def toy_portfolio(index_id, n_relevant, n_complement, horizon=5.0, seed=0,
     return IndexPortfolio(index_id=index_id, names=tuple(names))
 
 
+def tilted_blocks(kernel, index_id):
+    """A period kernel's calibrated law of one index as previous loss pair
+    -> (M, S1, S2) per-node joint, in context order."""
+    law = kernel.loss_tilted[index_id]
+    contexts = kernel.contexts[index_id]
+    joints = law.pmfs.reshape(len(contexts), -1, *law.shape)
+    return dict(zip(map(tuple, contexts.tolist()), joints))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240814)

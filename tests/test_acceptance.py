@@ -39,7 +39,7 @@ from entropic_bespoke.prior import (
     _conditional_probs,
 )
 
-from conftest import make_name, toy_portfolio
+from conftest import make_name, tilted_blocks, toy_portfolio
 
 
 def check(name, condition, detail=""):
@@ -343,8 +343,8 @@ def test_no_arbitrage_in_time_dynamic_bootstrap():
                 worst_drop = max(worst_drop, a - b)
     decreasing_mass = 0.0
     for kernel in kernels:
-        for i, ctxmap in kernel.loss_tilted.items():
-            for (x1, x2), t in ctxmap.items():
+        for i in kernel.loss_tilted:
+            for (x1, x2), t in tilted_blocks(kernel, i).items():
                 decreasing_mass += t[:, :x1, :].sum() + t[:, :, :x2].sum()
     check(
         "no-arbitrage-in-time",

@@ -309,7 +309,7 @@ def assert_factored_matches_joint(grid, priors, cons, lam):
     for i, prior in priors.items():
         assert_rel_close(got_tilted[i], tilted[i])
         assert np.all(got_tilted[i][prior.pmfs == 0.0] == 0.0)
-        law = factored._evaluate(lam)["tilts"][i].law()
+        law = factored.evaluate(lam)["tilts"][i].law()
         assert_rel_close(law.relevant_marginals(), tilted[i].sum(axis=2))
         assert_rel_close(law.complement_marginals(), tilted[i].sum(axis=1))
 

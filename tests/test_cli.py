@@ -619,6 +619,46 @@ class TestFailureHandling:
         assert capsys.readouterr().err == f"ERROR CONFIG: {reason}\n"
         assert not any((workdir / "out").iterdir())
 
+    @pytest.mark.parametrize("case, message", [
+        ("k_low", "constraints.csv line 2: k_low must be a number, got ''"),
+        ("target_el",
+         "constraints.csv line 2: target_el must be a number, got 'abc'"),
+        ("frequency",
+         "tranches.csv line 2: frequency must be an integer, got 'four'"),
+        ("rho", "portfolios.json: factor_params.rho must be a number, "
+                "got 'x'"),
+        ("grid_size", "config.json: grid_size must be an integer, got 'a'"),
+    ])
+    def test_malformed_number_is_a_config_error(self, workdir, capsys, case,
+                                                message):
+        rows = prior_el_constraints(workdir / "portfolios.json")
+        assert rows[0][1] == "tranche"
+        if case == "k_low":
+            rows[0][2] = ""
+        elif case == "target_el":
+            rows[0][5] = "abc"
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS, rows)
+        if case == "frequency":
+            write_csv(workdir / "tranches.csv",
+                      ["k_low", "k_high", "maturity", "frequency", "daycount"],
+                      [[0.0, 0.1, 3.0, "four", "yearfrac"]])
+        if case == "rho":
+            doc = json.loads((workdir / "portfolios.json").read_text())
+            doc["factor_params"]["rho"] = "x"
+            (workdir / "portfolios.json").write_text(json.dumps(doc))
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["mode"] = "price-bespoke"
+        if case == "grid_size":
+            cfg["grid_size"] = ["a", 3]
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        rc = main(["--config", str(workdir / "config.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"ERROR CONFIG: {workdir / message}\n"
+        assert not (workdir / "out").exists() or not any(
+            (workdir / "out").iterdir()
+        )
+
     def test_invalid_mode(self, workdir, capsys):
         cfg = json.loads((workdir / "config.json").read_text())
         cfg["mode"] = "explode"
@@ -717,6 +757,23 @@ def test_benchmark_trace_hooks_still_find_their_names():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+def test_benchmark_trace_names_resolve_without_the_tracer():
+    # every module-level FUNCTIONS entry of perfbench/tracing.py is an
+    # attribute of its module, and every METHODS entry sits in its class's
+    # own __dict__, where the tracer looks it up and wraps it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{module}.{attr}" for _, module, attr in tracing.FUNCTIONS
+               if not hasattr(importlib.import_module(module), attr)]
+    missing += [
+        f"{module}.{cls}.{attr}" for _, module, cls, attr in tracing.METHODS
+        if attr not in vars(getattr(importlib.import_module(module), cls))
+    ]
+    assert not missing
 
 
 def test_blas_thread_count_moves_results_within_tolerance(workdir):

@@ -35,7 +35,7 @@ from entropic_bespoke.prior import (
     derive_two_factor_loadings,
 )
 
-from conftest import make_name
+from conftest import make_name, tilted_blocks
 
 
 def term_curve(p1, p2, p3):
@@ -108,10 +108,11 @@ def direct_sum_oracle(kernel):
     """Marginal after `kernel` by plain loops over its previous rows,
     keeping only positive-mass states, in sorted key order."""
     acc = {}
+    blocks1, blocks2 = tilted_blocks(kernel, 1), tilted_blocks(kernel, 2)
     for s, row in enumerate(kernel.prev_support):
         w = kernel.prev_probs[s]
-        t1 = kernel.loss_tilted[1][(int(row[1]), int(row[2]))]
-        t2 = kernel.loss_tilted[2][(int(row[3]), int(row[4]))]
+        t1 = blocks1[(int(row[1]), int(row[2]))]
+        t2 = blocks2[(int(row[3]), int(row[4]))]
         for m in range(t1.shape[0]):
             for a in range(t1.shape[1]):
                 for b in range(t1.shape[2]):
@@ -468,9 +469,10 @@ def assert_period_matches_reference(model, period, prev_state, constraints,
           scale=np.abs(hess + np.outer(mean, mean)).max())
     close(kernel.factor_rows, h_rows)
     for i in model.index_ids:
-        assert list(kernel.loss_tilted[i]) == list(tilted[i])
+        blocks = tilted_blocks(kernel, i)
+        assert list(blocks) == list(tilted[i])
         for c, t in tilted[i].items():
-            close(kernel.loss_tilted[i][c], t)
+            close(blocks[c], t)
 
 
 class TestTiltKernelEquivalence:
@@ -534,8 +536,8 @@ class TestPropagate:
         for s, row in enumerate(s1.support):
             assert k1.factor_rows[s][row[0]] == pytest.approx(1.0, abs=1e-12)
         # loss kernels are deltas at the previous losses
-        for i, ctxmap in k1.loss_tilted.items():
-            for (x1, x2), t in ctxmap.items():
+        for i in k1.loss_tilted:
+            for (x1, x2), t in tilted_blocks(k1, i).items():
                 assert t[:, x1, x2] == pytest.approx(np.ones(t.shape[0]),
                                                      abs=1e-12)
         s2 = model.propagate_marginal(s1, k1)
@@ -558,10 +560,11 @@ class TestPropagate:
         s1 = model.propagate_marginal(state0, k0)
         # independent accumulation with plain loops
         acc = {}
+        blocks1, blocks2 = tilted_blocks(k0, 1), tilted_blocks(k0, 2)
         for s, row in enumerate(state0.support):
             w = state0.probs[s]
-            t1 = k0.loss_tilted[1][(int(row[1]), int(row[2]))]
-            t2 = k0.loss_tilted[2][(int(row[3]), int(row[4]))]
+            t1 = blocks1[(int(row[1]), int(row[2]))]
+            t2 = blocks2[(int(row[3]), int(row[4]))]
             for m in range(t1.shape[0]):
                 for a in range(t1.shape[1]):
                     for b in range(t1.shape[2]):
@@ -645,10 +648,25 @@ class TestBootstrap:
         model, per_period = self.bootstrap(shift=1.2)
         _, kernels = model.bootstrap_all(per_period)
         for kernel in kernels:
-            for i, ctxmap in kernel.loss_tilted.items():
-                for (x1, x2), t in ctxmap.items():
+            for i in kernel.loss_tilted:
+                for (x1, x2), t in tilted_blocks(kernel, i).items():
                     assert t[:, :x1, :].sum() == 0.0
                     assert t[:, :, :x2].sum() == 0.0
+
+    def test_propagate_rejects_a_foreign_state(self):
+        # the period-0 kernel was calibrated on the initial state, not s1
+        model, per_period = self.bootstrap()
+        states, kernels = model.bootstrap_all(per_period)
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "prev_state is not the state the period 0 kernel was "
+                "calibrated on")):
+            model.propagate_marginal(states[0], kernels[0])
+        # each kernel still takes the state bootstrap_all fed it
+        prevs = [model.initial_state(), *states[:-1]]
+        for prev, kernel, state in zip(prevs, kernels, states):
+            got = model.propagate_marginal(prev, kernel)
+            assert np.array_equal(got.support, state.support)
+            assert np.array_equal(got.probs, state.probs)
 
     def test_one_period_equals_static(self):
         model, params, grid, ports, grids, unit = small_model()
@@ -688,11 +706,12 @@ class TestBootstrap:
         row_of = {tuple(int(v) for v in r): s
                   for s, r in enumerate(k2.prev_support)}
         marginal = {}
+        blocks1, blocks2 = tilted_blocks(k2, 1), tilted_blocks(k2, 2)
         for row, p in zip(s1.support, s1.probs):
             key = tuple(int(v) for v in row)
             s = row_of[key]
-            t1 = k2.loss_tilted[1][(key[1], key[2])]
-            t2 = k2.loss_tilted[2][(key[3], key[4])]
+            t1 = blocks1[(key[1], key[2])]
+            t2 = blocks2[(key[3], key[4])]
             for m in range(t1.shape[0]):
                 wm = p * k2.factor_rows[s][m]
                 if wm == 0.0:
@@ -882,8 +901,9 @@ class TestStaticIsPeriodZero:
             kernel = period.kernel(lam, 0)
             close(kernel.factor_rows[0], h)
             for i in model.index_ids:
-                assert list(kernel.loss_tilted[i]) == [(0, 0)]
-                close(kernel.loss_tilted[i][(0, 0)], tilted[i])
+                blocks = tilted_blocks(kernel, i)
+                assert list(blocks) == [(0, 0)]
+                close(blocks[(0, 0)], tilted[i])
 
 
 def relevant_total(target, sigma=0.0, index_id=1):
