@@ -85,6 +85,10 @@ class RunConfig:
             raise ConfigurationError(f"mode must be one of {MODES}, got {run_mode!r}")
         if not doc.get("portfolios"):
             raise ConfigurationError("config needs a 'portfolios' path")
+        for key in ("solver", "bespoke"):
+            if not isinstance(doc.get(key, {}), dict):
+                raise ConfigurationError(
+                    f"{path}: {key} must be an object, got {doc[key]!r}")
         solver = doc.get("solver", {})
         grid_size = doc.get("grid_size", [10, 10])
         if not isinstance(grid_size, list) or len(grid_size) != 2:
@@ -117,6 +121,12 @@ class RunConfig:
             threads=num("threads", threads, int),
             verbose=verbose,
         )
+        if not cfg.tol > 0.0:
+            raise ConfigurationError(
+                f"{path}: solver.tol must be positive, got {cfg.tol!r}")
+        if cfg.max_iter < 1:
+            raise ConfigurationError(
+                f"{path}: solver.max_iter must be at least 1, got {cfg.max_iter!r}")
         for key in _INPUTS:
             value = getattr(cfg, key)
             if value is not None and not value.exists():

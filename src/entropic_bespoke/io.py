@@ -1,10 +1,10 @@
 """File formats: portfolio JSON, constraint/curve/tranche CSVs, measure
 dumps.  Column layouts are documented in docs/file_formats.md; diagnostic
 numbers are written with 10 significant digits, measure dumps and factor
-weights with 17 (so a reload reprices bit-identically).  The 17-digit text
-comes from one vectorized formatter, `_g17`, whose bytes are identical to
-`'%.17g' % x`; it falls back to that, one value at a time, for zero,
-negative, non-finite and near-tie values.
+weights with 17 (so a reload reprices bit-identically).  Dump lines are
+assembled from word-table lookups (`_text_blocks`), byte for byte `'%d'`
+and `'%.17g' % x`; `'%.17g' %` itself formats, one value at a time, zero,
+negative, non-finite and near-tie values and those in [10, 1e17).
 """
 
 from __future__ import annotations
@@ -203,16 +203,19 @@ def parse_bespoke_spec(doc: dict, notional: float) -> BespokeSpec:
 
 
 def write_csv(path: Path, header: Sequence[str],
-              rows: Iterable[str | Sequence[str]]):
-    """Header, then each item of `rows` in turn: a `str` is pre-formatted
-    CSV text and is written verbatim, a sequence of fields is one row and
-    goes through CSV quoting.  Items are consumed as they are written, so a
-    generator of text blocks streams to disk."""
+              rows: Iterable[bytes | str | Sequence[str]]):
+    """Header, then each item of `rows` in turn: `bytes` or `str` is
+    pre-formatted CSV text and is written verbatim, a sequence of fields is
+    one row and goes through CSV quoting.  Items are consumed as they are
+    written, so a generator of text blocks streams to disk."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            if isinstance(row, str):
+            if isinstance(row, bytes):
+                fh.flush()
+                fh.buffer.write(row)
+            elif isinstance(row, str):
                 fh.write(row)
             else:
                 writer.writerow(row)
@@ -220,56 +223,34 @@ def write_csv(path: Path, header: Sequence[str],
 
 # -- 17-digit text --------------------------------------------------------
 #
-# `_g17` gives the bytes of `'%.17g' % v` for a whole float64 array.  A
-# positive finite v = mant * 2**e (mant in [1, 2)) is scaled by the
-# correctly rounded double-double T(e) = 2**e * 10**(16 - X0(e)), where
-# X0(e) = floor(log10(2**e)), so that mant * T(e) lies in [1e16, 2e17).  The
-# product, exact to far below 1e-9, rounds half-even to the 17 significant
-# digits; when that reaches 1e17 the value's decimal exponent is X0 + 1 and
-# T(e) / 10 is used instead.  The digits are then laid out by the `%g`
-# rules.  Zero, negative and non-finite values, and values whose product is
-# within `_TIE_MARGIN` of a rounding tie, are formatted by `'%.17g' % v`
-# itself, so every byte equals `%`.
+# `_put_g17` writes `'%.17g\n' % v` for a float64 array as eight uint32
+# words per value, NUL-padded.  A positive finite v = mant * 2**e (mant in
+# [1, 2)) is scaled by the correctly rounded double-double
+# T(e) = 2**e * 10**(16 - X0(e)), X0(e) = floor(log10(2**e)), so that
+# mant * T(e) lies in [1e16, 2e17); the product, exact to far below 1e-9,
+# rounds half-even to the 17 significant digits.  When that reaches 1e17,
+# the decimal exponent X is X0 + 1 and T(e) / 10 gives the digits.  Every
+# word is a table lookup: a head by (X, first digit, more digits follow)
+# gives 'd.', 'd' or '0.000d', four words hold the other 16 digits (their
+# trailing zeros NUL), and a suffix by X gives 'e-05\n', 'e-100\n' or
+# '\n'.  That is the `%g` layout for X <= 0 and X >= 17.  Zero, negative
+# and non-finite values, [10, 1e17) and values within `_TIE_MARGIN` of a
+# rounding tie are formatted by `'%.17g' % v` itself.
 
-_G17_WIDTH = 24  # the longest text, '-2.2250738585072014e-308'
+_VALUE_WORDS = 8  # head (two words), the 16 digits (four), suffix (two)
 _TIE_MARGIN = 1e-9
 _EXP_MIN = -1074  # binary exponent of the smallest subnormal
 _X_OFFSET = 400  # decimal exponents index their tables at X + 400
 
-# A value's source row: 28 bytes (seven uint32 words) holding the first
-# digit, '0', '.', 'e', the other 16 digits, the exponent as '%+04d' and
-# NUL padding.  `_g17_layout` picks bytes from it.
-_SRC_D0, _SRC_ZERO, _SRC_DOT, _SRC_E, _SRC_DIGITS = 0, 1, 2, 3, 4
-_SRC_SIGN, _SRC_NUL, _SRC_WORDS = 20, 24, 7
-_SRC_HEAD = int.from_bytes(b"00.e", "little")  # first word, less d0
-
-
-def _g17_layout(x: int, s: int) -> list[int]:
-    """Source-row byte of each output byte of `'%.17g'` for a value with
-    decimal exponent `x` and `s` significant digits (trailing zeros of the
-    17 dropped)."""
-    digits = [_SRC_D0] + list(range(_SRC_DIGITS, _SRC_DIGITS + 16))
-    if 0 <= x < 17:
-        text = digits[:x + 1]
-        if s > x + 1:
-            text += [_SRC_DOT] + digits[x + 1:s]
-    elif -4 <= x < 0:
-        text = [_SRC_ZERO, _SRC_DOT] + [_SRC_ZERO] * (-x - 1) + digits[:s]
-    else:
-        text = digits[:1]
-        if s > 1:
-            text += [_SRC_DOT] + digits[1:s]
-        exponent = [_SRC_SIGN + 1] if abs(x) >= 100 else []
-        text += [_SRC_E, _SRC_SIGN, *exponent, _SRC_SIGN + 2, _SRC_SIGN + 3]
-    return text + [_SRC_NUL] * (_G17_WIDTH - len(text))
-
 
 @functools.cache
 def _g17_tables() -> dict[str, np.ndarray]:
-    """Read-only lookup tables of `_g17`, built on first use from exact
-    integer arithmetic.  `scale[up][:, e - _EXP_MIN]` is T(e) / 10**up as
-    t0 + t1 + t2: the 26-bit halves of its nearest double, then the
-    nearest double to the rest."""
+    """Read-only lookup tables of the dump formatter, built on first use.
+    `scale[up][:, e - _EXP_MIN]` is T(e) / 10**up as t0 + t1 + t2, from
+    exact integer arithmetic: the 26-bit halves of its nearest double, then
+    the nearest double to the rest.  The others are words of text padded
+    with NUL bytes; a table in two halves holds the variant with NUL for
+    the zeros to drop, then the plain digits at + 1000 or + 10000."""
     x0 = np.array([len(str(1 << e)) - 1 if e >= 0 else -len(str(1 << -e))
                    for e in range(_EXP_MIN, 1024)])
     pow5 = {}  # 10**k = 2**k * 5**k; the power of two scales exactly
@@ -287,26 +268,32 @@ def _g17_tables() -> dict[str, np.ndarray]:
         split = 134217729.0 * hi  # Dekker: hi as two 26-bit halves
         top = split - (split - hi)
         scale.append((top, hi - top, lo))
-    # layout rows: fixed notation for X in -4..16, then the exponent form
-    # with two and with three exponent digits
-    classes = [*range(-4, 17), 17, 100]
-    layout = np.array([_g17_layout(x, s) for x in classes
-                       for s in range(1, 18)], dtype=np.intp)
+    digits = (np.arange(10000)[:, None] // 10 ** np.arange(3, -1, -1) % 10
+              + ord("0")).astype(np.uint8)
+    zero = digits == ord("0")
+    leading = np.logical_and.accumulate(zero, axis=1)
+    trailing = np.logical_and.accumulate(zero[:, ::-1], axis=1)[:, ::-1]
+    three = np.c_[digits[:1000, 1:], np.full(1000, ord(","), np.uint8)]
+    leading3 = np.c_[leading[:1000, 1:3], np.zeros((1000, 2), bool)]
     xs = np.arange(-_X_OFFSET, _X_OFFSET + 1)
-    layout_class = np.where((xs >= -4) & (xs < 17), xs + 4,
-                            np.where(np.abs(xs) >= 100, 22, 21))
-    four = np.arange(10000)
-    powers = 10 ** np.arange(4)
+    head = [[b"0.%s%d" % (b"0" * (-x - 1), d) if -5 < x < 0 else
+             b"%d%s" % (d, b"." * dot) for d in range(10) for dot in (0, 1)]
+            for x in range(-5, 1)]
     tables = {
         "scale": np.array(scale),
         "x0": x0,
-        "layout": layout,
-        "layout_row": layout_class * 17 - 1,  # + s gives the layout row
-        "digits4": (four[:, None] // powers[::-1] % 10 + ord("0"))
-        .astype(np.uint8).view("<u4").ravel(),
-        "zeros4": sum(four % (10 * p) == 0 for p in powers),
-        "exponent": np.frombuffer(b"".join(b"%+04d" % x for x in xs),
-                                  dtype="<u4"),
+        # the 16 digits after the first, by four: trailing zeros as NUL
+        "frac4": np.r_[digits * ~trailing, digits].view("<u4").ravel(),
+        # integer fields: leading zeros as NUL; the last word holds three
+        # digits and the comma, and keeps the digit of 0
+        "int4": np.r_[digits * ~leading, digits].view("<u4").ravel(),
+        "int3": np.r_[three * ~leading3, three].view("<u4").ravel(),
+        # by (X + _X_OFFSET) * 20 + 2 * first digit + (more digits
+        # follow): '0.000d' to '0.d' for X in -4..-1, else 'd' or 'd.'
+        "head": np.array(head, "S8").view("<u8")[np.clip(xs, -5, 0) + 5]
+        .ravel(),
+        "suffix": np.array([b"\n" if -4 <= x < 17 else b"e%+03d\n" % x
+                            for x in xs.tolist()], "S8").view("<u8"),
     }
     for table in tables.values():
         table.flags.writeable = False
@@ -349,84 +336,84 @@ def _g17_digits(values: np.ndarray):
     return sig, exponent, slow
 
 
+def _put_g17(values: np.ndarray, out: np.ndarray):
+    """Write `'%.17g\n' % v` for each float64 of `values` into the
+    `_VALUE_WORDS` uint32 words of the matching row of `out`, padded with
+    NUL bytes."""
+    t = _g17_tables()
+    sig, exponent, slow = _g17_digits(values)
+    slow |= (exponent > 0) & (exponent < 17)  # [10, 1e17): plain digits
+    # the last 16 digits by four from the right, each group's trailing
+    # zeros NUL unless a later group is nonzero (// by a constant is fast,
+    # % and divmod are not)
+    d0, more = sig, np.zeros(len(values), dtype=bool)
+    for col in (5, 4, 3, 2):
+        high = d0 // 10**4
+        group = d0 - high * 10**4
+        out[:, col] = t["frac4"].take(group + 10000 * more)
+        more |= group != 0
+        d0 = high
+    x = exponent + _X_OFFSET
+    ends = out.view("<u8")
+    ends[:, 0] = t["head"].take(x * 20 + 2 * d0 + more)
+    ends[:, 3] = t["suffix"].take(x)
+    for r in np.flatnonzero(slow).tolist():
+        text = (b"%.17g\n" % values[r]).ljust(4 * _VALUE_WORDS, b"\0")
+        out[r] = np.frombuffer(text, dtype="<u4")
+
+
 def _g17(values: np.ndarray) -> np.ndarray:
     """`'%.17g' % v` for each float64 of `values`, as the rows of an
     (n, 24) uint8 matrix, left aligned and padded with NUL bytes."""
-    t = _g17_tables()
-    values = np.asarray(values, dtype=np.float64)
-    sig, exponent, slow = _g17_digits(values)
-    # the digits as d0 and four groups of four, and trailing zeros by group
-    high, low = np.divmod(sig, 10**8)
-    d0, high = np.divmod(high, 10**8)
-    groups = [*np.divmod(high, 10**4), *np.divmod(low, 10**4)]
-    src = np.empty((len(values), _SRC_WORDS), dtype="<u4")
-    src[:, 0] = d0 + _SRC_HEAD
-    for col, group in enumerate(groups, start=1):
-        src[:, col] = t["digits4"].take(group)
-    src[:, 5] = t["exponent"].take(exponent + _X_OFFSET)
-    src[:, 6] = 0
-    zeros = np.zeros(len(values), dtype=np.int64)
-    run = np.ones(len(values), dtype=bool)
-    for group in reversed(groups):
-        zeros += run * t["zeros4"].take(group)
-        run &= group == 0
-    rows = t["layout_row"].take(exponent + _X_OFFSET) + (17 - zeros)
-    index = t["layout"].take(rows, axis=0)
-    row_bytes = 4 * _SRC_WORDS
-    index += np.arange(0, len(values) * row_bytes, row_bytes)[:, None]
-    out = src.view(np.uint8).ravel().take(index)
-    for r in np.flatnonzero(slow).tolist():
-        text = b"%.17g" % values[r]
-        out[r] = 0
-        out[r, :len(text)] = np.frombuffer(text, dtype=np.uint8)
-    return out
+    text = np.array(_g17_text(values), dtype="S24")  # '-2.2e-308' in full
+    return text.view(np.uint8).reshape(-1, 24)
 
 
 def _g17_text(values: np.ndarray) -> list[str]:
     """`'%.17g' % v` for each v of `values`."""
-    text = _g17(values).view(f"S{_G17_WIDTH}").ravel()
-    return [v.decode("ascii") for v in text.tolist()]
+    values = np.asarray(values, dtype=np.float64)
+    words = np.empty((len(values), _VALUE_WORDS), dtype="<u4")
+    _put_g17(values, words)
+    return words.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
 
 
-def _int_text(values: np.ndarray) -> np.ndarray:
-    """Decimal text of non-negative integers as the rows of a uint8 matrix,
-    right aligned and padded with NUL bytes."""
-    digits4 = _g17_tables()["digits4"]
-    width = len(str(int(values.max()) if len(values) else 0))
-    words = np.empty((len(values), -(-width // 4)), dtype="<u4")
-    rest = values
-    for col in range(words.shape[1] - 1, -1, -1):
-        rest, group = np.divmod(rest, 10**4)
-        words[:, col] = digits4.take(group)
-    text = words.view(np.uint8)[:, 4 * words.shape[1] - width:]
-    powers = 10 ** np.arange(width - 1, 0, -1)
-    text[:, :-1][values[:, None] < powers] = 0  # leading zeros
-    return text
+def _put_int(values: np.ndarray, out: np.ndarray):
+    """Write each non-negative integer of `values` and a comma into the
+    uint32 words of its row of `out`, NUL-padded: three digits and the
+    comma in the last word, four digits in each word before it."""
+    t = _g17_tables()
+    rest, last = values, out.shape[1] - 1
+    for col in range(last, 0, -1):
+        table, base = (t["int3"], 1000) if col == last else (t["int4"], 10000)
+        high = rest // base
+        out[:, col] = table.take(rest - high * base + base * (high != 0))
+        rest = high
+    out[:, 0] = (t["int4"] if last else t["int3"]).take(rest)
 
 
 def _text_blocks(prefix: str, columns: Sequence[np.ndarray],
-                 values: np.ndarray) -> Iterator[str]:
+                 values: np.ndarray) -> Iterator[bytes]:
     """CSV text of the rows `prefix`, then the integers of `columns`
     (non-negative), then `'%.17g' % value`, in blocks of at most
     `_BLOCK_ROWS` rows.  `prefix` holds the leading fields shared by every
-    row, formatted once; the fields must never need quoting.  Each block is
-    a NUL-padded uint8 matrix, one row per line, with the NULs dropped."""
-    head = np.frombuffer(prefix.encode(), dtype=np.uint8)
+    row; they must never need quoting.  A block is a matrix of uint32
+    words, one row per line, written by column; its NUL bytes are
+    dropped."""
+    # words per integer field: its widest number's digits and a comma
+    widths = [len(str(c.max() if len(c) else 0)) // 4 + 1 for c in columns]
+    head = prefix.encode()
+    lead = -(-len(head) // 4)
+    head = np.frombuffer(head.rjust(4 * lead, b"\0"), dtype="<u4")
+    edges = np.cumsum([lead, *widths]).tolist()
     for start in range(0, len(values), _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        fields = [_int_text(column[block]) for column in columns]
-        fields.append(_g17(values[block]))
-        width = len(head) + sum(f.shape[1] + 1 for f in fields)
-        rows = np.empty((len(fields[-1]), width), dtype=np.uint8)
-        rows[:, :len(head)] = head
-        col = len(head)
-        for field in fields:
-            rows[:, col:col + field.shape[1]] = field
-            col += field.shape[1]
-            rows[:, col] = ord(",")
-            col += 1
-        rows[:, -1] = ord("\n")  # in place of the last comma
-        yield rows.tobytes().translate(None, b"\0").decode("ascii")
+        rows = np.empty((len(values[block]), edges[-1] + _VALUE_WORDS),
+                        dtype="<u4")
+        rows[:, :lead] = head
+        for column, a, b in zip(columns, edges, edges[1:]):
+            _put_int(column[block], rows[:, a:b])
+        _put_g17(values[block], rows[:, edges[-1]:])
+        yield rows.tobytes().translate(None, b"\0")
 
 
 def residual_rows(horizon: float, result) -> list[list[str]]:
@@ -467,19 +454,30 @@ def factor_rows(horizon: float, result) -> list[list[str]]:
 MEASURE_HEADER = ["horizon", "index_id", "m", "x_rel", "x_comp", "prob"]
 
 
-def measure_rows(horizon: float, result) -> Iterator[str]:
+def measure_rows(horizon: float, result) -> Iterator[bytes]:
     """posterior_measure.csv text for one horizon: the nonzero cells of
     each tilted conditional, by index, factor node, then C order of
-    (x_rel, x_comp).  Each index's joint is looked up in turn (a
-    product-form result forms it then from its bucket-level factors), so
-    one index's joint is held at a time."""
+    (x_rel, x_comp).  One index's joint is formed and held at a time; its
+    (m, x_rel) lines go into text blocks, as many whole lines as fit."""
     t = _fmt(horizon)
     for i in result.index_ids:
         pmfs = result.tilted_conditionals[i]
-        for m in range(pmfs.shape[0]):
-            xs, ys = np.nonzero(pmfs[m])
-            yield from _text_blocks(f"{t},{i},{m},", (xs, ys),
-                                    pmfs[m][xs, ys])
+        lines = pmfs.reshape(-1, pmfs.shape[2])
+        node, x_rel = np.divmod(np.arange(len(lines)), pmfs.shape[1])
+        counts = np.count_nonzero(lines, axis=1)
+        ends = np.r_[0, np.cumsum(counts)]  # rows before each line
+        start = 0
+        while start < len(lines):
+            stop = max(start + 1, np.searchsorted(
+                ends, ends[start] + _BLOCK_ROWS, side="right") - 1)
+            cells = lines[start:stop].ravel()
+            flat = np.flatnonzero(cells)
+            line = np.repeat(np.arange(start, stop), counts[start:stop])
+            yield from _text_blocks(
+                f"{t},{i},", (node.take(line), x_rel.take(line),
+                              flat - (line - start) * pmfs.shape[2]),
+                cells.take(flat))
+            start = stop
 
 
 PRICING_HEADER = ["k_low", "k_high", "par_spread_bp", "risky_annuity",
@@ -500,7 +498,7 @@ def pricing_rows(prices) -> list[list[str]]:
 STATE_HEADER = ["period", "horizon", "m", "x11", "x12", "x21", "x22", "prob"]
 
 
-def state_rows(states) -> Iterator[str]:
+def state_rows(states) -> Iterator[bytes]:
     """dynamic_states.csv text: every support row of each state in turn."""
     for state in states:
         yield from _text_blocks(f"{state.period},{_fmt(state.horizon)},",
@@ -510,7 +508,7 @@ def state_rows(states) -> Iterator[str]:
 KERNEL_HEADER = ["period", "horizon", "prev_row", "m_next", "prob"]
 
 
-def kernel_rows(kernels) -> Iterator[str]:
+def kernel_rows(kernels) -> Iterator[bytes]:
     """dynamic_factor_kernels.csv text: the positive entries of each
     period's factor rows, by previous support row, then next node."""
     for kernel in kernels:

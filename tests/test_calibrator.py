@@ -34,6 +34,7 @@ from entropic_bespoke.loss import (
     scaled_tilt_factors,
 )
 from entropic_bespoke.prior import FactorParams, build_market_grid
+from entropic_bespoke.solver import newton_minimize
 
 from conftest import toy_portfolio
 
@@ -596,6 +597,21 @@ class TestCalibrate:
                               bucket="relevant", target_el=0.05)
         with pytest.raises(ConfigurationError):
             MceCalibrator(grid, priors, [c])
+
+    @pytest.mark.parametrize("bad, reason", [
+        ({"tol": 0.0}, "tolerance"), ({"tol": -1.0}, "tolerance"),
+        ({"tol": float("nan")}, "tolerance"), ({"max_iter": 0}, "max_iter"),
+    ])
+    def test_bad_solver_settings_fail_before_any_step(self, bad, reason):
+        def objective(x):
+            raise AssertionError("no evaluation for bad settings")
+
+        with pytest.raises(ConfigurationError, match=reason):
+            newton_minimize(objective, objective, np.zeros(1), **bad)
+        _, grid, _, priors, _ = toy_setup(seed=3)
+        cons = standard_constraints(grid, priors, shift=1.1)
+        with pytest.raises(ConfigurationError, match=reason):
+            calibrate(grid, priors, cons, **bad)
 
 
 class TestFactorOnly:

@@ -226,7 +226,8 @@ class TestCalibrateStatic:
         assert main(["--config", str(workdir / "config.json")]) == 0
         assert "linearly dependent" in capsys.readouterr().err
 
-    def test_measure_dump_bytes_match_row_formatter(self, workdir, dumped):
+    def test_measure_dump_bytes_match_row_formatter(self, workdir, dumped,
+                                                    monkeypatch):
         # half the single-name loss as the unit: every name loses 2 units,
         # so each node's lattice has zero-mass cells the dump must skip
         write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
@@ -234,20 +235,24 @@ class TestCalibrateStatic:
         cfg = json.loads((workdir / "config.json").read_text())
         cfg["loss_unit"] = 0.05
         (workdir / "config.json").write_text(json.dumps(cfg))
-        assert main(["--config", str(workdir / "config.json")]) == 0
-        calls = dumped["measure_rows"]
-        assert [t for t, _ in calls] == [1.0, 3.0]
-        assert any(
-            (pmfs[m] == 0.0).any() and pmfs[m].any()
-            for _, result in calls
-            for pmfs in result.tilted_conditionals.values()
-            for m in range(pmfs.shape[0])
-        )
-        rows = [row for t, result in calls
-                for row in reference_measure_rows(t, result)]
-        assert (workdir / "out" / "posterior_measure.csv").read_bytes() == \
-            reference_csv(fmt.MEASURE_HEADER, rows)
-
+        # text blocks smaller than one node's lattice, spanning several
+        # nodes, and the default
+        for block in (7, 100, fmt._BLOCK_ROWS):
+            monkeypatch.setattr(fmt, "_BLOCK_ROWS", block)
+            dumped.clear()
+            assert main(["--config", str(workdir / "config.json")]) == 0
+            calls = dumped["measure_rows"]
+            assert [t for t, _ in calls] == [1.0, 3.0]
+            pmfs = [p for _, result in calls
+                    for p in result.tilted_conditionals.values()]
+            assert any((p[m] == 0.0).any() and p[m].any()
+                       for p in pmfs for m in range(p.shape[0]))
+            assert all(7 < p[0].size and 2 * np.count_nonzero(p[0]) <= 100
+                       for p in pmfs)
+            rows = [row for t, result in calls
+                    for row in reference_measure_rows(t, result)]
+            assert (workdir / "out" / "posterior_measure.csv").read_bytes() \
+                == reference_csv(fmt.MEASURE_HEADER, rows)
 
     def test_factor_dump_bytes_match_row_formatter(self, workdir, dumped):
         write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
@@ -659,6 +664,40 @@ class TestFailureHandling:
             (workdir / "out").iterdir()
         )
 
+    @pytest.mark.parametrize("key", ["solver", "bespoke"])
+    def test_non_object_section_is_a_config_error(self, workdir, capsys,
+                                                  key):
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
+                  prior_el_constraints(workdir / "portfolios.json"))
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["mode"] = "price-bespoke"
+        cfg[key] = 5
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        rc = main(["--config", str(workdir / "config.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"ERROR CONFIG: {workdir / 'config.json'}: {key} must be an "
+            "object, got 5\n")
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"tol": -1}, "solver.tol must be positive, got -1.0"),
+        ({"tol": 0}, "solver.tol must be positive, got 0.0"),
+        ({"max_iter": 0}, "solver.max_iter must be at least 1, got 0"),
+    ])
+    def test_bad_solver_setting_is_a_config_error(self, workdir, capsys,
+                                                  settings, message):
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
+                  prior_el_constraints(workdir / "portfolios.json", shift=1.1))
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["solver"] = settings
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        rc = main(["--config", str(workdir / "config.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"ERROR CONFIG: {workdir / 'config.json'}: {message}\n"
+        assert not (workdir / "out").exists()
+
     def test_invalid_mode(self, workdir, capsys):
         cfg = json.loads((workdir / "config.json").read_text())
         cfg["mode"] = "explode"
@@ -742,6 +781,21 @@ def test_cli_modes_load_no_scipy(workdir, mode, rule):
     if mode == "map-basecorr":
         rows = read_rows(workdir / "out" / "mapped_strikes.csv")
         assert {r["rule"] for r in rows} == {rule}
+
+
+def test_import_builds_no_formatter_tables():
+    # the dump formatter's tables are built on first use, so import time
+    # (the benchmark's setup_s) does not pay for them
+    src = str(Path(eb.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import entropic_bespoke.cli; "
+            "from entropic_bespoke import io; "
+            "print(io._g17_tables.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split() == ["0"]
 
 
 def test_benchmark_trace_hooks_still_find_their_names():

@@ -1,5 +1,6 @@
 """The vectorized '%.17g' kernel of the dumps must give the bytes of
-Python's own '%.17g' for every float64."""
+Python's own '%.17g' for every float64, and a dump line the bytes of
+Python's own '%d' and '%.17g'."""
 
 from decimal import Decimal
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entropic_bespoke.io import _g17, _g17_digits, _int_text
+from entropic_bespoke import io as fmt
+from entropic_bespoke.io import _g17, _g17_digits, _put_int, _text_blocks
 
 
 def g17_bytes(values) -> list[bytes]:
@@ -111,7 +113,55 @@ def test_int_text(top):
     values = np.unique(np.r_[0, 1, 9, 10, 99, 100, 9999, 10000, top,
                              np.arange(top + 1)[-30:]])
     values = values[values <= top]
-    text = _int_text(values)
+    words = np.empty((len(values), len(str(top)) // 4 + 1), dtype="<u4")
+    _put_int(values, words)
+    text = words.view(np.uint8)
     rows = [bytes(r).lstrip(b"\0") for r in text]
-    assert rows == [str(v).encode() for v in values.tolist()]
-    assert (text[:, 0] != 0).any()
+    assert rows == [b"%d," % v for v in values.tolist()]
+    assert (text[:, :4] != 0).any()
+
+
+# one of each class of decimal exponent X: exponent form with three and
+# two digits, fixed form below 1, X = 0, the [10, 1e17) fallback, exponent
+# form above, subnormals
+EXPONENT_CLASSES = [(-400, -100), (-99, -5), (-4, -1), (0, 0), (1, 16),
+                    (17, 400)]
+INTEGERS = [0, 9, 10, 999, 1000, 9999, 10000, 10**6]
+
+
+def reference_lines(prefix, columns, values) -> bytes:
+    return "".join("%s%d,%d,%.17g\n" % (prefix, a, b, v) for a, b, v in
+                   zip(*(c.tolist() for c in columns), values.tolist())
+                   ).encode()
+
+
+@pytest.mark.parametrize("block", [4096, fmt._BLOCK_ROWS])
+def test_text_blocks_match_percent_over_every_exponent_class(
+        monkeypatch, block):
+    monkeypatch.setattr(fmt, "_BLOCK_ROWS", block)
+    rng = np.random.default_rng(20261018)
+    # random positive bit patterns at every binary exponent, 0 the
+    # subnormals
+    biased = np.repeat(np.arange(2047, dtype=np.uint64), 12)
+    bits = biased << np.uint64(52) | rng.integers(
+        0, 2**52, len(biased), dtype=np.uint64)
+    values = bits.view(np.float64)
+    _, exponent, _ = _g17_digits(values)
+    for low, high in EXPONENT_CLASSES:
+        assert ((exponent >= low) & (exponent <= high)).sum() > 10
+    assert (values < 2.2250738585072014e-308).sum() > 10
+    columns = (np.resize(INTEGERS, len(values)),
+               rng.integers(0, 10**6 + 1, len(values)))
+    got = list(_text_blocks("3,0.25,", columns, values))
+    assert len(got) == -(-len(values) // block)
+    assert b"".join(got) == reference_lines("3,0.25,", columns, values)
+
+
+def test_text_blocks_with_small_integers_and_special_values():
+    values = np.array([1.0, 1.5, 0.5, 1e-4, 1e-5, 0.0, 5e-324, 1e17, 12.5,
+                       1e16 + 2, 0.1, 9.9999999999999995e-05])
+    columns = (np.arange(len(values)), np.zeros(len(values), dtype=int))
+    # an odd number of words before the value field
+    assert b"".join(_text_blocks("7,", columns, values)) == \
+        reference_lines("7,", columns, values)
+    assert list(_text_blocks("1,", columns, values[:0])) == []
