@@ -203,11 +203,11 @@ def parse_bespoke_spec(doc: dict, notional: float) -> BespokeSpec:
 
 
 def write_csv(path: Path, header: Sequence[str],
-              rows: Iterable[bytes | str | Sequence[str]]):
-    """Header, then each item of `rows` in turn: `bytes` or `str` is
-    pre-formatted CSV text and is written verbatim, a sequence of fields is
-    one row and goes through CSV quoting.  Items are consumed as they are
-    written, so a generator of text blocks streams to disk."""
+              rows: Iterable[bytes | Sequence[str]]):
+    """Header, then each item of `rows` in turn: `bytes` is pre-formatted
+    CSV text and is written verbatim to the binary buffer, a sequence of
+    fields is one row and goes through CSV quoting.  Items are consumed as
+    they are written, so a generator of text blocks streams to disk."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -215,8 +215,6 @@ def write_csv(path: Path, header: Sequence[str],
             if isinstance(row, bytes):
                 fh.flush()
                 fh.buffer.write(row)
-            elif isinstance(row, str):
-                fh.write(row)
             else:
                 writer.writerow(row)
 
@@ -362,19 +360,18 @@ def _put_g17(values: np.ndarray, out: np.ndarray):
         out[r] = np.frombuffer(text, dtype="<u4")
 
 
-def _g17(values: np.ndarray) -> np.ndarray:
-    """`'%.17g' % v` for each float64 of `values`, as the rows of an
-    (n, 24) uint8 matrix, left aligned and padded with NUL bytes."""
-    text = np.array(_g17_text(values), dtype="S24")  # '-2.2e-308' in full
-    return text.view(np.uint8).reshape(-1, 24)
-
-
 def _g17_text(values: np.ndarray) -> list[str]:
     """`'%.17g' % v` for each v of `values`."""
     values = np.asarray(values, dtype=np.float64)
     words = np.empty((len(values), _VALUE_WORDS), dtype="<u4")
     _put_g17(values, words)
     return words.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+
+
+def _int_words(top: int) -> int:
+    """uint32 words of an integer field whose largest value is `top`: its
+    digits and a comma."""
+    return len(str(top)) // 4 + 1
 
 
 def _put_int(values: np.ndarray, out: np.ndarray):
@@ -399,8 +396,7 @@ def _text_blocks(prefix: str, columns: Sequence[np.ndarray],
     row; they must never need quoting.  A block is a matrix of uint32
     words, one row per line, written by column; its NUL bytes are
     dropped."""
-    # words per integer field: its widest number's digits and a comma
-    widths = [len(str(c.max() if len(c) else 0)) // 4 + 1 for c in columns]
+    widths = [_int_words(c.max() if len(c) else 0) for c in columns]
     head = prefix.encode()
     lead = -(-len(head) // 4)
     head = np.frombuffer(head.rjust(4 * lead, b"\0"), dtype="<u4")

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entropic_bespoke import io as fmt
-from entropic_bespoke.io import _g17, _g17_digits, _put_int, _text_blocks
+from entropic_bespoke.io import (_g17_digits, _g17_text, _int_words,
+                                  _put_int, _text_blocks)
 
 
 def g17_bytes(values) -> list[bytes]:
-    out = _g17(np.asarray(values, dtype=np.float64))
-    return out.view(f"S{out.shape[1]}").ravel().tolist()
+    return [s.encode() for s in _g17_text(values)]
 
 
 def assert_matches_percent(values):
@@ -113,7 +113,7 @@ def test_int_text(top):
     values = np.unique(np.r_[0, 1, 9, 10, 99, 100, 9999, 10000, top,
                              np.arange(top + 1)[-30:]])
     values = values[values <= top]
-    words = np.empty((len(values), len(str(top)) // 4 + 1), dtype="<u4")
+    words = np.empty((len(values), _int_words(top)), dtype="<u4")
     _put_int(values, words)
     text = words.view(np.uint8)
     rows = [bytes(r).lstrip(b"\0") for r in text]
