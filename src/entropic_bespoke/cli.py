@@ -4,7 +4,8 @@ One JSON config drives a run; flags only pick the config path, override
 the mode or thread count, and select the output directory.  Outputs are
 deterministic: identical inputs produce byte-identical files regardless of
 thread count.  On failure every partially written output is removed and a
-single machine-parsable error line goes to stderr.
+single machine-parsable error line, `ERROR <code>: message` with the
+`code` of the error's class, goes to stderr.
 """
 
 from __future__ import annotations
@@ -22,30 +23,20 @@ from pathlib import Path
 from . import __version__, basecorr, io as fmt, pricing
 from .calibrate import TRANCHE, calibrate
 from .dynamic import DynamicModel, TimeGrid
-from .errors import (
-    CalibrationError,
-    ConfigurationError,
-    EntropicBespokeError,
-    InfeasibleAdjustmentError,
-    MappingConvergenceError,
-    UndefinedSpreadError,
-)
+from .errors import ConfigurationError, EntropicBespokeError
 from .loss import LossGrid, build_conditional_prior, default_loss_unit, name_loss_units
-from .prior import IndexPortfolio, build_market_grid
-
-MODES = ("calibrate-static", "calibrate-dynamic", "price-bespoke", "map-basecorr")
+from .prior import RELEVANT, IndexPortfolio, build_market_grid
 
 # the input-file fields of a config, in the order their existence is checked
 _INPUTS = ("constraints", "portfolios", "discount_curve", "tranches",
            "base_correlation")
 
-_ERROR_CODES = {
-    ConfigurationError: "CONFIG",
-    CalibrationError: "CALIBRATION",
-    InfeasibleAdjustmentError: "INFEASIBLE",
-    MappingConvergenceError: "MAPPING",
-    UndefinedSpreadError: "SPREAD",
-}
+# the options a run records in its manifest, by JSON kind: config keys
+# that fill the RunConfig field of their name, and the solver block's keys
+_OPTIONS = {"mapping_rule": str, "reference_index": int,
+            "grid_size": (int, int), "persistence": float, "coarsen": int,
+            "loss_unit": float, "threads": int}
+_SOLVER_OPTIONS = {"tol": float, "max_iter": int}
 
 
 @dataclasses.dataclass
@@ -73,54 +64,41 @@ class RunConfig:
     def from_file(cls, path: str | Path, mode: str | None = None,
                   out: str | None = None, threads: int | None = None,
                   verbose: bool = False) -> "RunConfig":
+        """The run config in the JSON file `path`, with the flags' overrides.
+        Every value is read by `io.parse_field`; a key that is absent or
+        null keeps its field's default.  Paths resolve against the file's
+        directory, and the input files must exist."""
         path = Path(path)
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
-        base = path.parent
+        doc = fmt.load_json(path)
+
+        def given(section: dict, kinds: dict, prefix: str = "") -> dict:
+            """The keys of `kinds` that `section` sets, read as their kinds."""
+            return {key: fmt.parse_field(path, prefix + key, section[key], kind)
+                    for key, kind in kinds.items()
+                    if section.get(key) is not None}
+
         run_mode = mode or doc.get("mode")
         if run_mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}, got {run_mode!r}")
-        if not doc.get("portfolios"):
+        paths = {key: path.parent / value for key, value in
+                 given(doc, dict.fromkeys((*_INPUTS, "output_dir"), str)).items()
+                 if value}  # an empty path is unset
+        if "portfolios" not in paths:
             raise ConfigurationError("config needs a 'portfolios' path")
-        for key in ("solver", "bespoke"):
-            if not isinstance(doc.get(key, {}), dict):
-                raise ConfigurationError(
-                    f"{path}: {key} must be an object, got {doc[key]!r}")
-        solver = doc.get("solver", {})
-        grid_size = doc.get("grid_size", [10, 10])
-        if not isinstance(grid_size, list) or len(grid_size) != 2:
-            raise ConfigurationError(
-                f"{path}: grid_size must be two integers, got {grid_size!r}")
-        if threads is None:
-            threads = doc.get("threads")
-        if threads is None:
-            threads = fmt.parse_field(
+        paths["output_dir"] = Path(out) if out else \
+            paths.get("output_dir", path.parent / "out")
+        sections = given(doc, {"solver": dict, "bespoke": dict})
+        options = {**given(doc, _OPTIONS), **given(
+            sections.get("solver", {}), _SOLVER_OPTIONS, "solver.")}
+        if "bespoke" in sections:
+            options["bespoke"] = fmt.parse_bespoke(path, sections["bespoke"])
+        if threads is not None:
+            options["threads"] = threads
+        elif "threads" not in options and "ENTROPIC_BESPOKE_THREADS" in os.environ:
+            options["threads"] = fmt.parse_field(
                 "environment", "ENTROPIC_BESPOKE_THREADS",
-                os.environ.get("ENTROPIC_BESPOKE_THREADS", "1"), int)
-
-        num = functools.partial(fmt.parse_field, path)
-        cfg = cls(
-            mode=run_mode,
-            output_dir=Path(out) if out else base / doc.get("output_dir", "out"),
-            **{key: base / doc[key] if doc.get(key) else None
-               for key in _INPUTS},
-            bespoke=doc.get("bespoke", {}),
-            mapping_rule=doc.get("mapping_rule", "atm"),
-            reference_index=num("reference_index",
-                                doc.get("reference_index", 1), int),
-            grid_size=tuple(num("grid_size", n, int) for n in grid_size),
-            persistence=num("persistence", doc.get("persistence", 0.9)),
-            coarsen=num("coarsen", doc.get("coarsen", 1), int),
-            loss_unit=(num("loss_unit", doc["loss_unit"])
-                       if doc.get("loss_unit") is not None else None),
-            tol=num("solver.tol", solver.get("tol", 1e-9)),
-            max_iter=num("solver.max_iter", solver.get("max_iter", 200), int),
-            threads=num("threads", threads, int),
-            verbose=verbose,
-        )
+                os.environ["ENTROPIC_BESPOKE_THREADS"], int)
+        cfg = cls(mode=run_mode, verbose=verbose, **paths, **options)
         if not cfg.tol > 0.0:
             raise ConfigurationError(
                 f"{path}: solver.tol must be positive, got {cfg.tol!r}")
@@ -128,9 +106,8 @@ class RunConfig:
             raise ConfigurationError(
                 f"{path}: solver.max_iter must be at least 1, got {cfg.max_iter!r}")
         for key in _INPUTS:
-            value = getattr(cfg, key)
-            if value is not None and not value.exists():
-                raise ConfigurationError(f"{key} file not found: {value}")
+            if key in paths and not paths[key].exists():
+                raise ConfigurationError(f"{key} file not found: {paths[key]}")
         return cfg
 
 
@@ -151,9 +128,7 @@ class _Reporter:
     def json(self, name: str, payload: dict):
         path = self.out_dir / name
         self.written.append(path)
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         self.log(f"wrote {path}")
 
     def log(self, msg: str):
@@ -168,36 +143,20 @@ class _Reporter:
                 pass
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _manifest(config: RunConfig, reporter: _Reporter):
     inputs = {}
     for key in _INPUTS:
         path = getattr(config, key)
         if path is not None:
-            inputs[key] = {"path": str(path), "sha256": _sha256(path)}
+            inputs[key] = {"path": str(path), "sha256":
+                           hashlib.sha256(path.read_bytes()).hexdigest()}
     reporter.json("manifest.json", {
         "package": "entropic-bespoke",
         "version": __version__,
         "mode": config.mode,
         "inputs": inputs,
-        "options": {
-            "grid_size": list(config.grid_size),
-            "persistence": config.persistence,
-            "coarsen": config.coarsen,
-            "loss_unit": config.loss_unit,
-            "tol": config.tol,
-            "max_iter": config.max_iter,
-            "mapping_rule": config.mapping_rule,
-            "reference_index": config.reference_index,
-            "threads": config.threads,
-        },
+        "options": {key: getattr(config, key)
+                    for key in (*_OPTIONS, *_SOLVER_OPTIONS)},
         "outputs": sorted(p.name for p in reporter.written),
     })
 
@@ -273,20 +232,17 @@ def _calibrate_all_horizons(config, params, portfolios, constraints, reporter):
 
 
 def _bespoke_spec(config, portfolios) -> pricing.BespokeSpec:
-    doc = config.bespoke or {
-        "members": [[i, "relevant"] for i in sorted(portfolios)]
-    }
-    members = [(fmt.parse_field("bespoke", "members", i, int), str(b))
-               for i, b in doc.get("members", [])]
-    if not members:
-        raise ConfigurationError("bespoke.members must not be empty")
+    """The config's bespoke block, by default every index's relevant
+    bucket, with its notional summed over the member buckets."""
+    block = {"members": tuple((i, RELEVANT) for i in sorted(portfolios)),
+             **config.bespoke}
     notional = 0.0
-    for i, bucket in members:
+    for i, bucket in block["members"]:
         if i not in portfolios:
             raise ConfigurationError(f"bespoke references unknown index {i}")
         notional += sum(n.notional_weight
                         for n in portfolios[i].bucket_names(bucket))
-    return fmt.parse_bespoke_spec({**doc, "members": members}, notional)
+    return pricing.BespokeSpec(notional=notional, **block)
 
 
 def _mode_calibrate_static(config, reporter):
@@ -297,12 +253,12 @@ def _mode_calibrate_static(config, reporter):
 
 def _mode_price_bespoke(config, reporter):
     params, portfolios, _ = fmt.load_portfolios(config.portfolios)
+    spec = _bespoke_spec(config, portfolios)
     constraints = fmt.load_constraints(config.constraints)
     curve = fmt.load_discount_curve(config.discount_curve)
     tranches = fmt.load_tranches(config.tranches)
     results = _calibrate_all_horizons(config, params, portfolios,
                                       constraints, reporter)
-    spec = _bespoke_spec(config, portfolios)
     dists = pricing.bespoke_loss_dist(results, spec)
     prices = [pricing.price_tranche(dists, tr, curve) for tr in tranches]
     reporter.csv("tranche_prices.csv", fmt.PRICING_HEADER,
@@ -433,30 +389,27 @@ def _mode_map_basecorr(config, reporter):
                  fmt.pricing_rows(price_rows))
 
 
-_MODE_RUNNERS = {
-    "calibrate-static": _mode_calibrate_static,
-    "price-bespoke": _mode_price_bespoke,
-    "calibrate-dynamic": _mode_calibrate_dynamic,
-    "map-basecorr": _mode_map_basecorr,
+# mode -> (runner, the inputs it needs), in the order argparse lists them
+_MODES = {
+    "calibrate-static": (_mode_calibrate_static, ("constraints",)),
+    "calibrate-dynamic": (_mode_calibrate_dynamic, ("constraints",)),
+    "price-bespoke": (_mode_price_bespoke,
+                      ("constraints", "discount_curve", "tranches")),
+    "map-basecorr": (_mode_map_basecorr, ("base_correlation", "tranches")),
 }
-
-_MODE_REQUIRES = {
-    "calibrate-static": ("constraints",),
-    "price-bespoke": ("constraints", "discount_curve", "tranches"),
-    "calibrate-dynamic": ("constraints",),
-    "map-basecorr": ("base_correlation", "tranches"),
-}
+MODES = tuple(_MODES)
 
 
 def run(config: RunConfig) -> int:
     """Execute one mode; returns the process exit status."""
-    for key in _MODE_REQUIRES[config.mode]:
+    runner, needs = _MODES[config.mode]
+    for key in needs:
         if getattr(config, key) is None:
             raise ConfigurationError(f"mode {config.mode} needs a '{key}' input")
     config.output_dir.mkdir(parents=True, exist_ok=True)
     reporter = _Reporter(config.output_dir, config.verbose)
     try:
-        _MODE_RUNNERS[config.mode](config, reporter)
+        runner(config, reporter)
         _manifest(config, reporter)
     except BaseException:
         reporter.rollback()
@@ -485,12 +438,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return run(config)
     except EntropicBespokeError as exc:
-        code = "ERROR"
-        for klass, name in _ERROR_CODES.items():
-            if isinstance(exc, klass):
-                code = name
-                break
-        print(f"ERROR {code}: {exc}", file=sys.stderr)
+        print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"ERROR IO: {exc}", file=sys.stderr)

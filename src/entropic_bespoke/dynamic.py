@@ -339,7 +339,19 @@ class DynamicModel:
 
     def align_to_period(self, period: int, state: DynamicState) -> DynamicState:
         """Map a state produced by the previous period onto this period's
-        lattice, rounding losses up so paths stay monotone in value."""
+        lattice, rounding losses up so paths stay monotone in value.  A node
+        outside [0, M) (-1 marks the initial state) or a loss outside
+        [0, cap] of the state's own period is a ConfigurationError."""
+        caps = self.period_capacities(max(state.period, 0))
+        bounds = [(-1 if state.period == -1 else 0, self.grid.n_nodes - 1),
+                  *((0, cap) for i in self.index_ids for cap in caps[i])]
+        for name, column, (low, high) in zip(("m", "x11", "x12", "x21", "x22"),
+                                             state.support.T, bounds):
+            bad = column[(column < low) | (column > high)]
+            if len(bad):
+                raise ConfigurationError(
+                    f"period {state.period} state: {name} = {bad[0]} is "
+                    f"outside [{low}, {high}]")
         if period <= 0 or self.coarsen == 1 or state.period >= 1:
             return state
         keys = np.column_stack(

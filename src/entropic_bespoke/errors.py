@@ -1,7 +1,8 @@
 """Semantic exception hierarchy.
 
 Library code never raises bare ValueError for contract violations; every
-failure mode a caller may want to catch has its own class.
+failure mode a caller may want to catch has its own class, whose `code`
+the CLI prints in its `ERROR <code>: message` line.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 class EntropicBespokeError(Exception):
     """Base class for all library errors."""
+    code = "ERROR"
 
 
 def _with_facts(text: str, facts: list[str]) -> str:
@@ -19,6 +21,7 @@ def _with_facts(text: str, facts: list[str]) -> str:
 class ConfigurationError(EntropicBespokeError, ValueError):
     """Inputs violate a contract: bad parameter domain, missing file,
     mismatched grids or loss units."""
+    code = "CONFIG"
 
 
 class InvalidLoadingError(ConfigurationError):
@@ -32,6 +35,7 @@ class InvalidLoadingError(ConfigurationError):
 class CalibrationError(EntropicBespokeError):
     """Dual optimization failed to converge.  The text ends with the
     gradient inf-norm and the iteration count, when known."""
+    code = "CALIBRATION"
 
     def __init__(self, message: str, gradient_norm: float | None = None,
                  iterations: int | None = None):
@@ -56,6 +60,7 @@ class InfiniteDivergenceError(EntropicBespokeError):
 class InfeasibleAdjustmentError(EntropicBespokeError):
     """Requested expected loss lies outside what exponential tilting of the
     given measure can reach."""
+    code = "INFEASIBLE"
 
     def __init__(self, message: str, attainable_range: tuple[float, float]):
         super().__init__(message)
@@ -66,6 +71,7 @@ class MappingConvergenceError(EntropicBespokeError):
     """Probability-matching strike search found no fixed point.  The text
     ends with the last |K_target - K_i| and the iteration count, when
     known."""
+    code = "MAPPING"
 
     def __init__(self, message: str, residual: float | None = None,
                  iterations: int | None = None):
@@ -84,3 +90,4 @@ class MappingConvergenceError(EntropicBespokeError):
 
 class UndefinedSpreadError(EntropicBespokeError):
     """Par spread undefined because the risky annuity is zero."""
+    code = "SPREAD"

@@ -1,10 +1,12 @@
 """File formats: portfolio JSON, constraint/curve/tranche CSVs, measure
-dumps.  Column layouts are documented in docs/file_formats.md; diagnostic
-numbers are written with 10 significant digits, measure dumps and factor
-weights with 17 (so a reload reprices bit-identically).  Dump lines are
-assembled from word-table lookups (`_text_blocks`), byte for byte `'%d'`
-and `'%.17g' % x`; `'%.17g' %` itself formats, one value at a time, zero,
-negative, non-finite and near-tie values and those in [10, 1e17).
+dumps.  JSON files open through `load_json`, and `parse_field` reads every
+input value or names the file and field it rejects.  Column layouts are in
+docs/file_formats.md; diagnostic numbers are written with 10 significant
+digits, measure dumps and factor weights with 17 (so a reload reprices
+bit-identically).  Dump lines are assembled from word-table lookups
+(`_text_blocks`), byte for byte `'%d'` and `'%.17g' % x`; `'%.17g' %`
+itself formats, one value at a time, zero, negative, non-finite and
+near-tie values and those in [10, 1e17).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .basecorr import BaseCorrCurve
 from .calibrate import PricingConstraint, DEFAULT_SIGMA
 from .errors import ConfigurationError
-from .pricing import BespokeSpec, DiscountCurve, TrancheSpec
+from .pricing import DiscountCurve, TrancheSpec
 from .prior import COMPLEMENT, RELEVANT, FactorParams, IndexPortfolio, NameSpec
 
 NUM = "%.10g"
@@ -38,15 +40,45 @@ def _fmt(value: float) -> str:
     return NUM % float(value)
 
 
-def parse_field(where, field: str, value, kind: type = float):
-    """`kind(value)` (float or int) for one input field; a value that does
-    not convert is a ConfigurationError naming `where` and the field."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigurationError(
-            f"{where}: {field} must be {what}, got {value!r}") from exc
+_KIND_NAMES = {float: "a number", int: "an integer", dict: "an object",
+               list: "a list", str: "a string"}
+
+
+def parse_field(where, field: str, value, kind=float):
+    """One input field as `kind`: float and int convert `value`; dict,
+    list and str require it to be one; `[k]` requires a list and reads
+    item i, named `field[i]`, as k; a tuple of kinds requires a list of as
+    many items and reads each as its kind.  A value that does not fit is a
+    ConfigurationError naming `where` and the field."""
+    if kind in (float, int):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    elif isinstance(kind, list):
+        return [parse_field(where, f"{field}[{i}]", item, kind[0])
+                for i, item in enumerate(parse_field(where, field, value, list))]
+    elif isinstance(kind, tuple):
+        if isinstance(value, list) and len(value) == len(kind):
+            return tuple(map(functools.partial(parse_field, where, field),
+                             value, kind))
+    elif isinstance(value, kind):
+        return value
+    what = (f"a list of {len(kind)} items" if isinstance(kind, tuple)
+            else _KIND_NAMES[kind])
+    raise ConfigurationError(f"{where}: {field} must be {what}, got {value!r}")
+
+
+def load_json(path: str | Path) -> dict:
+    """The object at the top level of the JSON file `path`."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{path}: the top level must be an object")
+    return doc
 
 
 def _csv_rows(path: str | Path, header: list[str]) -> Iterator[tuple[str, dict]]:
@@ -65,26 +97,21 @@ def load_portfolios(
 ) -> tuple[FactorParams, dict[int, IndexPortfolio], list[float]]:
     """Portfolio definition file: factor_params block, horizon list and one
     record per name with default probabilities aligned to the horizons."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
+    doc = load_json(path)
     try:
-        fp = doc["factor_params"]
+        fp = parse_field(path, "factor_params", doc["factor_params"], dict)
         params = FactorParams(*(parse_field(path, f"factor_params.{k}", fp[k])
                                 for k in ("rho", "alpha")))
-        horizons = [parse_field(path, "horizons", t) for t in doc["horizons"]]
+        horizons = parse_field(path, "horizons", doc["horizons"], [float])
         names: dict[int, list[NameSpec]] = {}
-        for rec in doc["names"]:
+        for rec in parse_field(path, "names", doc["names"], [dict]):
             where = f"{path}: name {rec.get('id')}"
-            probs = [parse_field(where, "default_probs", p)
-                     for p in rec["default_probs"]]
+            probs = parse_field(where, "default_probs", rec["default_probs"],
+                                [float])
             if len(probs) != len(horizons):
                 raise ConfigurationError(
-                    f"{path}: name {rec.get('id')} has {len(probs)} default "
-                    f"probabilities for {len(horizons)} horizons"
-                )
+                    f"{where} has {len(probs)} default probabilities for "
+                    f"{len(horizons)} horizons")
             name = NameSpec(
                 id=str(rec["id"]),
                 index_id=parse_field(where, "index_id", rec["index_id"], int),
@@ -183,20 +210,28 @@ def load_basecorr_curves(path: str | Path) -> dict[float, BaseCorrCurve]:
     return out
 
 
-def parse_bespoke_spec(doc: dict, notional: float) -> BespokeSpec:
-    members = tuple((parse_field("bespoke", "members", i, int), str(b))
-                    for i, b in doc.get("members", []))
-    proxy, where = [], "bespoke proxy_el_targets"
-    for item in doc.get("proxy_el_targets", []):
-        ref = (parse_field(where, "index_id", item["index_id"], int),
-               str(item["bucket"]))
-        curve = tuple(sorted(
-            ((parse_field(where, "targets", t),
-              parse_field(where, "targets", el))
-             for t, el in item["targets"].items()), key=lambda te: te[0]))
-        proxy.append((ref, curve))
-    return BespokeSpec(members=members, notional=notional,
-                       proxy_el_targets=tuple(proxy))
+def parse_bespoke(where, doc: dict) -> dict:
+    """The `bespoke` block of a run config as `BespokeSpec` fields: the
+    `members` bucket references and the `proxy_el_targets` curves sorted
+    by horizon, each only when the block sets it."""
+    read = functools.partial(parse_field, where)
+    out = {}
+    if doc.get("members") is not None:
+        out["members"] = tuple(read("bespoke.members", doc["members"],
+                                    [(int, str)]))
+    if doc.get("proxy_el_targets") is not None:
+        proxy = []
+        for k, item in enumerate(read("bespoke.proxy_el_targets",
+                                      doc["proxy_el_targets"], [dict])):
+            field = f"bespoke.proxy_el_targets[{k}]"
+            ref = (read(f"{field}.index_id", item.get("index_id"), int),
+                   read(f"{field}.bucket", item.get("bucket"), str))
+            targets = read(f"{field}.targets", item.get("targets"), dict)
+            proxy.append((ref, tuple(sorted(
+                ((read(f"{field}.targets", t), read(f"{field}.targets", el))
+                 for t, el in targets.items()), key=lambda te: te[0]))))
+        out["proxy_el_targets"] = tuple(proxy)
+    return out
 
 
 # -- writers -------------------------------------------------------------
@@ -412,6 +447,22 @@ def _text_blocks(prefix: str, columns: Sequence[np.ndarray],
         yield rows.tobytes().translate(None, b"\0")
 
 
+def _cell_blocks(prefix: str, array: np.ndarray) -> Iterator[bytes]:
+    """`_text_blocks` of the positive cells of the non-negative `array` in C
+    order: `prefix`, the cell's indices and its value.  The indices are cut
+    from the flat positions by `//`, faster here than `np.unravel_index`."""
+    flat = np.flatnonzero(array)
+    sizes = [math.prod(array.shape[k + 1:]) for k in range(array.ndim - 1)]
+    for start in range(0, len(flat), _BLOCK_ROWS):
+        cells = rest = flat[start:start + _BLOCK_ROWS]
+        index = []
+        for size in sizes:
+            high = rest // size
+            index.append(high)
+            rest = rest - high * size
+        yield from _text_blocks(prefix, (*index, rest), array.take(cells))
+
+
 def residual_rows(horizon: float, result) -> list[list[str]]:
     rows = []
     for c, model_el, lam in zip(result.constraints, result.model_els,
@@ -453,27 +504,10 @@ MEASURE_HEADER = ["horizon", "index_id", "m", "x_rel", "x_comp", "prob"]
 def measure_rows(horizon: float, result) -> Iterator[bytes]:
     """posterior_measure.csv text for one horizon: the nonzero cells of
     each tilted conditional, by index, factor node, then C order of
-    (x_rel, x_comp).  One index's joint is formed and held at a time; its
-    (m, x_rel) lines go into text blocks, as many whole lines as fit."""
+    (x_rel, x_comp).  One index's joint is formed and held at a time."""
     t = _fmt(horizon)
     for i in result.index_ids:
-        pmfs = result.tilted_conditionals[i]
-        lines = pmfs.reshape(-1, pmfs.shape[2])
-        node, x_rel = np.divmod(np.arange(len(lines)), pmfs.shape[1])
-        counts = np.count_nonzero(lines, axis=1)
-        ends = np.r_[0, np.cumsum(counts)]  # rows before each line
-        start = 0
-        while start < len(lines):
-            stop = max(start + 1, np.searchsorted(
-                ends, ends[start] + _BLOCK_ROWS, side="right") - 1)
-            cells = lines[start:stop].ravel()
-            flat = np.flatnonzero(cells)
-            line = np.repeat(np.arange(start, stop), counts[start:stop])
-            yield from _text_blocks(
-                f"{t},{i},", (node.take(line), x_rel.take(line),
-                              flat - (line - start) * pmfs.shape[2]),
-                cells.take(flat))
-            start = stop
+        yield from _cell_blocks(f"{t},{i},", result.tilted_conditionals[i])
 
 
 PRICING_HEADER = ["k_low", "k_high", "par_spread_bp", "risky_annuity",
@@ -508,10 +542,8 @@ def kernel_rows(kernels) -> Iterator[bytes]:
     """dynamic_factor_kernels.csv text: the positive entries of each
     period's factor rows, by previous support row, then next node."""
     for kernel in kernels:
-        rows = kernel.factor_rows
-        prev, nxt = np.nonzero(rows > 0.0)
-        yield from _text_blocks(f"{kernel.period},{_fmt(kernel.horizon)},",
-                                (prev, nxt), rows[prev, nxt])
+        yield from _cell_blocks(f"{kernel.period},{_fmt(kernel.horizon)},",
+                                kernel.factor_rows)
 
 
 MAPPING_HEADER = ["rule", "k_bespoke", "maturity", "bespoke_el", "index_el",

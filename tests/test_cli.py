@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib.util
 import json
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import entropic_bespoke as eb
-from entropic_bespoke import io as fmt, solver
+from entropic_bespoke import cli, errors, io as fmt, solver
 from entropic_bespoke.cli import RunConfig, main
 from entropic_bespoke.io import (
     CONSTRAINT_COLUMNS,
@@ -291,6 +292,53 @@ class TestCalibrateDynamic:
         assert (tmp_path / "out" / "dynamic_factor_kernels.csv").read_bytes() \
             == reference_csv(fmt.KERNEL_HEADER, reference_kernel_rows(kernels))
 
+    def test_coarsened_dumps_join_through_the_aligned_states(
+        self, tmp_path, dumped, monkeypatch
+    ):
+        monkeypatch.setattr(fmt, "_BLOCK_ROWS", 7)
+        write_portfolios(tmp_path / "portfolios.json", n_names=4)
+        write_csv(tmp_path / "constraints.csv", CONSTRAINT_COLUMNS,
+                  prior_el_constraints(tmp_path / "portfolios.json",
+                                       grid_size=(3, 3), shift=1.1))
+        (tmp_path / "config.json").write_text(json.dumps({
+            "mode": "calibrate-dynamic",
+            "portfolios": "portfolios.json",
+            "constraints": "constraints.csv",
+            "grid_size": [3, 3],
+            "coarsen": 2,
+            "output_dir": "out",
+        }))
+        assert main(["--config", str(tmp_path / "config.json")]) == 0
+        (states,), = dumped["state_rows"]
+        (kernels,), = dumped["kernel_rows"]
+        assert len(states) == len(kernels) == 2
+        assert (tmp_path / "out" / "dynamic_states.csv").read_bytes() == \
+            reference_csv(fmt.STATE_HEADER, reference_state_rows(states))
+        assert (tmp_path / "out" / "dynamic_factor_kernels.csv").read_bytes() \
+            == reference_csv(fmt.KERNEL_HEADER, reference_kernel_rows(kernels))
+        # docs/file_formats.md: period 1's prev_row indexes the period-0
+        # rows with every loss ceil-divided by 2, equal rows merged and
+        # sorted lexicographically
+        mapped = {}
+        for r in read_rows(tmp_path / "out" / "dynamic_states.csv"):
+            if r["period"] == "0":
+                key = (int(r["m"]), *(-(-int(r[x]) // 2) for x in
+                                      ("x11", "x12", "x21", "x22")))
+                mapped[key] = mapped.get(key, 0.0) + float(r["prob"])
+        assert len(mapped) < len(states[0].probs)  # some rows merged
+        assert [tuple(row) for row in kernels[1].prev_support.tolist()] == \
+            sorted(mapped)
+        assert kernels[1].prev_probs == pytest.approx(
+            [mapped[k] for k in sorted(mapped)], rel=1e-12)
+        sums = {}
+        for r in read_rows(tmp_path / "out" / "dynamic_factor_kernels.csv"):
+            if r["period"] == "1":
+                sums[int(r["prev_row"])] = \
+                    sums.get(int(r["prev_row"]), 0.0) + float(r["prob"])
+        assert sorted(sums) == list(range(len(mapped)))
+        assert list(sums.values()) == pytest.approx([1.0] * len(sums),
+                                                    abs=1e-12)
+
 
 class TestPriceBespoke:
     def test_single_bucket_equals_direct_pricing(self, workdir):
@@ -338,6 +386,35 @@ class TestPriceBespoke:
             assert float(row["risky_annuity"]) == pytest.approx(
                 price.risky_annuity, rel=1e-9
             )
+
+    def test_manifest_records_mode_options_outputs_and_inputs(self,
+                                                             workdir):
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
+                  prior_el_constraints(workdir / "portfolios.json", shift=1.1))
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg.update({"mode": "price-bespoke", "persistence": 0.8, "coarsen": 2,
+                    "loss_unit": None, "solver": {"tol": 1e-10, "max_iter": 150},
+                    "mapping_rule": "absolute", "reference_index": 2,
+                    "threads": 3})
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        assert main(["--config", str(workdir / "config.json")]) == 0
+        inputs = {key: workdir / cfg[key] for key in
+                  ("constraints", "portfolios", "discount_curve", "tranches",
+                   "base_correlation")}
+        assert json.loads((workdir / "out" / "manifest.json").read_text()) == {
+            "package": "entropic-bespoke",
+            "version": eb.__version__,
+            "mode": "price-bespoke",
+            "inputs": {key: {"path": str(path), "sha256": hashlib.sha256(
+                           path.read_bytes()).hexdigest()}
+                       for key, path in inputs.items()},
+            "options": {"grid_size": [4, 4], "persistence": 0.8,
+                        "coarsen": 2, "loss_unit": None, "tol": 1e-10,
+                        "max_iter": 150, "mapping_rule": "absolute",
+                        "reference_index": 2, "threads": 3},
+            "outputs": ["calibration_residuals.csv", "factor_distribution.csv",
+                        "posterior_measure.csv", "tranche_prices.csv"],
+        }
 
     def test_posterior_measure_roundtrip_reprices_identically(self, workdir):
         write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
@@ -495,6 +572,23 @@ class TestMapBasecorr:
         assert len(read_rows(tmp_path / "out" / "mapped_strikes.csv")) == 12
 
 
+# one instance of every error class and the code its CLI line carries
+ERROR_CASES = [
+    (errors.EntropicBespokeError("base class"), "ERROR"),
+    (errors.ConfigurationError("bad input"), "CONFIG"),
+    (errors.InvalidLoadingError("no room for the idiosyncratic term",
+                                "N1_0"), "CONFIG"),
+    (errors.CalibrationError("no convergence", gradient_norm=1e-3,
+                             iterations=7), "CALIBRATION"),
+    (errors.InfiniteDivergenceError("KL is +inf"), "ERROR"),
+    (errors.InfeasibleAdjustmentError("EL out of reach", (0.0, 0.1)),
+     "INFEASIBLE"),
+    (errors.MappingConvergenceError("no fixed point", residual=0.01,
+                                    iterations=50), "MAPPING"),
+    (errors.UndefinedSpreadError("zero annuity"), "SPREAD"),
+]
+
+
 class TestFailureHandling:
     def test_missing_input_errors_cleanly(self, workdir, capsys):
         # no constraints.csv on disk
@@ -612,9 +706,14 @@ class TestFailureHandling:
         ([7, "relevant"], "bespoke references unknown index 7"),
     ], ids=["misspelled-bucket", "unknown-index"])
     def test_bad_bespoke_member_is_a_config_error(self, workdir, capsys, mode,
-                                                  member, reason):
+                                                  member, reason, monkeypatch):
         write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
                   prior_el_constraints(workdir / "portfolios.json", shift=1.1))
+
+        def calibrate(*args, **kwargs):
+            pytest.fail("calibrated before the bespoke block was resolved")
+
+        monkeypatch.setattr(cli, "calibrate", calibrate)
         cfg = json.loads((workdir / "config.json").read_text())
         cfg["mode"] = mode
         cfg["bespoke"] = {"members": [[1, "relevant"], member]}
@@ -663,6 +762,81 @@ class TestFailureHandling:
         assert not (workdir / "out").exists() or not any(
             (workdir / "out").iterdir()
         )
+
+    @pytest.mark.parametrize("target, edit, message", [
+        ("config.json", lambda doc: [],
+         "config.json: the top level must be an object"),
+        ("config.json", lambda doc: {**doc, "portfolios": 5},
+         "config.json: portfolios must be a string, got 5"),
+        ("config.json", lambda doc: {**doc, "constraints": ["c.csv"]},
+         "config.json: constraints must be a string, got ['c.csv']"),
+        ("config.json", lambda doc: {**doc, "output_dir": 5},
+         "config.json: output_dir must be a string, got 5"),
+        ("config.json", lambda doc: {**doc, "bespoke": {"members": 5}},
+         "config.json: bespoke.members must be a list, got 5"),
+        ("config.json", lambda doc: {**doc, "bespoke": {"members": [5]}},
+         "config.json: bespoke.members[0] must be a list of 2 items, got 5"),
+        ("config.json", lambda doc: {**doc, "bespoke": {
+            **doc["bespoke"], "proxy_el_targets": [
+                {"index_id": 2, "targets": {"3.0": 0.05}}]}},
+         "config.json: bespoke.proxy_el_targets[0].bucket must be a "
+         "string, got None"),
+        ("config.json", lambda doc: {**doc, "bespoke": {
+            **doc["bespoke"], "proxy_el_targets": [
+                {"index_id": 2, "bucket": "relevant", "targets": [0.05]}]}},
+         "config.json: bespoke.proxy_el_targets[0].targets must be an "
+         "object, got [0.05]"),
+        ("portfolios.json", lambda doc: [],
+         "portfolios.json: the top level must be an object"),
+        ("portfolios.json", lambda doc: {**doc, "names": 5},
+         "portfolios.json: names must be a list, got 5"),
+        ("portfolios.json", lambda doc: {**doc, "names": ["x"]},
+         "portfolios.json: names[0] must be an object, got 'x'"),
+        ("portfolios.json", lambda doc: {**doc, "factor_params": 5},
+         "portfolios.json: factor_params must be an object, got 5"),
+        ("portfolios.json", lambda doc: {**doc, "horizons": 5},
+         "portfolios.json: horizons must be a list, got 5"),
+        ("portfolios.json", lambda doc: {**doc, "names": [
+            {**doc["names"][0], "default_probs": 5}, *doc["names"][1:]]},
+         "portfolios.json: name N1_0: default_probs must be a list, got 5"),
+    ], ids=["config-list", "portfolios-path", "constraints-path",
+            "output-dir", "members", "member", "proxy-bucket",
+            "proxy-targets", "portfolio-list", "names", "name",
+            "factor-params", "horizons", "default-probs"])
+    def test_malformed_json_shape_is_a_config_error(self, workdir, capsys,
+                                                    target, edit, message):
+        # each of these used to exit with a Python traceback
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
+                  prior_el_constraints(workdir / "portfolios.json"))
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["mode"] = "price-bespoke"
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        path = workdir / target
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        rc = main(["--config", str(workdir / "config.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"ERROR CONFIG: {workdir / message}\n"
+        assert not (workdir / "out").exists() or not any(
+            (workdir / "out").iterdir()
+        )
+
+    @pytest.mark.parametrize("exc, code", ERROR_CASES, ids=lambda case:
+                             type(case).__name__
+                             if isinstance(case, Exception) else None)
+    def test_error_line_carries_the_class_code(self, workdir, monkeypatch,
+                                               capsys, exc, code):
+        def runner(config, reporter):
+            raise exc
+
+        assert {type(e) for e, _ in ERROR_CASES} == {
+            c for c in vars(errors).values()
+            if isinstance(c, type) and issubclass(c, errors.EntropicBespokeError)}
+        (workdir / "constraints.csv").write_text("")
+        monkeypatch.setitem(cli._MODES, "calibrate-static", (runner, ()))
+        rc = main(["--config", str(workdir / "config.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"ERROR {code}: {exc}\n"
 
     @pytest.mark.parametrize("key", ["solver", "bespoke"])
     def test_non_object_section_is_a_config_error(self, workdir, capsys,

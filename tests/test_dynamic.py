@@ -355,6 +355,29 @@ class TestCalibratePeriod:
         with pytest.raises(ConfigurationError, match=message):
             model.calibrate_period(1, light, cons)
 
+    @pytest.mark.parametrize("row, message", [
+        ([0, -1, 0, 0, 0], "x11 = -1 is outside [0, 1]"),
+        ([99, 0, 0, 0, 0], "m = 99 is outside [0, 3]"),
+        ([-1, 0, 0, 0, 0], "m = -1 is outside [0, 3]"),
+        ([0, 0, 0, 0, 2], "x22 = 2 is outside [0, 1]"),
+    ], ids=["negative-loss", "node-beyond-grid", "initial-node", "loss-above-cap"])
+    def test_state_off_the_lattice_fails_fast(self, row, message):
+        # these rows used to index past the factor chain or the increment
+        # priors and raise IndexError
+        model, *_ = small_model()
+        state0 = model.initial_state()
+        cons = prior_implied_constraints(model, 0, state0)
+        k0 = model.calibrate_period(0, state0, cons)
+        state = DynamicState(period=0, horizon=1.0, support=np.array([row]),
+                             probs=np.array([1.0]))
+        match = re.escape(f"period 0 state: {message}")
+        for call in (lambda: model.align_to_period(1, state),
+                     lambda: model.calibrate_period(1, state, cons),
+                     lambda: model.prior_period_els(1, state, cons),
+                     lambda: model.propagate_marginal(state, k0)):
+            with pytest.raises(ConfigurationError, match=match):
+                call()
+
     def test_gradient_matches_finite_differences(self, rng):
         model, *_ = small_model(n_grid=3)
         state0 = model.initial_state()
@@ -840,6 +863,22 @@ class TestCoarsening:
         kernel = model.calibrate_period(0, state, cons)
         s1 = model.propagate_marginal(state, kernel)
         assert model.align_to_period(1, s1) is s1
+
+    def test_state_losses_are_checked_on_their_own_lattice(self):
+        # period 0 lives on the fine lattice (caps 2), later periods on the
+        # coarse one (caps 1)
+        model = self.build(2)
+        fine = DynamicState(period=0, horizon=1.0,
+                            support=np.array([[0, 2, 2, 1, 0]]),
+                            probs=np.array([1.0]))
+        assert model.align_to_period(1, fine).support.tolist() == \
+            [[0, 1, 1, 1, 0]]
+        coarse = DynamicState(period=1, horizon=2.0,
+                              support=np.array([[0, 2, 0, 0, 0]]),
+                              probs=np.array([1.0]))
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "period 1 state: x11 = 2 is outside [0, 1]")):
+            model.align_to_period(2, coarse)
 
     def test_coarse_period_matches_direct_sum_oracle(self):
         model = self.build(2)

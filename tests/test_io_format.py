@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entropic_bespoke import io as fmt
-from entropic_bespoke.io import (_g17_digits, _g17_text, _int_words,
-                                  _put_int, _text_blocks)
+from entropic_bespoke.io import (_cell_blocks, _g17_digits, _g17_text,
+                                  _int_words, _put_int, _text_blocks)
 
 
 def g17_bytes(values) -> list[bytes]:
@@ -165,3 +165,27 @@ def test_text_blocks_with_small_integers_and_special_values():
     assert b"".join(_text_blocks("7,", columns, values)) == \
         reference_lines("7,", columns, values)
     assert list(_text_blocks("1,", columns, values[:0])) == []
+
+
+def reference_cells(prefix, array) -> bytes:
+    """'%s%d,...,%d,%.17g' of each positive cell of `array`, in C order."""
+    return "".join(
+        prefix + "".join("%d," % i for i in index) + "%.17g\n" % value
+        for index, value in np.ndenumerate(array) if value > 0.0).encode()
+
+
+@pytest.mark.parametrize("shape", [(24,), (4, 6), (2, 3, 4)])
+@pytest.mark.parametrize("cells", ["none", "last", "three-blocks"])
+def test_cell_blocks_write_the_positive_cells_in_c_order(monkeypatch, shape,
+                                                         cells):
+    monkeypatch.setattr(fmt, "_BLOCK_ROWS", 4)
+    array = np.zeros(shape)
+    if cells == "last":
+        array[tuple(n - 1 for n in shape)] = 0.25
+    elif cells == "three-blocks":
+        rng = np.random.default_rng(20261018)
+        array.flat[rng.choice(array.size, 12, replace=False)] = \
+            rng.random(12) + 1e-3
+    got = list(_cell_blocks("5,0.5,", array))
+    assert len(got) == -(-np.count_nonzero(array) // 4)
+    assert b"".join(got) == reference_cells("5,0.5,", array)
