@@ -570,8 +570,8 @@ class _TiltedDual:
         """Index i's (context x node, ...) kernel rows regrouped as
         (previous row, node, ...)."""
         m = self.log_factor_rows.shape[1]
-        return per_row.reshape(len(per_row) // m, m,
-                               *per_row.shape[1:])[self.row_ctx[i]]
+        return per_row.reshape(len(per_row) // m, m, *per_row.shape[1:]).take(
+            self.row_ctx[i], axis=0)
 
     def evaluate(self, lambdas: np.ndarray) -> dict:
         lambdas = np.asarray(lambdas, dtype=float)
@@ -588,16 +588,17 @@ class _TiltedDual:
             log_rows = log_rows + self._contexts(i, tilts[i].log_z)
         log_zhat, h_rows = _normalize_rows(log_rows)  # (n_prev,), (n_prev, M)
         mean_rows = np.empty((len(self.w_prev), len(self.targets)))
+        cond = {}  # (n_prev, M, K_i)
         for i in self.index_ids:
-            cond = self._contexts(i, tilts[i].cond_means)  # (n_prev, M, K_i)
-            mean_rows[:, self.positions[i]] = (h_rows[:, None, :] @ cond)[:, 0]
+            cond[i] = self._contexts(i, tilts[i].cond_means)
+            mean_rows[:, self.positions[i]] = (h_rows[:, None, :] @ cond[i])[:, 0]
         model_els = self.w_prev @ mean_rows
         value = float(self.w_prev @ log_zhat) + 0.5 * float(
             self.sigmas**2 @ lambdas**2)
         grad = model_els - self.targets + lambdas * self.sigmas**2
         state = dict(tilts=tilts, h_rows=h_rows, log_zhat=log_zhat,
-                     mean_rows=mean_rows, model_els=model_els, value=value,
-                     grad=grad)
+                     cond=cond, mean_rows=mean_rows, model_els=model_els,
+                     value=value, grad=grad)
         self._cache_key, self._cache = key, state
         return state
 
@@ -618,13 +619,12 @@ class _TiltedDual:
         weighted = self.w_prev[:, None] * state["h_rows"]
         k = len(self.targets)
         hess = np.empty((k, k))
-        cond = {}
+        cond = state["cond"]
         for i in self.index_ids:
             pos, tilt = self.positions[i], state["tilts"][i]
             n_ctx = len(tilt.log_z) // weighted.shape[1]
             pooled = _pool_rows(self.row_ctx[i], weighted, n_ctx).reshape(-1)
             hess[np.ix_(pos, pos)] = tilt.second_moments(pooled)
-            cond[i] = self._contexts(i, tilt.cond_means)
         for a, i in enumerate(self.index_ids):
             for j in self.index_ids[a + 1:]:
                 pos_i, pos_j = self.positions[i], self.positions[j]

@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from itertools import chain
@@ -105,6 +106,9 @@ class RunConfig:
         if cfg.max_iter < 1:
             raise ConfigurationError(
                 f"{path}: solver.max_iter must be at least 1, got {cfg.max_iter!r}")
+        if cfg.loss_unit is not None and not 0.0 < cfg.loss_unit < math.inf:
+            raise ConfigurationError(f"{path}: loss_unit must be positive and "
+                                     f"finite, got {cfg.loss_unit!r}")
         for key in _INPUTS:
             if key in paths and not paths[key].exists():
                 raise ConfigurationError(f"{key} file not found: {paths[key]}")
@@ -198,7 +202,8 @@ def _warn_degenerate_constraints(constraints):
 def _calibration_setup(config, params, portfolios, constraints):
     """(loss grids, factor grid, sorted constraint horizons) of a
     calibrating mode; warns on a degenerate constraint set."""
-    unit = config.loss_unit or default_loss_unit(*portfolios.values())
+    unit = (default_loss_unit(*portfolios.values())
+            if config.loss_unit is None else config.loss_unit)
     grids = _loss_grids(portfolios, unit)
     grid = build_market_grid(*config.grid_size, params)
     _warn_degenerate_constraints(constraints)

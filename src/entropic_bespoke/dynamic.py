@@ -279,6 +279,17 @@ class PeriodKernel:
     iterations: int
 
 
+def _lattice_rows(columns, dims) -> tuple[np.ndarray, np.ndarray]:
+    """`np.unique(np.column_stack(columns), axis=0, return_inverse=True)`
+    for integer columns in [0, dims), without a row sort: the distinct
+    rows in lexicographic order and each row's position among them."""
+    cell = np.ravel_multi_index(tuple(columns), dims)
+    present = np.zeros(math.prod(dims), dtype=bool)
+    present[cell] = True
+    rows = np.column_stack(np.unravel_index(np.flatnonzero(present), dims))
+    return rows, (np.cumsum(present) - 1)[cell]
+
+
 class DynamicModel:
     """Bootstrap driver: portfolios, factor chain and loss grids."""
 
@@ -354,15 +365,18 @@ class DynamicModel:
                     f"outside [{low}, {high}]")
         if period <= 0 or self.coarsen == 1 or state.period >= 1:
             return state
-        keys = np.column_stack(
-            [state.support[:, 0], -(-state.support[:, 1:] // self.coarsen)]
-        )  # ceiling division of the losses
-        support, which = np.unique(keys, axis=0, return_inverse=True)
+        coarse = self.period_capacities(period)
+        nodes, losses = state.support[:, 0], state.support[:, 1:].T
+        support, which = _lattice_rows(  # node + 1: the initial one is -1
+            (nodes + 1, *(-(-losses // self.coarsen))),  # losses rounded up
+            (self.grid.n_nodes + 1,
+             *(cap + 1 for i in self.index_ids for cap in coarse[i])))
+        support[:, 0] -= 1
         return DynamicState(
             period=state.period,
             horizon=state.horizon,
             support=support,
-            probs=np.bincount(which.ravel(), weights=state.probs,
+            probs=np.bincount(which, weights=state.probs,
                               minlength=len(support)),
         )
 
@@ -395,9 +409,9 @@ class DynamicModel:
         out = {}
         caps = self.period_capacities(period)
         for pos, i in enumerate(self.index_ids):
-            pairs = prev_state.support[:, 1 + 2 * pos:3 + 2 * pos]
-            contexts, row_ctx = np.unique(pairs, axis=0, return_inverse=True)
-            row_ctx = row_ctx.ravel()
+            contexts, row_ctx = _lattice_rows(
+                prev_state.support[:, 1 + 2 * pos:3 + 2 * pos].T,
+                tuple(c + 1 for c in caps[i]))
             if period == 0:
                 if contexts.tolist() != [[0, 0]]:
                     raise ConfigurationError("period 0 must start from zero losses")

@@ -45,15 +45,19 @@ _KIND_NAMES = {float: "a number", int: "an integer", dict: "an object",
 
 
 def parse_field(where, field: str, value, kind=float):
-    """One input field as `kind`: float and int convert `value`; dict,
-    list and str require it to be one; `[k]` requires a list and reads
-    item i, named `field[i]`, as k; a tuple of kinds requires a list of as
-    many items and reads each as its kind.  A value that does not fit is a
-    ConfigurationError naming `where` and the field."""
+    """One input field as `kind`: float and int convert `value` (no
+    boolean, and for int no fraction); dict, list and str require it to be
+    one; `[k]` requires a list and reads item i, named `field[i]`, as k; a
+    tuple of kinds requires a list of as many items and reads each as its
+    kind.  A value that does not fit is a ConfigurationError naming `where`
+    and the field."""
     if kind in (float, int):
         try:
-            return kind(value)
-        except (TypeError, ValueError):
+            number = kind(value)
+            if not isinstance(value, bool) and (
+                    kind is float or isinstance(value, str) or number == value):
+                return number
+        except (TypeError, ValueError, OverflowError):
             pass
     elif isinstance(kind, list):
         return [parse_field(where, f"{field}[{i}]", item, kind[0])
@@ -284,20 +288,19 @@ def _g17_tables() -> dict[str, np.ndarray]:
     the nearest double to the rest.  The others are words of text padded
     with NUL bytes; a table in two halves holds the variant with NUL for
     the zeros to drop, then the plain digits at + 1000 or + 10000."""
-    x0 = np.array([len(str(1 << e)) - 1 if e >= 0 else -len(str(1 << -e))
-                   for e in range(_EXP_MIN, 1024)])
-    pow5 = {}  # 10**k = 2**k * 5**k; the power of two scales exactly
-    for k in range(16 - int(x0[-1]) - 1, 16 - int(x0[0]) + 1):
+    e = np.arange(_EXP_MIN, 1024)
+    x0 = (e * 78913) >> 18  # floor(log10(2**e)), exact on this range
+    k_min = 16 - int(x0[-1]) - 1
+    pow5 = []  # 10**k = 2**k * 5**k; the power of two scales exactly
+    for k in range(k_min, 16 - int(x0[0]) + 1):
         num, den = (5**k, 1) if k >= 0 else (1, 5**-k)
         hi = num / den  # int / int rounds correctly
         a, b = hi.as_integer_ratio()
-        pow5[k] = hi, (num * b - a * den) / (den * b)
+        pow5.append((hi, (num * b - a * den) / (den * b)))
     scale = []
     for up in (0, 1):
-        hi, lo = np.array([[math.ldexp(v, e + 16 - up - x)
-                            for v in pow5[16 - up - x]]
-                           for e, x in zip(range(_EXP_MIN, 1024),
-                                           x0.tolist())]).T
+        k = 16 - up - x0
+        hi, lo = np.ldexp(np.array(pow5)[k - k_min], (e + k)[:, None]).T
         split = 134217729.0 * hi  # Dekker: hi as two 26-bit halves
         top = split - (split - hi)
         scale.append((top, hi - top, lo))

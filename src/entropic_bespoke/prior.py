@@ -464,8 +464,9 @@ def _ndtr_block(a: np.ndarray) -> None:
     Cephes switches at |x| < sqrt(1/2) and reaches erfc through
     1 - erf(|x|) up to |x| = 1; there both round the same exact value at
     most once, so the bits agree.  erfc's P/Q rational is replaced by R/S
-    on the rare cells with |x| >= 8.  exp(-x^2) is libm's, through
-    `math.exp`: numpy's vectorized exp differs from it in the last bits.
+    on the rare cells with |x| >= 8.  exp(-x^2) is libm's, through numpy's
+    complex exp, which calls libm's exp for a zero imaginary part: numpy's
+    real exp is vectorized and differs from libm in the last bits.
     """
     x = a * _SQRT1_2
     z = np.abs(x)
@@ -478,7 +479,7 @@ def _ndtr_block(a: np.ndarray) -> None:
     a[under] = x[under] > 0.0
     far = np.flatnonzero((z >= 1.0) & ~under)  # NaN is in no branch
     zf = z[far]
-    e = np.fromiter(map(math.exp, (-zz[far]).tolist()), float, far.size)
+    e = np.exp((-zz[far]).astype(np.complex128)).real
     y = e * _polevl(zf, _ERFC_P) / _p1evl(zf, _ERFC_Q)
     big = np.flatnonzero(zf >= 8.0)
     zb = zf[big]

@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import importlib.util
 import json
@@ -872,6 +873,31 @@ class TestFailureHandling:
             f"ERROR CONFIG: {workdir / 'config.json'}: {message}\n"
         assert not (workdir / "out").exists()
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"coarsen": 2.7}, "coarsen must be an integer, got 2.7"),
+        ({"threads": True}, "threads must be an integer, got True"),
+        ({"grid_size": [3.5, 3]}, "grid_size must be an integer, got 3.5"),
+        ({"persistence": False}, "persistence must be a number, got False"),
+        ({"loss_unit": 0}, "loss_unit must be positive and finite, got 0.0"),
+        ({"loss_unit": -0.05},
+         "loss_unit must be positive and finite, got -0.05"),
+        ({"loss_unit": float("inf")},
+         "loss_unit must be positive and finite, got inf"),
+    ], ids=["coarsen", "threads", "grid-size", "persistence", "unit-zero",
+            "unit-negative", "unit-inf"])
+    def test_bad_option_value_is_a_config_error(self, workdir, capsys,
+                                                settings, message):
+        # each of these used to run, on a truncated or default value
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
+                  prior_el_constraints(workdir / "portfolios.json"))
+        cfg = json.loads((workdir / "config.json").read_text())
+        (workdir / "config.json").write_text(json.dumps({**cfg, **settings}))
+        rc = main(["--config", str(workdir / "config.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"ERROR CONFIG: {workdir / 'config.json'}: {message}\n"
+        assert not (workdir / "out").exists()
+
     def test_invalid_mode(self, workdir, capsys):
         cfg = json.loads((workdir / "config.json").read_text())
         cfg["mode"] = "explode"
@@ -893,6 +919,16 @@ class TestConfig:
         cfg["threads"] = 5
         path.write_text(json.dumps(cfg))
         assert RunConfig.from_file(path).threads == 5
+
+    def test_numbers_convert_but_booleans_and_fractions_do_not(self):
+        read = functools.partial(fmt.parse_field, "f.json", "x")
+        assert [read(v, int) for v in (2, 2.0, "2", -3)] == [2, 2, 2, -3]
+        assert [read(v) for v in (0.5, 1, "0.25")] == [0.5, 1.0, 0.25]
+        for value, kind in [(2.7, int), ("2.7", int), (True, int),
+                            (False, float), (float("inf"), int), (None, float)]:
+            with pytest.raises(errors.ConfigurationError,
+                               match=r"^f\.json: x must be "):
+                read(value, kind)
 
     def test_relative_paths_resolve_against_config(self, workdir):
         write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,

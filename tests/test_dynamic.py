@@ -892,6 +892,64 @@ class TestCoarsening:
         assert_matches_oracle(model, s1, k1)
 
 
+class TestDenseLatticeKeys:
+    """`align_to_period` and `_loss_priors` find distinct rows by index
+    arithmetic on the dense lattice, not by sorting rows; on random sparse
+    states they give `np.unique(axis=0)`'s rows, order and sums."""
+
+    @staticmethod
+    def build(coarsen, per_bucket=5):
+        params = FactorParams(rho=0.3, alpha=0.2)
+        grid = build_market_grid(3, 2, params)
+        weight = 1.0 / (2 * per_bucket)  # one loss unit per name
+        ports = {i: IndexPortfolio(index_id=i, names=tuple(
+            make_name(f"{b}{i}{j}", i, b,
+                      tuple((t, 0.03 * t + 0.01 * j) for t in (1.0, 2.0)),
+                      loading=0.4, weight=weight)
+            for b in ("relevant", "complement") for j in range(per_bucket)))
+            for i in (1, 2)}
+        grids = {i: LossGrid(unit=0.6 * weight, max_units=2 * per_bucket)
+                 for i in (1, 2)}
+        return DynamicModel(grid, params, ports, grids,
+                            TimeGrid(horizons=(1.0, 2.0)), coarsen=coarsen)
+
+    @pytest.mark.parametrize("coarsen", [1, 2, 3, 4])
+    def test_match_a_row_sort(self, coarsen):
+        model = self.build(coarsen)
+        caps = model.period_capacities(0)
+        highs = [model.grid.n_nodes, *(cap + 1 for i in (1, 2)
+                                       for cap in caps[i])]
+        rng = np.random.default_rng(20261018 + coarsen)
+        for size in (1, 7, 60, 600):  # repeated rows from 60 on
+            support = np.column_stack([rng.integers(0, h, size)
+                                       for h in highs])
+            state = DynamicState(period=0, horizon=1.0, support=support,
+                                 probs=rng.random(size))
+            aligned = model.align_to_period(1, state)
+            if coarsen == 1:
+                assert aligned is state
+            else:
+                keys = np.column_stack(
+                    [support[:, 0], -(-support[:, 1:] // coarsen)])
+                rows, which = np.unique(keys, axis=0, return_inverse=True)
+                assert np.array_equal(aligned.support, rows)
+                assert np.array_equal(aligned.probs, np.bincount(
+                    which.ravel(), weights=state.probs))
+            priors = model._loss_priors(1, aligned)
+            for pos, i in enumerate((1, 2)):
+                contexts, row_ctx = priors[i][:2]
+                pairs = aligned.support[:, 1 + 2 * pos:3 + 2 * pos]
+                want, which = np.unique(pairs, axis=0, return_inverse=True)
+                assert np.array_equal(contexts, want)
+                assert np.array_equal(row_ctx, which.ravel())
+
+    def test_the_initial_state_keeps_its_node(self):
+        model = self.build(3)
+        aligned = model.align_to_period(1, model.initial_state())
+        assert aligned.support.tolist() == [[-1, 0, 0, 0, 0]]
+        assert aligned.probs.tolist() == [1.0]
+
+
 def static_priors(model, params, grid, ports, grids, horizon=1.0):
     return {i: build_conditional_prior(ports[i], grid, grids[i], horizon,
                                        params)

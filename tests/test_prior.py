@@ -270,6 +270,22 @@ class TestNormalPorts:
         got = np.array([_ndtri(p) for p in ps.tolist()])
         assert_same_bits(got, ndtri(ps))
 
+    def test_erfc_branch_sweep(self):
+        """A dense sweep of the erfc branch, 1 <= |x| < sqrt(MAXLOG) with
+        x = a / sqrt(2), and its ulp neighbors: exp(-x^2) through numpy's
+        complex exp is libm's `math.exp` bit for bit, and ndtr is scipy's."""
+        from scipy.special import ndtr
+
+        x = np.linspace(1.0, math.sqrt(7.09782712893383996843e2), 500_001)
+        x = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, 30.0)])
+        arg = -(x * x)
+        want = np.array([math.exp(v) for v in arg.tolist()])
+        assert_same_bits(np.exp(arg.astype(np.complex128)).real, want)
+        a = np.sqrt(2.0) * np.concatenate([x, -x])
+        got = a.copy()
+        _ndtr_inplace(got)
+        assert_same_bits(got, ndtr(a))
+
     @pytest.mark.parametrize("size", [1, _NDTR_BLOCK - 1, _NDTR_BLOCK + 1,
                                       5 * _NDTR_BLOCK // 2])
     def test_blocks_give_the_bits_of_one_pass(self, rng, size):
