@@ -20,12 +20,11 @@ The dual is written once (`_TiltedDual`), averaged over weighted previous
 rows whose conditional priors depend on a per-index context: a static
 horizon is one row of mass 1 with one context, and a dynamic bootstrap
 period has one row per previous state and one context per previous loss
-pair.  A product-form prior is tilted on its bucket pmfs
-(`_FactoredKernel`), a joint-only one row by row in log space (`_tilt`).
-The factor-only calibration is the same dual with each index's
-conditional laws frozen at the prior (`_FrozenKernel`), so its
-multipliers carry the same sign and residual = -lam * sigma^2 holds for
-both methods.
+pair.  Every prior is product form and is tilted on its bucket pmfs
+(`_FactoredKernel`).  The factor-only calibration is the same dual with
+each index's conditional laws frozen at the prior (`_FrozenKernel`), so
+its multipliers carry the same sign and residual = -lam * sigma^2 holds
+for both methods.
 """
 
 from __future__ import annotations
@@ -157,20 +156,6 @@ def _normalize_rows(log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return top + np.log(total), log_w
 
 
-def _tilt(log_q: np.ndarray, payoffs: np.ndarray, lambdas: np.ndarray,
-          targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 2D tilt/normalizer kernel, for joint-only priors and the
-    factored kernel's per-node fallback.
-
-    log_q (..., cells) holds prior log-pmf rows, payoffs (K, cells) the
-    payoff matrix F.  Each row is tilted by exp(lam . (F - targets)).
-    Returns (log Z per row, the tilted rows, their conditional means
-    tilted @ F^T)."""
-    tilt = lambdas @ payoffs - lambdas @ targets
-    log_z, tilted = _normalize_rows(log_q + tilt)
-    return log_z, tilted, tilted @ payoffs.T
-
-
 def log_partition_functions(
     prior: ConditionalLossDist,
     constraints: Sequence[PricingConstraint],
@@ -185,7 +170,7 @@ def log_partition_functions(
         raise ConfigurationError(
             f"{len(constraints)} constraints vs {len(lambdas)} multipliers"
         )
-    return _index_kernel(prior, constraints).evaluate(lambdas).log_z
+    return _FactoredKernel(prior, constraints).evaluate(lambdas).log_z
 
 
 def partition_functions(
@@ -221,54 +206,9 @@ class _IndexTilt(NamedTuple):
     law: Callable[[], ConditionalLossDist]  # the tilted conditionals
 
 
-class _Kernel:
-    """One index's constraints on its prior's lattice: the (K_i, S1 * S2)
-    payoff matrix F and the targets."""
-
-    def __init__(self, prior: ConditionalLossDist,
-                 constraints: Sequence[PricingConstraint]):
-        self.prior = prior
-        self.payoffs = _payoff_matrix(constraints, prior.grid, prior.shape)
-        self.targets = np.array([c.target_el for c in constraints])
-
-    def payoff_range(self) -> np.ndarray:
-        """(2, K): each payoff's least and greatest value on the smallest
-        box of the lattice that holds the prior's support.  Every payoff is
-        nondecreasing in both bucket losses, so these are its values at the
-        box's lower and upper corners."""
-        xs = np.flatnonzero(self.prior.relevant_marginals().any(axis=0))
-        ys = np.flatnonzero(self.prior.complement_marginals().any(axis=0))
-        s2 = self.prior.shape[1]
-        return self.payoffs[:, [xs[0] * s2 + ys[0], xs[-1] * s2 + ys[-1]]].T
-
-    def _second_moments(self, pmf: np.ndarray) -> np.ndarray:
-        """(K_i, K_i) payoff second moments F diag(p) F^T under a lattice
-        pmf p (S1 * S2,)."""
-        return (self.payoffs * pmf) @ self.payoffs.T
-
-
-class _JointKernel(_Kernel):
-    """Tilt of a prior that carries only its joint: one `_tilt` row of
-    S1 * S2 cells per node."""
-
-    def __init__(self, prior, constraints):
-        super().__init__(prior, constraints)
-        with np.errstate(divide="ignore"):  # log 0 = -inf
-            self._log_q = np.log(prior.pmfs.reshape(prior.n_nodes, -1))
-
-    def evaluate(self, lambdas: np.ndarray) -> _IndexTilt:
-        log_z, tilted, cond_means = _tilt(self._log_q, self.payoffs, lambdas,
-                                          self.targets)
-        shape = (len(log_z),) + self.prior.shape
-        return _IndexTilt(
-            log_z, cond_means, lambda w: self._second_moments(w @ tilted),
-            lambda: ConditionalLossDist(self.prior.index_id, self.prior.grid,
-                                        pmfs=tilted.reshape(shape).copy()),
-        )
-
-
-class _FactoredKernel(_Kernel):
-    """Tilt of a product-form prior that never builds its S1 x S2 lattice.
+class _FactoredKernel:
+    """One index's constraints tilted on its prior's bucket pmfs, without
+    building the S1 x S2 lattice.
 
     A bucket total tilts its own bucket pmf, a = q1 * exp(lam_r * x) and
     b = q2 * exp(lam_c * y); the tranches and the target shift make one
@@ -281,10 +221,29 @@ class _FactoredKernel(_Kernel):
     product against the node-free stack H_0 * [1, F_1, ..., F_K], then a
     contraction with b.  A node whose scaled Z_m is below
     `_NORMALIZER_FLOOR` (the scaling moved its mass to where the factors
-    underflow) is recomputed by `_tilt` on its joint row."""
+    underflow) is tilted on its joint row in log space instead.  F is the
+    (K_i, S1 * S2) payoff matrix on the lattice."""
 
-    def __init__(self, prior, constraints):
-        super().__init__(prior, constraints)
+    def __init__(self, prior: ConditionalLossDist,
+                 constraints: Sequence[PricingConstraint]):
+        if isinstance(prior, TiltedLossDist):
+            raise ConfigurationError(
+                f"prior for index {prior.index_id} is a calibrated law; a "
+                "prior needs its bucket pmfs")
+        for bucket, pmf in zip((RELEVANT, COMPLEMENT), prior.bucket_pmfs):
+            where = f"prior for index {prior.index_id} bucket '{bucket}'"
+            if not np.all(np.isfinite(pmf) & (pmf >= 0.0)):
+                raise ConfigurationError(
+                    f"{where} has a negative or non-finite probability")
+            mass = pmf.sum(axis=1)
+            bad = np.flatnonzero(np.abs(mass - 1.0) > 1e-8)
+            if bad.size:
+                raise ConfigurationError(
+                    f"{where} is not normalized: node {bad[0]} sums to "
+                    f"{float(mass[bad[0]])!r}")
+        self.prior = prior
+        self.payoffs = _payoff_matrix(constraints, prior.grid, prior.shape)
+        self.targets = np.array([c.target_el for c in constraints])
         rel, comp = prior.bucket_pmfs
         with np.errstate(divide="ignore"):
             self.log_q1, self.log_q2 = np.log(rel), np.log(comp)
@@ -302,6 +261,16 @@ class _FactoredKernel(_Kernel):
             (s1 + s2 - 1, 1))
         self.lifted = np.vstack([np.ones(s1 * s2), self.payoffs]).reshape(
             -1, s1, s2).transpose(1, 0, 2)  # (S1, 1 + K, S2)
+
+    def payoff_range(self) -> np.ndarray:
+        """(2, K): each payoff's least and greatest value on the smallest
+        box of the lattice that holds the prior's support.  Every payoff is
+        nondecreasing in both bucket losses, so these are its values at the
+        box's lower and upper corners."""
+        xs = np.flatnonzero(self.prior.relevant_marginals().any(axis=0))
+        ys = np.flatnonzero(self.prior.complement_marginals().any(axis=0))
+        s2 = self.prior.shape[1]
+        return self.payoffs[:, [xs[0] * s2 + ys[0], xs[-1] * s2 + ys[-1]]].T
 
     def evaluate(self, lambdas: np.ndarray) -> _IndexTilt:
         tau = lambdas[self.tranches] @ self.tranche_pay - lambdas @ self.targets
@@ -325,9 +294,10 @@ class _FactoredKernel(_Kernel):
         tilted_low = None
         if low.size:
             log_joint = self.log_q1[low, :, None] + self.log_q2[low, None, :]
-            log_z[low], tilted_low, cond_means[low] = _tilt(
-                log_joint.reshape(low.size, -1), self.payoffs, lambdas,
-                self.targets)
+            tilt = lambdas @ self.payoffs - lambdas @ self.targets
+            log_z[low], tilted_low = _normalize_rows(
+                log_joint.reshape(low.size, -1) + tilt)
+            cond_means[low] = tilted_low @ self.payoffs.T
 
         def second_moments(h: np.ndarray) -> np.ndarray:
             w = h / z
@@ -335,7 +305,7 @@ class _FactoredKernel(_Kernel):
             p = (h0 * ((a * w[:, None]).T @ b)).reshape(-1)
             if low.size:
                 p += h[low] @ tilted_low
-            return self._second_moments(p)
+            return (self.payoffs * p) @ self.payoffs.T
 
         return _IndexTilt(
             log_z, cond_means, second_moments,
@@ -344,14 +314,14 @@ class _FactoredKernel(_Kernel):
         )
 
 
-class _FrozenKernel(_Kernel):
+class _FrozenKernel:
     """The factor-only tilt: the conditional laws stay at the prior, so a
     node's normalizer is exp(lam . (mu_m - EL)), with mu the prior
     conditional mean payoffs (the index's own kernel at lam = 0)."""
 
-    def __init__(self, kernel: _Kernel):
-        self.prior, self.payoffs = kernel.prior, kernel.payoffs
-        self.targets = kernel.targets
+    def __init__(self, kernel: _FactoredKernel):
+        self.prior, self.targets = kernel.prior, kernel.targets
+        self.payoff_range = kernel.payoff_range
         self.mu = kernel.evaluate(np.zeros(len(self.targets))).cond_means
 
     def evaluate(self, lambdas: np.ndarray) -> _IndexTilt:
@@ -361,17 +331,9 @@ class _FrozenKernel(_Kernel):
                           lambda: self.prior)
 
 
-def _index_kernel(prior: ConditionalLossDist,
-                  constraints: Sequence[PricingConstraint]):
-    """The factored kernel for a product-form prior, else the 2D one."""
-    if prior.bucket_pmfs is not None:
-        return _FactoredKernel(prior, constraints)
-    return _JointKernel(prior, constraints)
-
-
 def _tilt_kernels(priors: Mapping[int, ConditionalLossDist],
                   constraints: Sequence[PricingConstraint]
-                  ) -> tuple[dict[int, list[int]], dict[int, _Kernel]]:
+                  ) -> tuple[dict[int, list[int]], dict[int, _FactoredKernel]]:
     """Per index, the positions of its constraints in the constraint list
     and the tilt kernel of its prior under them; every constraint must
     name one of the indices."""
@@ -383,7 +345,7 @@ def _tilt_kernels(priors: Mapping[int, ConditionalLossDist],
     positions = {i: [k for k, c in enumerate(constraints) if c.index_id == i]
                  for i in sorted(priors)}
     return positions, {
-        i: _index_kernel(priors[i], [constraints[k] for k in pos])
+        i: _FactoredKernel(priors[i], [constraints[k] for k in pos])
         for i, pos in positions.items()
     }
 
@@ -536,7 +498,8 @@ class _TiltedDual:
     which the gradient assumes."""
 
     def __init__(self, constraints: Sequence[PricingConstraint],
-                 positions: dict[int, list[int]], kernels: dict[int, _Kernel],
+                 positions: dict[int, list[int]],
+                 kernels: dict[int, _FactoredKernel | _FrozenKernel],
                  row_ctx: dict[int, np.ndarray], log_factor_rows: np.ndarray,
                  w_prev: np.ndarray):
         mass = float(w_prev.sum())
@@ -667,15 +630,6 @@ class MceCalibrator(_TiltedDual):
                 raise ConfigurationError(
                     f"prior for index {i} has {prior.n_nodes} nodes, grid has {m}"
                 )
-            if prior.bucket_pmfs is None:
-                slice_mass = prior.pmfs.reshape(m, -1).sum(axis=1)
-            else:
-                rel, comp = prior.bucket_pmfs
-                slice_mass = rel.sum(axis=1) * comp.sum(axis=1)
-            if np.max(np.abs(slice_mass - 1.0)) > 1e-8:
-                raise ConfigurationError(
-                    f"conditional prior slices for index {i} are not normalized"
-                )
         self.grid = grid
         self.priors = dict(priors)
         positions, kernels = _tilt_kernels(priors, constraints)
@@ -689,7 +643,7 @@ class MceCalibrator(_TiltedDual):
         )
 
     @staticmethod
-    def _kernel(kernel: _Kernel) -> _Kernel:
+    def _kernel(kernel: _FactoredKernel) -> _FactoredKernel:
         """The kernel the dual tilts for one index: the full calibration
         tilts the prior's conditional laws themselves."""
         return kernel

@@ -149,11 +149,11 @@ class DynamicState:
 
     def marginal_loss_pmf(self, columns: Sequence[int]) -> dict[int, float]:
         """pmf of the sum of the selected loss columns (1..4), by
-        ascending total."""
+        ascending total: each total held by a support row, its mass summed
+        in row order."""
         totals = self.support[:, list(columns)].sum(axis=1)
-        units, which = np.unique(totals, return_inverse=True)
-        mass = np.bincount(which.ravel(), weights=self.probs,
-                           minlength=len(units))
+        units = np.flatnonzero(np.bincount(totals))
+        mass = np.bincount(totals, weights=self.probs)[units]
         return dict(zip(units.tolist(), mass.tolist()))
 
     def expected_tranche_loss(

@@ -54,29 +54,20 @@ _NORMALIZER_FLOOR = 1e-250
 
 
 class ConditionalLossDist:
-    """Per factor node, joint pmf of (relevant, complement) bucket losses.
-
-    A prior from `build_conditional_prior` is product form per node and
-    carries its bucket pmfs, shapes (M, S1) and (M, S2); its joint `pmfs`,
-    shape (M, S1, S2), is formed anew on each access.  Built from `pmfs`
-    it holds that joint only.  Every node slice sums to one.
+    """Per factor node, the pmfs of the (relevant, complement) bucket
+    losses, shapes (M, S1) and (M, S2), independent given the node.  Their
+    joint `pmfs`, shape (M, S1, S2), is the outer product per node, formed
+    anew on each access.  Every node's bucket pmfs sum to one.
     """
 
     def __init__(self, index_id: int, grid: LossGrid,
-                 pmfs: np.ndarray | None = None,
-                 bucket_pmfs: tuple[np.ndarray, np.ndarray] | None = None):
-        if (pmfs is None) == (bucket_pmfs is None):
-            raise ConfigurationError("give either the joint pmfs or the two "
-                                     "bucket pmfs")
+                 bucket_pmfs: tuple[np.ndarray, np.ndarray]):
         self.index_id = index_id
         self.grid = grid
-        self.bucket_pmfs = None if bucket_pmfs is None else tuple(bucket_pmfs)
-        self._joint = pmfs
+        self.bucket_pmfs = tuple(bucket_pmfs)
 
     @property
     def pmfs(self) -> np.ndarray:
-        if self.bucket_pmfs is None:
-            return self._joint
         rel, comp = self.bucket_pmfs
         return rel[:, :, None] * comp[:, None, :]
 
@@ -90,25 +81,17 @@ class ConditionalLossDist:
 
     @property
     def _dims(self) -> tuple[int, int, int]:
-        if self.bucket_pmfs is None:
-            return self._joint.shape
         rel, comp = self.bucket_pmfs
         return rel.shape + comp.shape[1:]
 
     def relevant_marginals(self) -> np.ndarray:
-        if self.bucket_pmfs is None:
-            return self._joint.sum(axis=2)
         return self.bucket_pmfs[0].copy()
 
     def complement_marginals(self) -> np.ndarray:
-        if self.bucket_pmfs is None:
-            return self._joint.sum(axis=1)
         return self.bucket_pmfs[1].copy()
 
     def total_loss_pmfs(self) -> np.ndarray:
         """Per node, pmf of the summed bucket losses."""
-        if self.bucket_pmfs is None:
-            return _antidiagonal_sums(self._joint)
         return convolve_rows(*self.bucket_pmfs)
 
 
@@ -119,14 +102,14 @@ class TiltedLossDist(ConditionalLossDist):
 
     held as log a (M, S1), log b (M, S2), tau (S1 + S2 - 1,) and log Z
     (M,).  The joint, the bucket marginals and the total-loss pmfs are
-    derived on demand; only the joint needs S1 * S2 cells per node.
+    derived on demand; only the joint needs S1 * S2 cells per node.  It
+    has no `bucket_pmfs`, so it cannot serve as a prior.
     """
 
     def __init__(self, index_id: int, grid: LossGrid, log_a: np.ndarray,
                  log_b: np.ndarray, tau: np.ndarray, log_z: np.ndarray):
         self.index_id = index_id
         self.grid = grid
-        self.bucket_pmfs = None
         self.log_a, self.log_b, self.tau, self.log_z = log_a, log_b, tau, log_z
 
     @property

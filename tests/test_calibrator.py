@@ -125,10 +125,10 @@ class TestPartitionFunctions:
 
     def test_point_mass_prior(self):
         grid_unit = 0.1
-        pmfs = np.zeros((1, 3, 3))
-        pmfs[0, 2, 1] = 1.0
         prior = ConditionalLossDist(
-            index_id=1, grid=LossGrid(unit=grid_unit, max_units=4), pmfs=pmfs
+            index_id=1, grid=LossGrid(unit=grid_unit, max_units=4),
+            bucket_pmfs=(np.array([[0.0, 0.0, 1.0]]),
+                         np.array([[0.0, 1.0, 0.0]])),
         )
         c = PricingConstraint(index_id=1, kind="subportfolio_total",
                               bucket="relevant", target_el=0.05)
@@ -228,89 +228,7 @@ def assert_matches_reference_dual(cal, lam):
         assert_rel_close(got_tilted[i], tilted[i])
         # the tilt never puts mass where the prior has none
         assert np.all(got_tilted[i][cal.priors[i].pmfs == 0.0] == 0.0)
-
-
-class TestTiltKernelEquivalence:
-    def test_lattice_with_zero_mass_cells(self, rng):
-        _, grid, _, priors, _ = toy_setup(seed=22)
-        holed = {}
-        for i, prior in priors.items():
-            pmfs = prior.pmfs.copy()
-            pmfs[:, 1::3, :] = 0.0  # whole relevant-loss levels
-            pmfs[:, :, 2::4] = 0.0  # and whole complement-loss levels
-            pmfs[::2, 0, 0] = 0.0  # and the no-loss cell at every other node
-            pmfs /= pmfs.sum(axis=(1, 2), keepdims=True)
-            holed[i] = ConditionalLossDist(index_id=i, grid=prior.grid,
-                                           pmfs=pmfs)
-        cons = standard_constraints(grid, holed, shift=1.2)
-        cal = MceCalibrator(grid, holed, cons)
-        for _ in range(3):
-            assert_matches_reference_dual(
-                cal, rng.normal(scale=3.0, size=len(cons)))
-
-    @pytest.mark.parametrize("lam, targets", [
-        ([750.0, 700.0, 720.0, -30.0], (0.3, 0.2)),
-        ([-750.0, -700.0, -720.0, 30.0], (0.7, 0.6)),
-    ])
-    def test_multipliers_near_700(self, rng, lam, targets):
-        # exp of the unshifted tilt overflows, so only a kernel that
-        # subtracts each row's max gets these right
-        params = FactorParams(rho=0.3, alpha=0.2)
-        grid = build_market_grid(3, 3, params)
-        loss_grid = LossGrid(unit=0.5, max_units=4)
-        priors, cons = {}, []
-        for i in (1, 2):
-            pmfs = rng.random((grid.n_nodes, 3, 3))
-            pmfs[:, 0, 2] = 0.0
-            pmfs /= pmfs.sum(axis=(1, 2), keepdims=True)
-            priors[i] = ConditionalLossDist(index_id=i, grid=loss_grid,
-                                            pmfs=pmfs)
-            cons += [
-                PricingConstraint(index_id=i, kind="tranche", k_low=0.0,
-                                  k_high=1.0, target_el=targets[0],
-                                  sigma=1e-2),
-                PricingConstraint(index_id=i, kind="subportfolio_total",
-                                  bucket="relevant", target_el=targets[1],
-                                  sigma=1e-2),
-            ]
-        lam = np.array(lam)
-        exponent = sum(l * (payoff_lattice(c, priors[1]) - c.target_el)
-                       for l, c in zip(lam[:2], cons[:2]))
-        with np.errstate(over="ignore"):
-            assert np.exp(exponent.max()) == np.inf
-        assert_matches_reference_dual(MceCalibrator(grid, priors, cons), lam)
-        assert np.isfinite(
-            log_partition_functions(priors[1], cons[:2], lam[:2])).all()
-
-
-def joint_only(priors):
-    """The same priors carrying only their joints, so the calibrator takes
-    the 2D `_tilt` path."""
-    return {i: ConditionalLossDist(index_id=i, grid=p.grid, pmfs=p.pmfs)
-            for i, p in priors.items()}
-
-
-def assert_factored_matches_joint(grid, priors, cons, lam):
-    """The factored kernel against the 2D kernel on the same joints: value,
-    gradient, Hessian, factor weights, tilted conditionals and bucket
-    marginals, to 1e-12 normwise."""
-    factored = MceCalibrator(grid, priors, cons)
-    joint = MceCalibrator(grid, joint_only(priors), cons)
-    value, grad = joint.dual_objective_and_gradient(lam)
-    got_value, got_grad = factored.dual_objective_and_gradient(lam)
-    assert got_value == pytest.approx(value, rel=1e-12)
-    assert_rel_close(got_grad, grad)
-    hess = joint.dual_hessian(lam)
-    mean = grad + joint.targets - lam * joint.sigmas**2
-    assert_rel_close(factored.dual_hessian(lam), hess,
-                     scale=np.abs(hess + np.outer(mean, mean)).max())
-    h, tilted = joint.posterior(lam)
-    got_h, got_tilted = factored.posterior(lam)
-    assert_rel_close(got_h, h)
-    for i, prior in priors.items():
-        assert_rel_close(got_tilted[i], tilted[i])
-        assert np.all(got_tilted[i][prior.pmfs == 0.0] == 0.0)
-        law = factored.evaluate(lam)["tilts"][i].law()
+        law = cal.evaluate(lam)["tilts"][i].law()
         assert_rel_close(law.relevant_marginals(), tilted[i].sum(axis=2))
         assert_rel_close(law.complement_marginals(), tilted[i].sum(axis=1))
 
@@ -324,11 +242,11 @@ def bucket_priors(grid, loss_grid, rels, comps):
 class TestFactoredKernelEquivalence:
     def test_toy_priors(self, rng):
         _, grid, _, priors, _ = toy_setup(seed=24)
-        assert all(p.bucket_pmfs is not None for p in priors.values())
         cons = standard_constraints(grid, priors, shift=1.2)
         for _ in range(3):
-            assert_factored_matches_joint(
-                grid, priors, cons, rng.normal(scale=3.0, size=len(cons)))
+            assert_matches_reference_dual(
+                MceCalibrator(grid, priors, cons),
+                rng.normal(scale=3.0, size=len(cons)))
 
     def test_zero_loss_levels_and_no_loss_cell(self, rng):
         _, grid, _, priors, _ = toy_setup(seed=25)
@@ -344,8 +262,9 @@ class TestFactoredKernelEquivalence:
         assert (holed[1].pmfs[::2, 0, 0] == 0.0).all()
         cons = standard_constraints(grid, holed, shift=1.2)
         for _ in range(3):
-            assert_factored_matches_joint(
-                grid, holed, cons, rng.normal(scale=3.0, size=len(cons)))
+            assert_matches_reference_dual(
+                MceCalibrator(grid, holed, cons),
+                rng.normal(scale=3.0, size=len(cons)))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_multipliers_near_700(self, rng, sign):
@@ -377,7 +296,9 @@ class TestFactoredKernelEquivalence:
                        for l, c in zip(lam[:3], cons[:3]))
         with np.errstate(over="ignore"):
             assert np.exp(exponent.max()) == np.inf
-        assert_factored_matches_joint(grid, priors, cons, lam)
+        assert_matches_reference_dual(MceCalibrator(grid, priors, cons), lam)
+        assert np.isfinite(
+            log_partition_functions(priors[1], cons[:3], lam[:3])).all()
 
     def test_underflowing_normalizer_falls_back_per_node(self, rng):
         # a relevant-total multiplier of +1500 against a tranche multiplier
@@ -414,7 +335,74 @@ class TestFactoredKernelEquivalence:
                           e[np.add.outer(np.arange(3), np.arange(3))])
             low = z < 1e-250
             assert low.any() and not low.all()
-            assert_factored_matches_joint(grid, priors, cons, lam)
+            assert_matches_reference_dual(MceCalibrator(grid, priors, cons),
+                                          lam)
+
+
+class TestPriorChecks:
+    """Every prior passes through one kernel constructor, which checks each
+    bucket pmf before any Newton step and names the index and bucket."""
+
+    @staticmethod
+    def spoiled(spoil):
+        _, grid, _, priors, _ = toy_setup(seed=29)
+        cons = standard_constraints(grid, priors)
+        rel, comp = (b.copy() for b in priors[2].bucket_pmfs)
+        spoil(rel, comp)
+        return grid, {**priors, 2: ConditionalLossDist(
+            index_id=2, grid=priors[2].grid, bucket_pmfs=(rel, comp))}, cons
+
+    def test_rows_that_do_not_sum_to_one(self):
+        # twice the relevant pmf times half the complement pmf keeps every
+        # joint slice at mass 1, yet each bucket law has mass 2 or 1/2
+        def spoil(rel, comp):
+            rel *= 2.0
+            comp /= 2.0
+
+        grid, priors, cons = self.spoiled(spoil)
+        for solve in (calibrate, factor_only_calibrate):
+            with pytest.raises(ConfigurationError, match=(
+                    r"prior for index 2 bucket 'relevant' is not normalized: "
+                    r"node 0 sums to 2\.0")):
+                solve(grid, priors, cons)
+
+    def test_nan_cell(self):
+        def spoil(rel, comp):
+            rel[4, 1] = np.nan
+
+        grid, priors, cons = self.spoiled(spoil)
+        with pytest.raises(ConfigurationError, match=(
+                "prior for index 2 bucket 'relevant' has a negative or "
+                "non-finite probability")):
+            calibrate(grid, priors, cons)
+
+    def test_negative_cell(self):
+        # the row still sums to one
+        def spoil(rel, comp):
+            comp[3, 1] += comp[3, 0] + 0.1
+            comp[3, 0] = -0.1
+
+        grid, priors, cons = self.spoiled(spoil)
+        with pytest.raises(ConfigurationError, match=(
+                "prior for index 2 bucket 'complement' has a negative or "
+                "non-finite probability")):
+            calibrate(grid, priors, cons)
+
+    def test_calibrated_law_is_not_a_prior(self):
+        _, grid, _, priors, _ = toy_setup(seed=30)
+        cons = standard_constraints(grid, priors)
+        res = calibrate(grid, priors, cons)
+        for i in (1, 2):
+            mixed = {**priors, i: res.laws[i]}
+            own = [c for c in cons if c.index_id == i]
+            message = (f"prior for index {i} is a calibrated law; a prior "
+                       "needs its bucket pmfs")
+            for call in (lambda: calibrate(grid, mixed, cons),
+                         lambda: log_partition_functions(
+                             res.laws[i], own, np.zeros(len(own))),
+                         lambda: prior_expected_losses(grid, mixed, cons)):
+                with pytest.raises(ConfigurationError, match=message):
+                    call()
 
 
 class TestPosteriorWeights:
@@ -699,12 +687,9 @@ class TestFactorOnly:
         # with delta conditionals there is no conditional freedom: both
         # methods produce the same posterior measure
         grid = build_market_grid(3, 1, FactorParams(rho=0.0, alpha=0.0))
-        pmfs = np.zeros((3, 3, 1))
-        pmfs[0, 0, 0] = 1.0
-        pmfs[1, 1, 0] = 1.0
-        pmfs[2, 2, 0] = 1.0
         prior = ConditionalLossDist(
-            index_id=1, grid=LossGrid(unit=0.1, max_units=2), pmfs=pmfs
+            index_id=1, grid=LossGrid(unit=0.1, max_units=2),
+            bucket_pmfs=(np.eye(3), np.ones((3, 1))),
         )
         c = PricingConstraint(index_id=1, kind="subportfolio_total",
                               bucket="relevant", target_el=0.12, sigma=0.0)
@@ -742,14 +727,11 @@ def reference_factor_only_dual(grid, priors, constraints, lambdas):
 
 
 class TestFactorOnlyOnTheTiltedDual:
-    @pytest.mark.parametrize("joint", [False, True])
-    def test_matches_negated_reference_dual(self, rng, joint):
+    def test_matches_negated_reference_dual(self, rng):
         # frozen kernels on the one dual give, at lam, the hand-written
         # factor-only dual at -lam: same value, Hessian and factor weights,
         # negated gradient; |lam| near 700 concentrates h on one node
         _, grid, _, priors, _ = toy_setup(seed=27)
-        if joint:
-            priors = joint_only(priors)
         cons = standard_constraints(grid, priors, sigma=5e-3, shift=1.2)
         cal = FactorOnlyCalibrator(grid, priors, cons)
         k = len(cons)

@@ -432,7 +432,8 @@ def reference_period_dual(model, period, prev_state, constraints, lambdas):
         ctx[i] = row_ctx
         pos[i] = [k for k, c in enumerate(constraints) if c.index_id == i]
         lattice = ConditionalLossDist(
-            index_id=i, grid=model.period_loss_grid(period, i), pmfs=pmfs[0])
+            index_id=i, grid=model.period_loss_grid(period, i),
+            bucket_pmfs=(rel[0], comp[0]))
         fs = np.array([payoff_lattice(constraints[k], lattice)
                        for k in pos[i]]).reshape(len(pos[i]), *pmfs.shape[2:])
         tilt = np.tensordot(lam[pos[i]], fs, axes=1) - (
@@ -536,7 +537,7 @@ class TestTiltKernelEquivalence:
         lam = np.array([700.0, 690.0, 710.0, 705.0, -700.0, 720.0])
         lattice = ConditionalLossDist(
             index_id=1, grid=model.period_loss_grid(1, 1),
-            pmfs=np.zeros((1, 2, 2)))
+            bucket_pmfs=(np.zeros((1, 2)), np.zeros((1, 2))))
         exponent = sum(l * (payoff_lattice(c, lattice) - c.target_el)
                        for l, c in zip(lam[:4], cons[:4]))
         with np.errstate(over="ignore"):
@@ -942,6 +943,28 @@ class TestDenseLatticeKeys:
                 want, which = np.unique(pairs, axis=0, return_inverse=True)
                 assert np.array_equal(contexts, want)
                 assert np.array_equal(row_ctx, which.ravel())
+
+    def test_marginal_loss_pmf_matches_a_sort(self):
+        # losses drawn from {0, 3, 7, 20}, so the totals have gaps, and a
+        # row without mass whose total no other row holds
+        rng = np.random.default_rng(20261019)
+        support = np.column_stack(
+            [rng.integers(0, 4, 500)]
+            + [rng.choice([0, 3, 7, 20], 500) for _ in range(4)])
+        support[17, 1:] = 50
+        probs = rng.random(500)
+        probs[17] = 0.0
+        state = DynamicState(period=0, horizon=1.0, support=support,
+                             probs=probs)
+        for columns in ((1,), (1, 2), (3, 4), (1, 2, 3, 4)):
+            totals = support[:, list(columns)].sum(axis=1)
+            units, which = np.unique(totals, return_inverse=True)
+            mass = np.bincount(which.ravel(), weights=probs)
+            want = dict(zip(units.tolist(), mass.tolist()))
+            got = state.marginal_loss_pmf(columns)
+            assert list(got.items()) == list(want.items())
+            assert len(got) < max(got) + 1  # the totals have gaps
+            assert got[50 * len(columns)] == 0.0
 
     def test_the_initial_state_keeps_its_node(self):
         model = self.build(3)

@@ -7,7 +7,6 @@ from scipy.special import ndtr, ndtri
 
 from entropic_bespoke.errors import ConfigurationError
 from entropic_bespoke.loss import (
-    ConditionalLossDist,
     LossDist,
     LossGrid,
     bucket_pmf_recursion,
@@ -124,9 +123,9 @@ class TestConditionalPrior:
             ).max() < 1e-14
 
     def test_bucket_form_matches_its_joint(self):
-        # a built prior keeps its bucket pmfs; the joint it forms, and the
-        # marginals and total-loss pmfs it derives, match a twin that holds
-        # only that joint
+        # a built prior keeps its bucket pmfs; the joint it forms is their
+        # outer product per node, and its marginals and total-loss pmfs are
+        # that joint's axis sums and a per-node convolution
         params = FactorParams(rho=0.3, alpha=0.2)
         port = toy_portfolio(1, 4, 3, seed=3)
         grid = build_market_grid(4, 4, params)
@@ -135,20 +134,15 @@ class TestConditionalPrior:
             5.0, params,
         )
         rel, comp = dist.bucket_pmfs
-        assert np.array_equal(dist.pmfs, rel[:, :, None] * comp[:, None, :])
-        twin = ConditionalLossDist(index_id=1, grid=dist.grid, pmfs=dist.pmfs)
-        assert twin.bucket_pmfs is None
-        assert (dist.n_nodes, dist.shape) == (twin.n_nodes, twin.shape)
-        for got, want in ((dist.relevant_marginals(), twin.relevant_marginals()),
-                          (dist.complement_marginals(),
-                           twin.complement_marginals()),
-                          (dist.total_loss_pmfs(), twin.total_loss_pmfs())):
+        joint = np.array([np.outer(r, c) for r, c in zip(rel, comp)])
+        assert np.array_equal(dist.pmfs, joint)
+        assert (dist.n_nodes, dist.shape) == (grid.n_nodes, joint.shape[1:])
+        totals = np.array([np.convolve(r, c) for r, c in zip(rel, comp)])
+        for got, want in ((dist.relevant_marginals(), joint.sum(axis=2)),
+                          (dist.complement_marginals(), joint.sum(axis=1)),
+                          (dist.total_loss_pmfs(), totals)):
+            assert got.shape == want.shape
             assert np.abs(got - want).max() < 1e-15
-        with pytest.raises(ConfigurationError):
-            ConditionalLossDist(index_id=1, grid=dist.grid)
-        with pytest.raises(ConfigurationError):
-            ConditionalLossDist(index_id=1, grid=dist.grid, pmfs=dist.pmfs,
-                                bucket_pmfs=(rel, comp))
 
     def test_mass_conservation_and_mean(self):
         params = FactorParams(rho=0.4, alpha=0.25)
