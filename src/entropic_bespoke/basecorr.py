@@ -5,6 +5,13 @@ prices back to correlation, and implements the three strike-mapping rules
 practitioners use to carry an index skew onto a bespoke portfolio.  Kept
 deliberately simple: it exists to produce comparison columns and to
 exhibit the documented pathologies of the mapping approach.
+
+`onefactor_loss_dist`, `base_tranche_el` and `map_strike` also take a
+sequence (of betas, of (strike, beta) pairs, of bespoke strikes).  All
+one-factor laws asked for one pool and horizon then come from one batched
+recursion over (beta, node) columns; the recursion is column-independent,
+so each law is bit-identical to its scalar call, which is the
+one-element case.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -128,27 +135,37 @@ def _sign(x: float) -> int:
 
 def onefactor_loss_dist(
     portfolio: IndexPortfolio,
-    beta: float,
+    beta: float | Sequence[float],
     horizon: float,
     n_nodes: int = 31,
     loss_unit: float | None = None,
-) -> LossDist:
+) -> LossDist | list[LossDist]:
     """Index loss law under a one-factor Gaussian copula where every name
-    loads sqrt(beta) on the single market factor."""
-    if not 0.0 < beta < 1.0:
-        raise ConfigurationError(f"beta must lie in (0, 1), got {beta}")
+    loads sqrt(beta) on the single market factor.
+
+    A sequence of betas gives the list of their laws, from one pass of
+    conditional default probabilities and one bucket recursion over the
+    (beta, node) columns, beta-major.
+    """
+    betas = np.atleast_1d(np.asarray(beta, dtype=float))
+    bad = betas[~((betas > 0.0) & (betas < 1.0))]
+    if bad.size:
+        raise ConfigurationError(f"beta must lie in (0, 1), got {float(bad[0])}")
     unit, units, default_probs = _pool_inputs(portfolio, horizon, loss_unit)
     z, w = _unit_gauss_hermite(n_nodes)
-    nodes = np.column_stack([z, np.zeros_like(z)])
-    loading = TwoFactorLoadings(
-        beta1=math.sqrt(beta), beta2=0.0, idio=math.sqrt(1.0 - beta)
+    n = len(betas)
+    nodes = np.column_stack([np.tile(z, n), np.zeros(n * n_nodes)])
+    loading = TwoFactorLoadings(  # one value per (beta, node) column
+        beta1=np.repeat(np.sqrt(betas), n_nodes), beta2=0.0,
+        idio=np.repeat(np.sqrt(1.0 - betas), n_nodes),
     )
     probs = _conditional_prob_rows(default_probs, loading, nodes)
-    pmfs = bucket_pmf_recursion(probs, units, sum(units) + 1)
-    pmf = w @ pmfs
-    return LossDist(
-        pmf=pmf, grid=LossGrid(unit=unit, max_units=len(pmf) - 1), horizon=horizon
-    )
+    size = sum(units) + 1
+    pmfs = bucket_pmf_recursion(probs, units, size).reshape(n, n_nodes, size)
+    grid = LossGrid(unit=unit, max_units=size - 1)
+    dists = [LossDist(pmf=w @ node_pmfs, grid=grid, horizon=horizon)
+             for node_pmfs in pmfs]
+    return dists if np.ndim(beta) else dists[0]
 
 
 @functools.lru_cache(maxsize=16)
@@ -172,17 +189,29 @@ def _pool_inputs(
 
 def base_tranche_el(
     portfolio: IndexPortfolio,
-    k: float,
-    beta: float,
+    k: float | Sequence[float],
+    beta: float | Sequence[float],
     horizon: float,
     n_nodes: int = 31,
     loss_unit: float | None = None,
-) -> float:
-    """E[min(X, K)] / K for the 0-to-K base tranche under flat beta."""
-    if k <= 0.0:
+) -> float | list[float]:
+    """E[min(X, K)] / K for the 0-to-K base tranche under flat beta.
+
+    Sequences k and beta of one length give the list of the base ELs of
+    the (k, beta) pairs, from one batch of one-factor laws.
+    """
+    ks = np.atleast_1d(np.asarray(k, dtype=float))
+    betas = np.atleast_1d(np.asarray(beta, dtype=float))
+    if np.ndim(k) != np.ndim(beta) or len(ks) != len(betas):
+        raise ConfigurationError(
+            "base tranche ELs need one beta per strike, both scalars or "
+            "both sequences")
+    if np.any(~(ks > 0.0)):
         raise ConfigurationError("base strike must be positive")
-    dist = onefactor_loss_dist(portfolio, beta, horizon, n_nodes, loss_unit)
-    return float(dist.pmf @ np.minimum(dist.levels, k)) / k
+    dists = onefactor_loss_dist(portfolio, betas, horizon, n_nodes, loss_unit)
+    els = [float(dist.pmf @ np.minimum(dist.levels, kk)) / kk
+           for kk, dist in zip(ks.tolist(), dists)]
+    return els if np.ndim(k) else els[0]
 
 
 def implied_base_correlation(
@@ -231,7 +260,7 @@ def _interp_quantile(dist: LossDist) -> Callable[[float], float]:
 
 def map_strike(
     rule: MappingRule,
-    k_b: float,
+    k_b: float | Sequence[float],
     bespoke_el: float,
     index_el: float,
     index_loss_dist: LossDist | None = None,
@@ -240,7 +269,7 @@ def map_strike(
     damping: float = 0.5,
     tol: float = 1e-8,
     max_iter: int = 100,
-) -> float:
+) -> float | list[float]:
     """Index strike "equivalent" to bespoke strike k_b under the chosen rule.
 
     absolute: K_i = K_b.  atm: K_i = K_b * L_i / L_b (same moneyness).
@@ -251,6 +280,15 @@ def map_strike(
     K + damping * (g(K) - K) when the secant is flat or would step
     4 * |g(K) - K| or more; it returns g(K) once |g(K) - K| < tol, and may
     legitimately fail to converge for wide-spread bespokes.
+
+    A sequence k_b gives the list of its index strikes, each as its scalar
+    call gives it.  Under probability matching the strikes then step in
+    lockstep, each with its own secant and damped sequence: every
+    iteration calls the provider once with the list of the betas of the
+    strikes not yet converged, in strike order, and it must return the
+    list of their laws in that order.  A scalar k_b passes the provider a
+    scalar beta and takes one law back.  If strikes fail to converge, the
+    error names the first of them.
     """
     if not 0.0 < damping <= 1.0:
         raise ConfigurationError(f"damping must lie in (0, 1], got {damping}")
@@ -258,39 +296,78 @@ def map_strike(
         raise ConfigurationError(f"tolerance must be positive, got {tol}")
     if max_iter < 1:
         raise ConfigurationError(f"max_iter must be at least 1, got {max_iter}")
+    batched = np.ndim(k_b) > 0
+    ks = list(k_b) if batched else [k_b]
     if rule.variant == ABSOLUTE:
-        return k_b
-    if rule.variant == ATM:
+        mapped = ks
+    elif rule.variant == ATM:
         if bespoke_el <= 0.0:
             raise ConfigurationError("ATM mapping needs a positive bespoke EL")
         if index_el <= 0.0:
             raise ConfigurationError("ATM mapping needs a positive index EL")
-        return k_b * index_el / bespoke_el
-    if index_loss_dist is None or bespoke_dist_provider is None or curve is None:
-        raise ConfigurationError(
-            "probability matching needs the index loss law, a bespoke "
-            "distribution provider and a base-correlation curve"
-        )
-    index_quantile = _interp_quantile(index_loss_dist)
-    k_i = k_b
-    k_prev = r_prev = None
+        mapped = [k * index_el / bespoke_el for k in ks]
+    else:
+        if index_loss_dist is None or bespoke_dist_provider is None or curve is None:
+            raise ConfigurationError(
+                "probability matching needs the index loss law, a bespoke "
+                "distribution provider and a base-correlation curve"
+            )
+
+        def provider(betas: list[float]) -> list[LossDist]:
+            if not batched:
+                return [bespoke_dist_provider(betas[0])]
+            laws = list(bespoke_dist_provider(betas))
+            if len(laws) != len(betas):
+                raise ConfigurationError(
+                    f"bespoke law provider returned {len(laws)} laws for "
+                    f"{len(betas)} betas")
+            return laws
+
+        mapped = _match_probabilities(
+            ks, _interp_quantile(index_loss_dist), provider, curve, damping,
+            tol, max_iter)
+    return mapped if batched else mapped[0]
+
+
+def _match_probabilities(
+    ks: list[float],
+    index_quantile: Callable[[float], float],
+    provider: Callable[[list[float]], list[LossDist]],
+    curve: BaseCorrCurve,
+    damping: float,
+    tol: float,
+    max_iter: int,
+) -> list[float]:
+    """The probability-matching fixed points of bespoke strikes `ks`, all
+    stepped in lockstep (see `map_strike`)."""
+    k_i = list(ks)  # each strike's trial index strike, then its result
+    k_prev: list[float | None] = [None] * len(ks)
+    r_prev: list[float | None] = [None] * len(ks)
+    live = list(range(len(ks)))  # strikes not yet converged
     for _ in range(max_iter):
-        bespoke = bespoke_dist_provider(curve.beta(k_i))
-        p_star = _interp_cdf(bespoke)(k_b)
-        k_target = index_quantile(p_star)
-        r = k_target - k_i
-        if abs(r) < tol:
-            return k_target
-        step = damping * r
-        if r_prev is not None and r != r_prev:
-            secant = r * (k_i - k_prev) / (r_prev - r)
-            if abs(secant) < 4.0 * abs(r):
-                step = secant
-        k_prev, r_prev = k_i, r
-        k_i = k_i + step
+        laws = provider([curve.beta(k_i[j]) for j in live])
+        still = []
+        for j, bespoke in zip(live, laws):
+            k_target = index_quantile(_interp_cdf(bespoke)(ks[j]))
+            r = k_target - k_i[j]
+            if abs(r) < tol:
+                k_i[j] = k_target
+                continue
+            step = damping * r
+            if r_prev[j] is not None and r != r_prev[j]:
+                secant = r * (k_i[j] - k_prev[j]) / (r_prev[j] - r)
+                if abs(secant) < 4.0 * abs(r):
+                    step = secant
+            k_prev[j], r_prev[j] = k_i[j], r
+            k_i[j] = k_i[j] + step
+            still.append(j)
+        live = still
+        if not live:
+            return k_i
+    j = live[0]
     raise MappingConvergenceError(
-        "probability matching did not converge",
-        residual=abs(r), iterations=max_iter,
+        f"probability matching did not converge at bespoke strike {ks[j]:g}",
+        residual=abs(r_prev[j]), iterations=max_iter,
     )
 
 

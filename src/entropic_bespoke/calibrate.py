@@ -230,6 +230,11 @@ class _FactoredKernel:
             raise ConfigurationError(
                 f"prior for index {prior.index_id} is a calibrated law; a "
                 "prior needs its bucket pmfs")
+        rows = [pmf.shape[0] for pmf in prior.bucket_pmfs]
+        if rows[0] != rows[1]:
+            raise ConfigurationError(
+                f"prior for index {prior.index_id} has {rows[0]} relevant and "
+                f"{rows[1]} complement node rows; both need the grid's nodes")
         for bucket, pmf in zip((RELEVANT, COMPLEMENT), prior.bucket_pmfs):
             where = f"prior for index {prior.index_id} bucket '{bucket}'"
             if not np.all(np.isfinite(pmf) & (pmf >= 0.0)):

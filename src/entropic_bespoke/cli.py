@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import hashlib
 import json
 import math
@@ -24,7 +23,7 @@ from pathlib import Path
 from . import __version__, basecorr, io as fmt, pricing
 from .calibrate import TRANCHE, calibrate
 from .dynamic import DynamicModel, TimeGrid
-from .errors import ConfigurationError, EntropicBespokeError
+from .errors import ConfigurationError, EntropicBespokeError, MappingConvergenceError
 from .loss import LossGrid, build_conditional_prior, default_loss_unit, name_loss_units
 from .prior import RELEVANT, IndexPortfolio, build_market_grid
 
@@ -344,22 +343,23 @@ def _mode_map_basecorr(config, reporter):
         skew = curve_at(t)
         l_b = _pool_expected_loss(bespoke_pool, t)
         l_i = _pool_expected_loss(index_pool, t)
-        index_dist = None
-        for k_b in strikes:
-            if rule.variant == basecorr.PROBABILITY_MATCHING:
-                if index_dist is None:
-                    index_dist = basecorr.onefactor_loss_dist(
-                        index_pool, skew.beta(k_b), t
-                    )
-                k_i = basecorr.map_strike(
-                    rule, k_b, l_b, l_i, index_loss_dist=index_dist,
+        if rule.variant == basecorr.PROBABILITY_MATCHING:
+            index_dist = basecorr.onefactor_loss_dist(
+                index_pool, skew.beta(strikes[0]), t)
+            try:
+                index_strikes = basecorr.map_strike(
+                    rule, strikes, l_b, l_i, index_loss_dist=index_dist,
                     bespoke_dist_provider=lambda b: basecorr.onefactor_loss_dist(
-                        bespoke_pool, b, t
-                    ),
+                        bespoke_pool, b, t),
                     curve=skew,
                 )
-            else:
-                k_i = basecorr.map_strike(rule, k_b, l_b, l_i)
+            except MappingConvergenceError as exc:
+                raise MappingConvergenceError(
+                    f"maturity {t:g}: {exc.args[0]}", exc.residual,
+                    exc.iterations) from None
+        else:
+            index_strikes = basecorr.map_strike(rule, strikes, l_b, l_i)
+        for k_b, k_i in zip(strikes, index_strikes):
             beta = skew.beta(k_i)
             mapped[(t, k_b)] = (k_i, beta)
             mapping_rows.append([
@@ -368,27 +368,36 @@ def _mode_map_basecorr(config, reporter):
             ])
     reporter.csv("mapped_strikes.csv", fmt.MAPPING_HEADER, mapping_rows)
 
-    # reference prices with the mapped correlations; adjacent tranches
-    # share strikes, so each (maturity, strike, horizon) base EL is built once
-    @functools.cache
-    def base_el(maturity: float, k: float, t: float) -> float:
-        beta = mapped[(maturity, k)][1]
-        return basecorr.base_tranche_el(bespoke_pool, k, beta, t)
+    # reference prices with the mapped correlations: adjacent tranches share
+    # strikes, so each (maturity, strike) base EL a horizon needs is priced
+    # once, and all of a horizon's come from one batch of one-factor laws
+    def price_horizons(tr) -> list[float]:
+        return [t for t in sorted({*horizons, tr.maturity})
+                if t <= tr.maturity + 1e-9]
+
+    def legs(tr) -> list[tuple[float, float]]:
+        return [(k, sign) for k, sign in ((tr.k_high, 1.0), (tr.k_low, -1.0))
+                if k > 0.0]
+
+    wanted: dict[float, dict[tuple[float, float], None]] = {}
+    for tr in tranches:
+        for t in price_horizons(tr):
+            for k, _ in legs(tr):
+                wanted.setdefault(t, {})[(tr.maturity, k)] = None
+    base_els = {}
+    for t, pairs in wanted.items():
+        els = basecorr.base_tranche_el(
+            bespoke_pool, [k for _, k in pairs], [mapped[p][1] for p in pairs], t)
+        base_els.update(((t, *p), el) for p, el in zip(pairs, els))
 
     price_rows = []
-    grid_horizons = sorted({t for t in horizons})
     for tr in tranches:
-        els = {}
-        for t in sorted({*grid_horizons, tr.maturity}):
-            if t > tr.maturity + 1e-9:
-                continue
-            skew_els = []
-            for k, sign in ((tr.k_high, 1.0), (tr.k_low, -1.0)):
-                if k <= 0.0:
-                    continue
-                skew_els.append(sign * k * base_el(tr.maturity, k, t))
-            els[t] = sum(skew_els) / (tr.k_high - tr.k_low)
-        price_rows.append(pricing.price_el_curve(  # els is in time order
+        els = {  # in time order
+            t: sum(sign * k * base_els[(t, tr.maturity, k)] for k, sign in legs(tr))
+            / (tr.k_high - tr.k_low)
+            for t in price_horizons(tr)
+        }
+        price_rows.append(pricing.price_el_curve(
             list(els), list(els.values()), tr, curve))
     reporter.csv("basecorr_prices.csv", fmt.PRICING_HEADER,
                  fmt.pricing_rows(price_rows))

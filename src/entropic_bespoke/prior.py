@@ -310,7 +310,8 @@ def _conditional_prob_rows(
     """Conditional default probabilities of several names over factor
     nodes, shape (n_names, M) for nodes (M, 2).
 
-    `loadings` is one per name, or one shared by every name.  Row i is
+    `loadings` is one per name, or one shared by every name whose fields
+    may also be (M,) arrays, one value per node column.  Row i is
     ndtr((ndtri(p_i) - beta1_i * z1 - beta2_i * z2) / idio_i), evaluated in
     that order in one (n_names, M) array, with one ndtri per name and one
     ndtr pass over the array.  The quantile sees p_i clipped to

@@ -365,3 +365,138 @@ class TestSkewPartials:
             loss = float(rng.uniform(0.02, 0.3))
             dk, dl = skew_partials(curve, k, loss)
             assert dl == pytest.approx(-(k / loss) * dk, abs=1e-8)
+
+
+def mixed_pool():
+    """Names of 1, 2 and 4 loss units, pillars at 1, 3 and 5 years, and one
+    name whose notional is so small that its LGD is exactly 0."""
+    specs = [(0.1, 0.4, 0.05), (0.2, 0.4, 0.12), (5e-324, 0.9, 0.2),
+             (0.3, 0.2, 0.08), (0.15, 0.4, 0.3), (0.2, 0.7, 0.02)]
+    names = tuple(
+        make_name(f"n{j}", 1, "relevant",
+                  [(1.0, p / 4), (3.0, p / 1.5), (5.0, p)],
+                  weight=w, recovery=rec)
+        for j, (w, rec, p) in enumerate(specs)
+    )
+    assert names[2].lgd == 0.0
+    return IndexPortfolio(index_id=1, names=names)
+
+
+class TestBatchedLaws:
+    """The sequence forms give, bit for bit, what their scalar calls give."""
+
+    betas = (0.05, 0.3, 0.3, 0.62, 0.95)
+    horizons = (1.0, 2.5, 5.0)
+
+    def test_loss_dists_equal_scalar_calls(self):
+        pool = mixed_pool()
+        for t in self.horizons:
+            laws = onefactor_loss_dist(pool, list(self.betas), t)
+            assert len(laws) == len(self.betas)
+            for beta, law in zip(self.betas, laws):
+                one = onefactor_loss_dist(pool, beta, t)
+                assert np.array_equal(law.pmf, one.pmf)
+                assert law.grid == one.grid and law.horizon == one.horizon
+        assert onefactor_loss_dist(pool, [], 5.0) == []
+
+    def test_base_els_equal_scalar_calls(self):
+        pool = mixed_pool()
+        ks = [0.03, 0.1, 0.1, 0.25, 0.7]
+        for t in self.horizons:
+            els = base_tranche_el(pool, ks, list(self.betas), t)
+            assert np.array_equal(
+                els, [base_tranche_el(pool, k, b, t)
+                      for k, b in zip(ks, self.betas)])
+
+    def test_batch_validation(self):
+        pool = mixed_pool()
+        with pytest.raises(ConfigurationError, match="beta must lie"):
+            onefactor_loss_dist(pool, [0.3, 1.0], 5.0)
+        with pytest.raises(ConfigurationError, match="one beta per strike"):
+            base_tranche_el(pool, [0.1, 0.2], [0.3], 5.0)
+        with pytest.raises(ConfigurationError, match="one beta per strike"):
+            base_tranche_el(pool, [0.1], 0.3, 5.0)
+        with pytest.raises(ConfigurationError, match="positive"):
+            base_tranche_el(pool, [0.1, 0.0], [0.3, 0.3], 5.0)
+
+
+class TestBatchedMapping:
+    strikes = (0.02, 0.05, 0.08, 0.12, 0.2, 0.3, 0.5)
+    skew = BaseCorrCurve(strikes=(0.03, 0.1, 0.3), betas=(0.25, 0.4, 0.6))
+    flat = BaseCorrCurve(strikes=(0.3, 0.6), betas=(0.3, 0.5))
+    rule = MappingRule("probability_matching")
+
+    def mapping(self, t):
+        """(index law, batched provider recording each call's betas)."""
+        pool = mixed_pool()
+        index_dist = onefactor_loss_dist(toy_portfolio(1, 4, 4, seed=14),
+                                         0.35, t)
+        calls = []
+
+        def provider(betas):
+            calls.append(betas)
+            return onefactor_loss_dist(pool, betas, t)
+
+        return index_dist, provider, calls
+
+    def scalar(self, k_b, t, curve, **kwargs):
+        index_dist, provider, _ = self.mapping(t)
+        return map_strike(
+            self.rule, k_b, 0.05, 0.06, index_loss_dist=index_dist,
+            bespoke_dist_provider=lambda b: provider([b])[0], curve=curve,
+            **kwargs)
+
+    def test_probability_matching_equals_scalar_calls(self):
+        for t in (1.0, 5.0):
+            for curve in (self.skew, self.flat):
+                index_dist, provider, calls = self.mapping(t)
+                got = map_strike(self.rule, list(self.strikes), 0.05, 0.06,
+                                 index_loss_dist=index_dist,
+                                 bespoke_dist_provider=provider, curve=curve)
+                assert np.array_equal(
+                    got, [self.scalar(k, t, curve) for k in self.strikes])
+                # converged strikes leave the batch
+                assert len(calls[0]) == len(self.strikes)
+                assert all(len(b) <= len(a) for a, b in zip(calls, calls[1:]))
+
+    def test_absolute_and_atm_equal_scalar_calls(self):
+        for rule in (MappingRule("absolute"), MappingRule("atm")):
+            got = map_strike(rule, list(self.strikes), 0.05, 0.06)
+            assert np.array_equal(
+                got, [map_strike(rule, k, 0.05, 0.06) for k in self.strikes])
+
+    def test_error_names_first_failing_strike(self):
+        # at 5 iterations only the 30% strike fails; at 4 all but the 5%
+        # and 50% strikes do, and the error is the 2% strike's
+        index_dist, provider, _ = self.mapping(5.0)
+        for max_iter, first in ((5, 0.3), (4, 0.02)):
+            for k in self.strikes:
+                if k < first:
+                    self.scalar(k, 5.0, self.skew, max_iter=max_iter)
+            with pytest.raises(MappingConvergenceError) as scalar_err:
+                self.scalar(first, 5.0, self.skew, max_iter=max_iter)
+            with pytest.raises(MappingConvergenceError) as err:
+                map_strike(self.rule, list(self.strikes), 0.05, 0.06,
+                           index_loss_dist=index_dist,
+                           bespoke_dist_provider=provider, curve=self.skew,
+                           max_iter=max_iter)
+            assert f"bespoke strike {first:g}" in str(err.value)
+            assert str(err.value) == str(scalar_err.value)
+            assert err.value.residual == scalar_err.value.residual
+            assert err.value.iterations == max_iter
+        # the converging strikes among them map as their scalar calls do
+        converging = [k for k in self.strikes if k != 0.3]
+        assert np.array_equal(
+            map_strike(self.rule, converging, 0.05, 0.06,
+                       index_loss_dist=index_dist,
+                       bespoke_dist_provider=provider, curve=self.skew,
+                       max_iter=5),
+            [self.scalar(k, 5.0, self.skew, max_iter=5) for k in converging])
+
+    def test_provider_must_return_one_law_per_beta(self):
+        index_dist, provider, _ = self.mapping(5.0)
+        with pytest.raises(ConfigurationError, match="2 laws for 3 betas"):
+            map_strike(self.rule, [0.02, 0.05, 0.08], 0.05, 0.06,
+                       index_loss_dist=index_dist,
+                       bespoke_dist_provider=lambda b: provider(b[:2]),
+                       curve=self.skew)

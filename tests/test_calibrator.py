@@ -388,6 +388,19 @@ class TestPriorChecks:
                 "non-finite probability")):
             calibrate(grid, priors, cons)
 
+    def test_bucket_pmfs_with_different_node_counts(self):
+        # the relevant pmf still has the grid's 9 nodes, the complement 8
+        _, grid, _, priors, _ = toy_setup(seed=0)
+        cons = standard_constraints(grid, priors)
+        rel, comp = priors[2].bucket_pmfs
+        priors[2] = ConditionalLossDist(index_id=2, grid=priors[2].grid,
+                                        bucket_pmfs=(rel, comp[:-1]))
+        for solve in (calibrate, factor_only_calibrate):
+            with pytest.raises(ConfigurationError, match=(
+                    "prior for index 2 has 9 relevant and 8 complement node "
+                    "rows")):
+                solve(grid, priors, cons)
+
     def test_calibrated_law_is_not_a_prior(self):
         _, grid, _, priors, _ = toy_setup(seed=30)
         cons = standard_constraints(grid, priors)

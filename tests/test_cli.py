@@ -528,16 +528,17 @@ class TestMapBasecorr:
 
     def test_each_reference_base_el_is_built_once(self, workdir, monkeypatch):
         # the tranches 0-10% and 10-50% share the 10% strike, on two
-        # horizons: six base ELs are priced from four distinct ones
+        # horizons: six base ELs are priced from four distinct ones, in one
+        # batch per horizon
         write_csv(workdir / "basecorr.csv", ["strike", "beta", "horizon"],
                   [[0.03, 0.3, 1.0], [0.15, 0.5, 1.0],
                    [0.03, 0.3, 3.0], [0.15, 0.5, 3.0]])
         calls = []
         real = eb.basecorr.base_tranche_el
 
-        def counted(pool, k, beta, horizon, *args, **kwargs):
-            calls.append((k, beta, horizon))
-            return real(pool, k, beta, horizon, *args, **kwargs)
+        def counted(pool, ks, betas, horizon, *args, **kwargs):
+            calls.append([(k, beta, horizon) for k, beta in zip(ks, betas)])
+            return real(pool, ks, betas, horizon, *args, **kwargs)
 
         monkeypatch.setattr(eb.basecorr, "base_tranche_el", counted)
         cfg = json.loads((workdir / "config.json").read_text())
@@ -545,7 +546,8 @@ class TestMapBasecorr:
         cfg["mode"] = "map-basecorr"
         (workdir / "config.json").write_text(json.dumps(cfg))
         assert main(["--config", str(workdir / "config.json")]) == 0
-        assert sorted((k, t) for k, _, t in calls) == [
+        assert len(calls) == 2
+        assert sorted((k, t) for batch in calls for k, _, t in batch) == [
             (0.1, 1.0), (0.1, 3.0), (0.5, 1.0), (0.5, 3.0)]
         assert len(read_rows(workdir / "out" / "basecorr_prices.csv")) == 2
 
@@ -553,7 +555,8 @@ class TestMapBasecorr:
                                                      monkeypatch):
         # the seed-0 basecorr-probmatch inputs: 12 strikes mapped on a
         # 50-name bespoke, two index laws and 48 reference base ELs; the
-        # damped fixed point built 333 one-factor laws, the secant about 100
+        # damped fixed point built 333 one-factor laws, the secant about
+        # 100, and batching builds them in about 18 calls
         spec = importlib.util.spec_from_file_location(
             "perfbench_workloads",
             Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
@@ -564,13 +567,45 @@ class TestMapBasecorr:
         real = eb.basecorr.onefactor_loss_dist
 
         def counted(pool, beta, horizon, *args, **kwargs):
-            calls.append(beta)
+            calls.append(len(beta) if np.ndim(beta) else 1)
             return real(pool, beta, horizon, *args, **kwargs)
 
         monkeypatch.setattr(eb.basecorr, "onefactor_loss_dist", counted)
         assert main(["--config", str(config)]) == 0
-        assert len(calls) <= 110
+        assert sum(calls) <= 110
+        assert len(calls) <= 20
         assert len(read_rows(tmp_path / "out" / "mapped_strikes.csv")) == 12
+
+    def test_mapping_error_names_maturity_and_strike(self, workdir,
+                                                      monkeypatch, capsys):
+        # a fixed point that never settles: every bespoke law is a point
+        # mass, at 0 and at the pool's whole loss (above every strike) by
+        # turns
+        flip = []
+
+        def provider_law(pool, beta, horizon, *args, **kwargs):
+            laws = real(pool, beta, horizon, *args, **kwargs)
+            if np.ndim(beta) == 0:
+                return laws
+            flip.append(len(flip) % 2)
+            for law in laws:
+                law.pmf[:] = 0.0
+                law.pmf[-1 if flip[-1] else 0] = 1.0
+            return laws
+
+        real = eb.basecorr.onefactor_loss_dist
+        monkeypatch.setattr(eb.basecorr, "onefactor_loss_dist", provider_law)
+        cfg = json.loads((workdir / "config.json").read_text())
+        del cfg["constraints"]
+        cfg["mode"] = "map-basecorr"
+        cfg["mapping_rule"] = "probability_matching"
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        assert main(["--config", str(workdir / "config.json")]) == 1
+        line = capsys.readouterr().err.strip().splitlines()[-1]
+        assert line.startswith("ERROR MAPPING: maturity 3: probability "
+                               "matching did not converge at bespoke strike "
+                               "0.1 (|K_target - K_i| ")
+        assert line.endswith(", iterations 100)")
 
 
 # one instance of every error class and the code its CLI line carries
