@@ -16,11 +16,12 @@ and whose Hessian is the posterior covariance matrix of the payoffs plus
 diag(sigma^2).  sigma_ik = 0 enforces a constraint exactly; large sigma
 leaves the prior untouched.  At the optimum residual = -lam * sigma^2.
 
-The dual is written once (`_TiltedDual`), averaged over weighted previous
-rows whose conditional priors depend on a per-index context: a static
-horizon is one row of mass 1 with one context, and a dynamic bootstrap
-period has one row per previous state and one context per previous loss
-pair.  Every prior is product form and is tilted on its bucket pmfs
+The dual is written once (`_TiltedDual`), averaged over the previous mass
+on a lattice of cells (previous factor node, one context per index) whose
+conditional priors depend on the cell's contexts: a static horizon is the
+one cell of mass 1, and a dynamic bootstrap period has one cell per
+distinct previous node and previous loss pair of each index.  Every prior
+is product form and is tilted on its bucket pmfs
 (`_FactoredKernel`).  The factor-only calibration is the same dual with
 each index's conditional laws frozen at the prior (`_FrozenKernel`), so
 its multipliers carry the same sign and residual = -lam * sigma^2 holds
@@ -480,34 +481,26 @@ def conditional_mutual_information(result: CalibrationResult,
     return float(result.posterior_weights @ per_node)
 
 
-def _pool_rows(groups: np.ndarray, values: np.ndarray, n_groups: int) -> np.ndarray:
-    """Sum the rows of `values` (n, k) by group into (n_groups, k), adding
-    in row order."""
-    k = values.shape[1]
-    bins = (groups[:, None] * k + np.arange(k)).ravel()
-    return np.bincount(bins, weights=values.ravel(),
-                       minlength=n_groups * k).reshape(n_groups, k)
-
-
 class _TiltedDual:
-    """The tilted dual averaged over weighted previous rows s:
+    """The tilted dual averaged over previous mass w on a lattice of cells
+    s = (r, c_1, ..., c_I):
 
         L(lam) = sum_s w_s * log Zhat_s(lam) + 0.5 * sum_k lam_k^2 sigma_k^2,
-        Zhat_s = sum_m G[s, m] * prod_i Z_i(c_i(s), m, lam),
+        Zhat_s = sum_m G[r, m] * prod_i Z_i(c_i, m, lam),
 
-    with G the prior factor rows, c_i(s) index i's context on row s and
-    Z_i(c, m, lam) the normalizer of its tilted prior on (context, node)
-    row (c, m).  The posterior factor rows are h[s, m] propto G[s, m] *
-    prod_i Z_i(c_i(s), m, lam).  Each index's kernel runs over its
-    (context x node) rows, context-major.  The weights w must sum to 1,
-    which the gradient assumes."""
+    with G the prior factor rows of the previous nodes r, c_i a context of
+    index i and Z_i(c, m, lam) the normalizer of its tilted prior on
+    (context, node) row (c, m).  The posterior factor rows are h[s, m]
+    propto G[r, m] * prod_i Z_i(c_i, m, lam).  Each index's kernel runs over
+    its (context x node) rows, context-major, and broadcasts along its own
+    axis of the lattice, so w has shape (R, n_1, ..., n_I) in index id
+    order.  The weights w must sum to 1, which the gradient assumes."""
 
     def __init__(self, constraints: Sequence[PricingConstraint],
                  positions: dict[int, list[int]],
                  kernels: dict[int, _FactoredKernel | _FrozenKernel],
-                 row_ctx: dict[int, np.ndarray], log_factor_rows: np.ndarray,
-                 w_prev: np.ndarray):
-        mass = float(w_prev.sum())
+                 log_factor_rows: np.ndarray, w: np.ndarray):
+        mass = float(w.sum())
         if abs(mass - 1.0) > 1e-10:
             raise ConfigurationError(f"previous rows have mass {mass!r}, not 1")
         self.constraints = tuple(constraints)
@@ -515,8 +508,7 @@ class _TiltedDual:
         self.sigmas = np.array([c.sigma for c in constraints])
         self.index_ids = sorted(kernels)
         self.positions, self.kernels = positions, kernels
-        self.row_ctx, self.w_prev = row_ctx, w_prev
-        self.log_factor_rows = log_factor_rows  # (n_prev, M)
+        self.log_factor_rows, self.w = log_factor_rows, w  # (R, M), lattice
         self._check_exact_targets()
         self._cache_key = self._cache = None
 
@@ -534,12 +526,20 @@ class _TiltedDual:
                         f"[{float(lo)!r}, {float(hi)!r}]"
                     )
 
-    def _contexts(self, i: int, per_row: np.ndarray) -> np.ndarray:
-        """Index i's (context x node, ...) kernel rows regrouped as
-        (previous row, node, ...)."""
-        m = self.log_factor_rows.shape[1]
-        return per_row.reshape(len(per_row) // m, m, *per_row.shape[1:]).take(
-            self.row_ctx[i], axis=0)
+    def _along(self, a: int, per_row: np.ndarray) -> np.ndarray:
+        """The a-th index's (context x node, ...) kernel rows shaped to
+        broadcast over the lattice: contexts on axis 1 + a, then nodes."""
+        shape = [1] * self.w.ndim
+        shape[1 + a] = self.w.shape[1 + a]
+        return per_row.reshape(*shape, self.log_factor_rows.shape[1],
+                               *per_row.shape[1:])
+
+    def _pool(self, weighted: np.ndarray, *indices: int) -> np.ndarray:
+        """weighted (lattice, M) summed over every lattice axis but those
+        of the given index positions: (n_a, ..., M)."""
+        keep = {1 + a for a in indices}
+        return weighted.sum(axis=tuple(
+            ax for ax in range(self.w.ndim) if ax not in keep))
 
     def evaluate(self, lambdas: np.ndarray) -> dict:
         lambdas = np.asarray(lambdas, dtype=float)
@@ -551,22 +551,23 @@ class _TiltedDual:
             i: self.kernels[i].evaluate(lambdas[self.positions[i]])
             for i in self.index_ids
         }
-        log_rows = self.log_factor_rows
-        for i in self.index_ids:
-            log_rows = log_rows + self._contexts(i, tilts[i].log_z)
-        log_zhat, h_rows = _normalize_rows(log_rows)  # (n_prev,), (n_prev, M)
-        mean_rows = np.empty((len(self.w_prev), len(self.targets)))
-        cond = {}  # (n_prev, M, K_i)
-        for i in self.index_ids:
-            cond[i] = self._contexts(i, tilts[i].cond_means)
-            mean_rows[:, self.positions[i]] = (h_rows[:, None, :] @ cond[i])[:, 0]
-        model_els = self.w_prev @ mean_rows
-        value = float(self.w_prev @ log_zhat) + 0.5 * float(
+        log_rows = self.log_factor_rows.reshape(
+            len(self.log_factor_rows), *[1] * (self.w.ndim - 1), -1)
+        for a, i in enumerate(self.index_ids):
+            log_rows = log_rows + self._along(a, tilts[i].log_z)
+        log_zhat, h = _normalize_rows(log_rows)  # lattice, (lattice, M)
+        w = self.w.reshape(-1)
+        mean_rows = np.empty((len(w), len(self.targets)))
+        for a, i in enumerate(self.index_ids):
+            cond = self._along(a, tilts[i].cond_means)  # (..., M, K_i)
+            mean_rows[:, self.positions[i]] = (
+                h[..., None, :] @ cond).reshape(len(w), -1)
+        model_els = w @ mean_rows
+        value = float(w @ log_zhat.reshape(-1)) + 0.5 * float(
             self.sigmas**2 @ lambdas**2)
         grad = model_els - self.targets + lambdas * self.sigmas**2
-        state = dict(tilts=tilts, h_rows=h_rows, log_zhat=log_zhat,
-                     cond=cond, mean_rows=mean_rows, model_els=model_els,
-                     value=value, grad=grad)
+        state = dict(tilts=tilts, h=h, log_zhat=log_zhat, mean_rows=mean_rows,
+                     model_els=model_els, value=value, grad=grad)
         self._cache_key, self._cache = key, state
         return state
 
@@ -578,31 +579,35 @@ class _TiltedDual:
     def hessian(self, lambdas: np.ndarray) -> np.ndarray:
         """Covariance of the payoffs under the posterior, plus sigma^2.
 
-        The within-index block is the kernel's second moments of the
-        payoffs over its (context, node) rows with weights W[c, m], the sum
-        of w_s * h[s, m] over the rows s in context c.  The cross-index
-        block is sum_{s,m} w_s h[s, m] E_i[F | c_i(s), m] E_j[F | c_j(s),
-        m]^T, since the indices are independent given the row and node."""
+        With W = w * h over (lattice, node), the within-index block is the
+        kernel's second moments of the payoffs over its (context, node)
+        rows, weighted by W summed over the other lattice axes.  The
+        cross-index block is sum_{c_i, c_j, m} W_ij[c_i, c_j, m]
+        E_i[F | c_i, m] E_j[F | c_j, m]^T with W_ij the pool over the other
+        axes, since the indices are independent given the cell and node."""
         state = self.evaluate(lambdas)
-        weighted = self.w_prev[:, None] * state["h_rows"]
+        weighted = self.w[..., None] * state["h"]
         k = len(self.targets)
         hess = np.empty((k, k))
-        cond = state["cond"]
-        for i in self.index_ids:
-            pos, tilt = self.positions[i], state["tilts"][i]
-            n_ctx = len(tilt.log_z) // weighted.shape[1]
-            pooled = _pool_rows(self.row_ctx[i], weighted, n_ctx).reshape(-1)
-            hess[np.ix_(pos, pos)] = tilt.second_moments(pooled)
         for a, i in enumerate(self.index_ids):
-            for j in self.index_ids[a + 1:]:
+            pos, tilt = self.positions[i], state["tilts"][i]
+            hess[np.ix_(pos, pos)] = tilt.second_moments(
+                self._pool(weighted, a).reshape(-1))
+        cond = {i: state["tilts"][i].cond_means.reshape(
+            n, weighted.shape[-1], len(self.positions[i]))
+            for i, n in zip(self.index_ids, self.w.shape[1:])}
+        for a, i in enumerate(self.index_ids):
+            for b, j in enumerate(self.index_ids[a + 1:], a + 1):
                 pos_i, pos_j = self.positions[i], self.positions[j]
-                lhs = (cond[i] * weighted[:, :, None]).reshape(
-                    weighted.size, len(pos_i))
-                cross = lhs.T @ cond[j].reshape(weighted.size, len(pos_j))
+                pair = self._pool(weighted, a, b)  # (n_a, n_b, M)
+                lhs = (cond[i][:, None] * pair[..., None]).reshape(
+                    pair.size, len(pos_i))
+                rhs = np.broadcast_to(cond[j], (*pair.shape, len(pos_j)))
+                cross = lhs.T @ rhs.reshape(pair.size, len(pos_j))
                 hess[np.ix_(pos_i, pos_j)] = cross
                 hess[np.ix_(pos_j, pos_i)] = cross.T
         mean_rows = state["mean_rows"]
-        hess -= (self.w_prev[:, None] * mean_rows).T @ mean_rows
+        hess -= (self.w.reshape(-1, 1) * mean_rows).T @ mean_rows
         hess[np.diag_indices(k)] += self.sigmas**2
         return hess
 
@@ -612,9 +617,9 @@ class MceCalibrator(_TiltedDual):
 
     Holds the factor grid, per-index conditional priors and the constraint
     set; exposes the dual objective, gradient and Hessian and the Newton
-    solve.  It is `_TiltedDual` with one previous row of mass 1, one
-    context per index and the prior factor weights as its factor row.  The
-    multiplier vector is ordered like the constraint list.
+    solve.  It is `_TiltedDual` on the one cell of mass 1: one previous
+    node with the prior factor weights as its factor row and one context
+    per index.  The multiplier vector is ordered like the constraint list.
     """
 
     method = "full"
@@ -640,11 +645,10 @@ class MceCalibrator(_TiltedDual):
         positions, kernels = _tilt_kernels(priors, constraints)
         with np.errstate(divide="ignore"):
             log_g = np.log(grid.flat_weights)
-        one_row = np.zeros(1, dtype=int)
         super().__init__(
             constraints, positions,
             {i: self._kernel(k) for i, k in kernels.items()},
-            {i: one_row for i in kernels}, log_g[None, :], np.ones(1),
+            log_g[None, :], np.ones((1,) * (1 + len(kernels))),
         )
 
     @staticmethod
@@ -661,7 +665,7 @@ class MceCalibrator(_TiltedDual):
     def posterior(self, lambdas: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
         """(factor weights, tilted conditionals) at a multiplier vector."""
         state = self.evaluate(lambdas)
-        return state["h_rows"][0].copy(), {
+        return state["h"].reshape(-1).copy(), {
             i: t.law().pmfs for i, t in state["tilts"].items()
         }
 
@@ -674,12 +678,12 @@ class MceCalibrator(_TiltedDual):
         return CalibrationResult(
             constraints=self.constraints,
             lambdas=res.x,
-            posterior_weights=state["h_rows"][0].copy(),
+            posterior_weights=state["h"].reshape(-1).copy(),
             laws={i: t.law() for i, t in state["tilts"].items()},
             model_els=state["model_els"].copy(),
             residuals=state["model_els"] - self.targets,
             objective_value=res.value,
-            log_norm=float(state["log_zhat"][0]),
+            log_norm=state["log_zhat"].item(),
             iterations=res.iterations,
             grid=self.grid,
             priors=self.priors,

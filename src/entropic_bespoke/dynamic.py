@@ -9,10 +9,11 @@ horizon, with the dual objective averaged over the previous marginal:
 
     L(lam) = sum_prev P(prev) * log Zhat_lam(prev) + 0.5 * sum lam^2 sigma^2.
 
-This is the one tilted dual of `calibrate` (`_TiltedDual`): one row per
-previous state, and per index one context per distinct previous loss
-pair, so each index's bucket pmfs are tilted by the factored kernel over
-its (context, node) rows.
+This is the one tilted dual of `calibrate` (`_TiltedDual`) on the lattice
+of previous cells (node, loss pair of index 1, loss pair of index 2): one
+axis of distinct previous nodes, and per index one context per distinct
+previous loss pair, so each index's bucket pmfs are tilted by the
+factored kernel over its (context, node) rows.
 
 Because the tilt only reweights kernels that already forbid decreasing
 losses, every calibrated measure is arbitrage-free in time by
@@ -29,12 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .calibrate import (
-    PricingConstraint,
-    _pool_rows,
-    _tilt_kernels,
-    _TiltedDual,
-)
+from .calibrate import PricingConstraint, _tilt_kernels, _TiltedDual
 from .errors import ConfigurationError
 from .loss import (
     ConditionalLossDist,
@@ -258,11 +254,14 @@ def build_conditional_loss_prior(
 class PeriodKernel:
     """Calibrated transition kernel for one period.
 
-    factor_rows[s] is h(m^n | prev support row s).  Per index i,
-    contexts[i] holds the sorted distinct previous loss pairs, row_ctx[i]
-    the context of each previous support row, and loss_tilted[i] the
+    prev_state is the state `calibrate_period` received; prev_support and
+    prev_probs are that state aligned to this period's lattice, and
+    factor_rows[s] is h(m^n | aligned row s).  Per index i, contexts[i]
+    holds the sorted distinct previous loss pairs and loss_tilted[i] the
     calibrated law over the (context, node) rows, context-major: posterior
     pmfs over the absolute loss lattice, zero below the previous losses.
+    pooled_mass[c1, c2, m] is the previous mass times h(m | row), summed
+    over the rows whose loss pairs are contexts c1 and c2.
     """
 
     period: int
@@ -270,12 +269,13 @@ class PeriodKernel:
     constraints: tuple[PricingConstraint, ...]
     lambdas: np.ndarray
     model_els: np.ndarray
+    prev_state: DynamicState
     prev_support: np.ndarray
     prev_probs: np.ndarray
     factor_rows: np.ndarray
+    pooled_mass: np.ndarray
     loss_tilted: dict[int, ConditionalLossDist]
     contexts: dict[int, np.ndarray]
-    row_ctx: dict[int, np.ndarray]
     iterations: int
 
 
@@ -392,46 +392,10 @@ class DynamicModel:
             probs=np.array([1.0]),
         )
 
-    def _factor_rows_prior(self, prev_support: np.ndarray) -> np.ndarray:
-        m_prev = prev_support[:, 0]
+    def _factor_rows_prior(self, m_prev: np.ndarray) -> np.ndarray:
         rows = self.chain.matrix[m_prev]
         rows[m_prev < 0] = self.grid.flat_weights
         return rows
-
-    def _loss_priors(
-        self, period: int, prev_state: DynamicState
-    ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Per index, (contexts, row_ctx, rel, comp): the sorted distinct
-        previous loss pairs, the context of each previous support row, and
-        the prior transition pmfs of the relevant and complement buckets on
-        the absolute lattice, (n_ctx, M, S1) and (n_ctx, M, S2)."""
-        t0, t1 = self.time_grid.period_bounds(period)
-        out = {}
-        caps = self.period_capacities(period)
-        for pos, i in enumerate(self.index_ids):
-            contexts, row_ctx = _lattice_rows(
-                prev_state.support[:, 1 + 2 * pos:3 + 2 * pos].T,
-                tuple(c + 1 for c in caps[i]))
-            if period == 0:
-                if contexts.tolist() != [[0, 0]]:
-                    raise ConfigurationError("period 0 must start from zero losses")
-                static = build_conditional_prior(
-                    self.portfolios[i], self.grid, self.loss_grids[i], t1, self.params
-                )
-                rel, comp = static.bucket_pmfs
-                out[i] = (contexts, row_ctx, rel[None], comp[None])
-                continue
-            loss_grid = self.period_loss_grid(period, i)
-            rel = build_conditional_loss_prior(
-                self.portfolios[i], RELEVANT, self.params, self.grid,
-                loss_grid, t0, t1, capacity=caps[i][0],
-            ).node_pmfs(contexts[:, 0])
-            comp = build_conditional_loss_prior(
-                self.portfolios[i], COMPLEMENT, self.params, self.grid,
-                loss_grid, t0, t1, capacity=caps[i][1],
-            ).node_pmfs(contexts[:, 1])
-            out[i] = (contexts, row_ctx, rel, comp)
-        return out
 
     # -- one period -------------------------------------------------------
 
@@ -441,25 +405,49 @@ class DynamicModel:
         prev_state: DynamicState,
         constraints: tuple[PricingConstraint, ...],
     ) -> "_PeriodDual":
-        """The tilted dual of one period: per index, a product-form prior
-        over its (context, node) rows; per previous support row, its
-        contexts, its prior factor row and its mass."""
-        contexts, row_ctx, row_priors = {}, {}, {}
-        for i, (ctx, which, rel, comp) in self._loss_priors(
-                period, prev_state).items():
-            contexts[i], row_ctx[i] = ctx, which
-            row_priors[i] = ConditionalLossDist(
-                i, self.period_loss_grid(period, i),
-                bucket_pmfs=(rel.reshape(-1, rel.shape[-1]),
-                             comp.reshape(-1, comp.shape[-1])))
-        positions, kernels = _tilt_kernels(row_priors, constraints)
+        """The tilted dual of one period on the lattice of previous cells
+        (node, context of each index): per index, a product-form prior over
+        its (context, node) rows, the prior transition pmfs of its buckets
+        from the sorted distinct previous loss pairs; per distinct previous
+        node, its prior factor row; per cell, the aligned state's mass."""
+        aligned = self.align_to_period(period, prev_state)
+        t0, t1 = self.time_grid.period_bounds(period)
+        caps = self.period_capacities(period)
+        nodes, which = _lattice_rows(  # node + 1: the initial one is -1
+            (aligned.support[:, 0] + 1,), (self.grid.n_nodes + 1,))
+        keys, contexts, priors = [which], {}, {}
+        for pos, i in enumerate(self.index_ids):
+            contexts[i], row_ctx = _lattice_rows(
+                aligned.support[:, 1 + 2 * pos:3 + 2 * pos].T,
+                tuple(c + 1 for c in caps[i]))
+            keys.append(row_ctx)
+            loss_grid = self.period_loss_grid(period, i)
+            if period == 0:
+                if contexts[i].tolist() != [[0, 0]]:
+                    raise ConfigurationError("period 0 must start from zero losses")
+                pmfs = build_conditional_prior(
+                    self.portfolios[i], self.grid, loss_grid, t1, self.params
+                ).bucket_pmfs
+            else:
+                pmfs = tuple(
+                    build_conditional_loss_prior(
+                        self.portfolios[i], bucket, self.params, self.grid,
+                        loss_grid, t0, t1, capacity=cap,
+                    ).node_pmfs(prev).reshape(-1, cap + 1)
+                    for bucket, cap, prev in zip(
+                        (RELEVANT, COMPLEMENT), caps[i], contexts[i].T))
+            priors[i] = ConditionalLossDist(i, loss_grid, bucket_pmfs=pmfs)
+        lattice = (len(nodes), *(len(contexts[i]) for i in self.index_ids))
+        cells = np.ravel_multi_index(tuple(keys), lattice)
+        w = np.bincount(cells, weights=aligned.probs,
+                        minlength=math.prod(lattice)).reshape(lattice)
         with np.errstate(divide="ignore"):
-            log_factor_rows = np.log(self._factor_rows_prior(prev_state.support))
-        return _PeriodDual(
-            period, self.time_grid.horizons[period], prev_state, contexts,
-            constraints, positions, kernels, row_ctx, log_factor_rows,
-            prev_state.probs,
-        )
+            log_g = np.log(self._factor_rows_prior(nodes[:, 0] - 1))
+        fixed = dict(period=period, horizon=self.time_grid.horizons[period],
+                     prev_state=prev_state, prev_support=aligned.support,
+                     prev_probs=aligned.probs, contexts=contexts)
+        return _PeriodDual(fixed, cells, constraints,
+                           *_tilt_kernels(priors, constraints), log_g, w)
 
     def calibrate_period(
         self,
@@ -469,7 +457,6 @@ class DynamicModel:
         tol: float = 1e-9,
         max_iter: int = 200,
     ) -> PeriodKernel:
-        prev_state = self.align_to_period(period, prev_state)
         problem = self._period_problem(period, prev_state, tuple(constraints))
         res = newton_minimize(
             problem.objective, problem.hessian,
@@ -484,7 +471,6 @@ class DynamicModel:
         constraints: Sequence[PricingConstraint],
     ) -> np.ndarray:
         """Model ELs of the uncalibrated (lam = 0) period kernel."""
-        prev_state = self.align_to_period(period, prev_state)
         problem = self._period_problem(period, prev_state, tuple(constraints))
         return problem.evaluate(np.zeros(len(constraints)))["model_els"].copy()
 
@@ -493,28 +479,27 @@ class DynamicModel:
     ) -> DynamicState:
         """Push the previous marginal through the calibrated kernel.
 
-        The previous mass times the factor rows is pooled by the kernel's
-        previous context pairs into U[m, c1, c2]; then V = U . T2 sums out
-        c2 and P = T1 . V sums out c1, giving P(m, x11, x12, x21, x22).
-        The support is the positive cells of P in C order, which is the
-        lexicographic order of the state tuples.  The state must be the
-        one the kernel was calibrated on.
+        The kernel's pooled mass U[c1, c2, m] is contracted with each
+        index's tilted laws: V = U . T2 sums out c2 and P = T1 . V sums out
+        c1, giving P(m, x11, x12, x21, x22).  The support is the positive
+        cells of P in C order, which is the lexicographic order of the
+        state tuples.  The state must be the one the kernel was calibrated
+        on; any other is range-checked, then rejected.
         """
-        prev_state = self.align_to_period(kernel.period, prev_state)
-        if not np.array_equal(prev_state.support, kernel.prev_support):
+        given = kernel.prev_state
+        if not (prev_state.period == given.period
+                and np.array_equal(prev_state.support, given.support)
+                and np.array_equal(prev_state.probs, given.probs)):
+            self.align_to_period(kernel.period, prev_state)
             raise ConfigurationError(
                 f"prev_state is not the state the period {kernel.period} "
-                "kernel was calibrated on: their supports differ")
+                "kernel was calibrated on: their periods, supports or "
+                "masses differ")
         i1, i2 = self.index_ids
-        n_nodes = kernel.factor_rows.shape[1]
-        n1, n2 = len(kernel.contexts[i1]), len(kernel.contexts[i2])
+        n1, n2, n_nodes = kernel.pooled_mass.shape
         t1 = kernel.loss_tilted[i1].pmfs.reshape(n1, n_nodes, -1)
         t2 = kernel.loss_tilted[i2].pmfs.reshape(n2, n_nodes, -1)
-        pooled = _pool_rows(
-            kernel.row_ctx[i1] * n2 + kernel.row_ctx[i2],
-            prev_state.probs[:, None] * kernel.factor_rows, n1 * n2,
-        ).reshape(n1, n2, n_nodes).transpose(2, 0, 1)
-        v = pooled @ t2.transpose(1, 0, 2)
+        v = kernel.pooled_mass.transpose(2, 0, 1) @ t2.transpose(1, 0, 2)
         p = (t1.transpose(1, 2, 0) @ v).reshape(
             n_nodes, *kernel.loss_tilted[i1].shape,
             *kernel.loss_tilted[i2].shape)
@@ -551,27 +536,22 @@ class DynamicModel:
 
 class _PeriodDual(_TiltedDual):
     """The tilted dual of one period, which also assembles the calibrated
-    `PeriodKernel`."""
+    `PeriodKernel` from its fixed fields and each aligned row's cell."""
 
-    def __init__(self, period: int, horizon: float, prev_state: DynamicState,
-                 contexts: dict[int, np.ndarray], *dual_args):
+    def __init__(self, fixed: dict, cells: np.ndarray, *dual_args):
         super().__init__(*dual_args)
-        self.period, self.horizon = period, horizon
-        self.prev_state, self.contexts = prev_state, contexts
+        self.fixed, self.cells = fixed, cells
 
     def kernel(self, lambdas: np.ndarray, iterations: int) -> PeriodKernel:
         state = self.evaluate(lambdas)
+        h = state["h"]
         return PeriodKernel(
-            period=self.period,
-            horizon=self.horizon,
+            **self.fixed,
             constraints=self.constraints,
             lambdas=np.asarray(lambdas, dtype=float).copy(),
             model_els=state["model_els"].copy(),
-            prev_support=self.prev_state.support.copy(),
-            prev_probs=self.prev_state.probs.copy(),
-            factor_rows=state["h_rows"].copy(),
+            factor_rows=h.reshape(-1, h.shape[-1])[self.cells],
+            pooled_mass=self._pool(self.w[..., None] * h, 0, 1),
             loss_tilted={i: t.law() for i, t in state["tilts"].items()},
-            contexts=self.contexts,
-            row_ctx=self.row_ctx,
             iterations=iterations,
         )

@@ -415,6 +415,35 @@ class TestCalibratePeriod:
         assert np.abs(hess - fdh).max() / np.abs(hess).max() < 1e-5
 
 
+def reference_loss_priors(model, period, prev_state):
+    """Per index, (contexts, row_ctx, rel, comp) by a row sort: the
+    distinct previous loss pairs, the context of each previous row and the
+    prior transition pmfs of the relevant and complement buckets,
+    (n_ctx, M, S1) and (n_ctx, M, S2)."""
+    t0, t1 = model.time_grid.period_bounds(period)
+    caps = model.period_capacities(period)
+    out = {}
+    for pos, i in enumerate(model.index_ids):
+        contexts, row_ctx = np.unique(
+            prev_state.support[:, 1 + 2 * pos:3 + 2 * pos], axis=0,
+            return_inverse=True)
+        if period == 0:
+            static = build_conditional_prior(model.portfolios[i], model.grid,
+                                             model.loss_grids[i], t1,
+                                             model.params)
+            rel, comp = (pmf[None] for pmf in static.bucket_pmfs)
+        else:
+            rel, comp = (
+                build_conditional_loss_prior(
+                    model.portfolios[i], bucket, model.params, model.grid,
+                    model.period_loss_grid(period, i), t0, t1, capacity=cap,
+                ).node_pmfs(prev)
+                for bucket, cap, prev in zip(("relevant", "complement"),
+                                             caps[i], contexts.T))
+        out[i] = contexts, row_ctx.ravel(), rel, comp
+    return out
+
+
 def reference_period_dual(model, period, prev_state, constraints, lambdas):
     """The period dual by the formulas the period problem used before its
     shared tilt kernel: logsumexp over each (context, node) lattice, a
@@ -426,8 +455,8 @@ def reference_period_dual(model, period, prev_state, constraints, lambdas):
     targets = np.array([c.target_el for c in constraints])
     sigmas = np.array([c.sigma for c in constraints])
     log_zs, tilted, cond, second, pos, ctx = {}, {}, {}, {}, {}, {}
-    for i, (contexts, row_ctx, rel, comp) in model._loss_priors(
-            period, prev_state).items():
+    for i, (contexts, row_ctx, rel, comp) in reference_loss_priors(
+            model, period, prev_state).items():
         pmfs = rel[:, :, :, None] * comp[:, :, None, :]  # (n_ctx, M, S1, S2)
         ctx[i] = row_ctx
         pos[i] = [k for k, c in enumerate(constraints) if c.index_id == i]
@@ -447,7 +476,7 @@ def reference_period_dual(model, period, prev_state, constraints, lambdas):
         second[i] = np.einsum("cmxy,klxy->cmkl", t, fs[:, None] * fs[None, :])
     i1, i2 = model.index_ids
     with np.errstate(divide="ignore"):
-        log_rows = (np.log(model._factor_rows_prior(prev_state.support))
+        log_rows = (np.log(model._factor_rows_prior(prev_state.support[:, 0]))
                     + log_zs[i1][ctx[i1]] + log_zs[i2][ctx[i2]])
     log_zhat = logsumexp(log_rows, axis=1)
     h_rows = np.exp(log_rows - log_zhat[:, None])
@@ -543,6 +572,27 @@ class TestTiltKernelEquivalence:
         with np.errstate(over="ignore"):
             assert np.exp(exponent.max()) == np.inf
         assert_period_matches_reference(model, 1, s1, cons, lam)
+
+    def test_previous_states_with_empty_cells(self, rng):
+        # 17 of the 144 rows: most (node, pair, pair) cells of the dual's
+        # lattice hold no previous row
+        model, s1 = self.period_one()
+        keep = np.sort(rng.choice(len(s1.probs), 17, replace=False))
+        probs = s1.probs[keep]
+        state = DynamicState(period=s1.period, horizon=s1.horizon,
+                             support=s1.support[keep],
+                             probs=probs / probs.sum())
+        lattice = [len(np.unique(state.support[:, 0]))] + [
+            len(np.unique(state.support[:, c:c + 2], axis=0)) for c in (1, 3)]
+        assert np.prod(lattice) > 2 * len(keep)
+        cons = shifted_constraints(model, 1, state)
+        for _ in range(3):
+            assert_period_matches_reference(
+                model, 1, state, cons, rng.normal(scale=3.0, size=len(cons)))
+        kernel = model.calibrate_period(1, state, cons)
+        assert_matches_oracle(model, state, kernel)
+        assert model.propagate_marginal(state, kernel).total_mass == \
+            pytest.approx(1.0, abs=1e-12)
 
 
 class TestPropagate:
@@ -691,6 +741,20 @@ class TestBootstrap:
             got = model.propagate_marginal(prev, kernel)
             assert np.array_equal(got.support, state.support)
             assert np.array_equal(got.probs, state.probs)
+
+    def test_aligns_each_state_once(self, monkeypatch):
+        # calibrate_period aligns the state it is given; propagation reads
+        # the kernel and only compares the state with the one it was given
+        model, per_period = self.bootstrap()
+        align, periods = model.align_to_period, []
+
+        def counted(period, state):
+            periods.append(period)
+            return align(period, state)
+
+        monkeypatch.setattr(model, "align_to_period", counted)
+        model.bootstrap_all(per_period)
+        assert periods == [0, 1, 2]
 
     def test_one_period_equals_static(self):
         model, params, grid, ports, grids, unit = small_model()
@@ -894,9 +958,10 @@ class TestCoarsening:
 
 
 class TestDenseLatticeKeys:
-    """`align_to_period` and `_loss_priors` find distinct rows by index
+    """`align_to_period` and `_period_problem` find distinct rows by index
     arithmetic on the dense lattice, not by sorting rows; on random sparse
-    states they give `np.unique(axis=0)`'s rows, order and sums."""
+    states they give `np.unique(axis=0)`'s rows, order and sums, and the
+    period dual's cells and masses are those of the sorted keys."""
 
     @staticmethod
     def build(coarsen, per_bucket=5):
@@ -921,11 +986,13 @@ class TestDenseLatticeKeys:
         highs = [model.grid.n_nodes, *(cap + 1 for i in (1, 2)
                                        for cap in caps[i])]
         rng = np.random.default_rng(20261018 + coarsen)
+        cons = (relevant_total(0.1, sigma=1e-2),)
         for size in (1, 7, 60, 600):  # repeated rows from 60 on
             support = np.column_stack([rng.integers(0, h, size)
                                        for h in highs])
+            probs = rng.random(size)
             state = DynamicState(period=0, horizon=1.0, support=support,
-                                 probs=rng.random(size))
+                                 probs=probs / probs.sum())
             aligned = model.align_to_period(1, state)
             if coarsen == 1:
                 assert aligned is state
@@ -936,13 +1003,21 @@ class TestDenseLatticeKeys:
                 assert np.array_equal(aligned.support, rows)
                 assert np.array_equal(aligned.probs, np.bincount(
                     which.ravel(), weights=state.probs))
-            priors = model._loss_priors(1, aligned)
+            problem = model._period_problem(1, state, cons)
+            nodes, which = np.unique(aligned.support[:, 0],
+                                     return_inverse=True)
+            keys, lattice = [which.ravel()], [len(nodes)]
             for pos, i in enumerate((1, 2)):
-                contexts, row_ctx = priors[i][:2]
                 pairs = aligned.support[:, 1 + 2 * pos:3 + 2 * pos]
                 want, which = np.unique(pairs, axis=0, return_inverse=True)
-                assert np.array_equal(contexts, want)
-                assert np.array_equal(row_ctx, which.ravel())
+                assert np.array_equal(problem.fixed["contexts"][i], want)
+                keys.append(which.ravel())
+                lattice.append(len(want))
+            assert problem.w.shape == tuple(lattice)
+            cells = np.ravel_multi_index(keys, lattice)
+            assert np.array_equal(problem.cells, cells)
+            assert np.array_equal(problem.w.ravel(), np.bincount(
+                cells, weights=aligned.probs, minlength=problem.w.size))
 
     def test_marginal_loss_pmf_matches_a_sort(self):
         # losses drawn from {0, 3, 7, 20}, so the totals have gaps, and a
