@@ -53,6 +53,8 @@ from .solver import newton_minimize
 
 DEFAULT_SIGMA = 1e-4
 _SMALLEST_NORMAL = np.finfo(float).tiny
+# Lattice cells per block when a result's joints are summed node by node.
+_BLOCK_CELLS = 1 << 14
 TRANCHE = "tranche"
 SUBPORTFOLIO_TOTAL = "subportfolio_total"
 
@@ -223,7 +225,15 @@ class _FactoredKernel:
     contraction with b.  A node whose scaled Z_m is below
     `_NORMALIZER_FLOOR` (the scaling moved its mass to where the factors
     underflow) is tilted on its joint row in log space instead.  F is the
-    (K_i, S1 * S2) payoff matrix on the lattice."""
+    (K_i, S1 * S2) payoff matrix on the lattice.
+
+    The kernel owns the (M, (1 + K) * S2) buffer of that product and
+    writes every evaluation's product into it, so a Newton run maps it
+    once.  No array an evaluation returns is a view of it (the sums are a
+    new array), and the second-moment and law closures read only the
+    factors, normalizers and prior, so an earlier tilt stays valid after
+    later evaluations.  One kernel must not be evaluated from two threads
+    at once."""
 
     def __init__(self, prior: ConditionalLossDist,
                  constraints: Sequence[PricingConstraint]):
@@ -267,6 +277,7 @@ class _FactoredKernel:
             (s1 + s2 - 1, 1))
         self.lifted = np.vstack([np.ones(s1 * s2), self.payoffs]).reshape(
             -1, s1, s2).transpose(1, 0, 2)  # (S1, 1 + K, S2)
+        self._product = None  # the a @ stack buffer, made on first use
 
     def payoff_range(self) -> np.ndarray:
         """(2, K): each payoff's least and greatest value on the smallest
@@ -290,7 +301,9 @@ class _FactoredKernel:
         h0 = e[self.hankel]
         s1, n, s2 = self.lifted.shape
         stack = (self.lifted * h0[:, None, :]).reshape(s1, n * s2)
-        num = (a @ stack).reshape(len(a), n, s2)
+        if self._product is None:
+            self._product = np.empty((len(a), n * s2))
+        num = np.matmul(a, stack, out=self._product).reshape(len(a), n, s2)
         sums = (num @ b[:, :, None])[:, :, 0]  # Z, then the numerators
         z = sums[:, 0]
         low = np.flatnonzero(~(z >= _NORMALIZER_FLOOR))
@@ -466,18 +479,29 @@ def conditional_mutual_information(result: CalibrationResult,
     """I(X_rel; X_comp | factor) under the calibrated measure.
 
     Zero when every conditional slice factorizes (the prior); positive as
-    soon as a nonlinear tranche tilt couples the buckets.
+    soon as a nonlinear tranche tilt couples the buckets.  The joint is
+    formed a block of nodes (about `_BLOCK_CELLS` cells) at a time.
     """
     def safe_log(a):  # log 0 read as 0; only multiplies zero mass
         return np.log(a, out=np.zeros_like(a), where=a > 0.0)
 
-    # sum slab * (log slab - log row - log col) per node, in log space: the
-    # product of the marginals can underflow where the slab does not
-    joint = result.tilted_conditionals[index_id]
-    log_dep = safe_log(joint)
-    log_dep -= safe_log(joint.sum(axis=2))[:, :, None]
-    log_dep -= safe_log(joint.sum(axis=1))[:, None, :]
-    per_node = np.einsum("mxy,mxy->m", joint, log_dep)
+    if isinstance(result, CalibrationResult):  # form each block's joint
+        law = result.laws[index_id]
+        dims, joint_rows = (law.n_nodes, *law.shape), law._joint_rows
+    else:  # any result that holds its (M, S1, S2) joints
+        joint = result.tilted_conditionals[index_id]
+        dims, joint_rows = joint.shape, joint.__getitem__
+    step = max(1, _BLOCK_CELLS // math.prod(dims[1:]))
+    per_node = np.empty(dims[0])
+    for start in range(0, dims[0], step):
+        nodes = slice(start, start + step)
+        # sum slab * (log slab - log row - log col) per node, in log space:
+        # the product of the marginals can underflow where the slab does not
+        joint = joint_rows(nodes)
+        log_dep = safe_log(joint)
+        log_dep -= safe_log(joint.sum(axis=2))[:, :, None]
+        log_dep -= safe_log(joint.sum(axis=1))[:, None, :]
+        per_node[nodes] = np.einsum("mxy,mxy->m", joint, log_dep)
     return float(result.posterior_weights @ per_node)
 
 

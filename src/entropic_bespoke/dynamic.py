@@ -290,6 +290,22 @@ def _lattice_rows(columns, dims) -> tuple[np.ndarray, np.ndarray]:
     return rows, (np.cumsum(present) - 1)[cell]
 
 
+def _positive_cells(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positive cells of `p` in C order: their (n, p.ndim) indices
+    and their values.  The indices are cut from the flat positions by `//`
+    into one preallocated array, as the dumps cut theirs, so no per-axis
+    index arrays are held and stacked."""
+    flat = np.flatnonzero(p > 0.0)
+    values = p.reshape(-1).take(flat)
+    cells = np.empty((len(flat), p.ndim), dtype=np.intp)
+    for k in range(p.ndim - 1):
+        size = math.prod(p.shape[k + 1:])
+        np.floor_divide(flat, size, out=cells[:, k])
+        flat -= cells[:, k] * size
+    cells[:, -1] = flat
+    return cells, values
+
+
 class DynamicModel:
     """Bootstrap driver: portfolios, factor chain and loss grids."""
 
@@ -503,12 +519,12 @@ class DynamicModel:
         p = (t1.transpose(1, 2, 0) @ v).reshape(
             n_nodes, *kernel.loss_tilted[i1].shape,
             *kernel.loss_tilted[i2].shape)
-        cells = np.nonzero(p > 0.0)
+        support, probs = _positive_cells(p)
         return DynamicState(
             period=kernel.period,
             horizon=kernel.horizon,
-            support=np.column_stack(cells),
-            probs=p[cells],
+            support=support,
+            probs=probs,
         )
 
     def bootstrap_all(

@@ -68,8 +68,12 @@ class ConditionalLossDist:
 
     @property
     def pmfs(self) -> np.ndarray:
+        return self._joint_rows(slice(None))
+
+    def _joint_rows(self, nodes) -> np.ndarray:
+        """The joint of the given nodes (a slice or an index array)."""
         rel, comp = self.bucket_pmfs
-        return rel[:, :, None] * comp[:, None, :]
+        return rel[nodes, :, None] * comp[nodes, None, :]
 
     @property
     def n_nodes(self) -> int:
@@ -115,10 +119,6 @@ class TiltedLossDist(ConditionalLossDist):
     @property
     def _dims(self) -> tuple[int, int, int]:
         return self.log_a.shape + self.log_b.shape[1:]
-
-    @property
-    def pmfs(self) -> np.ndarray:
-        return self._joint_rows(slice(None))
 
     def _joint_rows(self, nodes) -> np.ndarray:
         """The joint of the given nodes, exponentiated in log space."""

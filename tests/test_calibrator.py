@@ -1,9 +1,11 @@
 import importlib
+import tracemalloc
 from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
 from entropic_bespoke.calibrate import (
@@ -33,6 +35,7 @@ from entropic_bespoke.loss import (
     default_loss_unit,
     scaled_tilt_factors,
 )
+from entropic_bespoke.pricing import BespokeSpec, bespoke_loss_dist
 from entropic_bespoke.prior import FactorParams, build_market_grid
 from entropic_bespoke.solver import newton_minimize
 
@@ -339,6 +342,51 @@ class TestFactoredKernelEquivalence:
                                           lam)
 
 
+class TestKernelProductBuffer:
+    """The kernel writes every evaluation's (M, S1) @ (S1, (1 + K) * S2)
+    product into one buffer it owns; no tilt it returned may change when
+    a later evaluation overwrites that buffer."""
+
+    @staticmethod
+    def kernels_and_lambdas(rng):
+        """A factory of fresh index-1 kernels and two multiplier vectors."""
+        _, grid, _, priors, _ = toy_setup(seed=27, grid_n=10, n_rel=6,
+                                          n_comp=8)
+        cons = [c for c in standard_constraints(grid, priors, shift=1.2)
+                if c.index_id == 1]
+        return (lambda: calibrate_module._FactoredKernel(priors[1], cons),
+                [rng.normal(scale=3.0, size=len(cons)) for _ in range(2)])
+
+    def test_reused_product_never_leaks_into_results(self, rng):
+        new_kernel, (lam1, lam2) = self.kernels_and_lambdas(rng)
+        kernel = new_kernel()
+        first = kernel.evaluate(lam1)
+        kernel.evaluate(lam2)
+        want = new_kernel().evaluate(lam1)
+        w = rng.random(kernel.prior.n_nodes)
+        assert np.array_equal(first.log_z, want.log_z)
+        assert np.array_equal(first.cond_means, want.cond_means)
+        assert np.array_equal(first.second_moments(w), want.second_moments(w))
+        assert np.array_equal(first.law().pmfs, want.law().pmfs)
+
+    def test_second_evaluation_maps_no_new_product(self, rng):
+        new_kernel, lambdas = self.kernels_and_lambdas(rng)
+        kernel = new_kernel()
+        peaks = []
+        tracemalloc.start()
+        try:
+            for lam in lambdas:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                kernel.evaluate(lam)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        _, n, s2 = kernel.lifted.shape
+        product_bytes = kernel.prior.n_nodes * n * s2 * 8  # float64
+        assert peaks[0] - peaks[1] >= product_bytes
+
+
 class TestPriorChecks:
     """Every prior passes through one kernel constructor, which checks each
     bucket pmf before any Newton step and names the index and bucket."""
@@ -613,6 +661,56 @@ class TestCalibrate:
         cons = standard_constraints(grid, priors, shift=1.1)
         with pytest.raises(ConfigurationError, match=reason):
             calibrate(grid, priors, cons, **bad)
+
+
+REFS = ((1, "relevant"), (1, "complement"), (2, "relevant"),
+        (2, "complement"))
+
+
+class TestOptimumProperties:
+    """Fixed-seed properties of full calibrations: each is a Newton run of
+    evaluations and Hessians on toy priors of drawn sizes and targets."""
+
+    @staticmethod
+    def calibrated(data):
+        _, grid, _, priors, _ = toy_setup(
+            seed=data.draw(st.integers(0, 100), label="seed"),
+            n_rel=data.draw(st.integers(1, 4), label="n_rel"),
+            n_comp=data.draw(st.integers(1, 4), label="n_comp"),
+            grid_n=data.draw(st.integers(2, 5), label="grid_n"))
+        cons = standard_constraints(
+            grid, priors,
+            sigma=data.draw(st.sampled_from([1e-4, 1e-3, 1e-2]),
+                            label="sigma"),
+            shift=data.draw(st.floats(0.85, 1.3), label="shift"))
+        return calibrate(grid, priors, cons)
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_every_node_slice_sums_to_one(self, data):
+        res = self.calibrated(data)
+        for i in res.index_ids:
+            mass = res.tilted_conditionals[i].sum(axis=(1, 2))
+            assert np.abs(mass - 1.0).max() < 1e-10
+        assert res.posterior_weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_residual_is_minus_lambda_sigma_squared(self, data):
+        res = self.calibrated(data)
+        sig = np.array([c.sigma for c in res.constraints])
+        assert np.abs(res.residuals + res.lambdas * sig**2).max() < 1e-8
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(data=st.data(),
+           members=st.lists(st.sampled_from(REFS), min_size=1, max_size=4,
+                            unique=True))
+    def test_bespoke_loss_dist_has_mass_one(self, data, members):
+        res = self.calibrated(data)
+        spec = BespokeSpec(members=tuple(members), notional=0.5)
+        (dist,) = bespoke_loss_dist({5.0: res}, spec).values()
+        assert (dist.pmf >= 0.0).all()
+        assert dist.pmf.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestFactorOnly:

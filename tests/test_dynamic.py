@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 from scipy.stats import binom
 
@@ -17,6 +18,7 @@ from entropic_bespoke.dynamic import (
     DynamicModel,
     DynamicState,
     TimeGrid,
+    _positive_cells,
     birth_death_kernel,
     build_conditional_loss_prior,
     build_factor_chain_prior,
@@ -675,6 +677,19 @@ class TestPropagate:
         s2 = model.propagate_marginal(s1, k1)
         assert (0 in s2.support[:, 0]) == (persistence < 1.0)
 
+    def test_positive_cells_match_nonzero(self, rng):
+        # a sparse (node, x11, x12, x21, x22) mass with whole nodes empty
+        p = rng.random((6, 3, 4, 2, 5))
+        p[p < 0.7] = 0.0
+        p[[0, 3, 5]] = 0.0
+        cells, values = _positive_cells(p)
+        want = np.column_stack(np.nonzero(p > 0.0))
+        assert cells.dtype == want.dtype and cells.flags.c_contiguous
+        assert np.array_equal(cells, want)
+        assert np.array_equal(values, p[p > 0.0])
+        cells, values = _positive_cells(np.zeros((2, 3, 1, 1, 2)))
+        assert cells.shape == (0, 5) and values.shape == (0,)
+
 
 class TestBootstrap:
     def bootstrap(self, shift=1.1, sigma=1e-4, **kwargs):
@@ -868,6 +883,29 @@ class TestBootstrap:
         model, *_ = small_model()
         with pytest.raises(ConfigurationError):
             model.bootstrap_all([[]])
+
+
+class TestBootstrapProperties:
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(shift=st.floats(0.9, 1.25),
+           sigma=st.sampled_from([1e-4, 1e-3, 1e-2]),
+           persistence=st.sampled_from([0.5, 0.9, 1.0]),
+           n_grid=st.integers(2, 3))
+    def test_bucket_els_do_not_decrease(self, shift, sigma, persistence,
+                                        n_grid):
+        # a Newton run per period, every period shifted off its prior
+        model, *_ = small_model(n_grid=n_grid, persistence=persistence)
+        states = [model.initial_state()]
+        for n in range(len(model.time_grid)):
+            kernel = model.calibrate_period(
+                n, states[-1], shifted_constraints(model, n, states[-1],
+                                                   shift=shift, sigma=sigma))
+            states.append(model.propagate_marginal(states[-1], kernel))
+        unit = model.loss_grids[1].unit
+        for column in (1, 2, 3, 4):
+            els = [s.expected_tranche_loss((column,), unit, 0.0, np.inf)
+                   for s in states]
+            assert all(b >= a - 1e-12 for a, b in zip(els, els[1:]))
 
 
 class TestCoarsening:

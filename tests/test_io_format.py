@@ -135,7 +135,7 @@ def reference_lines(prefix, columns, values) -> bytes:
                    ).encode()
 
 
-@pytest.mark.parametrize("block", [4096, fmt._BLOCK_ROWS])
+@pytest.mark.parametrize("block", [4096, fmt._BLOCK_ROWS, 1 << 16])
 def test_text_blocks_match_percent_over_every_exponent_class(
         monkeypatch, block):
     monkeypatch.setattr(fmt, "_BLOCK_ROWS", block)
