@@ -69,8 +69,9 @@ class BaseCorrCurve:
             raise ConfigurationError("need matching non-empty strikes and betas")
         last = -math.inf
         for k, b in zip(self.strikes, self.betas):
-            if k <= last:
-                raise ConfigurationError("curve pillars must increase")
+            if not last < k < math.inf:
+                raise ConfigurationError(
+                    f"strike pillars must be finite and increase, got {k}")
             if not 0.0 < b < 1.0:
                 raise ConfigurationError(f"beta must lie in (0, 1), got {b}")
             last = k

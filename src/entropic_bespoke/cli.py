@@ -229,8 +229,8 @@ def _calibrate_all_horizons(config, params, portfolios, constraints, reporter):
         factor_rows_.extend(fmt.factor_rows(t, results[t]))
     reporter.csv("calibration_residuals.csv", fmt.RESIDUAL_HEADER, residual_rows)
     reporter.csv("factor_distribution.csv", fmt.FACTOR_HEADER, factor_rows_)
-    reporter.csv("posterior_measure.csv", fmt.MEASURE_HEADER, chain.from_iterable(
-        fmt.measure_rows(t, results[t]) for t in horizons
+    reporter.csv("posterior_laws.csv", fmt.LAWS_HEADER, chain.from_iterable(
+        fmt.law_rows(t, results[t].laws) for t in horizons
     ))
     return results
 

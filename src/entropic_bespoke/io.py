@@ -1,35 +1,39 @@
-"""File formats: portfolio JSON, constraint/curve/tranche CSVs, measure
-dumps.  JSON files open through `load_json`, and `parse_field` reads every
-input value or names the file and field it rejects.  Column layouts are in
+"""File formats: portfolio JSON, constraint/curve/tranche CSVs, dumps.
+JSON files open through `load_json`, and `parse_field` reads every input
+value or names the file and field it rejects.  Column layouts are in
 docs/file_formats.md; diagnostic numbers are written with 10 significant
-digits, measure dumps and factor weights with 17 (so a reload reprices
-bit-identically).  Dump lines are assembled from word-table lookups
-(`_text_blocks`), byte for byte `'%d'` and `'%.17g' % x`; `'%.17g' %`
-itself formats, one value at a time, zero, negative, non-finite and
-near-tie values and those in [10, 1e17).
+digits, dumps and factor weights with 17 (so a reload reprices
+bit-identically).  The calibrated posterior is written as the factors of
+its tilted laws (`law_rows`) and read back by `load_posterior_laws`;
+`measure_rows` forms its dense cells.  Dump lines are assembled from
+word-table lookups (`_text_blocks`), byte for byte `'%d'` and
+`'%.17g' % x`; `'%.17g' %` itself formats, one value at a time, zero,
+non-finite and near-tie values.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .basecorr import BaseCorrCurve
 from .calibrate import PricingConstraint, DEFAULT_SIGMA
 from .errors import ConfigurationError
+from .loss import ConditionalLossDist, LossGrid, TiltedLossDist
 from .pricing import DiscountCurve, TrancheSpec
 from .prior import COMPLEMENT, RELEVANT, FactorParams, IndexPortfolio, NameSpec
 
 NUM = "%.10g"
 
 # Rows per text block of a streamed dump; bounds the text held in memory.
-# A measure-dump block is then about 0.8 MB of words and each column
+# A dense measure block is then about 0.8 MB of words and each column
 # temporary 128 KB: a block fits in a 2 MB L2 cache, and the temporaries
 # are reused from the heap instead of being mapped anew for each block.
 _BLOCK_ROWS = 1 << 14
@@ -94,9 +98,20 @@ def _csv_rows(path: str | Path, header: list[str]) -> Iterator[tuple[str, dict]]
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != header:
-            raise ConfigurationError(f"{path}: header must be {','.join(header)}")
+            raise ConfigurationError(
+                f"{path} line 1: header must be {','.join(header)}")
         for row in reader:
             yield f"{path} line {reader.line_num}", row
+
+
+@contextlib.contextmanager
+def _named(where):
+    """Prefix `where` to the message of a ConfigurationError raised in the
+    block: a value object's check names the field but not the file."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
 
 
 def load_portfolios(
@@ -177,7 +192,8 @@ def load_discount_curve(path: str | Path) -> DiscountCurve:
         times.append(parse_field(where, "time", row["time"]))
         factors.append(parse_field(where, "discount_factor",
                                    row["discount_factor"]))
-    return DiscountCurve(times=tuple(times), factors=tuple(factors))
+    with _named(path):
+        return DiscountCurve(times=tuple(times), factors=tuple(factors))
 
 
 _TRANCHE_FIELDS = {"k_low": float, "k_high": float, "maturity": float,
@@ -191,10 +207,10 @@ def load_tranches(path: str | Path) -> list[TrancheSpec]:
             raise ConfigurationError(
                 f"{path}: daycount supports only 'yearfrac'"
             )
-        out.append(TrancheSpec.with_schedule(**{
-            field: parse_field(where, field, row[field], kind)
-            for field, kind in _TRANCHE_FIELDS.items()
-        }))
+        fields = {field: parse_field(where, field, row[field], kind)
+                  for field, kind in _TRANCHE_FIELDS.items()}
+        with _named(where):
+            out.append(TrancheSpec.with_schedule(**fields))
     if not out:
         raise ConfigurationError(f"{path}: no tranches")
     return out
@@ -211,9 +227,9 @@ def load_basecorr_curves(path: str | Path) -> dict[float, BaseCorrCurve]:
     out = {}
     for t, pts in sorted(pillars.items()):
         pts.sort()
-        out[t] = BaseCorrCurve(
-            strikes=tuple(k for k, _ in pts), betas=tuple(b for _, b in pts)
-        )
+        with _named(f"{path} horizon {_fmt(t)}"):
+            out[t] = BaseCorrCurve(strikes=tuple(k for k, _ in pts),
+                                   betas=tuple(b for _, b in pts))
     return out
 
 
@@ -264,18 +280,21 @@ def write_csv(path: Path, header: Sequence[str],
 # -- 17-digit text --------------------------------------------------------
 #
 # `_put_g17` writes `'%.17g\n' % v` for a float64 array as eight uint32
-# words per value, NUL-padded.  A positive finite v = mant * 2**e (mant in
-# [1, 2)) is scaled by the correctly rounded double-double
+# words per value, NUL-padded.  A finite nonzero |v| = mant * 2**e (mant
+# in [1, 2)) is scaled by the correctly rounded double-double
 # T(e) = 2**e * 10**(16 - X0(e)), X0(e) = floor(log10(2**e)), so that
 # mant * T(e) lies in [1e16, 2e17); the product, exact to far below 1e-9,
 # rounds half-even to the 17 significant digits.  When that reaches 1e17,
 # the decimal exponent X is X0 + 1 and T(e) / 10 gives the digits.  Every
-# word is a table lookup: a head by (X, first digit, more digits follow)
-# gives 'd.', 'd' or '0.000d', four words hold the other 16 digits (their
-# trailing zeros NUL), and a suffix by X gives 'e-05\n', 'e-100\n' or
-# '\n'.  That is the `%g` layout for X <= 0 and X >= 17.  Zero, negative
-# and non-finite values, [10, 1e17) and values within `_TIE_MARGIN` of a
-# rounding tie are formatted by `'%.17g' % v` itself.
+# word is a table lookup: a head by (X, sign, first digit, more digits
+# follow) gives 'd.', '-d', '0.000d' or '-0.000d', four words hold the
+# other 16 digits (their trailing zeros NUL), and a suffix by X gives
+# 'e-05\n', 'e-100\n' or '\n'.  That is the `%g` layout for X <= 0 and
+# X >= 17.  For X in 1..16 (|v| from 10 up to 1e17) the point falls
+# inside the digits: those lines are gathered byte by byte from the
+# digits by a table keyed by (X, sign, fraction digits kept).  Zero,
+# non-finite values and values within `_TIE_MARGIN` of a rounding tie are
+# formatted by `'%.17g' % v` itself.
 
 _VALUE_WORDS = 8  # head (two words), the 16 digits (four), suffix (two)
 _TIE_MARGIN = 1e-9
@@ -315,24 +334,40 @@ def _g17_tables() -> dict[str, np.ndarray]:
     three = np.c_[digits[:1000, 1:], np.full(1000, ord(","), np.uint8)]
     leading3 = np.c_[leading[:1000, 1:3], np.zeros((1000, 2), bool)]
     xs = np.arange(-_X_OFFSET, _X_OFFSET + 1)
-    head = [[b"0.%s%d" % (b"0" * (-x - 1), d) if -5 < x < 0 else
-             b"%d%s" % (d, b"." * dot) for d in range(10) for dot in (0, 1)]
+    head = [[[sign + (b"0.%s%d" % (b"0" * (-x - 1), d) if -5 < x < 0 else
+                      b"%d%s" % (d, b"." * dot))
+              for d in range(10) for dot in (0, 1)] for sign in (b"", b"-")]
             for x in range(-5, 1)]
+    # X in 1..16: source bytes are the first digit, '-', '.', '\n', the
+    # other 16 digits and NUL (at 20); by (X - 1, sign, fraction digits
+    # kept), the byte positions of the line
+    plain = np.full((16, 2, 16, 4 * _VALUE_WORDS), 20, dtype=np.uint8)
+    for x in range(1, 17):
+        for neg in (0, 1):
+            for keep in range(17 - x):
+                line = [1] * neg + [0, *range(4, 4 + x)]
+                if keep:
+                    line += [2, *range(4 + x, 4 + x + keep)]
+                plain[x - 1, neg, keep, :len(line) + 1] = line + [3]
     tables = {
         "scale": np.array(scale),
         "x0": x0,
         # the 16 digits after the first, by four: trailing zeros as NUL
         "frac4": np.r_[digits * ~trailing, digits].view("<u4").ravel(),
+        # trailing zeros of each group of four digits (4 for 0000)
+        "zeros4": trailing.sum(axis=1),
         # integer fields: leading zeros as NUL; the last word holds three
         # digits and the comma, and keeps the digit of 0
         "int4": np.r_[digits * ~leading, digits].view("<u4").ravel(),
         "int3": np.r_[three * ~leading3, three].view("<u4").ravel(),
-        # by (X + _X_OFFSET) * 20 + 2 * first digit + (more digits
-        # follow): '0.000d' to '0.d' for X in -4..-1, else 'd' or 'd.'
+        # by ((X + _X_OFFSET) * 2 + negative) * 20 + 2 * first digit +
+        # (more digits follow): '0.000d' to '0.d' for X in -4..-1, else
+        # 'd' or 'd.', each after '-' for a negative value
         "head": np.array(head, "S8").view("<u8")[np.clip(xs, -5, 0) + 5]
         .ravel(),
         "suffix": np.array([b"\n" if -4 <= x < 17 else b"e%+03d\n" % x
                             for x in xs.tolist()], "S8").view("<u8"),
+        "plain": plain.reshape(-1, 4 * _VALUE_WORDS),
     }
     for table in tables.values():
         table.flags.writeable = False
@@ -351,13 +386,14 @@ def _scaled(mant, t0, t1, t2):
 
 
 def _g17_digits(values: np.ndarray):
-    """The 17 significant digits of each float64 of `values` as an integer
-    in [1e16, 1e17), its decimal exponent, and a mask of the values that
-    `'%.17g' %` must format instead: zero, negative or non-finite, or
+    """The 17 significant digits of |v| for each float64 v of `values` as
+    an integer in [1e16, 1e17), its decimal exponent, and a mask of the
+    values that `'%.17g' %` must format instead: zero or non-finite, or
     within `_TIE_MARGIN` of a rounding tie."""
     t = _g17_tables()
-    fast = np.isfinite(values) & (values > 0.0)
-    mant, e = np.frexp(np.where(fast, values, 1.0))
+    magnitude = np.abs(values)
+    fast = np.isfinite(magnitude) & (magnitude > 0.0)
+    mant, e = np.frexp(np.where(fast, magnitude, 1.0))
     mant *= 2.0
     j = e - 1 - _EXP_MIN
     exponent = t["x0"].take(j)
@@ -381,24 +417,53 @@ def _put_g17(values: np.ndarray, out: np.ndarray):
     NUL bytes."""
     t = _g17_tables()
     sig, exponent, slow = _g17_digits(values)
-    slow |= (exponent > 0) & (exponent < 17)  # [10, 1e17): plain digits
+    negative = values < 0.0
     # the last 16 digits by four from the right, each group's trailing
     # zeros NUL unless a later group is nonzero (// by a constant is fast,
     # % and divmod are not)
     d0, more = sig, np.zeros(len(values), dtype=bool)
+    groups = []
     for col in (5, 4, 3, 2):
         high = d0 // 10**4
         group = d0 - high * 10**4
         out[:, col] = t["frac4"].take(group + 10000 * more)
         more |= group != 0
+        groups.append(group)
         d0 = high
     x = exponent + _X_OFFSET
     ends = out.view("<u8")
-    ends[:, 0] = t["head"].take(x * 20 + 2 * d0 + more)
+    ends[:, 0] = t["head"].take((x * 2 + negative) * 20 + 2 * d0 + more)
     ends[:, 3] = t["suffix"].take(x)
+    mid = np.flatnonzero((exponent > 0) & (exponent < 17) & ~slow)
+    if mid.size:
+        _put_plain(d0[mid], [g[mid] for g in groups], exponent[mid],
+                   negative[mid], out, mid)
     for r in np.flatnonzero(slow).tolist():
         text = (b"%.17g\n" % values[r]).ljust(4 * _VALUE_WORDS, b"\0")
         out[r] = np.frombuffer(text, dtype="<u4")
+
+
+def _put_plain(d0, groups, exponent, negative, out, rows):
+    """Write the plain-digit lines of `'%.17g'`, decimal exponent X in
+    1..16, into `out[rows]`: the first digit `d0` and the four-digit
+    `groups` (lowest first) as text, then the bytes of the line picked
+    from them by the `plain` table.  The fraction keeps its 16 - X digits
+    less their trailing zeros, and drops its point when none is left."""
+    t = _g17_tables()
+    text = np.empty((len(d0), 6), dtype="<u4")
+    text[:, 0] = d0 + (ord("0") | ord("-") << 8 | ord(".") << 16
+                       | ord("\n") << 24)
+    zeros, run = 0, True
+    for col, group in zip((4, 3, 2, 1), groups):
+        text[:, col] = t["frac4"].take(group + 10000)
+        zeros = zeros + run * t["zeros4"].take(group)
+        run = run & (group == 0)
+    text[:, 5] = 0
+    keep = np.maximum(16 - exponent - zeros, 0)
+    key = ((exponent - 1) * 2 + negative) * 16 + keep
+    line = np.take_along_axis(text.view(np.uint8), t["plain"].take(key, axis=0),
+                              axis=1)
+    out[rows] = line.view("<u4")
 
 
 def _g17_text(values: np.ndarray) -> list[str]:
@@ -504,16 +569,106 @@ def factor_rows(horizon: float, result) -> list[list[str]]:
     return rows
 
 
+LAWS_HEADER = ["horizon", "index_id", "factor", "m", "j", "value"]
+
+# the factors of a tilted law in file order, with the (m, j) grid of each
+# as a 2-D array: (node, x_rel), (node, x_comp), (0, s), (node, 0)
+_LAW_FACTORS = {
+    "log_a": lambda law: law.log_a,
+    "log_b": lambda law: law.log_b,
+    "tau": lambda law: law.tau[None, :],
+    "log_z": lambda law: law.log_z[:, None],
+}
+
+
+def law_rows(horizon: float, laws: Mapping[int, TiltedLossDist]
+             ) -> Iterator[bytes]:
+    """posterior_laws.csv text for one horizon: by index, the factors
+    log_a, log_b, tau and log_z of its tilted law, each in C order of
+    (m, j).  A cell of zero prior mass is `-inf`."""
+    t = _fmt(horizon)
+    for i in sorted(laws):
+        for name, factor in _LAW_FACTORS.items():
+            values = factor(laws[i])
+            yield from _text_blocks(f"{t},{i},{name},",
+                                    np.indices(values.shape).reshape(2, -1),
+                                    values.ravel())
+
+
+def load_posterior_laws(path: str | Path, loss_grids: Mapping[int, LossGrid]
+                        ) -> dict[float, dict[int, TiltedLossDist]]:
+    """The tilted laws of a posterior_laws.csv, by horizon and index id,
+    each on the loss grid of its index.  Each factor's rows must run over
+    its (m, j) grid in C order, and an index needs all four factors with
+    one node count and a tau over the total-loss lattice; a breach is a
+    ConfigurationError naming the file and a line."""
+    # (horizon, index id) -> factor -> rows (m, j, value, where)
+    cells: dict[tuple, dict[str, list[tuple]]] = {}
+    for where, row in _csv_rows(path, LAWS_HEADER):
+        def read(field, kind=float):
+            return parse_field(where, field, row[field], kind)
+
+        if row["factor"] not in _LAW_FACTORS:
+            raise ConfigurationError(
+                f"{where}: factor must be one of {', '.join(_LAW_FACTORS)}, "
+                f"got {row['factor']!r}")
+        value = read("value")
+        if not value < math.inf:
+            raise ConfigurationError(
+                f"{where}: value must be finite or -inf, got {row['value']!r}")
+        law = cells.setdefault((read("horizon"), read("index_id", int)), {})
+        law.setdefault(row["factor"], []).append(
+            (read("m", int), read("j", int), value, where))
+    laws: dict[float, dict[int, TiltedLossDist]] = {}
+    for (t, i), factors in sorted(cells.items()):
+        first = next(iter(factors.values()))[0][3]  # the law's first row
+        what = f"{first}: index {i} at horizon {_fmt(t)}"
+        if i not in loss_grids:
+            raise ConfigurationError(f"{what} has no loss grid")
+        missing = [name for name in _LAW_FACTORS if name not in factors]
+        if missing:
+            raise ConfigurationError(f"{what} has no {missing[0]} rows")
+        log_a, log_b, tau, log_z = (_factor_grid(factors[name])
+                                    for name in _LAW_FACTORS)
+        if not (len(log_a) == len(log_b) == len(log_z) and len(tau) == 1
+                and tau.shape[1] == log_a.shape[1] + log_b.shape[1] - 1
+                and log_z.shape[1] == 1):
+            raise ConfigurationError(
+                f"{what}: factor shapes log_a {log_a.shape}, log_b "
+                f"{log_b.shape}, tau {tau.shape} and log_z {log_z.shape} do "
+                "not make one law")
+        laws.setdefault(t, {})[i] = TiltedLossDist(
+            i, loss_grids[i], log_a, log_b, tau[0], log_z[:, 0])
+    return laws
+
+
+def _factor_grid(rows: list[tuple]) -> np.ndarray:
+    """The (M, S) array of one factor's (m, j, value, where) rows, which
+    must run over (0..M-1) x (0..S-1) in C order; otherwise a
+    ConfigurationError names the first row out of place, or the last row
+    of a short grid."""
+    s = max(max(j for _, j, _, _ in rows), 0) + 1
+    for k, (m, j, _, where) in enumerate(rows):
+        if (m, j) != divmod(k, s) or k == len(rows) - 1 and (k + 1) % s:
+            raise ConfigurationError(
+                f"{where}: (m, j) = ({m}, {j}) breaks the factor's grid; "
+                "its rows run over (0..M-1) x (0..S-1) in C order")
+    return np.array([value for _, _, value, _ in rows]).reshape(-1, s)
+
+
 MEASURE_HEADER = ["horizon", "index_id", "m", "x_rel", "x_comp", "prob"]
 
 
-def measure_rows(horizon: float, result) -> Iterator[bytes]:
-    """posterior_measure.csv text for one horizon: the nonzero cells of
-    each tilted conditional, by index, factor node, then C order of
-    (x_rel, x_comp).  One index's joint is formed and held at a time."""
+def measure_rows(horizon: float, laws: Mapping[int, ConditionalLossDist]
+                 ) -> Iterator[bytes]:
+    """The dense posterior measure for one horizon (header
+    `MEASURE_HEADER`): the nonzero cells of each law's joint, by index,
+    factor node, then C order of (x_rel, x_comp).  One index's joint is
+    formed and held at a time.  The laws that `load_posterior_laws` reads
+    back give the same bytes as the calibrated laws themselves."""
     t = _fmt(horizon)
-    for i in result.index_ids:
-        yield from _cell_blocks(f"{t},{i},", result.tilted_conditionals[i])
+    for i in sorted(laws):
+        yield from _cell_blocks(f"{t},{i},", laws[i].pmfs)
 
 
 PRICING_HEADER = ["k_low", "k_high", "par_spread_bp", "risky_annuity",

@@ -100,6 +100,12 @@ class TrancheSpec:
     ) -> "TrancheSpec":
         """Regular schedule with `frequency` payments per year and simple
         year-fraction accruals."""
+        if not 0.0 < maturity < math.inf:
+            raise ConfigurationError(
+                f"maturity must be finite and positive, got {maturity}")
+        if not 0 < frequency < math.inf:
+            raise ConfigurationError(
+                f"frequency must be finite and positive, got {frequency}")
         n = max(1, math.ceil(round(maturity * frequency, 9)))
         times = [min(j / frequency, maturity) for j in range(1, n + 1)]
         if times[-1] < maturity:
@@ -128,11 +134,14 @@ class DiscountCurve:
             raise ConfigurationError("need matching non-empty times and factors")
         last_t, last_b = 0.0, 1.0 + 1e-12
         for t, b in zip(self.times, self.factors):
-            if t <= last_t:
-                raise ConfigurationError("pillar times must be positive increasing")
-            if b <= 0.0 or b > last_b + 1e-12:
-                raise ConfigurationError("discount factors must be positive "
-                                         "and non-increasing from B(0,0)=1")
+            if not last_t < t < math.inf:
+                raise ConfigurationError(
+                    f"pillar times must be finite, positive and increasing, "
+                    f"got {t}")
+            if not 0.0 < b <= last_b + 1e-12:
+                raise ConfigurationError(
+                    f"discount factors must be positive and non-increasing "
+                    f"from B(0,0)=1, got {b}")
             last_t, last_b = t, b
 
     @classmethod

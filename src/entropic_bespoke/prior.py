@@ -47,8 +47,9 @@ class FactorParams:
     def __post_init__(self):
         if not -1.0 < self.rho < 1.0:
             raise ConfigurationError(f"rho must lie in (-1, 1), got {self.rho}")
-        if self.alpha < 0.0:
-            raise ConfigurationError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ConfigurationError(
+                f"alpha must be finite and >= 0, got {self.alpha}")
         if self.link_norm_sq <= 0.0:
             raise ConfigurationError(
                 f"1 + 2*alpha*rho + alpha^2 must be positive, got {self.link_norm_sq}"
@@ -82,9 +83,11 @@ class NameSpec:
             )
         if not 0.0 <= self.recovery < 1.0:
             raise ConfigurationError(f"name {self.id}: recovery must be in [0, 1)")
-        if self.notional_weight <= 0.0:
-            raise ConfigurationError(f"name {self.id}: notional_weight must be > 0")
-        if self.one_factor_loading**2 >= 1.0:
+        if not 0.0 < self.notional_weight < math.inf:
+            raise ConfigurationError(
+                f"name {self.id}: notional_weight must be finite and > 0, "
+                f"got {self.notional_weight}")
+        if not self.one_factor_loading**2 < 1.0:
             raise InvalidLoadingError(
                 f"name {self.id}: one-factor loading b={self.one_factor_loading} "
                 "needs b^2 < 1",
@@ -92,10 +95,10 @@ class NameSpec:
             )
         last_t, last_p = 0.0, 0.0
         for t, p in self.default_prob_curve:
-            if t <= last_t:
+            if not t > last_t:
                 raise ConfigurationError(
-                    f"name {self.id}: horizons must be positive and increasing"
-                )
+                    f"name {self.id}: horizons must be positive and "
+                    f"increasing, got {t}")
             if not 0.0 <= p <= 1.0 or p < last_p - 1e-15:
                 raise ConfigurationError(
                     f"name {self.id}: default probabilities must be "

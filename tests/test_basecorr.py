@@ -192,6 +192,10 @@ class TestBaseCorrCurve:
         with pytest.raises(ConfigurationError):
             BaseCorrCurve(strikes=(0.03,), betas=(1.2,))
 
+    def test_nan_strike(self):
+        with pytest.raises(ConfigurationError, match="^strike pillars .*nan"):
+            BaseCorrCurve(strikes=(0.03, float("nan")), betas=(0.3, 0.4))
+
 
 class TestMapStrike:
     def test_absolute(self):

@@ -8,7 +8,9 @@ import re
 import subprocess
 import sys
 from io import StringIO
+from itertools import chain
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from entropic_bespoke.io import (
 )
 from entropic_bespoke.loss import (
     LossGrid,
+    TiltedLossDist,
     build_conditional_prior,
     default_loss_unit,
     name_loss_units,
@@ -135,6 +138,19 @@ def reference_measure_rows(horizon, result):
     return rows
 
 
+def reference_law_rows(horizon, result):
+    rows = []
+    for i in result.index_ids:
+        law = result.laws[i]
+        for name, values in (("log_a", law.log_a), ("log_b", law.log_b),
+                             ("tau", law.tau[None, :]),
+                             ("log_z", law.log_z[:, None])):
+            for (m, j), value in np.ndenumerate(values):
+                rows.append(["%.10g" % float(horizon), str(i), name, str(m),
+                             str(j), "%.17g" % float(value)])
+    return rows
+
+
 def reference_factor_rows(horizon, result):
     grid = result.grid
     n2 = len(grid.nodes2)
@@ -178,9 +194,10 @@ def reference_csv(header, rows) -> bytes:
 
 @pytest.fixture
 def dumped(monkeypatch):
-    """Arguments of every dump producer call the CLI makes, by name."""
+    """Arguments of every dump producer call the CLI makes, by name:
+    `factor_rows` gets each horizon's calibration result."""
     calls = {}
-    for name in ("measure_rows", "state_rows", "kernel_rows"):
+    for name in ("factor_rows", "law_rows", "state_rows", "kernel_rows"):
         def spy(*args, _real=getattr(fmt, name), _name=name):
             calls.setdefault(_name, []).append(args)
             return _real(*args)
@@ -209,7 +226,7 @@ class TestCalibrateStatic:
         assert main(["--config", str(workdir / "config.json"),
                      "--out", str(workdir / "o3"), "--threads", "4"]) == 0
         names = ["calibration_residuals.csv", "factor_distribution.csv",
-                 "posterior_measure.csv"]
+                 "posterior_laws.csv"]
         for name in names:
             ref = (workdir / "o1" / name).read_bytes()
             assert (workdir / "o2" / name).read_bytes() == ref
@@ -243,7 +260,7 @@ class TestCalibrateStatic:
             monkeypatch.setattr(fmt, "_BLOCK_ROWS", block)
             dumped.clear()
             assert main(["--config", str(workdir / "config.json")]) == 0
-            calls = dumped["measure_rows"]
+            calls = dumped["factor_rows"]
             assert [t for t, _ in calls] == [1.0, 3.0]
             pmfs = [p for _, result in calls
                     for p in result.tilted_conditionals.values()]
@@ -251,21 +268,79 @@ class TestCalibrateStatic:
                        for p in pmfs for m in range(p.shape[0]))
             assert all(7 < p[0].size and 2 * np.count_nonzero(p[0]) <= 100
                        for p in pmfs)
+            assert (workdir / "out" / "posterior_laws.csv").read_bytes() == \
+                reference_csv(fmt.LAWS_HEADER, [
+                    row for t, result in calls
+                    for row in reference_law_rows(t, result)])
+            # the laws read back are the calibrated ones, -inf cells too
+            grids = {i: law.grid for i, law in calls[0][1].laws.items()}
+            laws = fmt.load_posterior_laws(
+                workdir / "out" / "posterior_laws.csv", grids)
+            assert list(laws) == [1.0, 3.0]
+            for t, result in calls:
+                assert list(laws[t]) == [1, 2]
+                for i, law in laws[t].items():
+                    assert np.isneginf(result.laws[i].log_a).any()
+                    for name in ("log_a", "log_b", "tau", "log_z"):
+                        np.testing.assert_array_equal(
+                            getattr(law, name), getattr(result.laws[i], name))
+            dense = b"".join(chain.from_iterable(
+                fmt.measure_rows(t, laws[t]) for t in laws))
             rows = [row for t, result in calls
                     for row in reference_measure_rows(t, result)]
-            assert (workdir / "out" / "posterior_measure.csv").read_bytes() \
-                == reference_csv(fmt.MEASURE_HEADER, rows)
+            assert reference_csv(fmt.MEASURE_HEADER, []) + dense == \
+                reference_csv(fmt.MEASURE_HEADER, rows)
 
     def test_factor_dump_bytes_match_row_formatter(self, workdir, dumped):
         write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
                   prior_el_constraints(workdir / "portfolios.json", shift=1.1))
         assert main(["--config", str(workdir / "config.json")]) == 0
-        rows = [row for t, result in dumped["measure_rows"]
+        rows = [row for t, result in dumped["factor_rows"]
                 for row in reference_factor_rows(t, result)]
         assert len(rows) == 2 * 16
         assert (workdir / "out" / "factor_distribution.csv").read_bytes() == \
             reference_csv(fmt.FACTOR_HEADER, rows)
 
+    # posterior_laws.csv of one 2-node law with a 2 x 3 lattice: the header
+    # on line 1, then log_a on lines 2-5, log_b 6-11, tau 12-15, log_z 16-17
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: ["horizon,index,factor,m,j,value", *lines[1:]],
+         "line 1: header must be horizon,index_id,factor,m,j,value"),
+        (lambda lines: lines[:11] + lines[15:],
+         "line 2: index 1 at horizon 1 has no tau rows"),
+        (lambda lines: lines[:3] + lines[4:],
+         r"line 4: \(m, j\) = \(1, 1\) breaks the factor's grid"),
+        (lambda lines: lines[:4] + lines[5:],
+         r"line 4: \(m, j\) = \(1, 0\) breaks the factor's grid"),
+        (lambda lines: lines[:6] + ["1,1,log_b,0,1,abc"] + lines[7:],
+         "line 7: value must be a number, got 'abc'"),
+        (lambda lines: lines[:6] + ["1,1,log_b,0,1,nan"] + lines[7:],
+         "line 7: value must be finite or -inf, got 'nan'"),
+        (lambda lines: lines[:6] + ["1,1,log_c,0,1,0.5"] + lines[7:],
+         "line 7: factor must be one of log_a, log_b, tau, log_z, got "
+         "'log_c'"),
+        (lambda lines: lines[:14] + lines[15:],
+         r"line 2: index 1 at horizon 1: factor shapes log_a \(2, 2\), "
+         r"log_b \(2, 3\), tau \(1, 3\) and log_z \(2, 1\) do not make "
+         "one law"),
+    ], ids=["header", "missing-factor", "ragged", "short", "non-numeric",
+            "nan", "unknown-factor", "short-tau"])
+    def test_laws_reader_names_file_and_line(self, tmp_path, edit, message):
+        grid = LossGrid(unit=0.1, max_units=3)
+        law = TiltedLossDist(
+            1, grid, np.array([[-0.5, -1.5], [0.0, -np.inf]]),
+            np.array([[-1.25, -0.5, -2.5], [-0.75, -0.5, -np.inf]]),
+            np.array([0.0, 0.1, -0.2, 0.3]), np.array([0.01, -0.02]))
+        path = tmp_path / "posterior_laws.csv"
+        fmt.write_csv(path, fmt.LAWS_HEADER, fmt.law_rows(1.0, {1: law}))
+        good = fmt.load_posterior_laws(path, {1: grid})
+        np.testing.assert_array_equal(good[1.0][1].pmfs, law.pmfs)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 17 and lines[15] == "1,1,log_z,0,0,0.01"
+        path.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(errors.ConfigurationError,
+                           match=f"^{re.escape(str(path))} {message}"):
+            fmt.load_posterior_laws(path, {1: grid})
 
 class TestCalibrateDynamic:
     def test_state_and_kernel_dump_bytes_match_row_formatter(
@@ -414,10 +489,11 @@ class TestPriceBespoke:
                         "max_iter": 150, "mapping_rule": "absolute",
                         "reference_index": 2, "threads": 3},
             "outputs": ["calibration_residuals.csv", "factor_distribution.csv",
-                        "posterior_measure.csv", "tranche_prices.csv"],
+                        "posterior_laws.csv", "tranche_prices.csv"],
         }
 
-    def test_posterior_measure_roundtrip_reprices_identically(self, workdir):
+    def test_posterior_measure_roundtrip_reprices_identically(
+            self, workdir, dumped):
         write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
                   prior_el_constraints(workdir / "portfolios.json", shift=1.1))
         cfg = json.loads((workdir / "config.json").read_text())
@@ -425,46 +501,35 @@ class TestPriceBespoke:
         (workdir / "config.json").write_text(json.dumps(cfg))
         assert main(["--config", str(workdir / "config.json")]) == 0
 
+        # the posterior from the written files alone: the laws of
+        # posterior_laws.csv and the weights of factor_distribution.csv
         params, ports, horizons = load_portfolios(workdir / "portfolios.json")
         unit = default_loss_unit(*ports.values())
-        grid = eb.build_market_grid(4, 4, params)
-
-        # rebuild the posterior measure from the dumped sparse entries
-        measure = read_rows(workdir / "out" / "posterior_measure.csv")
+        grids = {i: LossGrid(unit=unit, max_units=sum(
+                     name_loss_units(n, LossGrid(unit=unit, max_units=10**9))
+                     for n in p.names)) for i, p in ports.items()}
+        laws = fmt.load_posterior_laws(workdir / "out" / "posterior_laws.csv",
+                                       grids)
         factors = read_rows(workdir / "out" / "factor_distribution.csv")
-        notional = sum(
-            n.notional_weight
-            for i in (1, 2) for n in ports[i].bucket_names("relevant")
-        )
-        prices = {}
+        assert list(laws) == horizons
+        restored = {}
         for t in horizons:
-            weights = np.array([
-                float(r["posterior_weight"]) for r in factors
-                if float(r["horizon"]) == t
-            ])
-            per_node = {}
-            for i in (1, 2):
-                cap_rel = sum(
-                    name_loss_units(n, LossGrid(unit=unit, max_units=10**9))
-                    for n in ports[i].bucket_names("relevant")
-                )
-                marg = np.zeros((grid.n_nodes, cap_rel + 1))
-                for r in measure:
-                    if float(r["horizon"]) == t and int(r["index_id"]) == i:
-                        marg[int(r["m"]), int(r["x_rel"])] += float(r["prob"])
-                per_node[i] = marg
-            conv = None
-            for i in (1, 2):
-                conv = per_node[i] if conv is None else np.array([
-                    np.convolve(conv[m], per_node[i][m])
-                    for m in range(grid.n_nodes)
-                ])
-            pmf = weights @ conv
-            prices[t] = eb.LossDist(
-                pmf=pmf,
-                grid=LossGrid(unit=unit / notional, max_units=len(pmf) - 1),
-                horizon=t,
-            )
+            restored[t] = SimpleNamespace(
+                posterior_weights=np.array([float(r["posterior_weight"])
+                                            for r in factors
+                                            if float(r["horizon"]) == t]),
+                priors=laws[t],
+                bucket_marginals=lambda i, bucket, _laws=laws[t]:
+                    _laws[i].relevant_marginals())
+        spec = eb.BespokeSpec(members=((1, "relevant"), (2, "relevant")),
+                              notional=sum(
+                                  n.notional_weight for i in (1, 2)
+                                  for n in ports[i].bucket_names("relevant")))
+        dists = eb.bespoke_loss_dist(restored, spec)
+        # the same loss laws as the run's, bit for bit
+        calibrated = dict(dumped["factor_rows"])
+        for t, dist in eb.bespoke_loss_dist(calibrated, spec).items():
+            np.testing.assert_array_equal(dists[t].pmf, dist.pmf)
         curve = eb.DiscountCurve(times=(1.0, 3.0, 5.0),
                                  factors=(0.98, 0.94, 0.9))
         out_rows = read_rows(workdir / "out" / "tranche_prices.csv")
@@ -472,7 +537,7 @@ class TestPriceBespoke:
             tranche = eb.TrancheSpec.with_schedule(
                 float(row["k_low"]), float(row["k_high"]), 3.0, 4
             )
-            price = eb.price_tranche(prices, tranche, curve)
+            price = eb.price_tranche(dists, tranche, curve)
             assert "%.1f" % price.par_spread_bp == row["par_spread_bp"]
             assert "%.10g" % price.risky_annuity == row["risky_annuity"]
             assert "%.10g" % price.default_leg == row["default_leg"]
@@ -669,15 +734,57 @@ class TestFailureHandling:
         write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
                   prior_el_constraints(workdir / "portfolios.json"))
 
-        def failing_measure_rows(horizon, result):
-            yield "1,1,0,0,0,0.5\n"
+        def failing_law_rows(horizon, laws):
+            yield b"1,1,log_a,0,0,-0.5\n"
             raise OSError("disk full")
 
-        monkeypatch.setattr(fmt, "measure_rows", failing_measure_rows)
+        monkeypatch.setattr(fmt, "law_rows", failing_law_rows)
         rc = main(["--config", str(workdir / "config.json")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("ERROR IO: disk full")
         assert not any((workdir / "out").iterdir())
+
+    def test_tranche_frequency_zero_is_a_config_error(self, workdir, capsys):
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
+                  prior_el_constraints(workdir / "portfolios.json"))
+        write_csv(workdir / "tranches.csv",
+                  ["k_low", "k_high", "maturity", "frequency", "daycount"],
+                  [[0.0, 0.1, 3.0, 4, "yearfrac"],
+                   [0.1, 0.5, 3.0, 0, "yearfrac"]])
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["mode"] = "price-bespoke"
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        (workdir / "out").mkdir()
+        rc = main(["--config", str(workdir / "config.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"ERROR CONFIG: {workdir / 'tranches.csv'} line 3: frequency "
+            "must be finite and positive, got 0\n")
+        assert not any((workdir / "out").iterdir())
+
+    @pytest.mark.parametrize("target, rows, message", [
+        ("discount.csv", [[1.0, 0.98], [3.0, "nan"]],
+         "discount.csv: discount factors must be positive and "
+         "non-increasing from B(0,0)=1, got nan"),
+        ("basecorr.csv", [[0.03, 0.3, 3.0], ["nan", 0.4, 3.0]],
+         "basecorr.csv horizon 3: strike pillars must be finite and "
+         "increase, got nan"),
+    ], ids=["discount-factor", "strike"])
+    def test_nan_curve_pillar_names_the_file(self, workdir, capsys, target,
+                                             rows, message):
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
+                  prior_el_constraints(workdir / "portfolios.json"))
+        header = {"discount.csv": ["time", "discount_factor"],
+                  "basecorr.csv": ["strike", "beta", "horizon"]}[target]
+        write_csv(workdir / target, header, rows)
+        rc = main(["--config", str(workdir / "config.json"), "--mode",
+                   "price-bespoke" if target == "discount.csv"
+                   else "map-basecorr"])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"ERROR CONFIG: {workdir / message}\n"
+        assert not (workdir / "out").exists() or not any(
+            (workdir / "out").iterdir())
 
     def test_non_finite_constraint_input(self, workdir, capsys):
         rows = prior_el_constraints(workdir / "portfolios.json")

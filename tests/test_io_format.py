@@ -90,14 +90,16 @@ def test_random_bit_patterns():
         0, 2**64, 1 << 20, dtype=np.uint64, endpoint=False)
     values = bits.view(np.float64)
     assert_matches_percent(values)
-    # the fallback took the exact ties and nothing else positive and
-    # finite; a tie k * 2**-j needs k odd and at most 2**53 and 5**j below
-    # 1e18, so it lies in [2**-25, 2**53]
+    # the fallback took the exact ties and nothing else nonzero and
+    # finite, of either sign; a tie k * 2**-j needs k odd and at most
+    # 2**53 and 5**j below 1e18, so |v| lies in [2**-25, 2**53]
     _, _, slow = _g17_digits(values)
-    fast = np.isfinite(values) & (values > 0.0)
+    magnitude = np.abs(values)
+    fast = np.isfinite(values) & (values != 0.0)
     ties = np.zeros_like(slow)
-    maybe = np.flatnonzero(fast & (values >= 2.0**-25) & (values <= 2.0**53))
-    ties[maybe] = [is_exact_tie(v) for v in values[maybe].tolist()]
+    maybe = np.flatnonzero(fast & (magnitude >= 2.0**-25)
+                           & (magnitude <= 2.0**53))
+    ties[maybe] = [is_exact_tie(v) for v in magnitude[maybe].tolist()]
     assert ties.sum() > 100
     np.testing.assert_array_equal(slow, ~fast | ties)
 
@@ -122,8 +124,8 @@ def test_int_text(top):
 
 
 # one of each class of decimal exponent X: exponent form with three and
-# two digits, fixed form below 1, X = 0, the [10, 1e17) fallback, exponent
-# form above, subnormals
+# two digits, fixed form below 1, X = 0, plain digits with the point inside
+# them ([10, 1e17)), exponent form above, subnormals
 EXPONENT_CLASSES = [(-400, -100), (-99, -5), (-4, -1), (0, 0), (1, 16),
                     (17, 400)]
 INTEGERS = [0, 9, 10, 999, 1000, 9999, 10000, 10**6]
@@ -141,15 +143,17 @@ def test_text_blocks_match_percent_over_every_exponent_class(
     monkeypatch.setattr(fmt, "_BLOCK_ROWS", block)
     rng = np.random.default_rng(20261018)
     # random positive bit patterns at every binary exponent, 0 the
-    # subnormals
+    # subnormals; then the same negated, and -0.0 and -inf
     biased = np.repeat(np.arange(2047, dtype=np.uint64), 12)
     bits = biased << np.uint64(52) | rng.integers(
         0, 2**52, len(biased), dtype=np.uint64)
-    values = bits.view(np.float64)
+    positive = bits.view(np.float64)
+    values = np.r_[positive, -positive, -0.0, -np.inf]
     _, exponent, _ = _g17_digits(values)
     for low, high in EXPONENT_CLASSES:
-        assert ((exponent >= low) & (exponent <= high)).sum() > 10
-    assert (values < 2.2250738585072014e-308).sum() > 10
+        for sign in (values > 0.0, values < 0.0):
+            assert (sign & (exponent >= low) & (exponent <= high)).sum() > 10
+    assert (positive < 2.2250738585072014e-308).sum() > 10
     columns = (np.resize(INTEGERS, len(values)),
                rng.integers(0, 10**6 + 1, len(values)))
     got = list(_text_blocks("3,0.25,", columns, values))
@@ -189,3 +193,17 @@ def test_cell_blocks_write_the_positive_cells_in_c_order(monkeypatch, shape,
     got = list(_cell_blocks("5,0.5,", array))
     assert len(got) == -(-np.count_nonzero(array) // 4)
     assert b"".join(got) == reference_cells("5,0.5,", array)
+
+
+def test_plain_digits_keep_inner_zeros_and_drop_trailing_ones():
+    # X in 1..16: the point falls inside the digits; integers drop it, and
+    # zeros before the point or inside the fraction stay
+    tens = 10.0 ** np.arange(1, 17)
+    values = np.concatenate([tens, tens + 0.5, tens * 1.01, tens * 3 + 0.25,
+                             [100.5, 1000.0625, 20.000000000000004,
+                              1.0000000000000002e16, 99999999999999984.0,
+                              12345678901234.5, 230.25850929940458]])
+    values = np.r_[values, -values]
+    _, exponent, slow = _g17_digits(values)
+    assert ((exponent > 0) & (exponent < 17) & ~slow).sum() > 80
+    assert_matches_percent(values)

@@ -424,6 +424,25 @@ class TestDiscountCurve:
         with pytest.raises(ConfigurationError):
             DiscountCurve(times=(1.0,), factors=(1.5,))
 
+    def test_nan_pillar_time(self):
+        with pytest.raises(ConfigurationError, match="^pillar times .*nan"):
+            DiscountCurve(times=(1.0, float("nan")), factors=(0.9, 0.8))
+
+    def test_nan_discount_factor(self):
+        with pytest.raises(ConfigurationError,
+                           match="^discount factors .*nan"):
+            DiscountCurve(times=(1.0, 2.0), factors=(0.9, float("nan")))
+
+    @pytest.mark.parametrize("maturity, frequency, field", [
+        (5.0, 0, "frequency"), (float("nan"), 4, "maturity"),
+        (float("inf"), 4, "maturity"), (0.0, 4, "maturity"),
+    ], ids=["frequency-zero", "maturity-nan", "maturity-inf", "maturity-zero"])
+    def test_bad_schedule_is_a_config_error(self, maturity, frequency, field):
+        # these used to raise ZeroDivisionError, ValueError, OverflowError
+        with pytest.raises(ConfigurationError,
+                           match=f"^{field} must be finite and positive"):
+            TrancheSpec.with_schedule(0.0, 0.03, maturity, frequency)
+
 
 class TestLegs:
     def flat_tranche(self, maturity=5.0, freq=4):

@@ -32,6 +32,11 @@ class TestFactorParams:
         with pytest.raises(ConfigurationError):
             FactorParams(rho=0.5, alpha=-0.1)
 
+    def test_nan_alpha(self):
+        # every comparison with NaN is false, so `alpha < 0` let it through
+        with pytest.raises(ConfigurationError, match="^alpha must be .*nan"):
+            FactorParams(rho=0.5, alpha=float("nan"))
+
     def test_link_norm_positive(self, rng):
         # (alpha + rho)^2 + 1 - rho^2 > 0 holds on the whole domain
         for _ in range(100):
@@ -307,6 +312,18 @@ class TestNameSpec:
             make_name("x", 1, "relevant", [(2.0, 0.1), (1.0, 0.2)])
         with pytest.raises(ConfigurationError):
             make_name("x", 1, "middle", [(1.0, 0.1)])
+        with pytest.raises(ConfigurationError, match="horizons .*nan"):
+            make_name("x", 1, "relevant", [(float("nan"), 0.1)])
+
+    def test_nan_notional_weight(self):
+        with pytest.raises(ConfigurationError,
+                           match="^name x: notional_weight must be .*nan"):
+            make_name("x", 1, "relevant", [(1.0, 0.1)], weight=float("nan"))
+
+    def test_nan_one_factor_loading(self):
+        with pytest.raises(ConfigurationError,
+                           match="^name x: one-factor loading b=nan"):
+            make_name("x", 1, "relevant", [(1.0, 0.1)], loading=float("nan"))
 
     def test_default_prob_interpolation(self):
         name = make_name("x", 1, "relevant", [(1.0, 0.1), (3.0, 0.3)])
