@@ -24,13 +24,19 @@ losses, the posterior factor transitions acquire loss dependence
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .calibrate import PricingConstraint, _tilt_kernels, _TiltedDual
+from .calibrate import (
+    PricingConstraint,
+    _normalize_rows,
+    _tilt_kernels,
+    _TiltedDual,
+)
 from .errors import ConfigurationError
 from .loss import (
     ConditionalLossDist,
@@ -58,8 +64,9 @@ class TimeGrid:
     def __post_init__(self):
         last = 0.0
         for t in self.horizons:
-            if t <= last:
-                raise ConfigurationError("horizons must be positive and increasing")
+            if not last < t < math.inf:
+                raise ConfigurationError(
+                    f"horizons must be finite, positive and increasing, got {t}")
             last = t
 
     def period_bounds(self, n: int) -> tuple[float, float]:
@@ -122,22 +129,40 @@ def build_factor_chain_prior(
     return FactorChainPrior(matrix=np.kron(k1, k2))
 
 
-@dataclass
 class DynamicState:
-    """Sparse marginal law P(m^n, X^n) at one period.
+    """Marginal law P(m^n, X^n) at one period: support rows
+    (m, x11, x12, x21, x22), losses in units of each index's lattice, and
+    their masses `probs`.
 
-    support rows are (m, x11, x12, x21, x22) with losses in units of each
-    index's lattice; probs aligns with support.
+    A state from `propagate_marginal` is held as the factors of the kernel
+    that produced it (`kernel.marginal()`); its support, the positive cells
+    of that marginal in C order, and their masses are formed on first use.
+    A state built from support and probs keeps them as given.
     """
 
-    period: int
-    horizon: float
-    support: np.ndarray
-    probs: np.ndarray
+    def __init__(self, period: int, horizon: float,
+                 support: np.ndarray | None = None,
+                 probs: np.ndarray | None = None,
+                 kernel: "PeriodKernel | None" = None):
+        self.period, self.horizon, self.kernel = period, horizon, kernel
+        if kernel is None:
+            if support.shape[0] != len(probs):
+                raise ConfigurationError("support and probs length mismatch")
+            self._cells = support, probs
 
-    def __post_init__(self):
-        if self.support.shape[0] != len(self.probs):
-            raise ConfigurationError("support and probs length mismatch")
+    @functools.cached_property
+    def _cells(self) -> tuple[np.ndarray, np.ndarray]:
+        p = self.kernel.marginal()
+        held = p > 0.0
+        return np.argwhere(held), p[held]
+
+    @property
+    def support(self) -> np.ndarray:
+        return self._cells[0]
+
+    @property
+    def probs(self) -> np.ndarray:
+        return self._cells[1]
 
     @property
     def total_mass(self) -> float:
@@ -254,14 +279,19 @@ def build_conditional_loss_prior(
 class PeriodKernel:
     """Calibrated transition kernel for one period.
 
-    prev_state is the state `calibrate_period` received; prev_support and
-    prev_probs are that state aligned to this period's lattice, and
-    factor_rows[s] is h(m^n | aligned row s).  Per index i, contexts[i]
-    holds the sorted distinct previous loss pairs and loss_tilted[i] the
-    calibrated law over the (context, node) rows, context-major: posterior
-    pmfs over the absolute loss lattice, zero below the previous losses.
-    pooled_mass[c1, c2, m] is the previous mass times h(m | row), summed
-    over the rows whose loss pairs are contexts c1 and c2.
+    prev_state is the state `calibrate_period` received.  The period dual
+    ran on the lattice of its previous cells, each holding the aligned
+    mass prev_mass[r, c1, c2]: the previous factor nodes prev_nodes[r]
+    (-1 the initial one), with log prior factor rows log_factor_rows[r],
+    and per index i the sorted previous loss pairs contexts[i].
+    loss_tilted[i] is the calibrated law over the (context, node) rows,
+    context-major: posterior pmfs over the absolute loss lattice, zero
+    below the previous losses.  pooled_mass[c1, c2, m] is the previous mass
+    times h(m | cell), summed over the previous nodes.
+
+    prev_support and prev_probs, the cells with mass as rows (m, x11, x12,
+    x21, x22) in C order and their masses, and factor_rows[s], h(m^n | row
+    s), are formed from these on first use.
     """
 
     period: int
@@ -270,40 +300,66 @@ class PeriodKernel:
     lambdas: np.ndarray
     model_els: np.ndarray
     prev_state: DynamicState
-    prev_support: np.ndarray
-    prev_probs: np.ndarray
-    factor_rows: np.ndarray
+    prev_nodes: np.ndarray
+    prev_mass: np.ndarray
+    log_factor_rows: np.ndarray
     pooled_mass: np.ndarray
     loss_tilted: dict[int, ConditionalLossDist]
     contexts: dict[int, np.ndarray]
     iterations: int
 
+    @functools.cached_property
+    def _prev_cells(self) -> tuple[np.ndarray, ...]:
+        return np.nonzero(self.prev_mass)
 
-def _lattice_rows(columns, dims) -> tuple[np.ndarray, np.ndarray]:
-    """`np.unique(np.column_stack(columns), axis=0, return_inverse=True)`
-    for integer columns in [0, dims), without a row sort: the distinct
-    rows in lexicographic order and each row's position among them."""
-    cell = np.ravel_multi_index(tuple(columns), dims)
-    present = np.zeros(math.prod(dims), dtype=bool)
-    present[cell] = True
-    rows = np.column_stack(np.unravel_index(np.flatnonzero(present), dims))
-    return rows, (np.cumsum(present) - 1)[cell]
+    @functools.cached_property
+    def prev_support(self) -> np.ndarray:
+        r, *ctx = self._prev_cells
+        return np.column_stack([
+            self.prev_nodes[r],
+            *(self.contexts[i][c] for i, c in zip(sorted(self.contexts), ctx))])
 
+    @functools.cached_property
+    def prev_probs(self) -> np.ndarray:
+        return self.prev_mass[self._prev_cells]
 
-def _positive_cells(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The positive cells of `p` in C order: their (n, p.ndim) indices
-    and their values.  The indices are cut from the flat positions by `//`
-    into one preallocated array, as the dumps cut theirs, so no per-axis
-    index arrays are held and stacked."""
-    flat = np.flatnonzero(p > 0.0)
-    values = p.reshape(-1).take(flat)
-    cells = np.empty((len(flat), p.ndim), dtype=np.intp)
-    for k in range(p.ndim - 1):
-        size = math.prod(p.shape[k + 1:])
-        np.floor_divide(flat, size, out=cells[:, k])
-        flat -= cells[:, k] * size
-    cells[:, -1] = flat
-    return cells, values
+    @functools.cached_property
+    def factor_rows(self) -> np.ndarray:
+        """h(m^n | row s), normalized from log g(m | node) + sum_i log
+        Z_i(m | context) as the period dual normalized its cells."""
+        r, *ctx = self._prev_cells
+        log_rows = self.log_factor_rows[r]
+        n_nodes = log_rows.shape[1]
+        for i, c in zip(sorted(self.loss_tilted), ctx):
+            log_rows = log_rows + self.loss_tilted[i].log_z.reshape(
+                -1, n_nodes)[c]
+        return _normalize_rows(log_rows)[1]
+
+    def marginal(self, nodes: slice = slice(None), coarsen: int = 1
+                 ) -> np.ndarray:
+        """P(m, x11, x12, x21, x22) after this period for the factor nodes
+        of the slice `nodes`: the pooled mass U[c1, c2, m] is contracted
+        with each index's tilted laws T_i[c_i, m, x_i], V = U . T2 summing
+        out c2 and P = T1 . V summing out c1.  With `coarsen` > 1 each law
+        is first summed over the round-up blocks of its loss axes ({0},
+        {1..c}, {c+1..2c}, ...), which puts P on the coarse lattice."""
+        n1, n2, n_nodes = self.pooled_mass.shape
+        picked = np.arange(n_nodes)[nodes]
+        laws = []
+        for i, n in zip(sorted(self.loss_tilted), (n1, n2)):
+            law = self.loss_tilted[i]
+            rows = (np.arange(n)[:, None] * n_nodes + picked).reshape(-1)
+            t = law._joint_rows(rows).reshape(n, len(picked), *law.shape)
+            if coarsen > 1:
+                for axis in (2, 3):
+                    t = np.add.reduceat(
+                        t, np.r_[0, 1:t.shape[axis]:coarsen], axis=axis)
+            laws.append(t)
+        t1, t2 = laws
+        v = self.pooled_mass[:, :, nodes].transpose(2, 0, 1) @ t2.reshape(
+            n2, len(picked), -1).transpose(1, 0, 2)
+        p = t1.reshape(n1, len(picked), -1).transpose(1, 2, 0) @ v
+        return p.reshape(len(picked), *t1.shape[2:], *t2.shape[2:])
 
 
 class DynamicModel:
@@ -346,6 +402,9 @@ class DynamicModel:
                     f"index {i} needs {sum(caps)} units, grid caps at {lg.max_units}"
                 )
             self._caps[i] = caps
+        self._initial = DynamicState(period=-1, horizon=0.0,
+                                     support=np.array([[-1, 0, 0, 0, 0]]),
+                                     probs=np.array([1.0]))
 
     def period_capacities(self, period: int) -> dict[int, tuple[int, int]]:
         """Bucket lattice capacities; horizons beyond T_0 may be coarsened."""
@@ -364,14 +423,22 @@ class DynamicModel:
         caps = self.period_capacities(period)[index_id]
         return LossGrid(unit=base.unit * self.coarsen, max_units=sum(caps))
 
-    def align_to_period(self, period: int, state: DynamicState) -> DynamicState:
-        """Map a state produced by the previous period onto this period's
-        lattice, rounding losses up so paths stay monotone in value.  A node
-        outside [0, M) (-1 marks the initial state) or a loss outside
-        [0, cap] of the state's own period is a ConfigurationError."""
+    def align_to_period(self, period: int, state: DynamicState) -> np.ndarray:
+        """The state's mass on this period's lattice, dense over (node,
+        x11, x12, x21, x22); losses are rounded up when period 0 hands over
+        to a coarsened period, so paths stay monotone in value.  A
+        propagated state is formed from its kernel's factors.  A state
+        built from support rows is scattered onto the lattice of its own
+        period, whose node axis starts at -1 for the initial state (period
+        -1, zero losses); a node outside [0, M) or a loss outside [0, cap]
+        of that lattice is a ConfigurationError."""
+        c = self.coarsen if state.period <= 0 < period else 1
+        if state.kernel is not None:
+            return state.kernel.marginal(coarsen=c)
         caps = self.period_capacities(max(state.period, 0))
         bounds = [(-1 if state.period == -1 else 0, self.grid.n_nodes - 1),
-                  *((0, cap) for i in self.index_ids for cap in caps[i])]
+                  *((0, cap if state.period >= 0 else 0)
+                    for i in self.index_ids for cap in caps[i])]
         for name, column, (low, high) in zip(("m", "x11", "x12", "x21", "x22"),
                                              state.support.T, bounds):
             bad = column[(column < low) | (column > high)]
@@ -379,34 +446,19 @@ class DynamicModel:
                 raise ConfigurationError(
                     f"period {state.period} state: {name} = {bad[0]} is "
                     f"outside [{low}, {high}]")
-        if period <= 0 or self.coarsen == 1 or state.period >= 1:
-            return state
-        coarse = self.period_capacities(period)
-        nodes, losses = state.support[:, 0], state.support[:, 1:].T
-        support, which = _lattice_rows(  # node + 1: the initial one is -1
-            (nodes + 1, *(-(-losses // self.coarsen))),  # losses rounded up
-            (self.grid.n_nodes + 1,
-             *(cap + 1 for i in self.index_ids for cap in coarse[i])))
-        support[:, 0] -= 1
-        return DynamicState(
-            period=state.period,
-            horizon=state.horizon,
-            support=support,
-            probs=np.bincount(which, weights=state.probs,
-                              minlength=len(support)),
-        )
+        low = bounds[0][0]
+        mass = np.zeros((self.grid.n_nodes - low,
+                         *(-(-high // c) + 1 for _, high in bounds[1:])))
+        np.add.at(mass, (state.support[:, 0] - low,
+                         *(-(-state.support[:, 1:].T // c))), state.probs)
+        return mass
 
     # -- priors -----------------------------------------------------------
 
     def initial_state(self) -> DynamicState:
-        """Deterministic no-loss start before T_0; the factor value today
-        is irrelevant and is marked with node -1."""
-        return DynamicState(
-            period=-1,
-            horizon=0.0,
-            support=np.array([[-1, 0, 0, 0, 0]]),
-            probs=np.array([1.0]),
-        )
+        """Deterministic no-loss start before T_0, one object per model;
+        the factor value today is irrelevant and is marked with node -1."""
+        return self._initial
 
     def _factor_rows_prior(self, m_prev: np.ndarray) -> np.ndarray:
         rows = self.chain.matrix[m_prev]
@@ -424,19 +476,20 @@ class DynamicModel:
         """The tilted dual of one period on the lattice of previous cells
         (node, context of each index): per index, a product-form prior over
         its (context, node) rows, the prior transition pmfs of its buckets
-        from the sorted distinct previous loss pairs; per distinct previous
-        node, its prior factor row; per cell, the aligned state's mass."""
-        aligned = self.align_to_period(period, prev_state)
+        from the sorted previous loss pairs; per previous node, its prior
+        factor row; per cell, the aligned state's mass.  Only nodes and
+        loss pairs that hold mass enter the lattice: a loss pair without
+        mass at any node is no context, so its prior pmfs are never built."""
+        mass = self.align_to_period(period, prev_state)
+        w = mass.reshape(len(mass), math.prod(mass.shape[1:3]), -1)
+        held = [np.flatnonzero(w.any(axis=axes))
+                for axes in ((1, 2), (0, 2), (0, 1))]
         t0, t1 = self.time_grid.period_bounds(period)
         caps = self.period_capacities(period)
-        nodes, which = _lattice_rows(  # node + 1: the initial one is -1
-            (aligned.support[:, 0] + 1,), (self.grid.n_nodes + 1,))
-        keys, contexts, priors = [which], {}, {}
+        contexts, priors = {}, {}
         for pos, i in enumerate(self.index_ids):
-            contexts[i], row_ctx = _lattice_rows(
-                aligned.support[:, 1 + 2 * pos:3 + 2 * pos].T,
-                tuple(c + 1 for c in caps[i]))
-            keys.append(row_ctx)
+            contexts[i] = np.column_stack(np.unravel_index(
+                held[1 + pos], mass.shape[1 + 2 * pos:3 + 2 * pos]))
             loss_grid = self.period_loss_grid(period, i)
             if period == 0:
                 if contexts[i].tolist() != [[0, 0]]:
@@ -453,17 +506,15 @@ class DynamicModel:
                     for bucket, cap, prev in zip(
                         (RELEVANT, COMPLEMENT), caps[i], contexts[i].T))
             priors[i] = ConditionalLossDist(i, loss_grid, bucket_pmfs=pmfs)
-        lattice = (len(nodes), *(len(contexts[i]) for i in self.index_ids))
-        cells = np.ravel_multi_index(tuple(keys), lattice)
-        w = np.bincount(cells, weights=aligned.probs,
-                        minlength=math.prod(lattice)).reshape(lattice)
+        nodes = held[0] - 1 if prev_state.period == -1 else held[0]
         with np.errstate(divide="ignore"):
-            log_g = np.log(self._factor_rows_prior(nodes[:, 0] - 1))
+            log_g = np.log(self._factor_rows_prior(nodes))
         fixed = dict(period=period, horizon=self.time_grid.horizons[period],
-                     prev_state=prev_state, prev_support=aligned.support,
-                     prev_probs=aligned.probs, contexts=contexts)
-        return _PeriodDual(fixed, cells, constraints,
-                           *_tilt_kernels(priors, constraints), log_g, w)
+                     prev_state=prev_state, prev_nodes=nodes,
+                     contexts=contexts)
+        return _PeriodDual(fixed, constraints,
+                           *_tilt_kernels(priors, constraints), log_g,
+                           w[np.ix_(*held)])
 
     def calibrate_period(
         self,
@@ -493,39 +544,19 @@ class DynamicModel:
     def propagate_marginal(
         self, prev_state: DynamicState, kernel: PeriodKernel
     ) -> DynamicState:
-        """Push the previous marginal through the calibrated kernel.
-
-        The kernel's pooled mass U[c1, c2, m] is contracted with each
-        index's tilted laws: V = U . T2 sums out c2 and P = T1 . V sums out
-        c1, giving P(m, x11, x12, x21, x22).  The support is the positive
-        cells of P in C order, which is the lexicographic order of the
-        state tuples.  The state must be the one the kernel was calibrated
-        on; any other is range-checked, then rejected.
+        """Push the previous marginal through the calibrated kernel: the
+        new state is held as the kernel's factors (`PeriodKernel.marginal`)
+        and forms its support on first use.  The state must be the one the
+        kernel was calibrated on, the same object; any other is
+        range-checked, then rejected.
         """
-        given = kernel.prev_state
-        if not (prev_state.period == given.period
-                and np.array_equal(prev_state.support, given.support)
-                and np.array_equal(prev_state.probs, given.probs)):
+        if prev_state is not kernel.prev_state:
             self.align_to_period(kernel.period, prev_state)
             raise ConfigurationError(
                 f"prev_state is not the state the period {kernel.period} "
-                "kernel was calibrated on: their periods, supports or "
-                "masses differ")
-        i1, i2 = self.index_ids
-        n1, n2, n_nodes = kernel.pooled_mass.shape
-        t1 = kernel.loss_tilted[i1].pmfs.reshape(n1, n_nodes, -1)
-        t2 = kernel.loss_tilted[i2].pmfs.reshape(n2, n_nodes, -1)
-        v = kernel.pooled_mass.transpose(2, 0, 1) @ t2.transpose(1, 0, 2)
-        p = (t1.transpose(1, 2, 0) @ v).reshape(
-            n_nodes, *kernel.loss_tilted[i1].shape,
-            *kernel.loss_tilted[i2].shape)
-        support, probs = _positive_cells(p)
-        return DynamicState(
-            period=kernel.period,
-            horizon=kernel.horizon,
-            support=support,
-            probs=probs,
-        )
+                "kernel was calibrated on")
+        return DynamicState(period=kernel.period, horizon=kernel.horizon,
+                            kernel=kernel)
 
     def bootstrap_all(
         self,
@@ -552,22 +583,22 @@ class DynamicModel:
 
 class _PeriodDual(_TiltedDual):
     """The tilted dual of one period, which also assembles the calibrated
-    `PeriodKernel` from its fixed fields and each aligned row's cell."""
+    `PeriodKernel` from its fixed fields."""
 
-    def __init__(self, fixed: dict, cells: np.ndarray, *dual_args):
+    def __init__(self, fixed: dict, *dual_args):
         super().__init__(*dual_args)
-        self.fixed, self.cells = fixed, cells
+        self.fixed = fixed
 
     def kernel(self, lambdas: np.ndarray, iterations: int) -> PeriodKernel:
         state = self.evaluate(lambdas)
-        h = state["h"]
         return PeriodKernel(
             **self.fixed,
             constraints=self.constraints,
             lambdas=np.asarray(lambdas, dtype=float).copy(),
             model_els=state["model_els"].copy(),
-            factor_rows=h.reshape(-1, h.shape[-1])[self.cells],
-            pooled_mass=self._pool(self.w[..., None] * h, 0, 1),
+            prev_mass=self.w,
+            log_factor_rows=self.log_factor_rows,
+            pooled_mass=self._pool(self.w[..., None] * state["h"], 0, 1),
             loss_tilted={i: t.law() for i, t in state["tilts"].items()},
             iterations=iterations,
         )

@@ -107,11 +107,13 @@ def _csv_rows(path: str | Path, header: list[str]) -> Iterator[tuple[str, dict]]
 @contextlib.contextmanager
 def _named(where):
     """Prefix `where` to the message of a ConfigurationError raised in the
-    block: a value object's check names the field but not the file."""
+    block, which keeps its class and fields: a value object's check names
+    the field but not the file."""
     try:
         yield
     except ConfigurationError as exc:
-        raise ConfigurationError(f"{where}: {exc}") from None
+        exc.args = (f"{where}: {exc.args[0]}", *exc.args[1:])
+        raise
 
 
 def load_portfolios(
@@ -122,8 +124,10 @@ def load_portfolios(
     doc = load_json(path)
     try:
         fp = parse_field(path, "factor_params", doc["factor_params"], dict)
-        params = FactorParams(*(parse_field(path, f"factor_params.{k}", fp[k])
-                                for k in ("rho", "alpha")))
+        rho, alpha = (parse_field(path, f"factor_params.{k}", fp[k])
+                      for k in ("rho", "alpha"))
+        with _named(path):
+            params = FactorParams(rho, alpha)
         horizons = parse_field(path, "horizons", doc["horizons"], [float])
         names: dict[int, list[NameSpec]] = {}
         for rec in parse_field(path, "names", doc["names"], [dict]):
@@ -134,14 +138,14 @@ def load_portfolios(
                 raise ConfigurationError(
                     f"{where} has {len(probs)} default probabilities for "
                     f"{len(horizons)} horizons")
-            name = NameSpec(
-                id=str(rec["id"]),
-                index_id=parse_field(where, "index_id", rec["index_id"], int),
-                bucket=str(rec["bucket"]),
-                default_prob_curve=tuple(zip(horizons, probs)),
-                **{key: parse_field(where, key, rec[key]) for key in
-                   ("recovery", "notional_weight", "one_factor_loading")},
-            )
+            index_id = parse_field(where, "index_id", rec["index_id"], int)
+            fields = {key: parse_field(where, key, rec[key]) for key in
+                      ("recovery", "notional_weight", "one_factor_loading")}
+            with _named(path):  # NameSpec names the name, not the file
+                name = NameSpec(id=str(rec["id"]), index_id=index_id,
+                                bucket=str(rec["bucket"]),
+                                default_prob_curve=tuple(zip(horizons, probs)),
+                                **fields)
             names.setdefault(name.index_id, []).append(name)
     except KeyError as exc:
         raise ConfigurationError(f"{path}: missing field {exc}") from exc
@@ -165,22 +169,20 @@ def load_constraints(path: str | Path) -> list[PricingConstraint]:
             raise ConfigurationError(
                 f"{path}: kind must be one of {sorted(_CSV_KINDS)}"
             )
-        common = dict(
+        fields = dict(
             index_id=num("index_id", int),
             horizon=num("horizon"),
             target_el=num("target_el"),
             sigma=num("sigma") if row["sigma"].strip() else DEFAULT_SIGMA,
         )
         if kind == "tranche":
-            out.append(PricingConstraint(
-                kind="tranche", k_low=num("k_low"), k_high=num("k_high"),
-                **common,
-            ))
+            fields.update(kind="tranche", k_low=num("k_low"),
+                          k_high=num("k_high"))
         else:
-            bucket = RELEVANT if kind == "relevant_total" else COMPLEMENT
-            out.append(PricingConstraint(
-                kind="subportfolio_total", bucket=bucket, **common,
-            ))
+            fields.update(kind="subportfolio_total", bucket=RELEVANT
+                          if kind == "relevant_total" else COMPLEMENT)
+        with _named(where):
+            out.append(PricingConstraint(**fields))
     if not out:
         raise ConfigurationError(f"{path}: no constraints")
     return out
@@ -595,6 +597,10 @@ def law_rows(horizon: float, laws: Mapping[int, TiltedLossDist]
                                     values.ravel())
 
 
+_LAW_RECORD = [("horizon", float), ("index_id", np.int64), ("factor", "U16"),
+               ("m", np.int64), ("j", np.int64), ("value", float)]
+
+
 def load_posterior_laws(path: str | Path, loss_grids: Mapping[int, LossGrid]
                         ) -> dict[float, dict[int, TiltedLossDist]]:
     """The tilted laws of a posterior_laws.csv, by horizon and index id,
@@ -602,33 +608,20 @@ def load_posterior_laws(path: str | Path, loss_grids: Mapping[int, LossGrid]
     its (m, j) grid in C order, and an index needs all four factors with
     one node count and a tau over the total-loss lattice; a breach is a
     ConfigurationError naming the file and a line."""
-    # (horizon, index id) -> factor -> rows (m, j, value, where)
-    cells: dict[tuple, dict[str, list[tuple]]] = {}
-    for where, row in _csv_rows(path, LAWS_HEADER):
-        def read(field, kind=float):
-            return parse_field(where, field, row[field], kind)
-
-        if row["factor"] not in _LAW_FACTORS:
-            raise ConfigurationError(
-                f"{where}: factor must be one of {', '.join(_LAW_FACTORS)}, "
-                f"got {row['factor']!r}")
-        value = read("value")
-        if not value < math.inf:
-            raise ConfigurationError(
-                f"{where}: value must be finite or -inf, got {row['value']!r}")
-        law = cells.setdefault((read("horizon"), read("index_id", int)), {})
-        law.setdefault(row["factor"], []).append(
-            (read("m", int), read("j", int), value, where))
+    table, where = _law_table(path)
     laws: dict[float, dict[int, TiltedLossDist]] = {}
-    for (t, i), factors in sorted(cells.items()):
-        first = next(iter(factors.values()))[0][3]  # the law's first row
-        what = f"{first}: index {i} at horizon {_fmt(t)}"
+    for t, i in sorted(set(zip(table["horizon"].tolist(),
+                               table["index_id"].tolist()))):
+        in_law = (table["horizon"] == t) & (table["index_id"] == i)
+        what = f"{where(np.argmax(in_law))}: index {i} at horizon {_fmt(t)}"
         if i not in loss_grids:
             raise ConfigurationError(f"{what} has no loss grid")
-        missing = [name for name in _LAW_FACTORS if name not in factors]
+        rows = {name: np.flatnonzero(in_law & (table["factor"] == name))
+                for name in _LAW_FACTORS}
+        missing = [name for name in _LAW_FACTORS if not len(rows[name])]
         if missing:
             raise ConfigurationError(f"{what} has no {missing[0]} rows")
-        log_a, log_b, tau, log_z = (_factor_grid(factors[name])
+        log_a, log_b, tau, log_z = (_factor_grid(table, rows[name], where)
                                     for name in _LAW_FACTORS)
         if not (len(log_a) == len(log_b) == len(log_z) and len(tau) == 1
                 and tau.shape[1] == log_a.shape[1] + log_b.shape[1] - 1
@@ -642,18 +635,68 @@ def load_posterior_laws(path: str | Path, loss_grids: Mapping[int, LossGrid]
     return laws
 
 
-def _factor_grid(rows: list[tuple]) -> np.ndarray:
-    """The (M, S) array of one factor's (m, j, value, where) rows, which
-    must run over (0..M-1) x (0..S-1) in C order; otherwise a
+_LAW_RECORD = [("horizon", float), ("index_id", np.int64), ("factor", "U16"),
+               ("m", np.int64), ("j", np.int64), ("value", float)]
+
+
+def _law_table(path: str | Path):
+    """The rows of a posterior_laws.csv as `_LAW_RECORD` records, and the
+    `where` of a row by its position.  The columns are parsed at once by
+    `np.loadtxt`; a file that does not parse so, one row per line, with
+    known factors, finite horizons and values finite or -inf, is read row
+    by row through `parse_field`, which names its first malformed line."""
+    with open(path, newline="") as fh:
+        lines = fh.read().splitlines()
+    try:
+        if len(lines) < 2 or lines[0] != ",".join(LAWS_HEADER):
+            raise ValueError("not one plain row per line")
+        table = np.loadtxt(lines[1:], delimiter=",", comments=None,
+                           dtype=_LAW_RECORD, ndmin=1)
+        if (len(table) == len(lines) - 1
+                and np.isin(table["factor"], list(_LAW_FACTORS)).all()
+                and np.isfinite(table["horizon"]).all()
+                and (table["value"] < math.inf).all()):
+            return table, lambda row: f"{path} line {row + 2}"
+    except ValueError:
+        pass
+    records, wheres = [], []
+    for where, row in _csv_rows(path, LAWS_HEADER):
+        def read(field, kind=float):
+            return parse_field(where, field, row[field], kind)
+
+        if row["factor"] not in _LAW_FACTORS:
+            raise ConfigurationError(
+                f"{where}: factor must be one of {', '.join(_LAW_FACTORS)}, "
+                f"got {row['factor']!r}")
+        value = read("value")
+        if not value < math.inf:
+            raise ConfigurationError(
+                f"{where}: value must be finite or -inf, got {row['value']!r}")
+        horizon = read("horizon")
+        if not math.isfinite(horizon):
+            raise ConfigurationError(
+                f"{where}: horizon must be finite, got {row['horizon']!r}")
+        records.append((horizon, read("index_id", int), row["factor"],
+                        read("m", int), read("j", int), value))
+        wheres.append(where)
+    return np.array(records, dtype=_LAW_RECORD), wheres.__getitem__
+
+
+def _factor_grid(table: np.ndarray, rows: np.ndarray, where) -> np.ndarray:
+    """The (M, S) array of the values of one factor's `rows` of `table`,
+    whose (m, j) must run over (0..M-1) x (0..S-1) in C order; otherwise a
     ConfigurationError names the first row out of place, or the last row
     of a short grid."""
-    s = max(max(j for _, j, _, _ in rows), 0) + 1
-    for k, (m, j, _, where) in enumerate(rows):
-        if (m, j) != divmod(k, s) or k == len(rows) - 1 and (k + 1) % s:
-            raise ConfigurationError(
-                f"{where}: (m, j) = ({m}, {j}) breaks the factor's grid; "
-                "its rows run over (0..M-1) x (0..S-1) in C order")
-    return np.array([value for _, _, value, _ in rows]).reshape(-1, s)
+    m, j = table["m"][rows], table["j"][rows]
+    s = max(int(j.max()), 0) + 1
+    k = np.arange(len(rows))
+    bad = np.flatnonzero((m != k // s) | (j != k % s))
+    if bad.size or len(rows) % s:
+        b = bad[0] if bad.size else len(rows) - 1
+        raise ConfigurationError(
+            f"{where(rows[b])}: (m, j) = ({m[b]}, {j[b]}) breaks the factor's "
+            "grid; its rows run over (0..M-1) x (0..S-1) in C order")
+    return table["value"][rows].reshape(-1, s)
 
 
 MEASURE_HEADER = ["horizon", "index_id", "m", "x_rel", "x_comp", "prob"]
@@ -690,10 +733,18 @@ STATE_HEADER = ["period", "horizon", "m", "x11", "x12", "x21", "x22", "prob"]
 
 
 def state_rows(states) -> Iterator[bytes]:
-    """dynamic_states.csv text: every support row of each state in turn."""
+    """dynamic_states.csv text: every support row of each state in turn.
+    A propagated state is formed one factor node at a time from its
+    kernel's factors, by the products that form its whole marginal, so no
+    state's support is held."""
     for state in states:
-        yield from _text_blocks(f"{state.period},{_fmt(state.horizon)},",
-                                state.support.T, state.probs)
+        prefix = f"{state.period},{_fmt(state.horizon)},"
+        if state.kernel is None:
+            yield from _text_blocks(prefix, state.support.T, state.probs)
+            continue
+        for m in range(state.kernel.pooled_mass.shape[-1]):
+            yield from _cell_blocks(f"{prefix}{m},",
+                                    state.kernel.marginal(slice(m, m + 1))[0])
 
 
 KERNEL_HEADER = ["period", "horizon", "prev_row", "m_next", "prob"]

@@ -13,6 +13,7 @@ only when asked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,9 @@ class LossGrid:
     max_units: int
 
     def __post_init__(self):
-        if self.unit <= 0.0:
-            raise ConfigurationError(f"loss unit must be > 0, got {self.unit}")
+        if not 0.0 < self.unit < math.inf:
+            raise ConfigurationError(
+                f"loss unit must be finite and > 0, got {self.unit}")
         if self.max_units < 0:
             raise ConfigurationError("max_units must be >= 0")
 

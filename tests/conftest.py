@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,62 @@ def tilted_blocks(kernel, index_id):
     contexts = kernel.contexts[index_id]
     joints = law.pmfs.reshape(len(contexts), -1, *law.shape)
     return dict(zip(map(tuple, contexts.tolist()), joints))
+
+
+def lattice_rows(columns, dims):
+    """`np.unique(np.column_stack(columns), axis=0, return_inverse=True)`
+    for integer columns in [0, dims), without a row sort: the distinct
+    rows in lexicographic order and each row's position among them."""
+    cell = np.ravel_multi_index(tuple(columns), dims)
+    present = np.zeros(math.prod(dims), dtype=bool)
+    present[cell] = True
+    rows = np.column_stack(np.unravel_index(np.flatnonzero(present), dims))
+    return rows, (np.cumsum(present) - 1)[cell]
+
+
+def reference_lattice(model, period, state):
+    """The period dual's lattice of previous cells by the row path that
+    the factored states replaced: the state's support rows (materialized
+    for a propagated state), aligned to the period by rounding losses up
+    and summing the rows that meet with a bincount, then the distinct
+    previous nodes and loss pairs of the aligned rows and each cell's mass
+    summed by a second bincount.  Returns (nodes, contexts by index id,
+    w)."""
+    support, probs = state.support, state.probs
+    caps = model.period_capacities(period)
+    dims = [cap + 1 for i in model.index_ids for cap in caps[i]]
+    if model.coarsen > 1 and state.period <= 0 < period:
+        support, which = lattice_rows(  # node + 1: the initial one is -1
+            (support[:, 0] + 1, *(-(-support[:, 1:].T // model.coarsen))),
+            (model.grid.n_nodes + 1, *dims))
+        support[:, 0] -= 1
+        probs = np.bincount(which, weights=probs, minlength=len(support))
+    nodes, which = lattice_rows((support[:, 0] + 1,),
+                                (model.grid.n_nodes + 1,))
+    keys, contexts = [which], {}
+    for pos, i in enumerate(model.index_ids):
+        contexts[i], row_ctx = lattice_rows(
+            support[:, 1 + 2 * pos:3 + 2 * pos].T, dims[2 * pos:2 * pos + 2])
+        keys.append(row_ctx)
+    lattice = (len(nodes), *(len(contexts[i]) for i in model.index_ids))
+    w = np.bincount(np.ravel_multi_index(tuple(keys), lattice), weights=probs,
+                    minlength=math.prod(lattice)).reshape(lattice)
+    return nodes[:, 0] - 1, contexts, w
+
+
+def assert_lattice_matches_reference(model, period, state, constraints):
+    """The period problem's nodes and contexts are the reference lattice's
+    (the same row sets), and each cell's mass agrees to 1e-14 relative.
+    Returns the problem."""
+    nodes, contexts, w = reference_lattice(model, period, state)
+    problem = model._period_problem(period, state, tuple(constraints))
+    assert np.array_equal(problem.fixed["prev_nodes"], nodes)
+    for i in model.index_ids:
+        assert np.array_equal(problem.fixed["contexts"][i], contexts[i])
+    assert problem.w.shape == w.shape
+    assert np.array_equal(problem.w > 0.0, w > 0.0)
+    assert (np.abs(problem.w - w) <= 1e-14 * w).all()
+    return problem
 
 
 @pytest.fixture

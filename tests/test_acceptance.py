@@ -16,7 +16,7 @@ from entropic_bespoke.calibrate import (
     payoff_lattice,
     prior_expected_losses,
 )
-from entropic_bespoke.dynamic import DynamicModel, TimeGrid
+from entropic_bespoke.dynamic import DynamicModel, DynamicState, TimeGrid
 from entropic_bespoke.loss import (
     LossGrid,
     build_conditional_prior,
@@ -39,7 +39,12 @@ from entropic_bespoke.prior import (
     _conditional_probs,
 )
 
-from conftest import make_name, tilted_blocks, toy_portfolio
+from conftest import (
+    assert_lattice_matches_reference,
+    make_name,
+    tilted_blocks,
+    toy_portfolio,
+)
 
 
 def check(name, condition, detail=""):
@@ -830,3 +835,70 @@ def test_performance_dynamic_bootstrap_coarsened_24_names():
         f"{worst_mass:.1e}, worst bucket EL drop {worst_drop:.1e}; Newton "
         f"steps {[k.iterations for k in kernels]}",
     )
+
+
+def test_dynamic_bootstrap_keeps_states_factored():
+    """The coarsened 24-name bootstrap above keeps each state as the
+    factors of its kernel, so `bootstrap_all` never forms the (m, x11, x12,
+    x21, x22) support of the 2,854,752 period-0 states, 114 MB of int64:
+    its traced peak was 300.0 MB with those rows and is 112.9 MB without
+    (tracemalloc, numpy 2.4), and must stay below the first less the
+    support.  Formed afterwards, the states are those of the row path:
+    period 0 is U[m] T1[m, x1] T2[m, x2] to 1e-14 relative, period 1's
+    lattice is the row path's (same nodes and contexts, masses to 1e-14
+    relative), and period 1 propagates the kernel of that lattice.  Solved
+    from the row path's lattice instead, period 1's multipliers (of order
+    1e5) agree to 1e-12 and its states, on the same rows, to 1e-9."""
+    horizons = (1.0, 2.0)
+    strikes = (0.0, 0.15)
+    ports = {i: _big_index(i, n_names=24, n_relevant=12, horizons=horizons)
+             for i in (1, 2)}
+    targets, unit = _market_targets(ports, horizons, strikes)
+    params = FactorParams(rho=0.5, alpha=0.3)
+    model = DynamicModel(
+        build_market_grid(10, 10, params), params, ports,
+        {i: LossGrid(unit=unit, max_units=24) for i in (1, 2)},
+        TimeGrid(horizons=horizons), persistence=0.9, coarsen=3,
+    )
+    per_period = [
+        [c for i in (1, 2)
+         for c in _index_constraints(i, strikes, t, targets[(t, i)])]
+        for t in horizons
+    ]
+    tracemalloc.start()
+    try:
+        states, kernels = model.bootstrap_all(per_period)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = 2_854_752
+    check(
+        "dynamic-24-names-factored-states",
+        peak < 300.0e6 - rows * 5 * 8,
+        f"bootstrap_all traced peak {peak / 1e6:.1f} MB (budget "
+        f"{300.0 - rows * 40 / 1e6:.1f} MB: 300.0 MB with the period-0 "
+        "support, less that support)",
+    )
+    s0, s1 = states
+    k0, k1 = kernels
+    assert len(s0.probs) == rows
+    t1, t2 = (k0.loss_tilted[i].pmfs.reshape(100, -1) for i in (1, 2))
+    outer = (t1[:, :, None] * t2[:, None, :]
+             * k0.pooled_mass[0, 0][:, None, None]
+             ).reshape(100, *k0.loss_tilted[1].shape, *k0.loss_tilted[2].shape)
+    assert np.array_equal(np.argwhere(outer), s0.support)
+    want = outer[tuple(s0.support.T)]
+    assert (np.abs(s0.probs - want) <= 1e-14 * want).all()
+    del outer, want
+    assert_lattice_matches_reference(model, 1, s0, per_period[1])
+    assert s1.kernel is k1 and k1.prev_state is s0
+    # the row path: period 0's rows, scattered in row order as its bincount
+    # summed them, then solved and propagated
+    by_rows = DynamicState(period=0, horizon=1.0, support=s0.support,
+                           probs=s0.probs)
+    k1_rows = model.calibrate_period(1, by_rows, per_period[1])
+    s1_rows = model.propagate_marginal(by_rows, k1_rows)
+    assert np.abs(k1.lambdas - k1_rows.lambdas).max() <= \
+        1e-12 * np.abs(k1_rows.lambdas).max()
+    assert np.array_equal(s1.support, s1_rows.support)
+    assert (np.abs(s1.probs - s1_rows.probs) <= 1e-9 * s1_rows.probs).all()

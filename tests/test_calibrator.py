@@ -1,4 +1,5 @@
 import importlib
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -117,6 +118,16 @@ class TestPayoffEval:
                 PricingConstraint(index_id=1, kind="tranche", k_low=0.0,
                                   k_high=0.03, target_el=target_el,
                                   sigma=sigma)
+
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"),
+                                         float("-inf")])
+    def test_non_finite_horizon(self, horizon):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"horizon must be finite, got {horizon}")):
+            self.c(kind="subportfolio_total", bucket="relevant",
+                   horizon=horizon)
+        assert self.c(kind="subportfolio_total", bucket="relevant",
+                      horizon=None).horizon is None
 
 
 class TestPartitionFunctions:

@@ -323,8 +323,10 @@ class TestCalibrateStatic:
          r"line 2: index 1 at horizon 1: factor shapes log_a \(2, 2\), "
          r"log_b \(2, 3\), tau \(1, 3\) and log_z \(2, 1\) do not make "
          "one law"),
+        (lambda lines: lines[:6] + ["nan,1,log_b,0,1,-0.5"] + lines[7:],
+         "line 7: horizon must be finite, got 'nan'"),
     ], ids=["header", "missing-factor", "ragged", "short", "non-numeric",
-            "nan", "unknown-factor", "short-tau"])
+            "nan", "unknown-factor", "short-tau", "nan-horizon"])
     def test_laws_reader_names_file_and_line(self, tmp_path, edit, message):
         grid = LossGrid(unit=0.1, max_units=3)
         law = TiltedLossDist(
@@ -341,6 +343,43 @@ class TestCalibrateStatic:
         with pytest.raises(errors.ConfigurationError,
                            match=f"^{re.escape(str(path))} {message}"):
             fmt.load_posterior_laws(path, {1: grid})
+
+    def test_laws_reader_names_a_late_line(self, tmp_path):
+        # bulk parsing reads the columns at once; a bad value thousands of
+        # rows in is still named by its own line
+        grid = LossGrid(unit=0.1, max_units=60)
+        rng = np.random.default_rng(20261019)
+        law = TiltedLossDist(1, grid, rng.normal(size=(40, 31)),
+                             rng.normal(size=(40, 30)), rng.normal(size=60),
+                             rng.normal(size=40))
+        path = tmp_path / "posterior_laws.csv"
+        fmt.write_csv(path, fmt.LAWS_HEADER, fmt.law_rows(2.0, {1: law}))
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1 + 40 * 31 + 40 * 30 + 60 + 40
+        for name in ("log_a", "log_b", "tau", "log_z"):
+            np.testing.assert_array_equal(getattr(
+                fmt.load_posterior_laws(path, {1: grid})[2.0][1], name),
+                getattr(law, name))
+        for bad, message in (("1e999x", "must be a number, got '1e999x'"),
+                             ("inf", "must be finite or -inf, got 'inf'")):
+            late = len(lines) - 25
+            edited = [*lines[:late], lines[late].rsplit(",", 1)[0] + "," + bad,
+                      *lines[late + 1:]]
+            path.write_text("\n".join(edited) + "\n")
+            with pytest.raises(errors.ConfigurationError, match=re.escape(
+                    f"{path} line {late + 1}: value {message}")):
+                fmt.load_posterior_laws(path, {1: grid})
+        # CSV that is not one plain row per line (a blank line, a quoted
+        # value) is read row by row, to the same law
+        edited = [*lines[:late], "", f'{lines[late].rsplit(",", 1)[0]},"0.5"',
+                  *lines[late + 1:]]
+        path.write_text("\n".join(edited) + "\n")
+        got = fmt.load_posterior_laws(path, {1: grid})[2.0][1]
+        np.testing.assert_array_equal(got.log_a, law.log_a)
+        want = law.log_z.copy()
+        want[late - (len(lines) - 40)] = 0.5  # a log_z row: the last 40
+        np.testing.assert_array_equal(got.log_z, want)
+
 
 class TestCalibrateDynamic:
     def test_state_and_kernel_dump_bytes_match_row_formatter(
@@ -792,11 +831,59 @@ class TestFailureHandling:
         write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS, rows)
         rc = main(["--config", str(workdir / "config.json")])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("ERROR CONFIG: target_el must be finite")
+        assert capsys.readouterr().err == (
+            f"ERROR CONFIG: {workdir / 'constraints.csv'} line 2: target_el "
+            "must be finite, got nan\n")
         assert not (workdir / "out").exists() or not any(
             (workdir / "out").iterdir()
         )
+
+    @pytest.mark.parametrize("mode", ["calibrate-dynamic", "price-bespoke"])
+    def test_non_finite_horizon_names_the_line(self, workdir, capsys, mode):
+        # a nan horizon used to surface as a non-finite prior probability
+        # (calibrate-dynamic) or as "need at least one constraint"
+        rows = prior_el_constraints(workdir / "portfolios.json")
+        rows[2][4] = "nan"
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS, rows)
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["mode"] = mode
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        assert main(["--config", str(workdir / "config.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"ERROR CONFIG: {workdir / 'constraints.csv'} line 4: horizon "
+            "must be finite, got nan\n")
+
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("notional_weight", "nan", errors.ConfigurationError,
+         "notional_weight must be finite and > 0, got nan"),
+        ("one_factor_loading", 1.5, errors.InvalidLoadingError,
+         "one-factor loading b=1.5 needs b^2 < 1"),
+        ("rho", 1.5, errors.ConfigurationError,
+         "rho must lie in (-1, 1), got 1.5"),
+    ], ids=["nan-weight", "loading", "rho"])
+    def test_portfolio_value_checks_name_the_file(self, workdir, capsys,
+                                                  field, value, error,
+                                                  message):
+        # the value objects name the name (or field) but not the file; the
+        # loader adds the file and keeps the error's class and fields
+        path = workdir / "portfolios.json"
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
+                  prior_el_constraints(path))
+        doc = json.loads(path.read_text())
+        if field == "rho":
+            doc["factor_params"]["rho"] = value
+            want = f"{path}: {message}"
+        else:
+            doc["names"][4][field] = value
+            want = f"{path}: name N1_4: {message}"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error) as exc:
+            load_portfolios(path)
+        assert type(exc.value) is error and str(exc.value) == want
+        if error is errors.InvalidLoadingError:
+            assert exc.value.name_id == "N1_4"
+        assert main(["--config", str(workdir / "config.json")]) == 1
+        assert capsys.readouterr().err == f"ERROR CONFIG: {want}\n"
 
     @pytest.mark.parametrize("failure", ["line_search", "max_iter"])
     def test_calibration_error_line_ends_with_gradient_and_iterations(

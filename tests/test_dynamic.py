@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 
@@ -18,7 +19,6 @@ from entropic_bespoke.dynamic import (
     DynamicModel,
     DynamicState,
     TimeGrid,
-    _positive_cells,
     birth_death_kernel,
     build_conditional_loss_prior,
     build_factor_chain_prior,
@@ -37,7 +37,12 @@ from entropic_bespoke.prior import (
     derive_two_factor_loadings,
 )
 
-from conftest import make_name, tilted_blocks
+from conftest import (
+    assert_lattice_matches_reference,
+    make_name,
+    reference_lattice,
+    tilted_blocks,
+)
 
 
 def term_curve(p1, p2, p3):
@@ -144,6 +149,19 @@ def without_node(state, node):
     probs = np.where(state.support[:, 0] == node, 0.0, state.probs)
     return DynamicState(period=state.period, horizon=state.horizon,
                         support=state.support, probs=probs / probs.sum())
+
+
+class TestTimeGrid:
+    @pytest.mark.parametrize("horizons, bad", [
+        ((1.0, float("nan")), "nan"), ((1.0, float("inf")), "inf"),
+        ((float("nan"), 2.0), "nan"), ((0.0, 1.0), "0.0"),
+        ((2.0, 1.0), "1.0")])
+    def test_rejects_non_finite_and_unordered_horizons(self, horizons, bad):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "horizons must be finite, positive and increasing, got "
+                + bad)):
+            TimeGrid(horizons=horizons)
+        assert len(TimeGrid(horizons=(0.5, 1.0, 3.0))) == 3
 
 
 class TestFactorChain:
@@ -351,7 +369,10 @@ class TestCalibratePeriod:
             period=s1.period, horizon=s1.horizon, support=s1.support,
             probs=np.where(s1.support[:, 0] == 1, 0.0, s1.probs))
         assert light.total_mass < 0.95
-        message = re.escape(f"mass {light.total_mass!r}")
+        # the dual sums the cells that hold mass, in C order
+        held = float(light.probs[light.probs > 0.0].sum())
+        assert held == pytest.approx(light.total_mass, rel=1e-15)
+        message = re.escape(f"mass {held!r}")
         with pytest.raises(ConfigurationError, match=message):
             model._period_problem(1, light, tuple(cons))
         with pytest.raises(ConfigurationError, match=message):
@@ -522,7 +543,7 @@ def assert_period_matches_reference(model, period, prev_state, constraints,
     close(got_grad, grad)
     close(problem.hessian(lam), hess,
           scale=np.abs(hess + np.outer(mean, mean)).max())
-    close(kernel.factor_rows, h_rows)
+    close(kernel.factor_rows, h_rows[prev_state.probs > 0.0])  # rows with mass
     for i in model.index_ids:
         blocks = tilted_blocks(kernel, i)
         assert list(blocks) == list(tilted[i])
@@ -677,19 +698,6 @@ class TestPropagate:
         s2 = model.propagate_marginal(s1, k1)
         assert (0 in s2.support[:, 0]) == (persistence < 1.0)
 
-    def test_positive_cells_match_nonzero(self, rng):
-        # a sparse (node, x11, x12, x21, x22) mass with whole nodes empty
-        p = rng.random((6, 3, 4, 2, 5))
-        p[p < 0.7] = 0.0
-        p[[0, 3, 5]] = 0.0
-        cells, values = _positive_cells(p)
-        want = np.column_stack(np.nonzero(p > 0.0))
-        assert cells.dtype == want.dtype and cells.flags.c_contiguous
-        assert np.array_equal(cells, want)
-        assert np.array_equal(values, p[p > 0.0])
-        cells, values = _positive_cells(np.zeros((2, 3, 1, 1, 2)))
-        assert cells.shape == (0, 5) and values.shape == (0,)
-
 
 class TestBootstrap:
     def bootstrap(self, shift=1.1, sigma=1e-4, **kwargs):
@@ -750,7 +758,14 @@ class TestBootstrap:
                 "prev_state is not the state the period 0 kernel was "
                 "calibrated on")):
             model.propagate_marginal(states[0], kernels[0])
-        # each kernel still takes the state bootstrap_all fed it
+        # the check is by identity: a copy of the state is another state
+        copy = DynamicState(period=0, horizon=1.0, support=states[0].support,
+                            probs=states[0].probs)
+        with pytest.raises(ConfigurationError, match="period 1 kernel"):
+            model.propagate_marginal(copy, kernels[1])
+        # each kernel still takes the state bootstrap_all fed it, the
+        # model's one initial state first
+        assert model.initial_state() is kernels[0].prev_state
         prevs = [model.initial_state(), *states[:-1]]
         for prev, kernel, state in zip(prevs, kernels, states):
             got = model.propagate_marginal(prev, kernel)
@@ -965,7 +980,10 @@ class TestCoarsening:
         cons = prior_implied_constraints(model, 0, state)
         kernel = model.calibrate_period(0, state, cons)
         s1 = model.propagate_marginal(state, kernel)
-        assert model.align_to_period(1, s1) is s1
+        aligned = model.align_to_period(1, s1)
+        assert np.array_equal(aligned, kernel.marginal())
+        assert np.array_equal(np.argwhere(aligned), s1.support)
+        assert np.array_equal(aligned[aligned > 0.0], s1.probs)
 
     def test_state_losses_are_checked_on_their_own_lattice(self):
         # period 0 lives on the fine lattice (caps 2), later periods on the
@@ -974,7 +992,7 @@ class TestCoarsening:
         fine = DynamicState(period=0, horizon=1.0,
                             support=np.array([[0, 2, 2, 1, 0]]),
                             probs=np.array([1.0]))
-        assert model.align_to_period(1, fine).support.tolist() == \
+        assert np.argwhere(model.align_to_period(1, fine)).tolist() == \
             [[0, 1, 1, 1, 0]]
         coarse = DynamicState(period=1, horizon=2.0,
                               support=np.array([[0, 2, 0, 0, 0]]),
@@ -991,15 +1009,17 @@ class TestCoarsening:
         s1 = without_node(model.propagate_marginal(state0, k0), 0)
         k1 = model.calibrate_period(1, s1, shifted_constraints(model, 1, s1))
         assert len(k1.prev_probs) < len(s1.probs)  # aligned to the coarse grid
-        assert (k1.prev_probs == 0.0).any()
+        # node 0 holds no mass, so it is no previous node of the dual
+        assert 0 in s1.support[:, 0] and 0 not in k1.prev_support[:, 0]
         assert_matches_oracle(model, s1, k1)
 
 
 class TestDenseLatticeKeys:
-    """`align_to_period` and `_period_problem` find distinct rows by index
-    arithmetic on the dense lattice, not by sorting rows; on random sparse
-    states they give `np.unique(axis=0)`'s rows, order and sums, and the
-    period dual's cells and masses are those of the sorted keys."""
+    """`align_to_period` scatters a state built from rows onto the dense
+    lattice and `_period_problem` finds its nodes and contexts there, not by
+    sorting rows; on random sparse states they give `np.unique(axis=0)`'s
+    rows, order and sums, and the period dual's lattice and masses are
+    those of the sorted keys."""
 
     @staticmethod
     def build(coarsen, per_bucket=5):
@@ -1031,31 +1051,26 @@ class TestDenseLatticeKeys:
             probs = rng.random(size)
             state = DynamicState(period=0, horizon=1.0, support=support,
                                  probs=probs / probs.sum())
+            keys = np.column_stack(
+                [support[:, 0], -(-support[:, 1:] // coarsen)])
+            rows, which = np.unique(keys, axis=0, return_inverse=True)
+            sums = np.bincount(which.ravel(), weights=state.probs)
             aligned = model.align_to_period(1, state)
-            if coarsen == 1:
-                assert aligned is state
-            else:
-                keys = np.column_stack(
-                    [support[:, 0], -(-support[:, 1:] // coarsen)])
-                rows, which = np.unique(keys, axis=0, return_inverse=True)
-                assert np.array_equal(aligned.support, rows)
-                assert np.array_equal(aligned.probs, np.bincount(
-                    which.ravel(), weights=state.probs))
+            assert np.array_equal(np.argwhere(aligned), rows)
+            assert np.array_equal(aligned[tuple(rows.T)], sums)
             problem = model._period_problem(1, state, cons)
-            nodes, which = np.unique(aligned.support[:, 0],
-                                     return_inverse=True)
+            nodes, which = np.unique(rows[:, 0], return_inverse=True)
+            assert np.array_equal(problem.fixed["prev_nodes"], nodes)
             keys, lattice = [which.ravel()], [len(nodes)]
             for pos, i in enumerate((1, 2)):
-                pairs = aligned.support[:, 1 + 2 * pos:3 + 2 * pos]
+                pairs = rows[:, 1 + 2 * pos:3 + 2 * pos]
                 want, which = np.unique(pairs, axis=0, return_inverse=True)
                 assert np.array_equal(problem.fixed["contexts"][i], want)
                 keys.append(which.ravel())
                 lattice.append(len(want))
-            assert problem.w.shape == tuple(lattice)
-            cells = np.ravel_multi_index(keys, lattice)
-            assert np.array_equal(problem.cells, cells)
-            assert np.array_equal(problem.w.ravel(), np.bincount(
-                cells, weights=aligned.probs, minlength=problem.w.size))
+            w = np.zeros(lattice)
+            w[tuple(keys)] = sums
+            assert np.array_equal(problem.w, w)
 
     def test_marginal_loss_pmf_matches_a_sort(self):
         # losses drawn from {0, 3, 7, 20}, so the totals have gaps, and a
@@ -1080,10 +1095,89 @@ class TestDenseLatticeKeys:
             assert got[50 * len(columns)] == 0.0
 
     def test_the_initial_state_keeps_its_node(self):
+        # the initial state's lattice has zero losses and a node axis that
+        # starts at node -1
         model = self.build(3)
         aligned = model.align_to_period(1, model.initial_state())
-        assert aligned.support.tolist() == [[-1, 0, 0, 0, 0]]
-        assert aligned.probs.tolist() == [1.0]
+        assert aligned.shape == (model.grid.n_nodes + 1, 1, 1, 1, 1)
+        assert aligned[:, 0, 0, 0, 0].tolist() == [1.0] + [0.0] * 6
+        problem = model._period_problem(0, model.initial_state(),
+                                        (relevant_total(0.1, sigma=1e-2),))
+        assert problem.fixed["prev_nodes"].tolist() == [-1]
+        assert problem.w.tolist() == [[[1.0]]]
+
+
+class TestFactoredCoarsening:
+    """Period 0 hands its state to period 1 as the factors of its kernel:
+    each tilted law summed over the round-up blocks of its loss axes, then
+    contracted with the pooled mass.  On the edge cases below that gives
+    the lattice of the row path it replaced (`reference_lattice`): the same
+    nodes and contexts, and each cell's mass to 1e-14 relative."""
+
+    @staticmethod
+    def build(coarsen=3, caps=(20, 2)):
+        # one loss unit per name: bucket capacities caps per index
+        params = FactorParams(rho=0.3, alpha=0.2)
+        grid = build_market_grid(2, 2, params)
+        n = sum(caps)
+        ports = {i: IndexPortfolio(index_id=i, names=tuple(
+            make_name(f"{b}{i}{j}", i, b,
+                      tuple((t, 0.04 * t + 0.002 * j) for t in (1.0, 2.0)),
+                      loading=0.4, weight=1.0 / n)
+            for b, count in zip(("relevant", "complement"), caps)
+            for j in range(count)))
+            for i in (1, 2)}
+        grids = {i: LossGrid(unit=0.6 / n, max_units=n) for i in (1, 2)}
+        model = DynamicModel(grid, params, ports, grids,
+                             TimeGrid(horizons=(1.0, 2.0)), coarsen=coarsen)
+        state0 = model.initial_state()
+        k0 = model.calibrate_period(0, state0,
+                                    shifted_constraints(model, 0, state0))
+        return model, model.propagate_marginal(state0, k0)
+
+    def test_coarsening_that_does_not_divide_the_capacity(self):
+        # 3 into 20: blocks {0}, {1, 2, 3}, ..., {16, 17, 18} and the short
+        # {19, 20}; the complement's 2 units make {0} and a short {1, 2}
+        model, s0 = self.build()
+        assert model.period_capacities(0)[1] == (20, 2)
+        assert model.period_capacities(1)[1] == (7, 1)
+        assert {20, 19} <= set(s0.support[:, 1].tolist())
+        problem = assert_lattice_matches_reference(
+            model, 1, s0, (relevant_total(0.1, sigma=1e-2),))
+        for i in (1, 2):
+            assert problem.fixed["contexts"][i].max(axis=0).tolist() == [7, 1]
+        assert len(s0.probs) > 4 * problem.w.size  # the support is fine
+        assert_lattice_matches_reference(
+            model, 0, model.initial_state(), (relevant_total(0.1, 1e-2),))
+
+    @pytest.mark.parametrize("coarsen", [1, 3])
+    def test_nodes_without_mass(self, coarsen):
+        # a kernel whose pooled mass is zero at nodes 0 and 2: those nodes
+        # leave the next lattice
+        model, s0 = self.build(coarsen)
+        u = s0.kernel.pooled_mass.copy()
+        u[..., [0, 2]] = 0.0
+        kernel = dataclasses.replace(s0.kernel, pooled_mass=u / u.sum())
+        state = DynamicState(period=0, horizon=1.0, kernel=kernel)
+        assert set(state.support[:, 0].tolist()) == {1, 3}
+        problem = assert_lattice_matches_reference(
+            model, 1, state, (relevant_total(0.1, sigma=1e-2),))
+        assert problem.fixed["prev_nodes"].tolist() == [1, 3]
+
+    @pytest.mark.parametrize("coarsen", [1, 3])
+    def test_a_sparse_state_built_from_rows(self, rng, coarsen):
+        # rows a caller picked: scattered onto the lattice once, with the
+        # sums of the row path bit for bit
+        model, s0 = self.build(coarsen)
+        keep = np.sort(rng.choice(len(s0.probs), 300, replace=False))
+        state = DynamicState(period=0, horizon=1.0, support=s0.support[keep],
+                             probs=s0.probs[keep] / s0.probs[keep].sum())
+        cons = (relevant_total(0.1, sigma=1e-2),)
+        problem = assert_lattice_matches_reference(model, 1, state, cons)
+        assert np.array_equal(problem.w, reference_lattice(model, 1, state)[2])
+        kernel = model.calibrate_period(1, state, cons)
+        assert model.propagate_marginal(state, kernel).total_mass == \
+            pytest.approx(1.0, abs=1e-12)
 
 
 def static_priors(model, params, grid, ports, grids, horizon=1.0):

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,12 @@ class TestConditionalPrior:
         mixed = mixture_unconditional(dist, grid.flat_weights, horizon=5.0)
         analytic = sum(n.lgd * n.default_prob(5.0) for n in port.names)
         assert mixed.mean() == pytest.approx(analytic, abs=1e-3)
+
+    @pytest.mark.parametrize("unit", [0.0, -0.1, float("nan"), float("inf")])
+    def test_loss_unit_must_be_finite_and_positive(self, unit):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"loss unit must be finite and > 0, got {unit}")):
+            LossGrid(unit=unit, max_units=2)
 
     def test_grid_too_small(self):
         params = FactorParams(rho=0.2, alpha=0.0)
