@@ -40,6 +40,7 @@ import numpy as np
 from .errors import ConfigurationError, InfiniteDivergenceError
 from .loss import (
     _NORMALIZER_FLOOR,
+    _scaled_exp,
     ConditionalLossDist,
     LossDist,
     LossGrid,
@@ -517,11 +518,19 @@ class _TiltedDual:
 
     with G the prior factor rows of the previous nodes r, c_i a context of
     index i and Z_i(c, m, lam) the normalizer of its tilted prior on
-    (context, node) row (c, m).  The posterior factor rows are h[s, m]
-    propto G[r, m] * prod_i Z_i(c_i, m, lam).  Each index's kernel runs over
-    its (context x node) rows, context-major, and broadcasts along its own
-    axis of the lattice, so w has shape (R, n_1, ..., n_I) in index id
-    order.  The weights w must sum to 1, which the gradient assumes."""
+    (context, node) row (c, m), context-major.  The posterior factor rows
+    are h[s, m] = G[r, m] * prod_i Z_i(c_i, m, lam) / Zhat_s.  w has shape
+    (R, n_1, ..., n_I) in index id order and must sum to 1, which the
+    gradient assumes.
+
+    No (cells x M) array is formed.  The row factor A[q, m] = G[r, m] *
+    prod_{i < I} Z_i(c_i, m) over the rows q = (r, c_1, ..., c_{I-1}) and
+    the last index's normalizers B[c, m] = Z_I(c, m), each scaled by its
+    row max, give Zhat = A @ B^T up to those scales, and every pool of
+    w * h is a contraction of V = w / Zhat with A and B.  A cell with mass
+    whose scaled Zhat is below `_NORMALIZER_FLOOR` (the scaling moved its
+    mass to where the factors underflow) is summed in log space over its
+    row instead, and its w * h row is added to the pools."""
 
     def __init__(self, constraints: Sequence[PricingConstraint],
                  positions: dict[int, list[int]],
@@ -553,21 +562,6 @@ class _TiltedDual:
                         f"[{float(lo)!r}, {float(hi)!r}]"
                     )
 
-    def _along(self, a: int, per_row: np.ndarray) -> np.ndarray:
-        """The a-th index's (context x node, ...) kernel rows shaped to
-        broadcast over the lattice: contexts on axis 1 + a, then nodes."""
-        shape = [1] * self.w.ndim
-        shape[1 + a] = self.w.shape[1 + a]
-        return per_row.reshape(*shape, self.log_factor_rows.shape[1],
-                               *per_row.shape[1:])
-
-    def _pool(self, weighted: np.ndarray, *indices: int) -> np.ndarray:
-        """weighted (lattice, M) summed over every lattice axis but those
-        of the given index positions: (n_a, ..., M)."""
-        keep = {1 + a for a in indices}
-        return weighted.sum(axis=tuple(
-            ax for ax in range(self.w.ndim) if ax not in keep))
-
     def evaluate(self, lambdas: np.ndarray) -> dict:
         lambdas = np.asarray(lambdas, dtype=float)
         key = lambdas.tobytes()
@@ -578,23 +572,34 @@ class _TiltedDual:
             i: self.kernels[i].evaluate(lambdas[self.positions[i]])
             for i in self.index_ids
         }
-        log_rows = self.log_factor_rows.reshape(
-            len(self.log_factor_rows), *[1] * (self.w.ndim - 1), -1)
-        for a, i in enumerate(self.index_ids):
-            log_rows = log_rows + self._along(a, tilts[i].log_z)
-        log_zhat, h = _normalize_rows(log_rows)  # lattice, (lattice, M)
-        w = self.w.reshape(-1)
-        mean_rows = np.empty((len(w), len(self.targets)))
-        for a, i in enumerate(self.index_ids):
-            cond = self._along(a, tilts[i].cond_means)  # (..., M, K_i)
-            mean_rows[:, self.positions[i]] = (
-                h[..., None, :] @ cond).reshape(len(w), -1)
-        model_els = w @ mean_rows
-        value = float(w @ log_zhat.reshape(-1)) + 0.5 * float(
+        n_nodes = self.log_factor_rows.shape[1]
+        log_a = self.log_factor_rows
+        for i in self.index_ids[:-1]:  # rows (r, c_1, ..., c_i) in C order
+            log_a = (log_a[:, None] + tilts[i].log_z.reshape(1, -1, n_nodes)
+                     ).reshape(-1, n_nodes)
+        log_b = tilts[self.index_ids[-1]].log_z.reshape(-1, n_nodes)
+        (a, top_a), (b, top_b) = _scaled_exp(log_a), _scaled_exp(log_b)
+        zhat = a @ b.T  # (rows, n_I): the cells in lattice order
+        w = self.w.reshape(zhat.shape)
+        small = ~(zhat >= _NORMALIZER_FLOOR)
+        zhat[small] = 1.0
+        log_zhat = np.log(zhat) + top_a[:, None] + top_b
+        low = np.flatnonzero(small & (w > 0.0))  # summed in log space
+        q, c = np.divmod(low, zhat.shape[1])
+        log_zhat.flat[low], h_low = _normalize_rows(log_a[q] + log_b[c])
+        v = w / zhat
+        v.flat[low] = 0.0
+        state = dict(tilts=tilts, a=a, b=b, v=v, zhat=zhat, low=(low, h_low))
+        state["pools"] = {i: self._context_pool(state, pos)
+                          for pos, i in enumerate(self.index_ids)}
+        model_els = np.empty(len(self.targets))
+        for i, pool in state["pools"].items():  # pool (n_i, M) of index i
+            model_els[self.positions[i]] = (pool.reshape(-1)
+                                            @ tilts[i].cond_means)
+        value = float(w.reshape(-1) @ log_zhat.reshape(-1)) + 0.5 * float(
             self.sigmas**2 @ lambdas**2)
-        grad = model_els - self.targets + lambdas * self.sigmas**2
-        state = dict(tilts=tilts, h=h, log_zhat=log_zhat, mean_rows=mean_rows,
-                     model_els=model_els, value=value, grad=grad)
+        state.update(log_zhat=log_zhat, model_els=model_els, value=value,
+                     grad=model_els - self.targets + lambdas * self.sigmas**2)
         self._cache_key, self._cache = key, state
         return state
 
@@ -603,38 +608,85 @@ class _TiltedDual:
         state = self.evaluate(lambdas)
         return state["value"], state["grad"].copy()
 
+    def _context_pool(self, state: dict, *positions: int) -> np.ndarray:
+        """w * h summed over every lattice axis but the contexts of the
+        given index positions, in increasing order: (n_a, ..., M).  V and A
+        are contracted over the rows of each kept row context, one batched
+        product, and multiplied by B; that is the pool on the kept contexts
+        and the last index's, which is summed out unless it is kept."""
+        *rows, n_last = self.w.shape
+        kept = [1 + p for p in positions if 1 + p < len(rows)]
+        order = [*kept, *(ax for ax in range(len(rows)) if ax not in kept)]
+        batch = [rows[ax] for ax in kept]
+        v = state["v"].reshape(self.w.shape).transpose(*order, len(rows))
+        f = state["a"].reshape(*rows, -1).transpose(*order, len(rows))
+        pool = np.matmul(
+            v.reshape(math.prod(batch), -1, n_last).transpose(0, 2, 1),
+            f.reshape(math.prod(batch), -1, f.shape[-1]),
+        ).reshape(*batch, n_last, -1) * state["b"]
+        low, h_low = state["low"]
+        cells = np.unravel_index(low, self.w.shape)
+        np.add.at(pool, tuple(cells[ax] for ax in (*kept, -1)),
+                  self.w.flat[low][:, None] * h_low)
+        return pool if len(kept) < len(positions) else pool.sum(axis=-2)
+
+    def _root_mass_means(self, state: dict, cond: dict) -> np.ndarray:
+        """(K, cells) posterior mean payoffs per cell times the root of its
+        mass, sqrt(w_s) E[F_k | s], with E[F_k | s] = sum_m h[s, m]
+        E_i[F_k | c_i, m] and cond[i] the (n_i, M, K_i) conditional means:
+        per payoff one product (A * E) @ B^T, or A @ (B * E)^T for the last
+        index, over Zhat."""
+        a, b, zhat = state["a"], state["b"], state["zhat"]
+        rows = np.unravel_index(np.arange(len(a)), self.w.shape[:-1])
+        means = np.empty((len(self.targets), *zhat.shape))
+        for pos, i in enumerate(self.index_ids):
+            for k, c in zip(self.positions[i], cond[i].transpose(2, 0, 1)):
+                if 1 + pos < len(rows):
+                    np.matmul(a * c[rows[1 + pos]], b.T, out=means[k])
+                else:
+                    np.matmul(a, (b * c).T, out=means[k])
+        means *= np.sqrt(self.w.reshape(zhat.shape)) / zhat
+        means = means.reshape(len(means), -1)
+        low, h_low = state["low"]
+        cells = np.unravel_index(low, self.w.shape)
+        root_h = np.sqrt(self.w.flat[low])[:, None] * h_low
+        for pos, i in enumerate(self.index_ids):
+            means[np.ix_(self.positions[i], low)] = (
+                root_h[:, None, :] @ cond[i][cells[1 + pos]])[:, 0].T
+        return means
+
     def hessian(self, lambdas: np.ndarray) -> np.ndarray:
         """Covariance of the payoffs under the posterior, plus sigma^2.
 
-        With W = w * h over (lattice, node), the within-index block is the
-        kernel's second moments of the payoffs over its (context, node)
-        rows, weighted by W summed over the other lattice axes.  The
-        cross-index block is sum_{c_i, c_j, m} W_ij[c_i, c_j, m]
-        E_i[F | c_i, m] E_j[F | c_j, m]^T with W_ij the pool over the other
-        axes, since the indices are independent given the cell and node."""
+        The within-index block is the kernel's second moments of the
+        payoffs over its (context, node) rows, weighted by the pool of
+        w * h on them.  The cross-index block is sum_{c_i, c_j, m}
+        W_ij[c_i, c_j, m] E_i[F | c_i, m] E_j[F | c_j, m]^T with W_ij the
+        pool on the contexts of both, since the indices are independent
+        given the cell and node.  Less sum_s w_s E[F | s] E[F | s]^T."""
         state = self.evaluate(lambdas)
-        weighted = self.w[..., None] * state["h"]
+        tilts, pools = state["tilts"], state["pools"]
         k = len(self.targets)
         hess = np.empty((k, k))
-        for a, i in enumerate(self.index_ids):
-            pos, tilt = self.positions[i], state["tilts"][i]
-            hess[np.ix_(pos, pos)] = tilt.second_moments(
-                self._pool(weighted, a).reshape(-1))
-        cond = {i: state["tilts"][i].cond_means.reshape(
-            n, weighted.shape[-1], len(self.positions[i]))
-            for i, n in zip(self.index_ids, self.w.shape[1:])}
+        cond = {}
+        for i in self.index_ids:
+            pos = self.positions[i]
+            hess[np.ix_(pos, pos)] = tilts[i].second_moments(
+                pools[i].reshape(-1))
+            cond[i] = tilts[i].cond_means.reshape(*pools[i].shape, len(pos))
         for a, i in enumerate(self.index_ids):
             for b, j in enumerate(self.index_ids[a + 1:], a + 1):
                 pos_i, pos_j = self.positions[i], self.positions[j]
-                pair = self._pool(weighted, a, b)  # (n_a, n_b, M)
-                lhs = (cond[i][:, None] * pair[..., None]).reshape(
-                    pair.size, len(pos_i))
-                rhs = np.broadcast_to(cond[j], (*pair.shape, len(pos_j)))
-                cross = lhs.T @ rhs.reshape(pair.size, len(pos_j))
+                pair = self._context_pool(state, a, b)  # (n_a, n_b, M)
+                per_node = np.matmul(pair.transpose(2, 0, 1),
+                                     cond[j].transpose(1, 0, 2))
+                n = pair.shape[0] * pair.shape[2]  # (node, context) rows
+                cross = cond[i].transpose(1, 0, 2).reshape(
+                    n, len(pos_i)).T @ per_node.reshape(n, len(pos_j))
                 hess[np.ix_(pos_i, pos_j)] = cross
                 hess[np.ix_(pos_j, pos_i)] = cross.T
-        mean_rows = state["mean_rows"]
-        hess -= (self.w.reshape(-1, 1) * mean_rows).T @ mean_rows
+        means = self._root_mass_means(state, cond)
+        hess -= means @ means.T
         hess[np.diag_indices(k)] += self.sigmas**2
         return hess
 
@@ -690,9 +742,10 @@ class MceCalibrator(_TiltedDual):
     dual_hessian = _TiltedDual.hessian
 
     def posterior(self, lambdas: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        """(factor weights, tilted conditionals) at a multiplier vector."""
+        """(factor weights, tilted conditionals) at a multiplier vector: the
+        factor weights are the one cell's w * h = h, its last index's pool."""
         state = self.evaluate(lambdas)
-        return state["h"].reshape(-1).copy(), {
+        return state["pools"][self.index_ids[-1]].reshape(-1).copy(), {
             i: t.law().pmfs for i, t in state["tilts"].items()
         }
 
@@ -705,7 +758,8 @@ class MceCalibrator(_TiltedDual):
         return CalibrationResult(
             constraints=self.constraints,
             lambdas=res.x,
-            posterior_weights=state["h"].reshape(-1).copy(),
+            posterior_weights=state["pools"][self.index_ids[-1]].reshape(-1)
+            .copy(),
             laws={i: t.law() for i, t in state["tilts"].items()},
             model_els=state["model_els"].copy(),
             residuals=state["model_els"] - self.targets,

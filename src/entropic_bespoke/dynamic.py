@@ -137,7 +137,9 @@ class DynamicState:
     A state from `propagate_marginal` is held as the factors of the kernel
     that produced it (`kernel.marginal()`); its support, the positive cells
     of that marginal in C order, and their masses are formed on first use.
-    A state built from support and probs keeps them as given.
+    A state built from support and probs keeps them as given; each mass
+    must be finite and >= 0, or the state is a ConfigurationError naming
+    the period and the first bad row.
     """
 
     def __init__(self, period: int, horizon: float,
@@ -146,8 +148,19 @@ class DynamicState:
                  kernel: "PeriodKernel | None" = None):
         self.period, self.horizon, self.kernel = period, horizon, kernel
         if kernel is None:
+            if support is None or probs is None:
+                raise ConfigurationError(
+                    f"period {period} state needs support and probs, or a "
+                    "kernel")
+            support, probs = np.asarray(support), np.asarray(probs, float)
             if support.shape[0] != len(probs):
                 raise ConfigurationError("support and probs length mismatch")
+            bad = np.flatnonzero(~((probs >= 0.0) & (probs < np.inf)))
+            if bad.size:
+                raise ConfigurationError(
+                    f"period {period} state: row {bad[0]} has mass "
+                    f"{float(probs[bad[0]])!r}; masses must be finite and "
+                    ">= 0")
             self._cells = support, probs
 
     @functools.cached_property
@@ -291,7 +304,8 @@ class PeriodKernel:
 
     prev_support and prev_probs, the cells with mass as rows (m, x11, x12,
     x21, x22) in C order and their masses, and factor_rows[s], h(m^n | row
-    s), are formed from these on first use.
+    s), are formed from these on first use; `factor_rows_of` forms a block
+    of the factor rows.
     """
 
     period: int
@@ -325,9 +339,15 @@ class PeriodKernel:
 
     @functools.cached_property
     def factor_rows(self) -> np.ndarray:
-        """h(m^n | row s), normalized from log g(m | node) + sum_i log
-        Z_i(m | context) as the period dual normalized its cells."""
-        r, *ctx = self._prev_cells
+        """h(m^n | row s) for every previous row s (`factor_rows_of`)."""
+        return self.factor_rows_of(slice(None))
+
+    def factor_rows_of(self, rows: slice) -> np.ndarray:
+        """h(m^n | row s) for the previous rows s of the slice `rows`, each
+        normalized on its own from log g(m | node) + sum_i log Z_i(m |
+        context), so a block of rows has the bytes of those rows of
+        `factor_rows`."""
+        r, *ctx = (cells[rows] for cells in self._prev_cells)
         log_rows = self.log_factor_rows[r]
         n_nodes = log_rows.shape[1]
         for i, c in zip(sorted(self.loss_tilted), ctx):
@@ -598,7 +618,7 @@ class _PeriodDual(_TiltedDual):
             model_els=state["model_els"].copy(),
             prev_mass=self.w,
             log_factor_rows=self.log_factor_rows,
-            pooled_mass=self._pool(self.w[..., None] * state["h"], 0, 1),
+            pooled_mass=self._context_pool(state, 0, 1),
             loss_tilted={i: t.law() for i, t in state["tilts"].items()},
             iterations=iterations,
         )

@@ -597,10 +597,6 @@ def law_rows(horizon: float, laws: Mapping[int, TiltedLossDist]
                                     values.ravel())
 
 
-_LAW_RECORD = [("horizon", float), ("index_id", np.int64), ("factor", "U16"),
-               ("m", np.int64), ("j", np.int64), ("value", float)]
-
-
 def load_posterior_laws(path: str | Path, loss_grids: Mapping[int, LossGrid]
                         ) -> dict[float, dict[int, TiltedLossDist]]:
     """The tilted laws of a posterior_laws.csv, by horizon and index id,
@@ -752,10 +748,16 @@ KERNEL_HEADER = ["period", "horizon", "prev_row", "m_next", "prob"]
 
 def kernel_rows(kernels) -> Iterator[bytes]:
     """dynamic_factor_kernels.csv text: the positive entries of each
-    period's factor rows, by previous support row, then next node."""
+    period's factor rows, by previous support row, then next node.  The
+    rows are formed a block of previous rows at a time (at most
+    `_BLOCK_ROWS` entries), so no kernel's whole factor rows are held."""
     for kernel in kernels:
-        yield from _cell_blocks(f"{kernel.period},{_fmt(kernel.horizon)},",
-                                kernel.factor_rows)
+        prefix = f"{kernel.period},{_fmt(kernel.horizon)},"
+        step = max(1, _BLOCK_ROWS // kernel.log_factor_rows.shape[1])
+        for start in range(0, len(kernel.prev_probs), step):
+            rows = kernel.factor_rows_of(slice(start, start + step))
+            s, m = np.nonzero(rows)
+            yield from _text_blocks(prefix, (s + start, m), rows[s, m])
 
 
 MAPPING_HEADER = ["rule", "k_bespoke", "maturity", "bespoke_el", "index_el",

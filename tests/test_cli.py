@@ -407,6 +407,29 @@ class TestCalibrateDynamic:
         assert (tmp_path / "out" / "dynamic_factor_kernels.csv").read_bytes() \
             == reference_csv(fmt.KERNEL_HEADER, reference_kernel_rows(kernels))
 
+    @pytest.mark.parametrize("block_rows", [7, 20, 1 << 14])
+    def test_kernel_dump_streams_blocks_of_previous_rows(
+        self, tmp_path, dumped, monkeypatch, block_rows
+    ):
+        # 3x3 nodes: blocks of 1, 2 and all previous rows; each row is
+        # normalized on its own, so every block size gives the same bytes
+        monkeypatch.setattr(fmt, "_BLOCK_ROWS", block_rows)
+        write_portfolios(tmp_path / "portfolios.json", n_names=4)
+        write_csv(tmp_path / "constraints.csv", CONSTRAINT_COLUMNS,
+                  prior_el_constraints(tmp_path / "portfolios.json",
+                                       grid_size=(3, 3), shift=1.1))
+        (tmp_path / "config.json").write_text(json.dumps({
+            "mode": "calibrate-dynamic", "portfolios": "portfolios.json",
+            "constraints": "constraints.csv", "grid_size": [3, 3],
+            "output_dir": "out",
+        }))
+        assert main(["--config", str(tmp_path / "config.json")]) == 0
+        (kernels,), = dumped["kernel_rows"]
+        assert [len(k.prev_probs) for k in kernels] == [1, 729]
+        assert not any("factor_rows" in vars(k) for k in kernels)
+        assert (tmp_path / "out" / "dynamic_factor_kernels.csv").read_bytes() \
+            == reference_csv(fmt.KERNEL_HEADER, reference_kernel_rows(kernels))
+
     def test_coarsened_dumps_join_through_the_aligned_states(
         self, tmp_path, dumped, monkeypatch
     ):

@@ -11,6 +11,8 @@ from scipy.stats import binom
 from entropic_bespoke.calibrate import (
     MceCalibrator,
     PricingConstraint,
+    _tilt_kernels,
+    _TiltedDual,
     calibrate,
     payoff_lattice,
 )
@@ -400,6 +402,25 @@ class TestCalibratePeriod:
                      lambda: model.propagate_marginal(state, k0)):
             with pytest.raises(ConfigurationError, match=match):
                 call()
+
+    @pytest.mark.parametrize("probs, mass", [
+        ([-0.5, 1.5], "-0.5"), ([np.nan, 1.0], "nan"), ([1.0, np.inf], "inf"),
+    ], ids=["negative", "nan", "inf"])
+    def test_bad_previous_mass_fails_fast(self, probs, mass):
+        # given to calibrate_period, a negative mass ran 200 Newton steps to
+        # "no convergence within the iteration limit", and a NaN one failed
+        # at the starting point; the state now refuses it when built
+        row = 0 if mass != "inf" else 1
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"period 1 state: row {row} has mass {mass};")):
+            DynamicState(period=1, horizon=2.0, support=np.zeros((2, 5), int),
+                         probs=np.array(probs))
+
+    def test_state_without_support_fails_fast(self):
+        # this was AttributeError: 'NoneType' object has no attribute 'shape'
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "period 0 state needs support and probs, or a kernel")):
+            DynamicState(period=0, horizon=1.0)
 
     def test_gradient_matches_finite_differences(self, rng):
         model, *_ = small_model(n_grid=3)
@@ -1231,6 +1252,134 @@ class TestStaticIsPeriodZero:
                 blocks = tilted_blocks(kernel, i)
                 assert list(blocks) == [(0, 0)]
                 close(blocks[(0, 0)], tilted[i])
+
+
+def reference_pooled_mass(model, period, prev_state, h_rows):
+    """U[c1, c2, m]: each previous row's mass times its factor row, summed
+    over the previous nodes, by a row sort of the contexts."""
+    (c1, row1, *_), (c2, row2, *_) = reference_loss_priors(
+        model, period, prev_state).values()
+    pooled = np.zeros((len(c1), len(c2), h_rows.shape[1]))
+    np.add.at(pooled, (row1, row2), prev_state.probs[:, None] * h_rows)
+    return pooled
+
+
+class TestProductFormDual:
+    """The period dual holds Zhat as a row factor times the last index's
+    normalizers; a held cell whose scaled Zhat underflows is summed in log
+    space, and a one-index calibration is the row factor G alone."""
+
+    def test_underflowing_cells_match_the_reference(self):
+        # loadings near 1 give node default probabilities of exactly 0 or 1
+        # (period 1, both buckets of index 2: 1.0, 0.0, 0.0, 1.0, ...), so
+        # at multipliers of order 1e3 log Z_2(c, m) spreads over more
+        # than log(1e250) across the nodes, and in 6 of the 144 cells the
+        # scaled row factor and normalizers meet only where both underflow
+        model, *_ = small_model(n_grid=3, loading=0.9999)
+        state0 = model.initial_state()
+        k0 = model.calibrate_period(0, state0,
+                                    shifted_constraints(model, 0, state0))
+        s1 = model.propagate_marginal(state0, k0)
+        cons = shifted_constraints(model, 1, s1)
+        problem = model._period_problem(1, s1, tuple(cons))
+        lam = np.array([300.0, -200.0, 1000.0, 1000.0])
+        low = problem.evaluate(lam)["low"][0]
+        assert low.size == 6 and problem.w.size == 144
+        assert (problem.w.reshape(-1)[low] > 0.0).all()
+        assert_period_matches_reference(model, 1, s1, cons, lam)
+        *_, h_rows, _ = reference_period_dual(model, 1, s1, cons, lam)
+        want = reference_pooled_mass(model, 1, s1, h_rows)
+        got = problem.kernel(lam, 0).pooled_mass
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_three_index_lattice_matches_the_broadcast_form(self, rng):
+        # two row indices fold into the row factor, so the pools of each
+        # and of both go through the row contexts; against the dual formed
+        # as one (R, n_1, n_2, n_3, M) array of posterior factor rows
+        n_nodes, shape = 4, (3, 2, 3, 2)
+        grid = LossGrid(unit=0.1, max_units=6)
+        cons, positions, kernels = [], {}, {}
+        for i, n in zip((1, 2, 3), shape[1:]):
+            pmfs = [rng.random((n * n_nodes, s)) for s in (3, 4)]
+            prior = ConditionalLossDist(
+                i, grid, [p / p.sum(axis=1, keepdims=True) for p in pmfs])
+            own = [PricingConstraint(index_id=i, kind="tranche", k_low=0.0,
+                                     k_high=0.2, target_el=0.05, sigma=0.1),
+                   relevant_total(0.05, sigma=0.1, index_id=i)]
+            positions[i] = list(range(len(cons), len(cons) + len(own)))
+            cons += own
+            kernels[i] = _tilt_kernels({i: prior}, own)[1][i]
+        w = rng.random(shape) * (rng.random(shape) > 0.3)
+        w /= w.sum()
+        log_g = np.log(rng.random((shape[0], n_nodes)))
+        dual = _TiltedDual(cons, positions, kernels, log_g, w)
+        lam = rng.normal(scale=10.0, size=len(cons))
+        tilts = {i: kernels[i].evaluate(lam[positions[i]]) for i in kernels}
+        log_rows = log_g[:, None, None, None] + sum(
+            tilts[i].log_z.reshape([n if ax == a else 1 for ax in range(3)]
+                                   + [n_nodes])[None]
+            for a, (i, n) in enumerate(zip((1, 2, 3), shape[1:])))
+        log_zhat = logsumexp(log_rows, axis=-1)
+        h = np.exp(log_rows - log_zhat[..., None])
+        pooled = w[..., None] * h
+        cond = [tilts[i].cond_means.reshape(n, n_nodes, -1)
+                for i, n in zip((1, 2, 3), shape[1:])]
+        axes = "abc"
+        mean = np.concatenate([np.einsum(f"rabcm,{x}mk->rabck", h, c)
+                               for x, c in zip(axes, cond)], axis=-1)
+        hess = np.diag([c.sigma**2 for c in cons]) - np.einsum(
+            "rabc,rabck,rabcl->kl", w, mean, mean)
+        for a, x in enumerate(axes):
+            pos = positions[a + 1]
+            hess[np.ix_(pos, pos)] += tilts[a + 1].second_moments(
+                np.einsum(f"rabcm->{x}m", pooled).reshape(-1))
+            for b, y in enumerate(axes[a + 1:], a + 1):
+                cross = np.einsum(f"rabcm,{x}mk,{y}ml->kl", pooled, cond[a],
+                                  cond[b])
+                hess[np.ix_(pos, positions[b + 1])] += cross
+                hess[np.ix_(positions[b + 1], pos)] += cross.T
+        value, grad = dual.objective(lam)
+        targets = np.array([c.target_el for c in cons])
+        model_els = np.einsum("rabc,rabck->k", w, mean)
+        assert value == pytest.approx(
+            np.sum(w * log_zhat) + 0.5 * 0.1**2 * lam @ lam, rel=1e-12)
+        assert np.abs(grad - (model_els - targets + lam * 0.1**2)).max() \
+            <= 1e-12 * np.abs(model_els).max()
+        assert np.abs(dual.hessian(lam) - hess).max() <= \
+            1e-12 * np.abs(hess).max()
+
+    def test_one_index_static_matches_a_logsumexp_dual(self, rng):
+        model, params, grid, ports, grids, _ = small_model(n_grid=3)
+        prior = static_priors(model, params, grid, ports, grids)[1]
+        cons = [PricingConstraint(target_el=0.05, sigma=1e-2, index_id=1, **kw)
+                for kw in (dict(kind="tranche", k_low=0.0, k_high=0.3),
+                           dict(kind="subportfolio_total", bucket="relevant"),
+                           dict(kind="subportfolio_total",
+                                bucket="complement"))]
+        static = MceCalibrator(grid, {1: prior}, cons)
+        targets = np.array([c.target_el for c in cons])
+        sigmas = np.array([c.sigma for c in cons])
+        pay = np.array([payoff_lattice(c, prior) for c in cons])
+        with np.errstate(divide="ignore"):
+            log_prior = (np.log(grid.flat_weights)[:, None, None]
+                         + np.log(prior.pmfs))
+        for scale in (3.0, 300.0):
+            lam = rng.normal(scale=scale, size=len(cons))
+            arg = log_prior + np.tensordot(lam, pay, axes=1) - lam @ targets
+            log_z = logsumexp(arg)
+            joint = np.exp(arg - log_z)  # the posterior on (m, x, y)
+            mean = np.einsum("mxy,kxy->k", joint, pay)
+            hess = np.einsum("mxy,kxy,lxy->kl", joint, pay, pay) - np.outer(
+                mean, mean) + np.diag(sigmas**2)
+            value, grad = static.dual_objective_and_gradient(lam)
+            assert value == pytest.approx(
+                log_z + 0.5 * sigmas**2 @ lam**2, rel=1e-12)
+            assert np.abs(grad - (mean - targets + lam * sigmas**2)).max() \
+                <= 1e-12 * np.abs(mean).max()
+            assert np.abs(static.dual_hessian(lam) - hess).max() <= \
+                1e-12 * np.abs(hess + np.outer(mean, mean)).max()
+            weights = static.posterior(lam)[0]
+            assert np.abs(weights - joint.sum(axis=(1, 2))).max() <= 1e-12
 
 
 def relevant_total(target, sigma=0.0, index_id=1):
