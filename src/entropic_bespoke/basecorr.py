@@ -6,12 +6,11 @@ practitioners use to carry an index skew onto a bespoke portfolio.  Kept
 deliberately simple: it exists to produce comparison columns and to
 exhibit the documented pathologies of the mapping approach.
 
-`onefactor_loss_dist`, `base_tranche_el` and `map_strike` also take a
-sequence (of betas, of (strike, beta) pairs, of bespoke strikes).  All
-one-factor laws asked for one pool and horizon then come from one batched
-recursion over (beta, node) columns; the recursion is column-independent,
-so each law is bit-identical to its scalar call, which is the
-one-element case.
+`onefactor_loss_dist`, `base_tranche_el` and `map_strike` take sequences
+(of betas, of strikes and their betas, of bespoke strikes) and return
+lists.  All one-factor laws asked for one pool and horizon come from one
+batched recursion over (beta, node) columns; the recursion is
+column-independent, so each law is bit-identical to its one-element call.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ ABSOLUTE = "absolute"
 ATM = "atm"
 PROBABILITY_MATCHING = "probability_matching"
 _VARIANTS = (ABSOLUTE, ATM, PROBABILITY_MATCHING)
+_N_NODES = 31  # Gauss-Hermite nodes of the one-factor integral
 
 
 @dataclass(frozen=True)
@@ -135,43 +135,38 @@ def _sign(x: float) -> int:
 
 
 def onefactor_loss_dist(
-    portfolio: IndexPortfolio,
-    beta: float | Sequence[float],
-    horizon: float,
-    n_nodes: int = 31,
-    loss_unit: float | None = None,
-) -> LossDist | list[LossDist]:
-    """Index loss law under a one-factor Gaussian copula where every name
-    loads sqrt(beta) on the single market factor.
+    portfolio: IndexPortfolio, betas: Sequence[float], horizon: float
+) -> list[LossDist]:
+    """Index loss laws under a one-factor Gaussian copula, one per beta,
+    where every name loads sqrt(beta) on the single market factor.
 
-    A sequence of betas gives the list of their laws, from one pass of
-    conditional default probabilities and one bucket recursion over the
-    (beta, node) columns, beta-major.
+    One pass of conditional default probabilities and one bucket recursion
+    over the (beta, node) columns, beta-major, on the lattice of the
+    pool's smallest LGD.
     """
-    betas = np.atleast_1d(np.asarray(beta, dtype=float))
+    betas = np.asarray(betas, dtype=float)
     bad = betas[~((betas > 0.0) & (betas < 1.0))]
     if bad.size:
         raise ConfigurationError(f"beta must lie in (0, 1), got {float(bad[0])}")
-    unit, units, default_probs = _pool_inputs(portfolio, horizon, loss_unit)
-    z, w = _unit_gauss_hermite(n_nodes)
+    unit, units, default_probs = _pool_inputs(portfolio, horizon)
+    z, w = _unit_gauss_hermite(_N_NODES)
     n = len(betas)
-    nodes = np.column_stack([np.tile(z, n), np.zeros(n * n_nodes)])
+    nodes = np.column_stack([np.tile(z, n), np.zeros(n * _N_NODES)])
     loading = TwoFactorLoadings(  # one value per (beta, node) column
-        beta1=np.repeat(np.sqrt(betas), n_nodes), beta2=0.0,
-        idio=np.repeat(np.sqrt(1.0 - betas), n_nodes),
+        beta1=np.repeat(np.sqrt(betas), _N_NODES), beta2=0.0,
+        idio=np.repeat(np.sqrt(1.0 - betas), _N_NODES),
     )
     probs = _conditional_prob_rows(default_probs, loading, nodes)
     size = sum(units) + 1
-    pmfs = bucket_pmf_recursion(probs, units, size).reshape(n, n_nodes, size)
+    pmfs = bucket_pmf_recursion(probs, units, size).reshape(n, _N_NODES, size)
     grid = LossGrid(unit=unit, max_units=size - 1)
-    dists = [LossDist(pmf=w @ node_pmfs, grid=grid, horizon=horizon)
-             for node_pmfs in pmfs]
-    return dists if np.ndim(beta) else dists[0]
+    return [LossDist(pmf=w @ node_pmfs, grid=grid, horizon=horizon)
+            for node_pmfs in pmfs]
 
 
 @functools.lru_cache(maxsize=16)
 def _pool_inputs(
-    portfolio: IndexPortfolio, horizon: float, loss_unit: float | None
+    portfolio: IndexPortfolio, horizon: float
 ) -> tuple[float, tuple[int, ...], np.ndarray]:
     """What a one-factor law needs of the pool besides beta: the loss unit,
     each name's integer LGD and its default probability at `horizon`.
@@ -180,7 +175,7 @@ def _pool_inputs(
     every trial beta, so these are computed once per pool and horizon; the
     probabilities are shared, so they are read-only.
     """
-    unit = loss_unit if loss_unit is not None else default_loss_unit(portfolio)
+    unit = default_loss_unit(portfolio)
     grid = LossGrid(unit=unit, max_units=10**9)
     units = tuple(name_loss_units(n, grid) for n in portfolio.names)
     probs = np.array([n.default_prob(horizon) for n in portfolio.names])
@@ -190,29 +185,21 @@ def _pool_inputs(
 
 def base_tranche_el(
     portfolio: IndexPortfolio,
-    k: float | Sequence[float],
-    beta: float | Sequence[float],
+    ks: Sequence[float],
+    betas: Sequence[float],
     horizon: float,
-    n_nodes: int = 31,
-    loss_unit: float | None = None,
-) -> float | list[float]:
-    """E[min(X, K)] / K for the 0-to-K base tranche under flat beta.
-
-    Sequences k and beta of one length give the list of the base ELs of
-    the (k, beta) pairs, from one batch of one-factor laws.
-    """
-    ks = np.atleast_1d(np.asarray(k, dtype=float))
-    betas = np.atleast_1d(np.asarray(beta, dtype=float))
-    if np.ndim(k) != np.ndim(beta) or len(ks) != len(betas):
+) -> list[float]:
+    """E[min(X, K)] / K for each 0-to-K base tranche, K in `ks`, under the
+    flat beta at the same place in `betas`, from one batch of one-factor
+    laws."""
+    if len(ks) != len(betas):
         raise ConfigurationError(
-            "base tranche ELs need one beta per strike, both scalars or "
-            "both sequences")
-    if np.any(~(ks > 0.0)):
+            f"base tranche ELs need one beta per strike, got {len(betas)} "
+            f"for {len(ks)}")
+    if not all(k > 0.0 for k in ks):
         raise ConfigurationError("base strike must be positive")
-    dists = onefactor_loss_dist(portfolio, betas, horizon, n_nodes, loss_unit)
-    els = [float(dist.pmf @ np.minimum(dist.levels, kk)) / kk
-           for kk, dist in zip(ks.tolist(), dists)]
-    return els if np.ndim(k) else els[0]
+    return [float(dist.pmf @ np.minimum(dist.levels, k)) / k
+            for k, dist in zip(ks, onefactor_loss_dist(portfolio, betas, horizon))]
 
 
 def implied_base_correlation(
@@ -220,16 +207,13 @@ def implied_base_correlation(
     k: float,
     target_el: float,
     horizon: float,
-    n_nodes: int = 31,
-    loss_unit: float | None = None,
-    tol: float = 1e-12,
 ) -> float:
     """Flat correlation repricing a 0-to-K base tranche EL (root of a
-    monotone map on (0, 1))."""
+    monotone map on (0, 1), to 1e-12 in beta)."""
     lo, hi = 1e-9, 1.0 - 1e-9
 
     def f(b: float) -> float:
-        return base_tranche_el(portfolio, k, b, horizon, n_nodes, loss_unit) - target_el
+        return base_tranche_el(portfolio, [k], [b], horizon)[0] - target_el
 
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0:
@@ -242,7 +226,7 @@ def implied_base_correlation(
         )
     from scipy.optimize import brentq
 
-    return float(brentq(f, lo, hi, xtol=tol))
+    return float(brentq(f, lo, hi, xtol=1e-12))
 
 
 def _interp_cdf(dist: LossDist) -> Callable[[float], float]:
@@ -261,17 +245,17 @@ def _interp_quantile(dist: LossDist) -> Callable[[float], float]:
 
 def map_strike(
     rule: MappingRule,
-    k_b: float | Sequence[float],
+    k_bs: Sequence[float],
     bespoke_el: float,
     index_el: float,
     index_loss_dist: LossDist | None = None,
-    bespoke_dist_provider: Callable[[float], LossDist] | None = None,
+    bespoke_dist_provider: Callable[[list[float]], list[LossDist]] | None = None,
     curve: BaseCorrCurve | None = None,
     damping: float = 0.5,
     tol: float = 1e-8,
     max_iter: int = 100,
-) -> float | list[float]:
-    """Index strike "equivalent" to bespoke strike k_b under the chosen rule.
+) -> list[float]:
+    """Index strikes "equivalent" to bespoke strikes k_bs under the rule.
 
     absolute: K_i = K_b.  atm: K_i = K_b * L_i / L_b (same moneyness).
     probability_matching: fixed point K_i = g(K_i) of
@@ -282,14 +266,11 @@ def map_strike(
     4 * |g(K) - K| or more; it returns g(K) once |g(K) - K| < tol, and may
     legitimately fail to converge for wide-spread bespokes.
 
-    A sequence k_b gives the list of its index strikes, each as its scalar
-    call gives it.  Under probability matching the strikes then step in
-    lockstep, each with its own secant and damped sequence: every
-    iteration calls the provider once with the list of the betas of the
-    strikes not yet converged, in strike order, and it must return the
-    list of their laws in that order.  A scalar k_b passes the provider a
-    scalar beta and takes one law back.  If strikes fail to converge, the
-    error names the first of them.
+    Under probability matching the strikes step in lockstep, each with its
+    own secant and damped sequence: every iteration calls the provider
+    once with the list of the betas of the strikes not yet converged, in
+    strike order, and it must return the list of their laws in that order.
+    If strikes fail to converge, the error names the first of them.
     """
     if not 0.0 < damping <= 1.0:
         raise ConfigurationError(f"damping must lie in (0, 1], got {damping}")
@@ -297,37 +278,31 @@ def map_strike(
         raise ConfigurationError(f"tolerance must be positive, got {tol}")
     if max_iter < 1:
         raise ConfigurationError(f"max_iter must be at least 1, got {max_iter}")
-    batched = np.ndim(k_b) > 0
-    ks = list(k_b) if batched else [k_b]
     if rule.variant == ABSOLUTE:
-        mapped = ks
-    elif rule.variant == ATM:
+        return list(k_bs)
+    if rule.variant == ATM:
         if bespoke_el <= 0.0:
             raise ConfigurationError("ATM mapping needs a positive bespoke EL")
         if index_el <= 0.0:
             raise ConfigurationError("ATM mapping needs a positive index EL")
-        mapped = [k * index_el / bespoke_el for k in ks]
-    else:
-        if index_loss_dist is None or bespoke_dist_provider is None or curve is None:
+        return [k * index_el / bespoke_el for k in k_bs]
+    if index_loss_dist is None or bespoke_dist_provider is None or curve is None:
+        raise ConfigurationError(
+            "probability matching needs the index loss law, a bespoke "
+            "distribution provider and a base-correlation curve"
+        )
+
+    def provider(betas: list[float]) -> list[LossDist]:
+        laws = list(bespoke_dist_provider(betas))
+        if len(laws) != len(betas):
             raise ConfigurationError(
-                "probability matching needs the index loss law, a bespoke "
-                "distribution provider and a base-correlation curve"
-            )
+                f"bespoke law provider returned {len(laws)} laws for "
+                f"{len(betas)} betas")
+        return laws
 
-        def provider(betas: list[float]) -> list[LossDist]:
-            if not batched:
-                return [bespoke_dist_provider(betas[0])]
-            laws = list(bespoke_dist_provider(betas))
-            if len(laws) != len(betas):
-                raise ConfigurationError(
-                    f"bespoke law provider returned {len(laws)} laws for "
-                    f"{len(betas)} betas")
-            return laws
-
-        mapped = _match_probabilities(
-            ks, _interp_quantile(index_loss_dist), provider, curve, damping,
-            tol, max_iter)
-    return mapped if batched else mapped[0]
+    return _match_probabilities(
+        list(k_bs), _interp_quantile(index_loss_dist), provider, curve,
+        damping, tol, max_iter)
 
 
 def _match_probabilities(

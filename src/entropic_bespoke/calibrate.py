@@ -423,9 +423,6 @@ class CalibrationResult:
         """Per index, the tilted joint pmfs (M, S1, S2), formed on lookup."""
         return _Joints(self.laws)
 
-    def tilted_dist(self, index_id: int) -> ConditionalLossDist:
-        return self.laws[index_id]
-
     def bucket_marginals(self, index_id: int, bucket: str) -> np.ndarray:
         """Per-node posterior pmfs of one bucket's loss, shape (M, S)."""
         law = self.laws[index_id]

@@ -344,13 +344,13 @@ def _mode_map_basecorr(config, reporter):
         l_b = _pool_expected_loss(bespoke_pool, t)
         l_i = _pool_expected_loss(index_pool, t)
         if rule.variant == basecorr.PROBABILITY_MATCHING:
-            index_dist = basecorr.onefactor_loss_dist(
-                index_pool, skew.beta(strikes[0]), t)
+            [index_dist] = basecorr.onefactor_loss_dist(
+                index_pool, [skew.beta(strikes[0])], t)
             try:
                 index_strikes = basecorr.map_strike(
                     rule, strikes, l_b, l_i, index_loss_dist=index_dist,
-                    bespoke_dist_provider=lambda b: basecorr.onefactor_loss_dist(
-                        bespoke_pool, b, t),
+                    bespoke_dist_provider=lambda betas: basecorr.onefactor_loss_dist(
+                        bespoke_pool, betas, t),
                     curve=skew,
                 )
             except MappingConvergenceError as exc:

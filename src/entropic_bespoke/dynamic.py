@@ -239,10 +239,6 @@ class BucketIncrementPrior:
             )
         return np.where(inside, np.exp(log_pmf), 0.0)
 
-    def pmf(self, node: int, prev_units: int) -> np.ndarray:
-        """pmf over absolute units 0..capacity, zero below prev_units."""
-        return self.node_pmfs(prev_units)[node]
-
 
 def build_conditional_loss_prior(
     portfolio: IndexPortfolio,

@@ -94,14 +94,22 @@ def load_json(path: str | Path) -> dict:
 
 def _csv_rows(path: str | Path, header: list[str]) -> Iterator[tuple[str, dict]]:
     """(where, row) per row of a CSV file whose header must be `header`;
-    `where` names the file and the line."""
+    `where` names the file and the line.  Blank lines are skipped; a row
+    with more or fewer fields than the header is a ConfigurationError."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != header:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
             raise ConfigurationError(
                 f"{path} line 1: header must be {','.join(header)}")
-        for row in reader:
-            yield f"{path} line {reader.line_num}", row
+        for fields in reader:
+            if not fields:
+                continue
+            where = f"{path} line {reader.line_num}"
+            if len(fields) != len(header):
+                raise ConfigurationError(
+                    f"{where}: {len(fields)} fields, the header has "
+                    f"{len(header)}")
+            yield where, dict(zip(header, fields))
 
 
 @contextlib.contextmanager
@@ -167,8 +175,8 @@ def load_constraints(path: str | Path) -> list[PricingConstraint]:
         kind = row["kind"].strip()
         if kind not in _CSV_KINDS:
             raise ConfigurationError(
-                f"{path}: kind must be one of {sorted(_CSV_KINDS)}"
-            )
+                f"{where}: kind must be one of {sorted(_CSV_KINDS)}, "
+                f"got {kind!r}")
         fields = dict(
             index_id=num("index_id", int),
             horizon=num("horizon"),
@@ -207,8 +215,8 @@ def load_tranches(path: str | Path) -> list[TrancheSpec]:
     for where, row in _csv_rows(path, [*_TRANCHE_FIELDS, "daycount"]):
         if row["daycount"].strip() not in ("", "yearfrac"):
             raise ConfigurationError(
-                f"{path}: daycount supports only 'yearfrac'"
-            )
+                f"{where}: daycount supports only 'yearfrac', got "
+                f"{row['daycount']!r}")
         fields = {field: parse_field(where, field, row[field], kind)
                   for field, kind in _TRANCHE_FIELDS.items()}
         with _named(where):
@@ -232,6 +240,8 @@ def load_basecorr_curves(path: str | Path) -> dict[float, BaseCorrCurve]:
         with _named(f"{path} horizon {_fmt(t)}"):
             out[t] = BaseCorrCurve(strikes=tuple(k for k, _ in pts),
                                    betas=tuple(b for _, b in pts))
+    if not out:
+        raise ConfigurationError(f"{path}: no curves")
     return out
 
 

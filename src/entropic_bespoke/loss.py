@@ -338,38 +338,20 @@ def convolve(a: LossDist, b: LossDist) -> LossDist:
         raise ConfigurationError(
             f"cannot convolve pmfs with units {a.grid.unit} and {b.grid.unit}"
         )
-    pmf = convolve_pmfs(a.pmf, b.pmf)
+    pmf = np.convolve(a.pmf, b.pmf)  # direct, not FFT: sums stay bit-stable
     grid = LossGrid(unit=a.grid.unit, max_units=max(a.grid.max_units, len(pmf) - 1))
     return LossDist(pmf=pmf, grid=grid, horizon=max(a.horizon, b.horizon))
 
 
-def convolve_pmfs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Direct discrete convolution (no FFT: lattices are small and tests
-    want bit-stable sums)."""
-    return np.convolve(a, b)
-
-
 def mixture_unconditional(
-    cond: ConditionalLossDist | np.ndarray,
-    weights: np.ndarray,
-    grid: LossGrid | None = None,
-    horizon: float = 0.0,
+    law: ConditionalLossDist, weights: np.ndarray, horizon: float = 0.0
 ) -> LossDist:
-    """Mix per-node pmfs with factor weights: p(x) = sum_m h_m p(x | m).
-
-    Accepts either a ConditionalLossDist (mixes the total bucket loss) or a
-    raw (n_nodes, S) array of per-node pmfs.
-    """
+    """Mix a law's per-node total-loss pmfs with factor weights:
+    p(x) = sum_m h_m p(x | m)."""
     weights = np.asarray(weights, dtype=float)
-    if isinstance(cond, ConditionalLossDist):
-        per_node = cond.total_loss_pmfs()
-        grid = cond.grid
-    else:
-        per_node = np.asarray(cond, dtype=float)
-        if grid is None:
-            raise ConfigurationError("grid required when mixing raw pmf arrays")
+    per_node = law.total_loss_pmfs()
     if per_node.shape[0] != len(weights):
         raise ConfigurationError(
             f"{per_node.shape[0]} conditional pmfs vs {len(weights)} weights"
         )
-    return LossDist(pmf=weights @ per_node, grid=grid, horizon=horizon)
+    return LossDist(pmf=weights @ per_node, grid=law.grid, horizon=horizon)

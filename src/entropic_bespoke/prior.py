@@ -153,10 +153,6 @@ class IndexPortfolio:
     def bucket_names(self, bucket: str) -> tuple[NameSpec, ...]:
         return tuple(n for n in self.names if n.bucket == bucket)
 
-    @property
-    def total_notional(self) -> float:
-        return sum(n.notional_weight for n in self.names)
-
 
 @dataclass(frozen=True)
 class MarketFactorGrid:
@@ -222,21 +218,17 @@ def derive_two_factor_loadings(
 
 
 def pairwise_correlation(
-    a: TwoFactorLoadings,
-    b: TwoFactorLoadings,
-    params: FactorParams,
-    same_index: bool,
+    a: TwoFactorLoadings, b: TwoFactorLoadings, params: FactorParams
 ) -> float:
     """Latent-variable correlation of two names.
 
     Computed as the bilinear form beta_a' Sigma beta_b with Sigma the
-    2x2 factor covariance; the `same_index` flag is informational (the
-    loadings already encode index membership).  For two names in the same
-    index this collapses to the product of their one-factor loadings,
-    independent of (rho, alpha); across indices it equals that product
-    times ((1 + alpha^2) * rho + 2 * alpha) / (1 + alpha^2 + 2*alpha*rho).
+    2x2 factor covariance; the loadings encode index membership.  For two
+    names in the same index this collapses to the product of their
+    one-factor loadings, independent of (rho, alpha); across indices it
+    equals that product times
+    ((1 + alpha^2) * rho + 2 * alpha) / (1 + alpha^2 + 2*alpha*rho).
     """
-    del same_index
     return (
         a.beta1 * b.beta1
         + a.beta2 * b.beta2

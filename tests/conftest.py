@@ -95,10 +95,20 @@ def reference_lattice(model, period, state):
     return nodes[:, 0] - 1, contexts, w
 
 
+def assert_cells_close(got, want):
+    """Each cell agrees to 1e-14 relative, or to four of the smallest
+    subnormal where that is more.  Subnormal cells have fewer significant
+    bits (below about 5e-311 one unit in the last place is more than 1e-13
+    relative); the floor lies below the relative bound of every normal
+    cell, so those keep theirs."""
+    floor = 4 * np.finfo(float).smallest_subnormal
+    assert (np.abs(got - want) <= np.maximum(1e-14 * want, floor)).all()
+
+
 def assert_lattice_matches_reference(model, period, state, constraints):
     """The period problem's nodes and contexts are the reference lattice's
-    (the same row sets), and each cell's mass agrees to 1e-14 relative.
-    Returns the problem."""
+    (the same row sets), and each cell's mass agrees as
+    `assert_cells_close` asks.  Returns the problem."""
     nodes, contexts, w = reference_lattice(model, period, state)
     problem = model._period_problem(period, state, tuple(constraints))
     assert np.array_equal(problem.fixed["prev_nodes"], nodes)
@@ -106,7 +116,7 @@ def assert_lattice_matches_reference(model, period, state, constraints):
         assert np.array_equal(problem.fixed["contexts"][i], contexts[i])
     assert problem.w.shape == w.shape
     assert np.array_equal(problem.w > 0.0, w > 0.0)
-    assert (np.abs(problem.w - w) <= 1e-14 * w).all()
+    assert_cells_close(problem.w, w)
     return problem
 
 

@@ -40,6 +40,7 @@ from entropic_bespoke.prior import (
 )
 
 from conftest import (
+    assert_cells_close,
     assert_lattice_matches_reference,
     make_name,
     tilted_blocks,
@@ -499,7 +500,7 @@ def test_consistency_identities():
         lj = derive_two_factor_loadings(float(b_j), params, home_index=1)
         worst_corr = max(
             worst_corr,
-            abs(pairwise_correlation(li, lj, params, True) - b_i * b_j),
+            abs(pairwise_correlation(li, lj, params) - b_i * b_j),
         )
     worst_quad = 0.0
     params = FactorParams(rho=0.45, alpha=0.3)
@@ -624,8 +625,8 @@ def test_correlation_parameter_effect_on_bespoke_spreads():
     l1b = derive_two_factor_loadings(0.5, case1, 2)
     l2a = derive_two_factor_loadings(0.5, case2, 1)
     l2b = derive_two_factor_loadings(0.5, case2, 2)
-    cross1 = pairwise_correlation(l1a, l1b, case1, False)
-    cross2 = pairwise_correlation(l2a, l2b, case2, False)
+    cross1 = pairwise_correlation(l1a, l1b, case1)
+    cross2 = pairwise_correlation(l2a, l2b, case2)
     assert cross2 < cross1
 
     targets, unit = _market_targets(ports, horizons, strikes)
@@ -888,7 +889,7 @@ def test_dynamic_bootstrap_keeps_states_factored():
              ).reshape(100, *k0.loss_tilted[1].shape, *k0.loss_tilted[2].shape)
     assert np.array_equal(np.argwhere(outer), s0.support)
     want = outer[tuple(s0.support.T)]
-    assert (np.abs(s0.probs - want) <= 1e-14 * want).all()
+    assert_cells_close(s0.probs, want)
     del outer, want
     assert_lattice_matches_reference(model, 1, s0, per_period[1])
     assert s1.kernel is k1 and k1.prev_state is s0

@@ -63,7 +63,7 @@ class TestBaseTrancheEl:
     def test_matches_enumeration_oracle(self):
         pool = self.small_pool()
         for beta in (0.05, 0.3, 0.7):
-            got = base_tranche_el(pool, 0.15, beta, 5.0)
+            [got] = base_tranche_el(pool, [0.15], [beta], 5.0)
             expected = enumeration_oracle_el(pool, 0.15, beta, 5.0)
             assert got == pytest.approx(expected, abs=1e-12)
 
@@ -71,9 +71,8 @@ class TestBaseTrancheEl:
         pool = self.small_pool()
         analytic_el = sum(n.lgd * n.default_prob(5.0) for n in pool.names)
         k = 0.99
-        assert base_tranche_el(pool, k, 0.4, 5.0) == pytest.approx(
-            analytic_el / k, abs=1e-9
-        )
+        [el] = base_tranche_el(pool, [k], [0.4], 5.0)
+        assert el == pytest.approx(analytic_el / k, abs=1e-9)
 
     def test_riskless_pool(self):
         names = tuple(
@@ -81,18 +80,18 @@ class TestBaseTrancheEl:
             for j in range(2)
         )
         pool = IndexPortfolio(index_id=1, names=names)
-        assert base_tranche_el(pool, 0.1, 0.3, 5.0) == 0.0
+        assert base_tranche_el(pool, [0.1], [0.3], 5.0) == [0.0]
 
     def test_beta_domain(self):
         pool = self.small_pool()
         with pytest.raises(ConfigurationError):
-            base_tranche_el(pool, 0.1, 0.0, 5.0)
+            base_tranche_el(pool, [0.1], [0.0], 5.0)
         with pytest.raises(ConfigurationError):
-            base_tranche_el(pool, 0.1, 1.0, 5.0)
+            base_tranche_el(pool, [0.1], [1.0], 5.0)
 
     def test_loss_dist_mass(self):
         pool = toy_portfolio(1, 4, 4, seed=11)
-        dist = onefactor_loss_dist(pool, 0.35, 5.0)
+        [dist] = onefactor_loss_dist(pool, [0.35], 5.0)
         assert dist.pmf.sum() == pytest.approx(1.0, abs=1e-10)
 
 
@@ -117,7 +116,7 @@ class TestReferencePricerProperties:
     @given(specs=pool_names, beta=st.floats(0.01, 0.99),
            horizon=st.floats(0.5, 8.0))
     def test_loss_dist_has_mass_one(self, specs, beta, horizon):
-        dist = onefactor_loss_dist(property_pool(specs), beta, horizon)
+        [dist] = onefactor_loss_dist(property_pool(specs), [beta], horizon)
         assert dist.pmf.min() >= 0.0
         assert dist.pmf.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -127,12 +126,12 @@ class TestReferencePricerProperties:
         # E[min(X, K)] is non-decreasing and concave in K, so the base
         # tranche EL E[min(X, K)] / K is non-increasing
         pool = property_pool(specs)
-        dist = onefactor_loss_dist(pool, beta, 5.0)
+        [dist] = onefactor_loss_dist(pool, [beta], 5.0)
         ks = np.linspace(0.01, 1.2 * dist.levels[-1] + 0.01, 40)
         capped = np.array([dist.pmf @ np.minimum(dist.levels, k) for k in ks])
         assert np.all(np.diff(capped) >= -1e-15)
         assert np.all(np.diff(capped, 2) <= 1e-14)
-        base = [base_tranche_el(pool, float(k), beta, 5.0) for k in ks]
+        base = base_tranche_el(pool, ks.tolist(), [beta] * len(ks), 5.0)
         assert np.all(np.diff(base) <= 1e-14)
 
 
@@ -140,7 +139,7 @@ class TestImpliedCorrelation:
     def test_round_trip(self):
         pool = toy_portfolio(1, 4, 4, seed=12)
         for beta in (0.15, 0.35, 0.6):
-            el = base_tranche_el(pool, 0.1, beta, 5.0)
+            [el] = base_tranche_el(pool, [0.1], [beta], 5.0)
             back = implied_base_correlation(pool, 0.1, el, 5.0)
             assert back == pytest.approx(beta, abs=1e-6)
 
@@ -199,23 +198,23 @@ class TestBaseCorrCurve:
 
 class TestMapStrike:
     def test_absolute(self):
-        assert map_strike(MappingRule("absolute"), 0.05, 0.1, 0.2) == 0.05
+        assert map_strike(MappingRule("absolute"), [0.05], 0.1, 0.2) == [0.05]
 
     def test_atm_identity(self):
-        assert map_strike(MappingRule("atm"), 0.03, 0.05, 0.05) == pytest.approx(
-            0.03
+        assert map_strike(MappingRule("atm"), [0.03], 0.05, 0.05) == pytest.approx(
+            [0.03]
         )
 
     def test_atm_derived_example(self):
-        assert map_strike(MappingRule("atm"), 0.03, 0.06, 0.04) == pytest.approx(
-            0.02, abs=1e-15
+        assert map_strike(MappingRule("atm"), [0.03], 0.06, 0.04) == pytest.approx(
+            [0.02], abs=1e-15
         )
 
     def test_atm_requires_positive_els(self):
         with pytest.raises(ConfigurationError):
-            map_strike(MappingRule("atm"), 0.03, 0.0, 0.05)
+            map_strike(MappingRule("atm"), [0.03], 0.0, 0.05)
         with pytest.raises(ConfigurationError):
-            map_strike(MappingRule("atm"), 0.03, 0.05, 0.0)
+            map_strike(MappingRule("atm"), [0.03], 0.05, 0.0)
 
     def test_rule_validation(self):
         with pytest.raises(ConfigurationError):
@@ -225,18 +224,18 @@ class TestMapStrike:
         index_pool = toy_portfolio(1, 4, 4, seed=14)
         bespoke_pool = toy_portfolio(2, 3, 3, seed=15)
         curve = BaseCorrCurve(strikes=(0.03, 0.1, 0.3), betas=(0.25, 0.4, 0.6))
-        index_dist = onefactor_loss_dist(index_pool, 0.35, 5.0)
+        [index_dist] = onefactor_loss_dist(index_pool, [0.35], 5.0)
         k_b = 0.08
 
-        def provider(beta):
-            return onefactor_loss_dist(bespoke_pool, beta, 5.0)
+        def provider(betas):
+            return onefactor_loss_dist(bespoke_pool, betas, 5.0)
 
-        k_i = map_strike(
-            MappingRule("probability_matching"), k_b, 0.05, 0.06,
+        [k_i] = map_strike(
+            MappingRule("probability_matching"), [k_b], 0.05, 0.06,
             index_loss_dist=index_dist, bespoke_dist_provider=provider,
             curve=curve, tol=1e-10,
         )
-        bespoke = provider(curve.beta(k_i))
+        [bespoke] = provider([curve.beta(k_i)])
         p_b = np.interp(k_b, bespoke.levels, bespoke.cdf())
         p_i = np.interp(k_i, index_dist.levels, index_dist.cdf())
         assert abs(p_b - p_i) < 1e-8
@@ -244,19 +243,20 @@ class TestMapStrike:
     def test_probability_matching_takes_few_laws(self):
         index_pool = toy_portfolio(1, 4, 4, seed=14)
         bespoke_pool = toy_portfolio(2, 3, 3, seed=15)
-        index_dist = onefactor_loss_dist(index_pool, 0.35, 5.0)
+        [index_dist] = onefactor_loss_dist(index_pool, [0.35], 5.0)
         rule = MappingRule("probability_matching")
 
         def solve(curve, k_b, **kwargs):
             betas = []
 
-            def provider(beta):
-                betas.append(beta)
-                return onefactor_loss_dist(bespoke_pool, beta, 5.0)
+            def provider(trial):
+                betas.extend(trial)
+                return onefactor_loss_dist(bespoke_pool, trial, 5.0)
 
-            k_i = map_strike(rule, k_b, 0.05, 0.06, index_loss_dist=index_dist,
-                             bespoke_dist_provider=provider, curve=curve,
-                             **kwargs)
+            [k_i] = map_strike(rule, [k_b], 0.05, 0.06,
+                               index_loss_dist=index_dist,
+                               bespoke_dist_provider=provider, curve=curve,
+                               **kwargs)
             return k_i, betas
 
         skew = BaseCorrCurve(strikes=(0.03, 0.1, 0.3), betas=(0.25, 0.4, 0.6))
@@ -272,11 +272,11 @@ class TestMapStrike:
             assert set(betas) == {0.3} and len(betas) <= 3
 
     def test_probability_matching_rejects_bad_settings(self):
-        index_dist = onefactor_loss_dist(toy_portfolio(1, 3, 3, seed=16), 0.3,
-                                         5.0)
+        [index_dist] = onefactor_loss_dist(toy_portfolio(1, 3, 3, seed=16),
+                                           [0.3], 5.0)
         curve = BaseCorrCurve(strikes=(0.01, 0.5), betas=(0.05, 0.95))
 
-        def provider(beta):
+        def provider(betas):
             raise AssertionError("no law may be built for bad settings")
 
         for bad, reason in (({"damping": 0.0}, "damping"),
@@ -286,25 +286,25 @@ class TestMapStrike:
                             ({"tol": -1e-8}, "tolerance"),
                             ({"max_iter": 0}, "max_iter")):
             with pytest.raises(ConfigurationError, match=reason):
-                map_strike(MappingRule("probability_matching"), 0.08, 0.05,
+                map_strike(MappingRule("probability_matching"), [0.08], 0.05,
                            0.06, index_loss_dist=index_dist,
                            bespoke_dist_provider=provider, curve=curve, **bad)
 
     def test_no_convergence_reports_residual_and_iterations(self):
-        index_dist = onefactor_loss_dist(toy_portfolio(1, 3, 3, seed=16), 0.3,
-                                         5.0)
+        [index_dist] = onefactor_loss_dist(toy_portfolio(1, 3, 3, seed=16),
+                                           [0.3], 5.0)
         curve = BaseCorrCurve(strikes=(0.01, 0.5), betas=(0.05, 0.95))
         state = {"flip": False}
 
-        def provider(beta):
+        def provider(betas):
             # the target quantile jumps between the ends of the index law
             state["flip"] = not state["flip"]
             pmf = np.zeros(30)
             pmf[0 if state["flip"] else 27] = 1.0
-            return index_dist.__class__(pmf=pmf, grid=index_dist.grid)
+            return [index_dist.__class__(pmf=pmf, grid=index_dist.grid)]
 
         with pytest.raises(MappingConvergenceError) as err:
-            map_strike(MappingRule("probability_matching"), 0.08, 0.05, 0.06,
+            map_strike(MappingRule("probability_matching"), [0.08], 0.05, 0.06,
                        index_loss_dist=index_dist,
                        bespoke_dist_provider=provider, curve=curve, max_iter=7)
         assert err.value.iterations == 7
@@ -314,26 +314,26 @@ class TestMapStrike:
 
     def test_probability_matching_requires_inputs(self):
         with pytest.raises(ConfigurationError):
-            map_strike(MappingRule("probability_matching"), 0.05, 0.1, 0.2)
+            map_strike(MappingRule("probability_matching"), [0.05], 0.1, 0.2)
 
     def test_probability_matching_no_solution(self):
         # an oscillating provider admits no fixed point
         index_pool = toy_portfolio(1, 3, 3, seed=16)
-        index_dist = onefactor_loss_dist(index_pool, 0.3, 5.0)
+        [index_dist] = onefactor_loss_dist(index_pool, [0.3], 5.0)
         curve = BaseCorrCurve(strikes=(0.01, 0.5), betas=(0.05, 0.95))
         state = {"flip": False}
 
-        def provider(beta):
+        def provider(betas):
             # alternates between all-mass-below and all-mass-above the
             # bespoke strike, so the target quantile flips each iteration
             state["flip"] = not state["flip"]
             pmf = np.zeros(30)
             pmf[0 if state["flip"] else 27] = 1.0
-            return index_dist.__class__(pmf=pmf, grid=index_dist.grid)
+            return [index_dist.__class__(pmf=pmf, grid=index_dist.grid)]
 
         with pytest.raises(MappingConvergenceError):
             map_strike(
-                MappingRule("probability_matching"), 0.08, 0.05, 0.06,
+                MappingRule("probability_matching"), [0.08], 0.05, 0.06,
                 index_loss_dist=index_dist, bespoke_dist_provider=provider,
                 curve=curve, damping=1.0,
             )
@@ -387,7 +387,8 @@ def mixed_pool():
 
 
 class TestBatchedLaws:
-    """The sequence forms give, bit for bit, what their scalar calls give."""
+    """Entry i of a batch is, bit for bit, the one-element batch of
+    entry i."""
 
     betas = (0.05, 0.3, 0.3, 0.62, 0.95)
     horizons = (1.0, 2.5, 5.0)
@@ -398,7 +399,7 @@ class TestBatchedLaws:
             laws = onefactor_loss_dist(pool, list(self.betas), t)
             assert len(laws) == len(self.betas)
             for beta, law in zip(self.betas, laws):
-                one = onefactor_loss_dist(pool, beta, t)
+                [one] = onefactor_loss_dist(pool, [beta], t)
                 assert np.array_equal(law.pmf, one.pmf)
                 assert law.grid == one.grid and law.horizon == one.horizon
         assert onefactor_loss_dist(pool, [], 5.0) == []
@@ -409,7 +410,7 @@ class TestBatchedLaws:
         for t in self.horizons:
             els = base_tranche_el(pool, ks, list(self.betas), t)
             assert np.array_equal(
-                els, [base_tranche_el(pool, k, b, t)
+                els, [base_tranche_el(pool, [k], [b], t)[0]
                       for k, b in zip(ks, self.betas)])
 
     def test_batch_validation(self):
@@ -418,8 +419,6 @@ class TestBatchedLaws:
             onefactor_loss_dist(pool, [0.3, 1.0], 5.0)
         with pytest.raises(ConfigurationError, match="one beta per strike"):
             base_tranche_el(pool, [0.1, 0.2], [0.3], 5.0)
-        with pytest.raises(ConfigurationError, match="one beta per strike"):
-            base_tranche_el(pool, [0.1], 0.3, 5.0)
         with pytest.raises(ConfigurationError, match="positive"):
             base_tranche_el(pool, [0.1, 0.0], [0.3, 0.3], 5.0)
 
@@ -433,8 +432,8 @@ class TestBatchedMapping:
     def mapping(self, t):
         """(index law, batched provider recording each call's betas)."""
         pool = mixed_pool()
-        index_dist = onefactor_loss_dist(toy_portfolio(1, 4, 4, seed=14),
-                                         0.35, t)
+        [index_dist] = onefactor_loss_dist(toy_portfolio(1, 4, 4, seed=14),
+                                           [0.35], t)
         calls = []
 
         def provider(betas):
@@ -443,12 +442,13 @@ class TestBatchedMapping:
 
         return index_dist, provider, calls
 
-    def scalar(self, k_b, t, curve, **kwargs):
+    def one(self, k_b, t, curve, **kwargs):
+        """The index strike of the one-element batch of `k_b`."""
         index_dist, provider, _ = self.mapping(t)
-        return map_strike(
-            self.rule, k_b, 0.05, 0.06, index_loss_dist=index_dist,
-            bespoke_dist_provider=lambda b: provider([b])[0], curve=curve,
-            **kwargs)
+        [k_i] = map_strike(
+            self.rule, [k_b], 0.05, 0.06, index_loss_dist=index_dist,
+            bespoke_dist_provider=provider, curve=curve, **kwargs)
+        return k_i
 
     def test_probability_matching_equals_scalar_calls(self):
         for t in (1.0, 5.0):
@@ -458,7 +458,7 @@ class TestBatchedMapping:
                                  index_loss_dist=index_dist,
                                  bespoke_dist_provider=provider, curve=curve)
                 assert np.array_equal(
-                    got, [self.scalar(k, t, curve) for k in self.strikes])
+                    got, [self.one(k, t, curve) for k in self.strikes])
                 # converged strikes leave the batch
                 assert len(calls[0]) == len(self.strikes)
                 assert all(len(b) <= len(a) for a, b in zip(calls, calls[1:]))
@@ -467,7 +467,8 @@ class TestBatchedMapping:
         for rule in (MappingRule("absolute"), MappingRule("atm")):
             got = map_strike(rule, list(self.strikes), 0.05, 0.06)
             assert np.array_equal(
-                got, [map_strike(rule, k, 0.05, 0.06) for k in self.strikes])
+                got, [map_strike(rule, [k], 0.05, 0.06)[0]
+                      for k in self.strikes])
 
     def test_error_names_first_failing_strike(self):
         # at 5 iterations only the 30% strike fails; at 4 all but the 5%
@@ -476,26 +477,27 @@ class TestBatchedMapping:
         for max_iter, first in ((5, 0.3), (4, 0.02)):
             for k in self.strikes:
                 if k < first:
-                    self.scalar(k, 5.0, self.skew, max_iter=max_iter)
-            with pytest.raises(MappingConvergenceError) as scalar_err:
-                self.scalar(first, 5.0, self.skew, max_iter=max_iter)
+                    self.one(k, 5.0, self.skew, max_iter=max_iter)
+            with pytest.raises(MappingConvergenceError) as one_err:
+                self.one(first, 5.0, self.skew, max_iter=max_iter)
             with pytest.raises(MappingConvergenceError) as err:
                 map_strike(self.rule, list(self.strikes), 0.05, 0.06,
                            index_loss_dist=index_dist,
                            bespoke_dist_provider=provider, curve=self.skew,
                            max_iter=max_iter)
             assert f"bespoke strike {first:g}" in str(err.value)
-            assert str(err.value) == str(scalar_err.value)
-            assert err.value.residual == scalar_err.value.residual
+            assert str(err.value) == str(one_err.value)
+            assert err.value.residual == one_err.value.residual
             assert err.value.iterations == max_iter
-        # the converging strikes among them map as their scalar calls do
+        # the converging strikes among them map as their one-element
+        # batches do
         converging = [k for k in self.strikes if k != 0.3]
         assert np.array_equal(
             map_strike(self.rule, converging, 0.05, 0.06,
                        index_loss_dist=index_dist,
                        bespoke_dist_provider=provider, curve=self.skew,
                        max_iter=5),
-            [self.scalar(k, 5.0, self.skew, max_iter=5) for k in converging])
+            [self.one(k, 5.0, self.skew, max_iter=5) for k in converging])
 
     def test_provider_must_return_one_law_per_beta(self):
         index_dist, provider, _ = self.mapping(5.0)

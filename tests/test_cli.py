@@ -325,8 +325,13 @@ class TestCalibrateStatic:
          "one law"),
         (lambda lines: lines[:6] + ["nan,1,log_b,0,1,-0.5"] + lines[7:],
          "line 7: horizon must be finite, got 'nan'"),
+        (lambda lines: lines[:6] + ["1,1,log_b,0,1"] + lines[7:],
+         "line 7: 5 fields, the header has 6"),
+        (lambda lines: lines[:6] + ["1,1,log_b,0,1,-0.5,"] + lines[7:],
+         "line 7: 7 fields, the header has 6"),
     ], ids=["header", "missing-factor", "ragged", "short", "non-numeric",
-            "nan", "unknown-factor", "short-tau", "nan-horizon"])
+            "nan", "unknown-factor", "short-tau", "nan-horizon",
+            "missing-field", "extra-field"])
     def test_laws_reader_names_file_and_line(self, tmp_path, edit, message):
         grid = LossGrid(unit=0.1, max_units=3)
         law = TiltedLossDist(
@@ -663,9 +668,9 @@ class TestMapBasecorr:
         calls = []
         real = eb.basecorr.base_tranche_el
 
-        def counted(pool, ks, betas, horizon, *args, **kwargs):
+        def counted(pool, ks, betas, horizon):
             calls.append([(k, beta, horizon) for k, beta in zip(ks, betas)])
-            return real(pool, ks, betas, horizon, *args, **kwargs)
+            return real(pool, ks, betas, horizon)
 
         monkeypatch.setattr(eb.basecorr, "base_tranche_el", counted)
         cfg = json.loads((workdir / "config.json").read_text())
@@ -693,9 +698,9 @@ class TestMapBasecorr:
         calls = []
         real = eb.basecorr.onefactor_loss_dist
 
-        def counted(pool, beta, horizon, *args, **kwargs):
-            calls.append(len(beta) if np.ndim(beta) else 1)
-            return real(pool, beta, horizon, *args, **kwargs)
+        def counted(pool, betas, horizon):
+            calls.append(len(betas))
+            return real(pool, betas, horizon)
 
         monkeypatch.setattr(eb.basecorr, "onefactor_loss_dist", counted)
         assert main(["--config", str(config)]) == 0
@@ -707,12 +712,12 @@ class TestMapBasecorr:
                                                       monkeypatch, capsys):
         # a fixed point that never settles: every bespoke law is a point
         # mass, at 0 and at the pool's whole loss (above every strike) by
-        # turns
+        # turns; the index pool is the one with complement names
         flip = []
 
-        def provider_law(pool, beta, horizon, *args, **kwargs):
-            laws = real(pool, beta, horizon, *args, **kwargs)
-            if np.ndim(beta) == 0:
+        def provider_law(pool, betas, horizon):
+            laws = real(pool, betas, horizon)
+            if any(n.bucket == "complement" for n in pool.names):
                 return laws
             flip.append(len(flip) % 2)
             for law in laws:
@@ -860,6 +865,60 @@ class TestFailureHandling:
         assert not (workdir / "out").exists() or not any(
             (workdir / "out").iterdir()
         )
+
+    @pytest.mark.parametrize("target, edit, message", [
+        ("tranches.csv", lambda rows: rows[1].pop(),
+         "tranches.csv line 3: 4 fields, the header has 5"),
+        ("tranches.csv", lambda rows: rows[0].append("extra"),
+         "tranches.csv line 2: 6 fields, the header has 5"),
+        ("constraints.csv", lambda rows: rows[2].pop(),
+         "constraints.csv line 4: 6 fields, the header has 7"),
+        ("constraints.csv", lambda rows: rows[0].extend(["", "extra"]),
+         "constraints.csv line 2: 9 fields, the header has 7"),
+        ("constraints.csv", lambda rows: rows[1].__setitem__(1, "total"),
+         "constraints.csv line 3: kind must be one of ['complement_total', "
+         "'relevant_total', 'tranche'], got 'total'"),
+        ("tranches.csv", lambda rows: rows[1].__setitem__(4, "act360"),
+         "tranches.csv line 3: daycount supports only 'yearfrac', got "
+         "'act360'"),
+    ], ids=["short-tranche", "long-tranche", "short-constraint",
+            "long-constraint", "kind", "daycount"])
+    def test_bad_csv_row_names_file_and_line(self, workdir, capsys, target,
+                                             edit, message):
+        # a row is read only when its field count is the header's, so no
+        # field is silently missing or dropped
+        files = {
+            "constraints.csv": (CONSTRAINT_COLUMNS,
+                                prior_el_constraints(workdir / "portfolios.json")),
+            "tranches.csv": (["k_low", "k_high", "maturity", "frequency",
+                              "daycount"],
+                             [[0.0, 0.1, 3.0, 4, "yearfrac"],
+                              [0.1, 0.5, 3.0, 4, "yearfrac"]]),
+        }
+        edit(files[target][1])
+        for name, (header, rows) in files.items():
+            write_csv(workdir / name, header, rows)
+        rc = main(["--config", str(workdir / "config.json"), "--mode",
+                   "price-bespoke"])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"ERROR CONFIG: {workdir / message}\n"
+        assert not (workdir / "out").exists() or not any(
+            (workdir / "out").iterdir())
+
+    def test_empty_basecorr_file_is_a_config_error(self, workdir, capsys):
+        # the mapping looks up a skew for every maturity, so a curve file
+        # without rows fails at load
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
+                  prior_el_constraints(workdir / "portfolios.json"))
+        write_csv(workdir / "basecorr.csv", ["strike", "beta", "horizon"], [])
+        rc = main(["--config", str(workdir / "config.json"), "--mode",
+                   "map-basecorr"])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"ERROR CONFIG: {workdir / 'basecorr.csv'}: no curves\n"
+        assert not (workdir / "out").exists() or not any(
+            (workdir / "out").iterdir())
 
     @pytest.mark.parametrize("mode", ["calibrate-dynamic", "price-bespoke"])
     def test_non_finite_horizon_names_the_line(self, workdir, capsys, mode):

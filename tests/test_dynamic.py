@@ -247,7 +247,7 @@ class TestIncrementPrior:
             self.port, "relevant", self.params, self.grid, self.loss_grid,
             1.0, 2.0,
         )
-        pmf = prior.pmf(node=0, prev_units=prior.capacity)
+        pmf = prior.node_pmfs(prior.capacity)[0]
         expected = np.zeros(prior.capacity + 1)
         expected[-1] = 1.0
         assert np.array_equal(pmf, expected)
@@ -264,7 +264,7 @@ class TestIncrementPrior:
             LossGrid(unit=0.3, max_units=2), 1.0, 2.0,
         )
         for m in range(self.grid.n_nodes):
-            pmf = prior.pmf(m, 1)
+            pmf = prior.node_pmfs(1)[m]
             assert pmf == pytest.approx([0.0, 1.0, 0.0], abs=1e-15)
 
     def test_matches_homogenized_enumeration(self):
@@ -282,15 +282,15 @@ class TestIncrementPrior:
                     for d in pattern:
                         w *= p if d else 1.0 - p
                     expected[prev + sum(pattern)] += w
-                assert prior.pmf(m, prev) == pytest.approx(expected,
-                                                           abs=1e-12)
+                assert prior.node_pmfs(prev)[m] == pytest.approx(
+                    expected, abs=1e-12)
 
     def test_monotone_support(self):
         prior = build_conditional_loss_prior(
             self.port, "relevant", self.params, self.grid, self.loss_grid,
             1.0, 2.0,
         )
-        pmf = prior.pmf(1, 2)
+        pmf = prior.node_pmfs(2)[1]
         assert pmf[:2].sum() == 0.0
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -306,7 +306,7 @@ class TestIncrementPrior:
                 got = table[prev, node]
                 expected = np.zeros(61)
                 expected[prev:] = binom.pmf(np.arange(room + 1), room, p)
-                assert np.array_equal(got, prior.pmf(node, prev))
+                assert np.array_equal(got, prior.node_pmfs(prev)[node])
                 assert np.all(got[:prev] == 0.0)
                 big = expected > 1e-300
                 assert got[big] == pytest.approx(expected[big], rel=1e-11)

@@ -8,12 +8,12 @@ from scipy.special import ndtr, ndtri
 
 from entropic_bespoke.errors import ConfigurationError
 from entropic_bespoke.loss import (
+    ConditionalLossDist,
     LossDist,
     LossGrid,
     bucket_pmf_recursion,
     build_conditional_prior,
     convolve,
-    convolve_pmfs,
     convolve_rows,
     default_loss_unit,
     mixture_unconditional,
@@ -337,8 +337,9 @@ class TestConvolve:
             for i in range(8):
                 for j in range(8):
                     direct[i + j] += a[i] * b[j]
-            assert np.abs(convolve_pmfs(a, b) - direct).max() < 1e-15
-            assert abs(convolve_pmfs(a, b).sum() - 1.0) < 1e-12
+            out = convolve(self.dist(a), self.dist(b)).pmf
+            assert np.abs(out - direct).max() < 1e-15
+            assert abs(out.sum() - 1.0) < 1e-12
 
     def test_mismatched_units(self):
         with pytest.raises(ConfigurationError):
@@ -365,21 +366,25 @@ class TestConvolve:
 
 
 class TestMixture:
+    @staticmethod
+    def law(relevant):
+        """A law whose complement bucket never loses, so its per-node
+        total-loss pmfs are `relevant`."""
+        rel = np.array(relevant, dtype=float)
+        return ConditionalLossDist(
+            index_id=1, grid=LossGrid(unit=0.1, max_units=rel.shape[1] - 1),
+            bucket_pmfs=(rel, np.ones((len(rel), 1))))
+
     def test_single_node_identity(self):
-        pmfs = np.array([[0.2, 0.5, 0.3]])
-        out = mixture_unconditional(pmfs, np.array([1.0]),
-                                    grid=LossGrid(unit=0.1, max_units=2))
-        assert np.array_equal(out.pmf, pmfs[0])
+        out = mixture_unconditional(self.law([[0.2, 0.5, 0.3]]), np.array([1.0]))
+        assert np.array_equal(out.pmf, [0.2, 0.5, 0.3])
 
     def test_two_point_mixture(self):
-        pmfs = np.array([[1.0, 0.0], [0.0, 1.0]])
-        out = mixture_unconditional(pmfs, np.array([0.5, 0.5]),
-                                    grid=LossGrid(unit=0.1, max_units=1))
+        out = mixture_unconditional(self.law([[1.0, 0.0], [0.0, 1.0]]),
+                                    np.array([0.5, 0.5]), horizon=3.0)
         assert out.pmf == pytest.approx([0.5, 0.5], abs=1e-15)
+        assert out.horizon == 3.0
 
     def test_weight_length_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            mixture_unconditional(
-                np.array([[1.0], [1.0]]), np.array([1.0]),
-                grid=LossGrid(unit=0.1, max_units=0),
-            )
+        with pytest.raises(ConfigurationError, match="2 conditional pmfs vs 1"):
+            mixture_unconditional(self.law([[1.0], [1.0]]), np.array([1.0]))

@@ -67,7 +67,7 @@ class TestLoadings:
         l = derive_two_factor_loadings(0.6, params, home_index=1)
         assert l.beta1 == pytest.approx(0.6 / math.sqrt(1.39), rel=1e-14)
         assert l.beta2 == pytest.approx(0.3 * 0.6 / math.sqrt(1.39), rel=1e-14)
-        assert pairwise_correlation(l, l, params, True) == pytest.approx(
+        assert pairwise_correlation(l, l, params) == pytest.approx(
             0.36, abs=1e-12
         )
 
@@ -106,7 +106,7 @@ class TestPairwiseCorrelation:
             )
             li = derive_two_factor_loadings(0.5, params, home_index=1)
             lj = derive_two_factor_loadings(0.4, params, home_index=1)
-            assert pairwise_correlation(li, lj, params, True) == pytest.approx(
+            assert pairwise_correlation(li, lj, params) == pytest.approx(
                 0.20, abs=1e-12
             )
 
@@ -114,15 +114,15 @@ class TestPairwiseCorrelation:
         params = FactorParams(rho=0.4, alpha=0.6)
         a = derive_two_factor_loadings(0.7, params, home_index=1)
         b = derive_two_factor_loadings(0.3, params, home_index=2)
-        assert pairwise_correlation(a, b, params, False) == pytest.approx(
-            pairwise_correlation(b, a, params, False), abs=1e-16
+        assert pairwise_correlation(a, b, params) == pytest.approx(
+            pairwise_correlation(b, a, params), abs=1e-16
         )
 
     def test_cross_index_alpha_zero(self):
         params = FactorParams(rho=0.75, alpha=0.0)
         a = derive_two_factor_loadings(0.5, params, home_index=1)
         b = derive_two_factor_loadings(0.5, params, home_index=2)
-        assert pairwise_correlation(a, b, params, False) == pytest.approx(
+        assert pairwise_correlation(a, b, params) == pytest.approx(
             0.1875, abs=1e-14
         )
 
@@ -131,7 +131,7 @@ class TestPairwiseCorrelation:
         a = derive_two_factor_loadings(0.6, params, home_index=1)
         b = derive_two_factor_loadings(0.6, params, home_index=2)
         expected = 0.36 * (0.5 * 1.09 + 0.6) / (1.09 + 0.3)
-        assert pairwise_correlation(a, b, params, False) == pytest.approx(
+        assert pairwise_correlation(a, b, params) == pytest.approx(
             expected, rel=1e-13
         )
 
@@ -143,7 +143,7 @@ class TestPairwiseCorrelation:
             params = FactorParams(rho=rho, alpha=alpha)
             a = derive_two_factor_loadings(0.5, params, home_index=1)
             b = derive_two_factor_loadings(0.6, params, home_index=2)
-            cross = pairwise_correlation(a, b, params, False)
+            cross = pairwise_correlation(a, b, params)
             assert cross >= rho * 0.3 - 1e-14
             if alpha == 0.0:
                 assert cross == pytest.approx(rho * 0.3, abs=1e-14)

@@ -1,0 +1,70 @@
+"""The public names of `entropic_bespoke` are its contract: the names
+imported in `__init__.py`, pinned here, not their signatures."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import entropic_bespoke as eb
+
+PUBLIC_NAMES = {
+    "errors": [
+        "CalibrationError", "ConfigurationError", "EntropicBespokeError",
+        "InfeasibleAdjustmentError", "InfiniteDivergenceError",
+        "InvalidLoadingError", "MappingConvergenceError",
+        "UndefinedSpreadError",
+    ],
+    "prior": [
+        "FactorParams", "IndexPortfolio", "MarketFactorGrid", "NameSpec",
+        "TwoFactorLoadings", "build_market_grid", "conditional_default_prob",
+        "derive_two_factor_loadings", "pairwise_correlation",
+    ],
+    "loss": [
+        "ConditionalLossDist", "LossDist", "LossGrid",
+        "build_conditional_prior", "convolve", "default_loss_unit",
+        "mixture_unconditional",
+    ],
+    "calibrate": [
+        "CalibrationResult", "MceCalibrator", "PricingConstraint",
+        "calibrate", "conditional_mutual_information",
+        "factor_only_calibrate", "kl_divergence", "log_partition_functions",
+        "partition_functions", "payoff_eval", "posterior_factor_weights",
+        "prior_expected_losses",
+    ],
+    "pricing": [
+        "BespokeSpec", "DiscountCurve", "TranchePrice", "TrancheSpec",
+        "adjust_bespoke_names", "assemble_bespoke", "bespoke_loss_dist",
+        "default_leg", "par_spread", "premium_leg", "price_tranche",
+        "risky_annuity", "tranche_el_curve", "tranche_expected_loss",
+    ],
+    "basecorr": [
+        "BaseCorrCurve", "MappingRule", "base_tranche_el",
+        "implied_base_correlation", "map_strike", "onefactor_loss_dist",
+        "skew_partials",
+    ],
+    "dynamic": [
+        "DynamicModel", "DynamicState", "FactorChainPrior", "PeriodKernel",
+        "TimeGrid", "birth_death_kernel", "build_conditional_loss_prior",
+        "build_factor_chain_prior",
+    ],
+}
+
+
+PINNED = [name for names in PUBLIC_NAMES.values() for name in names]
+
+
+def test_pinned_names_are_package_attributes():
+    assert len(PINNED) == len(set(PINNED)) == 65
+    for module, names in PUBLIC_NAMES.items():
+        # `eb.calibrate` is the function, so look the module up by path
+        source = importlib.import_module(f"entropic_bespoke.{module}")
+        for name in names:
+            assert getattr(eb, name) is getattr(source, name), name
+
+
+def test_init_imports_only_the_pinned_names():
+    tree = ast.parse(Path(eb.__file__).read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert {name for name in imported if not name.startswith("_")} == \
+        set(PINNED)
