@@ -533,8 +533,10 @@ class _TiltedDual:
                  positions: dict[int, list[int]],
                  kernels: dict[int, _FactoredKernel | _FrozenKernel],
                  log_factor_rows: np.ndarray, w: np.ndarray):
+        if not constraints:
+            raise ConfigurationError("need at least one constraint")
         mass = float(w.sum())
-        if abs(mass - 1.0) > 1e-10:
+        if not abs(mass - 1.0) <= 1e-10:  # nan too
             raise ConfigurationError(f"previous rows have mass {mass!r}, not 1")
         self.constraints = tuple(constraints)
         self.targets = np.array([c.target_el for c in constraints])
@@ -708,8 +710,6 @@ class MceCalibrator(_TiltedDual):
     ):
         if not priors:
             raise ConfigurationError("need at least one index prior")
-        if not constraints:
-            raise ConfigurationError("need at least one constraint")
         m = grid.n_nodes
         for i, prior in priors.items():
             if prior.n_nodes != m:

@@ -92,13 +92,16 @@ class RunConfig:
             sections.get("solver", {}), _SOLVER_OPTIONS, "solver.")}
         if "bespoke" in sections:
             options["bespoke"] = fmt.parse_bespoke(path, sections["bespoke"])
+        where, field = path, "threads"  # the source of the threads value
         if threads is not None:
-            options["threads"] = threads
+            options["threads"], where, field = threads, "command line", "--threads"
         elif "threads" not in options and "ENTROPIC_BESPOKE_THREADS" in os.environ:
-            options["threads"] = fmt.parse_field(
-                "environment", "ENTROPIC_BESPOKE_THREADS",
-                os.environ["ENTROPIC_BESPOKE_THREADS"], int)
+            where, field = "environment", "ENTROPIC_BESPOKE_THREADS"
+            options["threads"] = fmt.parse_field(where, field, os.environ[field], int)
         cfg = cls(mode=run_mode, verbose=verbose, **paths, **options)
+        if cfg.threads < 1:
+            raise ConfigurationError(
+                f"{where}: {field} must be at least 1, got {cfg.threads!r}")
         if not cfg.tol > 0.0:
             raise ConfigurationError(
                 f"{path}: solver.tol must be positive, got {cfg.tol!r}")

@@ -5,7 +5,9 @@ complement units for both indices).  The prior transition splits into a
 factor chain g(m^n | m^{n-1}) that ignores losses and per-index loss
 increment laws Q_i(X_i^n | m^n, X_i^{n-1}) supported on non-decreasing
 losses.  Each period is calibrated under the same scheme as a static
-horizon, with the dual objective averaged over the previous marginal:
+horizon, with the dual objective averaged over the previous marginal, the
+state that the previous period's calibrated kernel hands over, held as
+that kernel's factors (`DynamicState`):
 
     L(lam) = sum_prev P(prev) * log Zhat_lam(prev) + 0.5 * sum lam^2 sigma^2.
 
@@ -130,44 +132,38 @@ def build_factor_chain_prior(
 
 
 class DynamicState:
-    """Marginal law P(m^n, X^n) at one period: support rows
-    (m, x11, x12, x21, x22), losses in units of each index's lattice, and
-    their masses `probs`.
-
-    A state from `propagate_marginal` is held as the factors of the kernel
-    that produced it (`kernel.marginal()`); its support, the positive cells
-    of that marginal in C order, and their masses are formed on first use.
-    A state built from support and probs keeps them as given; each mass
-    must be finite and >= 0, or the state is a ConfigurationError naming
-    the period and the first bad row.
-    """
+    """Marginal law P(m^n, X^n) at one period, held as the factors of the
+    kernel that produced it (`PeriodKernel.marginal`); with no kernel, the
+    initial state (period -1): zero losses at the factor node -1, which
+    marks that today's factor value is irrelevant.  `marginal` forms the
+    mass over (node, x11, x12, x21, x22), losses in units of each index's
+    lattice; `support`, its cells with mass as rows (m, x11, x12, x21,
+    x22) in C order, and their masses `probs` are formed on first use."""
 
     def __init__(self, period: int, horizon: float,
-                 support: np.ndarray | None = None,
-                 probs: np.ndarray | None = None,
                  kernel: "PeriodKernel | None" = None):
+        if (kernel is None) != (period == -1):
+            raise ConfigurationError(
+                f"a period {period} state needs {'a' if kernel is None else 'no'} "
+                "kernel: only the initial state (period -1) has none")
         self.period, self.horizon, self.kernel = period, horizon, kernel
-        if kernel is None:
-            if support is None or probs is None:
-                raise ConfigurationError(
-                    f"period {period} state needs support and probs, or a "
-                    "kernel")
-            support, probs = np.asarray(support), np.asarray(probs, float)
-            if support.shape[0] != len(probs):
-                raise ConfigurationError("support and probs length mismatch")
-            bad = np.flatnonzero(~((probs >= 0.0) & (probs < np.inf)))
-            if bad.size:
-                raise ConfigurationError(
-                    f"period {period} state: row {bad[0]} has mass "
-                    f"{float(probs[bad[0]])!r}; masses must be finite and "
-                    ">= 0")
-            self._cells = support, probs
+
+    def marginal(self, coarsen: int = 1) -> np.ndarray:
+        """The dense mass over (node, x11, x12, x21, x22); `coarsen` > 1
+        sums it over the round-up loss blocks of `PeriodKernel.marginal`.
+        The initial state is the one cell of mass 1."""
+        if self.kernel is None:
+            return np.ones((1,) * 5)
+        return self.kernel.marginal(coarsen=coarsen)
 
     @functools.cached_property
     def _cells(self) -> tuple[np.ndarray, np.ndarray]:
-        p = self.kernel.marginal()
+        p = self.marginal()
         held = p > 0.0
-        return np.argwhere(held), p[held]
+        support = np.argwhere(held)
+        if self.kernel is None:
+            support[:, 0] = -1
+        return support, p[held]
 
     @property
     def support(self) -> np.ndarray:
@@ -418,9 +414,7 @@ class DynamicModel:
                     f"index {i} needs {sum(caps)} units, grid caps at {lg.max_units}"
                 )
             self._caps[i] = caps
-        self._initial = DynamicState(period=-1, horizon=0.0,
-                                     support=np.array([[-1, 0, 0, 0, 0]]),
-                                     probs=np.array([1.0]))
+        self._initial = DynamicState(period=-1, horizon=0.0)
 
     def period_capacities(self, period: int) -> dict[int, tuple[int, int]]:
         """Bucket lattice capacities; horizons beyond T_0 may be coarsened."""
@@ -440,40 +434,21 @@ class DynamicModel:
         return LossGrid(unit=base.unit * self.coarsen, max_units=sum(caps))
 
     def align_to_period(self, period: int, state: DynamicState) -> np.ndarray:
-        """The state's mass on this period's lattice, dense over (node,
-        x11, x12, x21, x22); losses are rounded up when period 0 hands over
-        to a coarsened period, so paths stay monotone in value.  A
-        propagated state is formed from its kernel's factors.  A state
-        built from support rows is scattered onto the lattice of its own
-        period, whose node axis starts at -1 for the initial state (period
-        -1, zero losses); a node outside [0, M) or a loss outside [0, cap]
-        of that lattice is a ConfigurationError."""
-        c = self.coarsen if state.period <= 0 < period else 1
-        if state.kernel is not None:
-            return state.kernel.marginal(coarsen=c)
-        caps = self.period_capacities(max(state.period, 0))
-        bounds = [(-1 if state.period == -1 else 0, self.grid.n_nodes - 1),
-                  *((0, cap if state.period >= 0 else 0)
-                    for i in self.index_ids for cap in caps[i])]
-        for name, column, (low, high) in zip(("m", "x11", "x12", "x21", "x22"),
-                                             state.support.T, bounds):
-            bad = column[(column < low) | (column > high)]
-            if len(bad):
-                raise ConfigurationError(
-                    f"period {state.period} state: {name} = {bad[0]} is "
-                    f"outside [{low}, {high}]")
-        low = bounds[0][0]
-        mass = np.zeros((self.grid.n_nodes - low,
-                         *(-(-high // c) + 1 for _, high in bounds[1:])))
-        np.add.at(mass, (state.support[:, 0] - low,
-                         *(-(-state.support[:, 1:].T // c))), state.probs)
-        return mass
+        """The mass of the previous period's state on this period's
+        lattice, dense over (node, x11, x12, x21, x22): when period 0 hands
+        over to a coarsened period, losses are rounded up
+        (`PeriodKernel.marginal`), so paths stay monotone in value.  A
+        state from any other period is a ConfigurationError."""
+        if state.period != period - 1:
+            raise ConfigurationError(
+                f"period {period} needs the state of period {period - 1}, "
+                f"got one of period {state.period}")
+        return state.marginal(coarsen=self.coarsen if period == 1 else 1)
 
     # -- priors -----------------------------------------------------------
 
     def initial_state(self) -> DynamicState:
-        """Deterministic no-loss start before T_0, one object per model;
-        the factor value today is irrelevant and is marked with node -1."""
+        """The no-loss start before T_0 (`DynamicState`), one per model."""
         return self._initial
 
     def _factor_rows_prior(self, m_prev: np.ndarray) -> np.ndarray:
@@ -508,8 +483,6 @@ class DynamicModel:
                 held[1 + pos], mass.shape[1 + 2 * pos:3 + 2 * pos]))
             loss_grid = self.period_loss_grid(period, i)
             if period == 0:
-                if contexts[i].tolist() != [[0, 0]]:
-                    raise ConfigurationError("period 0 must start from zero losses")
                 pmfs = build_conditional_prior(
                     self.portfolios[i], self.grid, loss_grid, t1, self.params
                 ).bucket_pmfs
@@ -563,11 +536,8 @@ class DynamicModel:
         """Push the previous marginal through the calibrated kernel: the
         new state is held as the kernel's factors (`PeriodKernel.marginal`)
         and forms its support on first use.  The state must be the one the
-        kernel was calibrated on, the same object; any other is
-        range-checked, then rejected.
-        """
+        kernel was calibrated on, the same object; any other is rejected."""
         if prev_state is not kernel.prev_state:
-            self.align_to_period(kernel.period, prev_state)
             raise ConfigurationError(
                 f"prev_state is not the state the period {kernel.period} "
                 "kernel was calibrated on")

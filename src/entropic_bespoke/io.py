@@ -739,15 +739,12 @@ STATE_HEADER = ["period", "horizon", "m", "x11", "x12", "x21", "x22", "prob"]
 
 
 def state_rows(states) -> Iterator[bytes]:
-    """dynamic_states.csv text: every support row of each state in turn.
-    A propagated state is formed one factor node at a time from its
+    """dynamic_states.csv text: every support row of each propagated state
+    in turn.  A state is formed one factor node at a time from its
     kernel's factors, by the products that form its whole marginal, so no
     state's support is held."""
     for state in states:
         prefix = f"{state.period},{_fmt(state.horizon)},"
-        if state.kernel is None:
-            yield from _text_blocks(prefix, state.support.T, state.probs)
-            continue
         for m in range(state.kernel.pooled_mass.shape[-1]):
             yield from _cell_blocks(f"{prefix}{m},",
                                     state.kernel.marginal(slice(m, m + 1))[0])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from entropic_bespoke.dynamic import DynamicState
 from entropic_bespoke.prior import IndexPortfolio, NameSpec
 
 
@@ -63,6 +64,39 @@ def lattice_rows(columns, dims):
     present[cell] = True
     rows = np.column_stack(np.unravel_index(np.flatnonzero(present), dims))
     return rows, (np.cumsum(present) - 1)[cell]
+
+
+class DenseKernel:
+    """A stand-in for the kernel that made a state, for tests that need a
+    state no calibration hands over (a few rows, a filtered or reweighted
+    support): it holds the state's dense mass over (node, x11, x12, x21,
+    x22) and hands it over as `PeriodKernel.marginal` does, but coarsened
+    by the reference's round-up rule: each cell's mass, in C order, is
+    added to the coarse cell of losses -(-x // c)."""
+
+    def __init__(self, mass):
+        self.mass = mass
+
+    def marginal(self, nodes=slice(None), coarsen=1):
+        mass = self.mass[nodes]
+        if coarsen == 1:
+            return mass
+        cells = np.nonzero(mass)
+        coarse = np.zeros((len(mass), *(-(-(n - 1) // coarsen) + 1
+                                        for n in mass.shape[1:])))
+        np.add.at(coarse, (cells[0], *(-(-x // coarsen) for x in cells[1:])),
+                  mass[cells])
+        return coarse
+
+
+def state_of_rows(state, support, probs):
+    """A state of `state`'s period and lattice whose rows (m, x11, x12,
+    x21, x22) `support` hold `probs` (a row given 0 is no cell with mass),
+    held by a `DenseKernel`."""
+    mass = np.zeros(state.marginal().shape)
+    mass[tuple(support.T)] = probs
+    return DynamicState(period=state.period, horizon=state.horizon,
+                        kernel=DenseKernel(mass))
 
 
 def reference_lattice(model, period, state):

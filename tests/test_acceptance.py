@@ -16,7 +16,7 @@ from entropic_bespoke.calibrate import (
     payoff_lattice,
     prior_expected_losses,
 )
-from entropic_bespoke.dynamic import DynamicModel, DynamicState, TimeGrid
+from entropic_bespoke.dynamic import DynamicModel, TimeGrid
 from entropic_bespoke.loss import (
     LossGrid,
     build_conditional_prior,
@@ -43,6 +43,7 @@ from conftest import (
     assert_cells_close,
     assert_lattice_matches_reference,
     make_name,
+    state_of_rows,
     tilted_blocks,
     toy_portfolio,
 )
@@ -893,10 +894,9 @@ def test_dynamic_bootstrap_keeps_states_factored():
     del outer, want
     assert_lattice_matches_reference(model, 1, s0, per_period[1])
     assert s1.kernel is k1 and k1.prev_state is s0
-    # the row path: period 0's rows, scattered in row order as its bincount
-    # summed them, then solved and propagated
-    by_rows = DynamicState(period=0, horizon=1.0, support=s0.support,
-                           probs=s0.probs)
+    # the row path: period 0's rows, rounded up and summed in row order as
+    # its bincount summed them, then solved and propagated
+    by_rows = state_of_rows(s0, s0.support, s0.probs)
     k1_rows = model.calibrate_period(1, by_rows, per_period[1])
     s1_rows = model.propagate_marginal(by_rows, k1_rows)
     assert np.abs(k1.lambdas - k1_rows.lambdas).max() <= \

@@ -1184,29 +1184,35 @@ class TestFailureHandling:
             f"ERROR CONFIG: {workdir / 'config.json'}: {message}\n"
         assert not (workdir / "out").exists()
 
-    @pytest.mark.parametrize("settings, message", [
-        ({"coarsen": 2.7}, "coarsen must be an integer, got 2.7"),
-        ({"threads": True}, "threads must be an integer, got True"),
-        ({"grid_size": [3.5, 3]}, "grid_size must be an integer, got 3.5"),
-        ({"persistence": False}, "persistence must be a number, got False"),
-        ({"loss_unit": 0}, "loss_unit must be positive and finite, got 0.0"),
-        ({"loss_unit": -0.05},
-         "loss_unit must be positive and finite, got -0.05"),
-        ({"loss_unit": float("inf")},
-         "loss_unit must be positive and finite, got inf"),
+    @pytest.mark.parametrize("settings, flags, message", [
+        ({"coarsen": 2.7}, [], "{config}: coarsen must be an integer, got 2.7"),
+        ({"threads": True}, [], "{config}: threads must be an integer, got True"),
+        ({"grid_size": [3.5, 3]}, [],
+         "{config}: grid_size must be an integer, got 3.5"),
+        ({"persistence": False}, [],
+         "{config}: persistence must be a number, got False"),
+        ({"loss_unit": 0}, [],
+         "{config}: loss_unit must be positive and finite, got 0.0"),
+        ({"loss_unit": -0.05}, [],
+         "{config}: loss_unit must be positive and finite, got -0.05"),
+        ({"loss_unit": float("inf")}, [],
+         "{config}: loss_unit must be positive and finite, got inf"),
+        ({"threads": -3}, [], "{config}: threads must be at least 1, got -3"),
+        ({"threads": 2}, ["--threads", "0"],
+         "command line: --threads must be at least 1, got 0"),
     ], ids=["coarsen", "threads", "grid-size", "persistence", "unit-zero",
-            "unit-negative", "unit-inf"])
+            "unit-negative", "unit-inf", "threads-negative", "threads-flag-zero"])
     def test_bad_option_value_is_a_config_error(self, workdir, capsys,
-                                                settings, message):
+                                                settings, flags, message):
         # each of these used to run, on a truncated or default value
         write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
                   prior_el_constraints(workdir / "portfolios.json"))
         cfg = json.loads((workdir / "config.json").read_text())
         (workdir / "config.json").write_text(json.dumps({**cfg, **settings}))
-        rc = main(["--config", str(workdir / "config.json")])
+        rc = main(["--config", str(workdir / "config.json"), *flags])
         assert rc == 1
-        assert capsys.readouterr().err == \
-            f"ERROR CONFIG: {workdir / 'config.json'}: {message}\n"
+        assert capsys.readouterr().err == "ERROR CONFIG: " + \
+            message.format(config=workdir / "config.json") + "\n"
         assert not (workdir / "out").exists()
 
     def test_invalid_mode(self, workdir, capsys):
@@ -1230,6 +1236,16 @@ class TestConfig:
         cfg["threads"] = 5
         path.write_text(json.dumps(cfg))
         assert RunConfig.from_file(path).threads == 5
+
+    def test_threads_below_one_from_the_environment(self, workdir,
+                                                    monkeypatch):
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
+                  prior_el_constraints(workdir / "portfolios.json"))
+        monkeypatch.setenv("ENTROPIC_BESPOKE_THREADS", "0")
+        with pytest.raises(errors.ConfigurationError, match=re.escape(
+                "environment: ENTROPIC_BESPOKE_THREADS must be at least 1, "
+                "got 0")):
+            RunConfig.from_file(workdir / "config.json")
 
     def test_numbers_convert_but_booleans_and_fractions_do_not(self):
         read = functools.partial(fmt.parse_field, "f.json", "x")
@@ -1349,6 +1365,36 @@ def test_benchmark_trace_names_resolve_without_the_tracer():
         if attr not in vars(getattr(importlib.import_module(module), cls))
     ]
     assert not missing
+
+
+def test_benchmark_trace_hook_counts_the_last_states_rows(tmp_path):
+    # the traced benchmark run counts the rows of the last propagated
+    # state through its propagate_marginal hook, which reads
+    # `len(state.probs)`; run here as `perfbench/run.py --trace 1` runs it
+    write_portfolios(tmp_path / "portfolios.json", n_names=4)
+    write_csv(tmp_path / "constraints.csv", CONSTRAINT_COLUMNS,
+              prior_el_constraints(tmp_path / "portfolios.json",
+                                   grid_size=(3, 3), shift=1.1))
+    (tmp_path / "config.json").write_text(json.dumps({
+        "mode": "calibrate-dynamic", "portfolios": "portfolios.json",
+        "constraints": "constraints.csv", "grid_size": [3, 3],
+        "output_dir": "out"}))
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [str(root / "src"), str(root / "perfbench"),
+                *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys, entropic_bespoke.cli as cli, tracing; "
+            "tracer = tracing.Tracer('hook'); tracer.install(); "
+            "assert cli.main(['--config', sys.argv[1]]) == 0; "
+            "print(tracer.counts['dynamic.state_rows'])")
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "config.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    with open(tmp_path / "out" / "dynamic_states.csv", newline="") as f:
+        periods = [int(row["period"]) for row in csv.DictReader(f)]
+    assert int(out.stdout) == periods.count(max(periods)) > 0
 
 
 def test_blas_thread_count_moves_results_within_tolerance(workdir):

@@ -40,9 +40,11 @@ from entropic_bespoke.prior import (
 )
 
 from conftest import (
+    DenseKernel,
     assert_lattice_matches_reference,
     make_name,
     reference_lattice,
+    state_of_rows,
     tilted_blocks,
 )
 
@@ -145,12 +147,40 @@ def assert_matches_oracle(model, prev_state, kernel):
     assert got.probs == pytest.approx(list(expected.values()), rel=1e-12)
 
 
-def without_node(state, node):
-    """The state with every row at factor node `node` given zero weight,
-    renormalized to mass 1."""
-    probs = np.where(state.support[:, 0] == node, 0.0, state.probs)
+def without_node(state, node, mass=1.0):
+    """The state held by its kernel with the pooled mass at factor node
+    `node` zeroed, so no cell at that node holds mass, then scaled to total
+    `mass` (None: left as it is)."""
+    u = state.kernel.pooled_mass.copy()
+    u[..., node] = 0.0
+    if mass is not None:
+        u *= mass / u.sum()
     return DynamicState(period=state.period, horizon=state.horizon,
-                        support=state.support, probs=probs / probs.sum())
+                        kernel=dataclasses.replace(state.kernel, pooled_mass=u))
+
+
+def three_periods(shift=1.1, sigma=1e-4, **kwargs):
+    """A small model and three periods of constraints: each period's
+    targets are its prior ELs, on the state calibrated before it, times
+    `shift`."""
+    model, *_ = small_model(**kwargs)
+    state = model.initial_state()
+    per_period = []
+    states = [state]
+    for n in range(3):
+        cons = [
+            PricingConstraint(
+                index_id=c.index_id, kind=c.kind, k_low=c.k_low,
+                k_high=c.k_high, bucket=c.bucket,
+                target_el=c.target_el * shift, sigma=sigma,
+            )
+            for c in prior_implied_constraints(model, n, states[-1],
+                                               sigma=sigma)
+        ]
+        per_period.append(cons)
+        kernel = model.calibrate_period(n, states[-1], cons)
+        states.append(model.propagate_marginal(states[-1], kernel))
+    return model, per_period
 
 
 class TestTimeGrid:
@@ -367,9 +397,7 @@ class TestCalibratePeriod:
             0, state0, prior_implied_constraints(model, 0, state0))
         s1 = model.propagate_marginal(state0, k0)
         cons = shifted_constraints(model, 1, s1, shift=1.1)
-        light = DynamicState(
-            period=s1.period, horizon=s1.horizon, support=s1.support,
-            probs=np.where(s1.support[:, 0] == 1, 0.0, s1.probs))
+        light = without_node(s1, 1, mass=None)
         assert light.total_mass < 0.95
         # the dual sums the cells that hold mass, in C order
         held = float(light.probs[light.probs > 0.0].sum())
@@ -380,47 +408,64 @@ class TestCalibratePeriod:
         with pytest.raises(ConfigurationError, match=message):
             model.calibrate_period(1, light, cons)
 
-    @pytest.mark.parametrize("row, message", [
-        ([0, -1, 0, 0, 0], "x11 = -1 is outside [0, 1]"),
-        ([99, 0, 0, 0, 0], "m = 99 is outside [0, 3]"),
-        ([-1, 0, 0, 0, 0], "m = -1 is outside [0, 3]"),
-        ([0, 0, 0, 0, 2], "x22 = 2 is outside [0, 1]"),
-    ], ids=["negative-loss", "node-beyond-grid", "initial-node", "loss-above-cap"])
-    def test_state_off_the_lattice_fails_fast(self, row, message):
-        # these rows used to index past the factor chain or the increment
-        # priors and raise IndexError
-        model, *_ = small_model()
-        state0 = model.initial_state()
-        cons = prior_implied_constraints(model, 0, state0)
-        k0 = model.calibrate_period(0, state0, cons)
-        state = DynamicState(period=0, horizon=1.0, support=np.array([row]),
-                             probs=np.array([1.0]))
-        match = re.escape(f"period 0 state: {message}")
-        for call in (lambda: model.align_to_period(1, state),
-                     lambda: model.calibrate_period(1, state, cons),
-                     lambda: model.prior_period_els(1, state, cons),
-                     lambda: model.propagate_marginal(state, k0)):
-            with pytest.raises(ConfigurationError, match=match):
-                call()
+    @pytest.mark.parametrize("period, given", [(1, -1), (2, -1), (0, 0),
+                                               (2, 0), (1, 1)])
+    @pytest.mark.parametrize("call", ["calibrate_period", "prior_period_els"])
+    def test_state_of_another_period_fails_fast(self, call, period, given):
+        # given the initial state, periods 1 and 2 used to calibrate their
+        # increments from zero losses without an error
+        model, per_period = three_periods()
+        states, _ = model.bootstrap_all(per_period)
+        state = [model.initial_state(), *states][given + 1]
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"period {period} needs the state of period {period - 1}, "
+                f"got one of period {given}")):
+            getattr(model, call)(period, state, per_period[period])
+
+    @pytest.mark.parametrize("call", ["calibrate", "calibrate_period",
+                                      "prior_period_els"])
+    def test_empty_constraint_set_fails_fast(self, call):
+        # calibrate_period used to fail inside Newton on a zero-size
+        # reduction, and prior_period_els returned no ELs
+        model, params, grid, ports, grids, _ = small_model()
+        solve = {"calibrate": lambda: calibrate(
+                     grid, static_priors(model, params, grid, ports, grids), []),
+                 "calibrate_period": lambda: model.calibrate_period(
+                     0, model.initial_state(), []),
+                 "prior_period_els": lambda: model.prior_period_els(
+                     0, model.initial_state(), [])}[call]
+        with pytest.raises(ConfigurationError,
+                           match="need at least one constraint"):
+            solve()
 
     @pytest.mark.parametrize("probs, mass", [
-        ([-0.5, 1.5], "-0.5"), ([np.nan, 1.0], "nan"), ([1.0, np.inf], "inf"),
-    ], ids=["negative", "nan", "inf"])
+        ([np.nan, 1.0], "nan"), ([1.0, np.inf], "inf"),
+    ], ids=["nan", "inf"])
     def test_bad_previous_mass_fails_fast(self, probs, mass):
-        # given to calibrate_period, a negative mass ran 200 Newton steps to
-        # "no convergence within the iteration limit", and a NaN one failed
-        # at the starting point; the state now refuses it when built
-        row = 0 if mass != "inf" else 1
+        # a NaN total passed `abs(mass - 1) > 1e-10` and failed at Newton's
+        # starting point
+        model, *_ = small_model()
+        state0 = model.initial_state()
+        k0 = model.calibrate_period(
+            0, state0, prior_implied_constraints(model, 0, state0))
+        s1 = model.propagate_marginal(state0, k0)
+        state = state_of_rows(s1, s1.support[:2], probs)
         with pytest.raises(ConfigurationError, match=re.escape(
-                f"period 1 state: row {row} has mass {mass};")):
-            DynamicState(period=1, horizon=2.0, support=np.zeros((2, 5), int),
-                         probs=np.array(probs))
+                f"previous rows have mass {mass}, not 1")):
+            model.calibrate_period(1, state, [relevant_total(0.5, 1e-2)])
 
     def test_state_without_support_fails_fast(self):
-        # this was AttributeError: 'NoneType' object has no attribute 'shape'
+        # only the initial state (period -1) has no kernel
+        model, *_ = small_model()
+        state0 = model.initial_state()
+        k0 = model.calibrate_period(
+            0, state0, prior_implied_constraints(model, 0, state0))
         with pytest.raises(ConfigurationError, match=re.escape(
-                "period 0 state needs support and probs, or a kernel")):
+                "a period 0 state needs a kernel")):
             DynamicState(period=0, horizon=1.0)
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "a period -1 state needs no kernel")):
+            DynamicState(period=-1, horizon=0.0, kernel=k0)
 
     def test_gradient_matches_finite_differences(self, rng):
         model, *_ = small_model(n_grid=3)
@@ -623,9 +668,7 @@ class TestTiltKernelEquivalence:
         model, s1 = self.period_one()
         keep = np.sort(rng.choice(len(s1.probs), 17, replace=False))
         probs = s1.probs[keep]
-        state = DynamicState(period=s1.period, horizon=s1.horizon,
-                             support=s1.support[keep],
-                             probs=probs / probs.sum())
+        state = state_of_rows(s1, s1.support[keep], probs / probs.sum())
         lattice = [len(np.unique(state.support[:, 0]))] + [
             len(np.unique(state.support[:, c:c + 2], axis=0)) for c in (1, 3)]
         assert np.prod(lattice) > 2 * len(keep)
@@ -712,7 +755,7 @@ class TestPropagate:
         k0 = model.calibrate_period(0, state0,
                                     shifted_constraints(model, 0, state0))
         s1 = without_node(model.propagate_marginal(state0, k0), 0)
-        assert (s1.probs == 0.0).any() and len(s1.probs) > 100
+        assert 0 not in s1.support[:, 0] and len(s1.probs) > 100
         k1 = model.calibrate_period(1, s1, shifted_constraints(model, 1, s1))
         assert np.abs(k1.lambdas).max() > 1e-3
         assert_matches_oracle(model, s1, k1)
@@ -721,35 +764,15 @@ class TestPropagate:
 
 
 class TestBootstrap:
-    def bootstrap(self, shift=1.1, sigma=1e-4, **kwargs):
-        model, *_ = small_model(**kwargs)
-        state = model.initial_state()
-        per_period = []
-        states = [state]
-        for n in range(3):
-            cons = [
-                PricingConstraint(
-                    index_id=c.index_id, kind=c.kind, k_low=c.k_low,
-                    k_high=c.k_high, bucket=c.bucket,
-                    target_el=c.target_el * shift, sigma=sigma,
-                )
-                for c in prior_implied_constraints(model, n, states[-1],
-                                                   sigma=sigma)
-            ]
-            per_period.append(cons)
-            kernel = model.calibrate_period(n, states[-1], cons)
-            states.append(model.propagate_marginal(states[-1], kernel))
-        return model, per_period
-
     def test_three_period_run(self):
-        model, per_period = self.bootstrap()
+        model, per_period = three_periods()
         states, kernels = model.bootstrap_all(per_period)
         assert len(states) == 3
         for state in states:
             assert state.total_mass == pytest.approx(1.0, abs=1e-9)
 
     def test_el_term_structure_monotone_for_every_strike(self):
-        model, per_period = self.bootstrap(shift=1.15)
+        model, per_period = three_periods(shift=1.15)
         states, _ = model.bootstrap_all(per_period)
         unit = model.loss_grids[1].unit
         max_units = 4
@@ -763,7 +786,7 @@ class TestBootstrap:
                 assert all(b >= a - 1e-12 for a, b in zip(els, els[1:]))
 
     def test_kernels_forbid_decreasing_losses(self):
-        model, per_period = self.bootstrap(shift=1.2)
+        model, per_period = three_periods(shift=1.2)
         _, kernels = model.bootstrap_all(per_period)
         for kernel in kernels:
             for i in kernel.loss_tilted:
@@ -773,15 +796,14 @@ class TestBootstrap:
 
     def test_propagate_rejects_a_foreign_state(self):
         # the period-0 kernel was calibrated on the initial state, not s1
-        model, per_period = self.bootstrap()
+        model, per_period = three_periods()
         states, kernels = model.bootstrap_all(per_period)
         with pytest.raises(ConfigurationError, match=re.escape(
                 "prev_state is not the state the period 0 kernel was "
                 "calibrated on")):
             model.propagate_marginal(states[0], kernels[0])
         # the check is by identity: a copy of the state is another state
-        copy = DynamicState(period=0, horizon=1.0, support=states[0].support,
-                            probs=states[0].probs)
+        copy = DynamicState(period=0, horizon=1.0, kernel=states[0].kernel)
         with pytest.raises(ConfigurationError, match="period 1 kernel"):
             model.propagate_marginal(copy, kernels[1])
         # each kernel still takes the state bootstrap_all fed it, the
@@ -796,7 +818,7 @@ class TestBootstrap:
     def test_aligns_each_state_once(self, monkeypatch):
         # calibrate_period aligns the state it is given; propagation reads
         # the kernel and only compares the state with the one it was given
-        model, per_period = self.bootstrap()
+        model, per_period = three_periods()
         align, periods = model.align_to_period, []
 
         def counted(period, state):
@@ -839,7 +861,7 @@ class TestBootstrap:
     def test_markov_two_period_enumeration(self):
         # joint law over two periods from the kernels matches an explicit
         # enumeration of the chain
-        model, per_period = self.bootstrap(shift=1.05)
+        model, per_period = three_periods(shift=1.05)
         states, kernels = model.bootstrap_all(per_period)
         s1, k2 = states[0], kernels[1]
         row_of = {tuple(int(v) for v in r): s
@@ -1006,22 +1028,6 @@ class TestCoarsening:
         assert np.array_equal(np.argwhere(aligned), s1.support)
         assert np.array_equal(aligned[aligned > 0.0], s1.probs)
 
-    def test_state_losses_are_checked_on_their_own_lattice(self):
-        # period 0 lives on the fine lattice (caps 2), later periods on the
-        # coarse one (caps 1)
-        model = self.build(2)
-        fine = DynamicState(period=0, horizon=1.0,
-                            support=np.array([[0, 2, 2, 1, 0]]),
-                            probs=np.array([1.0]))
-        assert np.argwhere(model.align_to_period(1, fine)).tolist() == \
-            [[0, 1, 1, 1, 0]]
-        coarse = DynamicState(period=1, horizon=2.0,
-                              support=np.array([[0, 2, 0, 0, 0]]),
-                              probs=np.array([1.0]))
-        with pytest.raises(ConfigurationError, match=re.escape(
-                "period 1 state: x11 = 2 is outside [0, 1]")):
-            model.align_to_period(2, coarse)
-
     def test_coarse_period_matches_direct_sum_oracle(self):
         model = self.build(2)
         state0 = model.initial_state()
@@ -1031,16 +1037,17 @@ class TestCoarsening:
         k1 = model.calibrate_period(1, s1, shifted_constraints(model, 1, s1))
         assert len(k1.prev_probs) < len(s1.probs)  # aligned to the coarse grid
         # node 0 holds no mass, so it is no previous node of the dual
-        assert 0 in s1.support[:, 0] and 0 not in k1.prev_support[:, 0]
+        assert 0 not in s1.support[:, 0] and 0 not in k1.prev_support[:, 0]
         assert_matches_oracle(model, s1, k1)
 
 
 class TestDenseLatticeKeys:
-    """`align_to_period` scatters a state built from rows onto the dense
-    lattice and `_period_problem` finds its nodes and contexts there, not by
-    sorting rows; on random sparse states they give `np.unique(axis=0)`'s
-    rows, order and sums, and the period dual's lattice and masses are
-    those of the sorted keys."""
+    """`_period_problem` finds the nodes and contexts of a state's dense
+    marginal on the lattice, not by sorting rows: on random sparse states
+    (held by a `DenseKernel`) they give `np.unique(axis=0)`'s rows, order
+    and sums, and the period dual's lattice and masses are those of the
+    sorted keys.  A state's support and loss pmfs are read off the same
+    marginal, and the initial state is the one cell at node -1."""
 
     @staticmethod
     def build(coarsen, per_bucket=5):
@@ -1066,16 +1073,19 @@ class TestDenseLatticeKeys:
                                        for cap in caps[i])]
         rng = np.random.default_rng(20261018 + coarsen)
         cons = (relevant_total(0.1, sigma=1e-2),)
-        for size in (1, 7, 60, 600):  # repeated rows from 60 on
-            support = np.column_stack([rng.integers(0, h, size)
-                                       for h in highs])
-            probs = rng.random(size)
-            state = DynamicState(period=0, horizon=1.0, support=support,
-                                 probs=probs / probs.sum())
+        for size in (1, 7, 60, 600):  # rows that meet when coarsened
+            support = np.unique(np.column_stack(
+                [rng.integers(0, h, size) for h in highs]), axis=0)
+            probs = rng.random(len(support))
+            probs /= probs.sum()
+            mass = np.zeros(highs)
+            mass[tuple(support.T)] = probs
+            state = DynamicState(period=0, horizon=1.0,
+                                 kernel=DenseKernel(mass))
             keys = np.column_stack(
                 [support[:, 0], -(-support[:, 1:] // coarsen)])
             rows, which = np.unique(keys, axis=0, return_inverse=True)
-            sums = np.bincount(which.ravel(), weights=state.probs)
+            sums = np.bincount(which.ravel(), weights=probs)
             aligned = model.align_to_period(1, state)
             assert np.array_equal(np.argwhere(aligned), rows)
             assert np.array_equal(aligned[tuple(rows.T)], sums)
@@ -1094,17 +1104,16 @@ class TestDenseLatticeKeys:
             assert np.array_equal(problem.w, w)
 
     def test_marginal_loss_pmf_matches_a_sort(self):
-        # losses drawn from {0, 3, 7, 20}, so the totals have gaps, and a
-        # row without mass whose total no other row holds
+        # losses drawn from {0, 3, 7, 12}, so the totals have gaps
         rng = np.random.default_rng(20261019)
-        support = np.column_stack(
+        support = np.unique(np.column_stack(
             [rng.integers(0, 4, 500)]
-            + [rng.choice([0, 3, 7, 20], 500) for _ in range(4)])
-        support[17, 1:] = 50
-        probs = rng.random(500)
-        probs[17] = 0.0
-        state = DynamicState(period=0, horizon=1.0, support=support,
-                             probs=probs)
+            + [rng.choice([0, 3, 7, 12], 500) for _ in range(4)]), axis=0)
+        probs = rng.random(len(support))
+        mass = np.zeros((4, 13, 13, 13, 13))
+        mass[tuple(support.T)] = probs
+        state = DynamicState(period=0, horizon=1.0, kernel=DenseKernel(mass))
+        assert np.array_equal(state.support, support)
         for columns in ((1,), (1, 2), (3, 4), (1, 2, 3, 4)):
             totals = support[:, list(columns)].sum(axis=1)
             units, which = np.unique(totals, return_inverse=True)
@@ -1113,16 +1122,17 @@ class TestDenseLatticeKeys:
             got = state.marginal_loss_pmf(columns)
             assert list(got.items()) == list(want.items())
             assert len(got) < max(got) + 1  # the totals have gaps
-            assert got[50 * len(columns)] == 0.0
 
     def test_the_initial_state_keeps_its_node(self):
-        # the initial state's lattice has zero losses and a node axis that
-        # starts at node -1
-        model = self.build(3)
-        aligned = model.align_to_period(1, model.initial_state())
-        assert aligned.shape == (model.grid.n_nodes + 1, 1, 1, 1, 1)
-        assert aligned[:, 0, 0, 0, 0].tolist() == [1.0] + [0.0] * 6
-        problem = model._period_problem(0, model.initial_state(),
+        # the initial state is zero losses at node -1: its marginal is one
+        # cell, and the period-0 dual has the one previous node -1
+        model, *_ = small_model(n_grid=3)
+        state = model.initial_state()
+        assert state.kernel is None
+        assert model.align_to_period(0, state).tolist() == [[[[[1.0]]]]]
+        assert state.support.tolist() == [[-1, 0, 0, 0, 0]]
+        assert state.probs.tolist() == [1.0]
+        problem = model._period_problem(0, state,
                                         (relevant_total(0.1, sigma=1e-2),))
         assert problem.fixed["prev_nodes"].tolist() == [-1]
         assert problem.w.tolist() == [[[1.0]]]
@@ -1187,12 +1197,12 @@ class TestFactoredCoarsening:
 
     @pytest.mark.parametrize("coarsen", [1, 3])
     def test_a_sparse_state_built_from_rows(self, rng, coarsen):
-        # rows a caller picked: scattered onto the lattice once, with the
-        # sums of the row path bit for bit
+        # rows a caller picked, handed over by the row path's round-up: the
+        # lattice has the sums of the row path bit for bit
         model, s0 = self.build(coarsen)
         keep = np.sort(rng.choice(len(s0.probs), 300, replace=False))
-        state = DynamicState(period=0, horizon=1.0, support=s0.support[keep],
-                             probs=s0.probs[keep] / s0.probs[keep].sum())
+        state = state_of_rows(s0, s0.support[keep],
+                              s0.probs[keep] / s0.probs[keep].sum())
         cons = (relevant_total(0.1, sigma=1e-2),)
         problem = assert_lattice_matches_reference(model, 1, state, cons)
         assert np.array_equal(problem.w, reference_lattice(model, 1, state)[2])
@@ -1429,9 +1439,8 @@ class TestExactTargetRange:
             0, state0, prior_implied_constraints(model, 0, state0))
         s1 = model.propagate_marginal(state0, k0)
         hit = s1.support[:, 1] == 1
-        state = DynamicState(period=s1.period, horizon=s1.horizon,
-                             support=s1.support[hit],
-                             probs=s1.probs[hit] / s1.probs[hit].sum())
+        state = state_of_rows(s1, s1.support[hit],
+                              s1.probs[hit] / s1.probs[hit].sum())
         with pytest.raises(ConfigurationError, match=out_of_range(
                 "i1:relevant_total", 0.1, 0.3, 0.3)):
             model.calibrate_period(1, state, [relevant_total(0.1)])
