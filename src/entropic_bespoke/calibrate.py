@@ -48,6 +48,7 @@ from .loss import (
     hankel_index,
     mixture_unconditional,
     scaled_tilt_factors,
+    tranche_payoff,
 )
 from .prior import COMPLEMENT, RELEVANT, MarketFactorGrid
 from .solver import newton_minimize
@@ -117,9 +118,8 @@ def payoff_eval(constraint: PricingConstraint, x_relevant: float,
                 x_complement: float) -> float:
     """Payoff of one constraint at bucket losses (fractions of notional)."""
     if constraint.kind == TRANCHE:
-        x = x_relevant + x_complement
-        return min(max(x - constraint.k_low, 0.0),
-                   constraint.k_high - constraint.k_low)
+        return float(tranche_payoff(x_relevant + x_complement,
+                                    constraint.k_low, constraint.k_high))
     return x_relevant if constraint.bucket == RELEVANT else x_complement
 
 
@@ -140,7 +140,7 @@ def _payoff_matrix(constraints: Sequence[PricingConstraint], grid: LossGrid,
     out = np.empty((len(constraints), s1, s2))
     for row, c in zip(out, constraints):
         if c.kind == TRANCHE:
-            row[...] = np.clip(xr + xc - c.k_low, 0.0, c.k_high - c.k_low)
+            row[...] = tranche_payoff(xr + xc, c.k_low, c.k_high)
         else:
             row[...] = xr if c.bucket == RELEVANT else xc
     return out.reshape(len(constraints), s1 * s2)
@@ -373,32 +373,14 @@ def _tilt_kernels(priors: Mapping[int, ConditionalLossDist],
     }
 
 
-class _Joints(Mapping):
-    """Read-only index id -> tilted joint (M, S1, S2), each formed when
-    looked up."""
-
-    def __init__(self, laws: dict[int, ConditionalLossDist]):
-        self._laws = laws
-
-    def __getitem__(self, index_id: int) -> np.ndarray:
-        return self._laws[index_id].pmfs
-
-    def __iter__(self):
-        return iter(self._laws)
-
-    def __len__(self) -> int:
-        return len(self._laws)
-
-
 @dataclass
 class CalibrationResult:
     """Calibrated measure plus fit diagnostics.
 
     residuals[k] = model EL - target EL; at the optimum of either method
     it equals -lambda_k * sigma_k^2.  `laws` holds each index's calibrated
-    conditional law: for a product-form prior of a full calibration its
-    bucket-level factors (`TiltedLossDist`), so joints are only formed
-    when `tilted_conditionals` is read.
+    conditional law: for a full calibration its bucket-level factors
+    (`TiltedLossDist`), whose `pmfs` form the joint.
     """
 
     constraints: tuple[PricingConstraint, ...]
@@ -418,14 +400,9 @@ class CalibrationResult:
     def index_ids(self) -> list[int]:
         return sorted(self.priors)
 
-    @property
-    def tilted_conditionals(self) -> Mapping[int, np.ndarray]:
-        """Per index, the tilted joint pmfs (M, S1, S2), formed on lookup."""
-        return _Joints(self.laws)
-
     def bucket_marginals(self, index_id: int, bucket: str) -> np.ndarray:
         """Per-node posterior pmfs of one bucket's loss, shape (M, S)."""
-        law = self.laws[index_id]
+        law = _law(self, index_id)
         if bucket == RELEVANT:
             return law.relevant_marginals()
         if bucket == COMPLEMENT:
@@ -436,7 +413,7 @@ class CalibrationResult:
     def index_loss_dist(self, index_id: int, horizon: float = 0.0) -> LossDist:
         """Unconditional posterior distribution of the index total loss."""
         return mixture_unconditional(
-            self.laws[index_id], self.posterior_weights, horizon=horizon
+            _law(self, index_id), self.posterior_weights, horizon=horizon
         )
 
     def kl_to_prior(self) -> float:
@@ -475,6 +452,16 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return float(_kl(p.reshape(-1), q.reshape(-1)))
 
 
+def _law(result: CalibrationResult, index_id: int) -> ConditionalLossDist:
+    """The calibrated law of one index; an id the result does not hold is
+    a ConfigurationError naming the ids it does."""
+    if index_id not in result.laws:
+        raise ConfigurationError(
+            f"index {index_id!r} is not calibrated here; calibrated index "
+            f"ids are {sorted(result.laws)}")
+    return result.laws[index_id]
+
+
 def conditional_mutual_information(result: CalibrationResult,
                                    index_id: int) -> float:
     """I(X_rel; X_comp | factor) under the calibrated measure.
@@ -486,19 +473,14 @@ def conditional_mutual_information(result: CalibrationResult,
     def safe_log(a):  # log 0 read as 0; only multiplies zero mass
         return np.log(a, out=np.zeros_like(a), where=a > 0.0)
 
-    if isinstance(result, CalibrationResult):  # form each block's joint
-        law = result.laws[index_id]
-        dims, joint_rows = (law.n_nodes, *law.shape), law._joint_rows
-    else:  # any result that holds its (M, S1, S2) joints
-        joint = result.tilted_conditionals[index_id]
-        dims, joint_rows = joint.shape, joint.__getitem__
-    step = max(1, _BLOCK_CELLS // math.prod(dims[1:]))
-    per_node = np.empty(dims[0])
-    for start in range(0, dims[0], step):
+    law = _law(result, index_id)
+    step = max(1, _BLOCK_CELLS // math.prod(law.shape))
+    per_node = np.empty(law.n_nodes)
+    for start in range(0, law.n_nodes, step):
         nodes = slice(start, start + step)
         # sum slab * (log slab - log row - log col) per node, in log space:
         # the product of the marginals can underflow where the slab does not
-        joint = joint_rows(nodes)
+        joint = law._joint_rows(nodes)
         log_dep = safe_log(joint)
         log_dep -= safe_log(joint.sum(axis=2))[:, :, None]
         log_dep -= safe_log(joint.sum(axis=1))[:, None, :]
@@ -738,12 +720,13 @@ class MceCalibrator(_TiltedDual):
     dual_objective_and_gradient = _TiltedDual.objective
     dual_hessian = _TiltedDual.hessian
 
-    def posterior(self, lambdas: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        """(factor weights, tilted conditionals) at a multiplier vector: the
-        factor weights are the one cell's w * h = h, its last index's pool."""
+    def posterior(self, lambdas: np.ndarray
+                  ) -> tuple[np.ndarray, dict[int, ConditionalLossDist]]:
+        """(factor weights, tilted laws) at a multiplier vector: the factor
+        weights are the one cell's w * h = h, its last index's pool."""
         state = self.evaluate(lambdas)
         return state["pools"][self.index_ids[-1]].reshape(-1).copy(), {
-            i: t.law().pmfs for i, t in state["tilts"].items()
+            i: t.law() for i, t in state["tilts"].items()
         }
 
     def solve(self, tol: float = 1e-9, max_iter: int = 200) -> CalibrationResult:

@@ -45,6 +45,7 @@ from .loss import (
     LossGrid,
     build_conditional_prior,
     name_loss_units,
+    tranche_payoff,
 )
 from .prior import (
     COMPLEMENT,
@@ -157,43 +158,42 @@ class DynamicState:
         return self.kernel.marginal(coarsen=coarsen)
 
     @functools.cached_property
-    def _cells(self) -> tuple[np.ndarray, np.ndarray]:
-        p = self.marginal()
-        held = p > 0.0
-        support = np.argwhere(held)
+    def support(self) -> np.ndarray:
+        support = np.argwhere(self.marginal() > 0.0)
         if self.kernel is None:
             support[:, 0] = -1
-        return support, p[held]
+        return support
 
-    @property
-    def support(self) -> np.ndarray:
-        return self._cells[0]
-
-    @property
+    @functools.cached_property
     def probs(self) -> np.ndarray:
-        return self._cells[1]
+        p = self.marginal()
+        return p[p > 0.0]
 
     @property
     def total_mass(self) -> float:
-        return float(self.probs.sum())
+        return float(self.marginal().sum())
 
     def marginal_loss_pmf(self, columns: Sequence[int]) -> dict[int, float]:
-        """pmf of the sum of the selected loss columns (1..4), by
-        ascending total: each total held by a support row, its mass summed
-        in row order."""
-        totals = self.support[:, list(columns)].sum(axis=1)
-        units = np.flatnonzero(np.bincount(totals))
-        mass = np.bincount(totals, weights=self.probs)[units]
-        return dict(zip(units.tolist(), mass.tolist()))
+        """pmf of the sum of the selected loss columns (1..4, the axes
+        x11, x12, x21, x22 of `marginal`), by ascending total: each total
+        held by a cell with mass, its mass summed in C order."""
+        bad = [c for c in columns if c not in (1, 2, 3, 4)]
+        if bad:
+            raise ConfigurationError(
+                f"loss columns are 1..4 (x11, x12, x21, x22), got {bad[0]!r}")
+        p = self.marginal()
+        axes = np.ix_(*map(np.arange, p.shape))
+        totals = np.broadcast_to(sum(axes[c] for c in columns), p.shape)
+        mass = np.bincount(totals.ravel(), weights=p.ravel())
+        units = np.flatnonzero(mass)
+        return dict(zip(units.tolist(), mass[units].tolist()))
 
     def expected_tranche_loss(
         self, columns: Sequence[int], unit: float, k_low: float, k_high: float
     ) -> float:
         pmf = self.marginal_loss_pmf(columns)
-        return sum(
-            p * (min(max(u * unit - k_low, 0.0), k_high - k_low))
-            for u, p in pmf.items()
-        )
+        return float(sum(p * tranche_payoff(u * unit, k_low, k_high)
+                         for u, p in pmf.items()))
 
 
 @dataclass
@@ -284,20 +284,18 @@ def build_conditional_loss_prior(
 class PeriodKernel:
     """Calibrated transition kernel for one period.
 
-    prev_state is the state `calibrate_period` received.  The period dual
-    ran on the lattice of its previous cells, each holding the aligned
-    mass prev_mass[r, c1, c2]: the previous factor nodes prev_nodes[r]
-    (-1 the initial one), with log prior factor rows log_factor_rows[r],
-    and per index i the sorted previous loss pairs contexts[i].
-    loss_tilted[i] is the calibrated law over the (context, node) rows,
-    context-major: posterior pmfs over the absolute loss lattice, zero
-    below the previous losses.  pooled_mass[c1, c2, m] is the previous mass
-    times h(m | cell), summed over the previous nodes.
+    The period dual ran on the lattice of previous cells, each holding the
+    aligned mass prev_mass[r, c1, c2]: the previous factor nodes
+    prev_nodes[r] (-1 the initial one), with log prior factor rows
+    log_factor_rows[r], and per index i the sorted previous loss pairs
+    contexts[i].  loss_tilted[i] is the calibrated law over the (context,
+    node) rows, context-major: posterior pmfs over the absolute loss
+    lattice, zero below the previous losses.  pooled_mass[c1, c2, m] is
+    the previous mass times h(m | cell), summed over the previous nodes.
 
-    prev_support and prev_probs, the cells with mass as rows (m, x11, x12,
-    x21, x22) in C order and their masses, and factor_rows[s], h(m^n | row
-    s), are formed from these on first use; `factor_rows_of` forms a block
-    of the factor rows.
+    The previous rows are the cells of prev_mass with mass, in C order
+    (`_prev_cells`); `factor_rows_of` forms h(m^n | row) for a block of
+    them.
     """
 
     period: int
@@ -305,7 +303,6 @@ class PeriodKernel:
     constraints: tuple[PricingConstraint, ...]
     lambdas: np.ndarray
     model_els: np.ndarray
-    prev_state: DynamicState
     prev_nodes: np.ndarray
     prev_mass: np.ndarray
     log_factor_rows: np.ndarray
@@ -318,27 +315,10 @@ class PeriodKernel:
     def _prev_cells(self) -> tuple[np.ndarray, ...]:
         return np.nonzero(self.prev_mass)
 
-    @functools.cached_property
-    def prev_support(self) -> np.ndarray:
-        r, *ctx = self._prev_cells
-        return np.column_stack([
-            self.prev_nodes[r],
-            *(self.contexts[i][c] for i, c in zip(sorted(self.contexts), ctx))])
-
-    @functools.cached_property
-    def prev_probs(self) -> np.ndarray:
-        return self.prev_mass[self._prev_cells]
-
-    @functools.cached_property
-    def factor_rows(self) -> np.ndarray:
-        """h(m^n | row s) for every previous row s (`factor_rows_of`)."""
-        return self.factor_rows_of(slice(None))
-
     def factor_rows_of(self, rows: slice) -> np.ndarray:
         """h(m^n | row s) for the previous rows s of the slice `rows`, each
         normalized on its own from log g(m | node) + sum_i log Z_i(m |
-        context), so a block of rows has the bytes of those rows of
-        `factor_rows`."""
+        context), so every block of rows has the same bytes."""
         r, *ctx = (cells[rows] for cells in self._prev_cells)
         log_rows = self.log_factor_rows[r]
         n_nodes = log_rows.shape[1]
@@ -499,8 +479,7 @@ class DynamicModel:
         with np.errstate(divide="ignore"):
             log_g = np.log(self._factor_rows_prior(nodes))
         fixed = dict(period=period, horizon=self.time_grid.horizons[period],
-                     prev_state=prev_state, prev_nodes=nodes,
-                     contexts=contexts)
+                     prev_nodes=nodes, contexts=contexts)
         return _PeriodDual(fixed, constraints,
                            *_tilt_kernels(priors, constraints), log_g,
                            w[np.ix_(*held)])
@@ -530,17 +509,10 @@ class DynamicModel:
         problem = self._period_problem(period, prev_state, tuple(constraints))
         return problem.evaluate(np.zeros(len(constraints)))["model_els"].copy()
 
-    def propagate_marginal(
-        self, prev_state: DynamicState, kernel: PeriodKernel
-    ) -> DynamicState:
+    def propagate_marginal(self, kernel: PeriodKernel) -> DynamicState:
         """Push the previous marginal through the calibrated kernel: the
         new state is held as the kernel's factors (`PeriodKernel.marginal`)
-        and forms its support on first use.  The state must be the one the
-        kernel was calibrated on, the same object; any other is rejected."""
-        if prev_state is not kernel.prev_state:
-            raise ConfigurationError(
-                f"prev_state is not the state the period {kernel.period} "
-                "kernel was calibrated on")
+        and forms its support on first use."""
         return DynamicState(period=kernel.period, horizon=kernel.horizon,
                             kernel=kernel)
 
@@ -561,7 +533,7 @@ class DynamicModel:
         for n, constraints in enumerate(constraints_by_period):
             kernel = self.calibrate_period(n, state, constraints,
                                            tol=tol, max_iter=max_iter)
-            state = self.propagate_marginal(state, kernel)
+            state = self.propagate_marginal(kernel)
             states.append(state)
             kernels.append(kernel)
         return states, kernels

@@ -755,13 +755,14 @@ KERNEL_HEADER = ["period", "horizon", "prev_row", "m_next", "prob"]
 
 def kernel_rows(kernels) -> Iterator[bytes]:
     """dynamic_factor_kernels.csv text: the positive entries of each
-    period's factor rows, by previous support row, then next node.  The
-    rows are formed a block of previous rows at a time (at most
-    `_BLOCK_ROWS` entries), so no kernel's whole factor rows are held."""
+    period's factor rows, by previous row (the cells of `prev_mass` with
+    mass, in C order), then next node.  The rows are formed a block of
+    previous rows at a time (at most `_BLOCK_ROWS` entries), so no
+    kernel's whole factor rows are held."""
     for kernel in kernels:
         prefix = f"{kernel.period},{_fmt(kernel.horizon)},"
         step = max(1, _BLOCK_ROWS // kernel.log_factor_rows.shape[1])
-        for start in range(0, len(kernel.prev_probs), step):
+        for start in range(0, np.count_nonzero(kernel.prev_mass), step):
             rows = kernel.factor_rows_of(slice(start, start + step))
             s, m = np.nonzero(rows)
             yield from _text_blocks(prefix, (s + start, m), rows[s, m])

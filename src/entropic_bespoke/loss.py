@@ -160,6 +160,12 @@ class TiltedLossDist(ConditionalLossDist):
         return self._per_node(convolve_rows(a, b) * e, _antidiagonal_sums)
 
 
+def tranche_payoff(x, k_low: float, k_high: float):
+    """The tranche payoff min(max(x - k_low, 0), k_high - k_low) at the
+    losses x, a number or an array."""
+    return np.minimum(np.maximum(x - k_low, 0.0), k_high - k_low)
+
+
 def hankel_index(s1: int, s2: int) -> np.ndarray:
     """(S1, S2) total-loss lattice index x + y."""
     return np.add.outer(np.arange(s1), np.arange(s2))

@@ -23,7 +23,7 @@ from .errors import (
     InfeasibleAdjustmentError,
     UndefinedSpreadError,
 )
-from .loss import LossDist, LossGrid, convolve_rows
+from .loss import LossDist, LossGrid, convolve_rows, tranche_payoff
 from .prior import COMPLEMENT, RELEVANT
 from .solver import newton_minimize
 
@@ -268,8 +268,7 @@ def adjust_bespoke_names(
 
 def tranche_expected_loss(dist: LossDist, k_low: float, k_high: float) -> float:
     """E[(X - k_low)^+ - (X - k_high)^+] / (k_high - k_low) in [0, 1]."""
-    x = dist.levels
-    payoff = np.clip(x - k_low, 0.0, k_high - k_low)
+    payoff = tranche_payoff(dist.levels, k_low, k_high)
     return float(dist.pmf @ payoff) / (k_high - k_low)
 
 

@@ -286,15 +286,7 @@ def conditional_default_prob(
     """Default probability of `name` by `horizon` given the market factor
     sits at `node` = (z1, z2)."""
     p = name.default_prob(horizon)
-    return float(_conditional_probs(p, loadings, np.array([node]))[0])
-
-
-def _conditional_probs(
-    p: float, loadings: TwoFactorLoadings, nodes: np.ndarray
-) -> np.ndarray:
-    """Conditional default probabilities of one name over factor nodes
-    (M, 2): the one-row case of `_conditional_prob_rows`."""
-    return _conditional_prob_rows([p], loadings, nodes)[0]
+    return float(_conditional_prob_rows([p], loadings, np.array([node]))[0, 0])
 
 
 def _conditional_prob_rows(

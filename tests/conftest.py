@@ -55,6 +55,35 @@ def tilted_blocks(kernel, index_id):
     return dict(zip(map(tuple, contexts.tolist()), joints))
 
 
+def reference_prev_rows(kernel):
+    """A period kernel's previous rows formed on their own: the cells of
+    `prev_mass` with mass, in C order, as rows (m, x11, x12, x21, x22) of
+    previous node and the loss pair of each index's context, and their
+    masses."""
+    cells = np.argwhere(kernel.prev_mass > 0.0)
+    support = np.column_stack([
+        kernel.prev_nodes[cells[:, 0]],
+        *(kernel.contexts[i][cells[:, 1 + pos]]
+          for pos, i in enumerate(sorted(kernel.contexts)))])
+    return support, kernel.prev_mass[tuple(cells.T)]
+
+
+def reference_kernel_factor_rows(kernel):
+    """h(m | row s) for every previous row s of `reference_prev_rows`: the
+    log prior factor row of its node plus each index's log Z at its
+    context, normalized by a log-sum-exp over the nodes (row max taken
+    out, one exp per entry, divided by the row sum)."""
+    cells = np.argwhere(kernel.prev_mass > 0.0)
+    n_nodes = kernel.log_factor_rows.shape[1]
+    log_rows = kernel.log_factor_rows[cells[:, 0]]
+    for pos, i in enumerate(sorted(kernel.loss_tilted)):
+        log_z = kernel.loss_tilted[i].log_z.reshape(-1, n_nodes)
+        log_rows = log_rows + log_z[cells[:, 1 + pos]]
+    top = log_rows.max(axis=1, keepdims=True)
+    weights = np.exp(log_rows - np.where(np.isfinite(top), top, 0.0))
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
 def lattice_rows(columns, dims):
     """`np.unique(np.column_stack(columns), axis=0, return_inverse=True)`
     for integer columns in [0, dims), without a row sort: the distinct

@@ -36,7 +36,7 @@ from entropic_bespoke.prior import (
     build_market_grid,
     derive_two_factor_loadings,
     pairwise_correlation,
-    _conditional_probs,
+    _conditional_prob_rows,
 )
 
 from conftest import (
@@ -123,7 +123,7 @@ def test_oracle_equivalence_brute_force_mce():
     sigmas = np.array([c.sigma for c in cons])
     model = np.einsum(
         "m,mab,mcd->mabcd", res.posterior_weights,
-        res.tilted_conditionals[1], res.tilted_conditionals[2],
+        res.laws[1].pmfs, res.laws[2].pmfs,
     ).reshape(-1)
 
     mask = q > 0
@@ -244,7 +244,7 @@ def test_exact_fit_and_infinitely_soft_limits():
     res_soft = eb.calibrate(grid, {1: priors[1]}, [soft])
     prior_gap = max(
         np.abs(res_soft.posterior_weights - grid.flat_weights).max(),
-        np.abs(res_soft.tilted_conditionals[1] - priors[1].pmfs).max(),
+        np.abs(res_soft.laws[1].pmfs - priors[1].pmfs).max(),
     )
     check(
         "exact-fit-and-soft-limits",
@@ -329,7 +329,7 @@ def _dynamic_toy(persistence=0.9, shift=1.15):
         ]
         per_period.append(cons)
         kernel = model.calibrate_period(n, state, cons)
-        state = model.propagate_marginal(state, kernel)
+        state = model.propagate_marginal(kernel)
     return model, per_period
 
 
@@ -511,7 +511,7 @@ def test_consistency_identities():
         p = float(rng.uniform(0.001, 0.5))
         l = derive_two_factor_loadings(b, params,
                                        home_index=int(rng.integers(1, 3)))
-        probs = _conditional_probs(p, l, grid.node_coords)
+        probs = _conditional_prob_rows([p], l, grid.node_coords)[0]
         worst_quad = max(worst_quad, abs(grid.flat_weights @ probs - p))
     check(
         "consistency-identities",
@@ -893,12 +893,12 @@ def test_dynamic_bootstrap_keeps_states_factored():
     assert_cells_close(s0.probs, want)
     del outer, want
     assert_lattice_matches_reference(model, 1, s0, per_period[1])
-    assert s1.kernel is k1 and k1.prev_state is s0
+    assert s1.kernel is k1
     # the row path: period 0's rows, rounded up and summed in row order as
     # its bincount summed them, then solved and propagated
     by_rows = state_of_rows(s0, s0.support, s0.probs)
     k1_rows = model.calibrate_period(1, by_rows, per_period[1])
-    s1_rows = model.propagate_marginal(by_rows, k1_rows)
+    s1_rows = model.propagate_marginal(k1_rows)
     assert np.abs(k1.lambdas - k1_rows.lambdas).max() <= \
         1e-12 * np.abs(k1_rows.lambdas).max()
     assert np.array_equal(s1.support, s1_rows.support)

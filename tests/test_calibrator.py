@@ -229,7 +229,7 @@ def assert_rel_close(got, want, rel=1e-12, scale=None):
 def assert_matches_reference_dual(cal, lam):
     value, grad, hess, h, tilted = reference_dual(cal, lam)
     got_value, got_grad = cal.dual_objective_and_gradient(lam)
-    got_h, got_tilted = cal.posterior(lam)
+    got_h, got_laws = cal.posterior(lam)
     assert got_value == pytest.approx(value, rel=1e-12)
     assert_rel_close(got_grad, grad)
     # the Hessian is E[F F^T] - E[F] E[F]^T + diag(sigma^2); near a point
@@ -239,10 +239,10 @@ def assert_matches_reference_dual(cal, lam):
                      scale=np.abs(hess + np.outer(mean, mean)).max())
     assert_rel_close(got_h, h)
     for i in cal.index_ids:
-        assert_rel_close(got_tilted[i], tilted[i])
+        law = got_laws[i]
+        assert_rel_close(law.pmfs, tilted[i])
         # the tilt never puts mass where the prior has none
-        assert np.all(got_tilted[i][cal.priors[i].pmfs == 0.0] == 0.0)
-        law = cal.evaluate(lam)["tilts"][i].law()
+        assert np.all(law.pmfs[cal.priors[i].pmfs == 0.0] == 0.0)
         assert_rel_close(law.relevant_marginals(), tilted[i].sum(axis=2))
         assert_rel_close(law.complement_marginals(), tilted[i].sum(axis=1))
 
@@ -606,7 +606,7 @@ class TestCalibrate:
         assert np.abs(res.posterior_weights - grid.flat_weights).max() < 1e-10
         for i in (1, 2):
             assert np.abs(
-                res.tilted_conditionals[i] - priors[i].pmfs
+                res.laws[i].pmfs - priors[i].pmfs
             ).max() < 1e-10
 
     def test_residual_identity(self):
@@ -618,7 +618,7 @@ class TestCalibrate:
         # posterior normalization invariants
         assert res.posterior_weights.sum() == pytest.approx(1.0, abs=1e-12)
         for i in (1, 2):
-            mass = res.tilted_conditionals[i].sum(axis=(1, 2))
+            mass = res.laws[i].pmfs.sum(axis=(1, 2))
             assert np.abs(mass - 1.0).max() < 1e-10
 
     def test_support_preserved(self):
@@ -627,7 +627,7 @@ class TestCalibrate:
         res = calibrate(grid, priors, cons)
         for i in (1, 2):
             assert np.array_equal(
-                res.tilted_conditionals[i] == 0.0, priors[i].pmfs == 0.0
+                res.laws[i].pmfs == 0.0, priors[i].pmfs == 0.0
             )
 
     def test_equity_el_curve_concave_nondecreasing(self):
@@ -701,7 +701,7 @@ class TestOptimumProperties:
     def test_every_node_slice_sums_to_one(self, data):
         res = self.calibrated(data)
         for i in res.index_ids:
-            mass = res.tilted_conditionals[i].sum(axis=(1, 2))
+            mass = res.laws[i].pmfs.sum(axis=(1, 2))
             assert np.abs(mass - 1.0).max() < 1e-10
         assert res.posterior_weights.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -869,10 +869,10 @@ class TestFactorOnlyOnTheTiltedDual:
             mean = h @ mu
             assert_rel_close(cal.dual_hessian(lam), hess,
                              scale=np.abs(hess + np.outer(mean, mean)).max())
-            got_h, got_tilted = cal.posterior(lam)
+            got_h, got_laws = cal.posterior(lam)
             assert_rel_close(got_h, h)
             for i, prior in priors.items():
-                assert np.array_equal(got_tilted[i], prior.pmfs)
+                assert np.array_equal(got_laws[i].pmfs, prior.pmfs)
         assert_rel_close(cal.cond_mean, mu)
 
     def test_residual_is_minus_lambda_sigma_squared(self):
@@ -920,16 +920,31 @@ class TestInformation:
         res = calibrate(grid, priors, cons)
         assert res.kl_to_prior() > 0.0
 
+    @pytest.mark.parametrize("read", [
+        conditional_mutual_information,
+        lambda res, i: res.bucket_marginals(i, "relevant"),
+        lambda res, i: res.index_loss_dist(i),
+    ], ids=["mutual-information", "bucket-marginals", "index-loss-dist"])
+    @pytest.mark.parametrize("solve", [calibrate, factor_only_calibrate])
+    def test_unknown_index_id_names_the_calibrated_ids(self, read, solve):
+        _, grid, _, priors, _ = toy_setup(seed=19)
+        res = solve(grid, priors, standard_constraints(grid, priors))
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "index 3 is not calibrated here; calibrated index ids are "
+                "[1, 2]")):
+            read(res, 3)
+
     def test_conditional_mi_when_marginal_product_underflows(self):
         # a cell of 5e-324 whose row and column sums multiply to below the
         # smallest double: an outer product of the marginals is 0 there
-        def mi(*slabs, weights=None):
+        def mi(*slabs, weights=None):  # of a law given by its joint
             joint = np.array(slabs, dtype=float)
             h = np.full(len(slabs), 1.0 / len(slabs)) if weights is None \
                 else np.array(weights)
+            law = SimpleNamespace(n_nodes=len(joint), shape=joint.shape[1:],
+                                  _joint_rows=joint.__getitem__)
             return conditional_mutual_information(
-                SimpleNamespace(posterior_weights=h,
-                                tilted_conditionals={1: joint}), 1)
+                SimpleNamespace(posterior_weights=h, laws={1: law}), 1)
 
         def exact(slab):
             slab = [[mpmath.mpf(float(v)) for v in row] for row in slab]
@@ -964,7 +979,7 @@ class TestInformation:
         h = res.posterior_weights
         total = kl(h, grid.flat_weights)
         for i, prior in priors.items():
-            t = res.tilted_conditionals[i]
+            t = res.laws[i].pmfs
             total += sum(h[m] * kl(t[m], prior.pmfs[m]) for m in range(len(h)))
             mi = sum(h[m] * kl(t[m], np.outer(t[m].sum(1), t[m].sum(0)))
                      for m in range(len(h)))
@@ -988,7 +1003,7 @@ class TestInformation:
         h = res.posterior_weights
         total = kl(h, grid.flat_weights)
         for i, prior in priors.items():
-            t = res.tilted_conditionals[i]
+            t = res.laws[i].pmfs
             total += sum(h[m] * kl(t[m], prior.pmfs[m]) for m in range(len(h)))
         assert total > 0.0
         assert abs(res.kl_to_prior() - total) <= 1e-15 + 1e-10 * total
@@ -1006,7 +1021,7 @@ class TestInformation:
         h = res.posterior_weights
         total = kl(h, grid.flat_weights)
         for i, prior in priors.items():
-            t = res.tilted_conditionals[i]
+            t = res.laws[i].pmfs
             assert np.array_equal(t, prior.pmfs)
             total += sum(h[m] * kl(t[m], prior.pmfs[m]) for m in range(len(h)))
         assert total > 0.0

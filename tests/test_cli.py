@@ -31,6 +31,8 @@ from entropic_bespoke.loss import (
     name_loss_units,
 )
 
+from conftest import reference_kernel_factor_rows, reference_prev_rows
+
 
 def write_portfolios(path, rho=0.4, alpha=0.2, horizons=(1.0, 3.0), n_names=6,
                      loading=0.45):
@@ -128,7 +130,7 @@ def read_rows(path):
 def reference_measure_rows(horizon, result):
     rows = []
     for i in result.index_ids:
-        pmfs = result.tilted_conditionals[i]
+        pmfs = result.laws[i].pmfs
         for m in range(pmfs.shape[0]):
             xs, ys = np.nonzero(pmfs[m])
             for x, y in zip(xs, ys):
@@ -177,7 +179,7 @@ def reference_state_rows(states):
 def reference_kernel_rows(kernels):
     rows = []
     for kernel in kernels:
-        for s, row in enumerate(kernel.factor_rows):
+        for s, row in enumerate(reference_kernel_factor_rows(kernel)):
             for m in np.nonzero(row > 0.0)[0]:
                 rows.append([str(kernel.period), "%.10g" % float(kernel.horizon),
                              str(s), str(int(m)), "%.17g" % float(row[m])])
@@ -262,8 +264,8 @@ class TestCalibrateStatic:
             assert main(["--config", str(workdir / "config.json")]) == 0
             calls = dumped["factor_rows"]
             assert [t for t, _ in calls] == [1.0, 3.0]
-            pmfs = [p for _, result in calls
-                    for p in result.tilted_conditionals.values()]
+            pmfs = [law.pmfs for _, result in calls
+                    for law in result.laws.values()]
             assert any((p[m] == 0.0).any() and p[m].any()
                        for p in pmfs for m in range(p.shape[0]))
             assert all(7 < p[0].size and 2 * np.count_nonzero(p[0]) <= 100
@@ -430,8 +432,7 @@ class TestCalibrateDynamic:
         }))
         assert main(["--config", str(tmp_path / "config.json")]) == 0
         (kernels,), = dumped["kernel_rows"]
-        assert [len(k.prev_probs) for k in kernels] == [1, 729]
-        assert not any("factor_rows" in vars(k) for k in kernels)
+        assert [len(reference_prev_rows(k)[1]) for k in kernels] == [1, 729]
         assert (tmp_path / "out" / "dynamic_factor_kernels.csv").read_bytes() \
             == reference_csv(fmt.KERNEL_HEADER, reference_kernel_rows(kernels))
 
@@ -469,10 +470,10 @@ class TestCalibrateDynamic:
                                       ("x11", "x12", "x21", "x22")))
                 mapped[key] = mapped.get(key, 0.0) + float(r["prob"])
         assert len(mapped) < len(states[0].probs)  # some rows merged
-        assert [tuple(row) for row in kernels[1].prev_support.tolist()] == \
-            sorted(mapped)
-        assert kernels[1].prev_probs == pytest.approx(
-            [mapped[k] for k in sorted(mapped)], rel=1e-12)
+        support, probs = reference_prev_rows(kernels[1])
+        assert [tuple(row) for row in support.tolist()] == sorted(mapped)
+        assert probs == pytest.approx([mapped[k] for k in sorted(mapped)],
+                                      rel=1e-12)
         sums = {}
         for r in read_rows(tmp_path / "out" / "dynamic_factor_kernels.csv"):
             if r["period"] == "1":

@@ -25,7 +25,6 @@ from entropic_bespoke.prior import (
     IndexPortfolio,
     TwoFactorLoadings,
     _conditional_prob_rows,
-    _conditional_probs,
     _unit_gauss_hermite,
     build_market_grid,
     conditional_default_prob,
@@ -284,7 +283,7 @@ class TestBatchedConditionalProbs:
         assert rows.shape == (len(ps), len(nodes))
         assert loadings[0].beta2 != 0.0
         for p, l, row in zip(ps, loadings, rows):
-            assert_same_bits(row, _conditional_probs(p, l, nodes))
+            assert_same_bits(row, _conditional_prob_rows([p], l, nodes)[0])
             assert_same_bits(row, per_name_probs(p, l, nodes))
         assert np.array_equal(rows[0], np.zeros(len(nodes)))
         assert np.array_equal(rows[1], np.ones(len(nodes)))

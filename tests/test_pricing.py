@@ -82,8 +82,8 @@ class TestAssembleBespoke:
                            notional=notional)
         dist = assemble_bespoke(result, spec, horizon=5.0)
         h = result.posterior_weights
-        t1 = result.tilted_conditionals[1]
-        t2 = result.tilted_conditionals[2]
+        t1 = result.laws[1].pmfs
+        t2 = result.laws[2].pmfs
         oracle = np.zeros(t1.shape[1] + t2.shape[1] - 1)
         for m in range(len(h)):
             for x11 in range(t1.shape[1]):

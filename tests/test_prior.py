@@ -10,7 +10,7 @@ from entropic_bespoke.prior import (
     FactorParams,
     NameSpec,
     TwoFactorLoadings,
-    _conditional_probs,
+    _conditional_prob_rows,
     _ndtr_block,
     _ndtr_inplace,
     _ndtri,
@@ -205,7 +205,7 @@ class TestConditionalDefaultProb:
         l = TwoFactorLoadings(beta1=0.5, beta2=0.15, idio=math.sqrt(0.6525))
         zs = np.linspace(-3, 3, 13)
         nodes = np.column_stack([zs, np.zeros_like(zs)])
-        probs = _conditional_probs(0.05, l, nodes)
+        probs = _conditional_prob_rows([0.05], l, nodes)[0]
         assert np.all(np.diff(probs) <= 0.0)
 
     def test_fine_quadrature_recovers_input(self):
@@ -218,7 +218,7 @@ class TestConditionalDefaultProb:
             idio=math.sqrt(1 - 0.25 - 0.0225 - 2 * rho * 0.5 * 0.15),
         )
         grid = build_market_grid(40, 40, FactorParams(rho=rho, alpha=0.0))
-        probs = _conditional_probs(0.05, l, grid.node_coords)
+        probs = _conditional_prob_rows([0.05], l, grid.node_coords)[0]
         assert grid.flat_weights @ probs == pytest.approx(0.05, abs=1e-4)
 
     def test_ten_point_quadrature_consistency(self, rng):
@@ -229,7 +229,7 @@ class TestConditionalDefaultProb:
             p = float(rng.uniform(0.001, 0.4))
             home = int(rng.integers(1, 3))
             l = derive_two_factor_loadings(b, params, home_index=home)
-            probs = _conditional_probs(p, l, grid.node_coords)
+            probs = _conditional_prob_rows([p], l, grid.node_coords)[0]
             assert grid.flat_weights @ probs == pytest.approx(p, abs=1e-3)
 
 

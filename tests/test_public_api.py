@@ -1,7 +1,9 @@
 """The public names of `entropic_bespoke` are its contract: the names
-imported in `__init__.py`, pinned here, not their signatures."""
+imported in `__init__.py`, pinned here, not their signatures, and the
+public members of the result classes a run hands back."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -68,3 +70,36 @@ def test_init_imports_only_the_pinned_names():
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert {name for name in imported if not name.startswith("_")} == \
         set(PINNED)
+
+
+# the public members of the result classes: their fields, methods and
+# properties, and for `DynamicState` the attributes its `__init__` sets
+PUBLIC_MEMBERS = {
+    "CalibrationResult": [
+        "bucket_marginals", "constraints", "grid", "index_ids",
+        "index_loss_dist", "iterations", "kl_to_prior", "lambdas", "laws",
+        "log_norm", "method", "model_els", "objective_value",
+        "posterior_weights", "priors", "residuals",
+    ],
+    "PeriodKernel": [
+        "constraints", "contexts", "factor_rows_of", "horizon", "iterations",
+        "lambdas", "log_factor_rows", "loss_tilted", "marginal", "model_els",
+        "period", "pooled_mass", "prev_mass", "prev_nodes",
+    ],
+    "DynamicState": [
+        "expected_tranche_loss", "horizon", "kernel", "marginal",
+        "marginal_loss_pmf", "period", "probs", "support", "total_mass",
+    ],
+}
+
+
+def test_result_classes_pin_their_public_members():
+    instance_attrs = {"DynamicState": set(vars(
+        eb.DynamicState(period=-1, horizon=0.0)))}
+    for name, members in PUBLIC_MEMBERS.items():
+        cls = getattr(eb, name)
+        got = {member for member in dir(cls) if not member.startswith("_")}
+        if dataclasses.is_dataclass(cls):
+            got |= {field.name for field in dataclasses.fields(cls)}
+        got |= instance_attrs.get(name, set())
+        assert sorted(got) == sorted(members), name
