@@ -33,6 +33,7 @@ from .loss import (
 )
 from .prior import IndexPortfolio, _conditional_prob_rows, _unit_gauss_hermite
 from .prior import TwoFactorLoadings
+from .solver import check_stopping
 
 ABSOLUTE = "absolute"
 ATM = "atm"
@@ -274,10 +275,7 @@ def map_strike(
     """
     if not 0.0 < damping <= 1.0:
         raise ConfigurationError(f"damping must lie in (0, 1], got {damping}")
-    if not tol > 0.0:
-        raise ConfigurationError(f"tolerance must be positive, got {tol}")
-    if max_iter < 1:
-        raise ConfigurationError(f"max_iter must be at least 1, got {max_iter}")
+    check_stopping(tol, max_iter)
     if rule.variant == ABSOLUTE:
         return list(k_bs)
     if rule.variant == ATM:

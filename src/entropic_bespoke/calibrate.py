@@ -45,6 +45,7 @@ from .loss import (
     LossDist,
     LossGrid,
     TiltedLossDist,
+    check_strikes,
     hankel_index,
     mixture_unconditional,
     scaled_tilt_factors,
@@ -84,10 +85,7 @@ class PricingConstraint:
         if self.kind == TRANCHE:
             if self.k_low is None or self.k_high is None:
                 raise ConfigurationError("tranche constraint needs k_low and k_high")
-            if not 0.0 <= self.k_low < self.k_high <= 1.0:
-                raise ConfigurationError(
-                    f"need 0 <= k_low < k_high <= 1, got ({self.k_low}, {self.k_high})"
-                )
+            check_strikes(self.k_low, self.k_high)
         elif self.kind == SUBPORTFOLIO_TOTAL:
             if self.bucket not in (RELEVANT, COMPLEMENT):
                 raise ConfigurationError(

@@ -13,11 +13,6 @@ class EntropicBespokeError(Exception):
     code = "ERROR"
 
 
-def _with_facts(text: str, facts: list[str]) -> str:
-    """The message followed by the known facts in parentheses."""
-    return f"{text} ({', '.join(facts)})" if facts else text
-
-
 class ConfigurationError(EntropicBespokeError, ValueError):
     """Inputs violate a contract: bad parameter domain, missing file,
     mismatched grids or loss units."""
@@ -32,24 +27,32 @@ class InvalidLoadingError(ConfigurationError):
         self.name_id = name_id
 
 
-class CalibrationError(EntropicBespokeError):
+class _StoppedShort:
+    """Mixin of the errors of an iterative search that stopped short.  The
+    text ends with the facts known of its last step, in parentheses: the
+    attribute that `_MEASURE` names, under its label, then `iterations`."""
+    _MEASURE: tuple[str, str]  # (attribute, label)
+
+    def __str__(self) -> str:
+        name, label = self._MEASURE
+        measure = getattr(self, name)
+        facts = [] if measure is None else [f"{label} {measure:.3e}"]
+        if self.iterations is not None:
+            facts.append(f"iterations {self.iterations}")
+        text = super().__str__()
+        return f"{text} ({', '.join(facts)})" if facts else text
+
+
+class CalibrationError(_StoppedShort, EntropicBespokeError):
     """Dual optimization failed to converge.  The text ends with the
     gradient inf-norm and the iteration count, when known."""
     code = "CALIBRATION"
+    _MEASURE = ("gradient_norm", "grad inf-norm")
 
     def __init__(self, message: str, gradient_norm: float | None = None,
                  iterations: int | None = None):
         super().__init__(message)
-        self.gradient_norm = gradient_norm
-        self.iterations = iterations
-
-    def __str__(self) -> str:
-        facts = []
-        if self.gradient_norm is not None:
-            facts.append(f"grad inf-norm {self.gradient_norm:.3e}")
-        if self.iterations is not None:
-            facts.append(f"iterations {self.iterations}")
-        return _with_facts(super().__str__(), facts)
+        self.gradient_norm, self.iterations = gradient_norm, iterations
 
 
 class InfiniteDivergenceError(EntropicBespokeError):
@@ -67,25 +70,17 @@ class InfeasibleAdjustmentError(EntropicBespokeError):
         self.attainable_range = attainable_range
 
 
-class MappingConvergenceError(EntropicBespokeError):
+class MappingConvergenceError(_StoppedShort, EntropicBespokeError):
     """Probability-matching strike search found no fixed point.  The text
     ends with the last |K_target - K_i| and the iteration count, when
     known."""
     code = "MAPPING"
+    _MEASURE = ("residual", "|K_target - K_i|")
 
     def __init__(self, message: str, residual: float | None = None,
                  iterations: int | None = None):
         super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
-
-    def __str__(self) -> str:
-        facts = []
-        if self.residual is not None:
-            facts.append(f"|K_target - K_i| {self.residual:.3e}")
-        if self.iterations is not None:
-            facts.append(f"iterations {self.iterations}")
-        return _with_facts(super().__str__(), facts)
+        self.residual, self.iterations = residual, iterations
 
 
 class UndefinedSpreadError(EntropicBespokeError):

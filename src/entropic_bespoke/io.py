@@ -2,13 +2,14 @@
 JSON files open through `load_json`, and `parse_field` reads every input
 value or names the file and field it rejects.  Column layouts are in
 docs/file_formats.md; diagnostic numbers are written with 10 significant
-digits, dumps and factor weights with 17 (so a reload reprices
-bit-identically).  The calibrated posterior is written as the factors of
-its tilted laws (`law_rows`) and read back by `load_posterior_laws`;
-`measure_rows` forms its dense cells.  Dump lines are assembled from
-word-table lookups (`_text_blocks`), byte for byte `'%d'` and
-`'%.17g' % x`; `'%.17g' %` itself formats, one value at a time, zero,
-non-finite and near-tie values.
+digits, dumps and factor weights with 17 significant digits in the
+one layout `'%.16e' % x` (so a reload reprices bit-identically).  The
+calibrated posterior is written as the factors of its tilted laws
+(`law_rows`) and read back by `load_posterior_laws`; `measure_rows` forms
+its dense cells.  Dump lines are assembled from word-table lookups
+(`_text_blocks`), byte for byte `'%d'` and `'%.16e' % x`; `'%.16e' %`
+itself formats, one value at a time, zero, non-finite and near-tie
+values.
 """
 
 from __future__ import annotations
@@ -291,37 +292,32 @@ def write_csv(path: Path, header: Sequence[str],
 
 # -- 17-digit text --------------------------------------------------------
 #
-# `_put_g17` writes `'%.17g\n' % v` for a float64 array as eight uint32
+# `_put_e16` writes `'%.16e\n' % v` for a float64 array as seven uint32
 # words per value, NUL-padded.  A finite nonzero |v| = mant * 2**e (mant
 # in [1, 2)) is scaled by the correctly rounded double-double
 # T(e) = 2**e * 10**(16 - X0(e)), X0(e) = floor(log10(2**e)), so that
 # mant * T(e) lies in [1e16, 2e17); the product, exact to far below 1e-9,
 # rounds half-even to the 17 significant digits.  When that reaches 1e17,
 # the decimal exponent X is X0 + 1 and T(e) / 10 gives the digits.  Every
-# word is a table lookup: a head by (X, sign, first digit, more digits
-# follow) gives 'd.', '-d', '0.000d' or '-0.000d', four words hold the
-# other 16 digits (their trailing zeros NUL), and a suffix by X gives
-# 'e-05\n', 'e-100\n' or '\n'.  That is the `%g` layout for X <= 0 and
-# X >= 17.  For X in 1..16 (|v| from 10 up to 1e17) the point falls
-# inside the digits: those lines are gathered byte by byte from the
-# digits by a table keyed by (X, sign, fraction digits kept).  Zero,
-# non-finite values and values within `_TIE_MARGIN` of a rounding tie are
-# formatted by `'%.17g' % v` itself.
+# word is a table lookup: a head by (sign, first digit) gives 'd.' or
+# '-d.', four words hold the other 16 digits, and a suffix by X gives
+# 'e+02\n' to 'e-324\n'.  Zero, non-finite values and values within
+# `_TIE_MARGIN` of a rounding tie are formatted by `'%.16e' % v` itself.
 
-_VALUE_WORDS = 8  # head (two words), the 16 digits (four), suffix (two)
+_VALUE_WORDS = 7  # head (one word), the 16 digits (four), suffix (two)
 _TIE_MARGIN = 1e-9
 _EXP_MIN = -1074  # binary exponent of the smallest subnormal
 _X_OFFSET = 400  # decimal exponents index their tables at X + 400
 
 
 @functools.cache
-def _g17_tables() -> dict[str, np.ndarray]:
+def _e16_tables() -> dict[str, np.ndarray]:
     """Read-only lookup tables of the dump formatter, built on first use.
     `scale[up][:, e - _EXP_MIN]` is T(e) / 10**up as t0 + t1 + t2, from
     exact integer arithmetic: the 26-bit halves of its nearest double, then
     the nearest double to the rest.  The others are words of text padded
-    with NUL bytes; a table in two halves holds the variant with NUL for
-    the zeros to drop, then the plain digits at + 1000 or + 10000."""
+    with NUL bytes; an integer table in two halves holds the variant with
+    NUL for the leading zeros, then the plain digits at + 1000 or + 10000."""
     e = np.arange(_EXP_MIN, 1024)
     x0 = (e * 78913) >> 18  # floor(log10(2**e)), exact on this range
     k_min = 16 - int(x0[-1]) - 1
@@ -340,46 +336,24 @@ def _g17_tables() -> dict[str, np.ndarray]:
         scale.append((top, hi - top, lo))
     digits = (np.arange(10000)[:, None] // 10 ** np.arange(3, -1, -1) % 10
               + ord("0")).astype(np.uint8)
-    zero = digits == ord("0")
-    leading = np.logical_and.accumulate(zero, axis=1)
-    trailing = np.logical_and.accumulate(zero[:, ::-1], axis=1)[:, ::-1]
+    leading = np.logical_and.accumulate(digits == ord("0"), axis=1)
     three = np.c_[digits[:1000, 1:], np.full(1000, ord(","), np.uint8)]
     leading3 = np.c_[leading[:1000, 1:3], np.zeros((1000, 2), bool)]
-    xs = np.arange(-_X_OFFSET, _X_OFFSET + 1)
-    head = [[[sign + (b"0.%s%d" % (b"0" * (-x - 1), d) if -5 < x < 0 else
-                      b"%d%s" % (d, b"." * dot))
-              for d in range(10) for dot in (0, 1)] for sign in (b"", b"-")]
-            for x in range(-5, 1)]
-    # X in 1..16: source bytes are the first digit, '-', '.', '\n', the
-    # other 16 digits and NUL (at 20); by (X - 1, sign, fraction digits
-    # kept), the byte positions of the line
-    plain = np.full((16, 2, 16, 4 * _VALUE_WORDS), 20, dtype=np.uint8)
-    for x in range(1, 17):
-        for neg in (0, 1):
-            for keep in range(17 - x):
-                line = [1] * neg + [0, *range(4, 4 + x)]
-                if keep:
-                    line += [2, *range(4 + x, 4 + x + keep)]
-                plain[x - 1, neg, keep, :len(line) + 1] = line + [3]
+    suffix = [b"e%+03d\n" % x for x in range(-_X_OFFSET, _X_OFFSET + 1)]
     tables = {
         "scale": np.array(scale),
         "x0": x0,
-        # the 16 digits after the first, by four: trailing zeros as NUL
-        "frac4": np.r_[digits * ~trailing, digits].view("<u4").ravel(),
-        # trailing zeros of each group of four digits (4 for 0000)
-        "zeros4": trailing.sum(axis=1),
+        # the 16 digits after the first, by four
+        "frac4": digits.view("<u4").ravel(),
         # integer fields: leading zeros as NUL; the last word holds three
         # digits and the comma, and keeps the digit of 0
         "int4": np.r_[digits * ~leading, digits].view("<u4").ravel(),
         "int3": np.r_[three * ~leading3, three].view("<u4").ravel(),
-        # by ((X + _X_OFFSET) * 2 + negative) * 20 + 2 * first digit +
-        # (more digits follow): '0.000d' to '0.d' for X in -4..-1, else
-        # 'd' or 'd.', each after '-' for a negative value
-        "head": np.array(head, "S8").view("<u8")[np.clip(xs, -5, 0) + 5]
-        .ravel(),
-        "suffix": np.array([b"\n" if -4 <= x < 17 else b"e%+03d\n" % x
-                            for x in xs.tolist()], "S8").view("<u8"),
-        "plain": plain.reshape(-1, 4 * _VALUE_WORDS),
+        # by 10 * negative + first digit: 'd.' or '-d.'
+        "head": np.array([sign + b"%d." % d for sign in (b"", b"-")
+                          for d in range(10)], "S4").view("<u4"),
+        # by X + _X_OFFSET, its two words as two rows
+        "suffix": np.array(suffix, "S8").view("<u4").reshape(-1, 2).T.copy(),
     }
     for table in tables.values():
         table.flags.writeable = False
@@ -397,12 +371,12 @@ def _scaled(mant, t0, t1, t2):
     return p.astype(np.int64) + floor.astype(np.int64), lo - floor
 
 
-def _g17_digits(values: np.ndarray):
+def _e16_digits(values: np.ndarray):
     """The 17 significant digits of |v| for each float64 v of `values` as
     an integer in [1e16, 1e17), its decimal exponent, and a mask of the
-    values that `'%.17g' %` must format instead: zero or non-finite, or
+    values that `'%.16e' %` must format instead: zero or non-finite, or
     within `_TIE_MARGIN` of a rounding tie."""
-    t = _g17_tables()
+    t = _e16_tables()
     magnitude = np.abs(values)
     fast = np.isfinite(magnitude) & (magnitude > 0.0)
     mant, e = np.frexp(np.where(fast, magnitude, 1.0))
@@ -423,66 +397,33 @@ def _g17_digits(values: np.ndarray):
     return sig, exponent, slow
 
 
-def _put_g17(values: np.ndarray, out: np.ndarray):
-    """Write `'%.17g\n' % v` for each float64 of `values` into the
+def _put_e16(values: np.ndarray, out: np.ndarray):
+    """Write `'%.16e\n' % v` for each float64 of `values` into the
     `_VALUE_WORDS` uint32 words of the matching row of `out`, padded with
     NUL bytes."""
-    t = _g17_tables()
-    sig, exponent, slow = _g17_digits(values)
-    negative = values < 0.0
-    # the last 16 digits by four from the right, each group's trailing
-    # zeros NUL unless a later group is nonzero (// by a constant is fast,
+    t = _e16_tables()
+    sig, exponent, slow = _e16_digits(values)
+    # the last 16 digits by four from the right (// by a constant is fast,
     # % and divmod are not)
-    d0, more = sig, np.zeros(len(values), dtype=bool)
-    groups = []
-    for col in (5, 4, 3, 2):
+    d0 = sig
+    for col in (4, 3, 2, 1):
         high = d0 // 10**4
-        group = d0 - high * 10**4
-        out[:, col] = t["frac4"].take(group + 10000 * more)
-        more |= group != 0
-        groups.append(group)
+        out[:, col] = t["frac4"].take(d0 - high * 10**4)
         d0 = high
+    out[:, 0] = t["head"].take(d0 + 10 * (values < 0.0))
     x = exponent + _X_OFFSET
-    ends = out.view("<u8")
-    ends[:, 0] = t["head"].take((x * 2 + negative) * 20 + 2 * d0 + more)
-    ends[:, 3] = t["suffix"].take(x)
-    mid = np.flatnonzero((exponent > 0) & (exponent < 17) & ~slow)
-    if mid.size:
-        _put_plain(d0[mid], [g[mid] for g in groups], exponent[mid],
-                   negative[mid], out, mid)
+    out[:, 5] = t["suffix"][0].take(x)
+    out[:, 6] = t["suffix"][1].take(x)
     for r in np.flatnonzero(slow).tolist():
-        text = (b"%.17g\n" % values[r]).ljust(4 * _VALUE_WORDS, b"\0")
+        text = (b"%.16e\n" % values[r]).ljust(4 * _VALUE_WORDS, b"\0")
         out[r] = np.frombuffer(text, dtype="<u4")
 
 
-def _put_plain(d0, groups, exponent, negative, out, rows):
-    """Write the plain-digit lines of `'%.17g'`, decimal exponent X in
-    1..16, into `out[rows]`: the first digit `d0` and the four-digit
-    `groups` (lowest first) as text, then the bytes of the line picked
-    from them by the `plain` table.  The fraction keeps its 16 - X digits
-    less their trailing zeros, and drops its point when none is left."""
-    t = _g17_tables()
-    text = np.empty((len(d0), 6), dtype="<u4")
-    text[:, 0] = d0 + (ord("0") | ord("-") << 8 | ord(".") << 16
-                       | ord("\n") << 24)
-    zeros, run = 0, True
-    for col, group in zip((4, 3, 2, 1), groups):
-        text[:, col] = t["frac4"].take(group + 10000)
-        zeros = zeros + run * t["zeros4"].take(group)
-        run = run & (group == 0)
-    text[:, 5] = 0
-    keep = np.maximum(16 - exponent - zeros, 0)
-    key = ((exponent - 1) * 2 + negative) * 16 + keep
-    line = np.take_along_axis(text.view(np.uint8), t["plain"].take(key, axis=0),
-                              axis=1)
-    out[rows] = line.view("<u4")
-
-
-def _g17_text(values: np.ndarray) -> list[str]:
-    """`'%.17g' % v` for each v of `values`."""
+def _e16_text(values: np.ndarray) -> list[str]:
+    """`'%.16e' % v` for each v of `values`."""
     values = np.asarray(values, dtype=np.float64)
     words = np.empty((len(values), _VALUE_WORDS), dtype="<u4")
-    _put_g17(values, words)
+    _put_e16(values, words)
     return words.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
 
 
@@ -496,7 +437,7 @@ def _put_int(values: np.ndarray, out: np.ndarray):
     """Write each non-negative integer of `values` and a comma into the
     uint32 words of its row of `out`, NUL-padded: three digits and the
     comma in the last word, four digits in each word before it."""
-    t = _g17_tables()
+    t = _e16_tables()
     rest, last = values, out.shape[1] - 1
     for col in range(last, 0, -1):
         table, base = (t["int3"], 1000) if col == last else (t["int4"], 10000)
@@ -509,7 +450,7 @@ def _put_int(values: np.ndarray, out: np.ndarray):
 def _text_blocks(prefix: str, columns: Sequence[np.ndarray],
                  values: np.ndarray) -> Iterator[bytes]:
     """CSV text of the rows `prefix`, then the integers of `columns`
-    (non-negative), then `'%.17g' % value`, in blocks of at most
+    (non-negative), then `'%.16e' % value`, in blocks of at most
     `_BLOCK_ROWS` rows.  `prefix` holds the leading fields shared by every
     row; they must never need quoting.  A block is a matrix of uint32
     words, one row per line, written by column; its NUL bytes are
@@ -526,7 +467,7 @@ def _text_blocks(prefix: str, columns: Sequence[np.ndarray],
         rows[:, :lead] = head
         for column, a, b in zip(columns, edges, edges[1:]):
             _put_int(column[block], rows[:, a:b])
-        _put_g17(values[block], rows[:, edges[-1]:])
+        _put_e16(values[block], rows[:, edges[-1]:])
         yield rows.tobytes().translate(None, b"\0")
 
 
@@ -571,8 +512,8 @@ def factor_rows(horizon: float, result) -> list[list[str]]:
     grid = result.grid
     n2 = len(grid.nodes2)
     rows = []
-    for flat, (g, h) in enumerate(zip(_g17_text(grid.flat_weights),
-                                      _g17_text(result.posterior_weights))):
+    for flat, (g, h) in enumerate(zip(_e16_text(grid.flat_weights),
+                                      _e16_text(result.posterior_weights))):
         m1, m2 = divmod(flat, n2)
         rows.append([
             _fmt(horizon), str(m1), str(m2),

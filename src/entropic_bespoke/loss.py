@@ -160,6 +160,13 @@ class TiltedLossDist(ConditionalLossDist):
         return self._per_node(convolve_rows(a, b) * e, _antidiagonal_sums)
 
 
+def check_strikes(k_low: float, k_high: float):
+    """The strikes of a tranche: 0 <= k_low < k_high <= 1."""
+    if not 0.0 <= k_low < k_high <= 1.0:
+        raise ConfigurationError(
+            f"need 0 <= k_low < k_high <= 1, got ({k_low}, {k_high})")
+
+
 def tranche_payoff(x, k_low: float, k_high: float):
     """The tranche payoff min(max(x - k_low, 0), k_high - k_low) at the
     losses x, a number or an array."""

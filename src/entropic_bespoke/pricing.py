@@ -23,7 +23,8 @@ from .errors import (
     InfeasibleAdjustmentError,
     UndefinedSpreadError,
 )
-from .loss import LossDist, LossGrid, convolve_rows, tranche_payoff
+from .loss import (LossDist, LossGrid, check_strikes, convolve_rows,
+                   tranche_payoff)
 from .prior import COMPLEMENT, RELEVANT
 from .solver import newton_minimize
 
@@ -75,10 +76,7 @@ class TrancheSpec:
     notional: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.k_low < self.k_high <= 1.0:
-            raise ConfigurationError(
-                f"need 0 <= k_low < k_high <= 1, got ({self.k_low}, {self.k_high})"
-            )
+        check_strikes(self.k_low, self.k_high)
         if len(self.coupon_times) != len(self.accruals):
             raise ConfigurationError("coupon_times and accruals differ in length")
         last = 0.0

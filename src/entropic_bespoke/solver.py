@@ -20,6 +20,14 @@ _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 60
 
 
+def check_stopping(tol: float, max_iter: int):
+    """The stopping rule of an iterative search: tol > 0, max_iter >= 1."""
+    if not tol > 0.0:
+        raise ConfigurationError(f"tolerance must be positive, got {tol}")
+    if max_iter < 1:
+        raise ConfigurationError(f"max_iter must be at least 1, got {max_iter}")
+
+
 @dataclass
 class NewtonResult:
     x: np.ndarray
@@ -35,10 +43,7 @@ def newton_minimize(
     tol: float = 1e-9,
     max_iter: int = 200,
 ) -> NewtonResult:
-    if not tol > 0.0:
-        raise ConfigurationError(f"tolerance must be positive, got {tol}")
-    if max_iter < 1:
-        raise ConfigurationError(f"max_iter must be at least 1, got {max_iter}")
+    check_stopping(tol, max_iter)
     x = np.array(x0, dtype=float)
     value, grad = value_and_grad(x)
     if not np.isfinite(value) or not np.all(np.isfinite(grad)):

@@ -64,6 +64,11 @@ def write_csv(path, header, rows):
         w.writerows(rows)
 
 
+def digits17(value) -> str:
+    """A float as the dumps write it: 17 significant digits, '%.16e'."""
+    return "%.16e" % float(value)
+
+
 def prior_el_constraints(portfolio_path, grid_size=(4, 4), shift=1.0):
     """Constraint rows whose targets are the prior-implied values."""
     params, ports, horizons = load_portfolios(portfolio_path)
@@ -87,9 +92,9 @@ def prior_el_constraints(portfolio_path, grid_size=(4, 4), shift=1.0):
             ]
             els = eb.prior_expected_losses(grid, {i: q}, shells)
             rows.append([i, "tranche", "0.0", "0.3", t,
-                         "%.17g" % (els[0] * shift), "0.0001"])
+                         digits17(els[0] * shift), "0.0001"])
             rows.append([i, "relevant_total", "", "", t,
-                         "%.17g" % (els[1] * shift), "0.0001"])
+                         digits17(els[1] * shift), "0.0001"])
     return rows
 
 
@@ -136,7 +141,7 @@ def reference_measure_rows(horizon, result):
             for x, y in zip(xs, ys):
                 rows.append(["%.10g" % float(horizon), str(i), str(m),
                              str(int(x)), str(int(y)),
-                             "%.17g" % float(pmfs[m, x, y])])
+                             digits17(pmfs[m, x, y])])
     return rows
 
 
@@ -149,7 +154,7 @@ def reference_law_rows(horizon, result):
                              ("log_z", law.log_z[:, None])):
             for (m, j), value in np.ndenumerate(values):
                 rows.append(["%.10g" % float(horizon), str(i), name, str(m),
-                             str(j), "%.17g" % float(value)])
+                             str(j), digits17(value)])
     return rows
 
 
@@ -163,7 +168,7 @@ def reference_factor_rows(horizon, result):
         rows.append(["%.10g" % float(horizon), str(m1), str(m2),
                      "%.10g" % float(grid.nodes1[m1]),
                      "%.10g" % float(grid.nodes2[m2]),
-                     "%.17g" % float(g), "%.17g" % float(h)])
+                     digits17(g), digits17(h)])
     return rows
 
 
@@ -172,7 +177,7 @@ def reference_state_rows(states):
     for state in states:
         for row, p in zip(state.support, state.probs):
             rows.append([str(state.period), "%.10g" % float(state.horizon)]
-                        + [str(int(v)) for v in row] + ["%.17g" % float(p)])
+                        + [str(int(v)) for v in row] + [digits17(p)])
     return rows
 
 
@@ -182,7 +187,7 @@ def reference_kernel_rows(kernels):
         for s, row in enumerate(reference_kernel_factor_rows(kernel)):
             for m in np.nonzero(row > 0.0)[0]:
                 rows.append([str(kernel.period), "%.10g" % float(kernel.horizon),
-                             str(s), str(int(m)), "%.17g" % float(row[m])])
+                             str(s), str(int(m)), digits17(row[m])])
     return rows
 
 
@@ -345,7 +350,8 @@ class TestCalibrateStatic:
         good = fmt.load_posterior_laws(path, {1: grid})
         np.testing.assert_array_equal(good[1.0][1].pmfs, law.pmfs)
         lines = path.read_text().splitlines()
-        assert len(lines) == 17 and lines[15] == "1,1,log_z,0,0,0.01"
+        assert len(lines) == 17 and \
+            lines[15] == "1,1,log_z,0,0,1.0000000000000000e-02"
         path.write_text("\n".join(edit(lines)) + "\n")
         with pytest.raises(errors.ConfigurationError,
                            match=f"^{re.escape(str(path))} {message}"):
@@ -386,6 +392,44 @@ class TestCalibrateStatic:
         want = law.log_z.copy()
         want[late - (len(lines) - 40)] = 0.5  # a log_z row: the last 40
         np.testing.assert_array_equal(got.log_z, want)
+
+    def test_laws_reader_takes_the_old_17g_layout(self, tmp_path,
+                                                   monkeypatch):
+        # files written before the '%.16e' layout hold '%.17g' text: plain
+        # digits for |v| in [1e-4, 1e17), no trailing zeros.  They hold the
+        # same values and take the same bulk parse.
+        grid = LossGrid(unit=0.1, max_units=60)
+        rng = np.random.default_rng(20261019)
+
+        def spread(*shape):
+            return rng.normal(size=shape) * 10.0 ** rng.uniform(-20, 18, shape)
+
+        log_a = spread(40, 31)
+        log_a[3, 5] = -np.inf
+        law = TiltedLossDist(1, grid, log_a, spread(40, 30), spread(60),
+                             spread(40))
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        fmt.write_csv(new, fmt.LAWS_HEADER, fmt.law_rows(2.0, {1: law}))
+        old.write_bytes(reference_csv(fmt.LAWS_HEADER, [
+            ["2", "1", name, str(m), str(j), "%.17g" % value]
+            for name, values in (("log_a", law.log_a), ("log_b", law.log_b),
+                                 ("tau", law.tau[None, :]),
+                                 ("log_z", law.log_z[:, None]))
+            for (m, j), value in np.ndenumerate(values)]))
+        assert old.read_bytes() != new.read_bytes()
+
+        def row_by_row(*args):
+            raise AssertionError("the bulk parse fell back to row by row")
+
+        monkeypatch.setattr(fmt, "_csv_rows", row_by_row)
+        got_new, got_old = (fmt.load_posterior_laws(path, {1: grid})[2.0][1]
+                            for path in (new, old))
+        for name in ("log_a", "log_b", "tau", "log_z"):
+            bits = getattr(got_new, name).view(np.uint64)
+            np.testing.assert_array_equal(
+                getattr(got_old, name).view(np.uint64), bits)
+            np.testing.assert_array_equal(
+                getattr(law, name).view(np.uint64), bits)
 
 
 class TestCalibrateDynamic:
@@ -1330,7 +1374,7 @@ def test_import_builds_no_formatter_tables():
                [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     code = ("import entropic_bespoke.cli; "
             "from entropic_bespoke import io; "
-            "print(io._g17_tables.cache_info().currsize)")
+            "print(io._e16_tables.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.split() == ["0"]
