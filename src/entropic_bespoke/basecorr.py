@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -31,7 +30,8 @@ from .loss import (
     default_loss_unit,
     name_loss_units,
 )
-from .prior import IndexPortfolio, _conditional_prob_rows, _unit_gauss_hermite
+from .prior import (IndexPortfolio, _conditional_prob_rows, _unit_gauss_hermite,
+                    check_increasing)
 from .prior import TwoFactorLoadings
 from .solver import check_stopping
 
@@ -68,14 +68,10 @@ class BaseCorrCurve:
     def __post_init__(self):
         if len(self.strikes) != len(self.betas) or not self.strikes:
             raise ConfigurationError("need matching non-empty strikes and betas")
-        last = -math.inf
-        for k, b in zip(self.strikes, self.betas):
-            if not last < k < math.inf:
-                raise ConfigurationError(
-                    f"strike pillars must be finite and increase, got {k}")
+        check_increasing("strike pillars", self.strikes, positive=False)
+        for b in self.betas:
             if not 0.0 < b < 1.0:
                 raise ConfigurationError(f"beta must lie in (0, 1), got {b}")
-            last = k
 
     def beta(self, k: float) -> float:
         if k <= self.strikes[0]:
@@ -177,8 +173,7 @@ def _pool_inputs(
     probabilities are shared, so they are read-only.
     """
     unit = default_loss_unit(portfolio)
-    grid = LossGrid(unit=unit, max_units=10**9)
-    units = tuple(name_loss_units(n, grid) for n in portfolio.names)
+    units = tuple(name_loss_units(n, unit) for n in portfolio.names)
     probs = np.array([n.default_prob(horizon) for n in portfolio.names])
     probs.flags.writeable = False
     return unit, units, probs

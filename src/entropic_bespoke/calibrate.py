@@ -31,6 +31,7 @@ for both methods.
 from __future__ import annotations
 
 import math
+import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -51,7 +52,7 @@ from .loss import (
     scaled_tilt_factors,
     tranche_payoff,
 )
-from .prior import COMPLEMENT, RELEVANT, MarketFactorGrid
+from .prior import COMPLEMENT, RELEVANT, MarketFactorGrid, check_bucket
 from .solver import newton_minimize
 
 DEFAULT_SIGMA = 1e-4
@@ -87,11 +88,7 @@ class PricingConstraint:
                 raise ConfigurationError("tranche constraint needs k_low and k_high")
             check_strikes(self.k_low, self.k_high)
         elif self.kind == SUBPORTFOLIO_TOTAL:
-            if self.bucket not in (RELEVANT, COMPLEMENT):
-                raise ConfigurationError(
-                    "subportfolio_total constraint needs bucket "
-                    f"'{RELEVANT}' or '{COMPLEMENT}'"
-                )
+            check_bucket(self.bucket, "subportfolio_total constraint")
         else:
             raise ConfigurationError(f"unknown constraint kind '{self.kind}'")
         if not math.isfinite(self.target_el):
@@ -281,15 +278,14 @@ class _FactoredKernel:
             -1, s1, s2).transpose(1, 0, 2)  # (S1, 1 + K, S2)
         self._product = None  # the a @ stack buffer, made on first use
 
-    def payoff_range(self) -> np.ndarray:
-        """(2, K): each payoff's least and greatest value on the smallest
-        box of the lattice that holds the prior's support.  Every payoff is
-        nondecreasing in both bucket losses, so these are its values at the
-        box's lower and upper corners."""
+    def box_payoffs(self) -> np.ndarray:
+        """(K, cells): the payoffs on the smallest box of the lattice that
+        holds the prior's support, its cells in C order."""
         xs = np.flatnonzero(self.prior.relevant_marginals().any(axis=0))
         ys = np.flatnonzero(self.prior.complement_marginals().any(axis=0))
-        s2 = self.prior.shape[1]
-        return self.payoffs[:, [xs[0] * s2 + ys[0], xs[-1] * s2 + ys[-1]]].T
+        box = self.payoffs.reshape(len(self.payoffs), *self.prior.shape)[
+            :, xs[0]:xs[-1] + 1, ys[0]:ys[-1] + 1]
+        return box.reshape(len(box), math.prod(box.shape[1:]))
 
     def evaluate(self, lambdas: np.ndarray) -> _IndexTilt:
         tau = lambdas[self.tranches] @ self.tranche_pay - lambdas @ self.targets
@@ -342,7 +338,7 @@ class _FrozenKernel:
 
     def __init__(self, kernel: _FactoredKernel):
         self.prior, self.targets = kernel.prior, kernel.targets
-        self.payoff_range = kernel.payoff_range
+        self.box_payoffs = kernel.box_payoffs
         self.mu = kernel.evaluate(np.zeros(len(self.targets))).cond_means
 
     def evaluate(self, lambdas: np.ndarray) -> _IndexTilt:
@@ -401,12 +397,10 @@ class CalibrationResult:
     def bucket_marginals(self, index_id: int, bucket: str) -> np.ndarray:
         """Per-node posterior pmfs of one bucket's loss, shape (M, S)."""
         law = _law(self, index_id)
+        check_bucket(bucket, f"index {index_id}")
         if bucket == RELEVANT:
             return law.relevant_marginals()
-        if bucket == COMPLEMENT:
-            return law.complement_marginals()
-        raise ConfigurationError(
-            f"unknown bucket {bucket!r}; need '{RELEVANT}' or '{COMPLEMENT}'")
+        return law.complement_marginals()
 
     def index_loss_dist(self, index_id: int, horizon: float = 0.0) -> LossDist:
         """Unconditional posterior distribution of the index total loss."""
@@ -448,6 +442,25 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     if p.shape != q.shape:
         raise ConfigurationError("distributions must share a lattice")
     return float(_kl(p.reshape(-1), q.reshape(-1)))
+
+
+def _dependent_rows(rows: np.ndarray) -> list[int]:
+    """The rows that are a constant plus a combination of the rows before
+    them, by Gram-Schmidt (two passes): a row is dependent where its part
+    orthogonal to the ones row and the independent rows before it is 0 up
+    to rounding."""
+    basis = np.full((1, rows.shape[1]), rows.shape[1] ** -0.5)
+    tol = max(rows.shape) * np.finfo(float).eps
+    dependent = []
+    for k, row in enumerate(rows):
+        rest = row - (basis @ row) @ basis
+        rest -= (basis @ rest) @ basis
+        norm = np.linalg.norm(rest)
+        if norm <= tol * np.linalg.norm(row):
+            dependent.append(k)
+        else:
+            basis = np.vstack([basis, rest / norm])
+    return dependent
 
 
 def _law(result: CalibrationResult, index_id: int) -> ConditionalLossDist:
@@ -524,15 +537,18 @@ class _TiltedDual:
         self.index_ids = sorted(kernels)
         self.positions, self.kernels = positions, kernels
         self.log_factor_rows, self.w = log_factor_rows, w  # (R, M), lattice
-        self._check_exact_targets()
+        self._check_targets()
         self._cache_key = self._cache = None
 
-    def _check_exact_targets(self):
-        """An exact target outside its payoff's range on the prior support
-        cannot be met; say so before any Newton step."""
+    def _check_targets(self):
+        """Before any Newton step, on each index's prior support box: an
+        exact target outside its payoff's range cannot be met (an error),
+        and a payoff that is a constant plus a combination of the index's
+        earlier ones leaves the multipliers undetermined (a warning)."""
         for i in self.index_ids:
-            lows, highs = self.kernels[i].payoff_range()
-            for k, lo, hi in zip(self.positions[i], lows, highs):
+            box = self.kernels[i].box_payoffs()
+            for k, lo, hi in zip(self.positions[i], box.min(axis=1),
+                                 box.max(axis=1)):
                 c = self.constraints[k]
                 if c.sigma == 0.0 and not lo <= c.target_el <= hi:
                     raise ConfigurationError(
@@ -540,6 +556,15 @@ class _TiltedDual:
                         f"outside the attainable range "
                         f"[{float(lo)!r}, {float(hi)!r}]"
                     )
+            dependent = [self.constraints[self.positions[i][k]]
+                         for k in _dependent_rows(box)]
+            if dependent:
+                when = dependent[0].horizon
+                warnings.warn(
+                    f"index {i}{'' if when is None else f' horizon {when:g}'}"
+                    ": constraints linearly dependent on the prior's support, "
+                    "each a constant plus a combination of those before it: "
+                    + ", ".join(c.label() for c in dependent))
 
     def evaluate(self, lambdas: np.ndarray) -> dict:
         lambdas = np.asarray(lambdas, dtype=float)

@@ -14,18 +14,20 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
+import warnings
 from itertools import chain
 from pathlib import Path
 
 from . import __version__, basecorr, io as fmt, pricing
-from .calibrate import TRANCHE, calibrate
+from .calibrate import calibrate
 from .dynamic import DynamicModel, TimeGrid
 from .errors import ConfigurationError, EntropicBespokeError, MappingConvergenceError
-from .loss import LossGrid, build_conditional_prior, default_loss_unit, name_loss_units
+from .loss import (LossGrid, build_conditional_prior, check_loss_unit,
+                   default_loss_unit, name_loss_units)
 from .prior import RELEVANT, IndexPortfolio, build_market_grid
+from .solver import check_stopping
 
 # the input-file fields of a config, in the order their existence is checked
 _INPUTS = ("constraints", "portfolios", "discount_curve", "tranches",
@@ -102,15 +104,10 @@ class RunConfig:
         if cfg.threads < 1:
             raise ConfigurationError(
                 f"{where}: {field} must be at least 1, got {cfg.threads!r}")
-        if not cfg.tol > 0.0:
-            raise ConfigurationError(
-                f"{path}: solver.tol must be positive, got {cfg.tol!r}")
-        if cfg.max_iter < 1:
-            raise ConfigurationError(
-                f"{path}: solver.max_iter must be at least 1, got {cfg.max_iter!r}")
-        if cfg.loss_unit is not None and not 0.0 < cfg.loss_unit < math.inf:
-            raise ConfigurationError(f"{path}: loss_unit must be positive and "
-                                     f"finite, got {cfg.loss_unit!r}")
+        with fmt._named(path):
+            check_stopping(cfg.tol, cfg.max_iter, "solver.")
+            if cfg.loss_unit is not None:
+                check_loss_unit(cfg.loss_unit, "loss_unit")
         for key in _INPUTS:
             if key in paths and not paths[key].exists():
                 raise ConfigurationError(f"{key} file not found: {paths[key]}")
@@ -167,48 +164,14 @@ def _manifest(config: RunConfig, reporter: _Reporter):
     })
 
 
-def _loss_grids(portfolios, unit) -> dict[int, LossGrid]:
-    grids = {}
-    for i, p in portfolios.items():
-        probe = LossGrid(unit=unit, max_units=10**9)
-        capacity = sum(name_loss_units(n, probe) for n in p.names)
-        grids[i] = LossGrid(unit=unit, max_units=capacity)
-    return grids
-
-
-def _warn_degenerate_constraints(constraints):
-    """A full strike partition plus both bucket totals is linearly
-    dependent (tranche payoffs sum to the portfolio loss)."""
-    by_key: dict = {}
-    for c in constraints:
-        by_key.setdefault((c.index_id, c.horizon), []).append(c)
-    for (index_id, horizon), group in sorted(by_key.items()):
-        tranches = sorted(
-            (c.k_low, c.k_high) for c in group if c.kind == TRANCHE
-        )
-        totals = sum(1 for c in group if c.kind != TRANCHE)
-        if totals < 2 or not tranches:
-            continue
-        covers = tranches[0][0] == 0.0 and tranches[-1][1] == 1.0 and all(
-            abs(a[1] - b[0]) < 1e-12 for a, b in zip(tranches, tranches[1:])
-        )
-        if covers:
-            print(
-                f"warning: index {index_id} horizon {horizon}: full strike "
-                "partition plus both sub-portfolio totals is linearly "
-                "dependent; drop the super-senior tranche",
-                file=sys.stderr,
-            )
-
-
 def _calibration_setup(config, params, portfolios, constraints):
     """(loss grids, factor grid, sorted constraint horizons) of a
-    calibrating mode; warns on a degenerate constraint set."""
+    calibrating mode: each index's loss grid holds all of its names."""
     unit = (default_loss_unit(*portfolios.values())
             if config.loss_unit is None else config.loss_unit)
-    grids = _loss_grids(portfolios, unit)
+    grids = {i: LossGrid(unit, sum(name_loss_units(n, unit) for n in p.names))
+             for i, p in portfolios.items()}
     grid = build_market_grid(*config.grid_size, params)
-    _warn_degenerate_constraints(constraints)
     return grids, grid, sorted({c.horizon for c in constraints})
 
 
@@ -449,11 +412,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
     try:
-        config = RunConfig.from_file(
-            args.config, mode=args.mode, out=args.out, threads=args.threads,
-            verbose=args.verbose,
-        )
-        return run(config)
+        with warnings.catch_warnings():  # a library warning is one line
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message}", file=sys.stderr)
+            config = RunConfig.from_file(
+                args.config, mode=args.mode, out=args.out,
+                threads=args.threads, verbose=args.verbose,
+            )
+            return run(config)
     except EntropicBespokeError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
         return 1

@@ -44,6 +44,7 @@ from .loss import (
     ConditionalLossDist,
     LossGrid,
     build_conditional_prior,
+    index_capacities,
     name_loss_units,
     tranche_payoff,
 )
@@ -54,6 +55,7 @@ from .prior import (
     IndexPortfolio,
     MarketFactorGrid,
     _conditional_prob_rows,
+    check_increasing,
     derive_two_factor_loadings,
 )
 from .solver import newton_minimize
@@ -65,12 +67,7 @@ class TimeGrid:
     horizons: tuple[float, ...]
 
     def __post_init__(self):
-        last = 0.0
-        for t in self.horizons:
-            if not last < t < math.inf:
-                raise ConfigurationError(
-                    f"horizons must be finite, positive and increasing, got {t}")
-            last = t
+        check_increasing("horizons", self.horizons)
 
     def period_bounds(self, n: int) -> tuple[float, float]:
         start = 0.0 if n == 0 else self.horizons[n - 1]
@@ -258,7 +255,7 @@ def build_conditional_loss_prior(
         raise ConfigurationError("period must have positive length")
     names = portfolio.bucket_names(bucket)
     if capacity is None:
-        capacity = sum(name_loss_units(n, loss_grid) for n in names)
+        capacity = sum(name_loss_units(n, loss_grid.unit) for n in names)
     coords = grid.node_coords
     total_lgd = sum(n.lgd for n in names)
     if capacity == 0 or total_lgd <= 0.0:
@@ -381,19 +378,9 @@ class DynamicModel:
         if len(self.index_ids) != 2:
             raise ConfigurationError("the dynamic model tracks exactly two indices")
         self.chain = build_factor_chain_prior(grid, persistence)
-        self._caps = {}
-        for i in self.index_ids:
-            p = self.portfolios[i]
-            lg = self.loss_grids[i]
-            caps = tuple(
-                sum(name_loss_units(n, lg) for n in p.bucket_names(b))
-                for b in (RELEVANT, COMPLEMENT)
-            )
-            if sum(caps) > lg.max_units:
-                raise ConfigurationError(
-                    f"index {i} needs {sum(caps)} units, grid caps at {lg.max_units}"
-                )
-            self._caps[i] = caps
+        self._caps = {i: index_capacities(self.portfolios[i],
+                                          self.loss_grids[i])
+                      for i in self.index_ids}
         self._initial = DynamicState(period=-1, horizon=0.0)
 
     def period_capacities(self, period: int) -> dict[int, tuple[int, int]]:

@@ -31,6 +31,13 @@ from .prior import (
 )
 
 
+def check_loss_unit(unit: float, name: str = "loss unit"):
+    """The rule of a loss unit: finite and > 0.  The message calls it
+    `name`."""
+    if not 0.0 < unit < math.inf:
+        raise ConfigurationError(f"{name} must be finite and > 0, got {unit}")
+
+
 @dataclass(frozen=True)
 class LossGrid:
     """Loss quantum (fraction of index notional) and lattice cap."""
@@ -39,9 +46,7 @@ class LossGrid:
     max_units: int
 
     def __post_init__(self):
-        if not 0.0 < self.unit < math.inf:
-            raise ConfigurationError(
-                f"loss unit must be finite and > 0, got {self.unit}")
+        check_loss_unit(self.unit)
         if self.max_units < 0:
             raise ConfigurationError("max_units must be >= 0")
 
@@ -241,12 +246,29 @@ class LossDist:
         return np.cumsum(self.pmf)
 
 
-def name_loss_units(name: NameSpec, grid: LossGrid) -> int:
-    """Integer lattice size of one name: round((1-R)*w / unit), at least 1
-    for any positive LGD."""
+def name_loss_units(name: NameSpec, unit: float) -> int:
+    """Integer lattice size of one name at the loss unit `unit`:
+    round((1-R)*w / unit), at least 1 for any positive LGD.  A `LossGrid`
+    stands for its unit."""
     if name.lgd <= 0.0:
         return 0
-    return max(1, int(round(name.lgd / grid.unit)))
+    return max(1, int(round(name.lgd / getattr(unit, "unit", unit))))
+
+
+def index_capacities(portfolio: IndexPortfolio, loss_grid: LossGrid
+                     ) -> tuple[int, int]:
+    """(relevant, complement) lattice capacities of an index: each bucket's
+    summed name units.  The two buckets share the grid's cap, so their sum
+    must not exceed `max_units`."""
+    caps = tuple(sum(name_loss_units(n, loss_grid.unit)
+                     for n in portfolio.bucket_names(bucket))
+                 for bucket in (RELEVANT, COMPLEMENT))
+    if sum(caps) > loss_grid.max_units:
+        raise ConfigurationError(
+            f"index {portfolio.index_id} needs {caps[0]} relevant and "
+            f"{caps[1]} complement loss units, {sum(caps)} in all, but the "
+            f"grid caps at {loss_grid.max_units}")
+    return caps
 
 
 def default_loss_unit(*portfolios: IndexPortfolio) -> float:
@@ -327,15 +349,10 @@ def build_conditional_prior(
     loadings = portfolio_loadings(portfolio, params)
 
     bucket_pmfs = []
-    for bucket in (RELEVANT, COMPLEMENT):
+    for bucket, cap in zip((RELEVANT, COMPLEMENT),
+                           index_capacities(portfolio, loss_grid)):
         names = portfolio.bucket_names(bucket)
-        units = [name_loss_units(n, loss_grid) for n in names]
-        cap = sum(units)
-        if cap > loss_grid.max_units:
-            raise ConfigurationError(
-                f"index {portfolio.index_id} bucket '{bucket}' needs {cap} loss "
-                f"units but the grid caps at {loss_grid.max_units}"
-            )
+        units = [name_loss_units(n, loss_grid.unit) for n in names]
         probs = _conditional_prob_rows(
             [n.default_prob(horizon) for n in names],
             [loadings[n.id] for n in names], coords)

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .calibrate import CalibrationResult, _normalize_rows
+from .calibrate import CalibrationResult, _law, _normalize_rows
 from .errors import (
     CalibrationError,
     ConfigurationError,
@@ -25,7 +25,7 @@ from .errors import (
 )
 from .loss import (LossDist, LossGrid, check_strikes, convolve_rows,
                    tranche_payoff)
-from .prior import COMPLEMENT, RELEVANT
+from .prior import check_bucket, check_increasing
 from .solver import newton_minimize
 
 BucketRef = tuple[int, str]  # (index_id, bucket)
@@ -46,11 +46,7 @@ class BespokeSpec:
             raise ConfigurationError("bespoke needs at least one member bucket")
         for index_id, bucket in (*self.members,
                                  *(ref for ref, _ in self.proxy_el_targets)):
-            if bucket not in (RELEVANT, COMPLEMENT):
-                raise ConfigurationError(
-                    f"bespoke bucket ({index_id}, {bucket!r}) must be "
-                    f"'{RELEVANT}' or '{COMPLEMENT}'"
-                )
+            check_bucket(bucket, f"bespoke index {index_id}")
         if self.notional <= 0.0:
             raise ConfigurationError("bespoke notional must be positive")
 
@@ -79,11 +75,8 @@ class TrancheSpec:
         check_strikes(self.k_low, self.k_high)
         if len(self.coupon_times) != len(self.accruals):
             raise ConfigurationError("coupon_times and accruals differ in length")
-        last = 0.0
-        for t in self.coupon_times:
-            if t <= last:
-                raise ConfigurationError("coupon times must increase")
-            last = t
+        check_increasing("coupon times", self.coupon_times)
+        last = self.coupon_times[-1] if self.coupon_times else 0.0
         if abs(last - self.maturity) > 1e-9:
             raise ConfigurationError("last coupon must fall on maturity")
 
@@ -130,17 +123,14 @@ class DiscountCurve:
     def __post_init__(self):
         if len(self.times) != len(self.factors) or not self.times:
             raise ConfigurationError("need matching non-empty times and factors")
-        last_t, last_b = 0.0, 1.0 + 1e-12
-        for t, b in zip(self.times, self.factors):
-            if not last_t < t < math.inf:
-                raise ConfigurationError(
-                    f"pillar times must be finite, positive and increasing, "
-                    f"got {t}")
+        check_increasing("pillar times", self.times)
+        last_b = 1.0 + 1e-12
+        for b in self.factors:
             if not 0.0 < b <= last_b + 1e-12:
                 raise ConfigurationError(
                     f"discount factors must be positive and non-increasing "
                     f"from B(0,0)=1, got {b}")
-            last_t, last_b = t, b
+            last_b = b
 
     @classmethod
     def flat(cls, rate: float, horizon: float = 50.0) -> "DiscountCurve":
@@ -180,11 +170,7 @@ def assemble_bespoke(
     per_node = None
     for member in spec.members:
         index_id, bucket = member
-        if index_id not in result.priors:
-            raise ConfigurationError(
-                f"bespoke member index {index_id} missing from the calibration"
-            )
-        grid = result.priors[index_id].grid
+        grid = _law(result, index_id).grid
         if unit is None:
             unit = grid.unit
         elif abs(grid.unit - unit) > 1e-15 * max(grid.unit, unit):

@@ -36,6 +36,28 @@ RELEVANT = "relevant"
 COMPLEMENT = "complement"
 
 
+def check_bucket(bucket: str, owner: str):
+    """The rule of a bucket name: RELEVANT or COMPLEMENT.  The message
+    starts with `owner`."""
+    if bucket not in (RELEVANT, COMPLEMENT):
+        raise ConfigurationError(
+            f"{owner}: bucket must be '{RELEVANT}' or '{COMPLEMENT}', got "
+            f"{bucket!r}")
+
+
+def check_increasing(what: str, values: Sequence[float],
+                     positive: bool = True):
+    """The rule of a time or strike grid: finite values that increase, and
+    with `positive` the first above 0.  The message calls them `what`."""
+    last = 0.0 if positive else -math.inf
+    for v in values:
+        if not last < v < math.inf:
+            raise ConfigurationError(
+                f"{what} must be finite{', positive' if positive else ''} "
+                f"and increasing, got {v}")
+        last = v
+
+
 @dataclass(frozen=True)
 class FactorParams:
     """Correlation rho of the two market factors and the foreign-loading
@@ -77,10 +99,7 @@ class NameSpec:
     default_prob_curve: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if self.bucket not in (RELEVANT, COMPLEMENT):
-            raise ConfigurationError(
-                f"name {self.id}: bucket must be '{RELEVANT}' or '{COMPLEMENT}'"
-            )
+        check_bucket(self.bucket, f"name {self.id}")
         if not 0.0 <= self.recovery < 1.0:
             raise ConfigurationError(f"name {self.id}: recovery must be in [0, 1)")
         if not 0.0 < self.notional_weight < math.inf:
@@ -93,18 +112,16 @@ class NameSpec:
                 "needs b^2 < 1",
                 name_id=self.id,
             )
-        last_t, last_p = 0.0, 0.0
-        for t, p in self.default_prob_curve:
-            if not t > last_t:
-                raise ConfigurationError(
-                    f"name {self.id}: horizons must be positive and "
-                    f"increasing, got {t}")
+        check_increasing(f"name {self.id}: horizons",
+                         [t for t, _ in self.default_prob_curve])
+        last_p = 0.0
+        for _, p in self.default_prob_curve:
             if not 0.0 <= p <= 1.0 or p < last_p - 1e-15:
                 raise ConfigurationError(
                     f"name {self.id}: default probabilities must be "
                     "non-decreasing and in [0, 1]"
                 )
-            last_t, last_p = t, p
+            last_p = p
 
     @property
     def lgd(self) -> float:

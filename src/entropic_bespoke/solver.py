@@ -8,6 +8,7 @@ Hessians when all softness parameters are zero).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,12 +21,16 @@ _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 60
 
 
-def check_stopping(tol: float, max_iter: int):
-    """The stopping rule of an iterative search: tol > 0, max_iter >= 1."""
-    if not tol > 0.0:
-        raise ConfigurationError(f"tolerance must be positive, got {tol}")
+def check_stopping(tol: float, max_iter: int, prefix: str = ""):
+    """The stopping rule of an iterative search: 0 < tol < inf and
+    max_iter >= 1.  The messages name the two as `prefix` + tol and
+    `prefix` + max_iter."""
+    if not 0.0 < tol < math.inf:
+        raise ConfigurationError(
+            f"{prefix}tol must be a finite positive tolerance, got {tol}")
     if max_iter < 1:
-        raise ConfigurationError(f"max_iter must be at least 1, got {max_iter}")
+        raise ConfigurationError(
+            f"{prefix}max_iter must be at least 1, got {max_iter}")
 
 
 @dataclass

@@ -284,6 +284,7 @@ class TestMapStrike:
                             ({"damping": math.nan}, "damping"),
                             ({"tol": 0.0}, "tolerance"),
                             ({"tol": -1e-8}, "tolerance"),
+                            ({"tol": math.inf}, "tolerance"),
                             ({"max_iter": 0}, "max_iter")):
             with pytest.raises(ConfigurationError, match=reason):
                 map_strike(MappingRule("probability_matching"), [0.08], 0.05,

@@ -1,6 +1,7 @@
 import importlib
 import re
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import mpmath
@@ -661,6 +662,7 @@ class TestCalibrate:
     @pytest.mark.parametrize("bad, reason", [
         ({"tol": 0.0}, "tolerance"), ({"tol": -1.0}, "tolerance"),
         ({"tol": float("nan")}, "tolerance"), ({"max_iter": 0}, "max_iter"),
+        ({"tol": float("inf")}, "tolerance"),
     ])
     def test_bad_solver_settings_fail_before_any_step(self, bad, reason):
         def objective(x):
@@ -672,6 +674,74 @@ class TestCalibrate:
         cons = standard_constraints(grid, priors, shift=1.1)
         with pytest.raises(ConfigurationError, match=reason):
             calibrate(grid, priors, cons, **bad)
+
+    def test_steepest_descent_when_the_newton_step_climbs(self):
+        # a Hessian of -I turns every Newton step uphill, so each iteration
+        # takes the fallback step -grad; on a convex quadratic that still
+        # reaches the minimizer A^-1 b
+        a = np.array([[1.0, 0.2], [0.2, 0.5]])
+        b = np.array([1.0, -1.0])
+        hessians = []
+
+        def hessian(x):
+            hessians.append(x)
+            return -np.eye(2)
+
+        res = newton_minimize(lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b),
+                              hessian, np.zeros(2), tol=1e-10)
+        np.testing.assert_allclose(res.x, np.linalg.solve(a, b), atol=1e-9)
+        assert np.max(np.abs(res.gradient)) < 1e-10
+        assert res.iterations == len(hessians) > 1
+
+
+class TestConstraintDependence:
+    """The dual warns, naming each constraint that is a constant plus a
+    combination of its index's earlier ones on the prior's support box."""
+
+    def partition(self, priors, grid):
+        shells = [
+            dict(kind="tranche", k_low=0.0, k_high=0.3),
+            dict(kind="subportfolio_total", bucket="relevant"),
+            dict(kind="tranche", k_low=0.3, k_high=1.0),
+            dict(kind="subportfolio_total", bucket="complement"),
+        ]
+        base = [PricingConstraint(index_id=1, target_el=0.0, **kw)
+                for kw in shells]
+        els = prior_expected_losses(grid, priors, base)
+        return [PricingConstraint(index_id=1, target_el=float(el), **kw)
+                for kw, el in zip(shells, els)]
+
+    @pytest.mark.parametrize("solver", [MceCalibrator, FactorOnlyCalibrator])
+    def test_full_partition_names_the_last_total(self, solver):
+        _, grid, _, priors, _ = toy_setup(seed=4)
+        cons = self.partition(priors, grid)
+        with pytest.warns(UserWarning) as caught:
+            solver(grid, priors, cons)
+        assert [str(w.message) for w in caught] == [
+            "index 1: constraints linearly dependent on the prior's support, "
+            "each a constant plus a combination of those before it: "
+            "i1:complement_total"]
+
+    def test_each_dependent_constraint_is_named(self):
+        _, grid, _, priors, _ = toy_setup(seed=4)
+        cons = self.partition(priors, grid)
+        # a duplicate, and a tranche that pays 0 on the whole support box
+        # (no loss there reaches 0.9)
+        cons.insert(1, cons[0])
+        cons.append(PricingConstraint(index_id=1, kind="tranche", k_low=0.9,
+                                      k_high=1.0, target_el=0.0))
+        with pytest.warns(UserWarning) as caught:
+            MceCalibrator(grid, priors, cons)
+        assert str(caught[0].message).endswith(
+            ": i1:tranche[0.0,0.3], i1:complement_total, i1:tranche[0.9,1.0]")
+
+    def test_independent_constraints_do_not_warn(self):
+        _, grid, _, priors, _ = toy_setup(seed=4)
+        cons = self.partition(priors, grid)[:3]
+        cons += standard_constraints(grid, priors)[2:]  # index 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            MceCalibrator(grid, priors, cons)
 
 
 REFS = ((1, "relevant"), (1, "complement"), (2, "relevant"),

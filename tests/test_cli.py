@@ -77,8 +77,7 @@ def prior_el_constraints(portfolio_path, grid_size=(4, 4), shift=1.0):
     rows = []
     for t in horizons:
         for i, p in sorted(ports.items()):
-            cap = sum(name_loss_units(n, LossGrid(unit=unit, max_units=10**9))
-                      for n in p.names)
+            cap = sum(name_loss_units(n, unit) for n in p.names)
             q = build_conditional_prior(
                 p, grid, LossGrid(unit=unit, max_units=cap), t, params
             )
@@ -251,6 +250,22 @@ class TestCalibrateStatic:
                   rows + extra)
         assert main(["--config", str(workdir / "config.json")]) == 0
         assert "linearly dependent" in capsys.readouterr().err
+
+    def test_dependence_warning_names_the_dependent_constraint(self, workdir,
+                                                               capsys):
+        # the partition of test_full_partition_warning: complement_total is
+        # the two tranches less relevant_total, and is named; index 2 and
+        # horizon 3 have independent sets and do not warn
+        rows = prior_el_constraints(workdir / "portfolios.json")
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS, rows + [
+            [1, "tranche", "0.3", "1.0", 1.0, "0.001", "0.0001"],
+            [1, "complement_total", "", "", 1.0, "0.05", "0.0001"],
+        ])
+        assert main(["--config", str(workdir / "config.json")]) == 0
+        assert capsys.readouterr().err == (
+            "warning: index 1 horizon 1: constraints linearly dependent on "
+            "the prior's support, each a constant plus a combination of those "
+            "before it: i1:complement_total\n")
 
     def test_measure_dump_bytes_match_row_formatter(self, workdir, dumped,
                                                     monkeypatch):
@@ -548,10 +563,7 @@ class TestPriceBespoke:
         for t in horizons:
             priors = {}
             for i, p in sorted(ports.items()):
-                cap = sum(
-                    name_loss_units(n, LossGrid(unit=unit, max_units=10**9))
-                    for n in p.names
-                )
+                cap = sum(name_loss_units(n, unit) for n in p.names)
                 priors[i] = build_conditional_prior(
                     p, grid, LossGrid(unit=unit, max_units=cap), t, params
                 )
@@ -618,8 +630,8 @@ class TestPriceBespoke:
         params, ports, horizons = load_portfolios(workdir / "portfolios.json")
         unit = default_loss_unit(*ports.values())
         grids = {i: LossGrid(unit=unit, max_units=sum(
-                     name_loss_units(n, LossGrid(unit=unit, max_units=10**9))
-                     for n in p.names)) for i, p in ports.items()}
+                     name_loss_units(n, unit) for n in p.names))
+                 for i, p in ports.items()}
         laws = fmt.load_posterior_laws(workdir / "out" / "posterior_laws.csv",
                                        grids)
         factors = read_rows(workdir / "out" / "factor_distribution.csv")
@@ -630,7 +642,7 @@ class TestPriceBespoke:
                 posterior_weights=np.array([float(r["posterior_weight"])
                                             for r in factors
                                             if float(r["horizon"]) == t]),
-                priors=laws[t],
+                laws=laws[t],
                 bucket_marginals=lambda i, bucket, _laws=laws[t]:
                     _laws[i].relevant_marginals())
         spec = eb.BespokeSpec(members=((1, "relevant"), (2, "relevant")),
@@ -653,6 +665,55 @@ class TestPriceBespoke:
             assert "%.1f" % price.par_spread_bp == row["par_spread_bp"]
             assert "%.10g" % price.risky_annuity == row["risky_annuity"]
             assert "%.10g" % price.default_leg == row["default_leg"]
+
+    def test_proxy_el_targets_price_like_the_library(self, workdir):
+        # index 2's relevant bucket stands in for off-index names: its
+        # per-node marginals are tilted to the block's EL at each horizon
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
+                  prior_el_constraints(workdir / "portfolios.json", shift=1.1))
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["mode"] = "price-bespoke"
+        cfg["bespoke"]["proxy_el_targets"] = [
+            {"index_id": 2, "bucket": "relevant",
+             "targets": {"3.0": 0.05, "1.0": 0.02}}]
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        assert main(["--config", str(workdir / "config.json")]) == 0
+
+        params, ports, horizons = load_portfolios(workdir / "portfolios.json")
+        constraints = load_constraints(workdir / "constraints.csv")
+        unit = default_loss_unit(*ports.values())
+        grid = eb.build_market_grid(4, 4, params)
+        results = {}
+        for t in horizons:
+            priors = {i: build_conditional_prior(
+                          p, grid, LossGrid(unit, sum(name_loss_units(n, unit)
+                                                      for n in p.names)),
+                          t, params)
+                      for i, p in sorted(ports.items())}
+            results[t] = eb.calibrate(
+                grid, priors, [c for c in constraints if c.horizon == t])
+        members = ((1, "relevant"), (2, "relevant"))
+        spec = eb.BespokeSpec(
+            members=members,
+            notional=sum(n.notional_weight for i, b in members
+                         for n in ports[i].bucket_names(b)),
+            proxy_el_targets=(((2, "relevant"), ((1.0, 0.02), (3.0, 0.05))),))
+        dists = eb.bespoke_loss_dist(results, spec)
+        plain = eb.bespoke_loss_dist(
+            results, eb.BespokeSpec(members=members, notional=spec.notional))
+        for t, target in zip(horizons, (0.02, 0.05)):
+            # the bucket's EL moved from its calibrated value to the target
+            marg = results[t].bucket_marginals(2, "relevant")
+            el = results[t].posterior_weights @ marg @ (
+                unit * np.arange(marg.shape[1]))
+            assert abs(el - target) > 5e-3
+            assert (dists[t].mean() - plain[t].mean()) * spec.notional == \
+                pytest.approx(target - el, abs=1e-12)
+        curve = fmt.load_discount_curve(workdir / "discount.csv")
+        prices = [eb.price_tranche(dists, tr, curve)
+                  for tr in fmt.load_tranches(workdir / "tranches.csv")]
+        with open(workdir / "out" / "tranche_prices.csv", newline="") as fh:
+            assert list(csv.reader(fh))[1:] == fmt.pricing_rows(prices)
 
 
 class TestMapBasecorr:
@@ -880,7 +941,7 @@ class TestFailureHandling:
          "non-increasing from B(0,0)=1, got nan"),
         ("basecorr.csv", [[0.03, 0.3, 3.0], ["nan", 0.4, 3.0]],
          "basecorr.csv horizon 3: strike pillars must be finite and "
-         "increase, got nan"),
+         "increasing, got nan"),
     ], ids=["discount-factor", "strike"])
     def test_nan_curve_pillar_names_the_file(self, workdir, capsys, target,
                                              rows, message):
@@ -1058,8 +1119,8 @@ class TestFailureHandling:
 
     @pytest.mark.parametrize("mode", ["price-bespoke", "map-basecorr"])
     @pytest.mark.parametrize("member, reason", [
-        ([2, "relevnt"], "bespoke bucket (2, 'relevnt') must be 'relevant' "
-                         "or 'complement'"),
+        ([2, "relevnt"], "bespoke index 2: bucket must be 'relevant' or "
+                         "'complement', got 'relevnt'"),
         ([7, "relevant"], "bespoke references unknown index 7"),
     ], ids=["misspelled-bucket", "unknown-index"])
     def test_bad_bespoke_member_is_a_config_error(self, workdir, capsys, mode,
@@ -1212,8 +1273,8 @@ class TestFailureHandling:
         assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize("settings, message", [
-        ({"tol": -1}, "solver.tol must be positive, got -1.0"),
-        ({"tol": 0}, "solver.tol must be positive, got 0.0"),
+        ({"tol": -1}, "solver.tol must be a finite positive tolerance, got -1.0"),
+        ({"tol": 0}, "solver.tol must be a finite positive tolerance, got 0.0"),
         ({"max_iter": 0}, "solver.max_iter must be at least 1, got 0"),
     ])
     def test_bad_solver_setting_is_a_config_error(self, workdir, capsys,
@@ -1237,11 +1298,11 @@ class TestFailureHandling:
         ({"persistence": False}, [],
          "{config}: persistence must be a number, got False"),
         ({"loss_unit": 0}, [],
-         "{config}: loss_unit must be positive and finite, got 0.0"),
+         "{config}: loss_unit must be finite and > 0, got 0.0"),
         ({"loss_unit": -0.05}, [],
-         "{config}: loss_unit must be positive and finite, got -0.05"),
+         "{config}: loss_unit must be finite and > 0, got -0.05"),
         ({"loss_unit": float("inf")}, [],
-         "{config}: loss_unit must be positive and finite, got inf"),
+         "{config}: loss_unit must be finite and > 0, got inf"),
         ({"threads": -3}, [], "{config}: threads must be at least 1, got -3"),
         ({"threads": 2}, ["--threads", "0"],
          "command line: --threads must be at least 1, got 0"),
@@ -1259,6 +1320,37 @@ class TestFailureHandling:
         assert capsys.readouterr().err == "ERROR CONFIG: " + \
             message.format(config=workdir / "config.json") + "\n"
         assert not (workdir / "out").exists()
+
+    def test_infinite_solver_tol_is_a_config_error(self, workdir, capsys):
+        # 1e400 reads as inf, and every gradient is below it: the run used
+        # to exit 0 with the uncalibrated prior as its result
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
+                  prior_el_constraints(workdir / "portfolios.json", shift=1.1))
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["solver"] = {"tol": "TOL"}
+        (workdir / "config.json").write_text(
+            json.dumps(cfg).replace('"TOL"', "1e400"))
+        assert main(["--config", str(workdir / "config.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"ERROR CONFIG: {workdir / 'config.json'}: solver.tol must be a "
+            "finite positive tolerance, got inf\n")
+        assert not (workdir / "out").exists()
+
+    def test_infinite_portfolio_horizon_is_a_config_error(self, workdir,
+                                                          capsys):
+        path = workdir / "portfolios.json"
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
+                  prior_el_constraints(path))
+        doc = json.loads(path.read_text())
+        doc["horizons"] = [1.0, "HORIZON"]
+        path.write_text(json.dumps(doc).replace('"HORIZON"', "1e400"))
+        want = (f"{path}: name N1_0: horizons must be finite, positive and "
+                "increasing, got inf")
+        with pytest.raises(errors.ConfigurationError) as exc:
+            load_portfolios(path)
+        assert str(exc.value) == want
+        assert main(["--config", str(workdir / "config.json")]) == 1
+        assert capsys.readouterr().err == f"ERROR CONFIG: {want}\n"
 
     def test_invalid_mode(self, workdir, capsys):
         cfg = json.loads((workdir / "config.json").read_text())
@@ -1313,6 +1405,18 @@ class TestConfig:
 # scipy.special alone pulls in numpy.f2py, numpy.testing and
 # charset_normalizer through its array-API backends
 HEAVY_MODULES = ("scipy", "numpy.f2py", "numpy.testing", "charset_normalizer")
+
+
+def test_every_config_key_has_a_row_in_the_docs():
+    # a config key cannot ship undocumented: each input file, option and
+    # solver key has a row in the run-config table of docs/file_formats.md
+    text = (Path(__file__).parents[1] / "docs" / "file_formats.md").read_text()
+    section = text.split("### Run config (JSON)\n")[1].split("\n#")[0]
+    documented = {key for line in section.splitlines() if line.startswith("|")
+                  for key in re.findall(r"`([^`]+)`", line.split("|")[1])}
+    keys = {*cli._INPUTS, *cli._OPTIONS,
+            *(f"solver.{key}" for key in cli._SOLVER_OPTIONS)}
+    assert len(keys) == 14 and keys <= documented, keys - documented
 
 
 def heavy_modules_loaded(config):

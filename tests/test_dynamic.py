@@ -30,6 +30,7 @@ from entropic_bespoke.loss import (
     ConditionalLossDist,
     LossGrid,
     build_conditional_prior,
+    default_loss_unit,
 )
 from entropic_bespoke.prior import (
     FactorParams,
@@ -48,6 +49,7 @@ from conftest import (
     reference_prev_rows,
     state_of_rows,
     tilted_blocks,
+    toy_portfolio,
 )
 
 
@@ -1416,6 +1418,46 @@ def relevant_total(target, sigma=0.0, index_id=1):
 def out_of_range(label, target, lo, hi):
     return re.escape(f"exact target {target!r} of {label} is outside the "
                      f"attainable range [{lo!r}, {hi!r}]")
+
+
+class TestSharedRules:
+    """The input rules of the static and the period priors and duals
+    live in one place each, so both sides give the same answer."""
+
+    def test_capacity_is_relevant_plus_complement(self):
+        # 3 relevant and 2 complement units per index: a cap of 4 holds
+        # either bucket but not both
+        params = FactorParams(rho=0.3, alpha=0.1)
+        grid = build_market_grid(2, 2, params)
+        ports = {i: toy_portfolio(i, 3, 2) for i in (1, 2)}
+        unit = default_loss_unit(*ports.values())
+        grids = {i: LossGrid(unit=unit, max_units=4) for i in (1, 2)}
+        with pytest.raises(ConfigurationError) as static:
+            build_conditional_prior(ports[1], grid, grids[1], 5.0, params)
+        with pytest.raises(ConfigurationError) as dynamic:
+            DynamicModel(grid, params, ports, grids, TimeGrid((5.0,)))
+        assert str(static.value) == str(dynamic.value) == (
+            "index 1 needs 3 relevant and 2 complement loss units, 5 in all, "
+            "but the grid caps at 4")
+        grids = {i: LossGrid(unit=unit, max_units=5) for i in (1, 2)}
+        build_conditional_prior(ports[1], grid, grids[1], 5.0, params)
+        DynamicModel(grid, params, ports, grids, TimeGrid((5.0,)))
+
+    def test_period_dual_names_dependent_constraints(self):
+        # one 0.3 unit per bucket: the two tranches sum to the total loss,
+        # which is the relevant plus the complement total
+        model, *_ = small_model()
+        shells = [PricingConstraint(index_id=1, target_el=0.0, **kw) for kw in (
+            dict(kind="tranche", k_low=0.0, k_high=0.3),
+            dict(kind="tranche", k_low=0.3, k_high=1.0),
+            dict(kind="subportfolio_total", bucket="relevant"),
+            dict(kind="subportfolio_total", bucket="complement"))]
+        with pytest.warns(UserWarning) as caught:
+            model.prior_period_els(0, model.initial_state(), shells)
+        assert [str(w.message) for w in caught] == [
+            "index 1: constraints linearly dependent on the prior's support, "
+            "each a constant plus a combination of those before it: "
+            "i1:complement_total"]
 
 
 class TestExactTargetRange:

@@ -4,20 +4,23 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import ndtr, ndtri
+from scipy.special import logsumexp, ndtr, ndtri
 
 from entropic_bespoke.errors import ConfigurationError
 from entropic_bespoke.loss import (
     ConditionalLossDist,
     LossDist,
     LossGrid,
+    TiltedLossDist,
     bucket_pmf_recursion,
     build_conditional_prior,
     convolve,
     convolve_rows,
     default_loss_unit,
+    hankel_index,
     mixture_unconditional,
     name_loss_units,
+    scaled_tilt_factors,
 )
 from entropic_bespoke.prior import (
     PROB_CLIP,
@@ -58,7 +61,7 @@ class TestConditionalPrior:
         port = IndexPortfolio(index_id=1, names=(name,))
         grid = build_market_grid(3, 3, params)
         loss_grid = LossGrid(unit=0.3, max_units=10)  # one name = 2 units
-        assert name_loss_units(name, LossGrid(unit=0.3, max_units=10)) == 2
+        assert name_loss_units(name, 0.3) == 2
         dist = build_conditional_prior(port, grid, loss_grid, 5.0, params)
         for m in range(dist.n_nodes):
             rel = dist.pmfs[m].sum(axis=1)
@@ -100,7 +103,7 @@ class TestConditionalPrior:
                     conditional_default_prob(n, loadings[n.id], node, 5.0)
                     for n in names
                 ]
-                units = [name_loss_units(n, loss_grid) for n in names]
+                units = [name_loss_units(n, loss_grid.unit) for n in names]
                 joints.append(
                     enumerate_bucket_pmf(probs, units, sum(units) + 1)
                 )
@@ -362,6 +365,29 @@ class TestConvolve:
             assert np.abs(got[m] - want).max() <= 1e-15 * max(
                 np.abs(want).max(), 1e-300)
         assert np.array_equal(got[5], np.zeros(s1 + s2 - 1))
+
+
+class TestTiltedTotals:
+    def test_low_node_takes_the_log_space_joint(self):
+        # node 0 is ordinary; at node 1 the factors, each scaled by its own
+        # max, put their products where exp(tau) is ~0, so its scaled total
+        # underflows and the node is summed from its joint in log space
+        log_a = np.array([[0.0, -1.0], [0.0, -700.0]])
+        tau = np.array([-1400.0, 0.0, 0.0])
+        log_z = np.array([logsumexp(log_a[m][:, None] + log_a[m][None, :]
+                                    + tau[hankel_index(2, 2)])
+                          for m in range(2)])
+        law = TiltedLossDist(1, LossGrid(unit=0.1, max_units=2), log_a,
+                             log_a.copy(), tau, log_z)
+        a, b, e, _ = scaled_tilt_factors(law.log_a, law.log_b, law.tau)
+        assert (convolve_rows(a, b) * e).sum(axis=1)[1] < 1e-250
+        joint = law.pmfs  # exp of the log-space joint, per node
+        want = np.stack([joint[:, 0, 0], joint[:, 0, 1] + joint[:, 1, 0],
+                         joint[:, 1, 1]], axis=1)
+        got = law.total_loss_pmfs()
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        assert got[1, 1] == pytest.approx(1.0, abs=1e-12)
+        assert got[1, 0] > 0.0 and got[1, 2] > 0.0  # kept, not underflown
 
 
 class TestMixture:

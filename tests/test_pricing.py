@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -185,7 +186,9 @@ class TestBespokeSpec:
 
     def test_bucket_marginals_reject_unknown_bucket(self):
         result, _, _, _ = calibrated_toy(seed=0)
-        with pytest.raises(ConfigurationError, match="unknown bucket"):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "index 1: bucket must be 'relevant' or 'complement', got "
+                "'relevnt'")):
             result.bucket_marginals(1, "relevnt")
 
 
@@ -432,6 +435,14 @@ class TestDiscountCurve:
         with pytest.raises(ConfigurationError,
                            match="^discount factors .*nan"):
             DiscountCurve(times=(1.0, 2.0), factors=(0.9, float("nan")))
+
+    @pytest.mark.parametrize("when", [math.nan, math.inf])
+    def test_non_finite_coupon_time_is_a_config_error(self, when):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "coupon times must be finite, positive and increasing, got "
+                f"{when}")):
+            TrancheSpec(k_low=0.0, k_high=0.03, maturity=1.0,
+                        coupon_times=(when,), accruals=(1.0,))
 
     @pytest.mark.parametrize("maturity, frequency, field", [
         (5.0, 0, "frequency"), (float("nan"), 4, "maturity"),

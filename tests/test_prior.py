@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -314,6 +315,13 @@ class TestNameSpec:
             make_name("x", 1, "middle", [(1.0, 0.1)])
         with pytest.raises(ConfigurationError, match="horizons .*nan"):
             make_name("x", 1, "relevant", [(float("nan"), 0.1)])
+
+    def test_infinite_horizon(self):
+        # a portfolio file's horizon of 1e400 reads as inf
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "name x: horizons must be finite, positive and increasing, "
+                "got inf")):
+            make_name("x", 1, "relevant", [(1.0, 0.1), (math.inf, 0.2)])
 
     def test_nan_notional_weight(self):
         with pytest.raises(ConfigurationError,
