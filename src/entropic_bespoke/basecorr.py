@@ -40,6 +40,8 @@ ATM = "atm"
 PROBABILITY_MATCHING = "probability_matching"
 _VARIANTS = (ABSOLUTE, ATM, PROBABILITY_MATCHING)
 _N_NODES = 31  # Gauss-Hermite nodes of the one-factor integral
+_DAMPING = 0.5  # probability matching's fallback step, a share of g(K) - K
+_SKEW_STEP = 1e-6  # relative central-difference step of `skew_partials`
 
 
 @dataclass(frozen=True)
@@ -155,7 +157,7 @@ def onefactor_loss_dist(
     )
     probs = _conditional_prob_rows(default_probs, loading, nodes)
     size = sum(units) + 1
-    pmfs = bucket_pmf_recursion(probs, units, size).reshape(n, _N_NODES, size)
+    pmfs = bucket_pmf_recursion(probs, units).reshape(n, _N_NODES, size)
     grid = LossGrid(unit=unit, max_units=size - 1)
     return [LossDist(pmf=w @ node_pmfs, grid=grid, horizon=horizon)
             for node_pmfs in pmfs]
@@ -247,7 +249,6 @@ def map_strike(
     index_loss_dist: LossDist | None = None,
     bespoke_dist_provider: Callable[[list[float]], list[LossDist]] | None = None,
     curve: BaseCorrCurve | None = None,
-    damping: float = 0.5,
     tol: float = 1e-8,
     max_iter: int = 100,
 ) -> list[float]:
@@ -258,7 +259,7 @@ def map_strike(
     g(K) = Q_i(Pr(L_b <= K_b)), Q_i the index quantile, where the bespoke
     law is recomputed under beta(K) for each trial K.  It is solved by a
     secant step on g(K) - K, falling back to the damped step
-    K + damping * (g(K) - K) when the secant is flat or would step
+    K + 0.5 * (g(K) - K) when the secant is flat or would step
     4 * |g(K) - K| or more; it returns g(K) once |g(K) - K| < tol, and may
     legitimately fail to converge for wide-spread bespokes.
 
@@ -268,8 +269,6 @@ def map_strike(
     strike order, and it must return the list of their laws in that order.
     If strikes fail to converge, the error names the first of them.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ConfigurationError(f"damping must lie in (0, 1], got {damping}")
     check_stopping(tol, max_iter)
     if rule.variant == ABSOLUTE:
         return list(k_bs)
@@ -295,7 +294,7 @@ def map_strike(
 
     return _match_probabilities(
         list(k_bs), _interp_quantile(index_loss_dist), provider, curve,
-        damping, tol, max_iter)
+        tol, max_iter)
 
 
 def _match_probabilities(
@@ -303,7 +302,6 @@ def _match_probabilities(
     index_quantile: Callable[[float], float],
     provider: Callable[[list[float]], list[LossDist]],
     curve: BaseCorrCurve,
-    damping: float,
     tol: float,
     max_iter: int,
 ) -> list[float]:
@@ -322,7 +320,7 @@ def _match_probabilities(
             if abs(r) < tol:
                 k_i[j] = k_target
                 continue
-            step = damping * r
+            step = _DAMPING * r
             if r_prev[j] is not None and r != r_prev[j]:
                 secant = r * (k_i[j] - k_prev[j]) / (r_prev[j] - r)
                 if abs(secant) < 4.0 * abs(r):
@@ -341,7 +339,7 @@ def _match_probabilities(
 
 
 def skew_partials(
-    curve: BaseCorrCurve, k: float, loss: float, step: float = 1e-6
+    curve: BaseCorrCurve, k: float, loss: float
 ) -> tuple[float, float]:
     """(d beta / d K, d beta / d L) under the moneyness ansatz
     beta = beta(x) with x = K / L; the curve's abscissa is moneyness.
@@ -352,7 +350,7 @@ def skew_partials(
     if loss <= 0.0:
         raise ConfigurationError("portfolio expected loss must be positive")
     x = k / loss
-    h = step * max(1.0, abs(x))
+    h = _SKEW_STEP * max(1.0, abs(x))
     slope = (curve.beta(x + h) - curve.beta(x - h)) / (2.0 * h)
     d_dk = slope / loss
     return d_dk, -(k / loss) * d_dk

@@ -95,9 +95,9 @@ class PricingConstraint:
             raise ConfigurationError(f"target_el must be finite, got {self.target_el}")
         if not math.isfinite(self.sigma):
             raise ConfigurationError(f"sigma must be finite, got {self.sigma}")
-        if self.horizon is not None and not math.isfinite(self.horizon):
+        if self.horizon is not None and not 0.0 < self.horizon < math.inf:
             raise ConfigurationError(
-                f"horizon must be finite, got {self.horizon}")
+                f"horizon must be finite and > 0, got {self.horizon}")
         if self.target_el < 0.0:
             raise ConfigurationError("target_el must be >= 0")
         if self.sigma < 0.0:

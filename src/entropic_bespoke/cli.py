@@ -169,8 +169,10 @@ def _calibration_setup(config, params, portfolios, constraints):
     calibrating mode: each index's loss grid holds all of its names."""
     unit = (default_loss_unit(*portfolios.values())
             if config.loss_unit is None else config.loss_unit)
-    grids = {i: LossGrid(unit, sum(name_loss_units(n, unit) for n in p.names))
-             for i, p in portfolios.items()}
+    with fmt._named(config.portfolios):  # a name's weight sets its units
+        grids = {i: LossGrid(unit, sum(name_loss_units(n, unit)
+                                       for n in p.names))
+                 for i, p in portfolios.items()}
     grid = build_market_grid(*config.grid_size, params)
     return grids, grid, sorted({c.horizon for c in constraints})
 

@@ -45,7 +45,6 @@ from .loss import (
     LossGrid,
     build_conditional_prior,
     index_capacities,
-    name_loss_units,
     tranche_payoff,
 )
 from .prior import (
@@ -131,28 +130,25 @@ def build_factor_chain_prior(
 
 class DynamicState:
     """Marginal law P(m^n, X^n) at one period, held as the factors of the
-    kernel that produced it (`PeriodKernel.marginal`); with no kernel, the
-    initial state (period -1): zero losses at the factor node -1, which
-    marks that today's factor value is irrelevant.  `marginal` forms the
-    mass over (node, x11, x12, x21, x22), losses in units of each index's
-    lattice; `support`, its cells with mass as rows (m, x11, x12, x21,
-    x22) in C order, and their masses `probs` are formed on first use."""
+    kernel that produced it (`PeriodKernel.marginal`), whose period and
+    horizon it takes; with no kernel, the initial state (period -1,
+    horizon 0): zero losses at the factor node -1, which marks that
+    today's factor value is irrelevant.  `marginal` forms the mass over
+    (node, x11, x12, x21, x22), losses in units of each index's lattice;
+    `support`, its cells with mass as rows (m, x11, x12, x21, x22) in C
+    order, and their masses `probs` are formed on first use."""
 
-    def __init__(self, period: int, horizon: float,
-                 kernel: "PeriodKernel | None" = None):
-        if (kernel is None) != (period == -1):
-            raise ConfigurationError(
-                f"a period {period} state needs {'a' if kernel is None else 'no'} "
-                "kernel: only the initial state (period -1) has none")
-        self.period, self.horizon, self.kernel = period, horizon, kernel
+    def __init__(self, kernel: "PeriodKernel | None" = None):
+        self.kernel = kernel
+        self.period, self.horizon = ((-1, 0.0) if kernel is None
+                                     else (kernel.period, kernel.horizon))
 
-    def marginal(self, coarsen: int = 1) -> np.ndarray:
-        """The dense mass over (node, x11, x12, x21, x22); `coarsen` > 1
-        sums it over the round-up loss blocks of `PeriodKernel.marginal`.
-        The initial state is the one cell of mass 1."""
+    def marginal(self) -> np.ndarray:
+        """The dense mass over (node, x11, x12, x21, x22); the initial
+        state is the one cell of mass 1."""
         if self.kernel is None:
             return np.ones((1,) * 5)
-        return self.kernel.marginal(coarsen=coarsen)
+        return self.kernel.marginal()
 
     @functools.cached_property
     def support(self) -> np.ndarray:
@@ -238,24 +234,21 @@ def build_conditional_loss_prior(
     bucket: str,
     params: FactorParams,
     grid: MarketFactorGrid,
-    loss_grid: LossGrid,
     t_start: float,
     t_end: float,
-    capacity: int | None = None,
+    capacity: int,
 ) -> BucketIncrementPrior:
-    """Increment prior for one bucket over (t_start, t_end].
+    """Increment prior for one bucket over (t_start, t_end] on a lattice
+    of `capacity` units (the period's, coarsened or not).
 
     Per name, the unconditional forward default probability over the
     period is mapped through the copula link at each factor node; the
-    bucket average (LGD-weighted) drives the homogenized pool.  `capacity`
-    overrides the lattice size (used by coarsened grids) without changing
-    the per-unit default probability.
+    bucket average (LGD-weighted) drives the homogenized pool, so the
+    per-unit default probability does not depend on `capacity`.
     """
     if t_end <= t_start:
         raise ConfigurationError("period must have positive length")
     names = portfolio.bucket_names(bucket)
-    if capacity is None:
-        capacity = sum(name_loss_units(n, loss_grid.unit) for n in names)
     coords = grid.node_coords
     total_lgd = sum(n.lgd for n in names)
     if capacity == 0 or total_lgd <= 0.0:
@@ -381,7 +374,7 @@ class DynamicModel:
         self._caps = {i: index_capacities(self.portfolios[i],
                                           self.loss_grids[i])
                       for i in self.index_ids}
-        self._initial = DynamicState(period=-1, horizon=0.0)
+        self._initial = DynamicState()
 
     def period_capacities(self, period: int) -> dict[int, tuple[int, int]]:
         """Bucket lattice capacities; horizons beyond T_0 may be coarsened."""
@@ -410,7 +403,9 @@ class DynamicModel:
             raise ConfigurationError(
                 f"period {period} needs the state of period {period - 1}, "
                 f"got one of period {state.period}")
-        return state.marginal(coarsen=self.coarsen if period == 1 else 1)
+        if period == 1:
+            return state.kernel.marginal(coarsen=self.coarsen)
+        return state.marginal()
 
     # -- priors -----------------------------------------------------------
 
@@ -457,7 +452,7 @@ class DynamicModel:
                 pmfs = tuple(
                     build_conditional_loss_prior(
                         self.portfolios[i], bucket, self.params, self.grid,
-                        loss_grid, t0, t1, capacity=cap,
+                        t0, t1, cap,
                     ).node_pmfs(prev).reshape(-1, cap + 1)
                     for bucket, cap, prev in zip(
                         (RELEVANT, COMPLEMENT), caps[i], contexts[i].T))
@@ -500,8 +495,7 @@ class DynamicModel:
         """Push the previous marginal through the calibrated kernel: the
         new state is held as the kernel's factors (`PeriodKernel.marginal`)
         and forms its support on first use."""
-        return DynamicState(period=kernel.period, horizon=kernel.horizon,
-                            kernel=kernel)
+        return DynamicState(kernel)
 
     def bootstrap_all(
         self,

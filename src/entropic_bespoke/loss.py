@@ -248,11 +248,17 @@ class LossDist:
 
 def name_loss_units(name: NameSpec, unit: float) -> int:
     """Integer lattice size of one name at the loss unit `unit`:
-    round((1-R)*w / unit), at least 1 for any positive LGD.  A `LossGrid`
-    stands for its unit."""
+    round((1-R)*w / unit), at least 1 for any positive LGD, which must be a
+    finite number of units.  A `LossGrid` stands for its unit."""
     if name.lgd <= 0.0:
         return 0
-    return max(1, int(round(name.lgd / getattr(unit, "unit", unit))))
+    unit = getattr(unit, "unit", unit)
+    units = name.lgd / unit
+    if units == math.inf:
+        raise ConfigurationError(
+            f"name {name.id}: notional_weight {name.notional_weight} gives "
+            f"{units} loss units of {unit}, not a finite number")
+    return max(1, int(round(units)))
 
 
 def index_capacities(portfolio: IndexPortfolio, loss_grid: LossGrid
@@ -279,22 +285,22 @@ def default_loss_unit(*portfolios: IndexPortfolio) -> float:
     return min(lgds)
 
 
-def bucket_pmf_recursion(probs: np.ndarray, units: list[int], size: int) -> np.ndarray:
+def bucket_pmf_recursion(probs: np.ndarray, units: list[int]) -> np.ndarray:
     """Loss pmf of independent names, vectorized over factor nodes.
 
     probs has shape (n_names, M) of conditional default probabilities (or
     (n_names,) for one node); units gives each name's integer LGD.
-    Returns the C-contiguous (M, size) pmfs; mass beyond size - 1 units is
-    dropped.
+    Returns the C-contiguous (M, sum(units) + 1) pmfs.
 
     The recursion runs on a node-minor (size, M) array, so each shifted
     add is one contiguous block, and name j updates only the live prefix
-    [0, units_0 + ... + units_j], clipped at size - 1: every cell above it
-    is still zero.  Each cell is pmf * (1 - p) + shifted * p in that
-    order, so the bits are those of a full-width update.  One scratch
-    buffer holds the shifted terms and then the transposed result.
+    [0, units_0 + ... + units_j]: every cell above it is still zero.  Each
+    cell is pmf * (1 - p) + shifted * p in that order, so the bits are
+    those of a full-width update.  One scratch buffer holds the shifted
+    terms and then the transposed result.
     """
     m = probs.shape[1] if probs.ndim == 2 else 1
+    size = sum(units) + 1
     pmf = np.zeros((size, m))
     pmf[0] = 1.0
     buf = np.empty(size * m)
@@ -303,12 +309,10 @@ def bucket_pmf_recursion(probs: np.ndarray, units: list[int], size: int) -> np.n
     for p, u in zip(probs, units):
         if u == 0:
             continue
-        hi = min(top + u, size - 1)
-        n = max(hi - u + 1, 0)  # rows that receive a shifted term
-        np.multiply(pmf[:n], p, out=shifted[:n])
-        pmf[:hi + 1] *= 1.0 - p
-        pmf[u:hi + 1] += shifted[:n]
-        top = hi
+        np.multiply(pmf[:top + 1], p, out=shifted[:top + 1])
+        pmf[:top + u + 1] *= 1.0 - p
+        pmf[u:top + u + 1] += shifted[:top + 1]
+        top += u
     out = buf.reshape(m, size)
     out[...] = pmf.T
     return out
@@ -348,15 +352,15 @@ def build_conditional_prior(
     coords = grid.node_coords
     loadings = portfolio_loadings(portfolio, params)
 
+    index_capacities(portfolio, loss_grid)  # the grid's cap must hold them
     bucket_pmfs = []
-    for bucket, cap in zip((RELEVANT, COMPLEMENT),
-                           index_capacities(portfolio, loss_grid)):
+    for bucket in (RELEVANT, COMPLEMENT):
         names = portfolio.bucket_names(bucket)
         units = [name_loss_units(n, loss_grid.unit) for n in names]
         probs = _conditional_prob_rows(
             [n.default_prob(horizon) for n in names],
             [loadings[n.id] for n in names], coords)
-        bucket_pmfs.append(bucket_pmf_recursion(probs, units, cap + 1))
+        bucket_pmfs.append(bucket_pmf_recursion(probs, units))
         del probs  # the next bucket's probabilities need not share the peak
     return ConditionalLossDist(index_id=portfolio.index_id, grid=loss_grid,
                                bucket_pmfs=bucket_pmfs)

@@ -29,6 +29,8 @@ from .prior import check_bucket, check_increasing
 from .solver import newton_minimize
 
 BucketRef = tuple[int, str]  # (index_id, bucket)
+_FLAT_PILLAR = 50.0  # years: the one pillar of `DiscountCurve.flat`
+_MAX_COUPONS = 100_000  # coupons of one schedule: daily for 270 years
 
 
 @dataclass(frozen=True)
@@ -47,8 +49,9 @@ class BespokeSpec:
         for index_id, bucket in (*self.members,
                                  *(ref for ref, _ in self.proxy_el_targets)):
             check_bucket(bucket, f"bespoke index {index_id}")
-        if self.notional <= 0.0:
-            raise ConfigurationError("bespoke notional must be positive")
+        if not 0.0 < self.notional < math.inf:
+            raise ConfigurationError(
+                f"bespoke notional must be finite and > 0, got {self.notional}")
 
     def proxy_target(self, member: BucketRef, horizon: float) -> float | None:
         for ref, curve in self.proxy_el_targets:
@@ -97,6 +100,10 @@ class TrancheSpec:
         if not 0 < frequency < math.inf:
             raise ConfigurationError(
                 f"frequency must be finite and positive, got {frequency}")
+        if frequency > _MAX_COUPONS / maturity:  # exact for any int
+            raise ConfigurationError(
+                f"maturity * frequency must be at most {_MAX_COUPONS} "
+                f"coupons, got {maturity} * {frequency}")
         n = max(1, math.ceil(round(maturity * frequency, 9)))
         times = [min(j / frequency, maturity) for j in range(1, n + 1)]
         if times[-1] < maturity:
@@ -133,9 +140,10 @@ class DiscountCurve:
             last_b = b
 
     @classmethod
-    def flat(cls, rate: float, horizon: float = 50.0) -> "DiscountCurve":
-        ts = (horizon,)
-        return cls(times=ts, factors=(math.exp(-rate * horizon),))
+    def flat(cls, rate: float) -> "DiscountCurve":
+        """exp(-rate * t): one pillar, flat forward beyond it."""
+        return cls(times=(_FLAT_PILLAR,),
+                   factors=(math.exp(-rate * _FLAT_PILLAR),))
 
     def df(self, t: float) -> float:
         if t <= 0.0:

@@ -72,14 +72,14 @@ class FactorParams:
         if not 0.0 <= self.alpha < math.inf:
             raise ConfigurationError(
                 f"alpha must be finite and >= 0, got {self.alpha}")
-        if self.link_norm_sq <= 0.0:
+        if not 0.0 < self.link_norm_sq < math.inf:
             raise ConfigurationError(
-                f"1 + 2*alpha*rho + alpha^2 must be positive, got {self.link_norm_sq}"
-            )
+                "1 + 2*alpha*rho + alpha^2 must be finite and positive, got "
+                f"{self.link_norm_sq}")
 
     @property
     def link_norm_sq(self) -> float:
-        return 1.0 + 2.0 * self.alpha * self.rho + self.alpha**2
+        return 1.0 + 2.0 * self.alpha * self.rho + self.alpha * self.alpha
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ class NameSpec:
             raise ConfigurationError(
                 f"name {self.id}: notional_weight must be finite and > 0, "
                 f"got {self.notional_weight}")
-        if not self.one_factor_loading**2 < 1.0:
+        if not abs(self.one_factor_loading) < 1.0:
             raise InvalidLoadingError(
                 f"name {self.id}: one-factor loading b={self.one_factor_loading} "
                 "needs b^2 < 1",

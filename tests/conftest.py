@@ -101,10 +101,11 @@ class DenseKernel:
     support): it holds the state's dense mass over (node, x11, x12, x21,
     x22) and hands it over as `PeriodKernel.marginal` does, but coarsened
     by the reference's round-up rule: each cell's mass, in C order, is
-    added to the coarse cell of losses -(-x // c)."""
+    added to the coarse cell of losses -(-x // c).  Like a period kernel
+    it carries the period and horizon of the state it makes."""
 
-    def __init__(self, mass):
-        self.mass = mass
+    def __init__(self, mass, period=0, horizon=1.0):
+        self.mass, self.period, self.horizon = mass, period, horizon
 
     def marginal(self, nodes=slice(None), coarsen=1):
         mass = self.mass[nodes]
@@ -124,8 +125,7 @@ def state_of_rows(state, support, probs):
     held by a `DenseKernel`."""
     mass = np.zeros(state.marginal().shape)
     mass[tuple(support.T)] = probs
-    return DynamicState(period=state.period, horizon=state.horizon,
-                        kernel=DenseKernel(mass))
+    return DynamicState(DenseKernel(mass, state.period, state.horizon))
 
 
 def reference_lattice(model, period, state):

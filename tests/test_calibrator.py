@@ -124,11 +124,20 @@ class TestPayoffEval:
                                          float("-inf")])
     def test_non_finite_horizon(self, horizon):
         with pytest.raises(ConfigurationError, match=re.escape(
-                f"horizon must be finite, got {horizon}")):
+                f"horizon must be finite and > 0, got {horizon}")):
             self.c(kind="subportfolio_total", bucket="relevant",
                    horizon=horizon)
         assert self.c(kind="subportfolio_total", bucket="relevant",
                       horizon=None).horizon is None
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0])
+    def test_non_positive_horizon(self, horizon):
+        # the prior has no defaults at such a horizon, so a static run
+        # fitted a model EL of 0 with a -100% residual and exited 0
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"horizon must be finite and > 0, got {horizon}")):
+            self.c(kind="subportfolio_total", bucket="relevant",
+                   horizon=horizon)
 
 
 class TestPartitionFunctions:

@@ -31,7 +31,8 @@ from entropic_bespoke.loss import (
     name_loss_units,
 )
 
-from conftest import reference_kernel_factor_rows, reference_prev_rows
+from conftest import (reference_kernel_factor_rows, reference_prev_rows,
+                      toy_portfolio)
 
 
 def write_portfolios(path, rho=0.4, alpha=0.2, horizons=(1.0, 3.0), n_names=6,
@@ -1039,7 +1040,57 @@ class TestFailureHandling:
         assert main(["--config", str(workdir / "config.json")]) == 1
         assert capsys.readouterr().err == (
             f"ERROR CONFIG: {workdir / 'constraints.csv'} line 4: horizon "
-            "must be finite, got nan\n")
+            "must be finite and > 0, got nan\n")
+
+    @pytest.mark.parametrize("case, mode", [
+        ("alpha", "calibrate-static"), ("loading", "calibrate-dynamic"),
+        ("weight", "price-bespoke"), ("notional", "price-bespoke"),
+        ("maturity", "price-bespoke"), ("frequency", "map-basecorr"),
+        ("horizon-0", "calibrate-static"), ("horizon-neg", "price-bespoke"),
+    ])
+    def test_out_of_range_input_is_one_config_line(self, workdir, capsys,
+                                                   case, mode):
+        # each ended in an OverflowError traceback or, for the horizons,
+        # fitted a model EL of 0 and exited 0
+        port, tranches = workdir / "portfolios.json", workdir / "tranches.csv"
+        constraints = prior_el_constraints(port)
+        unit = default_loss_unit(*load_portfolios(port)[1].values())
+        doc = json.loads(port.read_text())
+        schedule = [[0.0, 0.1, 3.0, 4, "yearfrac"]]
+        if case == "alpha":
+            doc["factor_params"]["alpha"] = 1e308
+            want = (f"{port}: 1 + 2*alpha*rho + alpha^2 must be finite and "
+                    "positive, got inf")
+        elif case == "loading":
+            doc["names"][4]["one_factor_loading"] = 1e308
+            want = f"{port}: name N1_4: one-factor loading b=1e+308 needs b^2 < 1"
+        elif case == "weight":
+            doc["names"][4]["notional_weight"] = 1e308
+            want = (f"{port}: name N1_4: notional_weight 1e+308 gives inf "
+                    f"loss units of {unit}, not a finite number")
+        elif case == "notional":  # two relevant names: the sum overflows
+            for name in doc["names"][:2]:
+                name["notional_weight"] = 1e308
+            want = "bespoke notional must be finite and > 0, got inf"
+        elif case in ("maturity", "frequency"):
+            schedule[0][2 if case == "maturity" else 3] = \
+                1e308 if case == "maturity" else 10**308
+            want = (f"{tranches} line 2: maturity * frequency must be at "
+                    f"most 100000 coupons, got {schedule[0][2]} * "
+                    f"{schedule[0][3]}")
+        else:
+            constraints[0][4] = "0" if case == "horizon-0" else "-1"
+            want = (f"{workdir / 'constraints.csv'} line 2: horizon must be "
+                    f"finite and > 0, got {float(constraints[0][4])}")
+        port.write_text(json.dumps(doc))
+        write_csv(tranches, ["k_low", "k_high", "maturity", "frequency",
+                             "daycount"], schedule)
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS, constraints)
+        assert main(["--config", str(workdir / "config.json"),
+                     "--mode", mode]) == 1
+        assert capsys.readouterr().err == f"ERROR CONFIG: {want}\n"
+        assert not (workdir / "out").exists() or not any(
+            (workdir / "out").iterdir())
 
     @pytest.mark.parametrize("field, value, error, message", [
         ("notional_weight", "nan", errors.ConfigurationError,
@@ -1502,7 +1553,9 @@ def test_benchmark_trace_hooks_still_find_their_names():
 def test_benchmark_trace_names_resolve_without_the_tracer():
     # every module-level FUNCTIONS entry of perfbench/tracing.py is an
     # attribute of its module, and every METHODS entry sits in its class's
-    # own __dict__, where the tracer looks it up and wraps it
+    # own __dict__, where the tracer looks it up and wraps it; its
+    # propagate_marginal hook reads a state's `probs`, and the library run
+    # of perfbench/child.py sizes its grids by a `LossGrid` probe
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("_bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -1514,6 +1567,11 @@ def test_benchmark_trace_names_resolve_without_the_tracer():
         if attr not in vars(getattr(importlib.import_module(module), cls))
     ]
     assert not missing
+    assert hasattr(eb.DynamicState, "probs")
+    names = toy_portfolio(1, 3, 3).names
+    probe = LossGrid(unit=0.05, max_units=10**9)
+    assert [name_loss_units(n, probe) for n in names] == \
+        [name_loss_units(n, 0.05) for n in names] == [2] * 6
 
 
 def test_benchmark_trace_hook_counts_the_last_states_rows(tmp_path):

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import re
@@ -31,6 +32,7 @@ from entropic_bespoke.loss import (
     LossGrid,
     build_conditional_prior,
     default_loss_unit,
+    index_capacities,
 )
 from entropic_bespoke.prior import (
     FactorParams,
@@ -161,8 +163,7 @@ def without_node(state, node, mass=1.0):
     u[..., node] = 0.0
     if mass is not None:
         u *= mass / u.sum()
-    return DynamicState(period=state.period, horizon=state.horizon,
-                        kernel=dataclasses.replace(state.kernel, pooled_mass=u))
+    return DynamicState(dataclasses.replace(state.kernel, pooled_mass=u))
 
 
 def three_periods(shift=1.1, sigma=1e-4, **kwargs):
@@ -248,7 +249,7 @@ class TestIncrementPrior:
             for j in range(3)
         )
         self.port = IndexPortfolio(index_id=1, names=names)
-        self.loss_grid = LossGrid(unit=0.2, max_units=3)
+        self.capacity = 3  # three names of one unit (LGD 0.2) each
 
     def test_node_probs_add_names_one_at_a_time(self):
         # one batched pass per bucket, summed in name order: the bits of
@@ -264,9 +265,8 @@ class TestIncrementPrior:
         grid = build_market_grid(4, 3, params)
         port = IndexPortfolio(index_id=2, names=names)
         prior = build_conditional_loss_prior(
-            port, "complement", params, grid, LossGrid(unit=0.1, max_units=30),
-            1.0, 3.0,
-        )
+            port, "complement", params, grid, 1.0, 3.0,
+            index_capacities(port, LossGrid(unit=0.1, max_units=30))[1])
         weighted = np.zeros(grid.n_nodes)
         for n in names:
             p0, p1 = n.default_prob(1.0), n.default_prob(3.0)
@@ -280,9 +280,8 @@ class TestIncrementPrior:
 
     def test_full_wipe_is_absorbing(self):
         prior = build_conditional_loss_prior(
-            self.port, "relevant", self.params, self.grid, self.loss_grid,
-            1.0, 2.0,
-        )
+            self.port, "relevant", self.params, self.grid, 1.0, 2.0,
+            self.capacity)
         pmf = prior.node_pmfs(prior.capacity)[0]
         expected = np.zeros(prior.capacity + 1)
         expected[-1] = 1.0
@@ -296,18 +295,15 @@ class TestIncrementPrior:
         )
         port = IndexPortfolio(index_id=1, names=names)
         prior = build_conditional_loss_prior(
-            port, "relevant", self.params, self.grid,
-            LossGrid(unit=0.3, max_units=2), 1.0, 2.0,
-        )
+            port, "relevant", self.params, self.grid, 1.0, 2.0, 2)
         for m in range(self.grid.n_nodes):
             pmf = prior.node_pmfs(1)[m]
             assert pmf == pytest.approx([0.0, 1.0, 0.0], abs=1e-15)
 
     def test_matches_homogenized_enumeration(self):
         prior = build_conditional_loss_prior(
-            self.port, "relevant", self.params, self.grid, self.loss_grid,
-            1.0, 2.0,
-        )
+            self.port, "relevant", self.params, self.grid, 1.0, 2.0,
+            self.capacity)
         for m in range(self.grid.n_nodes):
             for prev in range(prior.capacity + 1):
                 p = prior.node_probs[m]
@@ -323,9 +319,8 @@ class TestIncrementPrior:
 
     def test_monotone_support(self):
         prior = build_conditional_loss_prior(
-            self.port, "relevant", self.params, self.grid, self.loss_grid,
-            1.0, 2.0,
-        )
+            self.port, "relevant", self.params, self.grid, 1.0, 2.0,
+            self.capacity)
         pmf = prior.node_pmfs(2)[1]
         assert pmf[:2].sum() == 0.0
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
@@ -460,18 +455,17 @@ class TestCalibratePeriod:
                 f"previous rows have mass {mass}, not 1")):
             model.calibrate_period(1, state, [relevant_total(0.5, 1e-2)])
 
-    def test_state_without_support_fails_fast(self):
-        # only the initial state (period -1) has no kernel
+    def test_state_takes_period_and_horizon_from_its_kernel(self):
+        # only the initial state (period -1, horizon 0) has no kernel
         model, *_ = small_model()
         state0 = model.initial_state()
+        assert (state0.period, state0.horizon, state0.kernel) == \
+            (-1, 0.0, None)
         k0 = model.calibrate_period(
             0, state0, prior_implied_constraints(model, 0, state0))
-        with pytest.raises(ConfigurationError, match=re.escape(
-                "a period 0 state needs a kernel")):
-            DynamicState(period=0, horizon=1.0)
-        with pytest.raises(ConfigurationError, match=re.escape(
-                "a period -1 state needs no kernel")):
-            DynamicState(period=-1, horizon=0.0, kernel=k0)
+        state = DynamicState(k0)
+        assert state.kernel is k0
+        assert (state.period, state.horizon) == (0, model.time_grid.horizons[0])
 
     def test_gradient_matches_finite_differences(self, rng):
         model, *_ = small_model(n_grid=3)
@@ -531,7 +525,7 @@ def reference_loss_priors(model, period, prev_state):
             rel, comp = (
                 build_conditional_loss_prior(
                     model.portfolios[i], bucket, model.params, model.grid,
-                    model.period_loss_grid(period, i), t0, t1, capacity=cap,
+                    t0, t1, cap,
                 ).node_pmfs(prev)
                 for bucket, cap, prev in zip(("relevant", "complement"),
                                              caps[i], contexts.T))
@@ -667,7 +661,10 @@ class TestTiltKernelEquivalence:
                        for l, c in zip(lam[:4], cons[:4]))
         with np.errstate(over="ignore"):
             assert np.exp(exponent.max()) == np.inf
-        assert_period_matches_reference(model, 1, s1, cons, lam)
+        # period 1's support box makes the tranches and totals of index 1
+        # dependent, which the dual flags
+        with pytest.warns(UserWarning, match="i1:complement_total"):
+            assert_period_matches_reference(model, 1, s1, cons, lam)
 
     def test_previous_states_with_empty_cells(self, rng):
         # 17 of the 144 rows: most (node, pair, pair) cells of the dual's
@@ -1073,8 +1070,7 @@ class TestDenseLatticeKeys:
             probs /= probs.sum()
             mass = np.zeros(highs)
             mass[tuple(support.T)] = probs
-            state = DynamicState(period=0, horizon=1.0,
-                                 kernel=DenseKernel(mass))
+            state = DynamicState(DenseKernel(mass))
             keys = np.column_stack(
                 [support[:, 0], -(-support[:, 1:] // coarsen)])
             rows, which = np.unique(keys, axis=0, return_inverse=True)
@@ -1082,7 +1078,12 @@ class TestDenseLatticeKeys:
             aligned = model.align_to_period(1, state)
             assert np.array_equal(np.argwhere(aligned), rows)
             assert np.array_equal(aligned[tuple(rows.T)], sums)
-            problem = model._period_problem(1, state, cons)
+            # where index 1's relevant bucket is wiped out in every row,
+            # its total cannot move and the dual flags it
+            wiped = (rows[:, 1] == model.period_capacities(1)[1][0]).all()
+            with (pytest.warns(UserWarning, match="i1:relevant_total")
+                  if wiped else contextlib.nullcontext()):
+                problem = model._period_problem(1, state, cons)
             nodes, which = np.unique(rows[:, 0], return_inverse=True)
             assert np.array_equal(problem.fixed["prev_nodes"], nodes)
             keys, lattice = [which.ravel()], [len(nodes)]
@@ -1105,7 +1106,7 @@ class TestDenseLatticeKeys:
         probs = rng.random(len(support))
         mass = np.zeros((4, 13, 13, 13, 13))
         mass[tuple(support.T)] = probs
-        state = DynamicState(period=0, horizon=1.0, kernel=DenseKernel(mass))
+        state = DynamicState(DenseKernel(mass))
         assert np.array_equal(state.support, support)
         for columns in ((1,), (1, 2), (3, 4), (1, 2, 3, 4)):
             totals = support[:, list(columns)].sum(axis=1)
@@ -1207,7 +1208,7 @@ class TestFactoredCoarsening:
         u = s0.kernel.pooled_mass.copy()
         u[..., [0, 2]] = 0.0
         kernel = dataclasses.replace(s0.kernel, pooled_mass=u / u.sum())
-        state = DynamicState(period=0, horizon=1.0, kernel=kernel)
+        state = DynamicState(kernel)
         assert set(state.support[:, 0].tolist()) == {1, 3}
         problem = assert_lattice_matches_reference(
             model, 1, state, (relevant_total(0.1, sigma=1e-2),))
@@ -1502,5 +1503,7 @@ class TestExactTargetRange:
         with pytest.raises(ConfigurationError, match=out_of_range(
                 "i1:relevant_total", 0.1, 0.3, 0.3)):
             model.calibrate_period(1, state, [relevant_total(0.1)])
-        kernel = model.calibrate_period(1, state, [relevant_total(0.1, 1e-2)])
+        with pytest.warns(UserWarning, match="i1:relevant_total"):
+            kernel = model.calibrate_period(1, state,
+                                            [relevant_total(0.1, 1e-2)])
         assert kernel.model_els == pytest.approx([0.3], rel=1e-12)

@@ -62,6 +62,7 @@ class TestConditionalPrior:
         grid = build_market_grid(3, 3, params)
         loss_grid = LossGrid(unit=0.3, max_units=10)  # one name = 2 units
         assert name_loss_units(name, 0.3) == 2
+        assert name_loss_units(name, loss_grid) == 2  # a grid is its unit
         dist = build_conditional_prior(port, grid, loss_grid, 5.0, params)
         for m in range(dist.n_nodes):
             rel = dist.pmfs[m].sum(axis=1)
@@ -169,6 +170,15 @@ class TestConditionalPrior:
                 f"loss unit must be finite and > 0, got {unit}")):
             LossGrid(unit=unit, max_units=2)
 
+    @pytest.mark.parametrize("weight, unit", [(1e308, 0.1), (0.5, 1e-320)])
+    def test_name_units_must_be_finite(self, weight, unit):
+        # int(round(inf)) raised OverflowError
+        name = make_name("x", 1, "relevant", [(5.0, 0.1)], weight=weight)
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"name x: notional_weight {weight} gives inf loss units of "
+                f"{unit}, not a finite number")):
+            name_loss_units(name, unit)
+
     def test_grid_too_small(self):
         params = FactorParams(rho=0.2, alpha=0.0)
         port = toy_portfolio(1, 3, 3, seed=2)
@@ -189,10 +199,11 @@ class TestConditionalPrior:
         assert np.array_equal(one.pmfs, four.pmfs)
 
 
-def full_width_recursion(probs, units, size):
+def full_width_recursion(probs, units):
     """The recursion before the live-prefix rewrite: node-major, every name
-    updates the whole (M, size) array.  The bit-level oracle."""
+    updates the whole (M, sum(units) + 1) array.  The bit-level oracle."""
     m = probs.shape[1] if probs.ndim == 2 else 1
+    size = sum(units) + 1
     pmf = np.zeros((m, size))
     pmf[:, 0] = 1.0
     for j, u in enumerate(units):
@@ -219,45 +230,44 @@ class TestLivePrefixRecursion:
     @given(data=st.data(), n_nodes=st.integers(1, 6),
            units=st.lists(st.integers(0, 4), max_size=8))
     def test_matches_full_width_bit_for_bit(self, data, n_nodes, units):
-        # every size from a single cell to one past the cap: truncation,
-        # names with u >= size and zero-unit names included
-        size = data.draw(st.integers(1, sum(units) + 2), label="size")
+        # zero-unit names and empty pools included
         probs = np.array(
             data.draw(st.lists(st.lists(_probs, min_size=n_nodes,
                                         max_size=n_nodes),
                                min_size=len(units), max_size=len(units)),
                       label="probs")).reshape(len(units), n_nodes)
-        got = bucket_pmf_recursion(probs, units, size)
+        got = bucket_pmf_recursion(probs, units)
         assert got.flags.c_contiguous
-        assert_same_bits(got, full_width_recursion(probs, units, size))
+        assert_same_bits(got, full_width_recursion(probs, units))
 
     @pytest.mark.parametrize("units, size", [
-        ([0, 1, 3, 0, 4, 2, 1], 12),  # size == cap + 1
-        ([0, 1, 3, 0, 4, 2, 1], 6),   # truncated
-        ([2, 7, 1, 3], 5),            # one name with u >= size
-        ([1, 1, 2], 1),               # only the no-loss cell
+        ([0, 1, 3, 0, 4, 2, 1], 12),
+        ([0, 2, 0, 3, 0], 6),         # zero-unit names first and last
+        ([4, 0], 5),                  # one name spans the lattice
+        ([0, 0, 0], 1),               # only the no-loss cell
     ])
     def test_explicit_cases(self, rng, units, size):
+        # the lattice has sum(units) + 1 cells, and every node's pmf sums
+        # to one
         probs = rng.uniform(0.0, 0.6, size=(len(units), 40))
         probs[1, :10] = 0.0
         probs[-1, 10:20] = 1.0
-        got = bucket_pmf_recursion(probs, units, size)
-        assert got.flags.c_contiguous
-        assert_same_bits(got, full_width_recursion(probs, units, size))
-        if size == sum(units) + 1:
-            assert np.abs(got.sum(axis=1) - 1.0).max() < 1e-14
+        got = bucket_pmf_recursion(probs, units)
+        assert got.shape == (40, size) and got.flags.c_contiguous
+        assert_same_bits(got, full_width_recursion(probs, units))
+        assert np.abs(got.sum(axis=1) - 1.0).max() < 1e-14
 
     def test_zero_names(self):
-        got = bucket_pmf_recursion(np.empty((0, 3)), [], 4)
-        assert_same_bits(got, np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)))
+        got = bucket_pmf_recursion(np.empty((0, 3)), [])
+        assert_same_bits(got, np.ones((3, 1)))
 
     def test_one_node_as_a_vector(self, rng):
         probs = rng.uniform(0.0, 0.5, size=5)
         probs[2] = 1.0
         units = [1, 0, 2, 3, 1]
-        got = bucket_pmf_recursion(probs, units, 6)
-        assert got.shape == (1, 6)
-        assert_same_bits(got, full_width_recursion(probs[:, None], units, 6))
+        got = bucket_pmf_recursion(probs, units)
+        assert got.shape == (1, 8)
+        assert_same_bits(got, full_width_recursion(probs[:, None], units))
 
 
 def per_name_probs(p, loadings, nodes):

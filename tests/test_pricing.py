@@ -123,7 +123,11 @@ class TestAssembleBespoke:
             PricingConstraint(index_id=2, kind="subportfolio_total",
                               bucket="relevant", target_el=0.3, sigma=1e-3),
         ]
-        result = calibrate(grid, priors, cons)
+        # a point-mass bucket's total is constant, which the dual flags
+        with pytest.warns(UserWarning, match="i[12]:relevant_total") as caught:
+            result = calibrate(grid, priors, cons)
+        assert [str(w.message).split()[-1] for w in caught] == \
+            ["i1:relevant_total", "i2:relevant_total"]
         spec = BespokeSpec(members=((1, "relevant"), (2, "relevant")),
                            notional=1.0)
         dist = assemble_bespoke(result, spec)
@@ -183,6 +187,14 @@ class TestBespokeSpec:
                            proxy_el_targets=(((2, "complement"),
                                               ((5.0, 0.1),)),))
         assert spec.proxy_target((2, "complement"), 5.0) == 0.1
+
+    @pytest.mark.parametrize("notional", [math.nan, math.inf, 0.0, -1.0])
+    def test_notional_must_be_finite_and_positive(self, notional):
+        # NaN and inf passed `notional <= 0` and failed later as a bad
+        # loss unit that did not name the notional
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"bespoke notional must be finite and > 0, got {notional}")):
+            BespokeSpec(members=((1, "relevant"),), notional=notional)
 
     def test_bucket_marginals_reject_unknown_bucket(self):
         result, _, _, _ = calibrated_toy(seed=0)
@@ -453,6 +465,20 @@ class TestDiscountCurve:
         with pytest.raises(ConfigurationError,
                            match=f"^{field} must be finite and positive"):
             TrancheSpec.with_schedule(0.0, 0.03, maturity, frequency)
+
+    @pytest.mark.parametrize("maturity, frequency", [
+        (1e308, 4), (3.0, 10**308), (3.0, 10**400), (25_000.5, 4),
+    ], ids=["maturity-1e308", "frequency-1e308", "frequency-1e400",
+            "one-past-the-bound"])
+    def test_coupon_count_is_bounded(self, maturity, frequency):
+        # maturity * frequency raised OverflowError or built one list
+        # entry per coupon; the count is checked before the schedule
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "maturity * frequency must be at most 100000 coupons, got "
+                f"{maturity} * {frequency}")):
+            TrancheSpec.with_schedule(0.0, 0.03, maturity, frequency)
+        assert len(TrancheSpec.with_schedule(
+            0.0, 0.03, 25_000.0, 4).coupon_times) == 100_000
 
 
 class TestLegs:

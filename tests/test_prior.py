@@ -38,6 +38,15 @@ class TestFactorParams:
         with pytest.raises(ConfigurationError, match="^alpha must be .*nan"):
             FactorParams(rho=0.5, alpha=float("nan"))
 
+    @pytest.mark.parametrize("rho, norm", [(0.5, "inf"), (-0.5, "nan")])
+    def test_overflowing_alpha(self, rho, norm):
+        # alpha**2 raised OverflowError; an infinite link norm would zero
+        # every loading
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "1 + 2*alpha*rho + alpha^2 must be finite and positive, "
+                f"got {norm}")):
+            FactorParams(rho=rho, alpha=1e308)
+
     def test_link_norm_positive(self, rng):
         # (alpha + rho)^2 + 1 - rho^2 > 0 holds on the whole domain
         for _ in range(100):
@@ -332,6 +341,13 @@ class TestNameSpec:
         with pytest.raises(ConfigurationError,
                            match="^name x: one-factor loading b=nan"):
             make_name("x", 1, "relevant", [(1.0, 0.1)], loading=float("nan"))
+
+    @pytest.mark.parametrize("loading", [1e308, -1e308, 1.0])
+    def test_loading_outside_the_unit_interval(self, loading):
+        # b**2 raised OverflowError at 1e308
+        with pytest.raises(InvalidLoadingError, match=re.escape(
+                f"name x: one-factor loading b={loading} needs b^2 < 1")):
+            make_name("x", 1, "relevant", [(1.0, 0.1)], loading=loading)
 
     def test_default_prob_interpolation(self):
         name = make_name("x", 1, "relevant", [(1.0, 0.1), (3.0, 0.3)])

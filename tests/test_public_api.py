@@ -95,7 +95,7 @@ PUBLIC_MEMBERS = {
 
 def test_result_classes_pin_their_public_members():
     instance_attrs = {"DynamicState": set(vars(
-        eb.DynamicState(period=-1, horizon=0.0)))}
+        eb.DynamicState()))}
     for name, members in PUBLIC_MEMBERS.items():
         cls = getattr(eb, name)
         got = {member for member in dir(cls) if not member.startswith("_")}
