@@ -27,6 +27,7 @@ from .loss import (
     LossDist,
     LossGrid,
     bucket_pmf_recursion,
+    check_lattice_units,
     default_loss_unit,
     name_loss_units,
 )
@@ -163,6 +164,16 @@ def onefactor_loss_dist(
             for node_pmfs in pmfs]
 
 
+def pool_units(portfolio: IndexPortfolio) -> tuple[float, tuple[int, ...]]:
+    """A pool's loss unit, its smallest LGD, and each name's integer LGD
+    in that unit, which together must fit one lattice."""
+    unit = default_loss_unit(portfolio)
+    units = tuple(name_loss_units(n, unit) for n in portfolio.names)
+    check_lattice_units(
+        f"pool of {len(units)} names needs {sum(units)} loss units", sum(units))
+    return unit, units
+
+
 @functools.lru_cache(maxsize=16)
 def _pool_inputs(
     portfolio: IndexPortfolio, horizon: float
@@ -174,8 +185,7 @@ def _pool_inputs(
     every trial beta, so these are computed once per pool and horizon; the
     probabilities are shared, so they are read-only.
     """
-    unit = default_loss_unit(portfolio)
-    units = tuple(name_loss_units(n, unit) for n in portfolio.names)
+    unit, units = pool_units(portfolio)
     probs = np.array([n.default_prob(horizon) for n in portfolio.names])
     probs.flags.writeable = False
     return unit, units, probs

@@ -20,8 +20,8 @@ The dual is written once (`_TiltedDual`), averaged over the previous mass
 on a lattice of cells (previous factor node, one context per index) whose
 conditional priors depend on the cell's contexts: a static horizon is the
 one cell of mass 1, and a dynamic bootstrap period has one cell per
-distinct previous node and previous loss pair of each index.  Every prior
-is product form and is tilted on its bucket pmfs
+distinct previous node and previous loss pair of each index.  Every law
+is product form (`ConditionalLossDist`) and is tilted on its factors
 (`_FactoredKernel`).  The factor-only calibration is the same dual with
 each index's conditional laws frozen at the prior (`_FrozenKernel`), so
 its multipliers carry the same sign and residual = -lam * sigma^2 holds
@@ -45,7 +45,6 @@ from .loss import (
     ConditionalLossDist,
     LossDist,
     LossGrid,
-    TiltedLossDist,
     check_strikes,
     hankel_index,
     mixture_unconditional,
@@ -93,13 +92,16 @@ class PricingConstraint:
             raise ConfigurationError(f"unknown constraint kind '{self.kind}'")
         if not math.isfinite(self.target_el):
             raise ConfigurationError(f"target_el must be finite, got {self.target_el}")
-        if not math.isfinite(self.sigma):
-            raise ConfigurationError(f"sigma must be finite, got {self.sigma}")
+        if not math.isfinite(self.sigma * self.sigma):  # the dual's sigma^2
+            raise ConfigurationError(
+                f"sigma must be finite, with a finite square, got {self.sigma}")
         if self.horizon is not None and not 0.0 < self.horizon < math.inf:
             raise ConfigurationError(
                 f"horizon must be finite and > 0, got {self.horizon}")
-        if self.target_el < 0.0:
-            raise ConfigurationError("target_el must be >= 0")
+        if not 0.0 <= self.target_el <= 1.0:
+            raise ConfigurationError(
+                "target_el must lie in [0, 1], as every payoff does, got "
+                f"{self.target_el}")
         if self.sigma < 0.0:
             raise ConfigurationError("sigma must be >= 0")
 
@@ -116,13 +118,6 @@ def payoff_eval(constraint: PricingConstraint, x_relevant: float,
         return float(tranche_payoff(x_relevant + x_complement,
                                     constraint.k_low, constraint.k_high))
     return x_relevant if constraint.bucket == RELEVANT else x_complement
-
-
-def payoff_lattice(constraint: PricingConstraint, prior: ConditionalLossDist
-                   ) -> np.ndarray:
-    """Payoff evaluated on the full (relevant, complement) lattice."""
-    return _payoff_matrix([constraint], prior.grid, prior.shape).reshape(
-        prior.shape)
 
 
 def _payoff_matrix(constraints: Sequence[PricingConstraint], grid: LossGrid,
@@ -209,12 +204,14 @@ class _IndexTilt(NamedTuple):
 
 
 class _FactoredKernel:
-    """One index's constraints tilted on its prior's bucket pmfs, without
+    """One index's constraints tilted on its prior's factors, without
     building the S1 x S2 lattice.
 
-    A bucket total tilts its own bucket pmf, a = q1 * exp(lam_r * x) and
-    b = q2 * exp(lam_c * y); the tranches and the target shift make one
-    node-free tilt tau(s) of the total loss s = x + y.  So per node
+    The prior has the factors q1 = a_0 / Z_0, q2 = b_0 and tau_0 (0 for a
+    prior built from bucket pmfs).  A bucket total tilts its own factor,
+    a = q1 * exp(lam_r * x) and b = q2 * exp(lam_c * y); the tranches and
+    the target shift add to tau_0 one node-free tilt of the total loss
+    s = x + y, which makes tau(s).  So per node
 
         Z_m = sum_xy a_m(x) b_m(y) H_0[x, y],   H_0[x, y] = exp(tau(x + y)),
 
@@ -236,32 +233,11 @@ class _FactoredKernel:
 
     def __init__(self, prior: ConditionalLossDist,
                  constraints: Sequence[PricingConstraint]):
-        if isinstance(prior, TiltedLossDist):
-            raise ConfigurationError(
-                f"prior for index {prior.index_id} is a calibrated law; a "
-                "prior needs its bucket pmfs")
-        rows = [pmf.shape[0] for pmf in prior.bucket_pmfs]
-        if rows[0] != rows[1]:
-            raise ConfigurationError(
-                f"prior for index {prior.index_id} has {rows[0]} relevant and "
-                f"{rows[1]} complement node rows; both need the grid's nodes")
-        for bucket, pmf in zip((RELEVANT, COMPLEMENT), prior.bucket_pmfs):
-            where = f"prior for index {prior.index_id} bucket '{bucket}'"
-            if not np.all(np.isfinite(pmf) & (pmf >= 0.0)):
-                raise ConfigurationError(
-                    f"{where} has a negative or non-finite probability")
-            mass = pmf.sum(axis=1)
-            bad = np.flatnonzero(np.abs(mass - 1.0) > 1e-8)
-            if bad.size:
-                raise ConfigurationError(
-                    f"{where} is not normalized: node {bad[0]} sums to "
-                    f"{float(mass[bad[0]])!r}")
         self.prior = prior
         self.payoffs = _payoff_matrix(constraints, prior.grid, prior.shape)
         self.targets = np.array([c.target_el for c in constraints])
-        rel, comp = prior.bucket_pmfs
-        with np.errstate(divide="ignore"):
-            self.log_q1, self.log_q2 = np.log(rel), np.log(comp)
+        self.log_q1 = prior.log_a - prior.log_z[:, None]
+        self.log_q2 = prior.log_b
         s1, s2 = prior.shape
         self.x, self.y = prior.grid.levels(s1), prior.grid.levels(s2)
         self.hankel = hankel_index(s1, s2)
@@ -281,14 +257,15 @@ class _FactoredKernel:
     def box_payoffs(self) -> np.ndarray:
         """(K, cells): the payoffs on the smallest box of the lattice that
         holds the prior's support, its cells in C order."""
-        xs = np.flatnonzero(self.prior.relevant_marginals().any(axis=0))
-        ys = np.flatnonzero(self.prior.complement_marginals().any(axis=0))
+        xs = np.flatnonzero(np.isfinite(self.prior.log_a).any(axis=0))
+        ys = np.flatnonzero(np.isfinite(self.prior.log_b).any(axis=0))
         box = self.payoffs.reshape(len(self.payoffs), *self.prior.shape)[
             :, xs[0]:xs[-1] + 1, ys[0]:ys[-1] + 1]
         return box.reshape(len(box), math.prod(box.shape[1:]))
 
     def evaluate(self, lambdas: np.ndarray) -> _IndexTilt:
-        tau = lambdas[self.tranches] @ self.tranche_pay - lambdas @ self.targets
+        tau = (lambdas[self.tranches] @ self.tranche_pay
+               - lambdas @ self.targets + self.prior.tau)
         log_a = self.log_q1 + lambdas[self.rel].sum() * self.x
         log_b = self.log_q2 + lambdas[self.comp].sum() * self.y
         a, b, e, log_scale = scaled_tilt_factors(log_a, log_b, tau)
@@ -311,7 +288,8 @@ class _FactoredKernel:
         tilted_low = None
         if low.size:
             log_joint = self.log_q1[low, :, None] + self.log_q2[low, None, :]
-            tilt = lambdas @ self.payoffs - lambdas @ self.targets
+            tilt = (lambdas @ self.payoffs - lambdas @ self.targets
+                    + self.prior.tau[self.hankel].reshape(-1))
             log_z[low], tilted_low = _normalize_rows(
                 log_joint.reshape(low.size, -1) + tilt)
             cond_means[low] = tilted_low @ self.payoffs.T
@@ -326,8 +304,8 @@ class _FactoredKernel:
 
         return _IndexTilt(
             log_z, cond_means, second_moments,
-            lambda: TiltedLossDist(self.prior.index_id, self.prior.grid,
-                                   log_a, log_b, tau, log_z),
+            lambda: ConditionalLossDist.from_factors(
+                self.prior.index_id, self.prior.grid, log_a, log_b, tau, log_z),
         )
 
 
@@ -373,8 +351,8 @@ class CalibrationResult:
 
     residuals[k] = model EL - target EL; at the optimum of either method
     it equals -lambda_k * sigma_k^2.  `laws` holds each index's calibrated
-    conditional law: for a full calibration its bucket-level factors
-    (`TiltedLossDist`), whose `pmfs` form the joint.
+    conditional law, the prior tilted (full) or the prior itself
+    (factor-only); its `pmfs` form the joint.
     """
 
     constraints: tuple[PricingConstraint, ...]

@@ -25,7 +25,7 @@ from .calibrate import calibrate
 from .dynamic import DynamicModel, TimeGrid
 from .errors import ConfigurationError, EntropicBespokeError, MappingConvergenceError
 from .loss import (LossGrid, build_conditional_prior, check_loss_unit,
-                   default_loss_unit, name_loss_units)
+                   default_loss_unit, index_capacities, name_loss_units)
 from .prior import RELEVANT, IndexPortfolio, build_market_grid
 from .solver import check_stopping
 
@@ -173,6 +173,8 @@ def _calibration_setup(config, params, portfolios, constraints):
         grids = {i: LossGrid(unit, sum(name_loss_units(n, unit)
                                        for n in p.names))
                  for i, p in portfolios.items()}
+        for i, p in portfolios.items():  # before any array is built
+            index_capacities(p, grids[i])
     grid = build_market_grid(*config.grid_size, params)
     return grids, grid, sorted({c.horizon for c in constraints})
 
@@ -208,13 +210,15 @@ def _bespoke_spec(config, portfolios) -> pricing.BespokeSpec:
     bucket, with its notional summed over the member buckets."""
     block = {"members": tuple((i, RELEVANT) for i in sorted(portfolios)),
              **config.bespoke}
+    spec = pricing.BespokeSpec(notional=1.0, **block)  # checks the block
     notional = 0.0
-    for i, bucket in block["members"]:
+    for i, bucket in spec.members:
         if i not in portfolios:
             raise ConfigurationError(f"bespoke references unknown index {i}")
         notional += sum(n.notional_weight
                         for n in portfolios[i].bucket_names(bucket))
-    return pricing.BespokeSpec(notional=notional, **block)
+    with fmt._named(config.portfolios):  # the members' weights sum to it
+        return dataclasses.replace(spec, notional=notional)
 
 
 def _mode_calibrate_static(config, reporter):
@@ -261,7 +265,8 @@ def _mode_calibrate_dynamic(config, reporter):
 
 
 def _standalone_pool(portfolios, members) -> IndexPortfolio:
-    """Bucket union rescaled so the pool notional is 1."""
+    """Bucket union rescaled so the pool notional is 1, whose names must
+    fit one lattice."""
     names = []
     for i, bucket in members:
         names.extend(portfolios[i].bucket_names(bucket))
@@ -272,7 +277,9 @@ def _standalone_pool(portfolios, members) -> IndexPortfolio:
         dataclasses.replace(n, index_id=0, notional_weight=n.notional_weight / total)
         for n in names
     )
-    return IndexPortfolio(index_id=0, names=rescaled)
+    pool = IndexPortfolio(index_id=0, names=rescaled)
+    basecorr.pool_units(pool)
+    return pool
 
 
 def _pool_expected_loss(pool: IndexPortfolio, horizon: float) -> float:
@@ -286,16 +293,16 @@ def _mode_map_basecorr(config, reporter):
     tranches = fmt.load_tranches(config.tranches)
     curve = fmt.load_discount_curve(config.discount_curve) \
         if config.discount_curve else pricing.DiscountCurve.flat(0.0)
-    bespoke_pool = _standalone_pool(
-        portfolios, _bespoke_spec(config, portfolios).members)
+    members = _bespoke_spec(config, portfolios).members
     if config.reference_index not in portfolios:
         raise ConfigurationError(
             f"reference index {config.reference_index} not in the portfolio file"
         )
-    index_pool = _standalone_pool(
-        portfolios, [(config.reference_index, "relevant"),
-                     (config.reference_index, "complement")]
-    )
+    with fmt._named(config.portfolios):  # the names' weights set the pools
+        bespoke_pool = _standalone_pool(portfolios, members)
+        index_pool = _standalone_pool(
+            portfolios, [(config.reference_index, "relevant"),
+                         (config.reference_index, "complement")])
     rule = basecorr.MappingRule(config.mapping_rule)
     horizons = sorted(curves)
 

@@ -14,7 +14,7 @@ that kernel's factors (`DynamicState`):
 This is the one tilted dual of `calibrate` (`_TiltedDual`) on the lattice
 of previous cells (node, loss pair of index 1, loss pair of index 2): one
 axis of distinct previous nodes, and per index one context per distinct
-previous loss pair, so each index's bucket pmfs are tilted by the
+previous loss pair, so each index's product-form prior is tilted by the
 factored kernel over its (context, node) rows.
 
 Because the tilt only reweights kernels that already forbid decreasing
@@ -445,18 +445,16 @@ class DynamicModel:
                 held[1 + pos], mass.shape[1 + 2 * pos:3 + 2 * pos]))
             loss_grid = self.period_loss_grid(period, i)
             if period == 0:
-                pmfs = build_conditional_prior(
-                    self.portfolios[i], self.grid, loss_grid, t1, self.params
-                ).bucket_pmfs
+                priors[i] = build_conditional_prior(
+                    self.portfolios[i], self.grid, loss_grid, t1, self.params)
             else:
-                pmfs = tuple(
+                priors[i] = ConditionalLossDist(i, loss_grid, tuple(
                     build_conditional_loss_prior(
                         self.portfolios[i], bucket, self.params, self.grid,
                         t0, t1, cap,
                     ).node_pmfs(prev).reshape(-1, cap + 1)
                     for bucket, cap, prev in zip(
-                        (RELEVANT, COMPLEMENT), caps[i], contexts[i].T))
-            priors[i] = ConditionalLossDist(i, loss_grid, bucket_pmfs=pmfs)
+                        (RELEVANT, COMPLEMENT), caps[i], contexts[i].T)))
         nodes = held[0] - 1 if prev_state.period == -1 else held[0]
         with np.errstate(divide="ignore"):
             log_g = np.log(self._factor_rows_prior(nodes))

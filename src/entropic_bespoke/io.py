@@ -27,7 +27,7 @@ import numpy as np
 from .basecorr import BaseCorrCurve
 from .calibrate import PricingConstraint, DEFAULT_SIGMA
 from .errors import ConfigurationError
-from .loss import ConditionalLossDist, LossGrid, TiltedLossDist
+from .loss import ConditionalLossDist, LossGrid
 from .pricing import DiscountCurve, TrancheSpec
 from .prior import COMPLEMENT, RELEVANT, FactorParams, IndexPortfolio, NameSpec
 
@@ -534,7 +534,7 @@ _LAW_FACTORS = {
 }
 
 
-def law_rows(horizon: float, laws: Mapping[int, TiltedLossDist]
+def law_rows(horizon: float, laws: Mapping[int, ConditionalLossDist]
              ) -> Iterator[bytes]:
     """posterior_laws.csv text for one horizon: by index, the factors
     log_a, log_b, tau and log_z of its tilted law, each in C order of
@@ -549,14 +549,14 @@ def law_rows(horizon: float, laws: Mapping[int, TiltedLossDist]
 
 
 def load_posterior_laws(path: str | Path, loss_grids: Mapping[int, LossGrid]
-                        ) -> dict[float, dict[int, TiltedLossDist]]:
+                        ) -> dict[float, dict[int, ConditionalLossDist]]:
     """The tilted laws of a posterior_laws.csv, by horizon and index id,
     each on the loss grid of its index.  Each factor's rows must run over
     its (m, j) grid in C order, and an index needs all four factors with
     one node count and a tau over the total-loss lattice; a breach is a
     ConfigurationError naming the file and a line."""
     table, where = _law_table(path)
-    laws: dict[float, dict[int, TiltedLossDist]] = {}
+    laws: dict[float, dict[int, ConditionalLossDist]] = {}
     for t, i in sorted(set(zip(table["horizon"].tolist(),
                                table["index_id"].tolist()))):
         in_law = (table["horizon"] == t) & (table["index_id"] == i)
@@ -577,7 +577,7 @@ def load_posterior_laws(path: str | Path, loss_grids: Mapping[int, LossGrid]
                 f"{what}: factor shapes log_a {log_a.shape}, log_b "
                 f"{log_b.shape}, tau {tau.shape} and log_z {log_z.shape} do "
                 "not make one law")
-        laws.setdefault(t, {})[i] = TiltedLossDist(
+        laws.setdefault(t, {})[i] = ConditionalLossDist.from_factors(
             i, loss_grids[i], log_a, log_b, tau[0], log_z[:, 0])
     return laws
 

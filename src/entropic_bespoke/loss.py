@@ -7,8 +7,8 @@ bucket pmfs, each built by the usual one-name-at-a-time recursion.  The
 recursion runs node-minor, over all nodes at once, and touches only the
 live prefix of lattice points that can hold mass after each name; the
 default probabilities it consumes come from one batched pass over the
-bucket's names.  A prior keeps the two bucket pmfs and forms the joint
-only when asked.
+bucket's names.  A prior keeps the logs of the two bucket pmfs and forms
+the joint only when asked.
 """
 
 from __future__ import annotations
@@ -61,78 +61,72 @@ _NORMALIZER_FLOOR = 1e-250
 
 
 class ConditionalLossDist:
-    """Per factor node, the pmfs of the (relevant, complement) bucket
-    losses, shapes (M, S1) and (M, S2), independent given the node.  Their
-    joint `pmfs`, shape (M, S1, S2), is the outer product per node, formed
-    anew on each access.  Every node's bucket pmfs sum to one.
+    """Product-form law of the (relevant, complement) bucket losses, per
+    factor node m:
+
+        P(x, y | m) = a_m(x) * b_m(y) * exp(tau(x + y)) / Z_m,
+
+    held as log a (M, S1), log b (M, S2), tau (S1 + S2 - 1,) and log Z
+    (M,).  A prior is the untilted case, built from its bucket pmfs with
+    tau = 0 and log Z = 0; a calibrated law tilts it (`from_factors`).  The
+    joint `pmfs` (M, S1, S2), the bucket marginals and the total-loss pmfs
+    are derived on demand; only the joint needs S1 * S2 cells per node.
     """
 
     def __init__(self, index_id: int, grid: LossGrid,
                  bucket_pmfs: tuple[np.ndarray, np.ndarray]):
-        self.index_id = index_id
-        self.grid = grid
-        self.bucket_pmfs = tuple(bucket_pmfs)
+        rows = [pmf.shape[0] for pmf in bucket_pmfs]
+        if rows[0] != rows[1]:
+            raise ConfigurationError(
+                f"prior for index {index_id} has {rows[0]} relevant and "
+                f"{rows[1]} complement node rows; both need the grid's nodes")
+        for bucket, pmf in zip((RELEVANT, COMPLEMENT), bucket_pmfs):
+            where = f"prior for index {index_id} bucket '{bucket}'"
+            if not np.all(np.isfinite(pmf) & (pmf >= 0.0)):
+                raise ConfigurationError(
+                    f"{where} has a negative or non-finite probability")
+            mass = pmf.sum(axis=1)
+            bad = np.flatnonzero(np.abs(mass - 1.0) > 1e-8)
+            if bad.size:
+                raise ConfigurationError(
+                    f"{where} is not normalized: node {bad[0]} sums to "
+                    f"{float(mass[bad[0]])!r}")
+        rel, comp = bucket_pmfs
+        with np.errstate(divide="ignore"):
+            self.log_a, self.log_b = np.log(rel), np.log(comp)
+        self.index_id, self.grid = index_id, grid
+        self.tau = np.zeros(rel.shape[1] + comp.shape[1] - 1)
+        self.log_z = np.zeros(rows[0])
+
+    @classmethod
+    def from_factors(cls, index_id: int, grid: LossGrid, log_a: np.ndarray,
+                     log_b: np.ndarray, tau: np.ndarray, log_z: np.ndarray
+                     ) -> "ConditionalLossDist":
+        """The law with the given factors, taken as they are."""
+        law = cls.__new__(cls)
+        law.index_id, law.grid = index_id, grid
+        law.log_a, law.log_b, law.tau, law.log_z = log_a, log_b, tau, log_z
+        return law
 
     @property
     def pmfs(self) -> np.ndarray:
         return self._joint_rows(slice(None))
 
     def _joint_rows(self, nodes) -> np.ndarray:
-        """The joint of the given nodes (a slice or an index array)."""
-        rel, comp = self.bucket_pmfs
-        return rel[nodes, :, None] * comp[nodes, None, :]
-
-    @property
-    def n_nodes(self) -> int:
-        return self._dims[0]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._dims[1:]
-
-    @property
-    def _dims(self) -> tuple[int, int, int]:
-        rel, comp = self.bucket_pmfs
-        return rel.shape + comp.shape[1:]
-
-    def relevant_marginals(self) -> np.ndarray:
-        return self.bucket_pmfs[0].copy()
-
-    def complement_marginals(self) -> np.ndarray:
-        return self.bucket_pmfs[1].copy()
-
-    def total_loss_pmfs(self) -> np.ndarray:
-        """Per node, pmf of the summed bucket losses."""
-        return convolve_rows(*self.bucket_pmfs)
-
-
-class TiltedLossDist(ConditionalLossDist):
-    """Product-form law under an s-tilt, per factor node:
-
-        P(x, y | m) = a_m(x) * b_m(y) * exp(tau(x + y)) / Z_m,
-
-    held as log a (M, S1), log b (M, S2), tau (S1 + S2 - 1,) and log Z
-    (M,).  The joint, the bucket marginals and the total-loss pmfs are
-    derived on demand; only the joint needs S1 * S2 cells per node.  It
-    has no `bucket_pmfs`, so it cannot serve as a prior.
-    """
-
-    def __init__(self, index_id: int, grid: LossGrid, log_a: np.ndarray,
-                 log_b: np.ndarray, tau: np.ndarray, log_z: np.ndarray):
-        self.index_id = index_id
-        self.grid = grid
-        self.log_a, self.log_b, self.tau, self.log_z = log_a, log_b, tau, log_z
-
-    @property
-    def _dims(self) -> tuple[int, int, int]:
-        return self.log_a.shape + self.log_b.shape[1:]
-
-    def _joint_rows(self, nodes) -> np.ndarray:
-        """The joint of the given nodes, exponentiated in log space."""
+        """The joint of the given nodes (a slice or an index array),
+        exponentiated in log space."""
         joint = self.log_a[nodes, :, None] + self.log_b[nodes, None, :]
         joint += self.tau[hankel_index(*self.shape)]
         joint -= self.log_z[nodes, None, None]
         return np.exp(joint, out=joint)
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.log_a)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.log_a.shape[1], self.log_b.shape[1]
 
     def _per_node(self, scaled: np.ndarray, from_joint) -> np.ndarray:
         """Normalize each node's row of `scaled` (a product of scaled
@@ -161,6 +155,7 @@ class TiltedLossDist(ConditionalLossDist):
         return self._per_node(b * (a @ h0), lambda j: j.sum(axis=1))
 
     def total_loss_pmfs(self) -> np.ndarray:
+        """Per node, pmf of the summed bucket losses."""
         a, b, e = self._scaled()
         return self._per_node(convolve_rows(a, b) * e, _antidiagonal_sums)
 
@@ -261,19 +256,36 @@ def name_loss_units(name: NameSpec, unit: float) -> int:
     return max(1, int(round(units)))
 
 
+# The most loss units one lattice may span, its names' units summed.  A
+# bucket recursion holds (units + 1) doubles per factor node, and an
+# index's joint up to (units / 2 + 1)^2 cells per node, which its tilt
+# kernel holds a few times over.  Benchmark lattices span at most 125.
+MAX_LATTICE_UNITS = 4096
+
+
+def check_lattice_units(need: str, units: int):
+    """The rule of a lattice's size, checked before any array is built: at
+    most MAX_LATTICE_UNITS loss units.  `need` says what asks for
+    `units`."""
+    if units > MAX_LATTICE_UNITS:
+        raise ConfigurationError(
+            f"{need}, more than the {MAX_LATTICE_UNITS} a lattice may span")
+
+
 def index_capacities(portfolio: IndexPortfolio, loss_grid: LossGrid
                      ) -> tuple[int, int]:
     """(relevant, complement) lattice capacities of an index: each bucket's
-    summed name units.  The two buckets share the grid's cap, so their sum
-    must not exceed `max_units`."""
+    summed name units.  The two buckets share one lattice and the grid's
+    cap, so their sum must not exceed either."""
     caps = tuple(sum(name_loss_units(n, loss_grid.unit)
                      for n in portfolio.bucket_names(bucket))
                  for bucket in (RELEVANT, COMPLEMENT))
+    need = (f"index {portfolio.index_id} needs {caps[0]} relevant and "
+            f"{caps[1]} complement loss units, {sum(caps)} in all")
+    check_lattice_units(need, sum(caps))
     if sum(caps) > loss_grid.max_units:
         raise ConfigurationError(
-            f"index {portfolio.index_id} needs {caps[0]} relevant and "
-            f"{caps[1]} complement loss units, {sum(caps)} in all, but the "
-            f"grid caps at {loss_grid.max_units}")
+            f"{need}, but the grid caps at {loss_grid.max_units}")
     return caps
 
 
@@ -343,11 +355,10 @@ def build_conditional_prior(
 
     Per node the joint slice is the outer product of the two bucket pmfs,
     each built by recursion over the bucket's names with conditional
-    default probabilities at that node; the result keeps the two bucket
-    pmfs.  The probabilities of a bucket's names come from one batched
-    pass and the recursion is vectorized over all nodes at once; `threads`
-    is accepted for compatibility and does not change the work or the
-    result.
+    default probabilities at that node; the result keeps their logs.  The
+    probabilities of a bucket's names come from one batched pass and the
+    recursion is vectorized over all nodes at once; `threads` is accepted
+    for compatibility and does not change the work or the result.
     """
     coords = grid.node_coords
     loadings = portfolio_loadings(portfolio, params)

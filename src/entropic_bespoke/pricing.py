@@ -64,15 +64,14 @@ class BespokeSpec:
 
 @dataclass(frozen=True)
 class TrancheSpec:
-    """Attachment/detachment (fractions of bespoke notional), coupon
-    schedule with day-count fractions, and contract notional."""
+    """Attachment/detachment (fractions of bespoke notional) and coupon
+    schedule with day-count fractions; its legs are per unit notional."""
 
     k_low: float
     k_high: float
     maturity: float
     coupon_times: tuple[float, ...]
     accruals: tuple[float, ...]
-    notional: float = 1.0
 
     def __post_init__(self):
         check_strikes(self.k_low, self.k_high)
@@ -90,7 +89,6 @@ class TrancheSpec:
         k_high: float,
         maturity: float,
         frequency: int = 4,
-        notional: float = 1.0,
     ) -> "TrancheSpec":
         """Regular schedule with `frequency` payments per year and simple
         year-fraction accruals."""
@@ -115,7 +113,6 @@ class TrancheSpec:
             maturity=maturity,
             coupon_times=tuple(times),
             accruals=tuple(float(a) for a in accruals),
-            notional=notional,
         )
 
 
@@ -291,16 +288,15 @@ def default_leg(
     tranche: TrancheSpec,
     curve: DiscountCurve,
 ) -> float:
-    """Protection leg: N0 * sum_i 0.5*(B_{i-1}+B_i) * (EL_i - EL_{i-1})."""
+    """Protection leg per unit notional:
+    sum_i 0.5*(B_{i-1}+B_i) * (EL_i - EL_{i-1})."""
     els = np.asarray(els, dtype=float)
     if np.any(np.diff(els) < -1e-12):
         warnings.warn("tranche EL curve is not non-decreasing", stacklevel=2)
     times = np.concatenate([[0.0], tranche.coupon_times])
     el = _el_at_times(horizons, els, times)
     b = np.array([curve.df(t) for t in times])
-    return tranche.notional * float(
-        np.sum(0.5 * (b[:-1] + b[1:]) * np.diff(el))
-    )
+    return float(np.sum(0.5 * (b[:-1] + b[1:]) * np.diff(el)))
 
 
 def risky_annuity(
@@ -325,7 +321,7 @@ def premium_leg(
     curve: DiscountCurve,
     spread: float,
 ) -> float:
-    return spread * tranche.notional * risky_annuity(horizons, els, tranche, curve)
+    return spread * risky_annuity(horizons, els, tranche, curve)
 
 
 def par_spread(
@@ -334,7 +330,7 @@ def par_spread(
     tranche: TrancheSpec,
     curve: DiscountCurve,
 ) -> float:
-    """Running spread equating the two legs; independent of notional."""
+    """Running spread equating the two legs."""
     return price_el_curve(horizons, els, tranche, curve).par_spread
 
 
@@ -364,9 +360,9 @@ def price_el_curve(
         raise UndefinedSpreadError("risky annuity is zero; par spread undefined")
     return TranchePrice(
         tranche=tranche,
-        par_spread=dleg / (tranche.notional * annuity),
+        par_spread=dleg / annuity,
         risky_annuity=annuity,
-        default_leg=dleg / tranche.notional,
+        default_leg=dleg,
     )
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from entropic_bespoke.calibrate import _payoff_matrix
 from entropic_bespoke.dynamic import DynamicState
 from entropic_bespoke.prior import IndexPortfolio, NameSpec
 
@@ -44,6 +45,11 @@ def toy_portfolio(index_id, n_relevant, n_complement, horizon=5.0, seed=0,
             )
         )
     return IndexPortfolio(index_id=index_id, names=tuple(names))
+
+
+def lattice_payoff(constraint, law):
+    """One constraint's payoff on a law's (relevant, complement) lattice."""
+    return _payoff_matrix([constraint], law.grid, law.shape).reshape(law.shape)
 
 
 def tilted_blocks(kernel, index_id):

@@ -13,7 +13,6 @@ from entropic_bespoke.calibrate import (
     FactorOnlyCalibrator,
     MceCalibrator,
     PricingConstraint,
-    payoff_lattice,
     prior_expected_losses,
 )
 from entropic_bespoke.dynamic import DynamicModel, TimeGrid
@@ -42,6 +41,7 @@ from entropic_bespoke.prior import (
 from conftest import (
     assert_cells_close,
     assert_lattice_matches_reference,
+    lattice_payoff,
     make_name,
     state_of_rows,
     tilted_blocks,
@@ -108,7 +108,7 @@ def test_oracle_equivalence_brute_force_mce():
     ).reshape(-1)
     rows = []
     for c in cons:
-        pay = payoff_lattice(c, priors[c.index_id])
+        pay = lattice_payoff(c, priors[c.index_id])
         if c.index_id == 1:
             full = np.broadcast_to(
                 pay[None, :, :, None, None], (m, s1a, s1b, s2a, s2b)
@@ -163,7 +163,7 @@ def test_oracle_equivalence_factor_only_primal():
     g = grid.flat_weights
     mu = np.array([
         np.einsum("mxy,xy->m", priors[c.index_id].pmfs,
-                  payoff_lattice(c, priors[c.index_id]))
+                  lattice_payoff(c, priors[c.index_id]))
         for c in cons]).T
     targets = np.array([c.target_el for c in cons])
     sigmas = np.array([c.sigma for c in cons])

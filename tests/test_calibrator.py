@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import re
 import tracemalloc
@@ -21,7 +22,6 @@ from entropic_bespoke.calibrate import (
     log_partition_functions,
     partition_functions,
     payoff_eval,
-    payoff_lattice,
     posterior_factor_weights,
     prior_expected_losses,
 )
@@ -41,7 +41,7 @@ from entropic_bespoke.pricing import BespokeSpec, bespoke_loss_dist
 from entropic_bespoke.prior import FactorParams, build_market_grid
 from entropic_bespoke.solver import newton_minimize
 
-from conftest import toy_portfolio
+from conftest import lattice_payoff, toy_portfolio
 
 # the package's `calibrate` function shadows its module of that name
 calibrate_module = importlib.import_module("entropic_bespoke.calibrate")
@@ -114,11 +114,18 @@ class TestPayoffEval:
             self.c(kind="nonsense")
         nan, inf = float("nan"), float("inf")
         for target_el, sigma in ((nan, 1e-4), (inf, 1e-4), (0.01, inf),
-                                 (0.01, nan)):
+                                 (0.01, nan), (0.01, 1e155)):
             with pytest.raises(ConfigurationError, match="must be finite"):
                 PricingConstraint(index_id=1, kind="tranche", k_low=0.0,
                                   k_high=0.03, target_el=target_el,
                                   sigma=sigma)
+        # a target above 1 is above every payoff, and a huge one overflowed
+        # the dual at its first evaluation
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "target_el must lie in [0, 1], as every payoff does, got "
+                "1.5")):
+            PricingConstraint(index_id=1, kind="tranche", k_low=0.0,
+                              k_high=0.03, target_el=1.5)
 
     @pytest.mark.parametrize("horizon", [float("nan"), float("inf"),
                                          float("-inf")])
@@ -193,7 +200,7 @@ def reference_dual(cal, lambdas):
     for i in cal.index_ids:
         pos[i] = [k for k, c in enumerate(cal.constraints) if c.index_id == i]
         prior = cal.priors[i]
-        fs = np.array([payoff_lattice(cal.constraints[k], prior)
+        fs = np.array([lattice_payoff(cal.constraints[k], prior)
                        for k in pos[i]])
         tilt = np.tensordot(lam[pos[i]], fs, axes=1) - (
             lam[pos[i]] @ cal.targets[pos[i]])
@@ -276,7 +283,8 @@ class TestFactoredKernelEquivalence:
         _, grid, _, priors, _ = toy_setup(seed=25)
         rels, comps = [], []
         for prior in priors.values():
-            rel, comp = (b.copy() for b in prior.bucket_pmfs)
+            rel = prior.relevant_marginals()
+            comp = prior.complement_marginals()
             rel[:, 1::3] = 0.0  # whole relevant-loss levels
             comp[:, 2::4] = 0.0  # and whole complement-loss levels
             rel[::2, 0] = 0.0  # and the no-loss cell at every other node
@@ -316,7 +324,7 @@ class TestFactoredKernelEquivalence:
                                   sigma=1e-2),
             ]
         lam = sign * np.array([750.0, 700.0, 720.0, 710.0, 730.0, 705.0])
-        exponent = sum(l * (payoff_lattice(c, priors[1]) - c.target_el)
+        exponent = sum(l * (lattice_payoff(c, priors[1]) - c.target_el)
                        for l, c in zip(lam[:3], cons[:3]))
         with np.errstate(over="ignore"):
             assert np.exp(exponent.max()) == np.inf
@@ -409,17 +417,17 @@ class TestKernelProductBuffer:
 
 
 class TestPriorChecks:
-    """Every prior passes through one kernel constructor, which checks each
-    bucket pmf before any Newton step and names the index and bucket."""
+    """A prior is checked where it is built: each bucket pmf, before any
+    Newton step, naming the index and bucket."""
 
     @staticmethod
-    def spoiled(spoil):
-        _, grid, _, priors, _ = toy_setup(seed=29)
-        cons = standard_constraints(grid, priors)
-        rel, comp = (b.copy() for b in priors[2].bucket_pmfs)
+    def build_spoiled(spoil, rows=slice(None)):
+        _, _, _, priors, _ = toy_setup(seed=29)
+        rel = priors[2].relevant_marginals()
+        comp = priors[2].complement_marginals()
         spoil(rel, comp)
-        return grid, {**priors, 2: ConditionalLossDist(
-            index_id=2, grid=priors[2].grid, bucket_pmfs=(rel, comp))}, cons
+        return ConditionalLossDist(index_id=2, grid=priors[2].grid,
+                                   bucket_pmfs=(rel, comp[rows]))
 
     def test_rows_that_do_not_sum_to_one(self):
         # twice the relevant pmf times half the complement pmf keeps every
@@ -428,22 +436,19 @@ class TestPriorChecks:
             rel *= 2.0
             comp /= 2.0
 
-        grid, priors, cons = self.spoiled(spoil)
-        for solve in (calibrate, factor_only_calibrate):
-            with pytest.raises(ConfigurationError, match=(
-                    r"prior for index 2 bucket 'relevant' is not normalized: "
-                    r"node 0 sums to 2\.0")):
-                solve(grid, priors, cons)
+        with pytest.raises(ConfigurationError, match=(
+                r"prior for index 2 bucket 'relevant' is not normalized: "
+                r"node 0 sums to 2\.0")):
+            self.build_spoiled(spoil)
 
     def test_nan_cell(self):
         def spoil(rel, comp):
             rel[4, 1] = np.nan
 
-        grid, priors, cons = self.spoiled(spoil)
         with pytest.raises(ConfigurationError, match=(
                 "prior for index 2 bucket 'relevant' has a negative or "
                 "non-finite probability")):
-            calibrate(grid, priors, cons)
+            self.build_spoiled(spoil)
 
     def test_negative_cell(self):
         # the row still sums to one
@@ -451,40 +456,37 @@ class TestPriorChecks:
             comp[3, 1] += comp[3, 0] + 0.1
             comp[3, 0] = -0.1
 
-        grid, priors, cons = self.spoiled(spoil)
         with pytest.raises(ConfigurationError, match=(
                 "prior for index 2 bucket 'complement' has a negative or "
                 "non-finite probability")):
-            calibrate(grid, priors, cons)
+            self.build_spoiled(spoil)
 
     def test_bucket_pmfs_with_different_node_counts(self):
         # the relevant pmf still has the grid's 9 nodes, the complement 8
-        _, grid, _, priors, _ = toy_setup(seed=0)
-        cons = standard_constraints(grid, priors)
-        rel, comp = priors[2].bucket_pmfs
-        priors[2] = ConditionalLossDist(index_id=2, grid=priors[2].grid,
-                                        bucket_pmfs=(rel, comp[:-1]))
-        for solve in (calibrate, factor_only_calibrate):
-            with pytest.raises(ConfigurationError, match=(
-                    "prior for index 2 has 9 relevant and 8 complement node "
-                    "rows")):
-                solve(grid, priors, cons)
+        with pytest.raises(ConfigurationError, match=(
+                "prior for index 2 has 9 relevant and 8 complement node "
+                "rows")):
+            self.build_spoiled(lambda rel, comp: None, rows=slice(0, -1))
 
-    def test_calibrated_law_is_not_a_prior(self):
+    def test_calibrated_law_serves_as_a_prior(self):
+        # recalibrating an exact fit against its own model ELs, on a grid
+        # whose weights are its posterior weights, needs no Newton step
         _, grid, _, priors, _ = toy_setup(seed=30)
-        cons = standard_constraints(grid, priors)
-        res = calibrate(grid, priors, cons)
+        res = calibrate(grid, priors,
+                        standard_constraints(grid, priors, sigma=0.0))
+        posterior_grid = dataclasses.replace(
+            grid, prior_weights=res.posterior_weights.reshape(
+                grid.prior_weights.shape))
+        own = [dataclasses.replace(c, target_el=float(el))
+               for c, el in zip(res.constraints, res.model_els)]
+        again = calibrate(posterior_grid, res.laws, own)
+        assert again.iterations == 0
+        assert np.all(again.lambdas == 0.0)
         for i in (1, 2):
-            mixed = {**priors, i: res.laws[i]}
-            own = [c for c in cons if c.index_id == i]
-            message = (f"prior for index {i} is a calibrated law; a prior "
-                       "needs its bucket pmfs")
-            for call in (lambda: calibrate(grid, mixed, cons),
-                         lambda: log_partition_functions(
-                             res.laws[i], own, np.zeros(len(own))),
-                         lambda: prior_expected_losses(grid, mixed, cons)):
-                with pytest.raises(ConfigurationError, match=message):
-                    call()
+            want = res.laws[i].pmfs
+            normal = want >= np.finfo(float).tiny
+            assert np.all(np.abs(again.laws[i].pmfs - want)[normal]
+                          <= 1e-12 * want[normal])
 
 
 class TestPosteriorWeights:
@@ -913,7 +915,7 @@ def reference_factor_only_dual(grid, priors, constraints, lambdas):
     lam = np.asarray(lambdas, dtype=float)
     mu = np.array([
         np.einsum("mxy,xy->m", priors[c.index_id].pmfs,
-                  payoff_lattice(c, priors[c.index_id]))
+                  lattice_payoff(c, priors[c.index_id]))
         for c in constraints]).T
     targets = np.array([c.target_el for c in constraints])
     sigmas = np.array([c.sigma for c in constraints])

@@ -1,10 +1,15 @@
+import contextlib
 import csv
 import functools
 import hashlib
 import importlib.util
 import json
+import math
+import operator
 import os
 import re
+import resource
+import shutil
 import subprocess
 import sys
 from io import StringIO
@@ -24,8 +29,8 @@ from entropic_bespoke.io import (
     load_portfolios,
 )
 from entropic_bespoke.loss import (
+    ConditionalLossDist,
     LossGrid,
-    TiltedLossDist,
     build_conditional_prior,
     default_loss_unit,
     name_loss_units,
@@ -63,6 +68,23 @@ def write_csv(path, header, rows):
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+
+
+@contextlib.contextmanager
+def address_space_limit(extra=2 << 30):
+    """Cap this process's address space at its current size plus `extra`
+    bytes, so that a run asking for a huge array fails with MemoryError
+    instead of exhausting the machine's memory."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        limit = int(fh.read().split()[0]) * resource.getpagesize() + extra
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 def digits17(value) -> str:
@@ -357,7 +379,7 @@ class TestCalibrateStatic:
             "missing-field", "extra-field"])
     def test_laws_reader_names_file_and_line(self, tmp_path, edit, message):
         grid = LossGrid(unit=0.1, max_units=3)
-        law = TiltedLossDist(
+        law = ConditionalLossDist.from_factors(
             1, grid, np.array([[-0.5, -1.5], [0.0, -np.inf]]),
             np.array([[-1.25, -0.5, -2.5], [-0.75, -0.5, -np.inf]]),
             np.array([0.0, 0.1, -0.2, 0.3]), np.array([0.01, -0.02]))
@@ -378,9 +400,9 @@ class TestCalibrateStatic:
         # rows in is still named by its own line
         grid = LossGrid(unit=0.1, max_units=60)
         rng = np.random.default_rng(20261019)
-        law = TiltedLossDist(1, grid, rng.normal(size=(40, 31)),
-                             rng.normal(size=(40, 30)), rng.normal(size=60),
-                             rng.normal(size=40))
+        law = ConditionalLossDist.from_factors(
+            1, grid, rng.normal(size=(40, 31)), rng.normal(size=(40, 30)),
+            rng.normal(size=60), rng.normal(size=40))
         path = tmp_path / "posterior_laws.csv"
         fmt.write_csv(path, fmt.LAWS_HEADER, fmt.law_rows(2.0, {1: law}))
         lines = path.read_text().splitlines()
@@ -422,8 +444,8 @@ class TestCalibrateStatic:
 
         log_a = spread(40, 31)
         log_a[3, 5] = -np.inf
-        law = TiltedLossDist(1, grid, log_a, spread(40, 30), spread(60),
-                             spread(40))
+        law = ConditionalLossDist.from_factors(
+            1, grid, log_a, spread(40, 30), spread(60), spread(40))
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         fmt.write_csv(new, fmt.LAWS_HEADER, fmt.law_rows(2.0, {1: law}))
         old.write_bytes(reference_csv(fmt.LAWS_HEADER, [
@@ -1047,11 +1069,14 @@ class TestFailureHandling:
         ("weight", "price-bespoke"), ("notional", "price-bespoke"),
         ("maturity", "price-bespoke"), ("frequency", "map-basecorr"),
         ("horizon-0", "calibrate-static"), ("horizon-neg", "price-bespoke"),
+        ("notional", "map-basecorr"), ("lattice", "calibrate-static"),
+        ("lattice", "price-bespoke"), ("lattice", "map-basecorr"),
     ])
     def test_out_of_range_input_is_one_config_line(self, workdir, capsys,
                                                    case, mode):
-        # each ended in an OverflowError traceback or, for the horizons,
-        # fitted a model EL of 0 and exited 0
+        # each ended in an OverflowError traceback, a MemoryError traceback
+        # (the lattice) or, for the horizons, fitted a model EL of 0 and
+        # exited 0; the bespoke notional's error did not name the file
         port, tranches = workdir / "portfolios.json", workdir / "tranches.csv"
         constraints = prior_el_constraints(port)
         unit = default_loss_unit(*load_portfolios(port)[1].values())
@@ -1071,7 +1096,15 @@ class TestFailureHandling:
         elif case == "notional":  # two relevant names: the sum overflows
             for name in doc["names"][:2]:
                 name["notional_weight"] = 1e308
-            want = "bespoke notional must be finite and > 0, got inf"
+            want = f"{port}: bespoke notional must be finite and > 0, got inf"
+        elif case == "lattice":  # finite, but 600,000,002 units of 0.1
+            doc["names"][0]["notional_weight"] = 1e8
+            want = f"{port}: " + (
+                "pool of 6 names needs 600000005 loss units"
+                if mode == "map-basecorr" else
+                "index 1 needs 600000002 relevant and 3 complement loss "
+                "units, 600000005 in all") + \
+                ", more than the 4096 a lattice may span"
         elif case in ("maturity", "frequency"):
             schedule[0][2 if case == "maturity" else 3] = \
                 1e308 if case == "maturity" else 10**308
@@ -1086,8 +1119,9 @@ class TestFailureHandling:
         write_csv(tranches, ["k_low", "k_high", "maturity", "frequency",
                              "daycount"], schedule)
         write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS, constraints)
-        assert main(["--config", str(workdir / "config.json"),
-                     "--mode", mode]) == 1
+        with address_space_limit():
+            assert main(["--config", str(workdir / "config.json"),
+                         "--mode", mode]) == 1
         assert capsys.readouterr().err == f"ERROR CONFIG: {want}\n"
         assert not (workdir / "out").exists() or not any(
             (workdir / "out").iterdir())
@@ -1410,6 +1444,103 @@ class TestFailureHandling:
         rc = main(["--config", str(workdir / "config.json")])
         assert rc == 1
         assert "ERROR CONFIG" in capsys.readouterr().err
+
+
+# The mutation table: one bad value, as JSON and as CSV text, at one site
+# of the toy inputs, in one mode.  The CSVs each mode reads besides
+# config.json and portfolios.json:
+_BAD_VALUES = ((math.nan, "nan"), (math.inf, "inf"), (-1, "-1"), (0, "0"),
+               (1e308, "1e308"), ("abc", "abc"), (None, ""))
+_MODE_CSVS = {
+    "calibrate-static": ("constraints.csv",),
+    "calibrate-dynamic": ("constraints.csv",),
+    "price-bespoke": ("constraints.csv", "discount.csv", "tranches.csv"),
+    "map-basecorr": ("discount.csv", "tranches.csv", "basecorr.csv"),
+}
+
+
+def numeric_leaves(doc, path=()):
+    """The paths of the numbers in a JSON document, booleans excluded."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        return [leaf for key, value in items
+                for leaf in numeric_leaves(value, (*path, key))]
+    is_number = isinstance(doc, (int, float)) and not isinstance(doc, bool)
+    return [path] if is_number else []
+
+
+def mutation_table(workdir):
+    """Every (mode, file, site, bad value): each numeric leaf of config.json
+    and of portfolios.json, whose names count only by the first of each
+    index, and each cell of the first data row of each CSV the mode
+    reads."""
+    port = json.loads((workdir / "portfolios.json").read_text())
+    firsts = {}
+    for k, name in enumerate(port["names"]):
+        firsts.setdefault(name["index_id"], k)
+    sites = {
+        "config.json": numeric_leaves(
+            json.loads((workdir / "config.json").read_text())),
+        "portfolios.json": [leaf for leaf in numeric_leaves(port)
+                            if leaf[0] != "names" or leaf[1] in
+                            firsts.values()],
+    }
+    for name in sorted(set(chain(*_MODE_CSVS.values()))):
+        with open(workdir / name, newline="") as fh:
+            sites[name] = list(range(len(list(csv.reader(fh))[1])))
+    return [(mode, name, site, bad) for mode, csvs in _MODE_CSVS.items()
+            for name in ("config.json", "portfolios.json", *csvs)
+            for site in sites[name] for bad in _BAD_VALUES]
+
+
+def run_mutated(base, case_dir, mode, name, site, bad):
+    """Run `mode` in process on a copy of the inputs in `base` with one
+    mutation, under an address-space limit; returns (exit status, the
+    output directory)."""
+    shutil.copytree(base, case_dir)
+    path = case_dir / name
+    if name.endswith(".json"):
+        doc = json.loads(path.read_text())
+        *parents, key = site
+        functools.reduce(operator.getitem, parents, doc)[key] = bad[0]
+        path.write_text(json.dumps(doc))
+    else:
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        rows[0][site] = bad[1]
+        write_csv(path, header, rows)
+    out = case_dir / "out"
+    with address_space_limit():
+        status = main(["--config", str(case_dir / "config.json"),
+                       "--mode", mode, "--out", str(out)])
+    return status, out
+
+
+class TestMutatedInputs:
+    def test_a_run_exits_0_or_prints_one_error_line(
+            self, workdir, tmp_path_factory, capsys):
+        # every row of the mutation table (826 runs in process, about 2 s):
+        # no input may end in a traceback, and a run that fails leaves one
+        # ERROR line and no outputs (a warning line may precede it)
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
+                  prior_el_constraints(workdir / "portfolios.json"))
+        cases = mutation_table(workdir)
+        assert len(cases) == 826
+        cases_dir = tmp_path_factory.mktemp("mutated")
+        for n, case in enumerate(cases):
+            try:
+                status, out = run_mutated(workdir, cases_dir / str(n), *case)
+            except Exception as exc:  # a traceback at the command line
+                pytest.fail(f"{case}: {exc!r}")
+            lines = capsys.readouterr().err.splitlines()
+            errors_ = [line for line in lines if line.startswith("ERROR ")]
+            assert all(line.startswith("warning: ") for line in lines
+                       if line not in errors_), (case, lines)
+            if status == 0:
+                assert not errors_ and (out / "manifest.json").is_file(), case
+            else:
+                assert status == 1 and len(errors_) == 1, (case, lines)
+                assert not out.exists() or not any(out.iterdir()), case
 
 
 class TestConfig:

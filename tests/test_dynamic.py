@@ -14,8 +14,8 @@ from entropic_bespoke.calibrate import (
     PricingConstraint,
     _tilt_kernels,
     _TiltedDual,
+    _payoff_matrix,
     calibrate,
-    payoff_lattice,
 )
 from entropic_bespoke.dynamic import (
     BucketIncrementPrior,
@@ -520,7 +520,8 @@ def reference_loss_priors(model, period, prev_state):
             static = build_conditional_prior(model.portfolios[i], model.grid,
                                              model.loss_grids[i], t1,
                                              model.params)
-            rel, comp = (pmf[None] for pmf in static.bucket_pmfs)
+            rel = static.relevant_marginals()[None]
+            comp = static.complement_marginals()[None]
         else:
             rel, comp = (
                 build_conditional_loss_prior(
@@ -549,11 +550,10 @@ def reference_period_dual(model, period, prev_state, constraints, lambdas):
         pmfs = rel[:, :, :, None] * comp[:, :, None, :]  # (n_ctx, M, S1, S2)
         ctx[i] = row_ctx
         pos[i] = [k for k, c in enumerate(constraints) if c.index_id == i]
-        lattice = ConditionalLossDist(
-            index_id=i, grid=model.period_loss_grid(period, i),
-            bucket_pmfs=(rel[0], comp[0]))
-        fs = np.array([payoff_lattice(constraints[k], lattice)
-                       for k in pos[i]]).reshape(len(pos[i]), *pmfs.shape[2:])
+        shape = pmfs.shape[2:]
+        fs = _payoff_matrix([constraints[k] for k in pos[i]],
+                            model.period_loss_grid(period, i),
+                            shape).reshape(-1, *shape)
         tilt = np.tensordot(lam[pos[i]], fs, axes=1) - (
             lam[pos[i]] @ targets[pos[i]])
         with np.errstate(divide="ignore"):
@@ -654,11 +654,9 @@ class TestTiltKernelEquivalence:
         cons = [PricingConstraint(target_el=0.05, sigma=1e-2, **kw)
                 for kw in shells]
         lam = np.array([700.0, 690.0, 710.0, 705.0, -700.0, 720.0])
-        lattice = ConditionalLossDist(
-            index_id=1, grid=model.period_loss_grid(1, 1),
-            bucket_pmfs=(np.zeros((1, 2)), np.zeros((1, 2))))
-        exponent = sum(l * (payoff_lattice(c, lattice) - c.target_el)
-                       for l, c in zip(lam[:4], cons[:4]))
+        pay = _payoff_matrix(cons[:4], model.period_loss_grid(1, 1), (2, 2))
+        exponent = sum(l * (f - c.target_el)
+                       for l, f, c in zip(lam[:4], pay, cons[:4]))
         with np.errstate(over="ignore"):
             assert np.exp(exponent.max()) == np.inf
         # period 1's support box makes the tranches and totals of index 1
@@ -1388,7 +1386,8 @@ class TestProductFormDual:
         static = MceCalibrator(grid, {1: prior}, cons)
         targets = np.array([c.target_el for c in cons])
         sigmas = np.array([c.sigma for c in cons])
-        pay = np.array([payoff_lattice(c, prior) for c in cons])
+        pay = _payoff_matrix(cons, prior.grid, prior.shape).reshape(
+            len(cons), *prior.shape)
         with np.errstate(divide="ignore"):
             log_prior = (np.log(grid.flat_weights)[:, None, None]
                          + np.log(prior.pmfs))

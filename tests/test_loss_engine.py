@@ -11,7 +11,6 @@ from entropic_bespoke.loss import (
     ConditionalLossDist,
     LossDist,
     LossGrid,
-    TiltedLossDist,
     bucket_pmf_recursion,
     build_conditional_prior,
     convolve,
@@ -126,27 +125,42 @@ class TestConditionalPrior:
                 dist.pmfs[m] - np.outer(rel[m], comp[m])
             ).max() < 1e-14
 
-    def test_bucket_form_matches_its_joint(self):
-        # a built prior keeps its bucket pmfs; the joint it forms is their
-        # outer product per node, and its marginals and total-loss pmfs are
-        # that joint's axis sums and a per-node convolution
+    def test_factors_read_back_its_bucket_pmfs(self):
+        # a built prior keeps the logs of its bucket pmfs with tau = 0 and
+        # log Z = 0; its joint, marginals and total-loss pmfs, derived from
+        # those logs, read the pmfs back to a relative 1e-12 on every
+        # normal cell
         params = FactorParams(rho=0.3, alpha=0.2)
         port = toy_portfolio(1, 4, 3, seed=3)
         grid = build_market_grid(4, 4, params)
+        unit = default_loss_unit(port)
         dist = build_conditional_prior(
-            port, grid, LossGrid(unit=default_loss_unit(port), max_units=14),
-            5.0, params,
-        )
-        rel, comp = dist.bucket_pmfs
+            port, grid, LossGrid(unit=unit, max_units=14), 5.0, params)
+        loadings = portfolio_loadings(port, params)
+        rel, comp = (
+            bucket_pmf_recursion(
+                _conditional_prob_rows([n.default_prob(5.0) for n in names],
+                                       [loadings[n.id] for n in names],
+                                       grid.node_coords),
+                [name_loss_units(n, unit) for n in names])
+            for names in (port.bucket_names("relevant"),
+                          port.bucket_names("complement")))
+        with np.errstate(divide="ignore"):
+            assert np.array_equal(dist.log_a, np.log(rel))
+            assert np.array_equal(dist.log_b, np.log(comp))
+        assert not dist.tau.any() and not dist.log_z.any()
         joint = np.array([np.outer(r, c) for r, c in zip(rel, comp)])
-        assert np.array_equal(dist.pmfs, joint)
         assert (dist.n_nodes, dist.shape) == (grid.n_nodes, joint.shape[1:])
         totals = np.array([np.convolve(r, c) for r, c in zip(rel, comp)])
-        for got, want in ((dist.relevant_marginals(), joint.sum(axis=2)),
-                          (dist.complement_marginals(), joint.sum(axis=1)),
+        tiny = np.finfo(float).tiny
+        for got, want in ((dist.pmfs, joint),
+                          (dist.relevant_marginals(), rel),
+                          (dist.complement_marginals(), comp),
                           (dist.total_loss_pmfs(), totals)):
             assert got.shape == want.shape
-            assert np.abs(got - want).max() < 1e-15
+            normal = want >= tiny
+            assert np.all(np.abs(got - want)[normal] <= 1e-12 * want[normal])
+            assert np.all(got[~normal] < tiny)
 
     def test_mass_conservation_and_mean(self):
         params = FactorParams(rho=0.4, alpha=0.25)
@@ -387,8 +401,8 @@ class TestTiltedTotals:
         log_z = np.array([logsumexp(log_a[m][:, None] + log_a[m][None, :]
                                     + tau[hankel_index(2, 2)])
                           for m in range(2)])
-        law = TiltedLossDist(1, LossGrid(unit=0.1, max_units=2), log_a,
-                             log_a.copy(), tau, log_z)
+        law = ConditionalLossDist.from_factors(
+            1, LossGrid(unit=0.1, max_units=2), log_a, log_a.copy(), tau, log_z)
         a, b, e, _ = scaled_tilt_factors(law.log_a, law.log_b, law.tau)
         assert (convolve_rows(a, b) * e).sum(axis=1)[1] < 1e-250
         joint = law.pmfs  # exp of the log-space joint, per node
@@ -412,7 +426,8 @@ class TestMixture:
 
     def test_single_node_identity(self):
         out = mixture_unconditional(self.law([[0.2, 0.5, 0.3]]), np.array([1.0]))
-        assert np.array_equal(out.pmf, [0.2, 0.5, 0.3])
+        np.testing.assert_allclose(out.pmf, [0.2, 0.5, 0.3], rtol=1e-15,
+                                   atol=0.0)
 
     def test_two_point_mixture(self):
         out = mixture_unconditional(self.law([[1.0, 0.0], [0.0, 1.0]]),

@@ -496,14 +496,13 @@ class TestLegs:
 
     def test_jump_to_full_loss_closed_form(self):
         # EL hits 1 at the first coupon and stays: default leg pays the full
-        # notional; the annuity only accrues half of the first period
+        # unit notional; the annuity only accrues half of the first period
         tr = TrancheSpec(k_low=0.0, k_high=0.05, maturity=1.0,
-                         coupon_times=(0.5, 1.0), accruals=(0.5, 0.5),
-                         notional=3.0)
+                         coupon_times=(0.5, 1.0), accruals=(0.5, 0.5))
         curve = DiscountCurve.flat(0.0)
         horizons = [0.5, 1.0]
         els = [1.0, 1.0]
-        assert default_leg(horizons, els, tr, curve) == pytest.approx(3.0)
+        assert default_leg(horizons, els, tr, curve) == pytest.approx(1.0)
         assert risky_annuity(horizons, els, tr, curve) == pytest.approx(
             0.5 * 0.5 * (1.0 + 0.0)
         )
@@ -538,16 +537,6 @@ class TestLegs:
         )
         assert par_spread(horizons, els, tr, curve) == pytest.approx(
             dleg / annuity, rel=1e-12
-        )
-
-    def test_par_spread_homogeneous_in_notional(self):
-        horizons = [1.0, 3.0, 5.0]
-        els = [0.01, 0.04, 0.09]
-        curve = DiscountCurve.flat(0.03)
-        a = TrancheSpec.with_schedule(0.0, 0.03, 5.0, 4, notional=1.0)
-        b = TrancheSpec.with_schedule(0.0, 0.03, 5.0, 4, notional=250.0)
-        assert par_spread(horizons, els, a, curve) == pytest.approx(
-            par_spread(horizons, els, b, curve), rel=1e-14
         )
 
     def test_zero_annuity_error(self):
@@ -597,26 +586,11 @@ class TestPriceTranche:
         with pytest.raises(ConfigurationError):
             tranche_el_curve(dists, tr)
 
-    def test_el_curve_price_is_per_unit_notional(self):
-        horizons, els = [1.0, 3.0, 5.0], [0.04, 0.13, 0.25]
-        curve = DiscountCurve.flat(0.03)
-        unit, double = (
-            price_el_curve(horizons, els,
-                           TrancheSpec.with_schedule(0.03, 0.07, 5.0, 4,
-                                                     notional=n), curve)
-            for n in (1.0, 2.0))
-        assert double.par_spread == pytest.approx(unit.par_spread, rel=1e-15)
-        assert double.default_leg == pytest.approx(unit.default_leg,
-                                                   rel=1e-15)
-        assert double.risky_annuity == unit.risky_annuity
-        assert double.par_spread == pytest.approx(
-            par_spread(horizons, els, double.tranche, curve), rel=1e-15)
-
     def test_price_tranche_prices_its_el_curve(self):
         result, ports, unit, notional = calibrated_toy(seed=9)
         spec = BespokeSpec(members=((1, "relevant"),), notional=0.5)
         dists = bespoke_loss_dist({3.0: result, 5.0: result}, spec)
-        tr = TrancheSpec.with_schedule(0.0, 0.1, 5.0, 4, notional=2.0)
+        tr = TrancheSpec.with_schedule(0.0, 0.1, 5.0, 4)
         assert price_tranche(dists, tr, DiscountCurve.flat(0.02)) == \
             price_el_curve(*tranche_el_curve(dists, tr), tr,
                            DiscountCurve.flat(0.02))

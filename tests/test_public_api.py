@@ -7,6 +7,8 @@ import dataclasses
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 import entropic_bespoke as eb
 
 PUBLIC_NAMES = {
@@ -73,8 +75,14 @@ def test_init_imports_only_the_pinned_names():
 
 
 # the public members of the result classes: their fields, methods and
-# properties, and for `DynamicState` the attributes its `__init__` sets
+# properties, and for `DynamicState` and `ConditionalLossDist` the
+# attributes its constructors set
 PUBLIC_MEMBERS = {
+    "ConditionalLossDist": [
+        "complement_marginals", "from_factors", "grid", "index_id", "log_a",
+        "log_b", "log_z", "n_nodes", "pmfs", "relevant_marginals", "shape",
+        "tau", "total_loss_pmfs",
+    ],
     "CalibrationResult": [
         "bucket_marginals", "constraints", "grid", "index_ids",
         "index_loss_dist", "iterations", "kl_to_prior", "lambdas", "laws",
@@ -94,8 +102,15 @@ PUBLIC_MEMBERS = {
 
 
 def test_result_classes_pin_their_public_members():
-    instance_attrs = {"DynamicState": set(vars(
-        eb.DynamicState()))}
+    # a prior and a law from its factors are one class with one set of
+    # attributes
+    grid, one = eb.LossGrid(unit=0.1, max_units=1), np.ones((1, 1))
+    prior = eb.ConditionalLossDist(1, grid, (one, one))
+    law = eb.ConditionalLossDist.from_factors(
+        1, grid, prior.log_a, prior.log_b, prior.tau, prior.log_z)
+    assert type(law) is type(prior) and vars(law).keys() == vars(prior).keys()
+    instance_attrs = {"DynamicState": set(vars(eb.DynamicState())),
+                      "ConditionalLossDist": set(vars(prior))}
     for name, members in PUBLIC_MEMBERS.items():
         cls = getattr(eb, name)
         got = {member for member in dir(cls) if not member.startswith("_")}
