@@ -42,7 +42,6 @@ from .calibrate import (
     factor_only_calibrate,
     kl_divergence,
     log_partition_functions,
-    partition_functions,
     payoff_eval,
     posterior_factor_weights,
     prior_expected_losses,
@@ -56,8 +55,6 @@ from .pricing import (
     assemble_bespoke,
     bespoke_loss_dist,
     default_leg,
-    par_spread,
-    premium_leg,
     price_tranche,
     risky_annuity,
     tranche_el_curve,

@@ -34,7 +34,6 @@ from .loss import (
 from .prior import (IndexPortfolio, _conditional_prob_rows, _unit_gauss_hermite,
                     check_increasing)
 from .prior import TwoFactorLoadings
-from .solver import check_stopping
 
 ABSOLUTE = "absolute"
 ATM = "atm"
@@ -42,6 +41,8 @@ PROBABILITY_MATCHING = "probability_matching"
 _VARIANTS = (ABSOLUTE, ATM, PROBABILITY_MATCHING)
 _N_NODES = 31  # Gauss-Hermite nodes of the one-factor integral
 _DAMPING = 0.5  # probability matching's fallback step, a share of g(K) - K
+_TOL = 1e-8  # probability matching stops once |g(K) - K| < _TOL
+_MAX_ITER = 100  # probability matching's lockstep steps before it gives up
 _SKEW_STEP = 1e-6  # relative central-difference step of `skew_partials`
 
 
@@ -259,8 +260,6 @@ def map_strike(
     index_loss_dist: LossDist | None = None,
     bespoke_dist_provider: Callable[[list[float]], list[LossDist]] | None = None,
     curve: BaseCorrCurve | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 100,
 ) -> list[float]:
     """Index strikes "equivalent" to bespoke strikes k_bs under the rule.
 
@@ -270,7 +269,7 @@ def map_strike(
     law is recomputed under beta(K) for each trial K.  It is solved by a
     secant step on g(K) - K, falling back to the damped step
     K + 0.5 * (g(K) - K) when the secant is flat or would step
-    4 * |g(K) - K| or more; it returns g(K) once |g(K) - K| < tol, and may
+    4 * |g(K) - K| or more; it returns g(K) once |g(K) - K| < 1e-8, and may
     legitimately fail to converge for wide-spread bespokes.
 
     Under probability matching the strikes step in lockstep, each with its
@@ -279,7 +278,6 @@ def map_strike(
     strike order, and it must return the list of their laws in that order.
     If strikes fail to converge, the error names the first of them.
     """
-    check_stopping(tol, max_iter)
     if rule.variant == ABSOLUTE:
         return list(k_bs)
     if rule.variant == ATM:
@@ -303,8 +301,7 @@ def map_strike(
         return laws
 
     return _match_probabilities(
-        list(k_bs), _interp_quantile(index_loss_dist), provider, curve,
-        tol, max_iter)
+        list(k_bs), _interp_quantile(index_loss_dist), provider, curve)
 
 
 def _match_probabilities(
@@ -312,8 +309,6 @@ def _match_probabilities(
     index_quantile: Callable[[float], float],
     provider: Callable[[list[float]], list[LossDist]],
     curve: BaseCorrCurve,
-    tol: float,
-    max_iter: int,
 ) -> list[float]:
     """The probability-matching fixed points of bespoke strikes `ks`, all
     stepped in lockstep (see `map_strike`)."""
@@ -321,13 +316,13 @@ def _match_probabilities(
     k_prev: list[float | None] = [None] * len(ks)
     r_prev: list[float | None] = [None] * len(ks)
     live = list(range(len(ks)))  # strikes not yet converged
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         laws = provider([curve.beta(k_i[j]) for j in live])
         still = []
         for j, bespoke in zip(live, laws):
             k_target = index_quantile(_interp_cdf(bespoke)(ks[j]))
             r = k_target - k_i[j]
-            if abs(r) < tol:
+            if abs(r) < _TOL:
                 k_i[j] = k_target
                 continue
             step = _DAMPING * r
@@ -344,7 +339,7 @@ def _match_probabilities(
     j = live[0]
     raise MappingConvergenceError(
         f"probability matching did not converge at bespoke strike {ks[j]:g}",
-        residual=abs(r_prev[j]), iterations=max_iter,
+        residual=abs(r_prev[j]), iterations=_MAX_ITER,
     )
 
 

@@ -170,16 +170,6 @@ def log_partition_functions(
     return _FactoredKernel(prior, constraints).evaluate(lambdas).log_z
 
 
-def partition_functions(
-    prior: ConditionalLossDist,
-    constraints: Sequence[PricingConstraint],
-    lambdas: np.ndarray,
-) -> np.ndarray:
-    """Z_i(m, lam) per node; see log_partition_functions for the
-    overflow-proof variant this exponentiates."""
-    return np.exp(log_partition_functions(prior, constraints, lambdas))
-
-
 def posterior_factor_weights(
     prior_weights: np.ndarray, *log_zs: np.ndarray
 ) -> tuple[np.ndarray, float]:
@@ -266,9 +256,12 @@ class _FactoredKernel:
     def evaluate(self, lambdas: np.ndarray) -> _IndexTilt:
         tau = (lambdas[self.tranches] @ self.tranche_pay
                - lambdas @ self.targets + self.prior.tau)
-        log_a = self.log_q1 + lambdas[self.rel].sum() * self.x
-        log_b = self.log_q2 + lambdas[self.comp].sum() * self.y
-        a, b, e, log_scale = scaled_tilt_factors(log_a, log_b, tau)
+        c_rel, c_comp = lambdas[self.rel].sum(), lambdas[self.comp].sum()
+
+        def log_factors():  # formed again for the law: the same bits
+            return self.log_q1 + c_rel * self.x, self.log_q2 + c_comp * self.y
+
+        a, b, e, log_scale = scaled_tilt_factors(*log_factors(), tau)
         for factor in (a, b, e):
             # a subnormal factor weighs below 1e-54 of any Z_m kept here
             # (Z_m >= _NORMALIZER_FLOOR) but slows every product it enters
@@ -305,7 +298,8 @@ class _FactoredKernel:
         return _IndexTilt(
             log_z, cond_means, second_moments,
             lambda: ConditionalLossDist.from_factors(
-                self.prior.index_id, self.prior.grid, log_a, log_b, tau, log_z),
+                self.prior.index_id, self.prior.grid, *log_factors(), tau,
+                log_z),
         )
 
 
@@ -326,17 +320,24 @@ class _FrozenKernel:
                           lambda: self.prior)
 
 
+def check_constraint_indices(constraints: Sequence[PricingConstraint],
+                             index_ids):
+    """The rule of a constraint set: every constraint names one of the
+    indices `index_ids`."""
+    unknown = sorted({c.index_id for c in constraints} - set(index_ids))
+    if unknown:
+        raise ConfigurationError(
+            f"constraints reference unknown index ids: {unknown}"
+        )
+
+
 def _tilt_kernels(priors: Mapping[int, ConditionalLossDist],
                   constraints: Sequence[PricingConstraint]
                   ) -> tuple[dict[int, list[int]], dict[int, _FactoredKernel]]:
     """Per index, the positions of its constraints in the constraint list
     and the tilt kernel of its prior under them; every constraint must
     name one of the indices."""
-    unknown = sorted({c.index_id for c in constraints} - set(priors))
-    if unknown:
-        raise ConfigurationError(
-            f"constraints reference unknown index ids: {unknown}"
-        )
+    check_constraint_indices(constraints, priors)
     positions = {i: [k for k, c in enumerate(constraints) if c.index_id == i]
                  for i in sorted(priors)}
     return positions, {

@@ -21,12 +21,13 @@ from itertools import chain
 from pathlib import Path
 
 from . import __version__, basecorr, io as fmt, pricing
-from .calibrate import calibrate
-from .dynamic import DynamicModel, TimeGrid
+from .calibrate import calibrate, check_constraint_indices
+from .dynamic import DynamicModel, TimeGrid, check_index_pair
 from .errors import ConfigurationError, EntropicBespokeError, MappingConvergenceError
 from .loss import (LossGrid, build_conditional_prior, check_loss_unit,
-                   default_loss_unit, index_capacities, name_loss_units)
-from .prior import RELEVANT, IndexPortfolio, build_market_grid
+                   default_loss_unit, index_capacities, name_loss_units,
+                   portfolio_loadings)
+from .prior import RELEVANT, IndexPortfolio, build_market_grid, check_grid_size
 from .solver import check_stopping
 
 # the input-file fields of a config, in the order their existence is checked
@@ -46,6 +47,7 @@ class RunConfig:
     mode: str
     portfolios: Path
     output_dir: Path
+    path: Path | None = None  # the config file, which its values' errors name
     constraints: Path | None = None
     discount_curve: Path | None = None
     tranches: Path | None = None
@@ -100,7 +102,8 @@ class RunConfig:
         elif "threads" not in options and "ENTROPIC_BESPOKE_THREADS" in os.environ:
             where, field = "environment", "ENTROPIC_BESPOKE_THREADS"
             options["threads"] = fmt.parse_field(where, field, os.environ[field], int)
-        cfg = cls(mode=run_mode, verbose=verbose, **paths, **options)
+        cfg = cls(mode=run_mode, path=path, verbose=verbose, **paths,
+                  **options)
         if cfg.threads < 1:
             raise ConfigurationError(
                 f"{where}: {field} must be at least 1, got {cfg.threads!r}")
@@ -108,6 +111,8 @@ class RunConfig:
             check_stopping(cfg.tol, cfg.max_iter, "solver.")
             if cfg.loss_unit is not None:
                 check_loss_unit(cfg.loss_unit, "loss_unit")
+            for n in doc["grid_size"] if "grid_size" in options else ():
+                check_grid_size(n)  # as the config gave it
         for key in _INPUTS:
             if key in paths and not paths[key].exists():
                 raise ConfigurationError(f"{key} file not found: {paths[key]}")
@@ -175,6 +180,9 @@ def _calibration_setup(config, params, portfolios, constraints):
                  for i, p in portfolios.items()}
         for i, p in portfolios.items():  # before any array is built
             index_capacities(p, grids[i])
+            portfolio_loadings(p, params)  # its index is its home factor
+    with fmt._named(config.constraints):
+        check_constraint_indices(constraints, portfolios)
     grid = build_market_grid(*config.grid_size, params)
     return grids, grid, sorted({c.horizon for c in constraints})
 
@@ -210,13 +218,15 @@ def _bespoke_spec(config, portfolios) -> pricing.BespokeSpec:
     bucket, with its notional summed over the member buckets."""
     block = {"members": tuple((i, RELEVANT) for i in sorted(portfolios)),
              **config.bespoke}
-    spec = pricing.BespokeSpec(notional=1.0, **block)  # checks the block
     notional = 0.0
-    for i, bucket in spec.members:
-        if i not in portfolios:
-            raise ConfigurationError(f"bespoke references unknown index {i}")
-        notional += sum(n.notional_weight
-                        for n in portfolios[i].bucket_names(bucket))
+    with fmt._named(config.path):  # the block is the config's
+        spec = pricing.BespokeSpec(notional=1.0, **block)  # checks it
+        for i, bucket in spec.members:
+            if i not in portfolios:
+                raise ConfigurationError(
+                    f"bespoke references unknown index {i}")
+            notional += sum(n.notional_weight
+                            for n in portfolios[i].bucket_names(bucket))
     with fmt._named(config.portfolios):  # the members' weights sum to it
         return dataclasses.replace(spec, notional=notional)
 
@@ -243,6 +253,8 @@ def _mode_price_bespoke(config, reporter):
 
 def _mode_calibrate_dynamic(config, reporter):
     params, portfolios, _ = fmt.load_portfolios(config.portfolios)
+    with fmt._named(config.portfolios):
+        check_index_pair(portfolios)
     constraints = fmt.load_constraints(config.constraints)
     grids, grid, horizons = _calibration_setup(config, params, portfolios,
                                                constraints)

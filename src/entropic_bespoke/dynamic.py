@@ -28,12 +28,14 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .calibrate import (
+    TRANCHE,
     PricingConstraint,
     _normalize_rows,
     _tilt_kernels,
@@ -45,6 +47,7 @@ from .loss import (
     LossGrid,
     build_conditional_prior,
     index_capacities,
+    portfolio_loadings,
     tranche_payoff,
 )
 from .prior import (
@@ -55,7 +58,6 @@ from .prior import (
     MarketFactorGrid,
     _conditional_prob_rows,
     check_increasing,
-    derive_two_factor_loadings,
 )
 from .solver import newton_minimize
 
@@ -254,17 +256,17 @@ def build_conditional_loss_prior(
     if capacity == 0 or total_lgd <= 0.0:
         return BucketIncrementPrior(capacity=capacity,
                                     node_probs=np.zeros(len(coords)))
-    fwds, loadings = [], []
+    fwds = []
     for name in names:
         p0 = name.default_prob(t_start)
         p1 = name.default_prob(t_end)
         fwds.append(1.0 if p0 >= 1.0
                     else min(max((p1 - p0) / (1.0 - p0), 0.0), 1.0))
-        loadings.append(derive_two_factor_loadings(
-            name.one_factor_loading, params, portfolio.index_id, name_id=name.id
-        ))
+    loadings = portfolio_loadings(portfolio, params)
     weighted = np.zeros(len(coords))
-    for name, row in zip(names, _conditional_prob_rows(fwds, loadings, coords)):
+    rows = _conditional_prob_rows(fwds, [loadings[n.id] for n in names],
+                                  coords)
+    for name, row in zip(names, rows):
         weighted += name.lgd * row
     return BucketIncrementPrior(capacity=capacity,
                                 node_probs=weighted / total_lgd)
@@ -322,9 +324,9 @@ class PeriodKernel:
         """P(m, x11, x12, x21, x22) after this period for the factor nodes
         of the slice `nodes`: the pooled mass U[c1, c2, m] is contracted
         with each index's tilted laws T_i[c_i, m, x_i], V = U . T2 summing
-        out c2 and P = T1 . V summing out c1.  With `coarsen` > 1 each law
-        is first summed over the round-up blocks of its loss axes ({0},
-        {1..c}, {c+1..2c}, ...), which puts P on the coarse lattice."""
+        out c2 and P = T1 . V summing out c1.  With `coarsen` > 1 each
+        law's loss axes are first split onto the coarse lattice
+        (`_split_matrix`), which keeps each bucket's expected loss."""
         n1, n2, n_nodes = self.pooled_mass.shape
         picked = np.arange(n_nodes)[nodes]
         laws = []
@@ -333,15 +335,36 @@ class PeriodKernel:
             rows = (np.arange(n)[:, None] * n_nodes + picked).reshape(-1)
             t = law._joint_rows(rows).reshape(n, len(picked), *law.shape)
             if coarsen > 1:
-                for axis in (2, 3):
-                    t = np.add.reduceat(
-                        t, np.r_[0, 1:t.shape[axis]:coarsen], axis=axis)
+                s1, s2 = law.shape
+                t = (_split_matrix(s1, coarsen).T @ t
+                     @ _split_matrix(s2, coarsen))
             laws.append(t)
         t1, t2 = laws
         v = self.pooled_mass[:, :, nodes].transpose(2, 0, 1) @ t2.reshape(
             n2, len(picked), -1).transpose(1, 0, 2)
         p = t1.reshape(n1, len(picked), -1).transpose(1, 2, 0) @ v
         return p.reshape(len(picked), *t1.shape[2:], *t2.shape[2:])
+
+
+def _split_matrix(n: int, c: int) -> np.ndarray:
+    """(n, coarse) hand-over of fine loss levels 0..n-1 to a lattice `c`
+    times coarser that keeps each level's mean (Hull & White 2004): level
+    x goes to x // c with weight 1 - r and to x // c + 1 with weight
+    r = (x % c) / c."""
+    low, r = np.divmod(np.arange(n), c)
+    r = r / c
+    # one column more: the top level's weight r = 0 lands there
+    split = np.zeros((n, -(-(n - 1) // c) + 2))
+    split[np.arange(n), low] = 1.0 - r
+    split[np.arange(n), low + 1] = r
+    return split[:, :-1]
+
+
+def check_index_pair(portfolios: Mapping[int, IndexPortfolio]):
+    """The rule of the dynamic model's portfolios: exactly two indices."""
+    if len(portfolios) != 2:
+        raise ConfigurationError(
+            "the dynamic model tracks exactly two indices")
 
 
 class DynamicModel:
@@ -368,8 +391,7 @@ class DynamicModel:
         self.time_grid = time_grid
         self.coarsen = coarsen
         self.index_ids = sorted(portfolios)
-        if len(self.index_ids) != 2:
-            raise ConfigurationError("the dynamic model tracks exactly two indices")
+        check_index_pair(portfolios)
         self.chain = build_factor_chain_prior(grid, persistence)
         self._caps = {i: index_capacities(self.portfolios[i],
                                           self.loss_grids[i])
@@ -396,9 +418,10 @@ class DynamicModel:
     def align_to_period(self, period: int, state: DynamicState) -> np.ndarray:
         """The mass of the previous period's state on this period's
         lattice, dense over (node, x11, x12, x21, x22): when period 0 hands
-        over to a coarsened period, losses are rounded up
-        (`PeriodKernel.marginal`), so paths stay monotone in value.  A
-        state from any other period is a ConfigurationError."""
+        over to a coarsened period, each loss is split between its two
+        nearest coarse levels (`PeriodKernel.marginal`), so each bucket
+        keeps its expected loss.  A state from any other period is a
+        ConfigurationError."""
         if state.period != period - 1:
             raise ConfigurationError(
                 f"period {period} needs the state of period {period - 1}, "
@@ -472,6 +495,19 @@ class DynamicModel:
         tol: float = 1e-9,
         max_iter: int = 200,
     ) -> PeriodKernel:
+        """Solve one period's dual.  The coarse hand-over keeps each
+        bucket's mean loss, not its spread within a coarse unit, so a
+        coarsened period warns where its unit is wider than the index's
+        narrowest tranche: such a tranche's target may not be met."""
+        for i in self.index_ids if period > 0 and self.coarsen > 1 else ():
+            unit = self.period_loss_grid(period, i).unit
+            widths = [c.k_high - c.k_low for c in constraints
+                      if c.index_id == i and c.kind == TRANCHE]
+            if widths and unit > min(widths):
+                warnings.warn(
+                    f"index {i}, period {period}: coarse loss unit {unit:g} "
+                    f"is wider than the narrowest tranche, {min(widths):g} "
+                    "wide; its target may not be met", stacklevel=2)
         problem = self._period_problem(period, prev_state, tuple(constraints))
         res = newton_minimize(
             problem.objective, problem.hessian,

@@ -183,7 +183,8 @@ def _scaled_exp(log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     without a finite max keeps top 0."""
     top = log_w.max(axis=-1)
     top = np.where(np.isfinite(top), top, 0.0)
-    return np.exp(log_w - top[..., None]), top
+    scaled = log_w - top[..., None]
+    return np.exp(scaled, out=scaled), top
 
 
 def scaled_tilt_factors(log_a: np.ndarray, log_b: np.ndarray,

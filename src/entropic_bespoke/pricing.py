@@ -9,6 +9,7 @@ on the bespoke notional (sum of member bucket notionals).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,14 +24,16 @@ from .errors import (
     InfeasibleAdjustmentError,
     UndefinedSpreadError,
 )
-from .loss import (LossDist, LossGrid, check_strikes, convolve_rows,
-                   tranche_payoff)
+from .loss import (LossDist, LossGrid, _antidiagonal_sums, check_strikes,
+                   convolve_rows, tranche_payoff)
 from .prior import check_bucket, check_increasing
 from .solver import newton_minimize
 
 BucketRef = tuple[int, str]  # (index_id, bucket)
 _FLAT_PILLAR = 50.0  # years: the one pillar of `DiscountCurve.flat`
 _MAX_COUPONS = 100_000  # coupons of one schedule: daily for 270 years
+_ADJUST_TOL = 1e-12  # a proxy tilt's EL tolerance, relative to its loss scale
+_ADJUST_MAX_ITER = 200  # Newton steps of one proxy tilt
 
 
 @dataclass(frozen=True)
@@ -169,10 +172,13 @@ def bespoke_loss_dist(
 def assemble_bespoke(
     result: CalibrationResult, spec: BespokeSpec, horizon: float = 0.0
 ) -> LossDist:
-    """Convolve member-bucket posterior marginals per node, then mix."""
+    """Convolve member-bucket posterior marginals per node and mix: the
+    members but the last are convolved node by node, and the last is
+    convolved and mixed at once, as the antidiagonal sums of
+    sum_m h_m p_m(x) q_m(y), one product over the nodes."""
     h = result.posterior_weights
     unit = None
-    per_node = None
+    margs = []
     for member in spec.members:
         index_id, bucket = member
         grid = _law(result, index_id).grid
@@ -187,8 +193,13 @@ def assemble_bespoke(
         target = spec.proxy_target(member, horizon)
         if target is not None:
             marg, _ = adjust_bespoke_names(marg, h, unit, target)
-        per_node = marg if per_node is None else convolve_rows(per_node, marg)
-    pmf = h @ per_node
+        margs.append(marg)
+    *chain, last = margs
+    if chain:
+        per_node = functools.reduce(convolve_rows, chain)
+        pmf = _antidiagonal_sums(((per_node * h[:, None]).T @ last)[None])[0]
+    else:
+        pmf = h @ last
     bespoke_grid = LossGrid(unit=unit / spec.notional, max_units=len(pmf) - 1)
     return LossDist(pmf=pmf, grid=bespoke_grid, horizon=horizon)
 
@@ -198,8 +209,6 @@ def adjust_bespoke_names(
     weights: np.ndarray,
     unit: float,
     target_el: float,
-    tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> tuple[np.ndarray, float]:
     """Exponentially tilt per-node bucket pmfs so the factor-mixed expected
     loss hits target_el, leaving the factor weights untouched.
@@ -229,7 +238,7 @@ def adjust_bespoke_names(
         return float(h @ mean_m), float(h @ var_m), tilted, float(h @ log_z)
 
     current = mixed_el(0.0)[0]
-    if abs(current - target_el) <= tol * scale:
+    if abs(current - target_el) <= _ADJUST_TOL * scale:
         return q.copy(), 0.0
     if not lo + 1e-15 * scale < target_el < hi - 1e-15 * scale:
         raise InfeasibleAdjustmentError(
@@ -244,7 +253,7 @@ def adjust_bespoke_names(
     try:
         res = newton_minimize(
             dual, lambda lam: np.array([[mixed_el(lam[0])[1]]]), np.zeros(1),
-            tol=tol * scale, max_iter=max_iter,
+            tol=_ADJUST_TOL * scale, max_iter=_ADJUST_MAX_ITER,
         )
     except CalibrationError as exc:
         raise InfeasibleAdjustmentError(
@@ -312,26 +321,6 @@ def risky_annuity(
     b = np.array([curve.df(t) for t in tranche.coupon_times])
     deltas = np.asarray(tranche.accruals, dtype=float)
     return float(np.sum(deltas * b * 0.5 * (en[:-1] + en[1:])))
-
-
-def premium_leg(
-    horizons: Sequence[float],
-    els: Sequence[float],
-    tranche: TrancheSpec,
-    curve: DiscountCurve,
-    spread: float,
-) -> float:
-    return spread * risky_annuity(horizons, els, tranche, curve)
-
-
-def par_spread(
-    horizons: Sequence[float],
-    els: Sequence[float],
-    tranche: TrancheSpec,
-    curve: DiscountCurve,
-) -> float:
-    """Running spread equating the two legs."""
-    return price_el_curve(horizons, els, tranche, curve).par_spread
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,12 @@ def check_bucket(bucket: str, owner: str):
             f"{bucket!r}")
 
 
+def check_grid_size(n):
+    """The rule of a factor grid's nodes per axis: 1 to 64."""
+    if not 1 <= n <= 64:
+        raise ConfigurationError(f"grid size must be in [1, 64], got {n}")
+
+
 def check_increasing(what: str, values: Sequence[float],
                      positive: bool = True):
     """The rule of a time or strike grid: finite values that increase, and
@@ -271,8 +277,7 @@ def build_market_grid(n1: int, n2: int, params: FactorParams) -> MarketFactorGri
     renormalized to sum to one.  rho = 0 reduces to the plain product rule.
     """
     for n in (n1, n2):
-        if not 1 <= n <= 64:
-            raise ConfigurationError(f"grid size must be in [1, 64], got {n}")
+        check_grid_size(n)
     x1, w1 = _unit_gauss_hermite(n1)
     x2, w2 = _unit_gauss_hermite(n2)
     weights = np.outer(w1, w2)

@@ -101,14 +101,33 @@ def lattice_rows(columns, dims):
     return rows, (np.cumsum(present) - 1)[cell]
 
 
+def split_rows(support, probs, coarsen):
+    """Rows (m, x11, x12, x21, x22) with masses `probs` handed to a lattice
+    `coarsen` times coarser by the mean-preserving split, one loss column
+    at a time: loss x goes to x // c with weight 1 - r and to x // c + 1
+    with weight r = (x % c) / c, and a row of weight r = 0 is dropped.
+    Returns the split rows and their masses, in an order set by the input
+    order alone; rows that meet are not merged."""
+    for col in range(1, 5):
+        low, r = np.divmod(support[:, col], coarsen)
+        r = r / coarsen
+        up = support[r > 0.0]
+        up[:, col] = low[r > 0.0] + 1
+        support = support.copy()
+        support[:, col] = low
+        support = np.concatenate([support, up])
+        probs = np.concatenate([probs * (1.0 - r), (probs * r)[r > 0.0]])
+    return support, probs
+
+
 class DenseKernel:
     """A stand-in for the kernel that made a state, for tests that need a
     state no calibration hands over (a few rows, a filtered or reweighted
     support): it holds the state's dense mass over (node, x11, x12, x21,
     x22) and hands it over as `PeriodKernel.marginal` does, but coarsened
-    by the reference's round-up rule: each cell's mass, in C order, is
-    added to the coarse cell of losses -(-x // c).  Like a period kernel
-    it carries the period and horizon of the state it makes."""
+    by rows: each cell's mass, in C order, is split by `split_rows` and
+    added to its coarse cells.  Like a period kernel it carries the period
+    and horizon of the state it makes."""
 
     def __init__(self, mass, period=0, horizon=1.0):
         self.mass, self.period, self.horizon = mass, period, horizon
@@ -117,11 +136,11 @@ class DenseKernel:
         mass = self.mass[nodes]
         if coarsen == 1:
             return mass
-        cells = np.nonzero(mass)
+        cells = np.argwhere(mass)
+        rows, probs = split_rows(cells, mass[tuple(cells.T)], coarsen)
         coarse = np.zeros((len(mass), *(-(-(n - 1) // coarsen) + 1
                                         for n in mass.shape[1:])))
-        np.add.at(coarse, (cells[0], *(-(-x // coarsen) for x in cells[1:])),
-                  mass[cells])
+        np.add.at(coarse, tuple(rows.T), probs)
         return coarse
 
 
@@ -137,8 +156,8 @@ def state_of_rows(state, support, probs):
 def reference_lattice(model, period, state):
     """The period dual's lattice of previous cells by the row path that
     the factored states replaced: the state's support rows (materialized
-    for a propagated state), aligned to the period by rounding losses up
-    and summing the rows that meet with a bincount, then the distinct
+    for a propagated state), aligned to the period by `split_rows` and
+    summing the rows that meet with a bincount, then the distinct
     previous nodes and loss pairs of the aligned rows and each cell's mass
     summed by a second bincount.  Returns (nodes, contexts by index id,
     w)."""
@@ -146,8 +165,9 @@ def reference_lattice(model, period, state):
     caps = model.period_capacities(period)
     dims = [cap + 1 for i in model.index_ids for cap in caps[i]]
     if model.coarsen > 1 and state.period <= 0 < period:
+        support, probs = split_rows(support, probs, model.coarsen)
         support, which = lattice_rows(  # node + 1: the initial one is -1
-            (support[:, 0] + 1, *(-(-support[:, 1:].T // model.coarsen))),
+            (support[:, 0] + 1, *support[:, 1:].T),
             (model.grid.n_nodes + 1, *dims))
         support[:, 0] -= 1
         probs = np.bincount(which, weights=probs, minlength=len(support))

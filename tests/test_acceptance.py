@@ -849,8 +849,8 @@ def test_dynamic_bootstrap_keeps_states_factored():
     period 0 is U[m] T1[m, x1] T2[m, x2] to 1e-14 relative, period 1's
     lattice is the row path's (same nodes and contexts, masses to 1e-14
     relative), and period 1 propagates the kernel of that lattice.  Solved
-    from the row path's lattice instead, period 1's multipliers (of order
-    1e5) agree to 1e-12 and its states, on the same rows, to 1e-9."""
+    from the row path's lattice instead, period 1's multipliers (up to 24
+    in size) agree to 1e-12 and its states, on the same rows, to 1e-9."""
     horizons = (1.0, 2.0)
     strikes = (0.0, 0.15)
     ports = {i: _big_index(i, n_names=24, n_relevant=12, horizons=horizons)
@@ -894,8 +894,8 @@ def test_dynamic_bootstrap_keeps_states_factored():
     del outer, want
     assert_lattice_matches_reference(model, 1, s0, per_period[1])
     assert s1.kernel is k1
-    # the row path: period 0's rows, rounded up and summed in row order as
-    # its bincount summed them, then solved and propagated
+    # the row path: period 0's rows, split and summed in row order as its
+    # bincount summed them, then solved and propagated
     by_rows = state_of_rows(s0, s0.support, s0.probs)
     k1_rows = model.calibrate_period(1, by_rows, per_period[1])
     s1_rows = model.propagate_marginal(k1_rows)
@@ -915,8 +915,11 @@ def test_product_form_period_dual_two_40_name_indices():
     One BLAS thread, `bootstrap_all` alone: with the broadcast dual it took
     11.2-14.8 s, a traced peak of 733.6 MB (tracemalloc, numpy 2.4) and
     748 MB ru_maxrss; in product form 0.8-0.9 s, 65.9 MB traced and
-    109 MB.  Budget: 3 s and 200 MB traced, with Newton's 2, 6 and 4
-    steps kept and every period's pooled mass 1."""
+    109 MB.  Budget: 3 s and 200 MB traced, with Newton's 2, 5 and 5
+    steps kept, every period's pooled mass 1 and every target met to
+    0.05% relative.  Period 1 met it only once the hand-over kept each
+    bucket's mean (worst 0.0085%, |lambda| 42); rounding losses up had
+    missed by +17.6% with |lambda| 1.47e5."""
     horizons = (1.0, 2.0, 3.0)
     strikes = (0.0, 0.15)
     ports = {i: _big_index(i, n_names=40, n_relevant=20, horizons=horizons)
@@ -946,12 +949,17 @@ def test_product_form_period_dual_two_40_name_indices():
     # each state's mass is its kernel's pooled mass (tilted laws sum to 1);
     # period 0's support alone would be about 19 M rows
     worst_mass = max(abs(k.pooled_mass.sum() - 1.0) for k in kernels)
+    misfit = []
+    for k in kernels:
+        targets = np.array([c.target_el for c in k.constraints])
+        misfit.append(float(np.max(np.abs(k.model_els / targets - 1.0))))
     check(
         "dynamic-40-names-product-form-dual",
-        elapsed <= 3.0 and peak <= 200e6 and steps == [2, 6, 4]
+        elapsed <= 3.0 and peak <= 200e6 and steps == [2, 5, 5]
         and lattices == [(1, 1, 1), (100, 64, 64), (100, 64, 64)]
-        and worst_mass < 1e-9,
+        and worst_mass < 1e-9 and max(misfit) <= 5e-4,
         f"{elapsed:.2f} s (budget 3 s), traced peak {peak / 1e6:.1f} MB "
         f"(budget 200 MB); Newton steps {steps}, lattices {lattices}, "
-        f"|mass - 1| {worst_mass:.1e}",
+        f"|mass - 1| {worst_mass:.1e}, worst relative residual per period "
+        f"{[f'{m:.1e}' for m in misfit]} (bound 5e-4)",
     )

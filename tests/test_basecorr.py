@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import entropic_bespoke.basecorr as basecorr
 from entropic_bespoke.basecorr import (
     BaseCorrCurve,
     MappingRule,
@@ -220,7 +221,8 @@ class TestMapStrike:
         with pytest.raises(ConfigurationError):
             MappingRule("median")
 
-    def test_probability_matching_fixed_point(self):
+    def test_probability_matching_fixed_point(self, monkeypatch):
+        monkeypatch.setattr(basecorr, "_TOL", 1e-10)
         index_pool = toy_portfolio(1, 4, 4, seed=14)
         bespoke_pool = toy_portfolio(2, 3, 3, seed=15)
         curve = BaseCorrCurve(strikes=(0.03, 0.1, 0.3), betas=(0.25, 0.4, 0.6))
@@ -233,20 +235,20 @@ class TestMapStrike:
         [k_i] = map_strike(
             MappingRule("probability_matching"), [k_b], 0.05, 0.06,
             index_loss_dist=index_dist, bespoke_dist_provider=provider,
-            curve=curve, tol=1e-10,
+            curve=curve,
         )
         [bespoke] = provider([curve.beta(k_i)])
         p_b = np.interp(k_b, bespoke.levels, bespoke.cdf())
         p_i = np.interp(k_i, index_dist.levels, index_dist.cdf())
         assert abs(p_b - p_i) < 1e-8
 
-    def test_probability_matching_takes_few_laws(self):
+    def test_probability_matching_takes_few_laws(self, monkeypatch):
         index_pool = toy_portfolio(1, 4, 4, seed=14)
         bespoke_pool = toy_portfolio(2, 3, 3, seed=15)
         [index_dist] = onefactor_loss_dist(index_pool, [0.35], 5.0)
         rule = MappingRule("probability_matching")
 
-        def solve(curve, k_b, **kwargs):
+        def solve(curve, k_b):
             betas = []
 
             def provider(trial):
@@ -255,40 +257,28 @@ class TestMapStrike:
 
             [k_i] = map_strike(rule, [k_b], 0.05, 0.06,
                                index_loss_dist=index_dist,
-                               bespoke_dist_provider=provider, curve=curve,
-                               **kwargs)
+                               bespoke_dist_provider=provider, curve=curve)
             return k_i, betas
 
-        skew = BaseCorrCurve(strikes=(0.03, 0.1, 0.3), betas=(0.25, 0.4, 0.6))
-        for k_b in (0.02, 0.03, 0.05, 0.08, 0.12, 0.2, 0.3, 0.5, 0.8):
-            k_i, betas = solve(skew, k_b)
-            assert len(betas) <= 6
-            assert k_i == pytest.approx(solve(skew, k_b, tol=1e-14)[0], abs=2e-9)
         # below 30% the skew is flat, so the map is constant: one damped
         # step, then the secant lands on it
         flat = BaseCorrCurve(strikes=(0.3, 0.6), betas=(0.3, 0.5))
         for k_b in (0.02, 0.05, 0.08, 0.12):
             k_i, betas = solve(flat, k_b)
             assert set(betas) == {0.3} and len(betas) <= 3
+        skew = BaseCorrCurve(strikes=(0.03, 0.1, 0.3), betas=(0.25, 0.4, 0.6))
+        strikes = (0.02, 0.03, 0.05, 0.08, 0.12, 0.2, 0.3, 0.5, 0.8)
+        mapped = []
+        for k_b in strikes:
+            k_i, betas = solve(skew, k_b)
+            assert len(betas) <= 6
+            mapped.append(k_i)
+        # the default stopping residual is within 2e-9 of a tight one's
+        monkeypatch.setattr(basecorr, "_TOL", 1e-14)
+        for k_b, k_i in zip(strikes, mapped):
+            assert k_i == pytest.approx(solve(skew, k_b)[0], abs=2e-9)
 
-    def test_probability_matching_rejects_bad_settings(self):
-        [index_dist] = onefactor_loss_dist(toy_portfolio(1, 3, 3, seed=16),
-                                           [0.3], 5.0)
-        curve = BaseCorrCurve(strikes=(0.01, 0.5), betas=(0.05, 0.95))
-
-        def provider(betas):
-            raise AssertionError("no law may be built for bad settings")
-
-        for bad, reason in (({"tol": 0.0}, "tolerance"),
-                            ({"tol": -1e-8}, "tolerance"),
-                            ({"tol": math.inf}, "tolerance"),
-                            ({"max_iter": 0}, "max_iter")):
-            with pytest.raises(ConfigurationError, match=reason):
-                map_strike(MappingRule("probability_matching"), [0.08], 0.05,
-                           0.06, index_loss_dist=index_dist,
-                           bespoke_dist_provider=provider, curve=curve, **bad)
-
-    def test_no_convergence_reports_residual_and_iterations(self):
+    def test_no_convergence_reports_residual_and_iterations(self, monkeypatch):
         [index_dist] = onefactor_loss_dist(toy_portfolio(1, 3, 3, seed=16),
                                            [0.3], 5.0)
         curve = BaseCorrCurve(strikes=(0.01, 0.5), betas=(0.05, 0.95))
@@ -301,10 +291,11 @@ class TestMapStrike:
             pmf[0 if state["flip"] else 27] = 1.0
             return [index_dist.__class__(pmf=pmf, grid=index_dist.grid)]
 
+        monkeypatch.setattr(basecorr, "_MAX_ITER", 7)
         with pytest.raises(MappingConvergenceError) as err:
             map_strike(MappingRule("probability_matching"), [0.08], 0.05, 0.06,
                        index_loss_dist=index_dist,
-                       bespoke_dist_provider=provider, curve=curve, max_iter=7)
+                       bespoke_dist_provider=provider, curve=curve)
         assert err.value.iterations == 7
         assert err.value.residual > 1e-8
         assert str(err.value).endswith(
@@ -440,12 +431,12 @@ class TestBatchedMapping:
 
         return index_dist, provider, calls
 
-    def one(self, k_b, t, curve, **kwargs):
+    def one(self, k_b, t, curve):
         """The index strike of the one-element batch of `k_b`."""
         index_dist, provider, _ = self.mapping(t)
         [k_i] = map_strike(
             self.rule, [k_b], 0.05, 0.06, index_loss_dist=index_dist,
-            bespoke_dist_provider=provider, curve=curve, **kwargs)
+            bespoke_dist_provider=provider, curve=curve)
         return k_i
 
     def test_probability_matching_equals_scalar_calls(self):
@@ -468,34 +459,34 @@ class TestBatchedMapping:
                 got, [map_strike(rule, [k], 0.05, 0.06)[0]
                       for k in self.strikes])
 
-    def test_error_names_first_failing_strike(self):
+    def test_error_names_first_failing_strike(self, monkeypatch):
         # at 5 iterations only the 30% strike fails; at 4 all but the 5%
         # and 50% strikes do, and the error is the 2% strike's
         index_dist, provider, _ = self.mapping(5.0)
         for max_iter, first in ((5, 0.3), (4, 0.02)):
+            monkeypatch.setattr(basecorr, "_MAX_ITER", max_iter)
             for k in self.strikes:
                 if k < first:
-                    self.one(k, 5.0, self.skew, max_iter=max_iter)
+                    self.one(k, 5.0, self.skew)
             with pytest.raises(MappingConvergenceError) as one_err:
-                self.one(first, 5.0, self.skew, max_iter=max_iter)
+                self.one(first, 5.0, self.skew)
             with pytest.raises(MappingConvergenceError) as err:
                 map_strike(self.rule, list(self.strikes), 0.05, 0.06,
                            index_loss_dist=index_dist,
-                           bespoke_dist_provider=provider, curve=self.skew,
-                           max_iter=max_iter)
+                           bespoke_dist_provider=provider, curve=self.skew)
             assert f"bespoke strike {first:g}" in str(err.value)
             assert str(err.value) == str(one_err.value)
             assert err.value.residual == one_err.value.residual
             assert err.value.iterations == max_iter
         # the converging strikes among them map as their one-element
         # batches do
+        monkeypatch.setattr(basecorr, "_MAX_ITER", 5)
         converging = [k for k in self.strikes if k != 0.3]
         assert np.array_equal(
             map_strike(self.rule, converging, 0.05, 0.06,
                        index_loss_dist=index_dist,
-                       bespoke_dist_provider=provider, curve=self.skew,
-                       max_iter=5),
-            [self.one(k, 5.0, self.skew, max_iter=5) for k in converging])
+                       bespoke_dist_provider=provider, curve=self.skew),
+            [self.one(k, 5.0, self.skew) for k in converging])
 
     def test_provider_must_return_one_law_per_beta(self):
         index_dist, provider, _ = self.mapping(5.0)

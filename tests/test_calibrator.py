@@ -20,7 +20,6 @@ from entropic_bespoke.calibrate import (
     factor_only_calibrate,
     kl_divergence,
     log_partition_functions,
-    partition_functions,
     payoff_eval,
     posterior_factor_weights,
     prior_expected_losses,
@@ -151,7 +150,7 @@ class TestPartitionFunctions:
     def test_lambda_zero(self):
         _, grid, _, priors, _ = toy_setup()
         cons = standard_constraints(grid, priors)[:2]
-        z = partition_functions(priors[1], cons, np.zeros(2))
+        z = np.exp(log_partition_functions(priors[1], cons, np.zeros(2)))
         assert z == pytest.approx(np.ones(grid.n_nodes), abs=1e-12)
 
     def test_point_mass_prior(self):
@@ -164,7 +163,7 @@ class TestPartitionFunctions:
         c = PricingConstraint(index_id=1, kind="subportfolio_total",
                               bucket="relevant", target_el=0.05)
         lam = np.array([0.7])
-        z = partition_functions(prior, [c], lam)
+        z = np.exp(log_partition_functions(prior, [c], lam))
         assert z[0] == pytest.approx(np.exp(0.7 * (0.2 - 0.05)), rel=1e-14)
 
     def test_matches_direct_sum(self, rng):
@@ -397,23 +396,40 @@ class TestKernelProductBuffer:
         assert np.array_equal(first.cond_means, want.cond_means)
         assert np.array_equal(first.second_moments(w), want.second_moments(w))
         assert np.array_equal(first.law().pmfs, want.law().pmfs)
+        # the law forms its factors when asked, as the evaluation formed
+        # them: log q + (summed bucket multipliers) * loss
+        law = first.law()
+        assert np.array_equal(
+            law.log_a, kernel.log_q1 + lam1[kernel.rel].sum() * kernel.x)
+        assert np.array_equal(
+            law.log_b, kernel.log_q2 + lam1[kernel.comp].sum() * kernel.y)
 
-    def test_second_evaluation_maps_no_new_product(self, rng):
+    def test_second_evaluation_maps_no_new_product(self, rng, monkeypatch):
+        # each evaluation forms the product in its one np.matmul call, into
+        # the same buffer; the traced memory held at that call is a new
+        # buffer more in the first evaluation than in the second
         new_kernel, lambdas = self.kernels_and_lambdas(rng)
         kernel = new_kernel()
-        peaks = []
+        held, buffers, base = [], [], 0
+        matmul = np.matmul
+
+        def traced_matmul(*args, out):
+            held.append(tracemalloc.get_traced_memory()[0] - base)
+            buffers.append(out)
+            return matmul(*args, out=out)
+
+        monkeypatch.setattr(np, "matmul", traced_matmul)
         tracemalloc.start()
         try:
             for lam in lambdas:
-                tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
                 kernel.evaluate(lam)
-                peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()
         _, n, s2 = kernel.lifted.shape
         product_bytes = kernel.prior.n_nodes * n * s2 * 8  # float64
-        assert peaks[0] - peaks[1] >= product_bytes
+        assert len(held) == 2 and held[0] - held[1] >= product_bytes
+        assert buffers[0] is buffers[1]
 
 
 class TestPriorChecks:

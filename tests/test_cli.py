@@ -37,7 +37,7 @@ from entropic_bespoke.loss import (
 )
 
 from conftest import (reference_kernel_factor_rows, reference_prev_rows,
-                      toy_portfolio)
+                      split_rows, toy_portfolio)
 
 
 def write_portfolios(path, rho=0.4, alpha=0.2, horizons=(1.0, 3.0), n_names=6,
@@ -518,6 +518,27 @@ class TestCalibrateDynamic:
         assert (tmp_path / "out" / "dynamic_factor_kernels.csv").read_bytes() \
             == reference_csv(fmt.KERNEL_HEADER, reference_kernel_rows(kernels))
 
+    def test_coarse_unit_wider_than_a_tranche_warns(self, tmp_path, capsys):
+        # 4 names of LGD 0.15 per index: coarsened by 3 from period 1, the
+        # unit 0.45 is wider than the 0-30% tranche
+        write_portfolios(tmp_path / "portfolios.json", n_names=4)
+        write_csv(tmp_path / "constraints.csv", CONSTRAINT_COLUMNS,
+                  prior_el_constraints(tmp_path / "portfolios.json",
+                                       grid_size=(3, 3)))
+        (tmp_path / "config.json").write_text(json.dumps({
+            "mode": "calibrate-dynamic",
+            "portfolios": "portfolios.json",
+            "constraints": "constraints.csv",
+            "grid_size": [3, 3],
+            "coarsen": 3,
+            "output_dir": "out",
+        }))
+        assert main(["--config", str(tmp_path / "config.json")]) == 0
+        assert capsys.readouterr().err == "".join(
+            f"warning: index {i}, period 1: coarse loss unit 0.45 is wider "
+            "than the narrowest tranche, 0.3 wide; its target may not be "
+            "met\n" for i in (1, 2))
+
     def test_coarsened_dumps_join_through_the_aligned_states(
         self, tmp_path, dumped, monkeypatch
     ):
@@ -543,15 +564,18 @@ class TestCalibrateDynamic:
         assert (tmp_path / "out" / "dynamic_factor_kernels.csv").read_bytes() \
             == reference_csv(fmt.KERNEL_HEADER, reference_kernel_rows(kernels))
         # docs/file_formats.md: period 1's prev_row indexes the period-0
-        # rows with every loss ceil-divided by 2, equal rows merged and
-        # sorted lexicographically
+        # rows with every loss split between its two nearest coarse levels
+        # (halves of 2), equal rows merged and sorted lexicographically
+        period0 = [r for r in read_rows(tmp_path / "out/dynamic_states.csv")
+                   if r["period"] == "0"]
+        split, masses = split_rows(
+            np.array([[int(r[x]) for x in ("m", "x11", "x12", "x21", "x22")]
+                      for r in period0]),
+            np.array([float(r["prob"]) for r in period0]), 2)
         mapped = {}
-        for r in read_rows(tmp_path / "out" / "dynamic_states.csv"):
-            if r["period"] == "0":
-                key = (int(r["m"]), *(-(-int(r[x]) // 2) for x in
-                                      ("x11", "x12", "x21", "x22")))
-                mapped[key] = mapped.get(key, 0.0) + float(r["prob"])
-        assert len(mapped) < len(states[0].probs)  # some rows merged
+        for key, p in zip(map(tuple, split.tolist()), masses):
+            mapped[key] = mapped.get(key, 0.0) + p
+        assert len(mapped) < len(split)  # some rows merged
         support, probs = reference_prev_rows(kernels[1])
         assert [tuple(row) for row in support.tolist()] == sorted(mapped)
         assert probs == pytest.approx([mapped[k] for k in sorted(mapped)],
@@ -1071,18 +1095,44 @@ class TestFailureHandling:
         ("horizon-0", "calibrate-static"), ("horizon-neg", "price-bespoke"),
         ("notional", "map-basecorr"), ("lattice", "calibrate-static"),
         ("lattice", "price-bespoke"), ("lattice", "map-basecorr"),
+        ("grid-size", "calibrate-static"),
+        ("grid-size-huge", "calibrate-dynamic"),
+        ("home-index", "calibrate-static"), ("one-index", "calibrate-dynamic"),
+        ("bespoke-index", "price-bespoke"),
+        ("constraint-index", "calibrate-static"),
     ])
     def test_out_of_range_input_is_one_config_line(self, workdir, capsys,
                                                    case, mode):
         # each ended in an OverflowError traceback, a MemoryError traceback
         # (the lattice) or, for the horizons, fitted a model EL of 0 and
-        # exited 0; the bespoke notional's error did not name the file
+        # exited 0; the bespoke notional's error and the last six did not
+        # name the file, and the huge grid size printed as int(1e308)
         port, tranches = workdir / "portfolios.json", workdir / "tranches.csv"
+        config = workdir / "config.json"
         constraints = prior_el_constraints(port)
         unit = default_loss_unit(*load_portfolios(port)[1].values())
         doc = json.loads(port.read_text())
+        cfg = json.loads(config.read_text())
         schedule = [[0.0, 0.1, 3.0, 4, "yearfrac"]]
-        if case == "alpha":
+        if case in ("grid-size", "grid-size-huge"):
+            cfg["grid_size"] = [3, -1] if case == "grid-size" else [1e308, 3]
+            want = (f"{config}: grid size must be in [1, 64], got "
+                    + ("-1" if case == "grid-size" else "1e+308"))
+        elif case == "home-index":
+            doc["names"][0]["index_id"] = 0
+            want = f"{port}: home_index must be 1 or 2, got 0"
+        elif case == "one-index":
+            for name in doc["names"]:
+                name["index_id"] = 1
+            want = f"{port}: the dynamic model tracks exactly two indices"
+        elif case == "bespoke-index":
+            cfg["bespoke"] = {"members": [[-1, "relevant"]]}
+            want = f"{config}: bespoke references unknown index -1"
+        elif case == "constraint-index":
+            constraints[0][0] = 0
+            want = (f"{workdir / 'constraints.csv'}: constraints reference "
+                    "unknown index ids: [0]")
+        elif case == "alpha":
             doc["factor_params"]["alpha"] = 1e308
             want = (f"{port}: 1 + 2*alpha*rho + alpha^2 must be finite and "
                     "positive, got inf")
@@ -1116,12 +1166,12 @@ class TestFailureHandling:
             want = (f"{workdir / 'constraints.csv'} line 2: horizon must be "
                     f"finite and > 0, got {float(constraints[0][4])}")
         port.write_text(json.dumps(doc))
+        config.write_text(json.dumps(cfg))
         write_csv(tranches, ["k_low", "k_high", "maturity", "frequency",
                              "daycount"], schedule)
         write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS, constraints)
         with address_space_limit():
-            assert main(["--config", str(workdir / "config.json"),
-                         "--mode", mode]) == 1
+            assert main(["--config", str(config), "--mode", mode]) == 1
         assert capsys.readouterr().err == f"ERROR CONFIG: {want}\n"
         assert not (workdir / "out").exists() or not any(
             (workdir / "out").iterdir())
@@ -1223,7 +1273,8 @@ class TestFailureHandling:
         (workdir / "config.json").write_text(json.dumps(cfg))
         rc = main(["--config", str(workdir / "config.json")])
         assert rc == 1
-        assert capsys.readouterr().err == f"ERROR CONFIG: {reason}\n"
+        assert capsys.readouterr().err == \
+            f"ERROR CONFIG: {workdir / 'config.json'}: {reason}\n"
         assert not any((workdir / "out").iterdir())
 
     @pytest.mark.parametrize("case, message", [

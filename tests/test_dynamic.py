@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import logsumexp
 from scipy.stats import binom
 
@@ -49,6 +49,7 @@ from conftest import (
     reference_kernel_factor_rows,
     reference_lattice,
     reference_prev_rows,
+    split_rows,
     state_of_rows,
     tilted_blocks,
     toy_portfolio,
@@ -995,7 +996,8 @@ class TestCoarsening:
         for row in states[1].support:
             assert row[1] <= caps[1][0] and row[2] <= caps[1][1]
             assert row[3] <= caps[2][0] and row[4] <= caps[2][1]
-        # ceiling alignment keeps loss values monotone across the rescale
+        # the split is a mean-preserving spread and the increments are
+        # non-negative, so no stop-loss EL E[(X - k)^+] falls
         unit0 = model.period_loss_grid(0, 1).unit
         unit1 = model.period_loss_grid(1, 1).unit
         for cols in [(1, 2), (3, 4)]:
@@ -1003,6 +1005,22 @@ class TestCoarsening:
                 el0 = states[0].expected_tranche_loss(cols, unit0, k, 1e9)
                 el1 = states[1].expected_tranche_loss(cols, unit1, k, 1e9)
                 assert el1 >= el0 - 1e-12
+
+    def test_coarse_unit_wider_than_a_tranche_warns(self):
+        # the coarse unit 0.3 is wider than a 0-20% tranche of index 1, so
+        # period 1 warns; period 0 keeps the fine unit 0.15 and does not
+        model = self.build(2)
+        state = model.initial_state()
+        narrow = [dataclasses.replace(c, k_high=0.2) if c.index_id == 1
+                  and c.kind == "tranche" else c
+                  for c in prior_implied_constraints(model, 0, state)]
+        state = model.propagate_marginal(
+            model.calibrate_period(0, state, narrow))
+        with pytest.warns(UserWarning) as record:
+            model.calibrate_period(1, state, narrow)
+        assert [str(w.message) for w in record] == [
+            "index 1, period 1: coarse loss unit 0.3 is wider than the "
+            "narrowest tranche, 0.2 wide; its target may not be met"]
 
     def test_default_factor_is_noop(self):
         model = self.build(1)
@@ -1069,10 +1087,9 @@ class TestDenseLatticeKeys:
             mass = np.zeros(highs)
             mass[tuple(support.T)] = probs
             state = DynamicState(DenseKernel(mass))
-            keys = np.column_stack(
-                [support[:, 0], -(-support[:, 1:] // coarsen)])
+            keys, split = split_rows(support, probs, coarsen)
             rows, which = np.unique(keys, axis=0, return_inverse=True)
-            sums = np.bincount(which.ravel(), weights=probs)
+            sums = np.bincount(which.ravel(), weights=split)
             aligned = model.align_to_period(1, state)
             assert np.array_equal(np.argwhere(aligned), rows)
             assert np.array_equal(aligned[tuple(rows.T)], sums)
@@ -1157,7 +1174,7 @@ class TestDenseLatticeKeys:
 
 class TestFactoredCoarsening:
     """Period 0 hands its state to period 1 as the factors of its kernel:
-    each tilted law summed over the round-up blocks of its loss axes, then
+    each tilted law's loss axes split onto the coarse lattice, then
     contracted with the pooled mass.  On the edge cases below that gives
     the lattice of the row path it replaced (`reference_lattice`): the same
     nodes and contexts, and each cell's mass to 1e-14 relative."""
@@ -1184,8 +1201,8 @@ class TestFactoredCoarsening:
         return model, model.propagate_marginal(k0)
 
     def test_coarsening_that_does_not_divide_the_capacity(self):
-        # 3 into 20: blocks {0}, {1, 2, 3}, ..., {16, 17, 18} and the short
-        # {19, 20}; the complement's 2 units make {0} and a short {1, 2}
+        # 3 into 20: 18 goes to coarse 6 alone, 19 and 20 split between 6
+        # and 7; the complement's 1 and 2 split between 0 and 1
         model, s0 = self.build()
         assert model.period_capacities(0)[1] == (20, 2)
         assert model.period_capacities(1)[1] == (7, 1)
@@ -1197,6 +1214,23 @@ class TestFactoredCoarsening:
         assert len(s0.probs) > 4 * problem.w.size  # the support is fine
         assert_lattice_matches_reference(
             model, 0, model.initial_state(), (relevant_total(0.1, 1e-2),))
+
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(coarsen=st.integers(2, 4),
+           caps=st.tuples(st.integers(1, 9), st.integers(1, 5)))
+    @example(coarsen=3, caps=(9, 3))  # 3 divides both capacities
+    @example(coarsen=3, caps=(20, 2))  # and neither
+    def test_the_split_keeps_mass_and_mean_losses(self, coarsen, caps):
+        model, s0 = self.build(coarsen, caps)
+        fine, coarse = s0.marginal(), model.align_to_period(1, s0)
+        assert coarse.sum() == pytest.approx(fine.sum(), rel=1e-14)
+        for axis in (1, 2, 3, 4):
+            others = tuple(a for a in range(5) if a != axis)
+
+            def mean(p, unit):
+                return p.sum(axis=others) @ (unit * np.arange(p.shape[axis]))
+            assert mean(coarse, coarsen) == pytest.approx(mean(fine, 1),
+                                                          rel=1e-13)
 
     @pytest.mark.parametrize("coarsen", [1, 3])
     def test_nodes_without_mass(self, coarsen):
@@ -1214,7 +1248,7 @@ class TestFactoredCoarsening:
 
     @pytest.mark.parametrize("coarsen", [1, 3])
     def test_a_sparse_state_built_from_rows(self, rng, coarsen):
-        # rows a caller picked, handed over by the row path's round-up: the
+        # rows a caller picked, handed over by the row path's split: the
         # lattice has the sums of the row path bit for bit
         model, s0 = self.build(coarsen)
         keep = np.sort(rng.choice(len(s0.probs), 300, replace=False))

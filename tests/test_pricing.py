@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import entropic_bespoke.pricing as pricing
 from entropic_bespoke.calibrate import PricingConstraint, calibrate, prior_expected_losses
 from entropic_bespoke.errors import (
     ConfigurationError,
@@ -14,6 +15,7 @@ from entropic_bespoke.loss import (
     LossDist,
     LossGrid,
     build_conditional_prior,
+    convolve_rows,
     default_loss_unit,
 )
 from entropic_bespoke.pricing import (
@@ -24,8 +26,6 @@ from entropic_bespoke.pricing import (
     assemble_bespoke,
     bespoke_loss_dist,
     default_leg,
-    par_spread,
-    premium_leg,
     price_el_curve,
     price_tranche,
     risky_annuity,
@@ -68,6 +68,39 @@ def calibrated_toy(seed=0, shift=1.1, grid_n=3):
 
 
 class TestAssembleBespoke:
+    @pytest.mark.parametrize("members, proxy", [
+        (((1, "relevant"),), False),
+        (((1, "relevant"), (2, "relevant")), False),
+        (((1, "relevant"), (2, "complement"), (2, "relevant")), False),
+        (((1, "relevant"), (2, "relevant")), True),
+    ], ids=["one", "two", "three", "proxy-last"])
+    def test_mixing_the_last_member_matches_the_per_node_chain(self, members,
+                                                               proxy):
+        # the reference convolves every member node by node, then mixes.
+        # Each cell sums at most M * S non-negative products of at most
+        # three factors, so in float64 either order is within
+        # (M * S + 3) * eps of the exact cell, relative
+        result, ports, unit, _ = calibrated_toy(seed=7, shift=1.2)
+        h = result.posterior_weights
+        margs = [result.bucket_marginals(i, bucket) for i, bucket in members]
+        proxies = ()
+        if proxy:
+            levels = unit * np.arange(margs[-1].shape[1])
+            target = 1.1 * float(h @ (margs[-1] @ levels))
+            proxies = ((members[-1], ((5.0, target),)),)
+            margs[-1], _ = adjust_bespoke_names(margs[-1], h, unit, target)
+        per_node = margs[0]
+        for marg in margs[1:]:
+            per_node = convolve_rows(per_node, marg)
+        want = h @ per_node
+        got = assemble_bespoke(result, BespokeSpec(
+            members=members, notional=1.0, proxy_el_targets=proxies),
+            horizon=5.0).pmf
+        rtol = 2 * (len(h) * len(want) + 3) * np.finfo(float).eps
+        floor = 4 * np.finfo(float).smallest_subnormal
+        assert got.shape == want.shape
+        assert (np.abs(got - want) <= np.maximum(rtol * want, floor)).all()
+
     def test_single_bucket_is_the_marginal(self):
         result, ports, unit, _ = calibrated_toy()
         spec = BespokeSpec(members=((1, "relevant"),), notional=0.5)
@@ -347,13 +380,14 @@ class TestAdjustBespokeNames:
                 assert lam == pytest.approx(
                     reference_bracket_tilt(marg, h, unit, target), rel=1e-8)
 
-    def test_stalled_search_is_infeasible_adjustment(self):
+    def test_stalled_search_is_infeasible_adjustment(self, monkeypatch):
+        monkeypatch.setattr(pricing, "_ADJUST_MAX_ITER", 1)
         h, marg, unit = self.setup_case(seed=1)
         levels = unit * np.arange(marg.shape[1])
         target = 1.2 * float(h @ (marg @ levels))
         with pytest.raises(InfeasibleAdjustmentError,
                            match="tilt search stalled") as err:
-            adjust_bespoke_names(marg, h, unit, target, max_iter=1)
+            adjust_bespoke_names(marg, h, unit, target)
         lo, hi = err.value.attainable_range
         assert lo < target < hi
 
@@ -491,8 +525,8 @@ class TestLegs:
         horizons = [1.0, 3.0, 5.0]
         els = [0.0, 0.0, 0.0]
         assert default_leg(horizons, els, tr, curve) == 0.0
-        assert par_spread(horizons, els, tr, curve) == 0.0
-        assert premium_leg(horizons, els, tr, curve, 0.01) > 0.0
+        assert price_el_curve(horizons, els, tr, curve).par_spread == 0.0
+        assert risky_annuity(horizons, els, tr, curve) > 0.0
 
     def test_jump_to_full_loss_closed_form(self):
         # EL hits 1 at the first coupon and stays: default leg pays the full
@@ -535,9 +569,9 @@ class TestLegs:
         assert risky_annuity(horizons, els, tr, curve) == pytest.approx(
             annuity, rel=1e-12
         )
-        assert par_spread(horizons, els, tr, curve) == pytest.approx(
-            dleg / annuity, rel=1e-12
-        )
+        assert price_el_curve(
+            horizons, els, tr, curve).par_spread == pytest.approx(
+                dleg / annuity, rel=1e-12)
 
     def test_zero_annuity_error(self):
         # degenerate zero day-count fractions wipe out the premium leg
@@ -545,7 +579,7 @@ class TestLegs:
                          coupon_times=(0.5, 1.0), accruals=(0.0, 0.0))
         curve = DiscountCurve.flat(0.0)
         with pytest.raises(UndefinedSpreadError):
-            par_spread([0.25, 1.0], [0.5, 1.0], tr, curve)
+            price_el_curve([0.25, 1.0], [0.5, 1.0], tr, curve)
 
     def test_warns_on_decreasing_el(self):
         tr = self.flat_tranche(maturity=2.0)
