@@ -56,7 +56,8 @@ from .solver import newton_minimize
 
 DEFAULT_SIGMA = 1e-4
 _SMALLEST_NORMAL = np.finfo(float).tiny
-# Lattice cells per block when a result's joints are summed node by node.
+# Lattice cells per block when a result's joints are summed node by node,
+# and when the dual's Hessian sums its per-cell means.
 _BLOCK_CELLS = 1 << 14
 TRANCHE = "tranche"
 SUBPORTFOLIO_TOTAL = "subportfolio_total"
@@ -613,14 +614,17 @@ class _TiltedDual:
                   self.w.flat[low][:, None] * h_low)
         return pool if len(kept) < len(positions) else pool.sum(axis=-2)
 
-    def _root_mass_means(self, state: dict, cond: dict) -> np.ndarray:
+    def _root_mass_means(self, state: dict, cond: dict, start: int,
+                         stop: int) -> np.ndarray:
         """(K, cells) posterior mean payoffs per cell times the root of its
-        mass, sqrt(w_s) E[F_k | s], with E[F_k | s] = sum_m h[s, m]
-        E_i[F_k | c_i, m] and cond[i] the (n_i, M, K_i) conditional means:
-        per payoff one product (A * E) @ B^T, or A @ (B * E)^T for the last
-        index, over Zhat."""
-        a, b, zhat = state["a"], state["b"], state["zhat"]
-        rows = np.unravel_index(np.arange(len(a)), self.w.shape[:-1])
+        mass, sqrt(w_s) E[F_k | s], for the cells of rows start..stop of A,
+        with E[F_k | s] = sum_m h[s, m] E_i[F_k | c_i, m] and cond[i] the
+        (n_i, M, K_i) conditional means: per payoff one product
+        (A * E) @ B^T, or A @ (B * E)^T for the last index, over Zhat."""
+        a, b = state["a"][start:stop], state["b"]
+        zhat = state["zhat"][start:stop]
+        rows = np.unravel_index(np.arange(start, start + len(a)),
+                                self.w.shape[:-1])
         means = np.empty((len(self.targets), *zhat.shape))
         for pos, i in enumerate(self.index_ids):
             for k, c in zip(self.positions[i], cond[i].transpose(2, 0, 1)):
@@ -628,13 +632,15 @@ class _TiltedDual:
                     np.matmul(a * c[rows[1 + pos]], b.T, out=means[k])
                 else:
                     np.matmul(a, (b * c).T, out=means[k])
-        means *= np.sqrt(self.w.reshape(zhat.shape)) / zhat
+        means *= np.sqrt(self.w.reshape(-1, len(b))[start:stop]) / zhat
         means = means.reshape(len(means), -1)
         low, h_low = state["low"]
+        inside = (low >= start * len(b)) & (low < (start + len(a)) * len(b))
+        low, h_low = low[inside], h_low[inside]
         cells = np.unravel_index(low, self.w.shape)
         root_h = np.sqrt(self.w.flat[low])[:, None] * h_low
         for pos, i in enumerate(self.index_ids):
-            means[np.ix_(self.positions[i], low)] = (
+            means[np.ix_(self.positions[i], low - start * len(b))] = (
                 root_h[:, None, :] @ cond[i][cells[1 + pos]])[:, 0].T
         return means
 
@@ -646,7 +652,9 @@ class _TiltedDual:
         w * h on them.  The cross-index block is sum_{c_i, c_j, m}
         W_ij[c_i, c_j, m] E_i[F | c_i, m] E_j[F | c_j, m]^T with W_ij the
         pool on the contexts of both, since the indices are independent
-        given the cell and node.  Less sum_s w_s E[F | s] E[F | s]^T."""
+        given the cell and node.  Less sum_s w_s E[F | s] E[F | s]^T,
+        summed a block of rows of A (at most `_BLOCK_CELLS` cells) at a
+        time."""
         state = self.evaluate(lambdas)
         tilts, pools = state["tilts"], state["pools"]
         k = len(self.targets)
@@ -668,8 +676,11 @@ class _TiltedDual:
                     n, len(pos_i)).T @ per_node.reshape(n, len(pos_j))
                 hess[np.ix_(pos_i, pos_j)] = cross
                 hess[np.ix_(pos_j, pos_i)] = cross.T
-        means = self._root_mass_means(state, cond)
-        hess -= means @ means.T
+        n_rows, n_last = state["zhat"].shape
+        step = max(1, _BLOCK_CELLS // n_last)
+        for start in range(0, n_rows, step):
+            means = self._root_mass_means(state, cond, start, start + step)
+            hess -= means @ means.T
         hess[np.diag_indices(k)] += self.sigmas**2
         return hess
 
@@ -731,10 +742,10 @@ class MceCalibrator(_TiltedDual):
             i: t.law() for i, t in state["tilts"].items()
         }
 
-    def solve(self, tol: float = 1e-9, max_iter: int = 200) -> CalibrationResult:
+    def solve(self) -> CalibrationResult:
         res = newton_minimize(
             self.dual_objective_and_gradient, self.dual_hessian,
-            np.zeros(len(self.constraints)), tol=tol, max_iter=max_iter,
+            np.zeros(len(self.constraints)),
         )
         state = self.evaluate(res.x)
         return CalibrationResult(
@@ -758,11 +769,9 @@ def calibrate(
     grid: MarketFactorGrid,
     priors: dict[int, ConditionalLossDist],
     constraints: Sequence[PricingConstraint],
-    tol: float = 1e-9,
-    max_iter: int = 200,
 ) -> CalibrationResult:
     """Full MCE calibration: tilt conditionals and factor weights jointly."""
-    return MceCalibrator(grid, priors, constraints).solve(tol=tol, max_iter=max_iter)
+    return MceCalibrator(grid, priors, constraints).solve()
 
 
 class FactorOnlyCalibrator(MceCalibrator):
@@ -795,7 +804,7 @@ class FactorOnlyCalibrator(MceCalibrator):
         the prior's support give sum_m h_m E_Q[F | m] = EL for all of them
         at once: a small linear program.  Each target can lie inside its
         own range of node means while the set cannot be met, so say so
-        here instead of after max_iter Newton steps."""
+        here instead of after 200 Newton steps."""
         exact = np.flatnonzero(self.sigmas == 0.0)
         if not exact.size:
             return
@@ -827,12 +836,8 @@ def factor_only_calibrate(
     grid: MarketFactorGrid,
     priors: dict[int, ConditionalLossDist],
     constraints: Sequence[PricingConstraint],
-    tol: float = 1e-9,
-    max_iter: int = 200,
 ) -> CalibrationResult:
-    return FactorOnlyCalibrator(grid, priors, constraints).solve(
-        tol=tol, max_iter=max_iter
-    )
+    return FactorOnlyCalibrator(grid, priors, constraints).solve()
 
 
 def _prior_means(grid: MarketFactorGrid, kernels: dict, positions: dict,

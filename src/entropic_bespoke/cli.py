@@ -22,24 +22,25 @@ from pathlib import Path
 
 from . import __version__, basecorr, io as fmt, pricing
 from .calibrate import calibrate, check_constraint_indices
-from .dynamic import DynamicModel, TimeGrid, check_index_pair
+from .dynamic import (DynamicModel, TimeGrid, check_coarsen, check_index_pair,
+                      check_persistence)
 from .errors import ConfigurationError, EntropicBespokeError, MappingConvergenceError
 from .loss import (LossGrid, build_conditional_prior, check_loss_unit,
                    default_loss_unit, index_capacities, name_loss_units,
                    portfolio_loadings)
 from .prior import RELEVANT, IndexPortfolio, build_market_grid, check_grid_size
-from .solver import check_stopping
 
 # the input-file fields of a config, in the order their existence is checked
 _INPUTS = ("constraints", "portfolios", "discount_curve", "tranches",
            "base_correlation")
 
 # the options a run records in its manifest, by JSON kind: config keys
-# that fill the RunConfig field of their name, and the solver block's keys
+# that fill the RunConfig field of their name
 _OPTIONS = {"mapping_rule": str, "reference_index": int,
             "grid_size": (int, int), "persistence": float, "coarsen": int,
             "loss_unit": float, "threads": int}
-_SOLVER_OPTIONS = {"tol": float, "max_iter": int}
+# every key a config may set; any other is an error
+_KEYS = ("mode", *_INPUTS, "output_dir", "bespoke", *_OPTIONS)
 
 
 @dataclasses.dataclass
@@ -59,8 +60,6 @@ class RunConfig:
     persistence: float = 0.9
     coarsen: int = 1
     loss_unit: float | None = None
-    tol: float = 1e-9
-    max_iter: int = 200
     threads: int = 1
     verbose: bool = False
 
@@ -70,32 +69,34 @@ class RunConfig:
                   verbose: bool = False) -> "RunConfig":
         """The run config in the JSON file `path`, with the flags' overrides.
         Every value is read by `io.parse_field`; a key that is absent or
-        null keeps its field's default.  Paths resolve against the file's
-        directory, and the input files must exist."""
+        null keeps its field's default, and a key outside `_KEYS` is an
+        error.  Paths resolve against the file's directory, and the input
+        files must exist."""
         path = Path(path)
         doc = fmt.load_json(path)
+        unknown = [key for key in doc if key not in _KEYS]
+        if unknown:
+            raise ConfigurationError(f"{path}: unknown key {unknown[0]!r}")
 
-        def given(section: dict, kinds: dict, prefix: str = "") -> dict:
-            """The keys of `kinds` that `section` sets, read as their kinds."""
-            return {key: fmt.parse_field(path, prefix + key, section[key], kind)
+        def given(kinds: dict) -> dict:
+            """The keys of `kinds` that the config sets, read as their kinds."""
+            return {key: fmt.parse_field(path, key, doc[key], kind)
                     for key, kind in kinds.items()
-                    if section.get(key) is not None}
+                    if doc.get(key) is not None}
 
         run_mode = mode or doc.get("mode")
         if run_mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}, got {run_mode!r}")
         paths = {key: path.parent / value for key, value in
-                 given(doc, dict.fromkeys((*_INPUTS, "output_dir"), str)).items()
+                 given(dict.fromkeys((*_INPUTS, "output_dir"), str)).items()
                  if value}  # an empty path is unset
         if "portfolios" not in paths:
             raise ConfigurationError("config needs a 'portfolios' path")
         paths["output_dir"] = Path(out) if out else \
             paths.get("output_dir", path.parent / "out")
-        sections = given(doc, {"solver": dict, "bespoke": dict})
-        options = {**given(doc, _OPTIONS), **given(
-            sections.get("solver", {}), _SOLVER_OPTIONS, "solver.")}
-        if "bespoke" in sections:
-            options["bespoke"] = fmt.parse_bespoke(path, sections["bespoke"])
+        options = given({"bespoke": dict, **_OPTIONS})
+        if "bespoke" in options:
+            options["bespoke"] = fmt.parse_bespoke(path, options["bespoke"])
         where, field = path, "threads"  # the source of the threads value
         if threads is not None:
             options["threads"], where, field = threads, "command line", "--threads"
@@ -108,7 +109,8 @@ class RunConfig:
             raise ConfigurationError(
                 f"{where}: {field} must be at least 1, got {cfg.threads!r}")
         with fmt._named(path):
-            check_stopping(cfg.tol, cfg.max_iter, "solver.")
+            check_persistence(cfg.persistence)
+            check_coarsen(cfg.coarsen)
             if cfg.loss_unit is not None:
                 check_loss_unit(cfg.loss_unit, "loss_unit")
             for n in doc["grid_size"] if "grid_size" in options else ():
@@ -163,8 +165,7 @@ def _manifest(config: RunConfig, reporter: _Reporter):
         "version": __version__,
         "mode": config.mode,
         "inputs": inputs,
-        "options": {key: getattr(config, key)
-                    for key in (*_OPTIONS, *_SOLVER_OPTIONS)},
+        "options": {key: getattr(config, key) for key in _OPTIONS},
         "outputs": sorted(p.name for p in reporter.written),
     })
 
@@ -198,8 +199,7 @@ def _calibrate_all_horizons(config, params, portfolios, constraints, reporter):
             for i, p in sorted(portfolios.items())
         }
         subset = [c for c in constraints if c.horizon == t]
-        results[t] = calibrate(grid, priors, subset,
-                               tol=config.tol, max_iter=config.max_iter)
+        results[t] = calibrate(grid, priors, subset)
         reporter.log(f"horizon {t}: {results[t].iterations} Newton steps")
     residual_rows, factor_rows_ = [], []
     for t in horizons:
@@ -265,8 +265,7 @@ def _mode_calibrate_dynamic(config, reporter):
     per_period = [
         [c for c in constraints if c.horizon == t] for t in horizons
     ]
-    states, kernels = model.bootstrap_all(per_period, tol=config.tol,
-                                          max_iter=config.max_iter)
+    states, kernels = model.bootstrap_all(per_period)
     residual_rows = []
     for kernel in kernels:
         residual_rows.extend(fmt.residual_rows(kernel.horizon, kernel))

@@ -92,6 +92,20 @@ class FactorChainPrior:
             raise ConfigurationError("factor chain rows must be distributions")
 
 
+def check_persistence(persistence: float):
+    """The rule of a factor chain's persistence: it lies in [0, 1]."""
+    if not 0.0 <= persistence <= 1.0:
+        raise ConfigurationError(
+            f"persistence must lie in [0, 1], got {persistence}")
+
+
+def check_coarsen(coarsen: int):
+    """The rule of a coarsening factor: at least 1."""
+    if coarsen < 1:
+        raise ConfigurationError(
+            f"coarsening factor must be >= 1, got {coarsen}")
+
+
 def birth_death_kernel(stationary: np.ndarray, persistence: float) -> np.ndarray:
     """Nearest-neighbor chain with the given stationary law.
 
@@ -102,8 +116,7 @@ def birth_death_kernel(stationary: np.ndarray, persistence: float) -> np.ndarray
     """
     pi = np.asarray(stationary, dtype=float)
     n = len(pi)
-    if not 0.0 <= persistence <= 1.0:
-        raise ConfigurationError("persistence must lie in [0, 1]")
+    check_persistence(persistence)
     if n == 1 or persistence == 1.0:
         return np.eye(n)
     neighbor_mass = np.zeros(n)
@@ -382,8 +395,7 @@ class DynamicModel:
     ):
         if sorted(portfolios) != sorted(loss_grids):
             raise ConfigurationError("portfolios and loss grids must share keys")
-        if coarsen < 1:
-            raise ConfigurationError("coarsening factor must be >= 1")
+        check_coarsen(coarsen)
         self.grid = grid
         self.params = params
         self.portfolios = dict(portfolios)
@@ -492,8 +504,6 @@ class DynamicModel:
         period: int,
         prev_state: DynamicState,
         constraints: Sequence[PricingConstraint],
-        tol: float = 1e-9,
-        max_iter: int = 200,
     ) -> PeriodKernel:
         """Solve one period's dual.  The coarse hand-over keeps each
         bucket's mean loss, not its spread within a coarse unit, so a
@@ -509,10 +519,8 @@ class DynamicModel:
                     f"is wider than the narrowest tranche, {min(widths):g} "
                     "wide; its target may not be met", stacklevel=2)
         problem = self._period_problem(period, prev_state, tuple(constraints))
-        res = newton_minimize(
-            problem.objective, problem.hessian,
-            np.zeros(len(constraints)), tol=tol, max_iter=max_iter,
-        )
+        res = newton_minimize(problem.objective, problem.hessian,
+                              np.zeros(len(constraints)))
         return problem.kernel(res.x, res.iterations)
 
     def prior_period_els(
@@ -534,8 +542,6 @@ class DynamicModel:
     def bootstrap_all(
         self,
         constraints_by_period: Sequence[Sequence[PricingConstraint]],
-        tol: float = 1e-9,
-        max_iter: int = 200,
     ) -> tuple[list[DynamicState], list[PeriodKernel]]:
         """Calibrate every period in sequence and propagate marginals."""
         if len(constraints_by_period) != len(self.time_grid):
@@ -546,8 +552,7 @@ class DynamicModel:
         states: list[DynamicState] = []
         kernels: list[PeriodKernel] = []
         for n, constraints in enumerate(constraints_by_period):
-            kernel = self.calibrate_period(n, state, constraints,
-                                           tol=tol, max_iter=max_iter)
+            kernel = self.calibrate_period(n, state, constraints)
             state = self.propagate_marginal(kernel)
             states.append(state)
             kernels.append(kernel)

@@ -1,14 +1,15 @@
 """Safeguarded Newton minimizer for smooth convex duals.
 
-Newton direction from the explicit Hessian, Armijo backtracking line
-search, gradient-descent fallback whenever the Hessian solve fails or the
-Newton direction is not a descent direction (possible for singular
-Hessians when all softness parameters are zero).
+The step is the minimum-norm Newton step, the least-squares solution of
+H d = -g (Ben-Israel 1966), with an Armijo backtracking line search.  A
+dual's Hessian is positive semidefinite, so the step descends whenever g
+lies in the Hessian's range, as it does for consistent but linearly
+dependent constraints; the step falls back to -g only when it would
+climb or the Hessian has a non-finite entry.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,18 +20,6 @@ from .errors import CalibrationError, ConfigurationError
 # Armijo sufficient-decrease fraction; step halvings before giving up
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 60
-
-
-def check_stopping(tol: float, max_iter: int, prefix: str = ""):
-    """The stopping rule of an iterative search: 0 < tol < inf and
-    max_iter >= 1.  The messages name the two as `prefix` + tol and
-    `prefix` + max_iter."""
-    if not 0.0 < tol < math.inf:
-        raise ConfigurationError(
-            f"{prefix}tol must be a finite positive tolerance, got {tol}")
-    if max_iter < 1:
-        raise ConfigurationError(
-            f"{prefix}max_iter must be at least 1, got {max_iter}")
 
 
 @dataclass
@@ -48,7 +37,9 @@ def newton_minimize(
     tol: float = 1e-9,
     max_iter: int = 200,
 ) -> NewtonResult:
-    check_stopping(tol, max_iter)
+    """Minimize until the gradient's inf-norm is below `tol`; more than
+    `max_iter` steps, or a step no backtracking can make descend, is a
+    CalibrationError."""
     x = np.array(x0, dtype=float)
     value, grad = value_and_grad(x)
     if not np.isfinite(value) or not np.all(np.isfinite(grad)):
@@ -56,7 +47,9 @@ def newton_minimize(
     for it in range(1, max_iter + 1):
         if np.max(np.abs(grad)) < tol:
             return NewtonResult(x=x, value=value, gradient=grad, iterations=it - 1)
-        step = _direction(hessian(x), grad)
+        hess = hessian(x)
+        step = (np.linalg.lstsq(hess, -grad, rcond=None)[0]
+                if np.all(np.isfinite(hess)) else -grad)
         slope = float(grad @ step)
         if slope >= 0.0:
             step = -grad
@@ -87,13 +80,3 @@ def newton_minimize(
         gradient_norm=float(np.max(np.abs(grad))),
         iterations=max_iter,
     )
-
-
-def _direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    try:
-        step = np.linalg.solve(hess, -grad)
-    except np.linalg.LinAlgError:
-        return -grad
-    if not np.all(np.isfinite(step)):
-        return -grad
-    return step

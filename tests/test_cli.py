@@ -274,6 +274,43 @@ class TestCalibrateStatic:
         assert main(["--config", str(workdir / "config.json")]) == 0
         assert "linearly dependent" in capsys.readouterr().err
 
+    def test_exact_full_partition_warns_and_converges(self, workdir, capsys):
+        # per index the full ladder and both totals, all exact, with the
+        # horizon-3 prior's ELs as horizon-1 targets: the ladder sums to the
+        # two totals, so the Hessian is singular along lam_n = (1, 1, 1, 1,
+        # -1, -1), and the minimum-norm Newton step keeps lam . lam_n = 0
+        params, ports, _ = load_portfolios(workdir / "portfolios.json")
+        unit = default_loss_unit(*ports.values())
+        grid = eb.build_market_grid(4, 4, params)
+        ladder = (0.0, 0.1, 0.3, 0.5, 1.0)  # the lattice unit is 0.1
+        rows = []
+        for i, p in sorted(ports.items()):
+            shells = [eb.PricingConstraint(index_id=i, kind="tranche",
+                                           k_low=lo, k_high=hi, target_el=0.0)
+                      for lo, hi in zip(ladder, ladder[1:])] + [
+                eb.PricingConstraint(index_id=i, kind="subportfolio_total",
+                                     bucket=b, target_el=0.0)
+                for b in ("relevant", "complement")]
+            prior = build_conditional_prior(p, grid, LossGrid(
+                unit=unit, max_units=sum(name_loss_units(n, unit)
+                                         for n in p.names)), 3.0, params)
+            els = eb.prior_expected_losses(grid, {i: prior}, shells)
+            rows += [[i, c.kind if c.bucket is None
+                      else f"{c.bucket}_total", c.k_low, c.k_high, 1.0,
+                      digits17(el), 0.0] for c, el in zip(shells, els)]
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS, rows)
+        assert main(["--config", str(workdir / "config.json")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert all(line.startswith("warning: ") for line in err)
+        assert [line.rsplit(": ", 1)[1] for line in err] == \
+            ["i1:complement_total", "i2:complement_total"], err
+        fit = read_rows(workdir / "out" / "calibration_residuals.csv")
+        assert max(abs(float(r["residual"])) for r in fit) <= 2e-9
+        for i in ("1", "2"):
+            lam = np.array([float(r["lambda"]) for r in fit
+                            if r["index_id"] == i])
+            assert abs(lam @ [1, 1, 1, 1, -1, -1]) <= 1e-8 * abs(lam).max()
+
     def test_dependence_warning_names_the_dependent_constraint(self, workdir,
                                                                capsys):
         # the partition of test_full_partition_warning: complement_total is
@@ -640,9 +677,8 @@ class TestPriceBespoke:
                   prior_el_constraints(workdir / "portfolios.json", shift=1.1))
         cfg = json.loads((workdir / "config.json").read_text())
         cfg.update({"mode": "price-bespoke", "persistence": 0.8, "coarsen": 2,
-                    "loss_unit": None, "solver": {"tol": 1e-10, "max_iter": 150},
-                    "mapping_rule": "absolute", "reference_index": 2,
-                    "threads": 3})
+                    "loss_unit": None, "mapping_rule": "absolute",
+                    "reference_index": 2, "threads": 3})
         (workdir / "config.json").write_text(json.dumps(cfg))
         assert main(["--config", str(workdir / "config.json")]) == 0
         inputs = {key: workdir / cfg[key] for key in
@@ -656,9 +692,9 @@ class TestPriceBespoke:
                            path.read_bytes()).hexdigest()}
                        for key, path in inputs.items()},
             "options": {"grid_size": [4, 4], "persistence": 0.8,
-                        "coarsen": 2, "loss_unit": None, "tol": 1e-10,
-                        "max_iter": 150, "mapping_rule": "absolute",
-                        "reference_index": 2, "threads": 3},
+                        "coarsen": 2, "loss_unit": None,
+                        "mapping_rule": "absolute", "reference_index": 2,
+                        "threads": 3},
             "outputs": ["calibration_residuals.csv", "factor_distribution.csv",
                         "posterior_laws.csv", "tranche_prices.csv"],
         }
@@ -1215,14 +1251,13 @@ class TestFailureHandling:
         write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
                   prior_el_constraints(workdir / "portfolios.json", shift=1.1))
         if failure == "line_search":
-            # a Newton step so long that no trial point lowers the dual
-            monkeypatch.setattr(solver, "_direction",
-                                lambda hess, grad: -1e100 * grad)
+            # no trial point at all: the first step cannot lower the dual
+            monkeypatch.setattr(solver, "_MAX_BACKTRACKS", 0)
             reason = "line search failed to reduce the dual objective"
         else:
-            cfg = json.loads((workdir / "config.json").read_text())
-            cfg["solver"] = {"max_iter": 1}
-            (workdir / "config.json").write_text(json.dumps(cfg))
+            monkeypatch.setattr(
+                sys.modules["entropic_bespoke.calibrate"], "newton_minimize",
+                functools.partial(solver.newton_minimize, max_iter=1))
             reason = "no convergence within the iteration limit"
         rc = main(["--config", str(workdir / "config.json")])
         assert rc == 1
@@ -1403,25 +1438,9 @@ class TestFailureHandling:
         (workdir / "config.json").write_text(json.dumps(cfg))
         rc = main(["--config", str(workdir / "config.json")])
         assert rc == 1
-        assert capsys.readouterr().err == (
-            f"ERROR CONFIG: {workdir / 'config.json'}: {key} must be an "
-            "object, got 5\n")
-        assert not (workdir / "out").exists()
-
-    @pytest.mark.parametrize("settings, message", [
-        ({"tol": -1}, "solver.tol must be a finite positive tolerance, got -1.0"),
-        ({"tol": 0}, "solver.tol must be a finite positive tolerance, got 0.0"),
-        ({"max_iter": 0}, "solver.max_iter must be at least 1, got 0"),
-    ])
-    def test_bad_solver_setting_is_a_config_error(self, workdir, capsys,
-                                                  settings, message):
-        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
-                  prior_el_constraints(workdir / "portfolios.json", shift=1.1))
-        cfg = json.loads((workdir / "config.json").read_text())
-        cfg["solver"] = settings
-        (workdir / "config.json").write_text(json.dumps(cfg))
-        rc = main(["--config", str(workdir / "config.json")])
-        assert rc == 1
+        # the solver block is gone: the dual stops at the solver's defaults
+        message = {"solver": "unknown key 'solver'",
+                   "bespoke": "bespoke must be an object, got 5"}[key]
         assert capsys.readouterr().err == \
             f"ERROR CONFIG: {workdir / 'config.json'}: {message}\n"
         assert not (workdir / "out").exists()
@@ -1442,8 +1461,16 @@ class TestFailureHandling:
         ({"threads": -3}, [], "{config}: threads must be at least 1, got -3"),
         ({"threads": 2}, ["--threads", "0"],
          "command line: --threads must be at least 1, got 0"),
+        ({"coarsen": 0}, [],
+         "{config}: coarsening factor must be >= 1, got 0"),
+        ({"persistence": 1.5}, [],
+         "{config}: persistence must lie in [0, 1], got 1.5"),
+        ({"persistence": -0.1}, [],
+         "{config}: persistence must lie in [0, 1], got -0.1"),
     ], ids=["coarsen", "threads", "grid-size", "persistence", "unit-zero",
-            "unit-negative", "unit-inf", "threads-negative", "threads-flag-zero"])
+            "unit-negative", "unit-inf", "threads-negative",
+            "threads-flag-zero", "coarsen-zero", "persistence-above-one",
+            "persistence-negative"])
     def test_bad_option_value_is_a_config_error(self, workdir, capsys,
                                                 settings, flags, message):
         # each of these used to run, on a truncated or default value
@@ -1458,8 +1485,10 @@ class TestFailureHandling:
         assert not (workdir / "out").exists()
 
     def test_infinite_solver_tol_is_a_config_error(self, workdir, capsys):
-        # 1e400 reads as inf, and every gradient is below it: the run used
-        # to exit 0 with the uncalibrated prior as its result
+        # a solver block once set the dual's tol, and 1e400 (read as inf)
+        # made the run exit 0 with the uncalibrated prior; the block is now
+        # an unknown key, so a stale one fails instead of running at the
+        # defaults
         write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
                   prior_el_constraints(workdir / "portfolios.json", shift=1.1))
         cfg = json.loads((workdir / "config.json").read_text())
@@ -1468,8 +1497,19 @@ class TestFailureHandling:
             json.dumps(cfg).replace('"TOL"', "1e400"))
         assert main(["--config", str(workdir / "config.json")]) == 1
         assert capsys.readouterr().err == (
-            f"ERROR CONFIG: {workdir / 'config.json'}: solver.tol must be a "
-            "finite positive tolerance, got inf\n")
+            f"ERROR CONFIG: {workdir / 'config.json'}: unknown key 'solver'\n")
+        assert not (workdir / "out").exists()
+
+    def test_unknown_key_is_a_config_error(self, workdir, capsys):
+        # a typo used to run silently on the default; the first unknown key
+        # in the file is named
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg.update(grid_sise=[3, 3], Threads=2)
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        assert main(["--config", str(workdir / "config.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"ERROR CONFIG: {workdir / 'config.json'}: unknown key "
+            "'grid_sise'\n")
         assert not (workdir / "out").exists()
 
     def test_infinite_portfolio_horizon_is_a_config_error(self, workdir,
@@ -1641,15 +1681,14 @@ HEAVY_MODULES = ("scipy", "numpy.f2py", "numpy.testing", "charset_normalizer")
 
 
 def test_every_config_key_has_a_row_in_the_docs():
-    # a config key cannot ship undocumented: each input file, option and
-    # solver key has a row in the run-config table of docs/file_formats.md
+    # a config key cannot ship undocumented: each key a config may set has
+    # a row in the run-config table of docs/file_formats.md
     text = (Path(__file__).parents[1] / "docs" / "file_formats.md").read_text()
     section = text.split("### Run config (JSON)\n")[1].split("\n#")[0]
     documented = {key for line in section.splitlines() if line.startswith("|")
                   for key in re.findall(r"`([^`]+)`", line.split("|")[1])}
-    keys = {*cli._INPUTS, *cli._OPTIONS,
-            *(f"solver.{key}" for key in cli._SOLVER_OPTIONS)}
-    assert len(keys) == 14 and keys <= documented, keys - documented
+    keys = set(cli._KEYS)
+    assert len(keys) == 15 and keys <= documented, keys - documented
 
 
 def heavy_modules_loaded(config):

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import importlib
 import itertools
 import re
 
@@ -54,6 +55,9 @@ from conftest import (
     tilted_blocks,
     toy_portfolio,
 )
+
+# the package's `calibrate` function shadows its module of that name
+calibrate_module = importlib.import_module("entropic_bespoke.calibrate")
 
 
 def term_curve(p1, p2, p3):
@@ -799,6 +803,24 @@ class TestBootstrap:
                     assert t[:, :x1, :].sum() == 0.0
                     assert t[:, :, :x2].sum() == 0.0
 
+    @pytest.mark.parametrize("copied", [0, 3])
+    def test_duplicated_exact_constraint_converges(self, copied):
+        # each period's Hessian is singular along lam_k - lam_copy; the
+        # minimum-norm Newton step splits the multiplier between the copies
+        # and takes as many steps as the set without the copy
+        model, per_period = three_periods(sigma=0.0)
+        _, plain = model.bootstrap_all(per_period)
+        with pytest.warns(UserWarning) as caught:
+            _, dup = model.bootstrap_all([[*p, p[copied]] for p in per_period])
+        assert [str(w.message).rsplit(": ", 1)[1] for w in caught] == \
+            [per_period[0][copied].label()] * 3
+        assert [k.iterations for k in dup] == [k.iterations for k in plain]
+        for k in dup:
+            targets = np.array([c.target_el for c in k.constraints])
+            assert np.abs(k.model_els - targets).max() <= 2e-9  # sigma = 0
+            assert k.lambdas[copied] == pytest.approx(k.lambdas[-1],
+                                                      rel=1e-12)
+
     def test_aligns_each_state_once(self, monkeypatch):
         # calibrate_period aligns the state it is given; propagation reads
         # the kernel alone
@@ -1330,12 +1352,14 @@ class TestProductFormDual:
     normalizers; a held cell whose scaled Zhat underflows is summed in log
     space, and a one-index calibration is the row factor G alone."""
 
-    def test_underflowing_cells_match_the_reference(self):
-        # loadings near 1 give node default probabilities of exactly 0 or 1
-        # (period 1, both buckets of index 2: 1.0, 0.0, 0.0, 1.0, ...), so
-        # at multipliers of order 1e3 log Z_2(c, m) spreads over more
-        # than log(1e250) across the nodes, and in 6 of the 144 cells the
-        # scaled row factor and normalizers meet only where both underflow
+    @staticmethod
+    def underflowing_period():
+        """(model, state, constraints, period dual, multipliers): loadings
+        near 1 give node default probabilities of exactly 0 or 1 (period
+        1, both buckets of index 2: 1.0, 0.0, 0.0, 1.0, ...), so at
+        multipliers of order 1e3 log Z_2(c, m) spreads over more than
+        log(1e250) across the nodes, and in 6 of the 144 cells the scaled
+        row factor and normalizers meet only where both underflow."""
         model, *_ = small_model(n_grid=3, loading=0.9999)
         state0 = model.initial_state()
         k0 = model.calibrate_period(0, state0,
@@ -1343,7 +1367,11 @@ class TestProductFormDual:
         s1 = model.propagate_marginal(k0)
         cons = shifted_constraints(model, 1, s1)
         problem = model._period_problem(1, s1, tuple(cons))
-        lam = np.array([300.0, -200.0, 1000.0, 1000.0])
+        return model, s1, cons, problem, np.array([300.0, -200.0, 1000.0,
+                                                   1000.0])
+
+    def test_underflowing_cells_match_the_reference(self):
+        model, s1, cons, problem, lam = self.underflowing_period()
         low = problem.evaluate(lam)["low"][0]
         assert low.size == 6 and problem.w.size == 144
         assert (problem.w.reshape(-1)[low] > 0.0).all()
@@ -1352,6 +1380,29 @@ class TestProductFormDual:
         want = reference_pooled_mass(model, 1, s1, h_rows)
         got = problem.kernel(lam, 0).pooled_mass
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("block_cells", [1, 40])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0])
+    def test_hessian_in_blocks_of_rows(self, monkeypatch, block_cells,
+                                       scale):
+        # the per-cell means summed a block of rows at a time: 3 or more
+        # blocks, a short last one, and (at scale 1) the log-space cells
+        # fixed up inside their blocks.  At scale 1 the tilt leaves a
+        # covariance of 1e-13 under sigma^2 = 1e-6, so the scale is also
+        # E[F_k]^2, a lower bound of the terms sum_s w_s E[F_k | s]^2 that
+        # the blocks sum and that cancel
+        *_, problem, lam = self.underflowing_period()
+        lam = scale * lam
+        whole = problem.hessian(lam)
+        state = problem.evaluate(lam)
+        assert state["zhat"].size <= calibrate_module._BLOCK_CELLS
+        monkeypatch.setattr(calibrate_module, "_BLOCK_CELLS", block_cells)
+        n_rows, n_last = state["zhat"].shape
+        assert -(-n_rows // max(1, block_cells // n_last)) >= 3
+        assert (state["low"][0].size > 0) == (scale == 1.0)
+        blocked = problem.hessian(lam)
+        size = max(np.abs(whole).max(), state["model_els"].max() ** 2)
+        assert np.abs(blocked - whole).max() <= 1e-13 * size
 
     def test_three_index_lattice_matches_the_broadcast_form(self, rng):
         # two row indices fold into the row factor, so the pools of each

@@ -73,6 +73,24 @@ def test_init_imports_only_the_pinned_names():
         set(PINNED)
 
 
+def test_only_the_newton_solver_takes_stopping_settings():
+    # every search stops at its module's constants, and the duals at
+    # newton_minimize's defaults: no other public function or method of
+    # the package takes a tol or max_iter
+    takers = []
+    for path in sorted(Path(eb.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            owner = [node.name] if isinstance(node, ast.ClassDef) else []
+            for fn in node.body if owner else [node]:
+                if isinstance(fn, ast.FunctionDef) and \
+                        not fn.name.startswith("_"):
+                    args = (*fn.args.posonlyargs, *fn.args.args,
+                            *fn.args.kwonlyargs)
+                    if {"tol", "max_iter"} & {a.arg for a in args}:
+                        takers.append(".".join([path.stem, *owner, fn.name]))
+    assert takers == ["solver.newton_minimize"]
+
+
 # the public members of the result classes: their fields, methods and
 # properties, and for `DynamicState` and `ConditionalLossDist` the
 # attributes its constructors set
