@@ -67,7 +67,6 @@ from .basecorr import (
     implied_base_correlation,
     map_strike,
     onefactor_loss_dist,
-    skew_partials,
 )
 from .dynamic import (
     DynamicModel,

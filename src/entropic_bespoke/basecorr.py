@@ -43,7 +43,6 @@ _N_NODES = 31  # Gauss-Hermite nodes of the one-factor integral
 _DAMPING = 0.5  # probability matching's fallback step, a share of g(K) - K
 _TOL = 1e-8  # probability matching stops once |g(K) - K| < _TOL
 _MAX_ITER = 100  # probability matching's lockstep steps before it gives up
-_SKEW_STEP = 1e-6  # relative central-difference step of `skew_partials`
 
 
 @dataclass(frozen=True)
@@ -342,20 +341,3 @@ def _match_probabilities(
         residual=abs(r_prev[j]), iterations=_MAX_ITER,
     )
 
-
-def skew_partials(
-    curve: BaseCorrCurve, k: float, loss: float
-) -> tuple[float, float]:
-    """(d beta / d K, d beta / d L) under the moneyness ansatz
-    beta = beta(x) with x = K / L; the curve's abscissa is moneyness.
-
-    By the chain rule d beta/dK = beta'(x)/L and
-    d beta/dL = -(K/L) * d beta/dK.
-    """
-    if loss <= 0.0:
-        raise ConfigurationError("portfolio expected loss must be positive")
-    x = k / loss
-    h = _SKEW_STEP * max(1.0, abs(x))
-    slope = (curve.beta(x + h) - curve.beta(x - h)) / (2.0 * h)
-    d_dk = slope / loss
-    return d_dk, -(k / loss) * d_dk

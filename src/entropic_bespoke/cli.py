@@ -1,11 +1,11 @@
 """Batch front end.
 
 One JSON config drives a run; flags only pick the config path, override
-the mode or thread count, and select the output directory.  Outputs are
-deterministic: identical inputs produce byte-identical files regardless of
-thread count.  On failure every partially written output is removed and a
-single machine-parsable error line, `ERROR <code>: message` with the
-`code` of the error's class, goes to stderr.
+the mode and select the output directory.  Outputs are deterministic:
+identical inputs produce byte-identical files.  On failure every
+partially written output is removed and a single machine-parsable error
+line, `ERROR <code>: message` with the `code` of the error's class, goes
+to stderr.
 """
 
 from __future__ import annotations
@@ -14,10 +14,8 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 import warnings
-from itertools import chain
 from pathlib import Path
 
 from . import __version__, basecorr, io as fmt, pricing
@@ -48,7 +46,7 @@ class RunConfig:
     mode: str
     portfolios: Path
     output_dir: Path
-    path: Path | None = None  # the config file, which its values' errors name
+    path: Path  # the config file, which its values' errors name
     constraints: Path | None = None
     discount_curve: Path | None = None
     tranches: Path | None = None
@@ -65,8 +63,8 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path, mode: str | None = None,
-                  out: str | None = None, threads: int | None = None,
-                  verbose: bool = False) -> "RunConfig":
+                  out: str | None = None, verbose: bool = False
+                  ) -> "RunConfig":
         """The run config in the JSON file `path`, with the flags' overrides.
         Every value is read by `io.parse_field`; a key that is absent or
         null keeps its field's default, and a key outside `_KEYS` is an
@@ -86,29 +84,25 @@ class RunConfig:
 
         run_mode = mode or doc.get("mode")
         if run_mode not in MODES:
-            raise ConfigurationError(f"mode must be one of {MODES}, got {run_mode!r}")
+            raise ConfigurationError(
+                f"{path}: mode must be one of {MODES}, got {run_mode!r}")
         paths = {key: path.parent / value for key, value in
                  given(dict.fromkeys((*_INPUTS, "output_dir"), str)).items()
                  if value}  # an empty path is unset
         if "portfolios" not in paths:
-            raise ConfigurationError("config needs a 'portfolios' path")
+            raise ConfigurationError(f"{path}: config needs a 'portfolios' path")
         paths["output_dir"] = Path(out) if out else \
             paths.get("output_dir", path.parent / "out")
         options = given({"bespoke": dict, **_OPTIONS})
         if "bespoke" in options:
             options["bespoke"] = fmt.parse_bespoke(path, options["bespoke"])
-        where, field = path, "threads"  # the source of the threads value
-        if threads is not None:
-            options["threads"], where, field = threads, "command line", "--threads"
-        elif "threads" not in options and "ENTROPIC_BESPOKE_THREADS" in os.environ:
-            where, field = "environment", "ENTROPIC_BESPOKE_THREADS"
-            options["threads"] = fmt.parse_field(where, field, os.environ[field], int)
         cfg = cls(mode=run_mode, path=path, verbose=verbose, **paths,
                   **options)
-        if cfg.threads < 1:
-            raise ConfigurationError(
-                f"{where}: {field} must be at least 1, got {cfg.threads!r}")
         with fmt._named(path):
+            if cfg.threads < 1:
+                raise ConfigurationError(
+                    f"threads must be at least 1, got {cfg.threads!r}")
+            basecorr.MappingRule(cfg.mapping_rule)
             check_persistence(cfg.persistence)
             check_coarsen(cfg.coarsen)
             if cfg.loss_unit is not None:
@@ -129,17 +123,15 @@ class _Reporter:
         self.verbose = verbose
         self.written: list[Path] = []
 
-    def csv(self, name: str, header, rows):
+    def write(self, name: str, write):
+        """Output `name`, written by `write(path)`."""
         path = self.out_dir / name
         self.written.append(path)  # before opening: a failed write is removed
-        fmt.write_csv(path, header, rows)
+        write(path)
         self.log(f"wrote {path}")
 
-    def json(self, name: str, payload: dict):
-        path = self.out_dir / name
-        self.written.append(path)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        self.log(f"wrote {path}")
+    def csv(self, name: str, header, rows):
+        self.write(name, lambda path: fmt.write_csv(path, header, rows))
 
     def log(self, msg: str):
         if self.verbose:
@@ -160,14 +152,16 @@ def _manifest(config: RunConfig, reporter: _Reporter):
         if path is not None:
             inputs[key] = {"path": str(path), "sha256":
                            hashlib.sha256(path.read_bytes()).hexdigest()}
-    reporter.json("manifest.json", {
+    manifest = {
         "package": "entropic-bespoke",
         "version": __version__,
         "mode": config.mode,
         "inputs": inputs,
         "options": {key: getattr(config, key) for key in _OPTIONS},
         "outputs": sorted(p.name for p in reporter.written),
-    })
+    }
+    reporter.write("manifest.json", lambda path: path.write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n"))
 
 
 def _calibration_setup(config, params, portfolios, constraints):
@@ -194,8 +188,7 @@ def _calibrate_all_horizons(config, params, portfolios, constraints, reporter):
     results = {}
     for t in horizons:
         priors = {
-            i: build_conditional_prior(p, grid, grids[i], t, params,
-                                       threads=config.threads)
+            i: build_conditional_prior(p, grid, grids[i], t, params)
             for i, p in sorted(portfolios.items())
         }
         subset = [c for c in constraints if c.horizon == t]
@@ -207,9 +200,8 @@ def _calibrate_all_horizons(config, params, portfolios, constraints, reporter):
         factor_rows_.extend(fmt.factor_rows(t, results[t]))
     reporter.csv("calibration_residuals.csv", fmt.RESIDUAL_HEADER, residual_rows)
     reporter.csv("factor_distribution.csv", fmt.FACTOR_HEADER, factor_rows_)
-    reporter.csv("posterior_laws.csv", fmt.LAWS_HEADER, chain.from_iterable(
-        fmt.law_rows(t, results[t].laws) for t in horizons
-    ))
+    reporter.write("posterior_laws.npz", lambda path: fmt.write_posterior_laws(
+        path, {t: results[t].laws for t in horizons}))
     return results
 
 
@@ -306,9 +298,9 @@ def _mode_map_basecorr(config, reporter):
         if config.discount_curve else pricing.DiscountCurve.flat(0.0)
     members = _bespoke_spec(config, portfolios).members
     if config.reference_index not in portfolios:
-        raise ConfigurationError(
-            f"reference index {config.reference_index} not in the portfolio file"
-        )
+        raise ConfigurationError(f"{config.path}: reference index "
+                                 f"{config.reference_index} not in the "
+                                 "portfolio file")
     with fmt._named(config.portfolios):  # the names' weights set the pools
         bespoke_pool = _standalone_pool(portfolios, members)
         index_pool = _standalone_pool(
@@ -405,7 +397,8 @@ def run(config: RunConfig) -> int:
     runner, needs = _MODES[config.mode]
     for key in needs:
         if getattr(config, key) is None:
-            raise ConfigurationError(f"mode {config.mode} needs a '{key}' input")
+            raise ConfigurationError(
+                f"{config.path}: mode {config.mode} needs a '{key}' input")
     config.output_dir.mkdir(parents=True, exist_ok=True)
     reporter = _Reporter(config.output_dir, config.verbose)
     try:
@@ -426,8 +419,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="JSON run config")
     parser.add_argument("--mode", choices=MODES, default=None,
                         help="override the mode in the config")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (fallback: ENTROPIC_BESPOKE_THREADS)")
     parser.add_argument("--out", default=None, help="output directory override")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
@@ -435,10 +426,8 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings():  # a library warning is one line
             warnings.showwarning = lambda message, *_: print(
                 f"warning: {message}", file=sys.stderr)
-            config = RunConfig.from_file(
-                args.config, mode=args.mode, out=args.out,
-                threads=args.threads, verbose=args.verbose,
-            )
+            config = RunConfig.from_file(args.config, mode=args.mode,
+                                         out=args.out, verbose=args.verbose)
             return run(config)
     except EntropicBespokeError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)

@@ -1,15 +1,12 @@
 """File formats: portfolio JSON, constraint/curve/tranche CSVs, dumps.
 JSON files open through `load_json`, and `parse_field` reads every input
-value or names the file and field it rejects.  Column layouts are in
-docs/file_formats.md; diagnostic numbers are written with 10 significant
-digits, dumps and factor weights with 17 significant digits in the
-one layout `'%.16e' % x` (so a reload reprices bit-identically).  The
-calibrated posterior is written as the factors of its tilted laws
-(`law_rows`) and read back by `load_posterior_laws`; `measure_rows` forms
-its dense cells.  Dump lines are assembled from word-table lookups
-(`_text_blocks`), byte for byte `'%d'` and `'%.16e' % x`; `'%.16e' %`
-itself formats, one value at a time, zero, non-finite and near-tie
-values.
+value or names the file and field it rejects.  Layouts are in
+docs/file_formats.md.  The calibrated posterior is an .npz of the float64
+factors of its tilted laws (`write_posterior_laws`), read back bit for
+bit by `load_posterior_laws`; `measure_rows` forms its dense cells.
+Diagnostic numbers carry 10 significant digits, dumps and factor weights
+17 as `'%.16e' % x`, assembled from word-table lookups (`_text_blocks`);
+`'%.16e' %` itself formats zero, non-finite and near-tie values.
 """
 
 from __future__ import annotations
@@ -19,6 +16,8 @@ import csv
 import functools
 import json
 import math
+import zipfile
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -522,128 +521,88 @@ def factor_rows(horizon: float, result) -> list[list[str]]:
     return rows
 
 
-LAWS_HEADER = ["horizon", "index_id", "factor", "m", "j", "value"]
-
-# the factors of a tilted law in file order, with the (m, j) grid of each
-# as a 2-D array: (node, x_rel), (node, x_comp), (0, s), (node, 0)
-_LAW_FACTORS = {
-    "log_a": lambda law: law.log_a,
-    "log_b": lambda law: law.log_b,
-    "tau": lambda law: law.tau[None, :],
-    "log_z": lambda law: law.log_z[:, None],
-}
+_LAW_FACTORS = ("log_a", "log_b", "tau", "log_z")
 
 
-def law_rows(horizon: float, laws: Mapping[int, ConditionalLossDist]
-             ) -> Iterator[bytes]:
-    """posterior_laws.csv text for one horizon: by index, the factors
-    log_a, log_b, tau and log_z of its tilted law, each in C order of
-    (m, j).  A cell of zero prior mass is `-inf`."""
-    t = _fmt(horizon)
-    for i in sorted(laws):
-        for name, factor in _LAW_FACTORS.items():
-            values = factor(laws[i])
-            yield from _text_blocks(f"{t},{i},{name},",
-                                    np.indices(values.shape).reshape(2, -1),
-                                    values.ravel())
+def write_posterior_laws(
+        path: str | Path,
+        laws: Mapping[float, Mapping[int, ConditionalLossDist]]):
+    """posterior_laws.npz by one stored `np.savez`, whose members carry
+    zip's fixed 1980 timestamp, so equal laws give equal bytes: `horizons`,
+    `index_ids` and, per index id i, the factors of its laws stacked over
+    the horizons as `i{i}_log_a`, `i{i}_log_b`, `i{i}_tau` and
+    `i{i}_log_z`.  Every horizon holds the same index ids, each index on
+    one loss grid."""
+    horizons = sorted(laws)
+    ids = sorted(laws[horizons[0]]) if horizons else []
+    np.savez(path, horizons=np.array(horizons, dtype=np.float64),
+             index_ids=np.array(ids, dtype=np.int64),
+             **{f"i{i}_{name}": np.stack([getattr(laws[t][i], name)
+                                          for t in horizons])
+                for i in ids for name in _LAW_FACTORS})
 
 
 def load_posterior_laws(path: str | Path, loss_grids: Mapping[int, LossGrid]
                         ) -> dict[float, dict[int, ConditionalLossDist]]:
-    """The tilted laws of a posterior_laws.csv, by horizon and index id,
-    each on the loss grid of its index.  Each factor's rows must run over
-    its (m, j) grid in C order, and an index needs all four factors with
-    one node count and a tau over the total-loss lattice; a breach is a
-    ConfigurationError naming the file and a line."""
-    table, where = _law_table(path)
-    laws: dict[float, dict[int, ConditionalLossDist]] = {}
-    for t, i in sorted(set(zip(table["horizon"].tolist(),
-                               table["index_id"].tolist()))):
-        in_law = (table["horizon"] == t) & (table["index_id"] == i)
-        what = f"{where(np.argmax(in_law))}: index {i} at horizon {_fmt(t)}"
+    """The laws of a posterior_laws.npz by horizon and index id, each on
+    the loss grid of its index.  The file must be an archive of exactly
+    the members its `index_ids` name, without pickled data; the factors
+    float64 arrays with shapes that make one law per horizon and no NaN or
+    +inf (-inf is log 0); the horizons finite and distinct.  A breach, or
+    an index id without a loss grid, is a ConfigurationError naming the
+    file and the member."""
+    name = None
+    try:  # for a .npy file np.load returns an array, which `with` refuses
+        with np.load(path, allow_pickle=False) as npz:
+            members = {}
+            for name in npz.files:
+                members[name] = npz[name]
+    except (TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        what = "not an .npz archive" if name is None else \
+            f"member {name!r}: {exc}"
+        raise ConfigurationError(f"{path}: {what}") from exc
+    for name, value in members.items():
+        dtype = np.dtype(np.int64 if name == "index_ids" else np.float64)
+        if getattr(value, "dtype", None) != dtype:
+            raise ConfigurationError(
+                f"{path}: member {name!r} must be {dtype}, got "
+                f"{getattr(value, 'dtype', type(value).__name__)}")
+        if not (value < math.inf).all():
+            raise ConfigurationError(f"{path}: member {name!r} holds NaN or "
+                                     "+inf; only -inf (log 0) may be there")
+        if name in ("horizons", "index_ids") and value.ndim != 1:
+            raise ConfigurationError(
+                f"{path}: member {name!r} must be 1-d, got shape {value.shape}")
+    names = {i: [f"i{i}_{factor}" for factor in _LAW_FACTORS]
+             for i in members.get("index_ids", np.zeros(0)).tolist()}
+    expected = ["horizons", "index_ids", *chain.from_iterable(names.values())]
+    odd = [f"no member {name!r}" for name in expected if name not in members] \
+        + [f"unexpected member {name!r}" for name in members
+           if name not in expected]
+    if odd:
+        raise ConfigurationError(f"{path}: {odd[0]}")
+    horizons = members["horizons"]
+    if not np.isfinite(horizons).all() or \
+            np.unique(horizons).size < horizons.size:
+        raise ConfigurationError(f"{path}: member 'horizons' must be finite "
+                                 f"and distinct, got {horizons.tolist()}")
+    h = len(horizons)
+    laws = {t: {} for t in horizons.tolist()}
+    for i, factors in names.items():
         if i not in loss_grids:
-            raise ConfigurationError(f"{what} has no loss grid")
-        rows = {name: np.flatnonzero(in_law & (table["factor"] == name))
-                for name in _LAW_FACTORS}
-        missing = [name for name in _LAW_FACTORS if not len(rows[name])]
-        if missing:
-            raise ConfigurationError(f"{what} has no {missing[0]} rows")
-        log_a, log_b, tau, log_z = (_factor_grid(table, rows[name], where)
-                                    for name in _LAW_FACTORS)
-        if not (len(log_a) == len(log_b) == len(log_z) and len(tau) == 1
-                and tau.shape[1] == log_a.shape[1] + log_b.shape[1] - 1
-                and log_z.shape[1] == 1):
             raise ConfigurationError(
-                f"{what}: factor shapes log_a {log_a.shape}, log_b "
-                f"{log_b.shape}, tau {tau.shape} and log_z {log_z.shape} do "
-                "not make one law")
-        laws.setdefault(t, {})[i] = ConditionalLossDist.from_factors(
-            i, loss_grids[i], log_a, log_b, tau[0], log_z[:, 0])
+                f"{path}: member 'index_ids': index {i} has no loss grid")
+        log_a, log_b, tau, log_z = (members[name] for name in factors)
+        if not (log_a.ndim == log_b.ndim == 3 and len(log_a) == h
+                and log_a.shape[:2] == log_b.shape[:2] == log_z.shape
+                and tau.shape == (h, log_a.shape[2] + log_b.shape[2] - 1)):
+            raise ConfigurationError(f"{path}: shapes " + ", ".join(
+                f"{name} {members[name].shape}" for name in factors)
+                + f" do not make one law per horizon of {h}")
+        for k, by_index in enumerate(laws.values()):
+            by_index[i] = ConditionalLossDist.from_factors(
+                i, loss_grids[i], log_a[k], log_b[k], tau[k], log_z[k])
     return laws
-
-
-_LAW_RECORD = [("horizon", float), ("index_id", np.int64), ("factor", "U16"),
-               ("m", np.int64), ("j", np.int64), ("value", float)]
-
-
-def _law_table(path: str | Path):
-    """The rows of a posterior_laws.csv as `_LAW_RECORD` records, and the
-    `where` of a row by its position.  The columns are parsed at once by
-    `np.loadtxt`; a file that does not parse so, one row per line, with
-    known factors, finite horizons and values finite or -inf, is read row
-    by row through `parse_field`, which names its first malformed line."""
-    with open(path, newline="") as fh:
-        lines = fh.read().splitlines()
-    try:
-        if len(lines) < 2 or lines[0] != ",".join(LAWS_HEADER):
-            raise ValueError("not one plain row per line")
-        table = np.loadtxt(lines[1:], delimiter=",", comments=None,
-                           dtype=_LAW_RECORD, ndmin=1)
-        if (len(table) == len(lines) - 1
-                and np.isin(table["factor"], list(_LAW_FACTORS)).all()
-                and np.isfinite(table["horizon"]).all()
-                and (table["value"] < math.inf).all()):
-            return table, lambda row: f"{path} line {row + 2}"
-    except ValueError:
-        pass
-    records, wheres = [], []
-    for where, row in _csv_rows(path, LAWS_HEADER):
-        def read(field, kind=float):
-            return parse_field(where, field, row[field], kind)
-
-        if row["factor"] not in _LAW_FACTORS:
-            raise ConfigurationError(
-                f"{where}: factor must be one of {', '.join(_LAW_FACTORS)}, "
-                f"got {row['factor']!r}")
-        value = read("value")
-        if not value < math.inf:
-            raise ConfigurationError(
-                f"{where}: value must be finite or -inf, got {row['value']!r}")
-        horizon = read("horizon")
-        if not math.isfinite(horizon):
-            raise ConfigurationError(
-                f"{where}: horizon must be finite, got {row['horizon']!r}")
-        records.append((horizon, read("index_id", int), row["factor"],
-                        read("m", int), read("j", int), value))
-        wheres.append(where)
-    return np.array(records, dtype=_LAW_RECORD), wheres.__getitem__
-
-
-def _factor_grid(table: np.ndarray, rows: np.ndarray, where) -> np.ndarray:
-    """The (M, S) array of the values of one factor's `rows` of `table`,
-    whose (m, j) must run over (0..M-1) x (0..S-1) in C order; otherwise a
-    ConfigurationError names the first row out of place, or the last row
-    of a short grid."""
-    m, j = table["m"][rows], table["j"][rows]
-    s = max(int(j.max()), 0) + 1
-    k = np.arange(len(rows))
-    bad = np.flatnonzero((m != k // s) | (j != k % s))
-    if bad.size or len(rows) % s:
-        b = bad[0] if bad.size else len(rows) - 1
-        raise ConfigurationError(
-            f"{where(rows[b])}: (m, j) = ({m[b]}, {j[b]}) breaks the factor's "
-            "grid; its rows run over (0..M-1) x (0..S-1) in C order")
-    return table["value"][rows].reshape(-1, s)
 
 
 MEASURE_HEADER = ["horizon", "index_id", "m", "x_rel", "x_comp", "prob"]

@@ -349,7 +349,6 @@ def build_conditional_prior(
     loss_grid: LossGrid,
     horizon: float,
     params: FactorParams,
-    threads: int = 1,
 ) -> ConditionalLossDist:
     """Product-form (relevant, complement) conditional pmfs at every grid
     node.
@@ -358,8 +357,7 @@ def build_conditional_prior(
     each built by recursion over the bucket's names with conditional
     default probabilities at that node; the result keeps their logs.  The
     probabilities of a bucket's names come from one batched pass and the
-    recursion is vectorized over all nodes at once; `threads` is accepted
-    for compatibility and does not change the work or the result.
+    recursion is vectorized over all nodes at once.
     """
     coords = grid.node_coords
     loadings = portfolio_loadings(portfolio, params)

@@ -13,7 +13,6 @@ from entropic_bespoke.basecorr import (
     implied_base_correlation,
     map_strike,
     onefactor_loss_dist,
-    skew_partials,
 )
 from entropic_bespoke.errors import ConfigurationError, MappingConvergenceError
 from entropic_bespoke.prior import IndexPortfolio, _unit_gauss_hermite
@@ -326,38 +325,6 @@ class TestMapStrike:
                 index_loss_dist=index_dist, bespoke_dist_provider=provider,
                 curve=curve,
             )
-
-
-class TestSkewPartials:
-    def test_flat_curve(self):
-        curve = BaseCorrCurve(strikes=(0.2, 2.0), betas=(0.4, 0.4))
-        dk, dl = skew_partials(curve, 0.06, 0.08)
-        assert dk == pytest.approx(0.0, abs=1e-12)
-        assert dl == pytest.approx(0.0, abs=1e-12)
-
-    def test_linear_moneyness_curve(self):
-        # beta(x) = 0.29 + 0.1 * x on the pillar span; K=0.06, L=0.08 sits
-        # at x=0.75, so d beta/dK = 0.1 / L = 1.25
-        curve = BaseCorrCurve(strikes=(0.1, 2.0), betas=(0.3, 0.49))
-        dk, dl = skew_partials(curve, 0.06, 0.08)
-        assert dk == pytest.approx(0.1 / 0.08, rel=1e-6)
-        assert dl == pytest.approx(-(0.06 / 0.08) * dk, abs=1e-8)
-
-    def test_upward_skew_moves_down_with_el(self):
-        curve = BaseCorrCurve(strikes=(0.1, 0.5, 1.0, 3.0),
-                              betas=(0.2, 0.35, 0.45, 0.6))
-        for k, loss in [(0.03, 0.05), (0.07, 0.05), (0.3, 0.4)]:
-            dk, dl = skew_partials(curve, k, loss)
-            assert dk >= 0.0
-            assert dl <= 0.0
-
-    def test_identity_holds_by_construction(self, rng):
-        curve = BaseCorrCurve(strikes=(0.05, 0.4, 1.2), betas=(0.22, 0.4, 0.52))
-        for _ in range(20):
-            k = float(rng.uniform(0.01, 0.2))
-            loss = float(rng.uniform(0.02, 0.3))
-            dk, dl = skew_partials(curve, k, loss)
-            assert dl == pytest.approx(-(k / loss) * dk, abs=1e-8)
 
 
 def mixed_pool():

@@ -12,7 +12,7 @@ import resource
 import shutil
 import subprocess
 import sys
-from io import StringIO
+from io import BytesIO, StringIO
 from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
@@ -167,19 +167,6 @@ def reference_measure_rows(horizon, result):
     return rows
 
 
-def reference_law_rows(horizon, result):
-    rows = []
-    for i in result.index_ids:
-        law = result.laws[i]
-        for name, values in (("log_a", law.log_a), ("log_b", law.log_b),
-                             ("tau", law.tau[None, :]),
-                             ("log_z", law.log_z[:, None])):
-            for (m, j), value in np.ndenumerate(values):
-                rows.append(["%.10g" % float(horizon), str(i), name, str(m),
-                             str(j), digits17(value)])
-    return rows
-
-
 def reference_factor_rows(horizon, result):
     grid = result.grid
     n2 = len(grid.nodes2)
@@ -213,6 +200,12 @@ def reference_kernel_rows(kernels):
     return rows
 
 
+def npy_bytes(array) -> bytes:
+    buf = BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
 def reference_csv(header, rows) -> bytes:
     buf = StringIO(newline="")
     writer = csv.writer(buf, lineterminator="\n")
@@ -226,7 +219,7 @@ def dumped(monkeypatch):
     """Arguments of every dump producer call the CLI makes, by name:
     `factor_rows` gets each horizon's calibration result."""
     calls = {}
-    for name in ("factor_rows", "law_rows", "state_rows", "kernel_rows"):
+    for name in ("factor_rows", "state_rows", "kernel_rows"):
         def spy(*args, _real=getattr(fmt, name), _name=name):
             calls.setdefault(_name, []).append(args)
             return _real(*args)
@@ -250,16 +243,15 @@ class TestCalibrateStatic:
                   prior_el_constraints(workdir / "portfolios.json", shift=1.1))
         assert main(["--config", str(workdir / "config.json"),
                      "--out", str(workdir / "o1")]) == 0
+        cfg = json.loads((workdir / "config.json").read_text())
+        (workdir / "config.json").write_text(json.dumps({**cfg, "threads": 4}))
         assert main(["--config", str(workdir / "config.json"),
                      "--out", str(workdir / "o2")]) == 0
-        assert main(["--config", str(workdir / "config.json"),
-                     "--out", str(workdir / "o3"), "--threads", "4"]) == 0
         names = ["calibration_residuals.csv", "factor_distribution.csv",
-                 "posterior_laws.csv"]
+                 "posterior_laws.npz"]
         for name in names:
-            ref = (workdir / "o1" / name).read_bytes()
-            assert (workdir / "o2" / name).read_bytes() == ref
-            assert (workdir / "o3" / name).read_bytes() == ref
+            assert (workdir / "o2" / name).read_bytes() == \
+                (workdir / "o1" / name).read_bytes()
 
     def test_full_partition_warning(self, workdir, capsys):
         rows = prior_el_constraints(workdir / "portfolios.json")
@@ -350,22 +342,23 @@ class TestCalibrateStatic:
                        for p in pmfs for m in range(p.shape[0]))
             assert all(7 < p[0].size and 2 * np.count_nonzero(p[0]) <= 100
                        for p in pmfs)
-            assert (workdir / "out" / "posterior_laws.csv").read_bytes() == \
-                reference_csv(fmt.LAWS_HEADER, [
-                    row for t, result in calls
-                    for row in reference_law_rows(t, result)])
-            # the laws read back are the calibrated ones, -inf cells too
+            # the laws read back are the calibrated ones bit for bit, -inf
+            # cells too
             grids = {i: law.grid for i, law in calls[0][1].laws.items()}
             laws = fmt.load_posterior_laws(
-                workdir / "out" / "posterior_laws.csv", grids)
+                workdir / "out" / "posterior_laws.npz", grids)
             assert list(laws) == [1.0, 3.0]
             for t, result in calls:
                 assert list(laws[t]) == [1, 2]
                 for i, law in laws[t].items():
                     assert np.isneginf(result.laws[i].log_a).any()
                     for name in ("log_a", "log_b", "tau", "log_z"):
+                        got, want = getattr(law, name), getattr(
+                            result.laws[i], name)
+                        assert got.dtype == want.dtype == np.float64
                         np.testing.assert_array_equal(
-                            getattr(law, name), getattr(result.laws[i], name))
+                            got.view(np.uint64),
+                            np.ascontiguousarray(want).view(np.uint64))
             dense = b"".join(chain.from_iterable(
                 fmt.measure_rows(t, laws[t]) for t in laws))
             rows = [row for t, result in calls
@@ -383,128 +376,73 @@ class TestCalibrateStatic:
         assert (workdir / "out" / "factor_distribution.csv").read_bytes() == \
             reference_csv(fmt.FACTOR_HEADER, rows)
 
-    # posterior_laws.csv of one 2-node law with a 2 x 3 lattice: the header
-    # on line 1, then log_a on lines 2-5, log_b 6-11, tau 12-15, log_z 16-17
+    # posterior_laws.npz of one index on a 2-node grid with a 2 x 3 lattice
+    # at horizons 1 and 2, as written, then edited member by member
     @pytest.mark.parametrize("edit, message", [
-        (lambda lines: ["horizon,index,factor,m,j,value", *lines[1:]],
-         "line 1: header must be horizon,index_id,factor,m,j,value"),
-        (lambda lines: lines[:11] + lines[15:],
-         "line 2: index 1 at horizon 1 has no tau rows"),
-        (lambda lines: lines[:3] + lines[4:],
-         r"line 4: \(m, j\) = \(1, 1\) breaks the factor's grid"),
-        (lambda lines: lines[:4] + lines[5:],
-         r"line 4: \(m, j\) = \(1, 0\) breaks the factor's grid"),
-        (lambda lines: lines[:6] + ["1,1,log_b,0,1,abc"] + lines[7:],
-         "line 7: value must be a number, got 'abc'"),
-        (lambda lines: lines[:6] + ["1,1,log_b,0,1,nan"] + lines[7:],
-         "line 7: value must be finite or -inf, got 'nan'"),
-        (lambda lines: lines[:6] + ["1,1,log_c,0,1,0.5"] + lines[7:],
-         "line 7: factor must be one of log_a, log_b, tau, log_z, got "
-         "'log_c'"),
-        (lambda lines: lines[:14] + lines[15:],
-         r"line 2: index 1 at horizon 1: factor shapes log_a \(2, 2\), "
-         r"log_b \(2, 3\), tau \(1, 3\) and log_z \(2, 1\) do not make "
-         "one law"),
-        (lambda lines: lines[:6] + ["nan,1,log_b,0,1,-0.5"] + lines[7:],
-         "line 7: horizon must be finite, got 'nan'"),
-        (lambda lines: lines[:6] + ["1,1,log_b,0,1"] + lines[7:],
-         "line 7: 5 fields, the header has 6"),
-        (lambda lines: lines[:6] + ["1,1,log_b,0,1,-0.5,"] + lines[7:],
-         "line 7: 7 fields, the header has 6"),
-    ], ids=["header", "missing-factor", "ragged", "short", "non-numeric",
-            "nan", "unknown-factor", "short-tau", "nan-horizon",
-            "missing-field", "extra-field"])
-    def test_laws_reader_names_file_and_line(self, tmp_path, edit, message):
+        (b"horizon,index_id,factor,m,j,value\n"
+         b"1,1,log_a,0,0,-5.0000000000000000e-01\n", "not an .npz archive"),
+        (npy_bytes(np.zeros(3)), "not an .npz archive"),
+        (b"", "not an .npz archive"),
+        (lambda m: {**m, "i1_tau": np.array([None, 0.5])},
+         "member 'i1_tau': Object arrays cannot be loaded"),
+        (lambda m: {k: v for k, v in m.items() if k != "i1_tau"},
+         "no member 'i1_tau'"),
+        (lambda m: {**m, "notes": np.zeros(1)}, "unexpected member 'notes'"),
+        (lambda m: {**m, "i1_log_b": m["i1_log_b"].astype(np.float32)},
+         "member 'i1_log_b' must be float64, got float32"),
+        (lambda m: {**m, "index_ids": np.array([1.0])},
+         "member 'index_ids' must be int64, got float64"),
+        (lambda m: {**m, "index_ids": np.array([[1]])},
+         r"member 'index_ids' must be 1-d, got shape \(1, 1\)"),
+        (lambda m: {**m, "i1_tau": m["i1_tau"][:, :3]},
+         r"shapes i1_log_a \(2, 2, 2\), i1_log_b \(2, 2, 3\), i1_tau "
+         r"\(2, 3\), i1_log_z \(2, 2\) do not make one law per horizon "
+         "of 2"),
+        (lambda m: {**m, "horizons": np.array([1.0, 2.0, 3.0]),
+                    "i1_tau": np.vstack([m["i1_tau"], m["i1_tau"][:1]])},
+         r"shapes i1_log_a \(2, 2, 2\), .* i1_tau \(3, 4\), .* do not make "
+         "one law per horizon of 3"),
+        (lambda m: {**m, "i1_log_b": np.where(m["i1_log_b"] == -0.5, np.nan,
+                                              m["i1_log_b"])},
+         r"member 'i1_log_b' holds NaN or \+inf"),
+        (lambda m: {**m, "i1_log_a": -m["i1_log_a"]},
+         r"member 'i1_log_a' holds NaN or \+inf"),
+        (lambda m: {**m, "horizons": np.array([1.0, np.nan])},
+         r"member 'horizons' holds NaN or \+inf"),
+        (lambda m: {**m, "horizons": np.array([1.0, -np.inf])},
+         r"member 'horizons' must be finite and distinct, got \[1.0, -inf\]"),
+        (lambda m: {**m, "horizons": np.array([2.0, 2.0])},
+         r"member 'horizons' must be finite and distinct, got \[2.0, 2.0\]"),
+        (lambda m: {"horizons": m["horizons"], "index_ids": np.array([5]),
+                    **{k.replace("i1_", "i5_"): v for k, v in m.items()
+                       if k.startswith("i1_")}},
+         "member 'index_ids': index 5 has no loss grid"),
+    ], ids=["old-csv", "npy-file", "empty-file", "pickled-member",
+            "missing-member", "extra-member",
+            "not-float64", "index-ids-not-int64", "index-ids-not-1d",
+            "short-tau", "horizon-count", "nan", "plus-inf", "nan-horizon",
+            "inf-horizon", "repeated-horizon", "no-loss-grid"])
+    def test_laws_reader_names_file_and_member(self, tmp_path, edit, message):
         grid = LossGrid(unit=0.1, max_units=3)
-        law = ConditionalLossDist.from_factors(
-            1, grid, np.array([[-0.5, -1.5], [0.0, -np.inf]]),
+        laws = {t: {1: ConditionalLossDist.from_factors(
+            1, grid, np.array([[-0.5, -1.5], [0.0, -np.inf]]) * t,
             np.array([[-1.25, -0.5, -2.5], [-0.75, -0.5, -np.inf]]),
-            np.array([0.0, 0.1, -0.2, 0.3]), np.array([0.01, -0.02]))
-        path = tmp_path / "posterior_laws.csv"
-        fmt.write_csv(path, fmt.LAWS_HEADER, fmt.law_rows(1.0, {1: law}))
+            np.array([0.0, 0.1, -0.2, 0.3]), np.array([0.01, -0.02]))}
+            for t in (1.0, 2.0)}
+        path = tmp_path / "posterior_laws.npz"
+        fmt.write_posterior_laws(path, laws)
         good = fmt.load_posterior_laws(path, {1: grid})
-        np.testing.assert_array_equal(good[1.0][1].pmfs, law.pmfs)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 17 and \
-            lines[15] == "1,1,log_z,0,0,1.0000000000000000e-02"
-        path.write_text("\n".join(edit(lines)) + "\n")
+        for t in (1.0, 2.0):
+            np.testing.assert_array_equal(good[t][1].pmfs, laws[t][1].pmfs)
+        if isinstance(edit, bytes):  # the whole file
+            path.write_bytes(edit)
+        else:
+            with np.load(path) as npz:
+                members = edit(dict(npz))
+            np.savez(path, **members)
         with pytest.raises(errors.ConfigurationError,
-                           match=f"^{re.escape(str(path))} {message}"):
+                           match=f"^{re.escape(str(path))}: {message}"):
             fmt.load_posterior_laws(path, {1: grid})
-
-    def test_laws_reader_names_a_late_line(self, tmp_path):
-        # bulk parsing reads the columns at once; a bad value thousands of
-        # rows in is still named by its own line
-        grid = LossGrid(unit=0.1, max_units=60)
-        rng = np.random.default_rng(20261019)
-        law = ConditionalLossDist.from_factors(
-            1, grid, rng.normal(size=(40, 31)), rng.normal(size=(40, 30)),
-            rng.normal(size=60), rng.normal(size=40))
-        path = tmp_path / "posterior_laws.csv"
-        fmt.write_csv(path, fmt.LAWS_HEADER, fmt.law_rows(2.0, {1: law}))
-        lines = path.read_text().splitlines()
-        assert len(lines) == 1 + 40 * 31 + 40 * 30 + 60 + 40
-        for name in ("log_a", "log_b", "tau", "log_z"):
-            np.testing.assert_array_equal(getattr(
-                fmt.load_posterior_laws(path, {1: grid})[2.0][1], name),
-                getattr(law, name))
-        for bad, message in (("1e999x", "must be a number, got '1e999x'"),
-                             ("inf", "must be finite or -inf, got 'inf'")):
-            late = len(lines) - 25
-            edited = [*lines[:late], lines[late].rsplit(",", 1)[0] + "," + bad,
-                      *lines[late + 1:]]
-            path.write_text("\n".join(edited) + "\n")
-            with pytest.raises(errors.ConfigurationError, match=re.escape(
-                    f"{path} line {late + 1}: value {message}")):
-                fmt.load_posterior_laws(path, {1: grid})
-        # CSV that is not one plain row per line (a blank line, a quoted
-        # value) is read row by row, to the same law
-        edited = [*lines[:late], "", f'{lines[late].rsplit(",", 1)[0]},"0.5"',
-                  *lines[late + 1:]]
-        path.write_text("\n".join(edited) + "\n")
-        got = fmt.load_posterior_laws(path, {1: grid})[2.0][1]
-        np.testing.assert_array_equal(got.log_a, law.log_a)
-        want = law.log_z.copy()
-        want[late - (len(lines) - 40)] = 0.5  # a log_z row: the last 40
-        np.testing.assert_array_equal(got.log_z, want)
-
-    def test_laws_reader_takes_the_old_17g_layout(self, tmp_path,
-                                                   monkeypatch):
-        # files written before the '%.16e' layout hold '%.17g' text: plain
-        # digits for |v| in [1e-4, 1e17), no trailing zeros.  They hold the
-        # same values and take the same bulk parse.
-        grid = LossGrid(unit=0.1, max_units=60)
-        rng = np.random.default_rng(20261019)
-
-        def spread(*shape):
-            return rng.normal(size=shape) * 10.0 ** rng.uniform(-20, 18, shape)
-
-        log_a = spread(40, 31)
-        log_a[3, 5] = -np.inf
-        law = ConditionalLossDist.from_factors(
-            1, grid, log_a, spread(40, 30), spread(60), spread(40))
-        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-        fmt.write_csv(new, fmt.LAWS_HEADER, fmt.law_rows(2.0, {1: law}))
-        old.write_bytes(reference_csv(fmt.LAWS_HEADER, [
-            ["2", "1", name, str(m), str(j), "%.17g" % value]
-            for name, values in (("log_a", law.log_a), ("log_b", law.log_b),
-                                 ("tau", law.tau[None, :]),
-                                 ("log_z", law.log_z[:, None]))
-            for (m, j), value in np.ndenumerate(values)]))
-        assert old.read_bytes() != new.read_bytes()
-
-        def row_by_row(*args):
-            raise AssertionError("the bulk parse fell back to row by row")
-
-        monkeypatch.setattr(fmt, "_csv_rows", row_by_row)
-        got_new, got_old = (fmt.load_posterior_laws(path, {1: grid})[2.0][1]
-                            for path in (new, old))
-        for name in ("log_a", "log_b", "tau", "log_z"):
-            bits = getattr(got_new, name).view(np.uint64)
-            np.testing.assert_array_equal(
-                getattr(got_old, name).view(np.uint64), bits)
-            np.testing.assert_array_equal(
-                getattr(law, name).view(np.uint64), bits)
 
 
 class TestCalibrateDynamic:
@@ -696,7 +634,7 @@ class TestPriceBespoke:
                         "mapping_rule": "absolute", "reference_index": 2,
                         "threads": 3},
             "outputs": ["calibration_residuals.csv", "factor_distribution.csv",
-                        "posterior_laws.csv", "tranche_prices.csv"],
+                        "posterior_laws.npz", "tranche_prices.csv"],
         }
 
     def test_posterior_measure_roundtrip_reprices_identically(
@@ -709,13 +647,13 @@ class TestPriceBespoke:
         assert main(["--config", str(workdir / "config.json")]) == 0
 
         # the posterior from the written files alone: the laws of
-        # posterior_laws.csv and the weights of factor_distribution.csv
+        # posterior_laws.npz and the weights of factor_distribution.csv
         params, ports, horizons = load_portfolios(workdir / "portfolios.json")
         unit = default_loss_unit(*ports.values())
         grids = {i: LossGrid(unit=unit, max_units=sum(
                      name_loss_units(n, unit) for n in p.names))
                  for i, p in ports.items()}
-        laws = fmt.load_posterior_laws(workdir / "out" / "posterior_laws.csv",
+        laws = fmt.load_posterior_laws(workdir / "out" / "posterior_laws.npz",
                                        grids)
         factors = read_rows(workdir / "out" / "factor_distribution.csv")
         assert list(laws) == horizons
@@ -990,14 +928,20 @@ class TestFailureHandling:
         write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
                   prior_el_constraints(workdir / "portfolios.json"))
 
-        def failing_law_rows(horizon, laws):
-            yield b"1,1,log_a,0,0,-0.5\n"
-            raise OSError("disk full")
+        # the laws' archive fails on its third member, two written
+        members, write_array = [], np.lib.format.write_array
 
-        monkeypatch.setattr(fmt, "law_rows", failing_law_rows)
+        def failing_write_array(fid, array, **kwargs):
+            members.append(array)
+            if len(members) == 3:
+                raise OSError("disk full")
+            write_array(fid, array, **kwargs)
+
+        monkeypatch.setattr(np.lib.format, "write_array", failing_write_array)
         rc = main(["--config", str(workdir / "config.json")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("ERROR IO: disk full")
+        assert len(members) == 3
         assert not any((workdir / "out").iterdir())
 
     def test_tranche_frequency_zero_is_a_config_error(self, workdir, capsys):
@@ -1445,44 +1389,58 @@ class TestFailureHandling:
             f"ERROR CONFIG: {workdir / 'config.json'}: {message}\n"
         assert not (workdir / "out").exists()
 
-    @pytest.mark.parametrize("settings, flags, message", [
-        ({"coarsen": 2.7}, [], "{config}: coarsen must be an integer, got 2.7"),
-        ({"threads": True}, [], "{config}: threads must be an integer, got True"),
-        ({"grid_size": [3.5, 3]}, [],
+    @pytest.mark.parametrize("settings, message", [
+        ({"coarsen": 2.7}, "{config}: coarsen must be an integer, got 2.7"),
+        ({"threads": True}, "{config}: threads must be an integer, got True"),
+        ({"grid_size": [3.5, 3]},
          "{config}: grid_size must be an integer, got 3.5"),
-        ({"persistence": False}, [],
+        ({"persistence": False},
          "{config}: persistence must be a number, got False"),
-        ({"loss_unit": 0}, [],
+        ({"loss_unit": 0},
          "{config}: loss_unit must be finite and > 0, got 0.0"),
-        ({"loss_unit": -0.05}, [],
+        ({"loss_unit": -0.05},
          "{config}: loss_unit must be finite and > 0, got -0.05"),
-        ({"loss_unit": float("inf")}, [],
+        ({"loss_unit": float("inf")},
          "{config}: loss_unit must be finite and > 0, got inf"),
-        ({"threads": -3}, [], "{config}: threads must be at least 1, got -3"),
-        ({"threads": 2}, ["--threads", "0"],
-         "command line: --threads must be at least 1, got 0"),
-        ({"coarsen": 0}, [],
-         "{config}: coarsening factor must be >= 1, got 0"),
-        ({"persistence": 1.5}, [],
+        ({"threads": -3}, "{config}: threads must be at least 1, got -3"),
+        ({"coarsen": 0}, "{config}: coarsening factor must be >= 1, got 0"),
+        ({"persistence": 1.5},
          "{config}: persistence must lie in [0, 1], got 1.5"),
-        ({"persistence": -0.1}, [],
+        ({"persistence": -0.1},
          "{config}: persistence must lie in [0, 1], got -0.1"),
+        ({"mode": "bogus"},
+         "{config}: mode must be one of ('calibrate-static', "
+         "'calibrate-dynamic', 'price-bespoke', 'map-basecorr'), got 'bogus'"),
+        ({"portfolios": ""}, "{config}: config needs a 'portfolios' path"),
+        ({"mode": "price-bespoke", "tranches": ""},
+         "{config}: mode price-bespoke needs a 'tranches' input"),
+        ({"mode": "map-basecorr", "reference_index": 9},
+         "{config}: reference index 9 not in the portfolio file"),
+        ({"mapping_rule": "foo"},
+         "{config}: mapping rule must be one of ('absolute', 'atm', "
+         "'probability_matching'), got 'foo'"),
     ], ids=["coarsen", "threads", "grid-size", "persistence", "unit-zero",
-            "unit-negative", "unit-inf", "threads-negative",
-            "threads-flag-zero", "coarsen-zero", "persistence-above-one",
-            "persistence-negative"])
+            "unit-negative", "unit-inf", "threads-negative", "coarsen-zero",
+            "persistence-above-one", "persistence-negative", "mode-unknown",
+            "portfolios-empty", "tranches-empty", "reference-index",
+            "mapping-rule"])
     def test_bad_option_value_is_a_config_error(self, workdir, capsys,
-                                                settings, flags, message):
-        # each of these used to run, on a truncated or default value
+                                                settings, message):
+        # each of these used to run, on a truncated or default value, or
+        # fail without naming the config
         write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
                   prior_el_constraints(workdir / "portfolios.json"))
         cfg = json.loads((workdir / "config.json").read_text())
         (workdir / "config.json").write_text(json.dumps({**cfg, **settings}))
-        rc = main(["--config", str(workdir / "config.json"), *flags])
+        rc = main(["--config", str(workdir / "config.json")])
         assert rc == 1
         assert capsys.readouterr().err == "ERROR CONFIG: " + \
             message.format(config=workdir / "config.json") + "\n"
-        assert not (workdir / "out").exists()
+        # the reference index is checked against the portfolio file, read
+        # once the run has made its output directory
+        out = workdir / "out"
+        assert out.exists() == ("reference_index" in settings)
+        assert not out.exists() or not any(out.iterdir())
 
     def test_infinite_solver_tol_is_a_config_error(self, workdir, capsys):
         # a solver block once set the dual's tol, and 1e400 (read as inf)
@@ -1635,28 +1593,6 @@ class TestMutatedInputs:
 
 
 class TestConfig:
-    def test_threads_fallback_chain(self, workdir, monkeypatch):
-        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
-                  prior_el_constraints(workdir / "portfolios.json"))
-        path = workdir / "config.json"
-        monkeypatch.setenv("ENTROPIC_BESPOKE_THREADS", "3")
-        assert RunConfig.from_file(path).threads == 3
-        assert RunConfig.from_file(path, threads=2).threads == 2
-        cfg = json.loads(path.read_text())
-        cfg["threads"] = 5
-        path.write_text(json.dumps(cfg))
-        assert RunConfig.from_file(path).threads == 5
-
-    def test_threads_below_one_from_the_environment(self, workdir,
-                                                    monkeypatch):
-        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
-                  prior_el_constraints(workdir / "portfolios.json"))
-        monkeypatch.setenv("ENTROPIC_BESPOKE_THREADS", "0")
-        with pytest.raises(errors.ConfigurationError, match=re.escape(
-                "environment: ENTROPIC_BESPOKE_THREADS must be at least 1, "
-                "got 0")):
-            RunConfig.from_file(workdir / "config.json")
-
     def test_numbers_convert_but_booleans_and_fractions_do_not(self):
         read = functools.partial(fmt.parse_field, "f.json", "x")
         assert [read(v, int) for v in (2, 2.0, "2", -3)] == [2, 2, 2, -3]
@@ -1689,6 +1625,32 @@ def test_every_config_key_has_a_row_in_the_docs():
                   for key in re.findall(r"`([^`]+)`", line.split("|")[1])}
     keys = set(cli._KEYS)
     assert len(keys) == 15 and keys <= documented, keys - documented
+
+
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_every_output_has_a_section_in_the_docs(workdir, mode):
+    # an output file cannot ship undocumented: each file a toy run of a mode
+    # writes has a `###` heading under `## Outputs` of docs/file_formats.md
+    text = (Path(__file__).parents[1] / "docs" / "file_formats.md").read_text()
+    section = text.split("\n## Outputs\n")[1].split("\n## ")[0]
+    documented = {name for line in section.splitlines()
+                  if line.startswith("### ")
+                  for name in re.findall(r"[\w.]+\.\w+", line)}
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg["mode"] = mode
+    if mode == "calibrate-dynamic":
+        cfg["grid_size"] = [3, 3]
+    write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
+              prior_el_constraints(workdir / "portfolios.json",
+                                   grid_size=tuple(cfg["grid_size"]),
+                                   shift=1.1))
+    (workdir / "config.json").write_text(json.dumps(cfg))
+    assert main(["--config", str(workdir / "config.json")]) == 0
+    outputs = json.loads((workdir / "out" / "manifest.json").read_text())[
+        "outputs"]
+    assert len(outputs) >= 2
+    assert {*outputs, "manifest.json"} <= documented, \
+        {*outputs, "manifest.json"} - documented
 
 
 def heavy_modules_loaded(config):

@@ -203,15 +203,6 @@ class TestConditionalPrior:
                 5.0, params,
             )
 
-    def test_threaded_build_is_identical(self):
-        params = FactorParams(rho=0.4, alpha=0.25)
-        port = toy_portfolio(1, 5, 4, seed=7)
-        grid = build_market_grid(6, 6, params)
-        lg = LossGrid(unit=default_loss_unit(port), max_units=30)
-        one = build_conditional_prior(port, grid, lg, 5.0, params, threads=1)
-        four = build_conditional_prior(port, grid, lg, 5.0, params, threads=4)
-        assert np.array_equal(one.pmfs, four.pmfs)
-
 
 def full_width_recursion(probs, units):
     """The recursion before the live-prefix rewrite: node-major, every name

@@ -43,7 +43,6 @@ PUBLIC_NAMES = {
     "basecorr": [
         "BaseCorrCurve", "MappingRule", "base_tranche_el",
         "implied_base_correlation", "map_strike", "onefactor_loss_dist",
-        "skew_partials",
     ],
     "dynamic": [
         "DynamicModel", "DynamicState", "FactorChainPrior", "PeriodKernel",
@@ -57,7 +56,7 @@ PINNED = [name for names in PUBLIC_NAMES.values() for name in names]
 
 
 def test_pinned_names_are_package_attributes():
-    assert len(PINNED) == len(set(PINNED)) == 62
+    assert len(PINNED) == len(set(PINNED)) == 61
     for module, names in PUBLIC_NAMES.items():
         # `eb.calibrate` is the function, so look the module up by path
         source = importlib.import_module(f"entropic_bespoke.{module}")
