@@ -20,7 +20,6 @@ from .prior import (
     NameSpec,
     TwoFactorLoadings,
     build_market_grid,
-    conditional_default_prob,
     derive_two_factor_loadings,
     pairwise_correlation,
 )
@@ -29,7 +28,6 @@ from .loss import (
     LossDist,
     LossGrid,
     build_conditional_prior,
-    convolve,
     default_loss_unit,
     mixture_unconditional,
 )
@@ -40,10 +38,7 @@ from .calibrate import (
     calibrate,
     conditional_mutual_information,
     factor_only_calibrate,
-    kl_divergence,
-    log_partition_functions,
     payoff_eval,
-    posterior_factor_weights,
     prior_expected_losses,
 )
 from .pricing import (
@@ -71,7 +66,6 @@ from .basecorr import (
 from .dynamic import (
     DynamicModel,
     DynamicState,
-    FactorChainPrior,
     PeriodKernel,
     TimeGrid,
     birth_death_kernel,

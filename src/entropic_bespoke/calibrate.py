@@ -154,36 +154,6 @@ def _normalize_rows(log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return top + np.log(total), log_w
 
 
-def log_partition_functions(
-    prior: ConditionalLossDist,
-    constraints: Sequence[PricingConstraint],
-    lambdas: np.ndarray,
-) -> np.ndarray:
-    """log Z_i(m, lam) per factor node, overflow-safe.
-
-    Z_i(m, lam) = sum_X Q_i(X | m) * exp(sum_k lam_k * (F_k(X) - EL_k)).
-    """
-    lambdas = np.asarray(lambdas, dtype=float)
-    if len(constraints) != len(lambdas):
-        raise ConfigurationError(
-            f"{len(constraints)} constraints vs {len(lambdas)} multipliers"
-        )
-    return _FactoredKernel(prior, constraints).evaluate(lambdas).log_z
-
-
-def posterior_factor_weights(
-    prior_weights: np.ndarray, *log_zs: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Posterior node weights h_m propto g_m * prod_i Z_i(m) and the log of
-    the joint normalizer Z(lam)."""
-    with np.errstate(divide="ignore"):
-        log_h = np.log(np.asarray(prior_weights, dtype=float))
-    for lz in log_zs:
-        log_h = log_h + np.asarray(lz, dtype=float)
-    log_norm, h = _normalize_rows(log_h[None, :])
-    return h[0], float(log_norm[0])
-
-
 class _IndexTilt(NamedTuple):
     """One index's conditional laws tilted at one multiplier vector."""
 
@@ -398,30 +368,18 @@ class CalibrationResult:
         relative error can reach 1e-7.  The factor-only measure keeps the
         prior conditionals, so its divergence is the direct KL(h || g)."""
         if self.method == "factor_only":
-            return float(_kl(self.posterior_weights, self.grid.flat_weights))
+            return _kl(self.posterior_weights, self.grid.flat_weights)
         return float(self.lambdas @ self.residuals) - self.log_norm
 
 
-def _kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """KL(p || q) along the last axis, for every leading index at once;
-    0 log 0 = 0."""
+def _kl(p: np.ndarray, q: np.ndarray) -> float:
+    """KL(p || q) of two weight vectors; 0 log 0 = 0."""
     mask = p > 0.0
     if np.any(mask & (q <= 0.0)):
         raise InfiniteDivergenceError(
             "measure puts mass where the reference has none"
         )
-    log_ratio = np.divide(p, q, out=np.ones_like(p), where=mask)
-    np.log(log_ratio, out=log_ratio)
-    return np.einsum("...c,...c->...", p, log_ratio)
-
-
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q) for pmf arrays of identical shape; 0 log 0 = 0."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ConfigurationError("distributions must share a lattice")
-    return float(_kl(p.reshape(-1), q.reshape(-1)))
+    return float(p[mask] @ np.log(p[mask] / q[mask]))
 
 
 def _dependent_rows(rows: np.ndarray) -> list[int]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import sys
 import warnings
@@ -116,15 +117,22 @@ class RunConfig:
 
 
 class _Reporter:
-    """Tracks written outputs so a failed run leaves nothing behind."""
+    """Tracks written outputs, and the directories made at the first of
+    them, so a failed run leaves nothing behind."""
 
     def __init__(self, out_dir: Path, verbose: bool):
         self.out_dir = out_dir
         self.verbose = verbose
         self.written: list[Path] = []
+        self.made: list[Path] = []  # deepest first
 
     def write(self, name: str, write):
         """Output `name`, written by `write(path)`."""
+        if not self.written:
+            self.made = list(itertools.takewhile(
+                lambda d: not d.exists(),
+                (self.out_dir, *self.out_dir.parents)))
+            self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / name
         self.written.append(path)  # before opening: a failed write is removed
         write(path)
@@ -141,6 +149,11 @@ class _Reporter:
         for path in self.written:
             try:
                 path.unlink()
+            except OSError:
+                pass
+        for directory in self.made:
+            try:
+                directory.rmdir()
             except OSError:
                 pass
 
@@ -399,7 +412,6 @@ def run(config: RunConfig) -> int:
         if getattr(config, key) is None:
             raise ConfigurationError(
                 f"{config.path}: mode {config.mode} needs a '{key}' input")
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     reporter = _Reporter(config.output_dir, config.verbose)
     try:
         runner(config, reporter)

@@ -78,20 +78,6 @@ class TimeGrid:
         return len(self.horizons)
 
 
-@dataclass
-class FactorChainPrior:
-    """Row-stochastic factor transition matrix on the flattened grid."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ConfigurationError("factor chain matrix must be square")
-        if np.any(m < -1e-15) or np.max(np.abs(m.sum(axis=1) - 1.0)) > 1e-10:
-            raise ConfigurationError("factor chain rows must be distributions")
-
-
 def check_persistence(persistence: float):
     """The rule of a factor chain's persistence: it lies in [0, 1]."""
     if not 0.0 <= persistence <= 1.0:
@@ -135,12 +121,14 @@ def birth_death_kernel(stationary: np.ndarray, persistence: float) -> np.ndarray
 
 def build_factor_chain_prior(
     grid: MarketFactorGrid, persistence: float
-) -> FactorChainPrior:
-    """Product of per-component birth-death chains whose stationary laws
-    are the grid's marginal prior weights."""
+) -> np.ndarray:
+    """The factor chain prior: the (M, M) row-stochastic transition
+    matrix on the flattened grid, the product of per-component
+    birth-death chains whose stationary laws are the grid's marginal
+    prior weights."""
     k1 = birth_death_kernel(grid.marginal_weights(1), persistence)
     k2 = birth_death_kernel(grid.marginal_weights(2), persistence)
-    return FactorChainPrior(matrix=np.kron(k1, k2))
+    return np.kron(k1, k2)
 
 
 class DynamicState:
@@ -449,7 +437,7 @@ class DynamicModel:
         return self._initial
 
     def _factor_rows_prior(self, m_prev: np.ndarray) -> np.ndarray:
-        rows = self.chain.matrix[m_prev]
+        rows = self.chain[m_prev]
         rows[m_prev < 0] = self.grid.flat_weights
         return rows
 

@@ -5,8 +5,9 @@ docs/file_formats.md.  The calibrated posterior is an .npz of the float64
 factors of its tilted laws (`write_posterior_laws`), read back bit for
 bit by `load_posterior_laws`; `measure_rows` forms its dense cells.
 Diagnostic numbers carry 10 significant digits, dumps and factor weights
-17 as `'%.16e' % x`, assembled from word-table lookups (`_text_blocks`);
-`'%.16e' %` itself formats zero, non-finite and near-tie values.
+17 as `'%.16e' % x`: the factor weights by `%` itself, the dumps from
+word-table lookups (`_text_blocks`), where `'%.16e' %` formats only zero,
+non-finite and near-tie values.
 """
 
 from __future__ import annotations
@@ -418,14 +419,6 @@ def _put_e16(values: np.ndarray, out: np.ndarray):
         out[r] = np.frombuffer(text, dtype="<u4")
 
 
-def _e16_text(values: np.ndarray) -> list[str]:
-    """`'%.16e' % v` for each v of `values`."""
-    values = np.asarray(values, dtype=np.float64)
-    words = np.empty((len(values), _VALUE_WORDS), dtype="<u4")
-    _put_e16(values, words)
-    return words.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
-
-
 def _int_words(top: int) -> int:
     """uint32 words of an integer field whose largest value is `top`: its
     digits and a comma."""
@@ -511,12 +504,13 @@ def factor_rows(horizon: float, result) -> list[list[str]]:
     grid = result.grid
     n2 = len(grid.nodes2)
     rows = []
-    for flat, (g, h) in enumerate(zip(_e16_text(grid.flat_weights),
-                                      _e16_text(result.posterior_weights))):
+    for flat, (g, h) in enumerate(zip(grid.flat_weights.tolist(),
+                                      result.posterior_weights.tolist())):
         m1, m2 = divmod(flat, n2)
         rows.append([
             _fmt(horizon), str(m1), str(m2),
-            _fmt(grid.nodes1[m1]), _fmt(grid.nodes2[m2]), g, h,
+            _fmt(grid.nodes1[m1]), _fmt(grid.nodes2[m2]),
+            "%.16e" % g, "%.16e" % h,
         ])
     return rows
 

@@ -376,17 +376,6 @@ def build_conditional_prior(
                                bucket_pmfs=bucket_pmfs)
 
 
-def convolve(a: LossDist, b: LossDist) -> LossDist:
-    """Distribution of the sum of two independent lattice losses."""
-    if abs(a.grid.unit - b.grid.unit) > 1e-15 * max(a.grid.unit, b.grid.unit):
-        raise ConfigurationError(
-            f"cannot convolve pmfs with units {a.grid.unit} and {b.grid.unit}"
-        )
-    pmf = np.convolve(a.pmf, b.pmf)  # direct, not FFT: sums stay bit-stable
-    grid = LossGrid(unit=a.grid.unit, max_units=max(a.grid.max_units, len(pmf) - 1))
-    return LossDist(pmf=pmf, grid=grid, horizon=max(a.horizon, b.horizon))
-
-
 def mixture_unconditional(
     law: ConditionalLossDist, weights: np.ndarray, horizon: float = 0.0
 ) -> LossDist:

@@ -299,18 +299,6 @@ def build_market_grid(n1: int, n2: int, params: FactorParams) -> MarketFactorGri
     )
 
 
-def conditional_default_prob(
-    name: NameSpec,
-    loadings: TwoFactorLoadings,
-    node: tuple[float, float],
-    horizon: float,
-) -> float:
-    """Default probability of `name` by `horizon` given the market factor
-    sits at `node` = (z1, z2)."""
-    p = name.default_prob(horizon)
-    return float(_conditional_prob_rows([p], loadings, np.array([node]))[0, 0])
-
-
 def _conditional_prob_rows(
     default_probs: Sequence[float],
     loadings: TwoFactorLoadings | Sequence[TwoFactorLoadings],

@@ -19,10 +19,7 @@ from entropic_bespoke.calibrate import (
     calibrate,
     conditional_mutual_information,
     factor_only_calibrate,
-    kl_divergence,
-    log_partition_functions,
     payoff_eval,
-    posterior_factor_weights,
     prior_expected_losses,
 )
 from entropic_bespoke.errors import (
@@ -45,6 +42,12 @@ from conftest import lattice_payoff, toy_portfolio
 
 # the package's `calibrate` function shadows its module of that name
 calibrate_module = importlib.import_module("entropic_bespoke.calibrate")
+
+
+def kernel_log_z(prior, constraints, lambdas):
+    """log Z_i(m, lam) per factor node, from the index's tilt kernel."""
+    return calibrate_module._FactoredKernel(prior, constraints).evaluate(
+        np.asarray(lambdas, dtype=float)).log_z
 
 
 def toy_setup(seed=0, n_rel=3, n_comp=3, grid_n=3, rho=0.35, alpha=0.25,
@@ -151,7 +154,7 @@ class TestPartitionFunctions:
     def test_lambda_zero(self):
         _, grid, _, priors, _ = toy_setup()
         cons = standard_constraints(grid, priors)[:2]
-        z = np.exp(log_partition_functions(priors[1], cons, np.zeros(2)))
+        z = np.exp(kernel_log_z(priors[1], cons, np.zeros(2)))
         assert z == pytest.approx(np.ones(grid.n_nodes), abs=1e-12)
 
     def test_point_mass_prior(self):
@@ -164,7 +167,7 @@ class TestPartitionFunctions:
         c = PricingConstraint(index_id=1, kind="subportfolio_total",
                               bucket="relevant", target_el=0.05)
         lam = np.array([0.7])
-        z = np.exp(log_partition_functions(prior, [c], lam))
+        z = np.exp(kernel_log_z(prior, [c], lam))
         assert z[0] == pytest.approx(np.exp(0.7 * (0.2 - 0.05)), rel=1e-14)
 
     def test_matches_direct_sum(self, rng):
@@ -172,7 +175,7 @@ class TestPartitionFunctions:
         cons = [c for c in standard_constraints(grid, priors)
                 if c.index_id == 1]
         lam = rng.normal(scale=1.5, size=len(cons))
-        logz = log_partition_functions(priors[1], cons, lam)
+        logz = kernel_log_z(priors[1], cons, lam)
         pmfs = priors[1].pmfs
         for m in range(pmfs.shape[0]):
             total = 0.0
@@ -330,7 +333,7 @@ class TestFactoredKernelEquivalence:
             assert np.exp(exponent.max()) == np.inf
         assert_matches_reference_dual(MceCalibrator(grid, priors, cons), lam)
         assert np.isfinite(
-            log_partition_functions(priors[1], cons[:3], lam[:3])).all()
+            kernel_log_z(priors[1], cons[:3], lam[:3])).all()
 
     def test_underflowing_normalizer_falls_back_per_node(self, rng):
         # a relevant-total multiplier of +1500 against a tranche multiplier
@@ -507,22 +510,30 @@ class TestPriorChecks:
 
 
 class TestPosteriorWeights:
+    # h_m propto g_m * prod_i Z_i(m) and log Z(lam) by the overflow-safe
+    # normalizer every dual uses
+    @staticmethod
+    def posterior(g, *log_zs):
+        log_norm, h = calibrate_module._normalize_rows(
+            (np.log(g) + sum(log_zs))[None, :])
+        return h[0], float(log_norm[0])
+
     def test_lambda_zero_returns_prior(self):
         g = np.array([0.2, 0.3, 0.5])
-        h, log_norm = posterior_factor_weights(g, np.zeros(3), np.zeros(3))
+        h, log_norm = self.posterior(g, np.zeros(3), np.zeros(3))
         assert h == pytest.approx(g, abs=1e-15)
         assert log_norm == pytest.approx(0.0, abs=1e-14)
 
     def test_constant_factors_cancel(self):
         g = np.array([0.25, 0.75])
-        h, _ = posterior_factor_weights(g, np.full(2, 3.7), np.full(2, -1.2))
+        h, _ = self.posterior(g, np.full(2, 3.7), np.full(2, -1.2))
         assert h == pytest.approx(g, abs=1e-14)
 
     def test_random_matches_hand_normalization(self, rng):
         g = rng.random(6)
         g /= g.sum()
         lz1, lz2 = rng.normal(size=6), rng.normal(size=6)
-        h, log_norm = posterior_factor_weights(g, lz1, lz2)
+        h, log_norm = self.posterior(g, lz1, lz2)
         raw = g * np.exp(lz1 + lz2)
         assert h == pytest.approx(raw / raw.sum(), rel=1e-13)
         assert log_norm == pytest.approx(np.log(raw.sum()), rel=1e-13)
@@ -940,8 +951,10 @@ def reference_factor_only_dual(grid, priors, constraints, lambdas):
         for c in constraints]).T
     targets = np.array([c.target_el for c in constraints])
     sigmas = np.array([c.sigma for c in constraints])
-    h, log_norm = posterior_factor_weights(grid.flat_weights,
-                                           -((mu - targets) @ lam))
+    log_w = np.log(grid.flat_weights) - (mu - targets) @ lam
+    top = log_w.max()
+    w = np.exp(log_w - top)
+    h, log_norm = w / w.sum(), top + np.log(w.sum())
     model_els = h @ mu
     centered = mu - model_els
     hess = centered.T @ (centered * h[:, None])
@@ -990,12 +1003,13 @@ class TestFactorOnlyOnTheTiltedDual:
 
 class TestInformation:
     def test_kl_divergence_basics(self):
+        kl = calibrate_module._kl
         p = np.array([0.2, 0.8, 0.0])
-        assert kl_divergence(p, p) == 0.0
+        assert kl(p, p) == 0.0
         q = np.array([0.5, 0.5, 0.0])
-        assert kl_divergence(p, q) > 0.0
+        assert kl(p, q) > 0.0
         with pytest.raises(InfiniteDivergenceError):
-            kl_divergence(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+            kl(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
 
     def test_conditional_mi_zero_for_prior(self):
         _, grid, _, priors, _ = toy_setup(seed=19)

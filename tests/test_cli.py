@@ -891,9 +891,7 @@ class TestFailureHandling:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("ERROR CONFIG:")
-        assert not (workdir / "out").exists() or not any(
-            (workdir / "out").iterdir()
-        )
+        assert not (workdir / "out").exists()
 
     def test_partial_outputs_removed_on_failure(self, workdir, capsys):
         # constraints reference an index that does not exist: the residual
@@ -904,7 +902,7 @@ class TestFailureHandling:
         rc = main(["--config", str(workdir / "config.json")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("ERROR CONFIG:")
-        assert not any((workdir / "out").iterdir())
+        assert not (workdir / "out").exists()
 
     def test_rollback_after_partial_write(self, workdir, capsys):
         # calibration outputs are written before pricing; a tranche beyond
@@ -921,7 +919,23 @@ class TestFailureHandling:
         rc = main(["--config", str(workdir / "config.json")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("ERROR CONFIG:")
-        assert not any((workdir / "out").iterdir())
+        assert not (workdir / "out").exists()
+
+    def test_rollback_removes_the_directories_it_made(self, workdir, capsys):
+        # the same late failure, with an output directory whose parents
+        # the run makes too: every directory it made goes with the files
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
+                  prior_el_constraints(workdir / "portfolios.json"))
+        write_csv(workdir / "tranches.csv",
+                  ["k_low", "k_high", "maturity", "frequency", "daycount"],
+                  [[0.0, 0.1, 30.0, 4, "yearfrac"]])
+        before = sorted(workdir.iterdir())
+        rc = main(["--config", str(workdir / "config.json"),
+                   "--mode", "price-bespoke",
+                   "--out", str(workdir / "made" / "for" / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("ERROR CONFIG:")
+        assert sorted(workdir.iterdir()) == before
 
     def test_failed_streamed_dump_is_removed(self, workdir, monkeypatch,
                                              capsys):
@@ -942,7 +956,7 @@ class TestFailureHandling:
         assert rc == 1
         assert capsys.readouterr().err.startswith("ERROR IO: disk full")
         assert len(members) == 3
-        assert not any((workdir / "out").iterdir())
+        assert not (workdir / "out").exists()
 
     def test_tranche_frequency_zero_is_a_config_error(self, workdir, capsys):
         write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
@@ -983,8 +997,7 @@ class TestFailureHandling:
         assert rc == 1
         assert capsys.readouterr().err == \
             f"ERROR CONFIG: {workdir / message}\n"
-        assert not (workdir / "out").exists() or not any(
-            (workdir / "out").iterdir())
+        assert not (workdir / "out").exists()
 
     def test_non_finite_constraint_input(self, workdir, capsys):
         rows = prior_el_constraints(workdir / "portfolios.json")
@@ -995,9 +1008,7 @@ class TestFailureHandling:
         assert capsys.readouterr().err == (
             f"ERROR CONFIG: {workdir / 'constraints.csv'} line 2: target_el "
             "must be finite, got nan\n")
-        assert not (workdir / "out").exists() or not any(
-            (workdir / "out").iterdir()
-        )
+        assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize("target, edit, message", [
         ("tranches.csv", lambda rows: rows[1].pop(),
@@ -1036,8 +1047,7 @@ class TestFailureHandling:
         assert rc == 1
         assert capsys.readouterr().err == \
             f"ERROR CONFIG: {workdir / message}\n"
-        assert not (workdir / "out").exists() or not any(
-            (workdir / "out").iterdir())
+        assert not (workdir / "out").exists()
 
     def test_empty_basecorr_file_is_a_config_error(self, workdir, capsys):
         # the mapping looks up a skew for every maturity, so a curve file
@@ -1050,8 +1060,7 @@ class TestFailureHandling:
         assert rc == 1
         assert capsys.readouterr().err == \
             f"ERROR CONFIG: {workdir / 'basecorr.csv'}: no curves\n"
-        assert not (workdir / "out").exists() or not any(
-            (workdir / "out").iterdir())
+        assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize("mode", ["calibrate-dynamic", "price-bespoke"])
     def test_non_finite_horizon_names_the_line(self, workdir, capsys, mode):
@@ -1153,8 +1162,7 @@ class TestFailureHandling:
         with address_space_limit():
             assert main(["--config", str(config), "--mode", mode]) == 1
         assert capsys.readouterr().err == f"ERROR CONFIG: {want}\n"
-        assert not (workdir / "out").exists() or not any(
-            (workdir / "out").iterdir())
+        assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize("field, value, error, message", [
         ("notional_weight", "nan", errors.ConfigurationError,
@@ -1211,7 +1219,7 @@ class TestFailureHandling:
             r"\(grad inf-norm (\S+), iterations 1\)\n", err)
         assert match, err
         assert float(match.group(1)) > 1e-9
-        assert not any((workdir / "out").iterdir())
+        assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize("mode", ["calibrate-static",
                                       "calibrate-dynamic"])
@@ -1229,7 +1237,7 @@ class TestFailureHandling:
         assert re.fullmatch(
             r"ERROR CONFIG: exact target 0\.9 of i1:relevant_total is "
             r"outside the attainable range \[0\.0, 0\.3\d*\]\n", err), err
-        assert not any((workdir / "out").iterdir())
+        assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize("mode", ["price-bespoke", "map-basecorr"])
     @pytest.mark.parametrize("member, reason", [
@@ -1254,7 +1262,7 @@ class TestFailureHandling:
         assert rc == 1
         assert capsys.readouterr().err == \
             f"ERROR CONFIG: {workdir / 'config.json'}: {reason}\n"
-        assert not any((workdir / "out").iterdir())
+        assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize("case, message", [
         ("k_low", "constraints.csv line 2: k_low must be a number, got ''"),
@@ -1292,9 +1300,7 @@ class TestFailureHandling:
         assert rc == 1
         assert capsys.readouterr().err == \
             f"ERROR CONFIG: {workdir / message}\n"
-        assert not (workdir / "out").exists() or not any(
-            (workdir / "out").iterdir()
-        )
+        assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize("target, edit, message", [
         ("config.json", lambda doc: [],
@@ -1350,9 +1356,7 @@ class TestFailureHandling:
         assert rc == 1
         assert capsys.readouterr().err == \
             f"ERROR CONFIG: {workdir / message}\n"
-        assert not (workdir / "out").exists() or not any(
-            (workdir / "out").iterdir()
-        )
+        assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize("exc, code", ERROR_CASES, ids=lambda case:
                              type(case).__name__
@@ -1436,11 +1440,9 @@ class TestFailureHandling:
         assert rc == 1
         assert capsys.readouterr().err == "ERROR CONFIG: " + \
             message.format(config=workdir / "config.json") + "\n"
-        # the reference index is checked against the portfolio file, read
-        # once the run has made its output directory
-        out = workdir / "out"
-        assert out.exists() == ("reference_index" in settings)
-        assert not out.exists() or not any(out.iterdir())
+        # the output directory is made at the first output, so a run that
+        # fails before it leaves none
+        assert not (workdir / "out").exists()
 
     def test_infinite_solver_tol_is_a_config_error(self, workdir, capsys):
         # a solver block once set the dual's tol, and 1e400 (read as inf)
@@ -1589,7 +1591,7 @@ class TestMutatedInputs:
                 assert not errors_ and (out / "manifest.json").is_file(), case
             else:
                 assert status == 1 and len(errors_) == 1, (case, lines)
-                assert not out.exists() or not any(out.iterdir()), case
+                assert not out.exists(), case
 
 
 class TestConfig:

@@ -241,7 +241,7 @@ class TestFactorChain:
         chain = build_factor_chain_prior(grid, 0.85)
         k1 = birth_death_kernel(grid.marginal_weights(1), 0.85)
         k2 = birth_death_kernel(grid.marginal_weights(2), 0.85)
-        assert np.array_equal(chain.matrix, np.kron(k1, k2))
+        assert np.array_equal(chain, np.kron(k1, k2))
 
 
 class TestIncrementPrior:

@@ -9,11 +9,9 @@ from scipy.special import logsumexp, ndtr, ndtri
 from entropic_bespoke.errors import ConfigurationError
 from entropic_bespoke.loss import (
     ConditionalLossDist,
-    LossDist,
     LossGrid,
     bucket_pmf_recursion,
     build_conditional_prior,
-    convolve,
     convolve_rows,
     default_loss_unit,
     hankel_index,
@@ -29,7 +27,6 @@ from entropic_bespoke.prior import (
     _conditional_prob_rows,
     _unit_gauss_hermite,
     build_market_grid,
-    conditional_default_prob,
     derive_two_factor_loadings,
 )
 from entropic_bespoke.loss import portfolio_loadings
@@ -95,14 +92,12 @@ class TestConditionalPrior:
         loadings = portfolio_loadings(port, params)
         coords = grid.node_coords
         for m in range(grid.n_nodes):
-            node = tuple(coords[m])
             joints = []
             for bucket in ("relevant", "complement"):
                 names = port.bucket_names(bucket)
-                probs = [
-                    conditional_default_prob(n, loadings[n.id], node, 5.0)
-                    for n in names
-                ]
+                probs = [_conditional_prob_rows(
+                    [n.default_prob(5.0)], loadings[n.id], coords[m:m + 1])[0, 0]
+                    for n in names]
                 units = [name_loss_units(n, loss_grid.unit) for n in names]
                 joints.append(
                     enumerate_bucket_pmf(probs, units, sum(units) + 1)
@@ -325,24 +320,17 @@ class TestBatchedConditionalProbs:
 
 
 class TestConvolve:
-    def grid(self, unit=0.1):
-        return LossGrid(unit=unit, max_units=100)
-
-    def dist(self, pmf, unit=0.1):
-        return LossDist(pmf=np.asarray(pmf, dtype=float), grid=self.grid(unit))
-
+    # the rows of `convolve_rows`, one node at a time
     def test_point_masses(self):
-        a = self.dist([0, 0, 1.0])
-        b = self.dist([0, 0, 0, 1.0])
-        out = convolve(a, b)
+        out = convolve_rows(np.array([[0, 0, 1.0]]), np.array([[0, 0, 0, 1.0]]))
         expected = np.zeros(6)
         expected[5] = 1.0
-        assert np.array_equal(out.pmf, expected)
+        assert np.array_equal(out[0], expected)
 
     def test_bernoulli_pair(self):
-        a = self.dist([0.5, 0.5])
-        out = convolve(a, a)
-        assert out.pmf == pytest.approx([0.25, 0.5, 0.25], abs=1e-15)
+        a = np.array([[0.5, 0.5]])
+        assert convolve_rows(a, a)[0] == pytest.approx([0.25, 0.5, 0.25],
+                                                       abs=1e-15)
 
     def test_random_pmfs_match_double_sum(self, rng):
         for _ in range(10):
@@ -354,13 +342,9 @@ class TestConvolve:
             for i in range(8):
                 for j in range(8):
                     direct[i + j] += a[i] * b[j]
-            out = convolve(self.dist(a), self.dist(b)).pmf
+            out = convolve_rows(a[None, :], b[None, :])[0]
             assert np.abs(out - direct).max() < 1e-15
             assert abs(out.sum() - 1.0) < 1e-12
-
-    def test_mismatched_units(self):
-        with pytest.raises(ConfigurationError):
-            convolve(self.dist([1.0], unit=0.1), self.dist([1.0], unit=0.2))
 
     @pytest.mark.parametrize("s1, s2", [(7, 12), (12, 7), (51, 76), (1, 5),
                                         (4, 1)])

@@ -16,7 +16,6 @@ from entropic_bespoke.prior import (
     _ndtr_inplace,
     _ndtri,
     build_market_grid,
-    conditional_default_prob,
     derive_two_factor_loadings,
     pairwise_correlation,
 )
@@ -198,18 +197,19 @@ class TestConditionalDefaultProb:
         params = FactorParams(rho=0.4, alpha=0.2)
         name = make_name("x", 1, "relevant", [(5.0, 0.1)], loading=0.0)
         l = derive_two_factor_loadings(0.0, params, home_index=1)
-        for node in [(-2.0, -2.0), (0.0, 0.0), (1.5, -0.5)]:
-            assert conditional_default_prob(name, l, node, 5.0) == pytest.approx(
-                0.1, abs=1e-15
-            )
+        nodes = np.array([(-2.0, -2.0), (0.0, 0.0), (1.5, -0.5)])
+        probs = _conditional_prob_rows([name.default_prob(5.0)], l, nodes)
+        assert probs[0] == pytest.approx(0.1, abs=1e-15)
 
     def test_boundary_probabilities(self):
         params = FactorParams(rho=0.4, alpha=0.2)
         l = derive_two_factor_loadings(0.5, params, home_index=1)
         dead = make_name("d", 1, "relevant", [(5.0, 1.0)])
         safe = make_name("s", 1, "relevant", [(5.0, 0.0)])
-        assert conditional_default_prob(dead, l, (-3.0, 2.0), 5.0) == 1.0
-        assert conditional_default_prob(safe, l, (-3.0, 2.0), 5.0) == 0.0
+        probs = _conditional_prob_rows(
+            [dead.default_prob(5.0), safe.default_prob(5.0)], l,
+            np.array([(-3.0, 2.0)]))
+        assert probs.tolist() == [[1.0], [0.0]]
 
     def test_monotone_in_factor(self):
         l = TwoFactorLoadings(beta1=0.5, beta2=0.15, idio=math.sqrt(0.6525))
