@@ -57,7 +57,6 @@ from .pricing import (
 )
 from .basecorr import (
     BaseCorrCurve,
-    MappingRule,
     base_tranche_el,
     implied_base_correlation,
     map_strike,
@@ -67,7 +66,6 @@ from .dynamic import (
     DynamicModel,
     DynamicState,
     PeriodKernel,
-    TimeGrid,
     birth_death_kernel,
     build_conditional_loss_prior,
     build_factor_chain_prior,

@@ -38,22 +38,18 @@ from .prior import TwoFactorLoadings
 ABSOLUTE = "absolute"
 ATM = "atm"
 PROBABILITY_MATCHING = "probability_matching"
-_VARIANTS = (ABSOLUTE, ATM, PROBABILITY_MATCHING)
+_RULES = (ABSOLUTE, ATM, PROBABILITY_MATCHING)
 _N_NODES = 31  # Gauss-Hermite nodes of the one-factor integral
 _DAMPING = 0.5  # probability matching's fallback step, a share of g(K) - K
 _TOL = 1e-8  # probability matching stops once |g(K) - K| < _TOL
 _MAX_ITER = 100  # probability matching's lockstep steps before it gives up
 
 
-@dataclass(frozen=True)
-class MappingRule:
-    variant: str
-
-    def __post_init__(self):
-        if self.variant not in _VARIANTS:
-            raise ConfigurationError(
-                f"mapping rule must be one of {_VARIANTS}, got '{self.variant}'"
-            )
+def check_mapping_rule(rule: str):
+    """The rule of a strike-mapping rule's name: one of `_RULES`."""
+    if rule not in _RULES:
+        raise ConfigurationError(
+            f"mapping rule must be one of {_RULES}, got '{rule}'")
 
 
 @dataclass(frozen=True)
@@ -252,7 +248,7 @@ def _interp_quantile(dist: LossDist) -> Callable[[float], float]:
 
 
 def map_strike(
-    rule: MappingRule,
+    rule: str,
     k_bs: Sequence[float],
     bespoke_el: float,
     index_el: float,
@@ -277,9 +273,10 @@ def map_strike(
     strike order, and it must return the list of their laws in that order.
     If strikes fail to converge, the error names the first of them.
     """
-    if rule.variant == ABSOLUTE:
+    check_mapping_rule(rule)
+    if rule == ABSOLUTE:
         return list(k_bs)
-    if rule.variant == ATM:
+    if rule == ATM:
         if bespoke_el <= 0.0:
             raise ConfigurationError("ATM mapping needs a positive bespoke EL")
         if index_el <= 0.0:

@@ -51,7 +51,7 @@ from .loss import (
     scaled_tilt_factors,
     tranche_payoff,
 )
-from .prior import COMPLEMENT, RELEVANT, MarketFactorGrid, check_bucket
+from .prior import RELEVANT, MarketFactorGrid, check_bucket
 from .solver import newton_minimize
 
 DEFAULT_SIGMA = 1e-4
@@ -60,17 +60,20 @@ _SMALLEST_NORMAL = np.finfo(float).tiny
 # and when the dual's Hessian sums its per-cell means.
 _BLOCK_CELLS = 1 << 14
 TRANCHE = "tranche"
-SUBPORTFOLIO_TOTAL = "subportfolio_total"
+RELEVANT_TOTAL = "relevant_total"
+COMPLEMENT_TOTAL = "complement_total"
+_KINDS = (COMPLEMENT_TOTAL, RELEVANT_TOTAL, TRANCHE)
 
 
 @dataclass(frozen=True)
 class PricingConstraint:
-    """One generalized payoff with a target expected loss.
+    """One generalized payoff with a target expected loss; its fields are
+    the columns of a constraints.csv row.
 
     kind "tranche" pays ((X - k_low)^+ - (X - k_high)^+) on the index total
-    loss X; kind "subportfolio_total" pays the loss of one bucket.  All
-    amounts are fractions of index notional.  sigma is the softness of the
-    constraint (0 = exact).
+    loss X; kinds "relevant_total" and "complement_total" pay the loss of
+    that bucket.  All amounts are fractions of index notional.  sigma is
+    the softness of the constraint (0 = exact).
     """
 
     index_id: int
@@ -78,19 +81,17 @@ class PricingConstraint:
     target_el: float
     k_low: float | None = None
     k_high: float | None = None
-    bucket: str | None = None
     sigma: float = DEFAULT_SIGMA
     horizon: float | None = None
 
     def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ConfigurationError(
+                f"kind must be one of {list(_KINDS)}, got {self.kind!r}")
         if self.kind == TRANCHE:
             if self.k_low is None or self.k_high is None:
                 raise ConfigurationError("tranche constraint needs k_low and k_high")
             check_strikes(self.k_low, self.k_high)
-        elif self.kind == SUBPORTFOLIO_TOTAL:
-            check_bucket(self.bucket, "subportfolio_total constraint")
-        else:
-            raise ConfigurationError(f"unknown constraint kind '{self.kind}'")
         if not math.isfinite(self.target_el):
             raise ConfigurationError(f"target_el must be finite, got {self.target_el}")
         if not math.isfinite(self.sigma * self.sigma):  # the dual's sigma^2
@@ -109,7 +110,7 @@ class PricingConstraint:
     def label(self) -> str:
         if self.kind == TRANCHE:
             return f"i{self.index_id}:tranche[{self.k_low},{self.k_high}]"
-        return f"i{self.index_id}:{self.bucket}_total"
+        return f"i{self.index_id}:{self.kind}"
 
 
 def payoff_eval(constraint: PricingConstraint, x_relevant: float,
@@ -118,7 +119,7 @@ def payoff_eval(constraint: PricingConstraint, x_relevant: float,
     if constraint.kind == TRANCHE:
         return float(tranche_payoff(x_relevant + x_complement,
                                     constraint.k_low, constraint.k_high))
-    return x_relevant if constraint.bucket == RELEVANT else x_complement
+    return x_relevant if constraint.kind == RELEVANT_TOTAL else x_complement
 
 
 def _payoff_matrix(constraints: Sequence[PricingConstraint], grid: LossGrid,
@@ -133,7 +134,7 @@ def _payoff_matrix(constraints: Sequence[PricingConstraint], grid: LossGrid,
         if c.kind == TRANCHE:
             row[...] = tranche_payoff(xr + xc, c.k_low, c.k_high)
         else:
-            row[...] = xr if c.bucket == RELEVANT else xc
+            row[...] = xr if c.kind == RELEVANT_TOTAL else xc
     return out.reshape(len(constraints), s1 * s2)
 
 
@@ -202,11 +203,9 @@ class _FactoredKernel:
         s1, s2 = prior.shape
         self.x, self.y = prior.grid.levels(s1), prior.grid.levels(s2)
         self.hankel = hankel_index(s1, s2)
-        kinds = [c.bucket if c.kind == SUBPORTFOLIO_TOTAL else TRANCHE
-                 for c in constraints]
         self.rel, self.comp, self.tranches = (
-            [k for k, kind in enumerate(kinds) if kind == want]
-            for want in (RELEVANT, COMPLEMENT, TRANCHE))
+            [k for k, c in enumerate(constraints) if c.kind == kind]
+            for kind in (RELEVANT_TOTAL, COMPLEMENT_TOTAL, TRANCHE))
         # tranche payoffs on the total-loss lattice s = 0 .. S1 + S2 - 2
         self.tranche_pay = _payoff_matrix(
             [constraints[k] for k in self.tranches], prior.grid,
@@ -705,13 +704,13 @@ class MceCalibrator(_TiltedDual):
             self.dual_objective_and_gradient, self.dual_hessian,
             np.zeros(len(self.constraints)),
         )
+        posterior_weights, laws = self.posterior(res.x)
         state = self.evaluate(res.x)
         return CalibrationResult(
             constraints=self.constraints,
             lambdas=res.x,
-            posterior_weights=state["pools"][self.index_ids[-1]].reshape(-1)
-            .copy(),
-            laws={i: t.law() for i, t in state["tilts"].items()},
+            posterior_weights=posterior_weights,
+            laws=laws,
             model_els=state["model_els"].copy(),
             residuals=state["model_els"] - self.targets,
             objective_value=res.value,

@@ -15,13 +15,14 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
 
 from . import __version__, basecorr, io as fmt, pricing
 from .calibrate import calibrate, check_constraint_indices
-from .dynamic import (DynamicModel, TimeGrid, check_coarsen, check_index_pair,
+from .dynamic import (DynamicModel, check_coarsen, check_index_pair,
                       check_persistence)
 from .errors import ConfigurationError, EntropicBespokeError, MappingConvergenceError
 from .loss import (LossGrid, build_conditional_prior, check_loss_unit,
@@ -103,7 +104,7 @@ class RunConfig:
             if cfg.threads < 1:
                 raise ConfigurationError(
                     f"threads must be at least 1, got {cfg.threads!r}")
-            basecorr.MappingRule(cfg.mapping_rule)
+            basecorr.check_mapping_rule(cfg.mapping_rule)
             check_persistence(cfg.persistence)
             check_coarsen(cfg.coarsen)
             if cfg.loss_unit is not None:
@@ -159,12 +160,15 @@ class _Reporter:
 
 
 def _manifest(config: RunConfig, reporter: _Reporter):
+    """manifest.json; each input's path is relative to the config's
+    directory, so copies of one input tree give the same manifest."""
     inputs = {}
     for key in _INPUTS:
         path = getattr(config, key)
         if path is not None:
-            inputs[key] = {"path": str(path), "sha256":
-                           hashlib.sha256(path.read_bytes()).hexdigest()}
+            inputs[key] = {"path": os.path.relpath(path, config.path.parent),
+                           "sha256": hashlib.sha256(path.read_bytes())
+                           .hexdigest()}
     manifest = {
         "package": "entropic-bespoke",
         "version": __version__,
@@ -264,7 +268,7 @@ def _mode_calibrate_dynamic(config, reporter):
     grids, grid, horizons = _calibration_setup(config, params, portfolios,
                                                constraints)
     model = DynamicModel(
-        grid, params, portfolios, grids, TimeGrid(horizons=tuple(horizons)),
+        grid, params, portfolios, grids, horizons,
         persistence=config.persistence, coarsen=config.coarsen,
     )
     per_period = [
@@ -319,7 +323,7 @@ def _mode_map_basecorr(config, reporter):
         index_pool = _standalone_pool(
             portfolios, [(config.reference_index, "relevant"),
                          (config.reference_index, "complement")])
-    rule = basecorr.MappingRule(config.mapping_rule)
+    rule = config.mapping_rule
     horizons = sorted(curves)
 
     def curve_at(t: float) -> basecorr.BaseCorrCurve:
@@ -334,7 +338,7 @@ def _mode_map_basecorr(config, reporter):
         skew = curve_at(t)
         l_b = _pool_expected_loss(bespoke_pool, t)
         l_i = _pool_expected_loss(index_pool, t)
-        if rule.variant == basecorr.PROBABILITY_MATCHING:
+        if rule == basecorr.PROBABILITY_MATCHING:
             [index_dist] = basecorr.onefactor_loss_dist(
                 index_pool, [skew.beta(strikes[0])], t)
             try:
@@ -354,7 +358,7 @@ def _mode_map_basecorr(config, reporter):
             beta = skew.beta(k_i)
             mapped[(t, k_b)] = (k_i, beta)
             mapping_rows.append([
-                rule.variant, fmt._fmt(k_b), fmt._fmt(t), fmt._fmt(l_b),
+                rule, fmt._fmt(k_b), fmt._fmt(t), fmt._fmt(l_b),
                 fmt._fmt(l_i), fmt._fmt(k_i), fmt._fmt(beta),
             ])
     reporter.csv("mapped_strikes.csv", fmt.MAPPING_HEADER, mapping_rows)

@@ -61,22 +61,6 @@ from .prior import (
 )
 from .solver import newton_minimize
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Reference maturities T_0 < T_1 < ...; today (T_{-1} = 0) is implied."""
-
-    horizons: tuple[float, ...]
-
-    def __post_init__(self):
-        check_increasing("horizons", self.horizons)
-
-    def period_bounds(self, n: int) -> tuple[float, float]:
-        start = 0.0 if n == 0 else self.horizons[n - 1]
-        return start, self.horizons[n]
-
-    def __len__(self) -> int:
-        return len(self.horizons)
-
 
 def check_persistence(persistence: float):
     """The rule of a factor chain's persistence: it lies in [0, 1]."""
@@ -369,7 +353,8 @@ def check_index_pair(portfolios: Mapping[int, IndexPortfolio]):
 
 
 class DynamicModel:
-    """Bootstrap driver: portfolios, factor chain and loss grids."""
+    """Bootstrap driver: portfolios, factor chain, loss grids and the
+    horizons T_0 < T_1 < ...; period n ends at T_n, T_{-1} = 0 is today."""
 
     def __init__(
         self,
@@ -377,18 +362,19 @@ class DynamicModel:
         params: FactorParams,
         portfolios: Mapping[int, IndexPortfolio],
         loss_grids: Mapping[int, LossGrid],
-        time_grid: TimeGrid,
+        horizons: Sequence[float],
         persistence: float = 0.9,
         coarsen: int = 1,
     ):
         if sorted(portfolios) != sorted(loss_grids):
             raise ConfigurationError("portfolios and loss grids must share keys")
         check_coarsen(coarsen)
+        self.horizons = tuple(horizons)
+        check_increasing("horizons", self.horizons)
         self.grid = grid
         self.params = params
         self.portfolios = dict(portfolios)
         self.loss_grids = dict(loss_grids)
-        self.time_grid = time_grid
         self.coarsen = coarsen
         self.index_ids = sorted(portfolios)
         check_index_pair(portfolios)
@@ -460,7 +446,7 @@ class DynamicModel:
         w = mass.reshape(len(mass), math.prod(mass.shape[1:3]), -1)
         held = [np.flatnonzero(w.any(axis=axes))
                 for axes in ((1, 2), (0, 2), (0, 1))]
-        t0, t1 = self.time_grid.period_bounds(period)
+        t0, t1 = (0.0, *self.horizons)[period:period + 2]  # 0: today
         caps = self.period_capacities(period)
         contexts, priors = {}, {}
         for pos, i in enumerate(self.index_ids):
@@ -481,7 +467,7 @@ class DynamicModel:
         nodes = held[0] - 1 if prev_state.period == -1 else held[0]
         with np.errstate(divide="ignore"):
             log_g = np.log(self._factor_rows_prior(nodes))
-        fixed = dict(period=period, horizon=self.time_grid.horizons[period],
+        fixed = dict(period=period, horizon=t1,
                      prev_nodes=nodes, contexts=contexts)
         return _PeriodDual(fixed, constraints,
                            *_tilt_kernels(priors, constraints), log_g,
@@ -532,10 +518,8 @@ class DynamicModel:
         constraints_by_period: Sequence[Sequence[PricingConstraint]],
     ) -> tuple[list[DynamicState], list[PeriodKernel]]:
         """Calibrate every period in sequence and propagate marginals."""
-        if len(constraints_by_period) != len(self.time_grid):
-            raise ConfigurationError(
-                "need one constraint set per horizon on the time grid"
-            )
+        if len(constraints_by_period) != len(self.horizons):
+            raise ConfigurationError("need one constraint set per horizon")
         state = self.initial_state()
         states: list[DynamicState] = []
         kernels: list[PeriodKernel] = []

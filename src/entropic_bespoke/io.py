@@ -25,11 +25,11 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .basecorr import BaseCorrCurve
-from .calibrate import PricingConstraint, DEFAULT_SIGMA
+from .calibrate import DEFAULT_SIGMA, TRANCHE, PricingConstraint
 from .errors import ConfigurationError
 from .loss import ConditionalLossDist, LossGrid
 from .pricing import DiscountCurve, TrancheSpec
-from .prior import COMPLEMENT, RELEVANT, FactorParams, IndexPortfolio, NameSpec
+from .prior import FactorParams, IndexPortfolio, NameSpec
 
 NUM = "%.10g"
 
@@ -41,7 +41,6 @@ _BLOCK_ROWS = 1 << 14
 
 CONSTRAINT_COLUMNS = ["index_id", "kind", "k_low", "k_high", "horizon",
                       "target_el", "sigma"]
-_CSV_KINDS = {"tranche", "relevant_total", "complement_total"}
 
 
 def _fmt(value: float) -> str:
@@ -168,28 +167,20 @@ def load_portfolios(
 
 
 def load_constraints(path: str | Path) -> list[PricingConstraint]:
+    """One constraint per row, its fields the row's columns; the strikes
+    are read for a tranche only, and an empty sigma is the default."""
     out = []
     for where, row in _csv_rows(path, CONSTRAINT_COLUMNS):
         def num(field, kind=float):
             return parse_field(where, field, row[field], kind)
 
         kind = row["kind"].strip()
-        if kind not in _CSV_KINDS:
-            raise ConfigurationError(
-                f"{where}: kind must be one of {sorted(_CSV_KINDS)}, "
-                f"got {kind!r}")
         fields = dict(
-            index_id=num("index_id", int),
-            horizon=num("horizon"),
+            index_id=num("index_id", int), kind=kind, horizon=num("horizon"),
             target_el=num("target_el"),
             sigma=num("sigma") if row["sigma"].strip() else DEFAULT_SIGMA,
-        )
-        if kind == "tranche":
-            fields.update(kind="tranche", k_low=num("k_low"),
-                          k_high=num("k_high"))
-        else:
-            fields.update(kind="subportfolio_total", bucket=RELEVANT
-                          if kind == "relevant_total" else COMPLEMENT)
+            **{field: num(field) for field in ("k_low", "k_high")
+               if kind == TRANCHE})
         with _named(where):
             out.append(PricingConstraint(**fields))
     if not out:

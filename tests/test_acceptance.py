@@ -15,7 +15,7 @@ from entropic_bespoke.calibrate import (
     PricingConstraint,
     prior_expected_losses,
 )
-from entropic_bespoke.dynamic import DynamicModel, TimeGrid
+from entropic_bespoke.dynamic import DynamicModel
 from entropic_bespoke.loss import (
     LossGrid,
     build_conditional_prior,
@@ -72,18 +72,18 @@ def toy_problem(seed, grid_n=3, n_rel=3, n_comp=3, sigma=1e-3, shift=1.15,
     shells = [
         PricingConstraint(index_id=1, kind="tranche", k_low=0.0, k_high=0.2,
                           target_el=0.0, sigma=sigma),
-        PricingConstraint(index_id=1, kind="subportfolio_total",
-                          bucket="relevant", target_el=0.0, sigma=sigma),
+        PricingConstraint(index_id=1, kind="relevant_total",
+                          target_el=0.0, sigma=sigma),
         PricingConstraint(index_id=2, kind="tranche", k_low=0.0, k_high=0.2,
                           target_el=0.0, sigma=sigma),
-        PricingConstraint(index_id=2, kind="subportfolio_total",
-                          bucket="complement", target_el=0.0, sigma=sigma),
+        PricingConstraint(index_id=2, kind="complement_total",
+                          target_el=0.0, sigma=sigma),
     ]
     els = prior_expected_losses(grid, priors, shells)
     cons = [
         PricingConstraint(
             index_id=c.index_id, kind=c.kind, k_low=c.k_low, k_high=c.k_high,
-            bucket=c.bucket, target_el=float(el * shift), sigma=sigma,
+            target_el=float(el * shift), sigma=sigma,
         )
         for c, el in zip(shells, els)
     ]
@@ -302,18 +302,17 @@ def _dynamic_toy(persistence=0.9, shift=1.15):
         )
         ports[i] = IndexPortfolio(index_id=i, names=names)
     grids = {i: LossGrid(unit=0.3, max_units=2) for i in (1, 2)}
-    model = DynamicModel(grid, params, ports, grids,
-                         TimeGrid(horizons=(1.0, 2.0, 3.0)),
+    model = DynamicModel(grid, params, ports, grids, (1.0, 2.0, 3.0),
                          persistence=persistence)
     shells = [
         PricingConstraint(index_id=1, kind="tranche", k_low=0.0, k_high=0.3,
                           target_el=0.0, sigma=1e-4),
-        PricingConstraint(index_id=1, kind="subportfolio_total",
-                          bucket="relevant", target_el=0.0, sigma=1e-4),
+        PricingConstraint(index_id=1, kind="relevant_total",
+                          target_el=0.0, sigma=1e-4),
         PricingConstraint(index_id=2, kind="tranche", k_low=0.0, k_high=0.3,
                           target_el=0.0, sigma=1e-4),
-        PricingConstraint(index_id=2, kind="subportfolio_total",
-                          bucket="complement", target_el=0.0, sigma=1e-4),
+        PricingConstraint(index_id=2, kind="complement_total",
+                          target_el=0.0, sigma=1e-4),
     ]
     state = model.initial_state()
     per_period = []
@@ -322,8 +321,7 @@ def _dynamic_toy(persistence=0.9, shift=1.15):
         cons = [
             PricingConstraint(
                 index_id=c.index_id, kind=c.kind, k_low=c.k_low,
-                k_high=c.k_high, bucket=c.bucket,
-                target_el=float(el * shift), sigma=1e-4,
+                k_high=c.k_high, target_el=float(el * shift), sigma=1e-4,
             )
             for c, el in zip(shells, els)
         ]
@@ -380,7 +378,7 @@ def test_kl_ordering_full_vs_factor_only():
         cons = [
             PricingConstraint(
                 index_id=c.index_id, kind=c.kind, k_low=c.k_low,
-                k_high=c.k_high, bucket=c.bucket, target_el=float(t),
+                k_high=c.k_high, target_el=float(t),
                 sigma=0.0,
             )
             for c, t in zip(base, targets)
@@ -549,11 +547,10 @@ def _index_constraints(index_id, strikes, horizon, targets_by_kind):
             target_el=targets_by_kind[("tranche", k_low, k_high)],
             sigma=1e-4, horizon=horizon,
         ))
-    for bucket in ("relevant", "complement"):
+    for kind in ("relevant_total", "complement_total"):
         cons.append(PricingConstraint(
-            index_id=index_id, kind="subportfolio_total", bucket=bucket,
-            target_el=targets_by_kind[("total", bucket)], sigma=1e-4,
-            horizon=horizon,
+            index_id=index_id, kind=kind, target_el=targets_by_kind[kind],
+            sigma=1e-4, horizon=horizon,
         ))
     return cons
 
@@ -577,10 +574,9 @@ def _market_targets(ports, horizons, strikes):
                     index_id=i, kind="tranche", k_low=k_low, k_high=k_high,
                     target_el=0.0, sigma=1e-4,
                 ))
-            for bucket in ("relevant", "complement"):
+            for kind in ("relevant_total", "complement_total"):
                 shells.append(PricingConstraint(
-                    index_id=i, kind="subportfolio_total", bucket=bucket,
-                    target_el=0.0, sigma=1e-4,
+                    index_id=i, kind=kind, target_el=0.0, sigma=1e-4,
                 ))
             els = prior_expected_losses(grid, {i: prior}, shells)
             by_kind = {}
@@ -588,7 +584,7 @@ def _market_targets(ports, horizons, strikes):
                 if c.kind == "tranche":
                     by_kind[("tranche", c.k_low, c.k_high)] = float(el)
                 else:
-                    by_kind[("total", c.bucket)] = float(el)
+                    by_kind[c.kind] = float(el)
             targets[(t, i)] = by_kind
     return targets, unit
 
@@ -774,7 +770,7 @@ def test_performance_dynamic_bootstrap_two_indices():
     model = DynamicModel(
         build_market_grid(5, 5, params), params, ports,
         {i: LossGrid(unit=unit, max_units=12) for i in (1, 2)},
-        TimeGrid(horizons=horizons), persistence=0.9,
+        horizons, persistence=0.9,
     )
     per_period = [
         [c for i in (1, 2)
@@ -813,7 +809,7 @@ def test_performance_dynamic_bootstrap_coarsened_24_names():
     model = DynamicModel(
         build_market_grid(10, 10, params), params, ports,
         {i: LossGrid(unit=unit, max_units=24) for i in (1, 2)},
-        TimeGrid(horizons=horizons), persistence=0.9, coarsen=3,
+        horizons, persistence=0.9, coarsen=3,
     )
     per_period = [
         [c for i in (1, 2)
@@ -860,7 +856,7 @@ def test_dynamic_bootstrap_keeps_states_factored():
     model = DynamicModel(
         build_market_grid(10, 10, params), params, ports,
         {i: LossGrid(unit=unit, max_units=24) for i in (1, 2)},
-        TimeGrid(horizons=horizons), persistence=0.9, coarsen=3,
+        horizons, persistence=0.9, coarsen=3,
     )
     per_period = [
         [c for i in (1, 2)
@@ -929,7 +925,7 @@ def test_product_form_period_dual_two_40_name_indices():
     model = DynamicModel(
         build_market_grid(10, 10, params), params, ports,
         {i: LossGrid(unit=unit, max_units=40) for i in (1, 2)},
-        TimeGrid(horizons=horizons), persistence=0.9, coarsen=3,
+        horizons, persistence=0.9, coarsen=3,
     )
     per_period = [
         [c for i in (1, 2)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 import entropic_bespoke.basecorr as basecorr
 from entropic_bespoke.basecorr import (
     BaseCorrCurve,
-    MappingRule,
     base_tranche_el,
+    check_mapping_rule,
     implied_base_correlation,
     map_strike,
     onefactor_loss_dist,
@@ -198,27 +199,32 @@ class TestBaseCorrCurve:
 
 class TestMapStrike:
     def test_absolute(self):
-        assert map_strike(MappingRule("absolute"), [0.05], 0.1, 0.2) == [0.05]
+        assert map_strike("absolute", [0.05], 0.1, 0.2) == [0.05]
 
     def test_atm_identity(self):
-        assert map_strike(MappingRule("atm"), [0.03], 0.05, 0.05) == pytest.approx(
+        assert map_strike("atm", [0.03], 0.05, 0.05) == pytest.approx(
             [0.03]
         )
 
     def test_atm_derived_example(self):
-        assert map_strike(MappingRule("atm"), [0.03], 0.06, 0.04) == pytest.approx(
+        assert map_strike("atm", [0.03], 0.06, 0.04) == pytest.approx(
             [0.02], abs=1e-15
         )
 
     def test_atm_requires_positive_els(self):
         with pytest.raises(ConfigurationError):
-            map_strike(MappingRule("atm"), [0.03], 0.0, 0.05)
+            map_strike("atm", [0.03], 0.0, 0.05)
         with pytest.raises(ConfigurationError):
-            map_strike(MappingRule("atm"), [0.03], 0.05, 0.0)
+            map_strike("atm", [0.03], 0.05, 0.0)
 
     def test_rule_validation(self):
-        with pytest.raises(ConfigurationError):
-            MappingRule("median")
+        # the rule owner and every use of a rule name reject it alike
+        message = ("mapping rule must be one of ('absolute', 'atm', "
+                   "'probability_matching'), got 'median'")
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            check_mapping_rule("median")
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            map_strike("median", [0.03], 0.05, 0.05)
 
     def test_probability_matching_fixed_point(self, monkeypatch):
         monkeypatch.setattr(basecorr, "_TOL", 1e-10)
@@ -232,7 +238,7 @@ class TestMapStrike:
             return onefactor_loss_dist(bespoke_pool, betas, 5.0)
 
         [k_i] = map_strike(
-            MappingRule("probability_matching"), [k_b], 0.05, 0.06,
+            "probability_matching", [k_b], 0.05, 0.06,
             index_loss_dist=index_dist, bespoke_dist_provider=provider,
             curve=curve,
         )
@@ -245,7 +251,7 @@ class TestMapStrike:
         index_pool = toy_portfolio(1, 4, 4, seed=14)
         bespoke_pool = toy_portfolio(2, 3, 3, seed=15)
         [index_dist] = onefactor_loss_dist(index_pool, [0.35], 5.0)
-        rule = MappingRule("probability_matching")
+        rule = "probability_matching"
 
         def solve(curve, k_b):
             betas = []
@@ -292,7 +298,7 @@ class TestMapStrike:
 
         monkeypatch.setattr(basecorr, "_MAX_ITER", 7)
         with pytest.raises(MappingConvergenceError) as err:
-            map_strike(MappingRule("probability_matching"), [0.08], 0.05, 0.06,
+            map_strike("probability_matching", [0.08], 0.05, 0.06,
                        index_loss_dist=index_dist,
                        bespoke_dist_provider=provider, curve=curve)
         assert err.value.iterations == 7
@@ -302,7 +308,7 @@ class TestMapStrike:
 
     def test_probability_matching_requires_inputs(self):
         with pytest.raises(ConfigurationError):
-            map_strike(MappingRule("probability_matching"), [0.05], 0.1, 0.2)
+            map_strike("probability_matching", [0.05], 0.1, 0.2)
 
     def test_probability_matching_no_solution(self):
         # an oscillating provider admits no fixed point
@@ -321,7 +327,7 @@ class TestMapStrike:
 
         with pytest.raises(MappingConvergenceError):
             map_strike(
-                MappingRule("probability_matching"), [0.08], 0.05, 0.06,
+                "probability_matching", [0.08], 0.05, 0.06,
                 index_loss_dist=index_dist, bespoke_dist_provider=provider,
                 curve=curve,
             )
@@ -383,7 +389,7 @@ class TestBatchedMapping:
     strikes = (0.02, 0.05, 0.08, 0.12, 0.2, 0.3, 0.5)
     skew = BaseCorrCurve(strikes=(0.03, 0.1, 0.3), betas=(0.25, 0.4, 0.6))
     flat = BaseCorrCurve(strikes=(0.3, 0.6), betas=(0.3, 0.5))
-    rule = MappingRule("probability_matching")
+    rule = "probability_matching"
 
     def mapping(self, t):
         """(index law, batched provider recording each call's betas)."""
@@ -420,7 +426,7 @@ class TestBatchedMapping:
                 assert all(len(b) <= len(a) for a, b in zip(calls, calls[1:]))
 
     def test_absolute_and_atm_equal_scalar_calls(self):
-        for rule in (MappingRule("absolute"), MappingRule("atm")):
+        for rule in ("absolute", "atm"):
             got = map_strike(rule, list(self.strikes), 0.05, 0.06)
             assert np.array_equal(
                 got, [map_strike(rule, [k], 0.05, 0.06)[0]

@@ -69,18 +69,18 @@ def standard_constraints(grid, priors, sigma=1e-3, shift=1.1):
     base = [
         PricingConstraint(index_id=1, kind="tranche", k_low=0.0, k_high=0.15,
                           target_el=0.0, sigma=sigma),
-        PricingConstraint(index_id=1, kind="subportfolio_total",
-                          bucket="relevant", target_el=0.0, sigma=sigma),
+        PricingConstraint(index_id=1, kind="relevant_total",
+                          target_el=0.0, sigma=sigma),
         PricingConstraint(index_id=2, kind="tranche", k_low=0.05, k_high=0.4,
                           target_el=0.0, sigma=sigma),
-        PricingConstraint(index_id=2, kind="subportfolio_total",
-                          bucket="complement", target_el=0.0, sigma=sigma),
+        PricingConstraint(index_id=2, kind="complement_total",
+                          target_el=0.0, sigma=sigma),
     ]
     els = prior_expected_losses(grid, priors, base)
     return [
         PricingConstraint(
             index_id=c.index_id, kind=c.kind, k_low=c.k_low, k_high=c.k_high,
-            bucket=c.bucket, target_el=float(el * shift), sigma=sigma,
+            target_el=float(el * shift), sigma=sigma,
         )
         for c, el in zip(base, els)
     ]
@@ -103,18 +103,22 @@ class TestPayoffEval:
         assert payoff_eval(c, 0.02, 0.03) == pytest.approx(0.02)
 
     def test_totals(self):
-        rel = self.c(kind="subportfolio_total", bucket="relevant")
-        comp = self.c(kind="subportfolio_total", bucket="complement")
+        rel = self.c(kind="relevant_total")
+        comp = self.c(kind="complement_total")
         assert payoff_eval(rel, 0.04, 0.09) == 0.04
         assert payoff_eval(comp, 0.04, 0.09) == 0.09
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             self.c(kind="tranche", k_low=0.05, k_high=0.05)
-        with pytest.raises(ConfigurationError):
-            self.c(kind="subportfolio_total")
-        with pytest.raises(ConfigurationError):
-            self.c(kind="nonsense")
+        with pytest.raises(ConfigurationError, match="needs k_low and k_high"):
+            self.c(kind="tranche", k_low=0.0)
+        # the kinds are the constraint file's
+        for kind in ("nonsense", "subportfolio_total", "relevant"):
+            with pytest.raises(ConfigurationError, match=re.escape(
+                    "kind must be one of ['complement_total', "
+                    f"'relevant_total', 'tranche'], got '{kind}'")):
+                self.c(kind=kind)
         nan, inf = float("nan"), float("inf")
         for target_el, sigma in ((nan, 1e-4), (inf, 1e-4), (0.01, inf),
                                  (0.01, nan), (0.01, 1e155)):
@@ -135,10 +139,8 @@ class TestPayoffEval:
     def test_non_finite_horizon(self, horizon):
         with pytest.raises(ConfigurationError, match=re.escape(
                 f"horizon must be finite and > 0, got {horizon}")):
-            self.c(kind="subportfolio_total", bucket="relevant",
-                   horizon=horizon)
-        assert self.c(kind="subportfolio_total", bucket="relevant",
-                      horizon=None).horizon is None
+            self.c(kind="relevant_total", horizon=horizon)
+        assert self.c(kind="relevant_total", horizon=None).horizon is None
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0])
     def test_non_positive_horizon(self, horizon):
@@ -146,8 +148,7 @@ class TestPayoffEval:
         # fitted a model EL of 0 with a -100% residual and exited 0
         with pytest.raises(ConfigurationError, match=re.escape(
                 f"horizon must be finite and > 0, got {horizon}")):
-            self.c(kind="subportfolio_total", bucket="relevant",
-                   horizon=horizon)
+            self.c(kind="relevant_total", horizon=horizon)
 
 
 class TestPartitionFunctions:
@@ -164,8 +165,8 @@ class TestPartitionFunctions:
             bucket_pmfs=(np.array([[0.0, 0.0, 1.0]]),
                          np.array([[0.0, 1.0, 0.0]])),
         )
-        c = PricingConstraint(index_id=1, kind="subportfolio_total",
-                              bucket="relevant", target_el=0.05)
+        c = PricingConstraint(index_id=1, kind="relevant_total",
+                              target_el=0.05)
         lam = np.array([0.7])
         z = np.exp(kernel_log_z(prior, [c], lam))
         assert z[0] == pytest.approx(np.exp(0.7 * (0.2 - 0.05)), rel=1e-14)
@@ -319,12 +320,10 @@ class TestFactoredKernelEquivalence:
             cons += [
                 PricingConstraint(index_id=i, kind="tranche", k_low=0.0,
                                   k_high=1.0, target_el=0.5, sigma=1e-2),
-                PricingConstraint(index_id=i, kind="subportfolio_total",
-                                  bucket="relevant", target_el=0.3,
-                                  sigma=1e-2),
-                PricingConstraint(index_id=i, kind="subportfolio_total",
-                                  bucket="complement", target_el=0.4,
-                                  sigma=1e-2),
+                PricingConstraint(index_id=i, kind="relevant_total",
+                                  target_el=0.3, sigma=1e-2),
+                PricingConstraint(index_id=i, kind="complement_total",
+                                  target_el=0.4, sigma=1e-2),
             ]
         lam = sign * np.array([750.0, 700.0, 720.0, 710.0, 730.0, 705.0])
         exponent = sum(l * (lattice_payoff(c, priors[1]) - c.target_el)
@@ -355,9 +354,8 @@ class TestFactoredKernelEquivalence:
             cons += [
                 PricingConstraint(index_id=i, kind="tranche", k_low=0.0,
                                   k_high=1.0, target_el=0.4, sigma=1e-2),
-                PricingConstraint(index_id=i, kind="subportfolio_total",
-                                  bucket="relevant", target_el=0.2,
-                                  sigma=1e-2),
+                PricingConstraint(index_id=i, kind="relevant_total",
+                                  target_el=0.2, sigma=1e-2),
             ]
         for big in (1500.0, 1200.0):
             lam = np.array([-big, big, -big, big])
@@ -695,8 +693,8 @@ class TestCalibrate:
 
     def test_unknown_index_rejected(self):
         _, grid, _, priors, _ = toy_setup(seed=15)
-        c = PricingConstraint(index_id=9, kind="subportfolio_total",
-                              bucket="relevant", target_el=0.05)
+        c = PricingConstraint(index_id=9, kind="relevant_total",
+                              target_el=0.05)
         with pytest.raises(ConfigurationError):
             MceCalibrator(grid, priors, [c])
 
@@ -726,9 +724,9 @@ class TestConstraintDependence:
     def partition(self, priors, grid):
         shells = [
             dict(kind="tranche", k_low=0.0, k_high=0.3),
-            dict(kind="subportfolio_total", bucket="relevant"),
+            dict(kind="relevant_total"),
             dict(kind="tranche", k_low=0.3, k_high=1.0),
-            dict(kind="subportfolio_total", bucket="complement"),
+            dict(kind="complement_total"),
         ]
         base = [PricingConstraint(index_id=1, target_el=0.0, **kw)
                 for kw in shells]
@@ -872,7 +870,7 @@ class TestFactorOnly:
         cons = [
             PricingConstraint(
                 index_id=c.index_id, kind=c.kind, k_low=c.k_low,
-                k_high=c.k_high, bucket=c.bucket, target_el=float(t),
+                k_high=c.k_high, target_el=float(t),
                 sigma=0.0,
             )
             for c, t in zip(base, targets)
@@ -926,8 +924,8 @@ class TestFactorOnly:
             index_id=1, grid=LossGrid(unit=0.1, max_units=2),
             bucket_pmfs=(np.eye(3), np.ones((3, 1))),
         )
-        c = PricingConstraint(index_id=1, kind="subportfolio_total",
-                              bucket="relevant", target_el=0.12, sigma=0.0)
+        c = PricingConstraint(index_id=1, kind="relevant_total",
+                              target_el=0.12, sigma=0.0)
         full = calibrate(grid, {1: prior}, [c])
         restricted = factor_only_calibrate(grid, {1: prior}, [c])
         assert np.abs(

@@ -108,9 +108,8 @@ def prior_el_constraints(portfolio_path, grid_size=(4, 4), shift=1.0):
                 eb.PricingConstraint(index_id=i, kind="tranche", k_low=0.0,
                                      k_high=0.3, target_el=0.0, sigma=1e-4,
                                      horizon=t),
-                eb.PricingConstraint(index_id=i, kind="subportfolio_total",
-                                     bucket="relevant", target_el=0.0,
-                                     sigma=1e-4, horizon=t),
+                eb.PricingConstraint(index_id=i, kind="relevant_total",
+                                     target_el=0.0, sigma=1e-4, horizon=t),
             ]
             els = eb.prior_expected_losses(grid, {i: q}, shells)
             rows.append([i, "tranche", "0.0", "0.3", t,
@@ -280,16 +279,14 @@ class TestCalibrateStatic:
             shells = [eb.PricingConstraint(index_id=i, kind="tranche",
                                            k_low=lo, k_high=hi, target_el=0.0)
                       for lo, hi in zip(ladder, ladder[1:])] + [
-                eb.PricingConstraint(index_id=i, kind="subportfolio_total",
-                                     bucket=b, target_el=0.0)
-                for b in ("relevant", "complement")]
+                eb.PricingConstraint(index_id=i, kind=kind, target_el=0.0)
+                for kind in ("relevant_total", "complement_total")]
             prior = build_conditional_prior(p, grid, LossGrid(
                 unit=unit, max_units=sum(name_loss_units(n, unit)
                                          for n in p.names)), 3.0, params)
             els = eb.prior_expected_losses(grid, {i: prior}, shells)
-            rows += [[i, c.kind if c.bucket is None
-                      else f"{c.bucket}_total", c.k_low, c.k_high, 1.0,
-                      digits17(el), 0.0] for c, el in zip(shells, els)]
+            rows += [[i, c.kind, c.k_low, c.k_high, 1.0, digits17(el), 0.0]
+                     for c, el in zip(shells, els)]
         write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS, rows)
         assert main(["--config", str(workdir / "config.json")]) == 0
         err = capsys.readouterr().err.splitlines()
@@ -619,15 +616,16 @@ class TestPriceBespoke:
                     "reference_index": 2, "threads": 3})
         (workdir / "config.json").write_text(json.dumps(cfg))
         assert main(["--config", str(workdir / "config.json")]) == 0
-        inputs = {key: workdir / cfg[key] for key in
+        # each input's path as the config wrote it, relative to its directory
+        inputs = {key: cfg[key] for key in
                   ("constraints", "portfolios", "discount_curve", "tranches",
                    "base_correlation")}
         assert json.loads((workdir / "out" / "manifest.json").read_text()) == {
             "package": "entropic-bespoke",
             "version": eb.__version__,
             "mode": "price-bespoke",
-            "inputs": {key: {"path": str(path), "sha256": hashlib.sha256(
-                           path.read_bytes()).hexdigest()}
+            "inputs": {key: {"path": path, "sha256": hashlib.sha256(
+                           (workdir / path).read_bytes()).hexdigest()}
                        for key, path in inputs.items()},
             "options": {"grid_size": [4, 4], "persistence": 0.8,
                         "coarsen": 2, "loss_unit": None,
@@ -636,6 +634,20 @@ class TestPriceBespoke:
             "outputs": ["calibration_residuals.csv", "factor_distribution.csv",
                         "posterior_laws.npz", "tranche_prices.csv"],
         }
+
+    def test_copies_of_one_input_tree_give_one_manifest(self, workdir,
+                                                        tmp_path_factory):
+        write_csv(workdir / "constraints.csv", CONSTRAINT_COLUMNS,
+                  prior_el_constraints(workdir / "portfolios.json", shift=1.1))
+        base = tmp_path_factory.mktemp("copies")
+        manifests = []
+        for copy in (base / "a", base / "b" / "deeper"):
+            shutil.copytree(workdir, copy)
+            assert main(["--config", str(copy / "config.json"), "--mode",
+                         "price-bespoke"]) == 0
+            manifests.append((copy / "out" / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert str(base) not in manifests[0].decode()
 
     def test_posterior_measure_roundtrip_reprices_identically(
             self, workdir, dumped):

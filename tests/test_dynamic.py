@@ -22,7 +22,6 @@ from entropic_bespoke.dynamic import (
     BucketIncrementPrior,
     DynamicModel,
     DynamicState,
-    TimeGrid,
     birth_death_kernel,
     build_conditional_loss_prior,
     build_factor_chain_prior,
@@ -88,8 +87,7 @@ def small_model(rho=0.3, alpha=0.2, n_grid=2, persistence=0.9, flat_after=None,
         ports[i] = IndexPortfolio(index_id=i, names=names)
     unit = 0.3  # (1 - 0.4) * 0.5, one unit per name
     grids = {i: LossGrid(unit=unit, max_units=2) for i in (1, 2)}
-    tg = TimeGrid(horizons=(1.0, 2.0, 3.0))
-    model = DynamicModel(grid, params, ports, grids, tg,
+    model = DynamicModel(grid, params, ports, grids, (1.0, 2.0, 3.0),
                          persistence=persistence)
     return model, params, grid, ports, grids, unit
 
@@ -98,18 +96,18 @@ def prior_implied_constraints(model, period, state, sigma=1e-4):
     shells = [
         PricingConstraint(index_id=1, kind="tranche", k_low=0.0, k_high=0.3,
                           target_el=0.0, sigma=sigma),
-        PricingConstraint(index_id=1, kind="subportfolio_total",
-                          bucket="relevant", target_el=0.0, sigma=sigma),
+        PricingConstraint(index_id=1, kind="relevant_total",
+                          target_el=0.0, sigma=sigma),
         PricingConstraint(index_id=2, kind="tranche", k_low=0.0, k_high=0.3,
                           target_el=0.0, sigma=sigma),
-        PricingConstraint(index_id=2, kind="subportfolio_total",
-                          bucket="complement", target_el=0.0, sigma=sigma),
+        PricingConstraint(index_id=2, kind="complement_total",
+                          target_el=0.0, sigma=sigma),
     ]
     els = model.prior_period_els(period, state, shells)
     return [
         PricingConstraint(
             index_id=c.index_id, kind=c.kind, k_low=c.k_low, k_high=c.k_high,
-            bucket=c.bucket, target_el=float(el), sigma=c.sigma,
+            target_el=float(el), sigma=c.sigma,
         )
         for c, el in zip(shells, els)
     ]
@@ -119,8 +117,7 @@ def shifted_constraints(model, period, state, shift=1.1, sigma=1e-3):
     return [
         PricingConstraint(
             index_id=c.index_id, kind=c.kind, k_low=c.k_low,
-            k_high=c.k_high, bucket=c.bucket,
-            target_el=c.target_el * shift, sigma=sigma,
+            k_high=c.k_high, target_el=c.target_el * shift, sigma=sigma,
         )
         for c in prior_implied_constraints(model, period, state, sigma=sigma)
     ]
@@ -183,8 +180,7 @@ def three_periods(shift=1.1, sigma=1e-4, **kwargs):
         cons = [
             PricingConstraint(
                 index_id=c.index_id, kind=c.kind, k_low=c.k_low,
-                k_high=c.k_high, bucket=c.bucket,
-                target_el=c.target_el * shift, sigma=sigma,
+                k_high=c.k_high, target_el=c.target_el * shift, sigma=sigma,
             )
             for c in prior_implied_constraints(model, n, states[-1],
                                                sigma=sigma)
@@ -201,11 +197,14 @@ class TestTimeGrid:
         ((float("nan"), 2.0), "nan"), ((0.0, 1.0), "0.0"),
         ((2.0, 1.0), "1.0")])
     def test_rejects_non_finite_and_unordered_horizons(self, horizons, bad):
+        # the model's time grid is its horizons, checked when it is built
+        _, params, grid, ports, grids, _ = small_model()
         with pytest.raises(ConfigurationError, match=re.escape(
                 "horizons must be finite, positive and increasing, got "
                 + bad)):
-            TimeGrid(horizons=horizons)
-        assert len(TimeGrid(horizons=(0.5, 1.0, 3.0))) == 3
+            DynamicModel(grid, params, ports, grids, horizons)
+        assert DynamicModel(grid, params, ports, grids,
+                            [0.5, 1.0, 3.0]).horizons == (0.5, 1.0, 3.0)
 
 
 class TestFactorChain:
@@ -355,8 +354,8 @@ class TestCalibratePeriod:
         cons = [
             PricingConstraint(index_id=1, kind="tranche", k_low=0.0,
                               k_high=0.3, target_el=0.05, sigma=1e-4),
-            PricingConstraint(index_id=2, kind="subportfolio_total",
-                              bucket="relevant", target_el=0.04, sigma=1e-4),
+            PricingConstraint(index_id=2, kind="relevant_total",
+                              target_el=0.04, sigma=1e-4),
         ]
         kernel = model.calibrate_period(0, model.initial_state(), cons)
         priors = {
@@ -384,8 +383,7 @@ class TestCalibratePeriod:
         cons = [
             PricingConstraint(
                 index_id=c.index_id, kind=c.kind, k_low=c.k_low,
-                k_high=c.k_high, bucket=c.bucket,
-                target_el=c.target_el * 1.15, sigma=1e-3,
+                k_high=c.k_high, target_el=c.target_el * 1.15, sigma=1e-3,
             )
             for c in base
         ]
@@ -470,7 +468,7 @@ class TestCalibratePeriod:
             0, state0, prior_implied_constraints(model, 0, state0))
         state = DynamicState(k0)
         assert state.kernel is k0
-        assert (state.period, state.horizon) == (0, model.time_grid.horizons[0])
+        assert (state.period, state.horizon) == (0, model.horizons[0])
 
     def test_gradient_matches_finite_differences(self, rng):
         model, *_ = small_model(n_grid=3)
@@ -482,8 +480,7 @@ class TestCalibratePeriod:
         cons = [
             PricingConstraint(
                 index_id=c.index_id, kind=c.kind, k_low=c.k_low,
-                k_high=c.k_high, bucket=c.bucket,
-                target_el=c.target_el * 1.1, sigma=1e-3,
+                k_high=c.k_high, target_el=c.target_el * 1.1, sigma=1e-3,
             )
             for c in prior_implied_constraints(model, 1, s1, sigma=1e-3)
         ]
@@ -514,7 +511,7 @@ def reference_loss_priors(model, period, prev_state):
     distinct previous loss pairs, the context of each previous row and the
     prior transition pmfs of the relevant and complement buckets,
     (n_ctx, M, S1) and (n_ctx, M, S2)."""
-    t0, t1 = model.time_grid.period_bounds(period)
+    t0, t1 = (0.0, *model.horizons)[period:period + 2]
     caps = model.period_capacities(period)
     out = {}
     for pos, i in enumerate(model.index_ids):
@@ -651,10 +648,10 @@ class TestTiltKernelEquivalence:
         shells = [
             dict(index_id=1, kind="tranche", k_low=0.0, k_high=0.3),
             dict(index_id=1, kind="tranche", k_low=0.0, k_high=0.6),
-            dict(index_id=1, kind="subportfolio_total", bucket="relevant"),
-            dict(index_id=1, kind="subportfolio_total", bucket="complement"),
+            dict(index_id=1, kind="relevant_total"),
+            dict(index_id=1, kind="complement_total"),
             dict(index_id=2, kind="tranche", k_low=0.0, k_high=0.6),
-            dict(index_id=2, kind="subportfolio_total", bucket="relevant"),
+            dict(index_id=2, kind="relevant_total"),
         ]
         cons = [PricingConstraint(target_el=0.05, sigma=1e-2, **kw)
                 for kw in shells]
@@ -720,8 +717,7 @@ class TestPropagate:
         cons = [
             PricingConstraint(
                 index_id=c.index_id, kind=c.kind, k_low=c.k_low,
-                k_high=c.k_high, bucket=c.bucket,
-                target_el=c.target_el * 1.1, sigma=1e-3,
+                k_high=c.k_high, target_el=c.target_el * 1.1, sigma=1e-3,
             )
             for c in base
         ]
@@ -838,12 +834,12 @@ class TestBootstrap:
     def test_one_period_equals_static(self):
         model, params, grid, ports, grids, unit = small_model()
         single = DynamicModel(grid, params, ports, grids,
-                              TimeGrid(horizons=(1.0,)), persistence=0.9)
+                              (1.0,), persistence=0.9)
         cons = [
             PricingConstraint(index_id=1, kind="tranche", k_low=0.0,
                               k_high=0.3, target_el=0.05, sigma=1e-4),
-            PricingConstraint(index_id=2, kind="subportfolio_total",
-                              bucket="relevant", target_el=0.04, sigma=1e-4),
+            PricingConstraint(index_id=2, kind="relevant_total",
+                              target_el=0.04, sigma=1e-4),
         ]
         states, kernels = single.bootstrap_all([cons])
         priors = {
@@ -964,7 +960,7 @@ class TestBootstrapProperties:
         # a Newton run per period, every period shifted off its prior
         model, *_ = small_model(n_grid=n_grid, persistence=persistence)
         states = [model.initial_state()]
-        for n in range(len(model.time_grid)):
+        for n in range(len(model.horizons)):
             kernel = model.calibrate_period(
                 n, states[-1], shifted_constraints(model, n, states[-1],
                                                    shift=shift, sigma=sigma))
@@ -991,7 +987,7 @@ class TestCoarsening:
             ports[i] = IndexPortfolio(index_id=i, names=names)
         grids = {i: LossGrid(unit=0.15, max_units=4) for i in (1, 2)}
         return DynamicModel(grid, params, ports, grids,
-                            TimeGrid(horizons=(1.0, 2.0)),
+                            (1.0, 2.0),
                             persistence=0.9, coarsen=coarsen)
 
     def test_grid_schedule(self):
@@ -1091,7 +1087,7 @@ class TestDenseLatticeKeys:
         grids = {i: LossGrid(unit=0.6 * weight, max_units=2 * per_bucket)
                  for i in (1, 2)}
         return DynamicModel(grid, params, ports, grids,
-                            TimeGrid(horizons=(1.0, 2.0)), coarsen=coarsen)
+                            (1.0, 2.0), coarsen=coarsen)
 
     @pytest.mark.parametrize("coarsen", [1, 2, 3, 4])
     def test_match_a_row_sort(self, coarsen):
@@ -1216,7 +1212,7 @@ class TestFactoredCoarsening:
             for i in (1, 2)}
         grids = {i: LossGrid(unit=0.6 / n, max_units=n) for i in (1, 2)}
         model = DynamicModel(grid, params, ports, grids,
-                             TimeGrid(horizons=(1.0, 2.0)), coarsen=coarsen)
+                             (1.0, 2.0), coarsen=coarsen)
         state0 = model.initial_state()
         k0 = model.calibrate_period(0, state0,
                                     shifted_constraints(model, 0, state0))
@@ -1300,9 +1296,9 @@ class TestStaticIsPeriodZero:
         model, params, grid, ports, grids, _ = small_model(n_grid=3)
         shells = [
             dict(index_id=1, kind="tranche", k_low=0.0, k_high=0.3),
-            dict(index_id=1, kind="subportfolio_total", bucket="relevant"),
+            dict(index_id=1, kind="relevant_total"),
             dict(index_id=2, kind="tranche", k_low=0.0, k_high=0.6),
-            dict(index_id=2, kind="subportfolio_total", bucket="complement"),
+            dict(index_id=2, kind="complement_total"),
         ]
         cons = [PricingConstraint(target_el=0.05, sigma=1e-2, **kw)
                 for kw in shells]
@@ -1465,9 +1461,8 @@ class TestProductFormDual:
         prior = static_priors(model, params, grid, ports, grids)[1]
         cons = [PricingConstraint(target_el=0.05, sigma=1e-2, index_id=1, **kw)
                 for kw in (dict(kind="tranche", k_low=0.0, k_high=0.3),
-                           dict(kind="subportfolio_total", bucket="relevant"),
-                           dict(kind="subportfolio_total",
-                                bucket="complement"))]
+                           dict(kind="relevant_total"),
+                           dict(kind="complement_total"))]
         static = MceCalibrator(grid, {1: prior}, cons)
         targets = np.array([c.target_el for c in cons])
         sigmas = np.array([c.sigma for c in cons])
@@ -1496,8 +1491,8 @@ class TestProductFormDual:
 
 
 def relevant_total(target, sigma=0.0, index_id=1):
-    return PricingConstraint(index_id=index_id, kind="subportfolio_total",
-                             bucket="relevant", target_el=target, sigma=sigma)
+    return PricingConstraint(index_id=index_id, kind="relevant_total",
+                             target_el=target, sigma=sigma)
 
 
 def out_of_range(label, target, lo, hi):
@@ -1520,13 +1515,13 @@ class TestSharedRules:
         with pytest.raises(ConfigurationError) as static:
             build_conditional_prior(ports[1], grid, grids[1], 5.0, params)
         with pytest.raises(ConfigurationError) as dynamic:
-            DynamicModel(grid, params, ports, grids, TimeGrid((5.0,)))
+            DynamicModel(grid, params, ports, grids, (5.0,))
         assert str(static.value) == str(dynamic.value) == (
             "index 1 needs 3 relevant and 2 complement loss units, 5 in all, "
             "but the grid caps at 4")
         grids = {i: LossGrid(unit=unit, max_units=5) for i in (1, 2)}
         build_conditional_prior(ports[1], grid, grids[1], 5.0, params)
-        DynamicModel(grid, params, ports, grids, TimeGrid((5.0,)))
+        DynamicModel(grid, params, ports, grids, (5.0,))
 
     def test_period_dual_names_dependent_constraints(self):
         # one 0.3 unit per bucket: the two tranches sum to the total loss,
@@ -1535,8 +1530,8 @@ class TestSharedRules:
         shells = [PricingConstraint(index_id=1, target_el=0.0, **kw) for kw in (
             dict(kind="tranche", k_low=0.0, k_high=0.3),
             dict(kind="tranche", k_low=0.3, k_high=1.0),
-            dict(kind="subportfolio_total", bucket="relevant"),
-            dict(kind="subportfolio_total", bucket="complement"))]
+            dict(kind="relevant_total"),
+            dict(kind="complement_total"))]
         with pytest.warns(UserWarning) as caught:
             model.prior_period_els(0, model.initial_state(), shells)
         assert [str(w.message) for w in caught] == [

@@ -151,10 +151,10 @@ class TestAssembleBespoke:
             for i, p in ports.items()
         }
         cons = [
-            PricingConstraint(index_id=1, kind="subportfolio_total",
-                              bucket="relevant", target_el=0.3, sigma=1e-3),
-            PricingConstraint(index_id=2, kind="subportfolio_total",
-                              bucket="relevant", target_el=0.3, sigma=1e-3),
+            PricingConstraint(index_id=1, kind="relevant_total",
+                              target_el=0.3, sigma=1e-3),
+            PricingConstraint(index_id=2, kind="relevant_total",
+                              target_el=0.3, sigma=1e-3),
         ]
         # a point-mass bucket's total is constant, which the dual flags
         with pytest.warns(UserWarning, match="i[12]:relevant_total") as caught:
