@@ -29,7 +29,6 @@ from .loss import (
     LossGrid,
     build_conditional_prior,
     default_loss_unit,
-    mixture_unconditional,
 )
 from .calibrate import (
     CalibrationResult,
@@ -47,11 +46,8 @@ from .pricing import (
     TranchePrice,
     TrancheSpec,
     adjust_bespoke_names,
-    assemble_bespoke,
     bespoke_loss_dist,
-    default_leg,
     price_tranche,
-    risky_annuity,
     tranche_el_curve,
     tranche_expected_loss,
 )

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import ConfigurationError, MappingConvergenceError
 from .loss import (
     LossDist,
-    LossGrid,
     bucket_pmf_recursion,
     check_lattice_units,
     default_loss_unit,
@@ -155,9 +154,7 @@ def onefactor_loss_dist(
     probs = _conditional_prob_rows(default_probs, loading, nodes)
     size = sum(units) + 1
     pmfs = bucket_pmf_recursion(probs, units).reshape(n, _N_NODES, size)
-    grid = LossGrid(unit=unit, max_units=size - 1)
-    return [LossDist(pmf=w @ node_pmfs, grid=grid, horizon=horizon)
-            for node_pmfs in pmfs]
+    return [LossDist(pmf=w @ node_pmfs, unit=unit) for node_pmfs in pmfs]
 
 
 def pool_units(portfolio: IndexPortfolio) -> tuple[float, tuple[int, ...]]:

@@ -41,13 +41,13 @@ import numpy as np
 from .errors import ConfigurationError, InfiniteDivergenceError
 from .loss import (
     _NORMALIZER_FLOOR,
+    _normalize_rows,
     _scaled_exp,
     ConditionalLossDist,
     LossDist,
     LossGrid,
     check_strikes,
     hankel_index,
-    mixture_unconditional,
     scaled_tilt_factors,
     tranche_payoff,
 )
@@ -72,8 +72,8 @@ class PricingConstraint:
 
     kind "tranche" pays ((X - k_low)^+ - (X - k_high)^+) on the index total
     loss X; kinds "relevant_total" and "complement_total" pay the loss of
-    that bucket.  All amounts are fractions of index notional.  sigma is
-    the softness of the constraint (0 = exact).
+    that bucket and take no strikes.  All amounts are fractions of index
+    notional.  sigma is the softness of the constraint (0 = exact).
     """
 
     index_id: int
@@ -92,6 +92,10 @@ class PricingConstraint:
             if self.k_low is None or self.k_high is None:
                 raise ConfigurationError("tranche constraint needs k_low and k_high")
             check_strikes(self.k_low, self.k_high)
+        elif self.k_low is not None or self.k_high is not None:
+            raise ConfigurationError(
+                f"{self.kind} constraint takes no strikes, got "
+                f"k_low={self.k_low}, k_high={self.k_high}")
         if not math.isfinite(self.target_el):
             raise ConfigurationError(f"target_el must be finite, got {self.target_el}")
         if not math.isfinite(self.sigma * self.sigma):  # the dual's sigma^2
@@ -136,23 +140,6 @@ def _payoff_matrix(constraints: Sequence[PricingConstraint], grid: LossGrid,
         else:
             row[...] = xr if c.kind == RELEVANT_TOTAL else xc
     return out.reshape(len(constraints), s1 * s2)
-
-
-def _normalize_rows(log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize rows (the last axis) of log-weights into probabilities,
-    in place.
-
-    Returns (log of each row's normalizer, the normalized rows).  Each
-    row's max is subtracted before the one exp per cell, so no row
-    overflows, or underflows to zero as a whole."""
-    top = log_w.max(axis=-1)
-    top[~np.isfinite(top)] = 0.0
-    log_w -= top[..., None]
-    np.exp(log_w, out=log_w)
-    total = log_w.sum(axis=-1)
-    log_w /= total[..., None]
-    with np.errstate(divide="ignore"):
-        return top + np.log(total), log_w
 
 
 class _IndexTilt(NamedTuple):
@@ -336,12 +323,11 @@ class CalibrationResult:
     log_norm: float
     iterations: int
     grid: MarketFactorGrid
-    priors: dict[int, ConditionalLossDist]
     method: str = "full"
 
     @property
     def index_ids(self) -> list[int]:
-        return sorted(self.priors)
+        return sorted(self.laws)
 
     def bucket_marginals(self, index_id: int, bucket: str) -> np.ndarray:
         """Per-node posterior pmfs of one bucket's loss, shape (M, S)."""
@@ -351,11 +337,13 @@ class CalibrationResult:
             return law.relevant_marginals()
         return law.complement_marginals()
 
-    def index_loss_dist(self, index_id: int, horizon: float = 0.0) -> LossDist:
-        """Unconditional posterior distribution of the index total loss."""
-        return mixture_unconditional(
-            _law(self, index_id), self.posterior_weights, horizon=horizon
-        )
+    def index_loss_dist(self, index_id: int) -> LossDist:
+        """Unconditional posterior law of the index total loss, its per-node
+        laws mixed with the posterior factor weights: p(x) = sum_m h_m
+        p(x | m)."""
+        law = _law(self, index_id)
+        return LossDist(pmf=self.posterior_weights @ law.total_loss_pmfs(),
+                        unit=law.grid.unit)
 
     def kl_to_prior(self) -> float:
         """KL divergence of the calibrated joint law from the prior.
@@ -669,7 +657,6 @@ class MceCalibrator(_TiltedDual):
                     f"prior for index {i} has {prior.n_nodes} nodes, grid has {m}"
                 )
         self.grid = grid
-        self.priors = dict(priors)
         positions, kernels = _tilt_kernels(priors, constraints)
         with np.errstate(divide="ignore"):
             log_g = np.log(grid.flat_weights)
@@ -717,7 +704,6 @@ class MceCalibrator(_TiltedDual):
             log_norm=state["log_zhat"].item(),
             iterations=res.iterations,
             grid=self.grid,
-            priors=self.priors,
             method=self.method,
         )
 
@@ -784,9 +770,11 @@ class FactorOnlyCalibrator(MceCalibrator):
     @property
     def cond_mean(self) -> np.ndarray:
         """Prior conditional mean payoffs E_Q[F_ik | m], (M, K) in
-        constraint order."""
-        return _prior_means(self.grid, self.kernels, self.positions,
-                            len(self.constraints))
+        constraint order: each index's frozen kernel's means."""
+        out = np.empty((self.grid.n_nodes, len(self.constraints)))
+        for i, pos in self.positions.items():
+            out[:, pos] = self.kernels[i].mu
+        return out
 
 
 def factor_only_calibrate(
@@ -797,22 +785,15 @@ def factor_only_calibrate(
     return FactorOnlyCalibrator(grid, priors, constraints).solve()
 
 
-def _prior_means(grid: MarketFactorGrid, kernels: dict, positions: dict,
-                 n_constraints: int) -> np.ndarray:
-    """Prior conditional mean payoffs E_Q[F_ik | m], (M, K) in constraint
-    order: each index's kernel at zero multipliers."""
-    out = np.empty((grid.n_nodes, n_constraints))
-    for i, pos in positions.items():
-        out[:, pos] = kernels[i].evaluate(np.zeros(len(pos))).cond_means
-    return out
-
-
 def prior_expected_losses(
     grid: MarketFactorGrid,
     priors: dict[int, ConditionalLossDist],
     constraints: Sequence[PricingConstraint],
 ) -> np.ndarray:
-    """E_Q[F_ik] under the uncalibrated prior, in constraint order."""
+    """E_Q[F_ik] under the uncalibrated prior, in constraint order: the
+    prior weights over each index's kernel at zero multipliers."""
     positions, kernels = _tilt_kernels(priors, constraints)
-    return grid.flat_weights @ _prior_means(grid, kernels, positions,
-                                            len(constraints))
+    means = np.empty((grid.n_nodes, len(constraints)))
+    for i, pos in positions.items():
+        means[:, pos] = kernels[i].evaluate(np.zeros(len(pos))).cond_means
+    return grid.flat_weights @ means

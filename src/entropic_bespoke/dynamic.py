@@ -37,7 +37,6 @@ import numpy as np
 from .calibrate import (
     TRANCHE,
     PricingConstraint,
-    _normalize_rows,
     _tilt_kernels,
     _TiltedDual,
 )
@@ -45,6 +44,7 @@ from .errors import ConfigurationError
 from .loss import (
     ConditionalLossDist,
     LossGrid,
+    _normalize_rows,
     build_conditional_prior,
     index_capacities,
     portfolio_loadings,

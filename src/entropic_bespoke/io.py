@@ -167,8 +167,9 @@ def load_portfolios(
 
 
 def load_constraints(path: str | Path) -> list[PricingConstraint]:
-    """One constraint per row, its fields the row's columns; the strikes
-    are read for a tranche only, and an empty sigma is the default."""
+    """One constraint per row, its fields the row's columns; a strike
+    cell is read for a tranche and wherever it is not empty, and an empty
+    sigma is the default."""
     out = []
     for where, row in _csv_rows(path, CONSTRAINT_COLUMNS):
         def num(field, kind=float):
@@ -180,7 +181,7 @@ def load_constraints(path: str | Path) -> list[PricingConstraint]:
             target_el=num("target_el"),
             sigma=num("sigma") if row["sigma"].strip() else DEFAULT_SIGMA,
             **{field: num(field) for field in ("k_low", "k_high")
-               if kind == TRANCHE})
+               if kind == TRANCHE or row[field].strip()})
         with _named(where):
             out.append(PricingConstraint(**fields))
     if not out:

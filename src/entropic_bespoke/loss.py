@@ -187,6 +187,19 @@ def _scaled_exp(log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(scaled, out=scaled), top
 
 
+def _normalize_rows(log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize rows (the last axis) of log-weights into probabilities.
+
+    Returns (log of each row's normalizer, the normalized rows).  Each
+    row's max is subtracted before the one exp per cell (`_scaled_exp`),
+    so no row overflows, or underflows to zero as a whole."""
+    w, top = _scaled_exp(log_w)
+    total = w.sum(axis=-1)
+    w /= total[..., None]
+    with np.errstate(divide="ignore"):
+        return top + np.log(total), w
+
+
 def scaled_tilt_factors(log_a: np.ndarray, log_b: np.ndarray,
                         tau: np.ndarray):
     """The factors of a tilted product-form law, each scaled by its own
@@ -225,15 +238,17 @@ def _antidiagonal_sums(joint: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LossDist:
-    """Unconditional pmf over loss units at one horizon."""
+    """Unconditional pmf over the loss levels unit * (0, 1, ..., n - 1)."""
 
     pmf: np.ndarray
-    grid: LossGrid
-    horizon: float = 0.0
+    unit: float
+
+    def __post_init__(self):
+        check_loss_unit(self.unit)
 
     @property
     def levels(self) -> np.ndarray:
-        return self.grid.levels(len(self.pmf))
+        return self.unit * np.arange(len(self.pmf))
 
     def mean(self) -> float:
         return float(self.pmf @ self.levels)
@@ -375,16 +390,3 @@ def build_conditional_prior(
     return ConditionalLossDist(index_id=portfolio.index_id, grid=loss_grid,
                                bucket_pmfs=bucket_pmfs)
 
-
-def mixture_unconditional(
-    law: ConditionalLossDist, weights: np.ndarray, horizon: float = 0.0
-) -> LossDist:
-    """Mix a law's per-node total-loss pmfs with factor weights:
-    p(x) = sum_m h_m p(x | m)."""
-    weights = np.asarray(weights, dtype=float)
-    per_node = law.total_loss_pmfs()
-    if per_node.shape[0] != len(weights):
-        raise ConfigurationError(
-            f"{per_node.shape[0]} conditional pmfs vs {len(weights)} weights"
-        )
-    return LossDist(pmf=weights @ per_node, grid=law.grid, horizon=horizon)

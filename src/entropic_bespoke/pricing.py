@@ -17,15 +17,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .calibrate import CalibrationResult, _law, _normalize_rows
+from .calibrate import CalibrationResult, _law
 from .errors import (
     CalibrationError,
     ConfigurationError,
     InfeasibleAdjustmentError,
     UndefinedSpreadError,
 )
-from .loss import (LossDist, LossGrid, _antidiagonal_sums, check_strikes,
-                   convolve_rows, tranche_payoff)
+from .loss import (LossDist, _antidiagonal_sums, _normalize_rows,
+                   check_strikes, convolve_rows, tranche_payoff)
 from .prior import check_bucket, check_increasing
 from .solver import newton_minimize
 
@@ -164,14 +164,13 @@ def bespoke_loss_dist(
     """Unconditional bespoke loss law per horizon from jointly calibrated
     index measures (shared posterior factor weights)."""
     return {
-        t: assemble_bespoke(result, spec, horizon=t)
+        t: _assemble_bespoke(result, spec, t)
         for t, result in sorted(calibrations.items())
     }
 
 
-def assemble_bespoke(
-    result: CalibrationResult, spec: BespokeSpec, horizon: float = 0.0
-) -> LossDist:
+def _assemble_bespoke(result: CalibrationResult, spec: BespokeSpec,
+                      horizon: float) -> LossDist:
     """Convolve member-bucket posterior marginals per node and mix: the
     members but the last are convolved node by node, and the last is
     convolved and mixed at once, as the antidiagonal sums of
@@ -200,8 +199,7 @@ def assemble_bespoke(
         pmf = _antidiagonal_sums(((per_node * h[:, None]).T @ last)[None])[0]
     else:
         pmf = h @ last
-    bespoke_grid = LossGrid(unit=unit / spec.notional, max_units=len(pmf) - 1)
-    return LossDist(pmf=pmf, grid=bespoke_grid, horizon=horizon)
+    return LossDist(pmf=pmf, unit=unit / spec.notional)
 
 
 def adjust_bespoke_names(
@@ -284,45 +282,6 @@ def tranche_el_curve(
     return ts, els
 
 
-def _el_at_times(horizons, els, times) -> np.ndarray:
-    """Linear interpolation of the EL term structure, anchored at EL(0)=0."""
-    ts = np.concatenate([[0.0], np.asarray(horizons, dtype=float)])
-    vs = np.concatenate([[0.0], np.asarray(els, dtype=float)])
-    return np.interp(times, ts, vs)
-
-
-def default_leg(
-    horizons: Sequence[float],
-    els: Sequence[float],
-    tranche: TrancheSpec,
-    curve: DiscountCurve,
-) -> float:
-    """Protection leg per unit notional:
-    sum_i 0.5*(B_{i-1}+B_i) * (EL_i - EL_{i-1})."""
-    els = np.asarray(els, dtype=float)
-    if np.any(np.diff(els) < -1e-12):
-        warnings.warn("tranche EL curve is not non-decreasing", stacklevel=2)
-    times = np.concatenate([[0.0], tranche.coupon_times])
-    el = _el_at_times(horizons, els, times)
-    b = np.array([curve.df(t) for t in times])
-    return float(np.sum(0.5 * (b[:-1] + b[1:]) * np.diff(el)))
-
-
-def risky_annuity(
-    horizons: Sequence[float],
-    els: Sequence[float],
-    tranche: TrancheSpec,
-    curve: DiscountCurve,
-) -> float:
-    """Premium leg per unit spread and unit notional:
-    sum_i Delta_i * B_i * 0.5 * (EN_{i-1} + EN_i) with EN = 1 - EL."""
-    times = np.concatenate([[0.0], tranche.coupon_times])
-    en = 1.0 - _el_at_times(horizons, els, times)
-    b = np.array([curve.df(t) for t in tranche.coupon_times])
-    deltas = np.asarray(tranche.accruals, dtype=float)
-    return float(np.sum(deltas * b * 0.5 * (en[:-1] + en[1:])))
-
-
 @dataclass(frozen=True)
 class TranchePrice:
     tranche: TrancheSpec
@@ -341,10 +300,26 @@ def price_el_curve(
     tranche: TrancheSpec,
     curve: DiscountCurve,
 ) -> TranchePrice:
-    """Legs and par spread from a normalized tranche EL term structure;
-    the par spread and the default leg are per unit notional."""
-    annuity = risky_annuity(horizons, els, tranche, curve)
-    dleg = default_leg(horizons, els, tranche, curve)
+    """Legs and par spread from a normalized tranche EL term structure, per
+    unit notional, on the dates t_0 = 0 < t_1 < ... < t_n of the coupon
+    schedule, with EL linear between horizons from EL(0) = 0, EN = 1 - EL
+    and B_i the discount factor at t_i:
+
+        default leg    sum_i 0.5 * (B_{i-1} + B_i) * (EL_i - EL_{i-1}),
+        risky annuity  sum_i Delta_i * B_i * 0.5 * (EN_{i-1} + EN_i),
+
+    the latter per unit spread; the par spread is their ratio."""
+    els = np.asarray(els, dtype=float)
+    if np.any(np.diff(els) < -1e-12):
+        warnings.warn("tranche EL curve is not non-decreasing", stacklevel=2)
+    times = np.concatenate([[0.0], tranche.coupon_times])
+    el = np.interp(times, np.concatenate([[0.0], horizons]),
+                   np.concatenate([[0.0], els]))
+    b = np.array([curve.df(t) for t in times])
+    en = 1.0 - el
+    annuity = float(np.sum(np.asarray(tranche.accruals, dtype=float) * b[1:]
+                           * 0.5 * (en[:-1] + en[1:])))
+    dleg = float(np.sum(0.5 * (b[:-1] + b[1:]) * np.diff(el)))
     if annuity <= 0.0:
         raise UndefinedSpreadError("risky annuity is zero; par spread undefined")
     return TranchePrice(

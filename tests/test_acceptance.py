@@ -26,7 +26,7 @@ from entropic_bespoke.pricing import (
     DiscountCurve,
     TrancheSpec,
     adjust_bespoke_names,
-    assemble_bespoke,
+    bespoke_loss_dist,
     price_tranche,
 )
 from entropic_bespoke.prior import (
@@ -270,7 +270,7 @@ def test_no_arbitrage_in_strike_on_random_calibrations():
         spec = BespokeSpec(members=((1, "relevant"), (2, "relevant")),
                            notional=1.0)
         dists = [res.index_loss_dist(1), res.index_loss_dist(2),
-                 assemble_bespoke(res, spec)]
+                 bespoke_loss_dist({5.0: res}, spec)[5.0]]
         for dist in dists:
             curve = np.array(
                 [dist.pmf @ np.minimum(dist.levels, k) for k in dist.levels]

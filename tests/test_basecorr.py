@@ -294,7 +294,7 @@ class TestMapStrike:
             state["flip"] = not state["flip"]
             pmf = np.zeros(30)
             pmf[0 if state["flip"] else 27] = 1.0
-            return [index_dist.__class__(pmf=pmf, grid=index_dist.grid)]
+            return [index_dist.__class__(pmf=pmf, unit=index_dist.unit)]
 
         monkeypatch.setattr(basecorr, "_MAX_ITER", 7)
         with pytest.raises(MappingConvergenceError) as err:
@@ -323,7 +323,7 @@ class TestMapStrike:
             state["flip"] = not state["flip"]
             pmf = np.zeros(30)
             pmf[0 if state["flip"] else 27] = 1.0
-            return [index_dist.__class__(pmf=pmf, grid=index_dist.grid)]
+            return [index_dist.__class__(pmf=pmf, unit=index_dist.unit)]
 
         with pytest.raises(MappingConvergenceError):
             map_strike(
@@ -363,7 +363,7 @@ class TestBatchedLaws:
             for beta, law in zip(self.betas, laws):
                 [one] = onefactor_loss_dist(pool, [beta], t)
                 assert np.array_equal(law.pmf, one.pmf)
-                assert law.grid == one.grid and law.horizon == one.horizon
+                assert law.unit == one.unit
         assert onefactor_loss_dist(pool, [], 5.0) == []
 
     def test_base_els_equal_scalar_calls(self):

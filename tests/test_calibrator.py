@@ -30,6 +30,7 @@ from entropic_bespoke.errors import (
 from entropic_bespoke.loss import (
     ConditionalLossDist,
     LossGrid,
+    _normalize_rows,
     build_conditional_prior,
     default_loss_unit,
     scaled_tilt_factors,
@@ -113,6 +114,14 @@ class TestPayoffEval:
             self.c(kind="tranche", k_low=0.05, k_high=0.05)
         with pytest.raises(ConfigurationError, match="needs k_low and k_high"):
             self.c(kind="tranche", k_low=0.0)
+        # a total pays its bucket's loss and takes no strikes
+        for kind, strikes, got in (
+                ("relevant_total", {"k_low": 0.03, "k_high": 0.07},
+                 "k_low=0.03, k_high=0.07"),
+                ("complement_total", {"k_low": 0.0}, "k_low=0.0, k_high=None")):
+            with pytest.raises(ConfigurationError, match=re.escape(
+                    f"{kind} constraint takes no strikes, got {got}")):
+                self.c(kind=kind, **strikes)
         # the kinds are the constraint file's
         for kind in ("nonsense", "subportfolio_total", "relevant"):
             with pytest.raises(ConfigurationError, match=re.escape(
@@ -203,7 +212,7 @@ def reference_dual(cal, lambdas):
     log_zs, tilted, cond_means, second, pos = [], {}, {}, {}, {}
     for i in cal.index_ids:
         pos[i] = [k for k, c in enumerate(cal.constraints) if c.index_id == i]
-        prior = cal.priors[i]
+        prior = cal.kernels[i].prior
         fs = np.array([lattice_payoff(cal.constraints[k], prior)
                        for k in pos[i]])
         tilt = np.tensordot(lam[pos[i]], fs, axes=1) - (
@@ -263,7 +272,7 @@ def assert_matches_reference_dual(cal, lam):
         law = got_laws[i]
         assert_rel_close(law.pmfs, tilted[i])
         # the tilt never puts mass where the prior has none
-        assert np.all(law.pmfs[cal.priors[i].pmfs == 0.0] == 0.0)
+        assert np.all(law.pmfs[cal.kernels[i].prior.pmfs == 0.0] == 0.0)
         assert_rel_close(law.relevant_marginals(), tilted[i].sum(axis=2))
         assert_rel_close(law.complement_marginals(), tilted[i].sum(axis=1))
 
@@ -512,7 +521,7 @@ class TestPosteriorWeights:
     # normalizer every dual uses
     @staticmethod
     def posterior(g, *log_zs):
-        log_norm, h = calibrate_module._normalize_rows(
+        log_norm, h = _normalize_rows(
             (np.log(g) + sum(log_zs))[None, :])
         return h[0], float(log_norm[0])
 

@@ -1037,8 +1037,18 @@ class TestFailureHandling:
         ("tranches.csv", lambda rows: rows[1].__setitem__(4, "act360"),
          "tranches.csv line 3: daycount supports only 'yearfrac', got "
          "'act360'"),
+        ("constraints.csv",
+         lambda rows: rows[1].__setitem__(slice(2, 4), ["0.03", "0.07"]),
+         "constraints.csv line 3: relevant_total constraint takes no "
+         "strikes, got k_low=0.03, k_high=0.07"),
+        ("constraints.csv", lambda rows: rows[1].__setitem__(3, "0.07"),
+         "constraints.csv line 3: relevant_total constraint takes no "
+         "strikes, got k_low=None, k_high=0.07"),
+        ("constraints.csv", lambda rows: rows[1].__setitem__(2, "abc"),
+         "constraints.csv line 3: k_low must be a number, got 'abc'"),
     ], ids=["short-tranche", "long-tranche", "short-constraint",
-            "long-constraint", "kind", "daycount"])
+            "long-constraint", "kind", "daycount", "total-strikes",
+            "total-k_high", "total-strike-not-a-number"])
     def test_bad_csv_row_names_file_and_line(self, workdir, capsys, target,
                                              edit, message):
         # a row is read only when its field count is the header's, so no

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp, ndtr, ndtri
 
+from entropic_bespoke.calibrate import CalibrationResult
 from entropic_bespoke.errors import ConfigurationError
 from entropic_bespoke.loss import (
     ConditionalLossDist,
@@ -15,7 +16,6 @@ from entropic_bespoke.loss import (
     convolve_rows,
     default_loss_unit,
     hankel_index,
-    mixture_unconditional,
     name_loss_units,
     scaled_tilt_factors,
 )
@@ -32,6 +32,17 @@ from entropic_bespoke.prior import (
 from entropic_bespoke.loss import portfolio_loadings
 
 from conftest import make_name, toy_portfolio
+
+
+def result_of(law, weights):
+    """A calibration result that holds `law` with the factor weights
+    `weights`, as a calibration hands them back."""
+    return CalibrationResult(
+        constraints=(), lambdas=np.zeros(0),
+        posterior_weights=np.asarray(weights, dtype=float),
+        laws={law.index_id: law}, model_els=np.zeros(0),
+        residuals=np.zeros(0), objective_value=0.0, log_norm=0.0,
+        iterations=0, grid=None)
 
 
 def enumerate_bucket_pmf(probs, units, size):
@@ -169,7 +180,7 @@ class TestConditionalPrior:
         assert np.abs(mass - 1.0).max() < 1e-10
         # unconditional EL equals sum of p_i * LGD_i within unit rounding
         # plus quadrature error; this pool has exact-unit LGDs
-        mixed = mixture_unconditional(dist, grid.flat_weights, horizon=5.0)
+        mixed = result_of(dist, grid.flat_weights).index_loss_dist(1)
         analytic = sum(n.lgd * n.default_prob(5.0) for n in port.names)
         assert mixed.mean() == pytest.approx(analytic, abs=1e-3)
 
@@ -390,26 +401,25 @@ class TestTiltedTotals:
 
 
 class TestMixture:
+    # a result's index law mixes the per-node total-loss pmfs of its law
+    # with its posterior factor weights
     @staticmethod
-    def law(relevant):
-        """A law whose complement bucket never loses, so its per-node
-        total-loss pmfs are `relevant`."""
+    def index_law(relevant, weights):
+        """The index law of a result whose law's complement bucket never
+        loses, so its per-node total-loss pmfs are `relevant`."""
         rel = np.array(relevant, dtype=float)
-        return ConditionalLossDist(
+        law = ConditionalLossDist(
             index_id=1, grid=LossGrid(unit=0.1, max_units=rel.shape[1] - 1),
             bucket_pmfs=(rel, np.ones((len(rel), 1))))
+        return result_of(law, weights).index_loss_dist(1)
 
     def test_single_node_identity(self):
-        out = mixture_unconditional(self.law([[0.2, 0.5, 0.3]]), np.array([1.0]))
+        out = self.index_law([[0.2, 0.5, 0.3]], [1.0])
         np.testing.assert_allclose(out.pmf, [0.2, 0.5, 0.3], rtol=1e-15,
                                    atol=0.0)
+        assert out.unit == 0.1
 
     def test_two_point_mixture(self):
-        out = mixture_unconditional(self.law([[1.0, 0.0], [0.0, 1.0]]),
-                                    np.array([0.5, 0.5]), horizon=3.0)
+        out = self.index_law([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
         assert out.pmf == pytest.approx([0.5, 0.5], abs=1e-15)
-        assert out.horizon == 3.0
-
-    def test_weight_length_mismatch(self):
-        with pytest.raises(ConfigurationError, match="2 conditional pmfs vs 1"):
-            mixture_unconditional(self.law([[1.0], [1.0]]), np.array([1.0]))
+        np.testing.assert_array_equal(out.levels, [0.0, 0.1])

@@ -23,12 +23,9 @@ from entropic_bespoke.pricing import (
     DiscountCurve,
     TrancheSpec,
     adjust_bespoke_names,
-    assemble_bespoke,
     bespoke_loss_dist,
-    default_leg,
     price_el_curve,
     price_tranche,
-    risky_annuity,
     tranche_el_curve,
     tranche_expected_loss,
 )
@@ -67,6 +64,11 @@ def calibrated_toy(seed=0, shift=1.1, grid_n=3):
     return result, ports, unit, notional
 
 
+def bespoke_at(result, spec, horizon=5.0):
+    """The bespoke law of one calibration, taken as the one at `horizon`."""
+    return bespoke_loss_dist({horizon: result}, spec)[horizon]
+
+
 class TestAssembleBespoke:
     @pytest.mark.parametrize("members, proxy", [
         (((1, "relevant"),), False),
@@ -93,9 +95,8 @@ class TestAssembleBespoke:
         for marg in margs[1:]:
             per_node = convolve_rows(per_node, marg)
         want = h @ per_node
-        got = assemble_bespoke(result, BespokeSpec(
-            members=members, notional=1.0, proxy_el_targets=proxies),
-            horizon=5.0).pmf
+        got = bespoke_at(result, BespokeSpec(
+            members=members, notional=1.0, proxy_el_targets=proxies)).pmf
         rtol = 2 * (len(h) * len(want) + 3) * np.finfo(float).eps
         floor = 4 * np.finfo(float).smallest_subnormal
         assert got.shape == want.shape
@@ -104,17 +105,17 @@ class TestAssembleBespoke:
     def test_single_bucket_is_the_marginal(self):
         result, ports, unit, _ = calibrated_toy()
         spec = BespokeSpec(members=((1, "relevant"),), notional=0.5)
-        dist = assemble_bespoke(result, spec, horizon=5.0)
+        dist = bespoke_at(result, spec)
         marg = result.bucket_marginals(1, "relevant")
         expected = result.posterior_weights @ marg
         assert dist.pmf == pytest.approx(expected, abs=1e-14)
-        assert dist.grid.unit == pytest.approx(unit / 0.5)
+        assert dist.unit == pytest.approx(unit / 0.5)
 
     def test_matches_brute_force_posterior_enumeration(self):
         result, ports, unit, notional = calibrated_toy(seed=5, shift=1.2)
         spec = BespokeSpec(members=((1, "relevant"), (2, "relevant")),
                            notional=notional)
-        dist = assemble_bespoke(result, spec, horizon=5.0)
+        dist = bespoke_at(result, spec)
         h = result.posterior_weights
         t1 = result.laws[1].pmfs
         t2 = result.laws[2].pmfs
@@ -163,7 +164,7 @@ class TestAssembleBespoke:
             ["i1:relevant_total", "i2:relevant_total"]
         spec = BespokeSpec(members=((1, "relevant"), (2, "relevant")),
                            notional=1.0)
-        dist = assemble_bespoke(result, spec)
+        dist = bespoke_at(result, spec)
         expected = np.zeros(3)
         expected[2] = 1.0
         assert dist.pmf == pytest.approx(expected, abs=1e-12)
@@ -172,7 +173,7 @@ class TestAssembleBespoke:
         result, ports, unit, notional = calibrated_toy(seed=2)
         spec = BespokeSpec(members=((1, "relevant"), (2, "relevant")),
                            notional=notional)
-        dist = assemble_bespoke(result, spec)
+        dist = bespoke_at(result, spec)
         el = 0.0
         for i in (1, 2):
             marg = result.bucket_marginals(i, "relevant")
@@ -183,7 +184,7 @@ class TestAssembleBespoke:
     def test_unknown_member(self):
         result, *_ = calibrated_toy()
         with pytest.raises(ConfigurationError):
-            assemble_bespoke(
+            bespoke_at(
                 result, BespokeSpec(members=((7, "relevant"),), notional=1.0)
             )
 
@@ -198,7 +199,7 @@ class TestAssembleBespoke:
             notional=0.5,
             proxy_el_targets=(((1, "relevant"), ((5.0, target),)),),
         )
-        dist = assemble_bespoke(result, spec, horizon=5.0)
+        dist = bespoke_at(result, spec)
         assert dist.mean() * 0.5 == pytest.approx(target, abs=1e-10)
 
 
@@ -413,8 +414,7 @@ class TestAdjustBespokeNames:
 
 class TestTrancheEl:
     def dist(self, pmf, unit=0.01):
-        return LossDist(pmf=np.asarray(pmf, dtype=float),
-                        grid=LossGrid(unit=unit, max_units=len(pmf) - 1))
+        return LossDist(pmf=np.asarray(pmf, dtype=float), unit=unit)
 
     def test_zero_loss(self):
         d = self.dist([1.0, 0.0, 0.0])
@@ -442,7 +442,7 @@ class TestTrancheEl:
         result, ports, unit, notional = calibrated_toy(seed=4)
         spec = BespokeSpec(members=((1, "relevant"), (2, "relevant")),
                            notional=notional)
-        dist = assemble_bespoke(result, spec)
+        dist = bespoke_at(result, spec)
         strikes = [0.0, 0.1, 0.3, 0.6, 1.0]
         total = sum(
             (b - a) * tranche_expected_loss(dist, a, b)
@@ -524,9 +524,10 @@ class TestLegs:
         curve = DiscountCurve.flat(0.02)
         horizons = [1.0, 3.0, 5.0]
         els = [0.0, 0.0, 0.0]
-        assert default_leg(horizons, els, tr, curve) == 0.0
-        assert price_el_curve(horizons, els, tr, curve).par_spread == 0.0
-        assert risky_annuity(horizons, els, tr, curve) > 0.0
+        price = price_el_curve(horizons, els, tr, curve)
+        assert price.default_leg == 0.0
+        assert price.par_spread == 0.0
+        assert price.risky_annuity > 0.0
 
     def test_jump_to_full_loss_closed_form(self):
         # EL hits 1 at the first coupon and stays: default leg pays the full
@@ -536,10 +537,9 @@ class TestLegs:
         curve = DiscountCurve.flat(0.0)
         horizons = [0.5, 1.0]
         els = [1.0, 1.0]
-        assert default_leg(horizons, els, tr, curve) == pytest.approx(1.0)
-        assert risky_annuity(horizons, els, tr, curve) == pytest.approx(
-            0.5 * 0.5 * (1.0 + 0.0)
-        )
+        price = price_el_curve(horizons, els, tr, curve)
+        assert price.default_leg == pytest.approx(1.0)
+        assert price.risky_annuity == pytest.approx(0.5 * 0.5 * (1.0 + 0.0))
 
     def test_linear_ramp_matches_spreadsheet_oracle(self):
         # independent recomputation of both legs with explicit loops
@@ -563,15 +563,10 @@ class TestLegs:
             0.25 * dfs[j] * 0.5 * ((1 - el_t[j - 1]) + (1 - el_t[j]))
             for j in range(1, len(times))
         )
-        assert default_leg(horizons, els, tr, curve) == pytest.approx(
-            dleg, rel=1e-12
-        )
-        assert risky_annuity(horizons, els, tr, curve) == pytest.approx(
-            annuity, rel=1e-12
-        )
-        assert price_el_curve(
-            horizons, els, tr, curve).par_spread == pytest.approx(
-                dleg / annuity, rel=1e-12)
+        price = price_el_curve(horizons, els, tr, curve)
+        assert price.default_leg == pytest.approx(dleg, rel=1e-12)
+        assert price.risky_annuity == pytest.approx(annuity, rel=1e-12)
+        assert price.par_spread == pytest.approx(dleg / annuity, rel=1e-12)
 
     def test_zero_annuity_error(self):
         # degenerate zero day-count fractions wipe out the premium leg
@@ -585,7 +580,17 @@ class TestLegs:
         tr = self.flat_tranche(maturity=2.0)
         curve = DiscountCurve.flat(0.0)
         with pytest.warns(UserWarning):
-            default_leg([1.0, 2.0], [0.05, 0.04], tr, curve)
+            price_el_curve([1.0, 2.0], [0.05, 0.04], tr, curve)
+
+    def test_discounts_each_schedule_date_once(self, monkeypatch):
+        # both legs read one discount factor per date of [0, *coupon_times]
+        dates, df = [], DiscountCurve.df
+        monkeypatch.setattr(DiscountCurve, "df",
+                            lambda curve, t: dates.append(t) or df(curve, t))
+        tr = self.flat_tranche()
+        price_el_curve([1.0, 3.0, 5.0], [0.01, 0.03, 0.05], tr,
+                       DiscountCurve.flat(0.02))
+        assert dates == [0.0, *tr.coupon_times]
 
 
 class TestPriceTranche:
@@ -593,8 +598,8 @@ class TestPriceTranche:
         result, ports, unit, notional = calibrated_toy(seed=6, shift=1.3)
         spec = BespokeSpec(members=((1, "relevant"), (2, "relevant")),
                            notional=notional)
-        dists = {t: assemble_bespoke(result, spec, horizon=t)
-                 for t in (1.0, 2.0, 3.0, 4.0, 5.0)}
+        dists = bespoke_loss_dist(
+            {t: result for t in (1.0, 2.0, 3.0, 4.0, 5.0)}, spec)
         # reuse the 5Y loss law at every horizon scaled down to keep the
         # term structure monotone while exercising full support
         curve = DiscountCurve.flat(0.02)
@@ -610,12 +615,12 @@ class TestPriceTranche:
         spec = BespokeSpec(members=((1, "relevant"),), notional=0.5)
         dists = bespoke_loss_dist({5.0: result}, spec)
         assert list(dists) == [5.0]
-        assert dists[5.0].horizon == 5.0
+        assert dists[5.0].unit == pytest.approx(unit / 0.5)
 
     def test_el_curve_requires_coverage(self):
         result, ports, unit, notional = calibrated_toy(seed=8)
         spec = BespokeSpec(members=((1, "relevant"),), notional=0.5)
-        dists = {1.0: assemble_bespoke(result, spec, horizon=1.0)}
+        dists = bespoke_loss_dist({1.0: result}, spec)
         tr = TrancheSpec.with_schedule(0.0, 0.03, 5.0, 4)
         with pytest.raises(ConfigurationError):
             tranche_el_curve(dists, tr)

@@ -27,7 +27,6 @@ PUBLIC_NAMES = {
     "loss": [
         "ConditionalLossDist", "LossDist", "LossGrid",
         "build_conditional_prior", "default_loss_unit",
-        "mixture_unconditional",
     ],
     "calibrate": [
         "CalibrationResult", "MceCalibrator", "PricingConstraint",
@@ -36,9 +35,8 @@ PUBLIC_NAMES = {
     ],
     "pricing": [
         "BespokeSpec", "DiscountCurve", "TranchePrice", "TrancheSpec",
-        "adjust_bespoke_names", "assemble_bespoke", "bespoke_loss_dist",
-        "default_leg", "price_tranche", "risky_annuity", "tranche_el_curve",
-        "tranche_expected_loss",
+        "adjust_bespoke_names", "bespoke_loss_dist", "price_tranche",
+        "tranche_el_curve", "tranche_expected_loss",
     ],
     "basecorr": [
         "BaseCorrCurve", "base_tranche_el",
@@ -64,7 +62,7 @@ PINNED = [name for names in PUBLIC_NAMES.values() for name in names]
 
 
 def test_pinned_names_are_package_attributes():
-    assert len(PINNED) == len(set(PINNED)) == 53
+    assert len(PINNED) == len(set(PINNED)) == 49
     for module, names in PUBLIC_NAMES.items():
         # `eb.calibrate` is the function, so look the module up by path
         source = importlib.import_module(f"entropic_bespoke.{module}")
@@ -183,7 +181,12 @@ PUBLIC_MEMBERS = {
         "bucket_marginals", "constraints", "grid", "index_ids",
         "index_loss_dist", "iterations", "kl_to_prior", "lambdas", "laws",
         "log_norm", "method", "model_els", "objective_value",
-        "posterior_weights", "priors", "residuals",
+        "posterior_weights", "residuals",
+    ],
+    "LossDist": ["cdf", "levels", "mean", "pmf", "unit"],
+    "TranchePrice": [
+        "default_leg", "par_spread", "par_spread_bp", "risky_annuity",
+        "tranche",
     ],
     "PeriodKernel": [
         "constraints", "contexts", "factor_rows_of", "horizon", "iterations",
